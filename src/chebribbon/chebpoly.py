@@ -80,18 +80,34 @@ def u_eval(n, x):
 
 
 def u_all(n_max, x):
-    """[U_{-1}(x), U_0(x), ..., U_{n_max}(x)] at a scalar x.
+    """[U_{-1}(x), U_0(x), ..., U_{n_max}(x)] along the first axis.
 
-    Plain recurrence without rescaling — meant for transverse state
-    profiles, where n_max*arccosh|x| stays well inside float range.
+    A scalar x gives a vector of n_max + 2 values; an array x gives a table
+    of shape (n_max + 2,) + x.shape, one column per argument, with the
+    recurrence run once for all of them.  Each column equals the scalar
+    table bit for bit.  Plain recurrence without rescaling — meant for
+    transverse state profiles, where n_max*arccosh|x| stays well inside
+    float range.
     """
     if n_max < -1:
         raise ValueError(f"degree must be >= -1, got {n_max}")
-    out = np.zeros(n_max + 2)
+    if np.ndim(x) == 0:
+        out = np.zeros(n_max + 2)
+        if n_max >= 0:
+            out[1] = 1.0
+        for m in range(1, n_max + 1):
+            out[m + 1] = 2.0 * x * out[m] - out[m - 1]
+        return out
+    x = np.asarray(x, dtype=float)
+    out = np.zeros((n_max + 2,) + x.shape)
     if n_max >= 0:
         out[1] = 1.0
+    # (2x) U_m - U_{m-1}, rounded after each operation as in the scalar loop
+    two_x = 2.0 * x
+    rows = list(out)
     for m in range(1, n_max + 1):
-        out[m + 1] = 2.0 * x * out[m] - out[m - 1]
+        np.multiply(two_x, rows[m], out=rows[m + 1])
+        np.subtract(rows[m + 1], rows[m - 1], out=rows[m + 1])
     return out
 
 

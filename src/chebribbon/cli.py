@@ -5,7 +5,7 @@ Closed forms are used wherever they exist; every row is tagged with its
 source (analytic or oracle) and k-points where the reduced parameterization
 degenerates fall back to the oracle instead of failing.  Output is
 deterministic: floats print at 17 significant digits and rows are ordered
-by (k index, band index) regardless of worker scheduling.
+by (k index, band index).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +34,13 @@ __all__ = ["ScanConfig", "run", "main"]
 
 BAND_COLUMNS = ("k", "band", "energy", "class", "u", "ipr", "source")
 WAVE_COLUMNS = ("n", "sublattice", "abs", "re", "im", "source")
+
+# Matrix elements per block of closed-form states built together.  Each
+# block is reduced to its IPRs or overlaps before the next one is built, so
+# a wide ribbon never holds all its states at once: for `bands` at N = 1000,
+# all states at once raised peak RSS by 38 MB, blocks of 2**16 by 3.6 MB
+# and blocks of 2**14 by 0.4 MB.
+_STATE_BLOCK = 2 ** 14
 
 _TRIANGLE_EDGE = {
     ModelKind.TRIANGLE_LINEAR: TriangleEdge.LINEAR,
@@ -57,7 +63,6 @@ class ScanConfig:
     tolerance: float = 1e-9
     output_path: str | None = None
     output_format: str = "csv"
-    jobs: int = 1
 
     @property
     def kind(self):
@@ -143,12 +148,37 @@ def _oracle_rows(config, k):
     return rows
 
 
+def _state_blocks(indices, dim):
+    """`indices` cut into runs of at most _STATE_BLOCK // dim states."""
+    step = max(1, _STATE_BLOCK // dim)
+    return [indices[i:i + step] for i in range(0, len(indices), step)]
+
+
+def _per_state(blocks, count, reduce):
+    """[reduce(i, state i)] for the `count` states that the (indices,
+    states) blocks hold, one column each."""
+    out = [None] * count
+    for block, states in blocks:
+        for col, i in enumerate(block):
+            out[i] = reduce(i, states[:, col])
+    return out
+
+
+def _square_zigzag_states(xi_c, signed, N):
+    """(band indices, states with one column per band) covering every band,
+    in blocks of at most _STATE_BLOCK matrix elements."""
+    for block in _state_blocks(np.arange(len(signed)), 2 * N):
+        yield block, sq.zigzag_full_state(xi_c, signed[block], N)
+
+
 def _square_zigzag_rows(config, k):
     h, N, a = config.hoppings, config.model.N, config.model.a
     xi_c, _ = sq.xi_of_k(h, k, a)
     xi = abs(xi_c)
     omegas = sq.zigzag_spectrum(xi, N)
-    signed = sorted([-w for w in omegas] + list(omegas))
+    signed = np.array(sorted([-w for w in omegas] + list(omegas)))
+    part = _per_state(_square_zigzag_states(xi_c, signed, N), len(signed),
+                      lambda i, state: ipr(state))
     rows = []
     for i, omega in enumerate(signed):
         energy = h.tr * omega
@@ -157,8 +187,7 @@ def _square_zigzag_rows(config, k):
         if label.is_edge:
             x = (omega * omega - xi * xi - 1.0) / (2.0 * xi)
             u_val = math.acosh(-x)
-        state = sq.zigzag_full_state(xi_c, omega, N)
-        rows.append([k, i + 1, energy, label.value, u_val, ipr(state),
+        rows.append([k, i + 1, energy, label.value, u_val, part[i],
                      "analytic"])
     return rows
 
@@ -179,10 +208,33 @@ def _square_lr_rows(config, k):
     return rows
 
 
+def _triangle_states(kind, h, N, k, a, roots):
+    """(root indices, states with one column per root) covering every root
+    of a zigzag triangle: bulk roots in blocks of at most _STATE_BLOCK
+    matrix elements, edge roots one by one."""
+    zz1 = kind == ModelKind.TRIANGLE_ZIGZAG1
+    theta = tri.zeta_of_k(h, k, a)[1]
+    bulk = [i for i, root in enumerate(roots) if root.kind != "edge"]
+    state = tri.zz1_state if zz1 else tri.zz2_state
+    for block in _state_blocks(bulk, N):
+        yield block, state(np.array([roots[i].energy for i in block]),
+                           h, N, k, a=a)
+    for i, root in enumerate(roots):
+        # deep edge roots need the closed-form envelopes: the polynomial
+        # recurrence cancels catastrophically there
+        if root.kind == "edge":
+            if zz1:
+                psi = tri.zz1_edge_state(root.u, N, root.sign, theta)
+            else:
+                psi = tri.zz2_edge_bloch_state(root.u, N, root.sign,
+                                               root.family, theta)
+            yield [i], psi[:, None]
+
+
 def _triangle_rows(config, k):
     h, N, a = config.hoppings, config.model.N, config.model.a
     kind = config.kind
-    zeta, theta = tri.zeta_of_k(h, k, a)
+    zeta = tri.zeta_of_k(h, k, a)[0]
     tau = tri.tau_of_k(h, k, a)
     rows = []
     if kind == ModelKind.TRIANGLE_LINEAR:
@@ -198,23 +250,13 @@ def _triangle_rows(config, k):
         roots = tri.zz1_roots(h, N, k, a=a)
     else:
         roots = tri.zz2_roots(h, N, k, a=a)
+    part = _per_state(_triangle_states(kind, h, N, k, a, roots), len(roots),
+                      lambda i, state: ipr(state))
     for i, root in enumerate(roots):
         label = classify_analytic_triangle(root.energy, tau, abs(zeta),
                                            sides=sides)
-        if root.kind == "edge":
-            if kind == ModelKind.TRIANGLE_ZIGZAG1:
-                state = tri.zz1_edge_state(root.u, N, root.sign, theta)
-            else:
-                state = tri.zz2_edge_bloch_state(root.u, N, root.sign,
-                                                 root.family, theta)
-            u_val = root.u
-        else:
-            if kind == ModelKind.TRIANGLE_ZIGZAG1:
-                state = tri.zz1_state(root.energy, h, N, k, a=a)
-            else:
-                state = tri.zz2_state(root.energy, h, N, k, a=a)
-            u_val = None
-        rows.append([k, i + 1, root.energy, label.value, u_val, ipr(state),
+        u_val = root.u if root.kind == "edge" else None
+        rows.append([k, i + 1, root.energy, label.value, u_val, part[i],
                      "analytic"])
     return rows
 
@@ -236,13 +278,7 @@ def _rows_for_k(config, k):
 
 
 def cmd_bands(config):
-    grid = config.k_grid()
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            chunks = list(pool.map(lambda k: _rows_for_k(config, k), grid))
-    else:
-        chunks = [_rows_for_k(config, k) for k in grid]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [row for k in config.k_grid() for row in _rows_for_k(config, k)]
     _write_table(config, BAND_COLUMNS, rows)
     return 0
 
@@ -320,8 +356,13 @@ def _validate_square_zigzag(h, N, grid, tol, violations):
         xi_c, _ = sq.xi_of_k(h, k)
         xi = abs(xi_c)
         omegas = sq.zigzag_spectrum(xi, N)
-        signed = sorted([-w for w in omegas] + list(omegas))
+        signed = np.array(sorted([-w for w in omegas] + list(omegas)))
         spec = eigensolve_dense(build_square_bloch(h, N, k))
+        # subspace projection: degenerate pairs (e.g. the +-0 partners of a
+        # deep edge state) leave single oracle vectors arbitrary
+        overlap = _per_state(
+            _square_zigzag_states(xi_c, signed, N), len(signed),
+            lambda i, state: subspace_overlap(spec, h.tr * signed[i], state))
         for i, omega in enumerate(signed):
             energy = h.tr * omega
             d = abs(energy - spec.energies[i])
@@ -329,11 +370,7 @@ def _validate_square_zigzag(h, N, grid, tol, violations):
                 violations.append(("square-zigzag", float(k), i + 1,
                                    "energy", d))
             dev = max(dev, d)
-            state = sq.zigzag_full_state(xi_c, omega, N)
-            # subspace projection: degenerate pairs (e.g. the +-0 partners
-            # of a deep edge state) leave single oracle vectors arbitrary
-            deficit = max(deficit,
-                          1.0 - subspace_overlap(spec, energy, state))
+            deficit = max(deficit, 1.0 - overlap[i])
             analytic = classify_analytic_square(omega, xi)
             numeric = classify_numeric(spec.vectors[:, i]).label
             total += 1
@@ -393,7 +430,7 @@ def _validate_triangle(kind, h, N, grid, tol, violations):
     agree = total = 0
     resid_max = None
     for k in grid:
-        zeta, theta = tri.zeta_of_k(h, k)
+        zeta = tri.zeta_of_k(h, k)[0]
         tau = tri.tau_of_k(h, k)
         spec = eigensolve_dense(build_triangle_bloch(h, N, k, edge=edge))
         if kind == ModelKind.TRIANGLE_LINEAR:
@@ -401,37 +438,28 @@ def _validate_triangle(kind, h, N, grid, tol, violations):
             order = np.argsort(energies)
             energies = energies[order]
             states = states[:, order]
+            overlap = [subspace_overlap(spec, e, states[:, i])
+                       for i, e in enumerate(energies)]
         else:
             zz1 = kind == ModelKind.TRIANGLE_ZIGZAG1
             roots = tri.zz1_roots(h, N, k) if zz1 else tri.zz2_roots(h, N, k)
-            cols = []
-            for r in roots:
-                # deep edge roots need the closed-form envelopes: the
-                # polynomial recurrence cancels catastrophically there
-                if r.kind == "edge":
-                    if zz1:
-                        cols.append(tri.zz1_edge_state(r.u, N, r.sign, theta))
-                    else:
-                        cols.append(tri.zz2_edge_bloch_state(
-                            r.u, N, r.sign, r.family, theta))
-                elif zz1:
-                    cols.append(tri.zz1_state(r.energy, h, N, k))
-                else:
-                    cols.append(tri.zz2_state(r.energy, h, N, k))
-            states = np.column_stack(cols)
+            energies = np.array([r.energy for r in roots])
+            overlap = _per_state(
+                _triangle_states(kind, h, N, k, 1.0, roots), len(roots),
+                lambda i, state: subspace_overlap(spec, energies[i], state))
             residual = tri.zz1_secular_residual if zz1 \
                 else tri.zz2_secular_residual
-            resid = max(abs(residual(r.energy, h, N, k, scaled=True))
-                        for r in roots)
+            resid = max(abs(v)
+                        for block in _state_blocks(np.arange(len(roots)), N)
+                        for v in residual(energies[block], h, N, k,
+                                          scaled=True).tolist())
             resid_max = resid if resid_max is None else max(resid_max, resid)
-            energies = np.array([r.energy for r in roots])
         for i, e in enumerate(energies):
             d = abs(e - spec.energies[i])
             if d > tol * max(1.0, abs(e)):
                 violations.append((kind.value, float(k), i + 1, "energy", d))
             dev = max(dev, d)
-            deficit = max(deficit,
-                          1.0 - subspace_overlap(spec, e, states[:, i]))
+            deficit = max(deficit, 1.0 - overlap[i])
             analytic = classify_analytic_triangle(e, tau, abs(zeta),
                                                   sides=sides)
             numeric = classify_numeric(spec.vectors[:, i]).label
@@ -586,6 +614,9 @@ def cmd_wavefunction(config, args):
     given_band = args.band is not None
     if given_u and given_band:
         raise ConfigError("--u and --band are mutually exclusive")
+    if given_u and not (math.isfinite(args.u) and args.u > 0.0):
+        raise ConfigError(f"--u must be a positive decay parameter, "
+                          f"got {args.u}")
     if kind == ModelKind.SQUARE_ZIGZAG and given_u:
         pt = sq.zigzag_edge_branch(args.u, N)
         sign = 1.0 if args.sign >= 0 else -1.0
@@ -675,7 +706,7 @@ def cmd_zeromodes(config, args):
 # ------------------------------------------------------------ arg plumbing --
 
 _CONFIG_KEYS = {"model", "N", "tu", "td", "tl", "tr", "t1", "t2", "t3", "a",
-                "k_points", "tol", "out", "format", "jobs", "k", "band", "u",
+                "k_points", "tol", "out", "format", "k", "band", "u",
                 "sign", "family", "j"}
 
 
@@ -697,7 +728,6 @@ def _build_parser():
         p.add_argument("--out")
         p.add_argument("--format", choices=["csv", "json"])
         p.add_argument("--config")
-        p.add_argument("--jobs", type=int)
 
     common(sub.add_parser("bands", help="band-structure scan over one zone"))
     common(sub.add_parser("edges", help="edge-regime report and u-branch "
@@ -770,9 +800,6 @@ def _resolve_config(args):
     k_points = args.k_points if args.k_points is not None else 128
     if k_points < 1:
         raise ConfigError("k-points must be >= 1")
-    jobs = args.jobs if args.jobs is not None else 1
-    if jobs < 1:
-        raise ConfigError("jobs must be >= 1")
     return ScanConfig(
         model=model,
         hoppings=hoppings,
@@ -780,7 +807,6 @@ def _resolve_config(args):
         tolerance=args.tol if args.tol is not None else 1e-9,
         output_path=args.out,
         output_format=args.format if args.format is not None else "csv",
-        jobs=jobs,
     )
 
 

@@ -43,6 +43,12 @@ class TriangleEdge(enum.Enum):
     ZIGZAG2 = "zigzag2"
 
 
+def _require_finite(name, value):
+    # NaN slips through every ordered comparison, and inf through most
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SquareHoppings:
     """Hopping amplitudes up/down/left/right; magnitudes, all >= 0."""
@@ -54,6 +60,7 @@ class SquareHoppings:
 
     def __post_init__(self):
         for name in ("tu", "td", "tl", "tr"):
+            _require_finite(name, getattr(self, name))
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0")
         if max(self.tu, self.td, self.tr) <= 0.0:
@@ -70,6 +77,7 @@ class TriangleHoppings:
 
     def __post_init__(self):
         for name in ("t1", "t2", "t3"):
+            _require_finite(name, getattr(self, name))
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0")
 
@@ -91,6 +99,7 @@ class RibbonModel:
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("width N must be >= 1")
+        _require_finite("lattice constant", self.a)
         if self.a <= 0.0:
             raise ValueError("lattice constant must be positive")
 
@@ -111,6 +120,9 @@ class RibbonModel:
                 raise TypeError("square model needs SquareHoppings")
             if self.kind is ModelKind.SQUARE_ZIGZAG and h.tl != 0.0:
                 raise ValueError("zigzag square model requires tl = 0")
+            if (self.kind in (ModelKind.SQUARE_ZIGZAG, ModelKind.SQUARE_LR)
+                    and h.tr <= 0.0):
+                raise ValueError(f"{self.kind.value} model requires tr > 0")
             if self.kind is ModelKind.SQUARE_LR and not math.isclose(
                     h.tl, h.tr, rel_tol=1e-12, abs_tol=0.0):
                 raise ValueError("left-right isotropic model requires tl = tr")

@@ -227,40 +227,57 @@ def sublattice_link(omega, u_n_value, theta_total=0.0):
     return -phase / denom
 
 
+def _edge_full_state(xi_abs, omega, x, N):
+    """Signed circ and bullet components and the bullet factor of an edge
+    state at x < -1.
+
+    Alternating signs come from the reflected polynomial argument; on this
+    branch |xi| C_circ,N / omega collapses to a pure sign, absorbed together
+    with the bullet-side reflection parity."""
+    circ_env, bullet_env = _edge_profiles(math.acosh(-x), N)
+    alt = (-1.0) ** np.arange(N)
+    return alt * circ_env, alt * bullet_env, 1.0 if omega >= 0.0 else -1.0
+
+
 def zigzag_full_state(xi, omega, N):
     """Full normalized 2N eigenvector (circ block then bullet block) at
-    reduced energy omega for complex xi, matching the Bloch matrix gauge."""
+    reduced energy omega for complex xi, matching the Bloch matrix gauge.
+
+    An array of energies gives one contiguous column per energy; the bulk
+    ones share one recurrence run."""
     xi_abs = abs(xi)
     if xi_abs <= 0.0:
         raise DegenerateParameterError("|xi| = 0 has no reduced closed form")
     theta = cmath.phase(xi)
-    x = (omega * omega - xi_abs * xi_abs - 1.0) / (2.0 * xi_abs)
-    n = np.arange(1, N + 1)
-    if x < -1.0 - 1e-12:
-        # edge state: alternating signs from the reflected polynomial
-        # argument; on this branch |xi| C_circ,N / omega collapses to a pure
-        # sign, absorbed together with the bullet-side reflection parity
-        u = math.acosh(-x)
-        circ_env, bullet_env = _edge_profiles(u, N)
-        alt = (-1.0) ** (n - 1)
-        c_circ = alt * circ_env
-        c_bullet = alt * bullet_env
-        t = 1.0 if omega >= 0.0 else -1.0
-    elif x > 1.0 + 1e-12:
+    omegas = np.atleast_1d(np.asarray(omega, dtype=float))
+    x = (omegas * omegas - xi_abs * xi_abs - 1.0) / (2.0 * xi_abs)
+    if np.any(x > 1.0 + 1e-12):
         raise ValueError("omega lies outside the spectral range for this xi")
-    else:
-        x = min(1.0, max(-1.0, x))
-        un = u_all(N, x)  # un[m+1] = U_m
-        c_circ = un[1:N + 1] + un[0:N] / xi_abs
-        c_bullet = un[N + 1 - n] + un[N - n] / xi_abs
-        if omega == 0.0:
-            raise ValueError("omega = 0 is not a zigzag eigenvalue for "
-                             "nonzero xi")
-        t = xi_abs * c_circ[-1] / omega
-    psi_circ = np.exp(-1.0j * (n - 1) * theta) * c_circ
-    psi_bullet = np.exp(-1.0j * n * theta) * (t * c_bullet)
-    full = np.concatenate([psi_circ, psi_bullet])
-    return full / np.linalg.norm(full)
+    edge = x < -1.0 - 1e-12
+    if np.any(omegas[~edge] == 0.0):
+        raise ValueError("omega = 0 is not a zigzag eigenvalue for "
+                         "nonzero xi")
+    n = np.arange(1, N + 1)
+    c_circ = np.empty((len(omegas), N))
+    c_bullet = np.empty((len(omegas), N))
+    t = np.empty(len(omegas))
+    bulk = np.flatnonzero(~edge)
+    if len(bulk):
+        un = u_all(N, np.clip(x[bulk], -1.0, 1.0))  # un[m+1] = U_m
+        c_circ[bulk] = (un[1:N + 1] + un[0:N] / xi_abs).T
+        c_bullet[bulk] = (un[N:0:-1] + un[N - 1::-1] / xi_abs).T
+        t[bulk] = xi_abs * c_circ[bulk, -1] / omegas[bulk]
+    for i in np.flatnonzero(edge):
+        c_circ[i], c_bullet[i], t[i] = _edge_full_state(xi_abs, omegas[i],
+                                                        x[i], N)
+    full = np.empty((len(omegas), 2 * N), dtype=complex)
+    full[:, :N] = np.exp(-1.0j * (n - 1) * theta) * c_circ
+    full[:, N:] = np.exp(-1.0j * n * theta) * (t[:, None] * c_bullet)
+    # one norm per contiguous state: a batched reduction sums in another
+    # order and changes the last bits
+    for row in full:
+        row /= np.linalg.norm(row)
+    return full[0] if np.ndim(omega) == 0 else full.T
 
 
 # ---------------------------------------------------------------- regime ---

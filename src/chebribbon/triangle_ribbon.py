@@ -103,72 +103,90 @@ def _reduced(h, N, k, a):
     return za, tau / za, tau, theta
 
 
+def _secular_terms(E, h, N, k, a, two_sided):
+    """Chebyshev table un = u_all(N, y) at y = (E - tau)/(2|zeta|), one
+    column per energy, with the secular sum, the magnitude of its cancelling
+    terms, tau/|zeta| and arg zeta."""
+    za, r, tau, theta = _reduced(h, N, k, a)
+    un = u_all(N, (np.atleast_1d(np.asarray(E, dtype=float)) - tau)
+               / (2.0 * za))
+    if two_sided:
+        resid = un[N + 1] + 2.0 * r * un[N] + r * r * un[N - 1]
+        scale = (np.abs(un[N + 1]) + np.abs(2.0 * r * un[N])
+                 + np.abs(r * r * un[N - 1]))
+    else:
+        resid = un[N + 1] + r * un[N]
+        scale = np.abs(un[N + 1]) + np.abs(r * un[N])
+    return un, resid, scale, r, theta
+
+
+def _at_least_one(scale):
+    # max(1.0, scale) per entry; a NaN scale gives 1.0, as max() does
+    return np.where(scale > 1.0, scale, 1.0)
+
+
+def _secular_residual(E, h, N, k, a, scaled, two_sided):
+    _, resid, scale, _, _ = _secular_terms(E, h, N, k, a, two_sided)
+    if scaled:
+        resid = resid / _at_least_one(scale)
+    return float(resid[0]) if np.ndim(E) == 0 else resid
+
+
 def zz1_secular_residual(E, h, N, k, a=1.0, scaled=False):
     """U_N(y) + (tau/|zeta|) U_{N-1}(y) at y = (E - tau)/(2|zeta|).
 
     With ``scaled=True`` the residual is divided by the magnitude of the
     cancelling terms, so it stays meaningful for |y| > 1 where the
-    polynomials grow exponentially.
+    polynomials grow exponentially.  An array of energies gives an array.
     """
-    za, r, tau, _ = _reduced(h, N, k, a)
-    y = (E - tau) / (2.0 * za)
-    un = u_all(N, y)
-    resid = float(un[N + 1] + r * un[N])
-    if scaled:
-        resid /= max(1.0, abs(un[N + 1]) + abs(r * un[N]))
-    return resid
+    return _secular_residual(E, h, N, k, a, scaled, two_sided=False)
 
 
 def zz2_secular_residual(E, h, N, k, a=1.0, scaled=False):
     """U_N(y) + (2 tau/|zeta|) U_{N-1}(y) + (tau/|zeta|)^2 U_{N-2}(y).
 
     ``scaled=True`` divides by the magnitude of the cancelling terms (see
-    zz1_secular_residual).
+    zz1_secular_residual).  An array of energies gives an array.
     """
     if N < 2:
         raise ValueError("two-sided zigzag needs N >= 2")
-    za, r, tau, _ = _reduced(h, N, k, a)
-    y = (E - tau) / (2.0 * za)
-    un = u_all(N, y)
-    resid = float(un[N + 1] + 2.0 * r * un[N] + r * r * un[N - 1])
-    if scaled:
-        resid /= max(1.0, abs(un[N + 1]) + abs(2.0 * r * un[N])
-                     + abs(r * r * un[N - 1]))
-    return resid
+    return _secular_residual(E, h, N, k, a, scaled, two_sided=True)
 
 
-def _secular_state(y, r, theta, N, resid, scale, tol):
-    if abs(resid) > tol * max(1.0, scale):
+def _secular_state(E, h, N, k, a, tol, two_sided):
+    """Normalized e^{i n theta} [U_{n-1}(y) + r U_{n-2}(y)]: a vector for
+    scalar E, else one contiguous column per energy."""
+    un, resid, scale, r, theta = _secular_terms(E, h, N, k, a, two_sided)
+    off = np.abs(resid) > tol * _at_least_one(scale)
+    if np.any(off):
         raise ValueError(
-            f"energy is not on the spectrum (scaled residual {resid:.3e})")
-    un = u_all(N, y)
-    g = un[1:N + 1] + r * un[0:N]
-    psi = np.exp(1.0j * np.arange(1, N + 1) * theta) * g
-    return psi / np.linalg.norm(psi)
+            f"energy is not on the spectrum (scaled residual "
+            f"{resid[off][0]:.3e})")
+    phase = np.exp(1.0j * np.arange(1, N + 1) * theta)
+    psi = phase * np.ascontiguousarray((un[1:N + 1] + r * un[0:N]).T)
+    # one norm per contiguous state: a batched reduction sums in another
+    # order and changes the last bits
+    for row in psi:
+        row /= np.linalg.norm(row)
+    return psi[0] if np.ndim(E) == 0 else psi.T
 
 
 def zz1_state(E, h, N, k, a=1.0, tol=1e-6):
     """Normalized transverse eigenvector of the one-sided zigzag ribbon:
-    psi_n = e^{i n theta} [U_{n-1}(y) + (tau/|zeta|) U_{n-2}(y)]."""
-    za, r, tau, theta = _reduced(h, N, k, a)
-    y = (E - tau) / (2.0 * za)
-    un = u_all(N, y)
-    resid = un[N + 1] + r * un[N]
-    scale = abs(un[N + 1]) + abs(r * un[N])
-    return _secular_state(y, r, theta, N, resid, scale, tol)
+    psi_n = e^{i n theta} [U_{n-1}(y) + (tau/|zeta|) U_{n-2}(y)].
+
+    An array of energies gives one column per energy, from one recurrence
+    run for all of them."""
+    return _secular_state(E, h, N, k, a, tol, two_sided=False)
 
 
 def zz2_state(E, h, N, k, a=1.0, tol=1e-6):
     """Normalized transverse eigenvector of the two-sided zigzag ribbon
-    (same componentwise form as zz1_state; only the secular check differs)."""
+    (same componentwise form as zz1_state; only the secular check differs).
+    An array of energies gives one column per energy."""
     if N < 2:
         raise ValueError("two-sided zigzag needs N >= 2")
-    za, r, tau, theta = _reduced(h, N, k, a)
-    y = (E - tau) / (2.0 * za)
-    un = u_all(N, y)
-    resid = un[N + 1] + 2.0 * r * un[N] + r * r * un[N - 1]
-    scale = abs(un[N + 1]) + abs(2.0 * r * un[N]) + abs(r * r * un[N - 1])
-    return _secular_state(y, r, theta, N, resid, scale, tol)
+    return _secular_state(E, h, N, k, a, tol, two_sided=True)
 
 
 # ------------------------------------------------------------- per-k roots --

@@ -53,6 +53,15 @@ def test_u_all_prefix_matches_single_evaluations():
     table = cp.u_all(6, x)
     expected = [cp.u_eval(m, x) for m in range(-1, 7)]
     np.testing.assert_allclose(table, expected, rtol=1e-14)
+    # an array argument runs the recurrence once for all columns, each
+    # equal bit for bit to the scalar table
+    xs = np.concatenate([[x, -1.0, 1.0, 0.0],
+                         np.random.default_rng(3).uniform(-1.3, 1.3, 40)])
+    for n_max in (-1, 0, 1, 6, 300):
+        block = cp.u_all(n_max, xs)
+        assert block.shape == (n_max + 2, xs.size)
+        for j, xj in enumerate(xs):
+            assert np.array_equal(block[:, j], cp.u_all(n_max, float(xj)))
 
 
 def test_u_pair_degree_minus_one():

@@ -11,7 +11,11 @@ import sys
 import numpy as np
 import pytest
 
-from chebribbon.cli import _emit, run
+from chebribbon import square_ribbon as sq
+from chebribbon import triangle_ribbon as tri
+from chebribbon.cli import (_STATE_BLOCK, _emit, _square_zigzag_states,
+                            _triangle_states, run)
+from chebribbon.hamiltonian import ModelKind, SquareHoppings, TriangleHoppings
 
 HEADER = "k,band,energy,class,u,ipr,source"
 
@@ -45,17 +49,58 @@ def test_bands_csv_shape(capsys):
     assert any(r[3] == "bulk" for r in rows)
 
 
-def test_bands_deterministic_and_parallel(capsys):
+def test_bands_deterministic(capsys):
     argv = ["bands", "--model", "square-zigzag", "--N", "4",
             "--k-points", "12"]
     run(argv)
     first = capsys.readouterr().out
     run(argv)
     second = capsys.readouterr().out
-    run(argv + ["--jobs", "4"])
-    parallel = capsys.readouterr().out
     assert first == second
-    assert first == parallel
+
+
+@pytest.mark.parametrize("kind", [ModelKind.TRIANGLE_ZIGZAG1,
+                                  ModelKind.TRIANGLE_ZIGZAG2])
+def test_triangle_state_blocks_equal_single_states(kind):
+    N, k = 200, 0.4
+    h = TriangleHoppings(t1=0.9, t2=0.1, t3=1.0)
+    zz1 = kind == ModelKind.TRIANGLE_ZIGZAG1
+    roots = (tri.zz1_roots if zz1 else tri.zz2_roots)(h, N, k)
+    theta = tri.zeta_of_k(h, k)[1]
+    seen = []
+    for block, states in _triangle_states(kind, h, N, k, 1.0, roots):
+        assert states.shape == (N, len(block))
+        assert len(block) == 1 or len(block) * N <= _STATE_BLOCK
+        for col, i in enumerate(block):
+            root = roots[i]
+            if root.kind == "edge":
+                expected = (tri.zz1_edge_state(root.u, N, root.sign, theta)
+                            if zz1 else tri.zz2_edge_bloch_state(
+                                root.u, N, root.sign, root.family, theta))
+            else:
+                expected = (tri.zz1_state if zz1 else tri.zz2_state)(
+                    root.energy, h, N, k)
+            assert np.array_equal(states[:, col], expected)
+        seen.extend(block)
+    assert sorted(seen) == list(range(N))
+    assert any(r.kind == "edge" for r in roots)
+    assert N * N > 2 * _STATE_BLOCK  # several bulk blocks
+
+
+def test_square_state_blocks_equal_single_states():
+    N, k = 120, 0.3
+    xi, _ = sq.xi_of_k(SquareHoppings(tu=1.0, td=0.6, tl=0.0, tr=1.0), k)
+    omegas = sq.zigzag_spectrum(abs(xi), N)
+    signed = np.concatenate([-omegas[::-1], omegas])
+    seen = []
+    for block, states in _square_zigzag_states(xi, signed, N):
+        assert len(block) * 2 * N <= _STATE_BLOCK
+        for col, i in enumerate(block):
+            assert np.array_equal(states[:, col],
+                                  sq.zigzag_full_state(xi, signed[i], N))
+        seen.extend(block)
+    assert seen == list(range(2 * N))
+    assert len(seen) * 2 * N > 2 * _STATE_BLOCK
 
 
 def test_bands_floats_round_trip_through_text(capsys):
@@ -327,7 +372,6 @@ def test_zeromodes_rejections(capsys):
     ["bands", "--model", "square-zigzag", "--tr", "-1"],
     ["bands", "--model", "square-zigzag", "--tl", "0.5"],
     ["bands", "--model", "square-zigzag", "--k-points", "0"],
-    ["bands", "--model", "square-zigzag", "--jobs", "0"],
     ["bands", "--model", "triangle-zigzag2", "--N", "1"],
     ["wavefunction", "--model", "square-zigzag", "--u", "0.5",
      "--band", "3"],
@@ -335,6 +379,15 @@ def test_zeromodes_rejections(capsys):
     ["wavefunction", "--model", "square-zigzag"],
     ["wavefunction", "--model", "triangle-zigzag1", "--t1", "3",
      "--t2", "0.1", "--u", "0.5"],
+    ["bands", "--model", "triangle-zigzag1", "--t1", "inf"],
+    ["bands", "--model", "square-zigzag", "--tu", "nan"],
+    ["bands", "--model", "triangle-zigzag1", "--t1", "nan"],
+    ["bands", "--model", "square-zigzag", "--a", "inf"],
+    ["bands", "--model", "triangle-linear", "--a", "nan"],
+    ["bands", "--model", "square-zigzag", "--tr", "0"],
+    ["bands", "--model", "square-lr", "--tr", "0"],
+    ["wavefunction", "--model", "square-zigzag", "--u", "-1"],
+    ["wavefunction", "--model", "triangle-zigzag1", "--u", "nan"],
 ])
 def test_invalid_invocations_exit_2(capsys, argv):
     assert run(argv) == 2

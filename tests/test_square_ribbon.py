@@ -9,7 +9,7 @@ import pytest
 from conftest import midpoint_grid
 
 from chebribbon import square_ribbon as sq
-from chebribbon.chebpoly import u_eval
+from chebribbon.chebpoly import u_all, u_eval
 from chebribbon.errors import (DegenerateParameterError, NoEdgeStateError,
                                SingularArgumentError)
 from chebribbon.hamiltonian import (SquareHoppings, build_square_bloch,
@@ -202,11 +202,52 @@ def test_full_state_matches_oracle_for_edge_and_bulk():
         assert subspace_overlap(spec, omega, state) > 1 - 1e-8
 
 
+def _scalar_full_state(xi, omega, N):
+    """Reference: one full state from the scalar recurrence, or from the
+    decaying envelopes below the band."""
+    xi_abs, theta = abs(xi), cmath.phase(xi)
+    x = (omega * omega - xi_abs * xi_abs - 1.0) / (2.0 * xi_abs)
+    n = np.arange(1, N + 1)
+    if x < -1.0 - 1e-12:
+        pt = sq.zigzag_edge_branch(math.acosh(-x), N)
+        alt = (-1.0) ** (n - 1)
+        c_circ, c_bullet = alt * pt.psi_circ, alt * pt.psi_bullet
+        t = 1.0 if omega >= 0.0 else -1.0
+    else:
+        un = u_all(N, min(1.0, max(-1.0, x)))
+        c_circ = un[1:N + 1] + un[0:N] / xi_abs
+        c_bullet = un[N + 1 - n] + un[N - n] / xi_abs
+        t = xi_abs * c_circ[-1] / omega
+    full = np.concatenate([np.exp(-1.0j * (n - 1) * theta) * c_circ,
+                           np.exp(-1.0j * n * theta) * (t * c_bullet)])
+    return full / np.linalg.norm(full)
+
+
+@pytest.mark.parametrize("N", [1, 2, 6, 45])
+def test_batched_full_states_equal_scalar_reference(N):
+    for h, k in ((SquareHoppings(tu=1.0, td=0.6, tl=0.0, tr=1.0), 0.7),
+                 (SquareHoppings(tu=1.0, td=0.6, tl=0.0, tr=1.0), 1.5),
+                 (SquareHoppings(tu=0.3, td=0.2, tl=0.0, tr=1.1), 0.2)):
+        xi, _ = sq.xi_of_k(h, k)
+        omegas = sq.zigzag_spectrum(abs(xi), N)
+        signed = np.concatenate([-omegas[::-1], omegas])
+        block = sq.zigzag_full_state(xi, signed, N)
+        assert block.shape == (2 * N, 2 * N)
+        for j, omega in enumerate(signed):
+            expected = _scalar_full_state(xi, omega, N)
+            assert block[:, j].flags.c_contiguous
+            assert np.array_equal(block[:, j], expected)
+            assert np.array_equal(sq.zigzag_full_state(xi, omega, N),
+                                  expected)
+
+
 def test_full_state_error_paths():
     with pytest.raises(ValueError):
         sq.zigzag_full_state(0.5 + 0.0j, 9.0, 5)   # above the band
     with pytest.raises(ValueError):
         sq.zigzag_full_state(1.0 + 0.0j, 0.0, 5)   # omega = 0 not a root
+    with pytest.raises(ValueError):
+        sq.zigzag_full_state(1.0 + 0.0j, np.array([0.5, 0.0]), 5)
     with pytest.raises(DegenerateParameterError):
         sq.zigzag_full_state(0.0j, 0.3, 5)
 

@@ -9,6 +9,7 @@ import pytest
 from conftest import midpoint_grid
 
 from chebribbon import triangle_ribbon as tri
+from chebribbon.chebpoly import u_all
 from chebribbon.errors import DegenerateParameterError
 from chebribbon.hamiltonian import (TriangleEdge, TriangleHoppings,
                                     build_triangle_bloch, eigensolve_dense,
@@ -118,6 +119,55 @@ def test_zz1_state_phase_and_edge_modulus():
                                profile / np.linalg.norm(profile), rtol=1e-8)
     with pytest.raises(ValueError):
         tri.zz1_state(bulk[0].energy + 0.05, WEAK, N, k)
+
+
+def _scalar_secular(E, h, N, k, coeffs):
+    """Reference: the secular sum, its scale and the normalized state at
+    one energy, from the scalar recurrence."""
+    zeta, theta = tri.zeta_of_k(h, k)
+    tau = tri.tau_of_k(h, k)
+    r = tau / abs(zeta)
+    un = u_all(N, (E - tau) / (2.0 * abs(zeta)))
+    terms = [c(r) * un[N + 1 - m] for m, c in enumerate(coeffs)]
+    resid = terms[0]
+    for t in terms[1:]:
+        resid = resid + t
+    scale = sum(abs(t) for t in terms)
+    psi = np.exp(1.0j * np.arange(1, N + 1) * theta) * (un[1:N + 1]
+                                                        + r * un[0:N])
+    return float(resid), scale, psi / np.linalg.norm(psi)
+
+
+@pytest.mark.parametrize("N", [2, 7, 40])
+def test_batched_states_and_residuals_equal_scalar_reference(N):
+    cases = (
+        (tri.zz1_roots, tri.zz1_state, tri.zz1_secular_residual,
+         (lambda r: 1.0, lambda r: r)),
+        (tri.zz2_roots, tri.zz2_state, tri.zz2_secular_residual,
+         (lambda r: 1.0, lambda r: 2.0 * r, lambda r: r * r)),
+    )
+    for roots_of, state, residual, coeffs in cases:
+        for k in (0.3, 2.0, math.pi):
+            roots = roots_of(WEAK, N, k)
+            every = np.array([r.energy for r in roots])
+            bulk = np.array([r.energy for r in roots if r.kind == "bulk"])
+            block = state(bulk, WEAK, N, k)
+            assert block.shape == (N, len(bulk))
+            for j, e in enumerate(bulk):
+                _, _, psi = _scalar_secular(e, WEAK, N, k, coeffs)
+                assert block[:, j].flags.c_contiguous
+                assert np.array_equal(block[:, j], psi)
+                assert np.array_equal(state(float(e), WEAK, N, k), psi)
+            expected = []
+            for e in every:
+                resid, scale, _ = _scalar_secular(e, WEAK, N, k, coeffs)
+                expected.append(resid / max(1.0, scale))
+                assert residual(float(e), WEAK, N, k) == resid
+            assert np.array_equal(
+                residual(every, WEAK, N, k, scaled=True), expected)
+            with pytest.raises(ValueError, match="not on the spectrum"):
+                state(bulk + np.where(bulk == bulk[-1], 0.05, 0.0),
+                      WEAK, N, k)
 
 
 def test_roots_match_oracle_across_widths(rng):
