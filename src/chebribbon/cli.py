@@ -136,16 +136,14 @@ def _oracle_rows(config, k):
         bloch = build_triangle_bloch(h, N, k, edge=_TRIANGLE_EDGE[config.kind],
                                      a=a)
     spec = eigensolve_dense(bloch)
-    rows = []
-    for i, e in enumerate(spec.energies):
-        vec = spec.vectors[:, i]
-        try:
-            sc = classify_numeric(vec)
-            label, u_est, part = sc.label.value, sc.u_estimate, sc.ipr
-        except ValueError:
-            label, u_est, part = "", None, ipr(vec)
-        rows.append([k, i + 1, float(e), label, u_est, part, "oracle"])
-    return rows
+    try:
+        cols = [(sc.label.value, sc.u_estimate, sc.ipr)
+                for sc in classify_numeric(spec.vectors)]
+    except ValueError:  # too few sites for the boundary fits
+        cols = [("", None, part) for part in ipr(spec.vectors).tolist()]
+    return [[k, i + 1, e, label, u_est, part, "oracle"]
+            for i, (e, (label, u_est, part))
+            in enumerate(zip(spec.energies.tolist(), cols))]
 
 
 def _state_blocks(indices, dim):
@@ -164,6 +162,16 @@ def _per_state(blocks, count, reduce):
     return out
 
 
+def _block_iprs(blocks, count):
+    """The IPRs of the `count` states that the (indices, states) blocks
+    hold, from one ipr call per block."""
+    out = [None] * count
+    for block, states in blocks:
+        for i, part in zip(block, ipr(states).tolist()):
+            out[i] = part
+    return out
+
+
 def _square_zigzag_states(xi_c, signed, N):
     """(band indices, states with one column per band) covering every band,
     in blocks of at most _STATE_BLOCK matrix elements."""
@@ -177,8 +185,7 @@ def _square_zigzag_rows(config, k):
     xi = abs(xi_c)
     omegas = sq.zigzag_spectrum(xi, N)
     signed = np.array(sorted([-w for w in omegas] + list(omegas)))
-    part = _per_state(_square_zigzag_states(xi_c, signed, N), len(signed),
-                      lambda i, state: ipr(state))
+    part = _block_iprs(_square_zigzag_states(xi_c, signed, N), len(signed))
     rows = []
     for i, omega in enumerate(signed):
         energy = h.tr * omega
@@ -240,18 +247,17 @@ def _triangle_rows(config, k):
     if kind == ModelKind.TRIANGLE_LINEAR:
         energies, states = tri.linear_spectrum(h, N, k, a=a)
         order = np.argsort(energies)
-        for i, idx in enumerate(order):
-            label = classify_analytic_triangle(energies[idx], tau, abs(zeta))
-            rows.append([k, i + 1, float(energies[idx]), label.value, None,
-                         ipr(states[:, idx]), "analytic"])
+        for i, (e, part) in enumerate(zip(energies[order].tolist(),
+                                          ipr(states[:, order]).tolist())):
+            label = classify_analytic_triangle(e, tau, abs(zeta))
+            rows.append([k, i + 1, e, label.value, None, part, "analytic"])
         return rows
     sides = model_edge_sides(kind)
     if kind == ModelKind.TRIANGLE_ZIGZAG1:
         roots = tri.zz1_roots(h, N, k, a=a)
     else:
         roots = tri.zz2_roots(h, N, k, a=a)
-    part = _per_state(_triangle_states(kind, h, N, k, a, roots), len(roots),
-                      lambda i, state: ipr(state))
+    part = _block_iprs(_triangle_states(kind, h, N, k, a, roots), len(roots))
     for i, root in enumerate(roots):
         label = classify_analytic_triangle(root.energy, tau, abs(zeta),
                                            sides=sides)
@@ -363,6 +369,7 @@ def _validate_square_zigzag(h, N, grid, tol, violations):
         overlap = _per_state(
             _square_zigzag_states(xi_c, signed, N), len(signed),
             lambda i, state: subspace_overlap(spec, h.tr * signed[i], state))
+        numeric = [sc.label for sc in classify_numeric(spec.vectors)]
         for i, omega in enumerate(signed):
             energy = h.tr * omega
             d = abs(energy - spec.energies[i])
@@ -372,12 +379,11 @@ def _validate_square_zigzag(h, N, grid, tol, violations):
             dev = max(dev, d)
             deficit = max(deficit, 1.0 - overlap[i])
             analytic = classify_analytic_square(omega, xi)
-            numeric = classify_numeric(spec.vectors[:, i]).label
             total += 1
             x = (omega * omega - xi * xi - 1.0) / (2.0 * xi)
             near = abs(x + 1.0) < 0.1
-            if (analytic == numeric
-                    or (analytic.is_edge and numeric.is_edge)
+            if (analytic == numeric[i]
+                    or (analytic.is_edge and numeric[i].is_edge)
                     or analytic == StateLabel.TRANSITION or near):
                 agree += 1
     return {"max_energy_dev": dev, "max_overlap_deficit": deficit,
@@ -454,6 +460,7 @@ def _validate_triangle(kind, h, N, grid, tol, violations):
                         for v in residual(energies[block], h, N, k,
                                           scaled=True).tolist())
             resid_max = resid if resid_max is None else max(resid_max, resid)
+        numeric = [sc.label for sc in classify_numeric(spec.vectors)]
         for i, e in enumerate(energies):
             d = abs(e - spec.energies[i])
             if d > tol * max(1.0, abs(e)):
@@ -462,12 +469,11 @@ def _validate_triangle(kind, h, N, grid, tol, violations):
             deficit = max(deficit, 1.0 - overlap[i])
             analytic = classify_analytic_triangle(e, tau, abs(zeta),
                                                   sides=sides)
-            numeric = classify_numeric(spec.vectors[:, i]).label
             total += 1
             ratio = (e - tau) / (2.0 * abs(zeta))
             near = min(abs(ratio - 1.0), abs(ratio + 1.0)) < 0.1
-            if (analytic == numeric
-                    or (analytic.is_edge and numeric.is_edge)
+            if (analytic == numeric[i]
+                    or (analytic.is_edge and numeric[i].is_edge)
                     or analytic == StateLabel.TRANSITION or near):
                 agree += 1
     out = {"max_energy_dev": dev, "max_overlap_deficit": deficit,
@@ -505,9 +511,6 @@ def _validate_branch_tables(tol, violations):
                     / np.linalg.norm(psi)))
     hs = SquareHoppings(tu=1.0, td=0.6, tr=1.0, tl=0.0)
     regime = sq.edge_regime(hs, N)
-    sq.extrema_ellipse_residual(0.5, 0.5, N)
-    sq.d_omega_d_xi(0.5, 0.5, N)
-    sq.solve_zero_mode_sum(1.0, 0.64, N, 1)
     for u in grid:
         pt = sq.zigzag_edge_branch(u, N)
         resid = abs(sq.zigzag_secular_residual(pt.omega, pt.xi_abs, N))
@@ -617,19 +620,21 @@ def cmd_wavefunction(config, args):
     if given_u and not (math.isfinite(args.u) and args.u > 0.0):
         raise ConfigError(f"--u must be a positive decay parameter, "
                           f"got {args.u}")
+    if args.k is not None and not math.isfinite(args.k):
+        raise ConfigError(f"--k must be a finite momentum, got {args.k}")
+    sign = 1 if args.sign is None or args.sign >= 0 else -1
+    family = args.family if args.family is not None else "A"
     if kind == ModelKind.SQUARE_ZIGZAG and given_u:
         pt = sq.zigzag_edge_branch(args.u, N)
-        sign = 1.0 if args.sign >= 0 else -1.0
         state = np.concatenate([pt.psi_circ, sign * pt.psi_bullet])
         state = state * pt.norm_const
         rows = _wave_rows_square(state.astype(complex), N, "analytic")
     elif kind in (ModelKind.TRIANGLE_ZIGZAG1,
                   ModelKind.TRIANGLE_ZIGZAG2) and given_u:
-        sign = 1 if args.sign >= 0 else -1
         if kind == ModelKind.TRIANGLE_ZIGZAG1:
             sols = tri.zz1_edge_solutions(h, N, sign, u_grid=[args.u], a=a)
         else:
-            sols = tri.zz2_edge_solutions(h, N, sign, args.family,
+            sols = tri.zz2_edge_solutions(h, N, sign, family,
                                           u_grid=[args.u], a=a)
         if not sols:
             raise ConfigError(
@@ -638,13 +643,16 @@ def cmd_wavefunction(config, args):
         psi = sols[0].psi / np.linalg.norm(sols[0].psi)
         rows = _wave_rows_chain(psi, "analytic")
     elif kind == ModelKind.SQUARE_GENERAL and args.j is not None:
-        momenta = [kj for kj in sq.zero_mode_momenta(h, N, a=a)
-                   if kj[1] == args.j and kj[0] >= 0.0]
-        if not momenta:
-            raise ConfigError(
-                f"no admissible zero-mode momentum with j={args.j}")
-        k = momenta[0][0] if args.k is None else args.k
-        state = sq.zero_mode_full_state(h, N, k, args.j, a=a)
+        try:
+            momenta = [kj for kj in sq.zero_mode_momenta(h, N, a=a)
+                       if kj[1] == args.j and kj[0] >= 0.0]
+            if not momenta:
+                raise ConfigError(
+                    f"no admissible zero-mode momentum with j={args.j}")
+            k = momenta[0][0] if args.k is None else args.k
+            state = sq.zero_mode_full_state(h, N, k, args.j, a=a)
+        except ValueError as exc:  # tl = 0, or --k off the zero mode
+            raise ConfigError(str(exc))
         rows = _wave_rows_square(state, N, "analytic")
     elif given_band:
         k = args.k if args.k is not None else 0.0
@@ -679,6 +687,9 @@ def cmd_zeromodes(config, args):
         raise ConfigError("zero modes are a square-lattice feature")
     if h.tl <= 0.0 or h.tr <= 0.0:
         raise ConfigError("zero-mode analysis needs tr > 0 and tl > 0")
+    if args.j is not None and not 1 <= args.j <= N:
+        raise ConfigError(f"--j must be a transverse index in 1..{N}, "
+                          f"got {args.j}")
     momenta = sq.zero_mode_momenta(h, N, a=a)
     root = 2.0 * math.sqrt(h.tr * h.tl)
     if math.isclose(h.tr, h.tl, rel_tol=1e-12):
@@ -705,9 +716,16 @@ def cmd_zeromodes(config, args):
 
 # ------------------------------------------------------------ arg plumbing --
 
-_CONFIG_KEYS = {"model", "N", "tu", "td", "tl", "tr", "t1", "t2", "t3", "a",
-                "k_points", "tol", "out", "format", "k", "band", "u",
-                "sign", "family", "j"}
+# config key -> the type its flag parses to, and the choices it allows
+_CONFIG_KEYS = {
+    "model": (str, None), "N": (int, None), "a": (float, None),
+    **{name: (float, None)
+       for name in ("tu", "td", "tl", "tr", "t1", "t2", "t3")},
+    "k_points": (int, None), "tol": (float, None), "out": (str, None),
+    "format": (str, ("csv", "json")), "k": (float, None), "band": (int, None),
+    "u": (float, None), "sign": (int, None), "family": (str, ("A", "B")),
+    "j": (int, None),
+}
 
 
 def _build_parser():
@@ -738,8 +756,8 @@ def _build_parser():
     wave.add_argument("--k", type=float)
     wave.add_argument("--band", type=int)
     wave.add_argument("--u", type=float)
-    wave.add_argument("--sign", type=int, default=1)
-    wave.add_argument("--family", choices=["A", "B"], default="A")
+    wave.add_argument("--sign", type=int)
+    wave.add_argument("--family", choices=["A", "B"])
     wave.add_argument("--j", type=int)
     zm = sub.add_parser("zeromodes", help="zero-mode admissibility report")
     common(zm)
@@ -755,13 +773,34 @@ def _merge_config_file(args):
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}")
-    unknown = set(data) - _CONFIG_KEYS
+    if not isinstance(data, dict):
+        raise ConfigError("config file must hold a JSON object")
+    unknown = set(data) - set(_CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for key, value in data.items():
-        attr = key
-        if getattr(args, attr, None) is None:
-            setattr(args, attr, value)
+        if value is not None:
+            value = _config_value(key, value)
+        if getattr(args, key, None) is None:
+            setattr(args, key, value)
+
+
+def _config_value(key, value):
+    """`value` as its flag would parse it; ConfigError if it cannot be."""
+    kind, choices = _CONFIG_KEYS[key]
+    # JSON has one number type: an integer is a valid float, but a bool
+    # (an int subclass in Python) is neither
+    numeric = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, numeric):
+        raise ConfigError(f"config key {key!r} must be {kind.__name__}, "
+                          f"got {value!r}")
+    if choices is not None and value not in choices:
+        raise ConfigError(f"config key {key!r} must be one of "
+                          f"{list(choices)}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:  # an integer past float range
+        raise ConfigError(f"config key {key!r} is out of range: {value!r}")
 
 
 def _resolve_config(args):
@@ -800,11 +839,14 @@ def _resolve_config(args):
     k_points = args.k_points if args.k_points is not None else 128
     if k_points < 1:
         raise ConfigError("k-points must be >= 1")
+    tol = args.tol if args.tol is not None else 1e-9
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ConfigError(f"--tol must be a finite number >= 0, got {tol}")
     return ScanConfig(
         model=model,
         hoppings=hoppings,
         k_points=k_points,
-        tolerance=args.tol if args.tol is not None else 1e-9,
+        tolerance=tol,
         output_path=args.out,
         output_format=args.format if args.format is not None else "csv",
     )
@@ -847,3 +889,7 @@ def run(argv=None):
 
 def main():
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

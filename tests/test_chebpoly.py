@@ -163,6 +163,35 @@ def test_logsinh_logcosh_against_math():
     assert cp.logcosh(0.0) == 0.0
 
 
+def _bits(value):
+    return np.float64(value).view(np.int64)
+
+
+def test_logsinh_logcosh_float_path_equals_array_path():
+    # a float skips the array wrapping; every value must keep its bits
+    rng = np.random.default_rng(7)
+    ys = np.concatenate([
+        rng.uniform(0.0, 700.0, 8000),
+        np.exp(rng.uniform(math.log(5e-324), math.log(700.0), 3000)),
+        [350.0, np.nextafter(350.0, 0.0), np.nextafter(350.0, 1e3), 700.0,
+         5e-324, 1e-300, 1.0, np.inf]])
+    ys = ys[ys > 0.0]
+    for fn in (cp.logsinh, cp.logcosh):
+        negative = (-ys[:200]).tolist() if fn is cp.logcosh else []
+        for y in ys.tolist() + negative:
+            got = fn(y)
+            assert type(got) is float
+            assert _bits(got) == _bits(fn(np.array([y]))[0])
+            assert _bits(fn(np.float64(y))) == _bits(got)
+        assert math.isnan(fn(math.nan))
+        assert math.isnan(fn(np.array([math.nan]))[0])
+    for y in (0.0, -0.0, -1.0, -np.inf):
+        with pytest.raises(ValueError, match="logsinh needs y > 0"):
+            cp.logsinh(y)
+        with pytest.raises(ValueError, match="logsinh needs y > 0"):
+            cp.logsinh(np.array([y]))
+
+
 # ------------------------------------------------------------ determinant --
 
 def test_det_corner_small_sizes_by_hand():

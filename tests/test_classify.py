@@ -191,3 +191,181 @@ def test_agreement_triangle_two_sided():
     # the two-sided fits occasionally reject a genuinely localized doublet
     # partner, so the bar sits slightly below the one-sided cases
     assert _agreement(total, matched) >= 0.98
+
+
+# ------------------------------------------------- batched classification --
+#
+# classify_numeric and ipr take one state per column.  The references below
+# are the per-state formulas they replace, kept verbatim: every label, IPR
+# and decay estimate of a batch must equal theirs exactly.
+
+def _reference_ipr(psi):
+    p2 = np.abs(np.asarray(psi)) ** 2
+    total = p2.sum()
+    if total == 0.0:
+        raise ValueError("cannot classify a zero vector")
+    return float((p2 * p2).sum() / (total * total))
+
+
+def _reference_linfit(y):
+    x = np.arange(y.size, dtype=float)
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    if ss_tot == 0.0:
+        return float(slope), 1.0
+    return float(slope), 1.0 - float(np.sum(resid * resid)) / ss_tot
+
+
+def _reference_classify(psi, threshold_ipr=None, fit_window=None):
+    amp = np.abs(np.asarray(psi, dtype=complex))
+    dim = amp.size
+    if fit_window is None:
+        fit_window = max(2, min(8, dim // 3))
+    if dim < 2 * fit_window:
+        raise ValueError(
+            f"profile of {dim} sites is too short for two windows of {fit_window}")
+    if threshold_ipr is None:
+        threshold_ipr = 3.0 / dim
+    participation = _reference_ipr(amp)
+    floor = amp.max() * 1e-15
+    logamp = np.log(np.maximum(amp, floor))
+    slope_l, r2_l = _reference_linfit(logamp[:fit_window])
+    slope_r, r2_r = _reference_linfit(logamp[::-1][:fit_window])
+    localized = participation > threshold_ipr
+    left = localized and slope_l < -1e-2 and r2_l > 0.99
+    right = localized and slope_r < -1e-2 and r2_r > 0.99
+    if left and right:
+        label, u_est = StateLabel.EDGE_BOTH, (abs(slope_l) + abs(slope_r)) / 2
+    elif left:
+        label, u_est = StateLabel.EDGE_LEFT, abs(slope_l)
+    elif right:
+        label, u_est = StateLabel.EDGE_RIGHT, abs(slope_r)
+    else:
+        label, u_est = StateLabel.BULK, None
+    return StateClass(label=label, ipr=participation, u_estimate=u_est)
+
+
+def _assert_batch_matches_columns(states, **kwargs):
+    """classify_numeric and ipr of the matrix equal the per-column calls
+    and the per-state references exactly; the classes of the batch."""
+    columns = list(states.T)
+    batch = classify_numeric(states, **kwargs)
+    assert isinstance(batch, list) and len(batch) == len(columns)
+    for got, col in zip(batch, columns):
+        assert got == classify_numeric(col, **kwargs)
+        assert got == _reference_classify(col, **kwargs)
+        assert type(got.ipr) is float
+    parts = ipr(states)
+    assert parts.shape == (len(columns),)
+    assert parts.tolist() == [ipr(c) for c in columns] \
+        == [_reference_ipr(c) for c in columns]
+    return batch
+
+
+def _oracle_spectrum(kind, N, k, rng):
+    lo, hi = 0.1, 2.0
+    if kind.is_square:
+        tu, td, tr, tl = rng.uniform(lo, hi, 4)
+        tl = {ModelKind.SQUARE_ZIGZAG: 0.0, ModelKind.SQUARE_LR: tr}.get(kind,
+                                                                         tl)
+        return eigensolve_dense(build_square_bloch(
+            SquareHoppings(tu=tu, td=td, tr=tr, tl=tl), N, k))
+    edge = {ModelKind.TRIANGLE_LINEAR: TriangleEdge.LINEAR,
+            ModelKind.TRIANGLE_ZIGZAG1: TriangleEdge.ZIGZAG1,
+            ModelKind.TRIANGLE_ZIGZAG2: TriangleEdge.ZIGZAG2}[kind]
+    return eigensolve_dense(build_triangle_bloch(
+        TriangleHoppings(*rng.uniform(lo, hi, 3)), N, k, edge=edge))
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_batched_oracle_classes_equal_per_state_classes(kind, rng):
+    labels = set()
+    for N in (2, 3, 4, 5, 7, 9, 13, 20, 29, 40):
+        for k in rng.uniform(-math.pi, math.pi, 3):
+            vectors = _oracle_spectrum(kind, N, k, rng).vectors
+            try:
+                _reference_classify(vectors[:, 0])
+            except ValueError as exc:  # too short for two windows
+                with pytest.raises(ValueError, match=str(exc)):
+                    classify_numeric(vectors)
+                continue
+            labels |= {c.label for c in
+                       _assert_batch_matches_columns(vectors)}
+    assert StateLabel.BULK in labels
+    if kind in (ModelKind.SQUARE_ZIGZAG, ModelKind.TRIANGLE_ZIGZAG1,
+                ModelKind.TRIANGLE_ZIGZAG2):
+        assert any(label.is_edge for label in labels)
+
+
+def _window(slope, r2, size):
+    """Log-amplitudes over a fit window: a line of the given slope plus a
+    quadratic bump, orthogonal to it, sized for the given R^2."""
+    x = np.arange(size, dtype=float)
+    bump = (x - x.mean()) ** 2
+    bump -= bump.mean()
+    if r2 >= 1.0:
+        return slope * x
+    ss_line = slope * slope * np.sum((x - x.mean()) ** 2)
+    scale = math.sqrt(ss_line * (1.0 - r2) / (r2 * np.sum(bump * bump)))
+    return slope * x + scale * bump
+
+
+def test_batched_hand_built_profiles_equal_per_state_classes():
+    dim, w = 24, 8
+    grid = []
+    for slope in (-1e-2 - 1e-12, -1e-2, -1e-2 + 1e-12,
+                  -1e-2 + 1e-6 - 1e-12, -1e-2 + 1e-6 + 1e-12, -0.5, 0.3):
+        for r2 in (0.99 - 1e-12, 0.99, 0.99 + 1e-12, 1.0):
+            for right in ("flat", "decay", "same"):
+                logamp = np.full(dim, -3.0)
+                logamp[:w] = _window(slope, r2, w)
+                if right == "decay":
+                    logamp[-w:] = _window(-0.8, 1.0, w)[::-1]
+                elif right == "same":
+                    logamp[-w:] = logamp[:w][::-1]
+                else:
+                    logamp[-w:] = -1.0  # flat window: ss_tot == 0
+                grid.append(np.exp(logamp))
+    # slopes within ulps of the threshold, where the closed-form slope and
+    # the polyfit slope often fall on opposite sides of it
+    near = []
+    for slope in np.random.default_rng(5).uniform(-1e-2 - 3e-16,
+                                                  -1e-2 + 3e-16, 200):
+        logamp = np.full(dim, -1.0)
+        logamp[:w] = _window(slope, 0.999, w) - 2.0
+        near.append(np.exp(logamp))
+    flat = np.ones(dim)
+    wave = np.sin(np.pi * np.arange(1, dim + 1) / (dim + 1))
+    states = np.array(grid + near + [flat, wave]).T
+    _assert_batch_matches_columns(states)
+    labels = [c.label for c in
+              _assert_batch_matches_columns(states, threshold_ipr=0.0)]
+    assert {StateLabel.BULK, StateLabel.EDGE_LEFT, StateLabel.EDGE_RIGHT,
+            StateLabel.EDGE_BOTH} <= set(labels[:len(grid)])
+    assert {StateLabel.BULK, StateLabel.EDGE_LEFT} == set(
+        labels[len(grid):len(grid) + len(near)])
+    # both sides of each threshold are reached
+    fits = [_reference_linfit(np.log(p[:w])) for p in grid]
+    assert any(s < -1e-2 for s, _ in fits) and any(
+        -1e-2 <= s < 0.0 for s, _ in fits)
+    assert any(0.98 < r2 <= 0.99 for _, r2 in fits) and any(
+        0.99 < r2 < 0.991 for _, r2 in fits)
+    _assert_batch_matches_columns(states, fit_window=3)
+    _assert_batch_matches_columns(states.astype(complex) * 1j)
+
+
+def test_batched_classification_shapes_and_errors():
+    profile = np.exp(-0.7 * np.arange(12.0))
+    assert isinstance(classify_numeric(profile), StateClass)
+    assert classify_numeric(profile[:, None]) == [classify_numeric(profile)]
+    assert classify_numeric(np.ones((12, 0))) == []
+    assert isinstance(ipr(profile), float)
+    message = "profile of 3 sites is too short for two windows of 2"
+    for short in (np.ones(3), np.ones((3, 4))):
+        with pytest.raises(ValueError, match=message):
+            classify_numeric(short)
+    pair = np.stack([profile, np.zeros(12)], axis=1)
+    for call in (ipr, classify_numeric):
+        with pytest.raises(ValueError, match="zero vector"):
+            call(pair)

@@ -13,8 +13,9 @@ import pytest
 
 from chebribbon import square_ribbon as sq
 from chebribbon import triangle_ribbon as tri
-from chebribbon.cli import (_STATE_BLOCK, _emit, _square_zigzag_states,
-                            _triangle_states, run)
+from chebribbon.classify import ipr
+from chebribbon.cli import (_STATE_BLOCK, _block_iprs, _emit,
+                            _square_zigzag_states, _triangle_states, run)
 from chebribbon.hamiltonian import ModelKind, SquareHoppings, TriangleHoppings
 
 HEADER = "k,band,energy,class,u,ipr,source"
@@ -101,6 +102,40 @@ def test_square_state_blocks_equal_single_states():
         seen.extend(block)
     assert seen == list(range(2 * N))
     assert len(seen) * 2 * N > 2 * _STATE_BLOCK
+
+
+def _columns(blocks):
+    """The states that (indices, states) blocks hold, in index order."""
+    found = {i: states[:, col] for block, states in blocks
+             for col, i in enumerate(block)}
+    return [found[i] for i in sorted(found)]
+
+
+def _reference_ipr(state):
+    # the per-state reduction that the block IPRs replace
+    p2 = np.abs(state) ** 2
+    total = p2.sum()
+    return float((p2 * p2).sum() / (total * total))
+
+
+def test_block_iprs_equal_single_state_iprs():
+    # several blocks of bulk states, and triangle edge states one by one
+    N, k = 120, 0.3
+    xi, _ = sq.xi_of_k(SquareHoppings(tu=1.0, td=0.6, tl=0.0, tr=1.0), k)
+    omegas = sq.zigzag_spectrum(abs(xi), N)
+    signed = np.concatenate([-omegas[::-1], omegas])
+    cases = [(list(_square_zigzag_states(xi, signed, N)), 2 * N)]
+    h = TriangleHoppings(t1=0.9, t2=0.1, t3=1.0)
+    for kind, N in ((ModelKind.TRIANGLE_ZIGZAG1, 200),
+                    (ModelKind.TRIANGLE_ZIGZAG2, 7)):
+        roots = (tri.zz1_roots if N == 200 else tri.zz2_roots)(h, N, 0.4)
+        assert any(r.kind == "edge" for r in roots)
+        cases.append((list(_triangle_states(kind, h, N, 0.4, 1.0, roots)), N))
+    assert len(cases[0][0]) > 2 and len(cases[1][0]) > 2
+    for blocks, count in cases:
+        columns = _columns(blocks)
+        assert _block_iprs(blocks, count) == [ipr(c) for c in columns] \
+            == [_reference_ipr(c) for c in columns]
 
 
 def test_bands_floats_round_trip_through_text(capsys):
@@ -265,6 +300,50 @@ def test_config_file_merges_under_flags(capsys, tmp_path):
     assert len(rows) == 40  # N from the flag (5 -> 10 bands), grid from file
 
 
+@pytest.mark.parametrize("data", [
+    {"model": "square-zigzag", "N": "5"},
+    {"model": "square-zigzag", "N": True},
+    {"model": "square-zigzag", "N": 5.0},
+    {"model": "square-zigzag", "tu": "1"},
+    {"model": "square-zigzag", "tu": False},
+    {"model": "square-zigzag", "tu": [1.0]},
+    {"model": "square-zigzag", "tu": 10 ** 400},
+    {"model": "square-zigzag", "k_points": 4.5},
+    {"model": 3},
+    {"model": "square-zigzag", "format": "xml"},
+    {"model": "square-zigzag", "out": 1},
+    ["model", "square-zigzag"],
+])
+def test_config_file_rejects_wrong_types(capsys, tmp_path, data):
+    cfg = tmp_path / "scan.json"
+    cfg.write_text(json.dumps(data))
+    assert run(["bands", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_config_file_values_act_like_flags(capsys, tmp_path):
+    # an integer stands for a float, and the wavefunction defaults (sign,
+    # family) give way to the file as every other flag does
+    flags = ["--model", "triangle-zigzag2", "--N", "6", "--t1", "1",
+             "--t2", "0.1"]
+    cfg = tmp_path / "scan.json"
+    cfg.write_text(json.dumps({"model": "triangle-zigzag2", "N": 6, "t1": 1,
+                               "t2": 0.1, "u": 0.5, "sign": -1,
+                               "family": "B"}))
+    outputs = []
+    for argv in (["edges", "--config", str(cfg)], ["edges", *flags],
+                 ["wavefunction", "--config", str(cfg)],
+                 ["wavefunction", *flags, "--u", "0.5", "--sign", "-1",
+                  "--family", "B"],
+                 ["wavefunction", *flags, "--u", "0.5"]):
+        assert run(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert '"t1": 1.0,' in outputs[0]
+    assert outputs[0] == outputs[1]
+    assert outputs[2] == outputs[3] != outputs[4]
+
+
 def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     cfg = tmp_path / "scan.json"
     cfg.write_text(json.dumps({"model": "square-zigzag", "bogus": 1}))
@@ -388,10 +467,36 @@ def test_zeromodes_rejections(capsys):
     ["bands", "--model", "square-lr", "--tr", "0"],
     ["wavefunction", "--model", "square-zigzag", "--u", "-1"],
     ["wavefunction", "--model", "triangle-zigzag1", "--u", "nan"],
+    ["validate", "--model", "triangle-zigzag1", "--tol", "nan"],
+    ["validate", "--model", "triangle-zigzag1", "--tol", "-1"],
+    ["validate", "--tol", "inf"],
+    ["wavefunction", "--model", "square-zigzag", "--band", "1", "--k", "nan"],
+    ["wavefunction", "--model", "triangle-zigzag1", "--band", "1",
+     "--k", "inf"],
+    ["wavefunction", "--model", "square-general", "--j", "1", "--k", "-inf"],
+    ["wavefunction", "--model", "square-general", "--j", "1", "--k", "0.3"],
+    ["wavefunction", "--model", "square-general", "--tl", "0", "--j", "1"],
+    ["zeromodes", "--model", "square-general", "--tl", "0.5", "--j", "99"],
+    ["zeromodes", "--model", "square-general", "--j", "0"],
 ])
 def test_invalid_invocations_exit_2(capsys, argv):
     assert run(argv) == 2
     capsys.readouterr()
+
+
+def test_module_runs_as_a_script():
+    run_module = [sys.executable, "-m", "chebribbon.cli"]
+    ok = subprocess.run(run_module + ["bands", "--model", "square-zigzag",
+                                      "--N", "3", "--k-points", "2"],
+                        capture_output=True, text=True)
+    assert ok.returncode == 0
+    assert ok.stdout.splitlines()[0] == HEADER
+    assert len(ok.stdout.splitlines()) == 1 + 2 * 6
+    bad = subprocess.run(run_module + ["bands", "--model", "square-zigzag",
+                                       "--tr", "-1"],
+                         capture_output=True, text=True)
+    assert bad.returncode == 2
+    assert bad.stdout == "" and bad.stderr.startswith("error:")
 
 
 def test_broken_pipe_exits_without_traceback():
