@@ -16,6 +16,8 @@ enough of them to repay its per-iteration array overhead.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy.optimize import brentq
 
@@ -163,12 +165,23 @@ def brent_lockstep(f, a, b, xtol=_XTOL, rtol=_RTOL, maxiter=100):
 
 def secular_nodes(N, degrees):
     """Uniform 8(N+1)-interval grid on [0, pi] joined with the zero angles
-    pi*j/(d+1) of each Chebyshev degree d in `degrees`."""
+    pi*j/(d+1) of each Chebyshev degree d in `degrees`.
+
+    Built once per (N, degrees) and shared by every caller, so the array is
+    read-only."""
+    return _node_grid(N, tuple(degrees))
+
+
+# a scan asks for the same few grids at every momentum
+@functools.lru_cache(maxsize=64)
+def _node_grid(N, degrees):
     parts = [np.linspace(0.0, np.pi, 8 * (N + 1) + 1)]
     for d in degrees:
         if d >= 1:
             parts.append(np.pi * np.arange(1, d + 1) / (d + 1))
-    return np.unique(np.concatenate(parts))
+    nodes = np.unique(np.concatenate(parts))
+    nodes.flags.writeable = False
+    return nodes
 
 
 def invert_monotone_ratio(f, target, lo=1e-300, hi_start=1.0):

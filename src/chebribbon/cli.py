@@ -35,12 +35,21 @@ __all__ = ["ScanConfig", "run", "main"]
 BAND_COLUMNS = ("k", "band", "energy", "class", "u", "ipr", "source")
 WAVE_COLUMNS = ("n", "sublattice", "abs", "re", "im", "source")
 
-# Matrix elements per block of closed-form states built together.  Each
-# block is reduced to its IPRs or overlaps before the next one is built, so
+# Float64 elements per Chebyshev table.  A table's columns are the
+# closed-form bulk states of consecutive momenta of a scan, so one recurrence
+# run serves a whole scan of a narrow ribbon, and about 130 states at
+# N = 1000 instead of the 16 that one state block holds.
+_TABLE_BLOCK = 2 ** 17
+
+# Matrix elements per block of complex states formed from a table.  Each
+# block is reduced to its IPRs or overlaps before the next one is formed, so
 # a wide ribbon never holds all its states at once: for `bands` at N = 1000,
 # all states at once raised peak RSS by 38 MB, blocks of 2**16 by 3.6 MB
 # and blocks of 2**14 by 0.4 MB.
 _STATE_BLOCK = 2 ** 14
+
+# one `bands` CSV row: k, band, energy, class, u (formatted), ipr, source
+_BAND_LINE = "%.17g,%d,%.17g,%s,%s,%.17g,%s"
 
 _TRIANGLE_EDGE = {
     ModelKind.TRIANGLE_LINEAR: TriangleEdge.LINEAR,
@@ -86,12 +95,18 @@ def _fmt(value):
     return format(float(value), ".17g")
 
 
+def _band_line(row):
+    """A `bands` row as CSV text, equal to joining _fmt of each value."""
+    k, band, energy, label, u, part, source = row
+    return _BAND_LINE % (k, band, energy, label, _fmt(u), part, source)
+
+
 def _write_table(config, columns, rows):
-    lines = []
     if config.output_format == "csv":
-        out = []
-        for row in rows:
-            out.append(",".join(_fmt(v) for v in row))
+        if columns == BAND_COLUMNS:
+            out = [_band_line(row) for row in rows]
+        else:
+            out = [",".join(_fmt(v) for v in row) for row in rows]
         text = ",".join(columns) + "\n" + "\n".join(out) + ("\n" if out else "")
     else:
         payload = {"columns": list(columns),
@@ -146,145 +161,201 @@ def _oracle_rows(config, k):
             in enumerate(zip(spec.energies.tolist(), cols))]
 
 
-def _state_blocks(indices, dim):
-    """`indices` cut into runs of at most _STATE_BLOCK // dim states."""
-    step = max(1, _STATE_BLOCK // dim)
+def _blocks(indices, size, budget):
+    """`indices` cut into runs of at most budget // size entries (one at
+    least)."""
+    step = max(1, budget // size)
     return [indices[i:i + step] for i in range(0, len(indices), step)]
 
 
-def _per_state(blocks, count, reduce):
-    """[reduce(i, state i)] for the `count` states that the (indices,
-    states) blocks hold, one column each."""
-    out = [None] * count
-    for block, states in blocks:
-        for col, i in enumerate(block):
-            out[i] = reduce(i, states[:, col])
+def _iprs(energies, states):
+    return ipr(states).tolist()
+
+
+def _closed_form_scan(grid, solve):
+    """Pass 1 of a zigzag scan: (k, solve(k)) per momentum of `grid`, with
+    None for solve(k) where the closed form degenerates or misses a root,
+    so that momentum takes the oracle rows."""
+    out = []
+    for k in grid:
+        try:
+            out.append((k, solve(k)))
+        except (DegenerateParameterError, RootCountError):
+            out.append((k, None))
     return out
 
 
-def _block_iprs(blocks, count):
-    """The IPRs of the `count` states that the (indices, states) blocks
-    hold, from one ipr call per block."""
-    out = [None] * count
-    for block, states in blocks:
-        for i, part in zip(block, ipr(states).tolist()):
-            out[i] = part
-    return out
+def _square_zigzag_walk(N, scan, reduce):
+    """[reduce's value per band] per entry of `scan`, a list of (xi, signed
+    omegas) pairs.  The states of all entries share Chebyshev tables of at
+    most _TABLE_BLOCK elements, formed and reduced _STATE_BLOCK elements at
+    a time (edge states from their closed-form envelopes)."""
+    omegas = np.concatenate([[]] + [signed for _, signed in scan])
+    xis = np.concatenate([np.empty(0, dtype=complex)]
+                         + [np.full(len(signed), xi) for xi, signed in scan])
+    values = []
+    for table in _blocks(np.arange(len(omegas)), N + 2, _TABLE_BLOCK):
+        values.extend(sq.zigzag_full_state(xis[table], omegas[table], N,
+                                           reduce=reduce,
+                                           block=_STATE_BLOCK))
+    ends = np.cumsum([len(signed) for _, signed in scan]).tolist()
+    return [values[end - len(signed):end]
+            for (_, signed), end in zip(scan, ends)]
 
 
-def _square_zigzag_states(xi_c, signed, N):
-    """(band indices, states with one column per band) covering every band,
-    in blocks of at most _STATE_BLOCK matrix elements."""
-    for block in _state_blocks(np.arange(len(signed)), 2 * N):
-        yield block, sq.zigzag_full_state(xi_c, signed[block], N)
-
-
-def _square_zigzag_rows(config, k):
-    h, N, a = config.hoppings, config.model.N, config.model.a
+def _square_zigzag_spectrum(h, N, k, a):
+    """(xi, signed omegas, |xi|) of one momentum, ascending."""
     xi_c, _ = sq.xi_of_k(h, k, a)
     xi = abs(xi_c)
     omegas = sq.zigzag_spectrum(xi, N)
-    signed = np.array(sorted([-w for w in omegas] + list(omegas)))
-    part = _block_iprs(_square_zigzag_states(xi_c, signed, N), len(signed))
+    return xi_c, np.array(sorted([-w for w in omegas] + list(omegas))), xi
+
+
+def _square_zigzag_rows(config, grid):
+    h, N, a = config.hoppings, config.model.N, config.model.a
+    scan = _closed_form_scan(
+        grid, lambda k: _square_zigzag_spectrum(h, N, k, a))
+    parts = iter(_square_zigzag_walk(
+        N, [s[:2] for _, s in scan if s is not None], _iprs))
     rows = []
-    for i, omega in enumerate(signed):
-        energy = h.tr * omega
-        label = classify_analytic_square(omega, xi)
-        u_val = None
-        if label.is_edge:
-            x = (omega * omega - xi * xi - 1.0) / (2.0 * xi)
-            u_val = math.acosh(-x)
-        rows.append([k, i + 1, energy, label.value, u_val, part[i],
-                     "analytic"])
+    for k, solution in scan:
+        if solution is None:
+            rows.extend(_oracle_rows(config, k))
+            continue
+        _, signed, xi = solution
+        part = next(parts)
+        for i, omega in enumerate(signed):
+            energy = h.tr * omega
+            label = classify_analytic_square(omega, xi)
+            u_val = None
+            if label.is_edge:
+                x = (omega * omega - xi * xi - 1.0) / (2.0 * xi)
+                u_val = math.acosh(-x)
+            rows.append([k, i + 1, energy, label.value, u_val, part[i],
+                         "analytic"])
     return rows
 
 
-def _square_lr_rows(config, k):
-    h, N, a = config.hoppings, config.model.N, config.model.a
+def _lr_bands(h, N, k, a):
+    """(energy, j, sign) of one momentum's 2N states, ascending."""
     entries = []
     for j in range(1, N + 1):
         e_plus, e_minus = sq.lr_isotropic_spectrum(h, N, k, j, a=a)
         entries.append((e_minus, j, -1))
         entries.append((e_plus, j, 1))
     entries.sort(key=lambda t: t[0])
+    return entries
+
+
+def _lr_states(h, N, k, a, entries):
+    """The states of `entries` from _lr_bands, one column each."""
+    return sq.lr_isotropic_state(h, N, k, np.array([e[1] for e in entries]),
+                                 a=a, sign=np.array([e[2] for e in entries]))
+
+
+def _square_lr_rows(config, grid):
+    h, N, a = config.hoppings, config.model.N, config.model.a
     rows = []
-    for i, (energy, j, sign) in enumerate(entries):
-        state = sq.lr_isotropic_state(h, N, k, j, a=a, sign=sign)
-        rows.append([k, i + 1, energy, StateLabel.BULK.value, None,
-                     ipr(state), "analytic"])
+    for k in grid:
+        entries = _lr_bands(h, N, k, a)
+        part = ipr(_lr_states(h, N, k, a, entries)).tolist()
+        rows.extend([k, i + 1, energy, StateLabel.BULK.value, None, part[i],
+                     "analytic"] for i, (energy, _, _) in enumerate(entries))
     return rows
 
 
-def _triangle_states(kind, h, N, k, a, roots):
-    """(root indices, states with one column per root) covering every root
-    of a zigzag triangle: bulk roots in blocks of at most _STATE_BLOCK
-    matrix elements, edge roots one by one."""
+def _triangle_walk(kind, h, N, a, scan, reduce):
+    """[reduce's value per root] per entry of `scan`, a list of (k, roots)
+    pairs of a zigzag triangle.  The bulk roots of all entries share
+    Chebyshev tables of at most _TABLE_BLOCK elements, whose states are
+    formed and reduced _STATE_BLOCK elements at a time; edge roots come one
+    by one."""
     zz1 = kind == ModelKind.TRIANGLE_ZIGZAG1
-    theta = tri.zeta_of_k(h, k, a)[1]
-    bulk = [i for i, root in enumerate(roots) if root.kind != "edge"]
     state = tri.zz1_state if zz1 else tri.zz2_state
-    for block in _state_blocks(bulk, N):
-        yield block, state(np.array([roots[i].energy for i in block]),
-                           h, N, k, a=a)
-    for i, root in enumerate(roots):
-        # deep edge roots need the closed-form envelopes: the polynomial
-        # recurrence cancels catastrophically there
-        if root.kind == "edge":
+    out = [[None] * len(roots) for _, roots in scan]
+    bulk = [(m, i) for m, (_, roots) in enumerate(scan)
+            for i, root in enumerate(roots) if root.kind != "edge"]
+    energies = np.array([scan[m][1][i].energy for m, i in bulk])
+    momenta = np.array([scan[m][0] for m, _ in bulk])
+    for table in _blocks(np.arange(len(bulk)), N + 2, _TABLE_BLOCK):
+        values = state(energies[table], h, N, momenta[table], a=a,
+                       reduce=reduce, block=_STATE_BLOCK)
+        for c, value in zip(table.tolist(), values):
+            m, i = bulk[c]
+            out[m][i] = value
+    for m, (k, roots) in enumerate(scan):
+        for i, root in enumerate(roots):
+            # deep edge roots need the closed-form envelopes: the polynomial
+            # recurrence cancels catastrophically there
+            if root.kind != "edge":
+                continue
+            theta = tri.zeta_of_k(h, k, a)[1]
             if zz1:
                 psi = tri.zz1_edge_state(root.u, N, root.sign, theta)
             else:
                 psi = tri.zz2_edge_bloch_state(root.u, N, root.sign,
                                                root.family, theta)
-            yield [i], psi[:, None]
+            out[m][i] = reduce(np.array([root.energy]), psi[:, None])[0]
+    return out
 
 
-def _triangle_rows(config, k):
+def _triangle_linear_rows(config, grid):
     h, N, a = config.hoppings, config.model.N, config.model.a
-    kind = config.kind
-    zeta = tri.zeta_of_k(h, k, a)[0]
-    tau = tri.tau_of_k(h, k, a)
     rows = []
-    if kind == ModelKind.TRIANGLE_LINEAR:
+    for k in grid:
+        zeta = tri.zeta_of_k(h, k, a)[0]
+        tau = tri.tau_of_k(h, k, a)
         energies, states = tri.linear_spectrum(h, N, k, a=a)
         order = np.argsort(energies)
         for i, (e, part) in enumerate(zip(energies[order].tolist(),
                                           ipr(states[:, order]).tolist())):
             label = classify_analytic_triangle(e, tau, abs(zeta))
             rows.append([k, i + 1, e, label.value, None, part, "analytic"])
-        return rows
-    sides = model_edge_sides(kind)
-    if kind == ModelKind.TRIANGLE_ZIGZAG1:
-        roots = tri.zz1_roots(h, N, k, a=a)
-    else:
-        roots = tri.zz2_roots(h, N, k, a=a)
-    part = _block_iprs(_triangle_states(kind, h, N, k, a, roots), len(roots))
-    for i, root in enumerate(roots):
-        label = classify_analytic_triangle(root.energy, tau, abs(zeta),
-                                           sides=sides)
-        u_val = root.u if root.kind == "edge" else None
-        rows.append([k, i + 1, root.energy, label.value, u_val, part[i],
-                     "analytic"])
     return rows
 
 
-def _rows_for_k(config, k):
-    builder = {
-        ModelKind.SQUARE_ZIGZAG: _square_zigzag_rows,
-        ModelKind.SQUARE_LR: _square_lr_rows,
-        ModelKind.TRIANGLE_LINEAR: _triangle_rows,
-        ModelKind.TRIANGLE_ZIGZAG1: _triangle_rows,
-        ModelKind.TRIANGLE_ZIGZAG2: _triangle_rows,
-    }.get(config.kind)
-    if builder is None:
-        return _oracle_rows(config, k)  # square-general: oracle only
-    try:
-        return builder(config, k)
-    except (DegenerateParameterError, RootCountError):
-        return _oracle_rows(config, k)
+def _triangle_zigzag_rows(config, grid):
+    h, N, a = config.hoppings, config.model.N, config.model.a
+    kind = config.kind
+    solve = tri.zz1_roots if kind == ModelKind.TRIANGLE_ZIGZAG1 \
+        else tri.zz2_roots
+    scan = _closed_form_scan(grid, lambda k: solve(h, N, k, a=a))
+    parts = iter(_triangle_walk(
+        kind, h, N, a, [s for s in scan if s[1] is not None], _iprs))
+    sides = model_edge_sides(kind)
+    rows = []
+    for k, roots in scan:
+        if roots is None:
+            rows.extend(_oracle_rows(config, k))
+            continue
+        part = next(parts)
+        zeta = tri.zeta_of_k(h, k, a)[0]
+        tau = tri.tau_of_k(h, k, a)
+        for i, root in enumerate(roots):
+            label = classify_analytic_triangle(root.energy, tau, abs(zeta),
+                                               sides=sides)
+            u_val = root.u if root.kind == "edge" else None
+            rows.append([k, i + 1, root.energy, label.value, u_val, part[i],
+                         "analytic"])
+    return rows
 
 
 def cmd_bands(config):
-    rows = [row for k in config.k_grid() for row in _rows_for_k(config, k)]
+    """Pass 1 solves each momentum (or falls back to the oracle), pass 2
+    walks the closed-form states of the whole scan, pass 3 emits the rows
+    in (k, band) order."""
+    grid = config.k_grid()
+    builder = {
+        ModelKind.SQUARE_ZIGZAG: _square_zigzag_rows,
+        ModelKind.SQUARE_LR: _square_lr_rows,
+        ModelKind.TRIANGLE_LINEAR: _triangle_linear_rows,
+        ModelKind.TRIANGLE_ZIGZAG1: _triangle_zigzag_rows,
+        ModelKind.TRIANGLE_ZIGZAG2: _triangle_zigzag_rows,
+    }.get(config.kind)
+    if builder is None:  # square-general: oracle only
+        rows = [row for k in grid for row in _oracle_rows(config, k)]
+    else:
+        rows = builder(config, grid)
     _write_table(config, BAND_COLUMNS, rows)
     return 0
 
@@ -355,20 +426,25 @@ def cmd_edges(config):
 
 # --------------------------------------------------------------- validate --
 
+def _overlaps(spec, scale=1.0):
+    """Reduction of a run of states to their overlaps with the oracle
+    eigenspaces of `spec` at scale * their energies."""
+    def reduce(energies, states):
+        return [subspace_overlap(spec, scale * e, states[:, i])
+                for i, e in enumerate(energies)]
+    return reduce
+
+
 def _validate_square_zigzag(h, N, grid, tol, violations):
     dev = deficit = 0.0
     agree = total = 0
     for k in grid:
-        xi_c, _ = sq.xi_of_k(h, k)
-        xi = abs(xi_c)
-        omegas = sq.zigzag_spectrum(xi, N)
-        signed = np.array(sorted([-w for w in omegas] + list(omegas)))
+        xi_c, signed, xi = _square_zigzag_spectrum(h, N, k, 1.0)
         spec = eigensolve_dense(build_square_bloch(h, N, k))
         # subspace projection: degenerate pairs (e.g. the +-0 partners of a
         # deep edge state) leave single oracle vectors arbitrary
-        overlap = _per_state(
-            _square_zigzag_states(xi_c, signed, N), len(signed),
-            lambda i, state: subspace_overlap(spec, h.tr * signed[i], state))
+        overlap, = _square_zigzag_walk(N, [(xi_c, signed)],
+                                       _overlaps(spec, h.tr))
         numeric = [sc.label for sc in classify_numeric(spec.vectors)]
         for i, omega in enumerate(signed):
             energy = h.tr * omega
@@ -393,21 +469,16 @@ def _validate_square_zigzag(h, N, grid, tol, violations):
 def _validate_square_lr(h, N, grid, tol, violations):
     dev = deficit = 0.0
     for k in grid:
-        entries = []
-        for j in range(1, N + 1):
-            e_plus, e_minus = sq.lr_isotropic_spectrum(h, N, k, j)
-            entries.append((e_minus, j, -1))
-            entries.append((e_plus, j, 1))
-        entries.sort(key=lambda t: t[0])
+        entries = _lr_bands(h, N, k, 1.0)
         spec = eigensolve_dense(build_square_bloch(h, N, k))
-        for i, (energy, j, sign) in enumerate(entries):
+        states = _lr_states(h, N, k, 1.0, entries)
+        for i, (energy, _, _) in enumerate(entries):
             d = abs(energy - spec.energies[i])
             if d > tol * max(1.0, abs(energy)):
                 violations.append(("square-lr", float(k), i + 1, "energy", d))
             dev = max(dev, d)
-            state = sq.lr_isotropic_state(h, N, k, j, sign=sign)
-            deficit = max(deficit,
-                          1.0 - subspace_overlap(spec, energy, state))
+            deficit = max(deficit, 1.0 - subspace_overlap(spec, energy,
+                                                          states[:, i]))
     return {"max_energy_dev": dev, "max_overlap_deficit": deficit,
             "agreement": 1.0}
 
@@ -450,13 +521,13 @@ def _validate_triangle(kind, h, N, grid, tol, violations):
             zz1 = kind == ModelKind.TRIANGLE_ZIGZAG1
             roots = tri.zz1_roots(h, N, k) if zz1 else tri.zz2_roots(h, N, k)
             energies = np.array([r.energy for r in roots])
-            overlap = _per_state(
-                _triangle_states(kind, h, N, k, 1.0, roots), len(roots),
-                lambda i, state: subspace_overlap(spec, energies[i], state))
+            overlap, = _triangle_walk(kind, h, N, 1.0, [(k, roots)],
+                                      _overlaps(spec))
             residual = tri.zz1_secular_residual if zz1 \
                 else tri.zz2_secular_residual
             resid = max(abs(v)
-                        for block in _state_blocks(np.arange(len(roots)), N)
+                        for block in _blocks(np.arange(len(roots)), N + 2,
+                                             _TABLE_BLOCK)
                         for v in residual(energies[block], h, N, k,
                                           scaled=True).tolist())
             resid_max = resid if resid_max is None else max(resid_max, resid)
@@ -656,10 +727,10 @@ def cmd_wavefunction(config, args):
         rows = _wave_rows_square(state, N, "analytic")
     elif given_band:
         k = args.k if args.k is not None else 0.0
-        band_rows = _rows_for_k(config, k)
-        if not 1 <= args.band <= len(band_rows):
-            raise ConfigError(
-                f"band index must be in 1..{len(band_rows)}, got {args.band}")
+        # a momentum's band rows number the Bloch matrix dimension
+        if not 1 <= args.band <= config.model.dim:
+            raise ConfigError(f"band index must be in 1..{config.model.dim}, "
+                              f"got {args.band}")
         if config.kind.is_square:
             bloch = build_square_bloch(h, N, k, a=a)
         else:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._roots import angular_scan, invert_monotone_ratio, secular_nodes
+from ._runs import reduce_in_runs
 from .chebpoly import logsinh, u_all, u_eval, u_pair
 from .errors import (DegenerateParameterError, NoEdgeStateError,
                      RootCountError, SingularArgumentError)
@@ -239,18 +240,38 @@ def _edge_full_state(xi_abs, omega, x, N):
     return alt * circ_env, alt * bullet_env, 1.0 if omega >= 0.0 else -1.0
 
 
-def zigzag_full_state(xi, omega, N):
+def _xi_columns(xi, count):
+    """|xi| and arg xi of each distinct xi, and for each of `count` columns
+    the index of its xi: `xi` is one value for every column or one per
+    column."""
+    if np.ndim(xi) == 0:
+        distinct, which = [xi], np.zeros(count, dtype=int)
+    else:
+        distinct, which = np.unique(np.asarray(xi, dtype=complex),
+                                    return_inverse=True)
+        distinct = [complex(v) for v in distinct]
+    xi_abs = np.array([abs(v) for v in distinct], dtype=float)
+    theta = np.array([cmath.phase(v) for v in distinct], dtype=float)
+    return xi_abs, theta, which.reshape(-1)
+
+
+def zigzag_full_state(xi, omega, N, reduce=None, block=None):
     """Full normalized 2N eigenvector (circ block then bullet block) at
     reduced energy omega for complex xi, matching the Bloch matrix gauge.
 
     An array of energies gives one contiguous column per energy; the bulk
-    ones share one recurrence run."""
-    xi_abs = abs(xi)
-    if xi_abs <= 0.0:
-        raise DegenerateParameterError("|xi| = 0 has no reduced closed form")
-    theta = cmath.phase(xi)
+    ones share one recurrence run.  `xi` may then be an array too, one
+    value per energy, so that one table spans the momenta of a scan.  With
+    `reduce`, the states are formed at most `block` matrix elements at a
+    time and never all held: reduce(omegas, states) gets each run's
+    energies and states (one column per state) and returns one value per
+    state, and the result is the list of those values."""
     omegas = np.atleast_1d(np.asarray(omega, dtype=float))
-    x = (omegas * omegas - xi_abs * xi_abs - 1.0) / (2.0 * xi_abs)
+    xi_abs, theta, which = _xi_columns(xi, len(omegas))
+    if np.any(xi_abs <= 0.0):
+        raise DegenerateParameterError("|xi| = 0 has no reduced closed form")
+    xa = xi_abs[which]
+    x = (omegas * omegas - xa * xa - 1.0) / (2.0 * xa)
     if np.any(x > 1.0 + 1e-12):
         raise ValueError("omega lies outside the spectral range for this xi")
     edge = x < -1.0 - 1e-12
@@ -258,25 +279,40 @@ def zigzag_full_state(xi, omega, N):
         raise ValueError("omega = 0 is not a zigzag eigenvalue for "
                          "nonzero xi")
     n = np.arange(1, N + 1)
-    c_circ = np.empty((len(omegas), N))
-    c_bullet = np.empty((len(omegas), N))
-    t = np.empty(len(omegas))
+    circ_phases = np.exp(-1.0j * (n - 1) * theta[:, None])
+    bullet_phases = np.exp(-1.0j * n * theta[:, None])
     bulk = np.flatnonzero(~edge)
     if len(bulk):
         un = u_all(N, np.clip(x[bulk], -1.0, 1.0))  # un[m+1] = U_m
-        c_circ[bulk] = (un[1:N + 1] + un[0:N] / xi_abs).T
-        c_bullet[bulk] = (un[N:0:-1] + un[N - 1::-1] / xi_abs).T
-        t[bulk] = xi_abs * c_circ[bulk, -1] / omegas[bulk]
-    for i in np.flatnonzero(edge):
-        c_circ[i], c_bullet[i], t[i] = _edge_full_state(xi_abs, omegas[i],
-                                                        x[i], N)
-    full = np.empty((len(omegas), 2 * N), dtype=complex)
-    full[:, :N] = np.exp(-1.0j * (n - 1) * theta) * c_circ
-    full[:, N:] = np.exp(-1.0j * n * theta) * (t[:, None] * c_bullet)
-    # one norm per contiguous state: a batched reduction sums in another
-    # order and changes the last bits
-    for row in full:
-        row /= np.linalg.norm(row)
+    slot = np.cumsum(~edge) - 1  # table column of each bulk state
+
+    def form(cols):
+        run = np.arange(len(omegas))[cols]
+        c_circ = np.empty((len(run), N))
+        c_bullet = np.empty((len(run), N))
+        t = np.empty(len(run))
+        inner = np.flatnonzero(~edge[run])
+        if len(inner):
+            i, col = run[inner], slot[run[inner]]
+            c_circ[inner] = (un[1:N + 1, col] + un[0:N, col] / xa[i]).T
+            c_bullet[inner] = (un[N:0:-1, col] + un[N - 1::-1, col] / xa[i]).T
+            t[inner] = xa[i] * c_circ[inner, -1] / omegas[i]
+        for j in np.flatnonzero(edge[run]):
+            i = run[j]
+            c_circ[j], c_bullet[j], t[j] = _edge_full_state(xa[i], omegas[i],
+                                                            x[i], N)
+        full = np.empty((len(run), 2 * N), dtype=complex)
+        full[:, :N] = circ_phases[which[run]] * c_circ
+        full[:, N:] = bullet_phases[which[run]] * (t[:, None] * c_bullet)
+        # one norm per contiguous state: a batched reduction sums in another
+        # order and changes the last bits
+        for row in full:
+            row /= np.linalg.norm(row)
+        return full
+
+    if reduce is not None:
+        return reduce_in_runs(form, omegas, 2 * N, reduce, block)
+    full = form(slice(None))
     return full[0] if np.ndim(omega) == 0 else full.T
 
 
@@ -359,25 +395,39 @@ def lr_isotropic_spectrum(h, N, k, j, a=1.0):
 
 def lr_isotropic_state(h, N, k, j, a=1.0, sign=1):
     """Normalized 2N eigenvector (circ block, bullet block) of the tl = tr
-    ribbon for transverse index j and branch sign(E)."""
+    ribbon for transverse index j and branch sign(E).
+
+    Arrays of indices j and signs give one contiguous column per (j, sign)
+    pair."""
     _require_lr(h)
-    if not 1 <= j <= N:
-        raise ValueError(f"band index must be in 1..{N}, got {j}")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+    js = np.atleast_1d(j)
+    signs = np.broadcast_to(sign, js.shape)
+    for jj, s in zip(js.tolist(), signs.tolist()):
+        if not 1 <= jj <= N:
+            raise ValueError(f"band index must be in 1..{N}, got {jj}")
+        if s not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
     n = np.arange(1, N + 1)
-    f = np.sin(math.pi * j * n / (N + 1))
-    c = _lr_c(h, N, k, a, j)
-    if abs(c) == 0.0:
-        a_circ = a_bullet = 1.0 / math.sqrt(2.0)  # degenerate pair convention
-    else:
-        a_bullet = 1.0 / math.sqrt(2.0)
-        a_circ = sign * (c / abs(c)) / math.sqrt(2.0)
+    f = np.sin(math.pi * js[:, None] * n / (N + 1))
     gauge = np.exp(-1.0j * n * k * a)
-    psi_circ = np.exp(0.5j * k * a) * gauge * a_circ * f
-    psi_bullet = np.exp(-0.5j * k * a) * gauge * a_bullet * f
-    full = np.concatenate([psi_circ, psi_bullet])
-    return full / np.linalg.norm(full)
+    circ = np.exp(0.5j * k * a) * gauge
+    a_bullet = 1.0 / math.sqrt(2.0)
+    full = np.empty((len(js), 2 * N), dtype=complex)
+    # a complex product rounds differently on numpy's broadcast paths, so
+    # each state's circ amplitude multiplies a vector, as for one state
+    for row, jj, s in zip(full, js.tolist(), signs.tolist()):
+        c = _lr_c(h, N, k, a, jj)
+        if abs(c) == 0.0:
+            row[:N] = circ * a_bullet  # degenerate pair convention
+        else:
+            row[:N] = circ * (s * (c / abs(c)) / math.sqrt(2.0))
+    full[:, :N] *= f
+    full[:, N:] = np.exp(-0.5j * k * a) * gauge * a_bullet * f
+    # one norm per contiguous state: a batched reduction sums in another
+    # order and changes the last bits
+    for row in full:
+        row /= np.linalg.norm(row)
+    return full[0] if np.ndim(j) == 0 else full.T
 
 
 # ------------------------------------------------------------ zero modes ---

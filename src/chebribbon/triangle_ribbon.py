@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._roots import angular_scan, invert_monotone_ratio, secular_nodes
+from ._runs import reduce_in_runs
 from .chebpoly import logcosh, logsinh, u_all, u_eval
 from .errors import DegenerateParameterError, RootCountError
 
@@ -103,13 +104,28 @@ def _reduced(h, N, k, a):
     return za, tau / za, tau, theta
 
 
+def _reduced_columns(h, N, k, a, count):
+    """_reduced at each distinct momentum as four arrays (|zeta|, tau/|zeta|,
+    tau, arg zeta), and for each of `count` columns the index of its
+    momentum: `k` is one momentum for every column or one per column."""
+    if np.ndim(k) == 0:
+        distinct, which = [k], np.zeros(count, dtype=int)
+    else:
+        distinct, which = np.unique(np.asarray(k, dtype=float),
+                                    return_inverse=True)
+    za, r, tau, theta = np.array([_reduced(h, N, kk, a) for kk in distinct]).T
+    return za, r, tau, theta, which.reshape(-1)
+
+
 def _secular_terms(E, h, N, k, a, two_sided):
     """Chebyshev table un = u_all(N, y) at y = (E - tau)/(2|zeta|), one
-    column per energy, with the secular sum, the magnitude of its cancelling
-    terms, tau/|zeta| and arg zeta."""
-    za, r, tau, theta = _reduced(h, N, k, a)
-    un = u_all(N, (np.atleast_1d(np.asarray(E, dtype=float)) - tau)
-               / (2.0 * za))
+    column per energy, with the secular sum and the magnitude of its
+    cancelling terms per column, tau/|zeta| per column, arg zeta per
+    distinct momentum and the momentum index of each column."""
+    E = np.atleast_1d(np.asarray(E, dtype=float))
+    za, r, tau, theta, which = _reduced_columns(h, N, k, a, len(E))
+    za, r, tau = za[which], r[which], tau[which]
+    un = u_all(N, (E - tau) / (2.0 * za))
     if two_sided:
         resid = un[N + 1] + 2.0 * r * un[N] + r * r * un[N - 1]
         scale = (np.abs(un[N + 1]) + np.abs(2.0 * r * un[N])
@@ -117,7 +133,7 @@ def _secular_terms(E, h, N, k, a, two_sided):
     else:
         resid = un[N + 1] + r * un[N]
         scale = np.abs(un[N + 1]) + np.abs(r * un[N])
-    return un, resid, scale, r, theta
+    return un, resid, scale, r, theta, which
 
 
 def _at_least_one(scale):
@@ -126,7 +142,7 @@ def _at_least_one(scale):
 
 
 def _secular_residual(E, h, N, k, a, scaled, two_sided):
-    _, resid, scale, _, _ = _secular_terms(E, h, N, k, a, two_sided)
+    _, resid, scale, _, _, _ = _secular_terms(E, h, N, k, a, two_sided)
     if scaled:
         resid = resid / _at_least_one(scale)
     return float(resid[0]) if np.ndim(E) == 0 else resid
@@ -137,7 +153,8 @@ def zz1_secular_residual(E, h, N, k, a=1.0, scaled=False):
 
     With ``scaled=True`` the residual is divided by the magnitude of the
     cancelling terms, so it stays meaningful for |y| > 1 where the
-    polynomials grow exponentially.  An array of energies gives an array.
+    polynomials grow exponentially.  An array of energies gives an array;
+    `k` may then be an array too, one momentum per energy.
     """
     return _secular_residual(E, h, N, k, a, scaled, two_sided=False)
 
@@ -146,47 +163,64 @@ def zz2_secular_residual(E, h, N, k, a=1.0, scaled=False):
     """U_N(y) + (2 tau/|zeta|) U_{N-1}(y) + (tau/|zeta|)^2 U_{N-2}(y).
 
     ``scaled=True`` divides by the magnitude of the cancelling terms (see
-    zz1_secular_residual).  An array of energies gives an array.
+    zz1_secular_residual).  An array of energies gives an array, and `k`
+    may be one momentum per energy.
     """
     if N < 2:
         raise ValueError("two-sided zigzag needs N >= 2")
     return _secular_residual(E, h, N, k, a, scaled, two_sided=True)
 
 
-def _secular_state(E, h, N, k, a, tol, two_sided):
+def _secular_state(E, h, N, k, a, tol, two_sided, reduce, block):
     """Normalized e^{i n theta} [U_{n-1}(y) + r U_{n-2}(y)]: a vector for
-    scalar E, else one contiguous column per energy."""
-    un, resid, scale, r, theta = _secular_terms(E, h, N, k, a, two_sided)
+    scalar E, else one contiguous column per energy, or with `reduce` the
+    values it gives run by run (see zz1_state)."""
+    un, resid, scale, r, theta, which = _secular_terms(E, h, N, k, a,
+                                                       two_sided)
     off = np.abs(resid) > tol * _at_least_one(scale)
     if np.any(off):
         raise ValueError(
             f"energy is not on the spectrum (scaled residual "
             f"{resid[off][0]:.3e})")
-    phase = np.exp(1.0j * np.arange(1, N + 1) * theta)
-    psi = phase * np.ascontiguousarray((un[1:N + 1] + r * un[0:N]).T)
-    # one norm per contiguous state: a batched reduction sums in another
-    # order and changes the last bits
-    for row in psi:
-        row /= np.linalg.norm(row)
+    phases = np.exp(1.0j * np.arange(1, N + 1) * theta[:, None])
+
+    def form(cols):
+        psi = phases[which[cols]] * np.ascontiguousarray(
+            (un[1:N + 1, cols] + r[cols] * un[0:N, cols]).T)
+        # one norm per contiguous state: a batched reduction sums in another
+        # order and changes the last bits
+        for row in psi:
+            row /= np.linalg.norm(row)
+        return psi
+
+    if reduce is not None:
+        return reduce_in_runs(form, np.atleast_1d(E), N, reduce, block)
+    psi = form(slice(None))
     return psi[0] if np.ndim(E) == 0 else psi.T
 
 
-def zz1_state(E, h, N, k, a=1.0, tol=1e-6):
+def zz1_state(E, h, N, k, a=1.0, tol=1e-6, reduce=None, block=None):
     """Normalized transverse eigenvector of the one-sided zigzag ribbon:
     psi_n = e^{i n theta} [U_{n-1}(y) + (tau/|zeta|) U_{n-2}(y)].
 
     An array of energies gives one column per energy, from one recurrence
-    run for all of them."""
-    return _secular_state(E, h, N, k, a, tol, two_sided=False)
+    run for all of them; `k` may then be an array too, one momentum per
+    energy, so that one table spans the momenta of a scan.  With `reduce`,
+    the states are formed at most `block` matrix elements at a time and
+    never all held: reduce(energies, states) gets each run's energies and
+    states (one column per state) and returns one value per state, and the
+    result is the list of those values."""
+    return _secular_state(E, h, N, k, a, tol, False, reduce, block)
 
 
-def zz2_state(E, h, N, k, a=1.0, tol=1e-6):
+def zz2_state(E, h, N, k, a=1.0, tol=1e-6, reduce=None, block=None):
     """Normalized transverse eigenvector of the two-sided zigzag ribbon
     (same componentwise form as zz1_state; only the secular check differs).
-    An array of energies gives one column per energy."""
+    Arrays of energies and momenta, `reduce` and `block` act as in
+    zz1_state."""
     if N < 2:
         raise ValueError("two-sided zigzag needs N >= 2")
-    return _secular_state(E, h, N, k, a, tol, two_sided=True)
+    return _secular_state(E, h, N, k, a, tol, True, reduce, block)
 
 
 # ------------------------------------------------------------- per-k roots --

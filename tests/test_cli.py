@@ -13,10 +13,12 @@ import pytest
 
 from chebribbon import square_ribbon as sq
 from chebribbon import triangle_ribbon as tri
+from chebribbon import cli
 from chebribbon.classify import ipr
-from chebribbon.cli import (_STATE_BLOCK, _block_iprs, _emit,
-                            _square_zigzag_states, _triangle_states, run)
-from chebribbon.hamiltonian import ModelKind, SquareHoppings, TriangleHoppings
+from chebribbon.cli import ScanConfig, _emit, run
+from chebribbon.errors import RootCountError
+from chebribbon.hamiltonian import (ModelKind, RibbonModel, SquareHoppings,
+                                    TriangleHoppings)
 
 HEADER = "k,band,energy,class,u,ipr,source"
 
@@ -60,55 +62,138 @@ def test_bands_deterministic(capsys):
     assert first == second
 
 
+class _Runs:
+    """A walk's reduction that keeps each state and the size of each run."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __call__(self, energies, states):
+        assert states.shape[1] == len(energies)
+        self.sizes.append(states.shape[1])
+        return [states[:, c].copy() for c in range(states.shape[1])]
+
+
+def _single_triangle_state(kind, h, N, k, root):
+    zz1 = kind == ModelKind.TRIANGLE_ZIGZAG1
+    if root.kind == "edge":
+        theta = tri.zeta_of_k(h, k)[1]
+        return (tri.zz1_edge_state(root.u, N, root.sign, theta) if zz1
+                else tri.zz2_edge_bloch_state(root.u, N, root.sign,
+                                              root.family, theta))
+    return (tri.zz1_state if zz1 else tri.zz2_state)(root.energy, h, N, k)
+
+
+def _triangle_scan(kind, h, N, grid):
+    solve = tri.zz1_roots if kind == ModelKind.TRIANGLE_ZIGZAG1 \
+        else tri.zz2_roots
+    return [(k, solve(h, N, k)) for k in grid]
+
+
+def _square_scan(h, N, grid):
+    return [cli._square_zigzag_spectrum(h, N, k, 1.0)[:2] for k in grid]
+
+
+def _check_triangle_walk(kind, h, N, scan, tables=()):
+    """Every state of the walk equals its single-energy state, and every
+    run holds at most _STATE_BLOCK elements (or one state).  `runs.tables`
+    is the number of entries the walk added to `tables`."""
+    runs = _Runs()
+    before = len(tables)
+    states = cli._triangle_walk(kind, h, N, 1.0, scan, runs)
+    runs.tables = len(tables) - before
+    assert [len(s) for s in states] == [len(roots) for _, roots in scan]
+    for (k, roots), found in zip(scan, states):
+        for root, state in zip(roots, found):
+            assert np.array_equal(
+                state, _single_triangle_state(kind, h, N, k, root))
+    assert all(m == 1 or m * N <= cli._STATE_BLOCK for m in runs.sizes)
+    return runs
+
+
+def _check_square_walk(h, N, scan, tables=()):
+    runs = _Runs()
+    before = len(tables)
+    states = cli._square_zigzag_walk(N, scan, runs)
+    runs.tables = len(tables) - before
+    assert [len(s) for s in states] == [len(signed) for _, signed in scan]
+    for (xi, signed), found in zip(scan, states):
+        for omega, state in zip(signed, found):
+            assert np.array_equal(state, sq.zigzag_full_state(xi, omega, N))
+    assert all(m * 2 * N <= cli._STATE_BLOCK for m in runs.sizes)
+    return runs
+
+
 @pytest.mark.parametrize("kind", [ModelKind.TRIANGLE_ZIGZAG1,
                                   ModelKind.TRIANGLE_ZIGZAG2])
 def test_triangle_state_blocks_equal_single_states(kind):
     N, k = 200, 0.4
     h = TriangleHoppings(t1=0.9, t2=0.1, t3=1.0)
-    zz1 = kind == ModelKind.TRIANGLE_ZIGZAG1
-    roots = (tri.zz1_roots if zz1 else tri.zz2_roots)(h, N, k)
-    theta = tri.zeta_of_k(h, k)[1]
-    seen = []
-    for block, states in _triangle_states(kind, h, N, k, 1.0, roots):
-        assert states.shape == (N, len(block))
-        assert len(block) == 1 or len(block) * N <= _STATE_BLOCK
-        for col, i in enumerate(block):
-            root = roots[i]
-            if root.kind == "edge":
-                expected = (tri.zz1_edge_state(root.u, N, root.sign, theta)
-                            if zz1 else tri.zz2_edge_bloch_state(
-                                root.u, N, root.sign, root.family, theta))
-            else:
-                expected = (tri.zz1_state if zz1 else tri.zz2_state)(
-                    root.energy, h, N, k)
-            assert np.array_equal(states[:, col], expected)
-        seen.extend(block)
-    assert sorted(seen) == list(range(N))
-    assert any(r.kind == "edge" for r in roots)
-    assert N * N > 2 * _STATE_BLOCK  # several bulk blocks
+    scan = _triangle_scan(kind, h, N, [k])
+    runs = _check_triangle_walk(kind, h, N, scan)
+    assert any(r.kind == "edge" for r in scan[0][1])
+    assert N * N > 2 * cli._STATE_BLOCK  # several bulk blocks
+    assert len(runs.sizes) > 2
 
 
 def test_square_state_blocks_equal_single_states():
     N, k = 120, 0.3
-    xi, _ = sq.xi_of_k(SquareHoppings(tu=1.0, td=0.6, tl=0.0, tr=1.0), k)
-    omegas = sq.zigzag_spectrum(abs(xi), N)
-    signed = np.concatenate([-omegas[::-1], omegas])
-    seen = []
-    for block, states in _square_zigzag_states(xi, signed, N):
-        assert len(block) * 2 * N <= _STATE_BLOCK
-        for col, i in enumerate(block):
-            assert np.array_equal(states[:, col],
-                                  sq.zigzag_full_state(xi, signed[i], N))
-        seen.extend(block)
-    assert seen == list(range(2 * N))
-    assert len(seen) * 2 * N > 2 * _STATE_BLOCK
+    h = SquareHoppings(tu=1.0, td=0.6, tl=0.0, tr=1.0)
+    runs = _check_square_walk(h, N, _square_scan(h, N, [k]))
+    assert sum(runs.sizes) == 2 * N
+    assert sum(runs.sizes) * 2 * N > 2 * cli._STATE_BLOCK
 
 
-def _columns(blocks):
-    """The states that (indices, states) blocks hold, in index order."""
-    found = {i: states[:, col] for block, states in blocks
-             for col, i in enumerate(block)}
-    return [found[i] for i in sorted(found)]
+def _counting(monkeypatch, module, name):
+    """Count the calls of module.name."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 12])
+def test_one_table_spans_the_scan_of_a_narrow_ribbon(monkeypatch, N):
+    # 128 momenta with edge roots interleaved between the bulk ones
+    grid = ScanConfig(model=RibbonModel(ModelKind.TRIANGLE_ZIGZAG1, N),
+                      hoppings=None).k_grid()
+    h = TriangleHoppings(t1=0.9, t2=0.1, t3=1.0)
+    tables = _counting(monkeypatch, tri, "u_all")
+    for kind in (ModelKind.TRIANGLE_ZIGZAG1, ModelKind.TRIANGLE_ZIGZAG2):
+        if kind == ModelKind.TRIANGLE_ZIGZAG2 and N < 2:
+            continue
+        scan = _triangle_scan(kind, h, N, grid)
+        roots = [r for _, rs in scan for r in rs]
+        assert any(r.kind == "edge" for r in roots) or N == 1
+        assert _check_triangle_walk(kind, h, N, scan, tables).tables == 1
+    hs = SquareHoppings(tu=1.0, td=0.6, tl=0.0, tr=1.0)
+    scan = _square_scan(hs, N, grid[::2])  # 64 momenta in the square zone
+    tables = _counting(monkeypatch, sq, "u_all")
+    assert _check_square_walk(hs, N, scan, tables).tables == 1
+
+
+def test_one_momentum_spans_several_tables(monkeypatch):
+    N = 40
+    h = TriangleHoppings(t1=0.9, t2=0.1, t3=1.0)
+    hs = SquareHoppings(tu=1.0, td=0.6, tl=0.0, tr=1.0)
+    monkeypatch.setattr(cli, "_TABLE_BLOCK", 7 * (N + 2))
+    monkeypatch.setattr(cli, "_STATE_BLOCK", 3 * 2 * N)
+    tables = _counting(monkeypatch, tri, "u_all")
+    for kind in (ModelKind.TRIANGLE_ZIGZAG1, ModelKind.TRIANGLE_ZIGZAG2):
+        scan = _triangle_scan(kind, h, N, [-0.4, 0.4])
+        bulk = sum(r.kind != "edge" for _, rs in scan for r in rs)
+        runs = _check_triangle_walk(kind, h, N, scan, tables)
+        assert runs.tables == -(-bulk // 7) > 2 * 2
+        assert max(runs.sizes) == 6
+    tables = _counting(monkeypatch, sq, "u_all")
+    runs = _check_square_walk(hs, N, _square_scan(hs, N, [-0.3, 0.3]), tables)
+    assert runs.tables == -(-4 * N // 7)
+    assert max(runs.sizes) == 3
 
 
 def _reference_ipr(state):
@@ -119,23 +204,73 @@ def _reference_ipr(state):
 
 
 def test_block_iprs_equal_single_state_iprs():
-    # several blocks of bulk states, and triangle edge states one by one
-    N, k = 120, 0.3
-    xi, _ = sq.xi_of_k(SquareHoppings(tu=1.0, td=0.6, tl=0.0, tr=1.0), k)
-    omegas = sq.zigzag_spectrum(abs(xi), N)
-    signed = np.concatenate([-omegas[::-1], omegas])
-    cases = [(list(_square_zigzag_states(xi, signed, N)), 2 * N)]
+    # several state blocks, tables spanning momenta, and triangle edge
+    # states one by one
     h = TriangleHoppings(t1=0.9, t2=0.1, t3=1.0)
-    for kind, N in ((ModelKind.TRIANGLE_ZIGZAG1, 200),
-                    (ModelKind.TRIANGLE_ZIGZAG2, 7)):
-        roots = (tri.zz1_roots if N == 200 else tri.zz2_roots)(h, N, 0.4)
-        assert any(r.kind == "edge" for r in roots)
-        cases.append((list(_triangle_states(kind, h, N, 0.4, 1.0, roots)), N))
-    assert len(cases[0][0]) > 2 and len(cases[1][0]) > 2
-    for blocks, count in cases:
-        columns = _columns(blocks)
-        assert _block_iprs(blocks, count) == [ipr(c) for c in columns] \
-            == [_reference_ipr(c) for c in columns]
+    hs = SquareHoppings(tu=1.0, td=0.6, tl=0.0, tr=1.0)
+    cases = []
+    for N, grid in ((120, [0.3]), (7, np.linspace(-1.5, 1.5, 9))):
+        scan = _square_scan(hs, N, grid)
+        cases.append((cli._square_zigzag_walk(N, scan, cli._iprs),
+                      cli._square_zigzag_walk(N, scan, _Runs())))
+    for kind, N, grid in ((ModelKind.TRIANGLE_ZIGZAG1, 200, [0.4]),
+                          (ModelKind.TRIANGLE_ZIGZAG2, 7,
+                           np.linspace(-3.0, 3.0, 11))):
+        scan = _triangle_scan(kind, h, N, grid)
+        assert any(r.kind == "edge" for _, rs in scan for r in rs)
+        cases.append((cli._triangle_walk(kind, h, N, 1.0, scan, cli._iprs),
+                      cli._triangle_walk(kind, h, N, 1.0, scan, _Runs())))
+    for parts, states in cases:
+        assert [len(p) for p in parts] == [len(s) for s in states]
+        for part, found in zip(parts, states):
+            assert part == [ipr(s) for s in found] \
+                == [_reference_ipr(s) for s in found]
+
+
+def test_root_count_error_mid_scan_falls_back_to_oracle_rows(
+        monkeypatch, capsys):
+    argv = ["bands", "--model", "triangle-zigzag2", "--N", "9", "--t1", "0.9",
+            "--t2", "0.1", "--t3", "1.0", "--k-points", "16"]
+    plain = _bands(capsys, argv)
+    grid = [float(r[0]) for r in plain[::9]]
+    original = tri.zz2_roots
+
+    def failing(h, N, k, a=1.0):
+        if float(k) == grid[7]:
+            raise RootCountError("forced")
+        return original(h, N, k, a=a)
+
+    monkeypatch.setattr(tri, "zz2_roots", failing)
+    patched = _bands(capsys, argv)
+    assert len(patched) == len(plain)
+    for before, after in zip(plain, patched):
+        if float(after[0]) == grid[7]:
+            assert after[6] == "oracle"
+            assert float(after[2]) == pytest.approx(float(before[2]),
+                                                    abs=1e-9)
+        else:
+            assert after == before
+    assert sum(r[6] == "oracle" for r in patched) == 9
+
+
+@pytest.mark.parametrize("row", [
+    [np.float64(-0.0), 1, -0.0, "bulk", None, np.float64(0.25), "analytic"],
+    [0.1, 12, np.float64(1e-300), "edge-left", np.float64(0.3), 1.0 / 3.0,
+     "analytic"],
+    [np.float64(-1.5), np.int64(3), 2.0 ** 0.5, "", "", 0.5, "oracle"],
+    [1e22, 1, float("nan"), "edge-both", -0.0, float("inf"), "oracle"],
+])
+def test_band_line_equals_joined_fmt(row):
+    assert cli._band_line(row) == ",".join(cli._fmt(v) for v in row)
+
+
+def test_wavefunction_band_solves_once(monkeypatch, capsys):
+    calls = _counting(monkeypatch, cli, "eigensolve_dense")
+    assert run(["wavefunction", "--model", "square-general", "--N", "200",
+                "--band", "3", "--k", "0.3"]) == 0
+    assert len(calls) == 1
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert len(rows) == 400
 
 
 def test_bands_floats_round_trip_through_text(capsys):

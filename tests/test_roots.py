@@ -111,3 +111,22 @@ def test_angular_scan_paths_agree(monkeypatch, N):
     scalar = spectra()
     monkeypatch.setattr(_roots, "LOCKSTEP_MIN_BRACKETS", 1)
     assert spectra() == scalar
+
+
+def _uncached_nodes(N, degrees):
+    parts = [np.linspace(0.0, np.pi, 8 * (N + 1) + 1)]
+    for d in degrees:
+        if d >= 1:
+            parts.append(np.pi * np.arange(1, d + 1) / (d + 1))
+    return np.unique(np.concatenate(parts))
+
+
+@pytest.mark.parametrize("N, degrees", [(1, (1, 0)), (2, [2, 1, 0]),
+                                        (13, (13, 12)), (200, (200, 199, 198))])
+def test_secular_nodes_shared_and_read_only(N, degrees):
+    nodes = secular_nodes(N, degrees)
+    assert np.array_equal(nodes, _uncached_nodes(N, degrees))
+    assert secular_nodes(N, tuple(degrees)) is nodes
+    assert not nodes.flags.writeable
+    with pytest.raises(ValueError):
+        nodes[0] = 1.0

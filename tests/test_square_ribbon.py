@@ -376,6 +376,51 @@ def test_lr_matches_oracle(rng):
             assert subspace_overlap(spec, energy, state) > 1 - 1e-8
 
 
+def _seed_lr_state(h, N, k, j, sign):
+    """Reference: the per-state formula the batched states replace."""
+    n = np.arange(1, N + 1)
+    f = np.sin(math.pi * j * n / (N + 1))
+    c = sq._lr_c(h, N, k, 1.0, j)
+    if abs(c) == 0.0:
+        a_circ = a_bullet = 1.0 / math.sqrt(2.0)
+    else:
+        a_bullet = 1.0 / math.sqrt(2.0)
+        a_circ = sign * (c / abs(c)) / math.sqrt(2.0)
+    gauge = np.exp(-1.0j * n * k)
+    psi_circ = np.exp(0.5j * k) * gauge * a_circ * f
+    psi_bullet = np.exp(-0.5j * k) * gauge * a_bullet * f
+    full = np.concatenate([psi_circ, psi_bullet])
+    return full / np.linalg.norm(full)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 8, 40])
+def test_batched_lr_states_equal_single_states(N, rng):
+    cases = [(SquareHoppings(tu=tu, td=td, tl=tr, tr=tr), k)
+             for (tu, td, tr), k in zip(rng.uniform(0.1, 2.0, size=(4, 3)),
+                                        rng.uniform(-1.6, 1.6, size=4))]
+    # |c| ~ 1e-16 at k = 0, j = 2 of N = 2: a nearly cancelled amplitude
+    cases.append((SquareHoppings(tu=0.5, td=0.5, tl=1.0, tr=1.0), 0.0))
+    for h, k in cases:
+        js = np.repeat(np.arange(1, N + 1), 2)
+        signs = np.tile([1, -1], N)
+        block = sq.lr_isotropic_state(h, N, k, js, sign=signs)
+        assert block.shape == (2 * N, 2 * N)
+        for col, (j, sign) in enumerate(zip(js.tolist(), signs.tolist())):
+            single = sq.lr_isotropic_state(h, N, k, j, sign=sign)
+            assert block[:, col].flags.c_contiguous
+            assert np.array_equal(block[:, col], single)
+            assert np.array_equal(single, _seed_lr_state(h, N, k, j, sign))
+    # one state, and the order of the pairs, do not change the bits
+    h, k = cases[0]
+    single = sq.lr_isotropic_state(h, N, k, np.array([N]), sign=-1)
+    assert np.array_equal(single[:, 0], _seed_lr_state(h, N, k, N, -1))
+    with pytest.raises(ValueError):
+        sq.lr_isotropic_state(h, N, k, np.array([1, N + 1]), sign=1)
+    with pytest.raises(ValueError):
+        sq.lr_isotropic_state(h, N, k, np.array([1, 1]),
+                              sign=np.array([1, 0]))
+
+
 # -------------------------------------------------------------- zero modes --
 
 def test_zero_mode_momenta_small_ribbon():

@@ -170,6 +170,39 @@ def test_batched_states_and_residuals_equal_scalar_reference(N):
                       WEAK, N, k)
 
 
+@pytest.mark.parametrize("N", [1, 2, 5, 30])
+def test_states_across_momenta_equal_single_states(N):
+    grid = (-2.5, -0.3, 0.3, 2.0, math.pi)
+    for roots_of, state, residual in (
+            (tri.zz1_roots, tri.zz1_state, tri.zz1_secular_residual),
+            (tri.zz2_roots, tri.zz2_state, tri.zz2_secular_residual)):
+        if N < 2 and roots_of is tri.zz2_roots:
+            continue
+        pairs = [(r.energy, k) for k in grid for r in roots_of(WEAK, N, k)
+                 if r.kind == "bulk"]
+        energies = np.array([e for e, _ in pairs])
+        momenta = np.array([k for _, k in pairs])
+        block = state(energies, WEAK, N, momenta)
+        assert block.shape == (N, len(pairs))
+        runs = []
+
+        def keep(run_energies, states):
+            runs.append(states.shape[1])
+            assert np.array_equal(run_energies, energies[sum(runs[:-1]):
+                                                         sum(runs)])
+            return [states[:, c].copy() for c in range(states.shape[1])]
+
+        kept = state(energies, WEAK, N, momenta, reduce=keep, block=3 * N)
+        assert set(runs[:-1]) <= {3} and 0 < runs[-1] <= 3
+        resid = residual(energies, WEAK, N, momenta, scaled=True)
+        for j, (e, k) in enumerate(pairs):
+            single = state(e, WEAK, N, k)
+            assert np.array_equal(block[:, j], single)
+            assert np.array_equal(kept[j], single)
+            assert resid[j] == residual(np.array([e]), WEAK, N, k,
+                                        scaled=True)[0]
+
+
 def test_roots_match_oracle_across_widths(rng):
     edges = {TriangleEdge.ZIGZAG1: (tri.zz1_roots, tri.zz1_state),
              TriangleEdge.ZIGZAG2: (tri.zz2_roots, tri.zz2_state)}
