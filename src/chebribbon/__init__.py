@@ -30,7 +30,7 @@ from .square_ribbon import (EdgeBranchPoint, EdgeRegime, RegimeVerdict,
                             zigzag_edge_branch, zigzag_edge_u_from_xi,
                             zigzag_full_state, zigzag_secular_residual,
                             zigzag_spectrum)
-from .triangle_ribbon import (TriangleEdgeSolution, TriangleRoot,
+from .triangle_ribbon import (RootTable, TriangleEdgeSolution,
                               default_u_grid, linear_spectrum, tau_of_k,
                               zeta_of_k, zz1_edge_existence, zz1_edge_profile,
                               zz1_edge_solutions, zz1_edge_state, zz1_roots,
@@ -65,7 +65,7 @@ __all__ = [
     "zero_mode_state", "zero_mode_full_state", "solve_zero_mode_sum",
     # triangle_ribbon
     "zeta_of_k", "tau_of_k", "linear_spectrum", "zz1_secular_residual",
-    "zz2_secular_residual", "zz1_state", "zz2_state", "TriangleRoot",
+    "zz2_secular_residual", "zz1_state", "zz2_state", "RootTable",
     "zz1_roots", "zz2_roots", "zz1_spectrum", "zz2_spectrum",
     "TriangleEdgeSolution", "zz1_edge_solutions", "zz2_edge_solutions",
     "zz1_edge_profile", "zz2_edge_profile", "zz1_edge_state",

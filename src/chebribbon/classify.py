@@ -81,6 +81,19 @@ def _row_iprs(amp):
     return (p2 * p2).sum(axis=1) / (total * total)
 
 
+# dtype of an array of label values, wide enough for the longest one
+_LABEL_DTYPE = f"U{max(len(label.value) for label in StateLabel)}"
+
+
+def _labels(args, labeller):
+    """labeller's label values over the arrays of `args`, or the StateLabel
+    of the one entry when every argument is a scalar."""
+    if all(np.ndim(v) == 0 for v in args):
+        return StateLabel(labeller(*(np.array([v], dtype=float)
+                                     for v in args))[0])
+    return labeller(*(np.asarray(v, dtype=float) for v in args))
+
+
 def classify_analytic_square(omega, xi_abs):
     """Place a zigzag-ribbon energy (reduced units omega = E/t_r) relative
     to the bulk band: ratio = (omega^2 - xi^2 - 1)/(2 xi).
@@ -88,19 +101,27 @@ def classify_analytic_square(omega, xi_abs):
     Bulk for ratio in (-1, 1), edge below -1, transition within 1e-9 of -1.
     The stacked eigenvector of an edge state localizes at both ends of the
     two-sublattice layout, hence EDGE_BOTH.
+
+    Scalars give a StateLabel; arrays (broadcast together) give an array of
+    label values, one per entry.
     """
-    if xi_abs <= 0.0:
+    return _labels((omega, xi_abs), _square_labels)
+
+
+def _square_labels(omega, xi_abs):
+    if np.any(xi_abs <= 0.0):
         raise ValueError("xi_abs must be positive")
     ratio = (omega * omega - xi_abs * xi_abs - 1.0) / (2.0 * xi_abs)
-    if abs(ratio + 1.0) < _TRANSITION_TOL:
-        return StateLabel.TRANSITION
-    if ratio < -1.0:
-        return StateLabel.EDGE_BOTH
-    if ratio > 1.0 + _TRANSITION_TOL:
+    above = ratio > 1.0 + _TRANSITION_TOL
+    if np.any(above):
         raise ValueError(
-            f"reduced energy lies above the band (ratio = {ratio!r}); "
-            "no such state exists on this spectrum")
-    return StateLabel.BULK
+            f"reduced energy lies above the band (ratio = "
+            f"{ratio[above][0].item()!r}); no such state exists on this "
+            "spectrum")
+    out = np.full(ratio.shape, StateLabel.BULK.value, dtype=_LABEL_DTYPE)
+    out[ratio < -1.0] = StateLabel.EDGE_BOTH.value
+    out[np.abs(ratio + 1.0) < _TRANSITION_TOL] = StateLabel.TRANSITION.value
+    return out
 
 
 def classify_analytic_triangle(E, tau, zeta_abs, sides=StateLabel.EDGE_BOTH):
@@ -112,17 +133,24 @@ def classify_analytic_triangle(E, tau, zeta_abs, sides=StateLabel.EDGE_BOTH):
     state is a property of the truncation, not of the energy, so the edge
     variant to report is passed in as `sides` (one-sided zigzag localizes
     at the first chain: EDGE_LEFT; two-sided: EDGE_BOTH).
+
+    Scalars give a StateLabel; arrays (broadcast together) give an array of
+    label values, one per entry.
     """
-    if zeta_abs <= 0.0:
-        raise ValueError("zeta_abs must be positive")
-    if not sides.is_edge:
-        raise ValueError("sides must be an edge variant")
-    ratio = (E - tau) / (2.0 * zeta_abs)
-    if min(abs(ratio - 1.0), abs(ratio + 1.0)) < _TRANSITION_TOL:
-        return StateLabel.TRANSITION
-    if abs(ratio) < 1.0:
-        return StateLabel.BULK
-    return sides
+    def labeller(E, tau, zeta_abs):
+        if np.any(zeta_abs <= 0.0):
+            raise ValueError("zeta_abs must be positive")
+        if not sides.is_edge:
+            raise ValueError("sides must be an edge variant")
+        ratio = (E - tau) / (2.0 * zeta_abs)
+        out = np.full(ratio.shape, sides.value, dtype=_LABEL_DTYPE)
+        out[np.abs(ratio) < 1.0] = StateLabel.BULK.value
+        out[(np.abs(ratio - 1.0) < _TRANSITION_TOL)
+            | (np.abs(ratio + 1.0) < _TRANSITION_TOL)] = \
+            StateLabel.TRANSITION.value
+        return out
+
+    return _labels((E, tau, zeta_abs), labeller)
 
 
 def _linfit(y):

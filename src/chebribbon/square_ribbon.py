@@ -188,16 +188,24 @@ def _edge_profiles(u, N):
 
 def _edge_norm_square(u, N):
     """|Psi|^2 of the unit-anchored edge state:
-    [sinh((2N+1)u) - (2N+1) sinh(u)] / (2 sinh(u) sinh^2(Nu))."""
+    [sinh((2N+1)u) - (2N+1) sinh(u)] / (2 sinh(u) sinh^2(Nu)).
+
+    Below (2N+1)u = 0.5 that difference cancels catastrophically (and its
+    denominator underflows for tiny u), so the sum it closes,
+    2 sum_n (sinh(nu)/sinh(Nu))^2, is added up instead."""
     big = (2 * N + 1) * u
+    if big < 0.5:
+        ratios = np.sinh(np.arange(1, N + 1) * u) / math.sinh(N * u)
+        return 2.0 * math.fsum((ratios * ratios).tolist())
     if big < 350.0:
         return ((math.sinh(big) - (2 * N + 1) * math.sinh(u))
                 / (2.0 * math.sinh(u) * math.sinh(N * u) ** 2))
-    # log domain; the subtracted term is e^{-2Nu}-suppressed
-    corr = (2 * N + 1) * math.exp(logsinh(u) - logsinh(big))
-    log_s = (logsinh(big) + math.log1p(-corr) - math.log(2.0)
-             - logsinh(u) - 2.0 * logsinh(N * u))
-    return math.exp(log_s)
+    # the same in powers of e^{-u}, which neither overflow nor cancel here
+    # (the subtracted term is e^{-2Nu} < e^{-230} of the first); a log
+    # domain form loses eps * (2N+1)u relative
+    return 2.0 * (-math.expm1(-2.0 * big) / -math.expm1(-2.0 * u)
+                  - (2 * N + 1) * math.exp(-2.0 * N * u)) \
+        / math.expm1(-2.0 * N * u) ** 2
 
 
 def zigzag_edge_branch(u, N):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +36,7 @@ __all__ = [
     "zz2_secular_residual",
     "zz1_state",
     "zz2_state",
-    "TriangleRoot",
+    "RootTable",
     "zz1_roots",
     "zz2_roots",
     "zz1_spectrum",
@@ -225,17 +226,20 @@ def zz2_state(E, h, N, k, a=1.0, tol=1e-6, reduce=None, block=None):
 
 # ------------------------------------------------------------- per-k roots --
 
-@dataclass(frozen=True)
-class TriangleRoot:
-    """One secular root at fixed momentum."""
+class RootTable(NamedTuple):
+    """The N secular roots of one momentum, one array entry per root,
+    ascending in energy."""
 
-    energy: float
-    y: float
-    kind: str                 # "bulk" or "edge"
-    phi: float | None = None  # bulk angle, y = cos(phi)
-    u: float | None = None    # edge decay, y = sign*cosh(u)
-    sign: int = 0             # edge branch: +1 above, -1 below the band
-    family: str | None = None  # two-sided zigzag: "A" or "B"
+    energy: np.ndarray
+    phi: np.ndarray     # bulk angle, y = cos(phi); NaN on edge roots
+    u: np.ndarray       # edge decay, y = sign*cosh(u); NaN on bulk roots
+    sign: np.ndarray    # edge branch: +1 above, -1 below the band; 0 on bulk
+    family: np.ndarray  # edge family "A" or "B" (two-sided zigzag); "" on bulk
+
+    @property
+    def edge(self):
+        """True on edge roots."""
+        return self.sign != 0
 
 
 def _ratio_zz1(u, N):
@@ -250,13 +254,10 @@ def _ratio_zz2(u, N, family):
     return _sinh_ratio((N + 1) * u / 2.0, (N - 1) * u / 2.0)  # from (N+1)/(N-1)
 
 
-def _bulk_root(tau, za, phi):
-    return TriangleRoot(energy=tau + 2.0 * za * math.cos(phi),
-                        y=math.cos(phi), phi=phi, kind="bulk")
-
-
-def _scan_bulk(r, N, coeffs, tau, za):
-    """Shared bulk scan: coeffs c_m multiply U_{N-m}(cos phi), m = 0,1[,2]."""
+def _scan_bulk(N, coeffs):
+    """Shared bulk scan: coeffs c_m multiply U_{N-m}(cos phi), m = 0,1[,2].
+    Returns the bulk angles (interior roots ascending, then a root on 0 or
+    pi), the two boundary flags and the limits _rescue_boundary reads."""
     degs = tuple(N - m for m in range(len(coeffs)))
 
     def g_grid(phi):
@@ -276,52 +277,77 @@ def _scan_bulk(r, N, coeffs, tau, za):
     nodes = secular_nodes(N, degs)
     phis, b0, bpi = angular_scan(g_grid, g_exact, r0, r_pi, nodes,
                                  boundary_tol=1e-9 * scale)
-    roots = [_bulk_root(tau, za, p) for p in phis]
     if b0:
-        roots.append(_bulk_root(tau, za, 0.0))
+        phis.append(0.0)
     if bpi:
-        roots.append(_bulk_root(tau, za, math.pi))
-    return roots, b0, bpi, (r0, r_pi, scale)
+        phis.append(math.pi)
+    return phis, b0, bpi, (r0, r_pi, scale)
 
 
-def _rescue_boundary(roots, b0, bpi, limits, tau, za, N):
+def _rescue_boundary(count, b0, bpi, limits, N):
     """Near-transition fallback: a root sitting numerically on a zone-edge
-    energy can evade both the sign scan and the strict boundary tolerance."""
+    energy can evade both the sign scan and the strict boundary tolerance.
+    The angle of the missing root of `count` found, as a list of at most
+    one."""
     r0, r_pi, scale = limits
-    if len(roots) == N - 1:
+    if count == N - 1:
         if not b0 and abs(r0) <= 1e-6 * scale:
-            roots.append(_bulk_root(tau, za, 0.0))
-        elif not bpi and abs(r_pi) <= 1e-6 * scale:
-            roots.append(_bulk_root(tau, za, math.pi))
-    return roots
+            return [0.0]
+        if not bpi and abs(r_pi) <= 1e-6 * scale:
+            return [math.pi]
+    return []
+
+
+def _root_table(k, N, tau, za, phis, edges, limits, b0, bpi):
+    """RootTable of the bulk angles `phis` and the (u, sign, family) edge
+    roots, with a rescued boundary root after them, stably sorted by
+    energy from that order."""
+    rescue = _rescue_boundary(len(phis) + len(edges), b0, bpi, limits, N)
+    count = len(phis) + len(edges) + len(rescue)
+    if count != N:
+        raise RootCountError(
+            f"found {count} roots, expected {N} (k={k}, N={N})")
+    before, between, after = len(phis), len(edges), len(rescue)
+    edge_u, edge_sign, edge_family = zip(*edges) if edges else ((), (), ())
+    phi = np.array(phis + [math.nan] * between + rescue)
+    # libm's cosine per root: numpy's vector loops may round differently
+    # (its cosh does on about a fifth of arguments)
+    cos = np.array([*map(math.cos, phis), *[0.0] * between,
+                    *map(math.cos, rescue)])
+    energy = tau + 2.0 * za * cos
+    for i, (u, s, _) in enumerate(edges, start=before):
+        energy[i] = tau + s * 2.0 * za * math.cosh(u)
+    u = np.array([math.nan] * before + list(edge_u) + [math.nan] * after)
+    sign = np.array([0] * before + list(edge_sign) + [0] * after)
+    family = np.array([""] * before + list(edge_family) + [""] * after)
+    order = np.argsort(energy, kind="stable")
+    return RootTable(energy[order], phi[order], u[order], sign[order],
+                     family[order])
 
 
 def zz1_roots(h, N, k, a=1.0):
-    """All N secular roots of the one-sided zigzag ribbon at momentum k,
-    ascending in energy, with bulk/edge tagging."""
+    """All N secular roots of the one-sided zigzag ribbon at momentum k, as
+    a RootTable ascending in energy."""
     za, r, tau, _ = _reduced(h, N, k, a)
-    roots, b0, bpi, limits = _scan_bulk(r, N, (1.0, r), tau, za)
+    phis, b0, bpi, limits = _scan_bulk(N, (1.0, r))
+    edges = []
     if abs(r) > (N + 1) / N:
         s = 1 if r < 0.0 else -1
         u = invert_monotone_ratio(lambda uu: _ratio_zz1(uu, N), abs(r))
         if not ((b0 if s > 0 else bpi) and u < 1e-3):
-            roots.append(TriangleRoot(
-                energy=tau + s * 2.0 * za * math.cosh(u),
-                y=s * math.cosh(u), kind="edge", u=u, sign=s, family="A"))
-    roots = _rescue_boundary(roots, b0, bpi, limits, tau, za, N)
-    if len(roots) != N:
-        raise RootCountError(
-            f"found {len(roots)} roots, expected {N} (k={k}, N={N})")
-    return sorted(roots, key=lambda root: root.energy)
+            edges.append((u, s, "A"))
+    return _root_table(k, N, tau, za, phis, edges, limits, b0, bpi)
 
 
 def zz2_roots(h, N, k, a=1.0):
-    """All N secular roots of the two-sided zigzag ribbon at momentum k."""
+    """All N secular roots of the two-sided zigzag ribbon at momentum k, as
+    a RootTable ascending in energy."""
     if N < 2:
         raise ValueError("two-sided zigzag needs N >= 2")
     za, r, tau, _ = _reduced(h, N, k, a)
-    roots, b0, bpi, limits = _scan_bulk(r, N, (1.0, 2.0 * r, r * r), tau, za)
+    phis, b0, bpi, limits = _scan_bulk(N, (1.0, 2.0 * r, r * r))
     thresholds = {"A": 1.0, "B": (N + 1.0) / (N - 1.0)}
+    edges = []
     if r != 0.0:
         s = 1 if r < 0.0 else -1
         matched = b0 if s > 0 else bpi
@@ -332,24 +358,18 @@ def zz2_roots(h, N, k, a=1.0):
                 lambda uu: _ratio_zz2(uu, N, family), abs(r))
             if matched and u < 1e-3:
                 continue  # already counted as the zone-edge bulk root
-            roots.append(TriangleRoot(
-                energy=tau + s * 2.0 * za * math.cosh(u),
-                y=s * math.cosh(u), kind="edge", u=u, sign=s, family=family))
-    roots = _rescue_boundary(roots, b0, bpi, limits, tau, za, N)
-    if len(roots) != N:
-        raise RootCountError(
-            f"found {len(roots)} roots, expected {N} (k={k}, N={N})")
-    return sorted(roots, key=lambda root: root.energy)
+            edges.append((u, s, family))
+    return _root_table(k, N, tau, za, phis, edges, limits, b0, bpi)
 
 
 def zz1_spectrum(h, N, k, a=1.0):
     """Ascending energies of the one-sided zigzag ribbon at momentum k."""
-    return np.array([root.energy for root in zz1_roots(h, N, k, a=a)])
+    return zz1_roots(h, N, k, a=a).energy
 
 
 def zz2_spectrum(h, N, k, a=1.0):
     """Ascending energies of the two-sided zigzag ribbon at momentum k."""
-    return np.array([root.energy for root in zz2_roots(h, N, k, a=a)])
+    return zz2_roots(h, N, k, a=a).energy
 
 
 # ----------------------------------------------------------- edge branches --

@@ -9,6 +9,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# the same examples on every run, and no replay of earlier failures from a
+# local example database, so that a run depends on the code alone
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 _ACCEPTANCE_ID = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 

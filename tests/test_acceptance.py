@@ -239,7 +239,7 @@ def test_criterion_09():
             y = (spec.energies - tau) / (2.0 * za)
             if np.any(np.abs(np.abs(y) - 1.0) < 1e-4):
                 continue  # transition point: counting is ill-conditioned
-            analytic = sum(1 for r in roots if r.kind == "edge")
+            analytic = int(np.count_nonzero(roots.edge))
             assert analytic == int(np.sum(np.abs(y) > 1.0))
 
 

@@ -80,6 +80,72 @@ def test_analytic_triangle_rules():
         classify_analytic_triangle(0.5, 0.5, 1.0, sides=StateLabel.BULK)
 
 
+def _reference_square(omega, xi_abs):
+    # the per-energy rule that the array labels replace
+    ratio = (omega * omega - xi_abs * xi_abs - 1.0) / (2.0 * xi_abs)
+    if abs(ratio + 1.0) < 1e-9:
+        return StateLabel.TRANSITION
+    if ratio < -1.0:
+        return StateLabel.EDGE_BOTH
+    return StateLabel.BULK
+
+
+def _reference_triangle(E, tau, zeta_abs, sides):
+    ratio = (E - tau) / (2.0 * zeta_abs)
+    if min(abs(ratio - 1.0), abs(ratio + 1.0)) < 1e-9:
+        return StateLabel.TRANSITION
+    if abs(ratio) < 1.0:
+        return StateLabel.BULK
+    return sides
+
+
+# reduced energies at and around the band edges and the transition
+# tolerance, inside the band, beyond it, and NaN
+_RATIOS = [-3.0, -1.0 - 2e-9, -1.0 - 1e-9, -1.0 - 9e-10, -1.0, -1.0 + 9e-10,
+           -1.0 + 1.1e-9, -0.5, 0.0, 0.7, 1.0 - 2e-9, 1.0 - 9e-10, 1.0,
+           1.0 + 9e-10, 1.0 + 1.1e-9, 2.0, float("nan")]
+
+
+def test_array_labels_equal_per_entry_rules(rng):
+    xi = rng.uniform(0.05, 3.0, size=len(_RATIOS))
+    ratio = np.array(_RATIOS)
+    square = ratio <= 1.0 + 1e-9
+    omega = np.sqrt(np.abs(2.0 * xi * ratio + xi * xi + 1.0))
+    omega = np.concatenate([omega[square], rng.uniform(0.0, 1.0, 50)])
+    xi = np.concatenate([xi[square], rng.uniform(1.0, 2.0, 50)])
+    labels = classify_analytic_square(omega, xi)
+    assert labels.tolist() == [_reference_square(o, x).value
+                               for o, x in zip(omega.tolist(), xi.tolist())]
+    assert len(set(labels.tolist())) == 3
+    for o, x in zip(omega.tolist(), xi.tolist()):
+        assert classify_analytic_square(o, x) is _reference_square(o, x)
+    with pytest.raises(ValueError):
+        classify_analytic_square(np.append(omega, 3.0), np.append(xi, 0.5))
+    with pytest.raises(ValueError):
+        classify_analytic_square(omega, np.where(xi > 1.5, 0.0, xi))
+
+    tau = rng.uniform(-2.0, 2.0, size=len(_RATIOS) + 40)
+    za = rng.uniform(0.05, 3.0, size=len(tau))
+    energy = tau + 2.0 * za * np.concatenate([ratio,
+                                              rng.uniform(-2, 2, 40)])
+    for sides in (StateLabel.EDGE_LEFT, StateLabel.EDGE_BOTH):
+        labels = classify_analytic_triangle(energy, tau, za, sides=sides)
+        expected = [_reference_triangle(e, t, z, sides)
+                    for e, t, z in zip(energy.tolist(), tau.tolist(),
+                                       za.tolist())]
+        assert labels.tolist() == [label.value for label in expected]
+        assert len(set(expected)) == 3
+        # one momentum's energies against a scalar tau and |zeta|
+        assert classify_analytic_triangle(
+            energy, tau[0], za[0], sides=sides).tolist() == [
+            _reference_triangle(e, tau[0], za[0], sides).value
+            for e in energy.tolist()]
+    with pytest.raises(ValueError):
+        classify_analytic_triangle(energy, tau, np.where(za > 1.0, 0.0, za))
+    with pytest.raises(ValueError):
+        classify_analytic_triangle(energy, tau, za, sides=StateLabel.BULK)
+
+
 # ------------------------------------------------------------ profile fits --
 
 def test_numeric_left_localized_profile():

@@ -74,14 +74,19 @@ class _Runs:
         return [states[:, c].copy() for c in range(states.shape[1])]
 
 
-def _single_triangle_state(kind, h, N, k, root):
+def _single_triangle_states(kind, h, N, k, roots):
+    """The state of each root of the table `roots`, one by one."""
     zz1 = kind == ModelKind.TRIANGLE_ZIGZAG1
-    if root.kind == "edge":
-        theta = tri.zeta_of_k(h, k)[1]
-        return (tri.zz1_edge_state(root.u, N, root.sign, theta) if zz1
-                else tri.zz2_edge_bloch_state(root.u, N, root.sign,
-                                              root.family, theta))
-    return (tri.zz1_state if zz1 else tri.zz2_state)(root.energy, h, N, k)
+    theta = tri.zeta_of_k(h, k)[1]
+    for energy, u, sign, family, edge in zip(
+            roots.energy.tolist(), roots.u.tolist(), roots.sign.tolist(),
+            roots.family.tolist(), roots.edge):
+        if not edge:
+            yield (tri.zz1_state if zz1 else tri.zz2_state)(energy, h, N, k)
+        elif zz1:
+            yield tri.zz1_edge_state(u, N, sign, theta)
+        else:
+            yield tri.zz2_edge_bloch_state(u, N, sign, family, theta)
 
 
 def _triangle_scan(kind, h, N, grid):
@@ -91,7 +96,7 @@ def _triangle_scan(kind, h, N, grid):
 
 
 def _square_scan(h, N, grid):
-    return [cli._square_zigzag_spectrum(h, N, k, 1.0)[:2] for k in grid]
+    return [cli._square_zigzag_spectrum(h, N, k, 1.0)[1::-1] for k in grid]
 
 
 def _check_triangle_walk(kind, h, N, scan, tables=()):
@@ -100,13 +105,13 @@ def _check_triangle_walk(kind, h, N, scan, tables=()):
     is the number of entries the walk added to `tables`."""
     runs = _Runs()
     before = len(tables)
-    states = cli._triangle_walk(kind, h, N, 1.0, scan, runs)
+    states = cli._triangle_walk(kind, h, N, 1.0, *cli._scan_roots(scan), runs)
     runs.tables = len(tables) - before
-    assert [len(s) for s in states] == [len(roots) for _, roots in scan]
-    for (k, roots), found in zip(scan, states):
-        for root, state in zip(roots, found):
-            assert np.array_equal(
-                state, _single_triangle_state(kind, h, N, k, root))
+    single = [state for k, roots in scan
+              for state in _single_triangle_states(kind, h, N, k, roots)]
+    assert len(states) == len(single)
+    for state, expected in zip(states, single):
+        assert np.array_equal(state, expected)
     assert all(m == 1 or m * N <= cli._STATE_BLOCK for m in runs.sizes)
     return runs
 
@@ -116,10 +121,11 @@ def _check_square_walk(h, N, scan, tables=()):
     before = len(tables)
     states = cli._square_zigzag_walk(N, scan, runs)
     runs.tables = len(tables) - before
-    assert [len(s) for s in states] == [len(signed) for _, signed in scan]
-    for (xi, signed), found in zip(scan, states):
-        for omega, state in zip(signed, found):
-            assert np.array_equal(state, sq.zigzag_full_state(xi, omega, N))
+    single = [sq.zigzag_full_state(xi, omega, N)
+              for xi, signed in scan for omega in signed]
+    assert len(states) == len(single)
+    for state, expected in zip(states, single):
+        assert np.array_equal(state, expected)
     assert all(m * 2 * N <= cli._STATE_BLOCK for m in runs.sizes)
     return runs
 
@@ -131,7 +137,7 @@ def test_triangle_state_blocks_equal_single_states(kind):
     h = TriangleHoppings(t1=0.9, t2=0.1, t3=1.0)
     scan = _triangle_scan(kind, h, N, [k])
     runs = _check_triangle_walk(kind, h, N, scan)
-    assert any(r.kind == "edge" for r in scan[0][1])
+    assert scan[0][1].edge.any()
     assert N * N > 2 * cli._STATE_BLOCK  # several bulk blocks
     assert len(runs.sizes) > 2
 
@@ -168,8 +174,7 @@ def test_one_table_spans_the_scan_of_a_narrow_ribbon(monkeypatch, N):
         if kind == ModelKind.TRIANGLE_ZIGZAG2 and N < 2:
             continue
         scan = _triangle_scan(kind, h, N, grid)
-        roots = [r for _, rs in scan for r in rs]
-        assert any(r.kind == "edge" for r in roots) or N == 1
+        assert any(roots.edge.any() for _, roots in scan) or N == 1
         assert _check_triangle_walk(kind, h, N, scan, tables).tables == 1
     hs = SquareHoppings(tu=1.0, td=0.6, tl=0.0, tr=1.0)
     scan = _square_scan(hs, N, grid[::2])  # 64 momenta in the square zone
@@ -186,7 +191,7 @@ def test_one_momentum_spans_several_tables(monkeypatch):
     tables = _counting(monkeypatch, tri, "u_all")
     for kind in (ModelKind.TRIANGLE_ZIGZAG1, ModelKind.TRIANGLE_ZIGZAG2):
         scan = _triangle_scan(kind, h, N, [-0.4, 0.4])
-        bulk = sum(r.kind != "edge" for _, rs in scan for r in rs)
+        bulk = sum(int((~roots.edge).sum()) for _, roots in scan)
         runs = _check_triangle_walk(kind, h, N, scan, tables)
         assert runs.tables == -(-bulk // 7) > 2 * 2
         assert max(runs.sizes) == 6
@@ -217,14 +222,13 @@ def test_block_iprs_equal_single_state_iprs():
                           (ModelKind.TRIANGLE_ZIGZAG2, 7,
                            np.linspace(-3.0, 3.0, 11))):
         scan = _triangle_scan(kind, h, N, grid)
-        assert any(r.kind == "edge" for _, rs in scan for r in rs)
-        cases.append((cli._triangle_walk(kind, h, N, 1.0, scan, cli._iprs),
-                      cli._triangle_walk(kind, h, N, 1.0, scan, _Runs())))
+        assert any(roots.edge.any() for _, roots in scan)
+        walk = (kind, h, N, 1.0, *cli._scan_roots(scan))
+        cases.append((cli._triangle_walk(*walk, cli._iprs),
+                      cli._triangle_walk(*walk, _Runs())))
     for parts, states in cases:
-        assert [len(p) for p in parts] == [len(s) for s in states]
-        for part, found in zip(parts, states):
-            assert part == [ipr(s) for s in found] \
-                == [_reference_ipr(s) for s in found]
+        assert parts == [ipr(s) for s in states] \
+            == [_reference_ipr(s) for s in states]
 
 
 def test_root_count_error_mid_scan_falls_back_to_oracle_rows(
@@ -260,8 +264,12 @@ def test_root_count_error_mid_scan_falls_back_to_oracle_rows(
     [np.float64(-1.5), np.int64(3), 2.0 ** 0.5, "", "", 0.5, "oracle"],
     [1e22, 1, float("nan"), "edge-both", -0.0, float("inf"), "oracle"],
 ])
-def test_band_line_equals_joined_fmt(row):
-    assert cli._band_line(row) == ",".join(cli._fmt(v) for v in row)
+def test_band_line_equals_joined_fmt(capsys, row):
+    config = ScanConfig(model=RibbonModel(ModelKind.SQUARE_ZIGZAG, 1),
+                        hoppings=None)
+    cli._write_table(config, cli.BAND_COLUMNS, [[v] for v in row])
+    line = ",".join(cli._fmt(v) for v in row)
+    assert capsys.readouterr().out == HEADER + "\n" + line + "\n"
 
 
 def test_wavefunction_band_solves_once(monkeypatch, capsys):
@@ -613,10 +621,69 @@ def test_zeromodes_rejections(capsys):
     ["wavefunction", "--model", "square-general", "--tl", "0", "--j", "1"],
     ["zeromodes", "--model", "square-general", "--tl", "0.5", "--j", "99"],
     ["zeromodes", "--model", "square-general", "--j", "0"],
+    ["validate", "--model", "triangle-linear", "--t1", "0", "--t2", "0"],
+    ["validate", "--model", "triangle-zigzag1", "--t1", "0", "--t2", "0"],
+    ["validate", "--model", "square-zigzag", "--tu", "0", "--td", "0"],
+    ["edges", "--model", "triangle-zigzag1", "--t3", "0"],
+    ["edges", "--model", "triangle-zigzag2", "--t1", "0"],
+    ["wavefunction", "--model", "triangle-zigzag1", "--t3", "0",
+     "--u", "0.5"],
 ])
 def test_invalid_invocations_exit_2(capsys, argv):
     assert run(argv) == 2
     capsys.readouterr()
+
+
+def test_bands_zero_transverse_coupling_takes_oracle_rows(monkeypatch,
+                                                         capsys):
+    # |zeta| = 0 at every momentum: no reduced variable, so every row
+    # comes from the dense oracle, as on the zigzag models
+    argv = ["bands", "--model", "triangle-linear", "--N", "4", "--t1", "0",
+            "--t2", "0", "--t3", "0.7", "--k-points", "3"]
+    rows = _bands(capsys, argv)
+    assert len(rows) == 12
+    assert {r[6] for r in rows} == {"oracle"}
+    for r in rows:
+        assert float(r[2]) == pytest.approx(1.4 * math.cos(float(r[0])),
+                                            abs=1e-12)
+    # a single degenerate momentum among closed-form ones
+    argv = ["bands", "--model", "triangle-linear", "--N", "4", "--t1", "0.5",
+            "--t2", "0.5", "--k-points", "1"]
+    with monkeypatch.context() as patch:
+        patch.setattr(tri, "zeta_of_k", lambda h, k, a=1.0: (0j, 0.0))
+        degenerate = _bands(capsys, argv)
+    assert {r[6] for r in degenerate} == {"oracle"}
+    assert {r[6] for r in _bands(capsys, argv)} == {"analytic"}
+
+
+def test_parser_built_once_and_reused(monkeypatch, capsys):
+    built = []
+    original = cli._build_parser
+
+    def counted():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "_build_parser", counted)
+    argvs = [["bands", "--model", "square-zigzag", "--N", "3",
+              "--k-points", "2"],
+             ["bands", "--model", "square-zigzag", "--bogus"],
+             ["bands", "--model", "square-zigzag", "--N", "3",
+              "--k-points", "2"],
+             ["edges", "--model", "square-zigzag", "--N", "x"]]
+    outputs = []
+    for argv in argvs:
+        code = run(argv)
+        captured = capsys.readouterr()
+        outputs.append((code, captured.out, captured.err))
+    assert len(built) == 1
+    assert outputs[0] == outputs[2]
+    for argv, output in zip(argvs, outputs):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "chebribbon.cli", *argv],
+            capture_output=True, text=True)
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == output
 
 
 def test_module_runs_as_a_script():

@@ -102,8 +102,8 @@ def test_angular_scan_paths_agree(monkeypatch, N):
     ks = np.linspace(-3.0, 3.0, 7)
 
     def spectra():
-        return ([[r.energy for r in tri.zz1_roots(h, N, k)] for k in ks],
-                [[r.energy for r in tri.zz2_roots(h, N, k)] for k in ks],
+        return ([tri.zz1_roots(h, N, k).energy.tolist() for k in ks],
+                [tri.zz2_roots(h, N, k).energy.tolist() for k in ks],
                 [sq.zigzag_spectrum(xi, N).tolist()
                  for xi in (0.2, 0.6, 0.97, 1.4)])
 

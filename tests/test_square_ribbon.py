@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -136,6 +137,19 @@ def test_edge_branch_profiles_and_norm():
         sq.zigzag_edge_branch(0.0, 5)
     with pytest.raises(ValueError):
         sq.zigzag_edge_branch(-0.2, 5)
+
+
+@pytest.mark.parametrize("N", [1, 6, 200, 1000])
+def test_edge_norm_matches_extended_precision_sum(N):
+    # from the shallow edge-bulk transition (u -> 0, where the closed form
+    # cancels) to deep states (u = 400, where sinh overflows)
+    mpmath.mp.dps = 40
+    for u in (1e-300, 1e-12, 1e-6, 1e-3, 0.05, 1.0, 400.0):
+        mu = mpmath.mpf(u)
+        exact = 2 * mpmath.fsum((mpmath.sinh(n * mu) / mpmath.sinh(N * mu))
+                                ** 2 for n in range(1, N + 1))
+        found = sq._edge_norm_square(u, N)
+        assert abs(found - exact) <= 1e-13 * exact, (u, found)
 
 
 def test_edge_branch_points_satisfy_secular_equation():

@@ -38,7 +38,7 @@ def test_zeta_and_tau_examples():
     # survives, and the root finder still lands on the limiting spectrum
     # {tau, tau, 0} instead of blowing up
     assert abs(tri.zeta_of_k(h, math.pi)[0]) < 1e-15
-    limit = np.sort([r.energy for r in tri.zz1_roots(h, 3, math.pi)])
+    limit = np.sort(tri.zz1_roots(h, 3, math.pi).energy)
     np.testing.assert_allclose(limit, [-1.0, -1.0, 0.0], atol=1e-12)
     # the degenerate guard fires on an exact zero, e.g. absent legs
     with pytest.raises(DegenerateParameterError):
@@ -105,20 +105,20 @@ def test_zz2_width_two_energies_are_plus_minus_zeta():
 def test_zz1_state_phase_and_edge_modulus():
     N, k = 5, math.pi
     roots = tri.zz1_roots(WEAK, N, k)
-    assert len(roots) == N
+    assert len(roots.energy) == N
     _, theta = tri.zeta_of_k(WEAK, k)
-    bulk = [r for r in roots if r.kind == "bulk"]
-    psi = tri.zz1_state(bulk[0].energy, WEAK, N, k)
+    bulk = roots.energy[~roots.edge]
+    psi = tri.zz1_state(bulk[0], WEAK, N, k)
     assert cmath.phase(psi[0]) == pytest.approx(theta, abs=1e-12)
-    edge = [r for r in roots if r.kind == "edge"]
-    assert len(edge) == 1 and edge[0].sign == 1
-    assert edge[0].u == pytest.approx(0.9, abs=0.1)
-    psi_edge = tri.zz1_state(edge[0].energy, WEAK, N, k)
-    profile = tri.zz1_edge_profile(edge[0].u, N)
+    edge = np.flatnonzero(roots.edge)
+    assert len(edge) == 1 and roots.sign[edge[0]] == 1
+    assert roots.u[edge[0]] == pytest.approx(0.9, abs=0.1)
+    psi_edge = tri.zz1_state(roots.energy[edge[0]], WEAK, N, k)
+    profile = tri.zz1_edge_profile(roots.u[edge[0]], N)
     np.testing.assert_allclose(np.abs(psi_edge),
                                profile / np.linalg.norm(profile), rtol=1e-8)
     with pytest.raises(ValueError):
-        tri.zz1_state(bulk[0].energy + 0.05, WEAK, N, k)
+        tri.zz1_state(bulk[0] + 0.05, WEAK, N, k)
 
 
 def _scalar_secular(E, h, N, k, coeffs):
@@ -149,8 +149,8 @@ def test_batched_states_and_residuals_equal_scalar_reference(N):
     for roots_of, state, residual, coeffs in cases:
         for k in (0.3, 2.0, math.pi):
             roots = roots_of(WEAK, N, k)
-            every = np.array([r.energy for r in roots])
-            bulk = np.array([r.energy for r in roots if r.kind == "bulk"])
+            every = roots.energy
+            bulk = roots.energy[~roots.edge]
             block = state(bulk, WEAK, N, k)
             assert block.shape == (N, len(bulk))
             for j, e in enumerate(bulk):
@@ -178,8 +178,8 @@ def test_states_across_momenta_equal_single_states(N):
             (tri.zz2_roots, tri.zz2_state, tri.zz2_secular_residual)):
         if N < 2 and roots_of is tri.zz2_roots:
             continue
-        pairs = [(r.energy, k) for k in grid for r in roots_of(WEAK, N, k)
-                 if r.kind == "bulk"]
+        tables = [(k, roots_of(WEAK, N, k)) for k in grid]
+        pairs = [(e, k) for k, t in tables for e in t.energy[~t.edge]]
         energies = np.array([e for e, _ in pairs])
         momenta = np.array([k for _, k in pairs])
         block = state(energies, WEAK, N, momenta)
@@ -213,23 +213,25 @@ def test_roots_match_oracle_across_widths(rng):
             h = TriangleHoppings(t1=t1, t2=t2, t3=t3)
             for idx, k in enumerate(midpoint_grid(math.pi, 64)):
                 roots = roots_fn(h, N, k)
-                assert len(roots) == N
-                energies = np.array([r.energy for r in roots])
+                assert len(roots.energy) == N
+                energies = roots.energy
                 spec = _oracle(h, N, k, edge)
                 dev = np.abs(energies - spec.energies)
                 assert dev.max() < 1e-8 * max(1.0, np.abs(energies).max())
                 if idx % 8:
                     continue
                 _, theta = tri.zeta_of_k(h, k)
-                for root in roots:
-                    if root.kind == "edge" and edge is TriangleEdge.ZIGZAG1:
-                        psi = tri.zz1_edge_state(root.u, N, root.sign, theta)
-                    elif root.kind == "edge":
+                for energy, u, sign, family, is_edge in zip(
+                        roots.energy, roots.u, roots.sign, roots.family,
+                        roots.edge):
+                    if is_edge and edge is TriangleEdge.ZIGZAG1:
+                        psi = tri.zz1_edge_state(u, N, sign, theta)
+                    elif is_edge:
                         psi = tri.zz2_edge_bloch_state(
-                            root.u, N, root.sign, root.family, theta)
+                            u, N, sign, family, theta)
                     else:
-                        psi = state_fn(root.energy, h, N, k)
-                    assert subspace_overlap(spec, root.energy,
+                        psi = state_fn(energy, h, N, k)
+                    assert subspace_overlap(spec, energy,
                                             psi) > 1 - 1e-8
 
 
