@@ -8,8 +8,7 @@ modes) and cross-validates them against dense diagonalization.
 """
 
 from .chebpoly import (det_perturbed_corner, logcosh, logsinh, u_all, u_eval,
-                       u_hyp, u_hyp_log, u_log, u_pair, u_ratio_prev, u_trig,
-                       u_zeros)
+                       u_hyp_log, u_log, u_pair, u_trig, u_zeros)
 from .classify import (StateClass, StateLabel, classify_analytic_square,
                        classify_analytic_triangle, classify_numeric, ipr,
                        model_edge_sides)
@@ -21,32 +20,31 @@ from .hamiltonian import (BlochMatrix, ModelKind, RibbonModel, Spectrum,
                           build_triangle_bloch, eigensolve_dense,
                           state_overlap, subspace_overlap)
 from .square_ribbon import (EdgeBranchPoint, EdgeRegime, RegimeVerdict,
-                            ZeroModeState, d_omega_d_xi, edge_regime,
+                            ZeroModeState, edge_regime,
                             extrema_ellipse_residual, lr_isotropic_spectrum,
                             lr_isotropic_state, solve_zero_mode_sum,
                             sublattice_link, xi_of_k, zero_mode_full_state,
                             zero_mode_momenta, zero_mode_state,
-                            zigzag_bulk_components, zigzag_bulk_state,
-                            zigzag_edge_branch, zigzag_edge_u_from_xi,
-                            zigzag_full_state, zigzag_secular_residual,
-                            zigzag_spectrum)
+                            zigzag_bulk_components, zigzag_edge_branch,
+                            zigzag_edge_u_from_xi, zigzag_full_state,
+                            zigzag_secular_residual, zigzag_spectrum)
 from .triangle_ribbon import (RootTable, TriangleEdgeSolution,
-                              default_u_grid, linear_spectrum, tau_of_k,
-                              zeta_of_k, zz1_edge_existence, zz1_edge_profile,
+                              default_u_grid, linear_energies, linear_states,
+                              tau_of_k, zeta_of_k,
+                              zz1_edge_existence, zz1_edge_profile,
                               zz1_edge_solutions, zz1_edge_state, zz1_roots,
-                              zz1_secular_residual, zz1_spectrum, zz1_state,
-                              zz2_edge_bloch_state, zz2_edge_existence,
-                              zz2_edge_profile, zz2_edge_solutions,
-                              zz2_edge_state, zz2_roots, zz2_secular_residual,
-                              zz2_spectrum, zz2_state)
+                              zz1_secular_residual, zz1_state,
+                              zz2_edge_existence, zz2_edge_profile,
+                              zz2_edge_solutions, zz2_edge_state, zz2_roots,
+                              zz2_secular_residual, zz2_state)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
     # chebpoly
-    "u_pair", "u_eval", "u_all", "u_log", "u_ratio_prev", "u_trig", "u_hyp",
-    "u_hyp_log", "u_zeros", "det_perturbed_corner", "logsinh", "logcosh",
+    "u_pair", "u_eval", "u_all", "u_log", "u_trig", "u_hyp_log", "u_zeros",
+    "det_perturbed_corner", "logsinh", "logcosh",
     # errors
     "DegenerateParameterError", "HermiticityError", "NoEdgeStateError",
     "RootCountError", "SingularArgumentError",
@@ -57,20 +55,19 @@ __all__ = [
     "state_overlap", "subspace_overlap",
     # square_ribbon
     "xi_of_k", "zigzag_secular_residual", "zigzag_spectrum",
-    "zigzag_edge_u_from_xi", "zigzag_bulk_components", "zigzag_bulk_state",
+    "zigzag_edge_u_from_xi", "zigzag_bulk_components",
     "EdgeBranchPoint", "zigzag_edge_branch", "sublattice_link",
     "zigzag_full_state", "RegimeVerdict", "EdgeRegime", "edge_regime",
-    "extrema_ellipse_residual", "d_omega_d_xi", "lr_isotropic_spectrum",
+    "extrema_ellipse_residual", "lr_isotropic_spectrum",
     "lr_isotropic_state", "ZeroModeState", "zero_mode_momenta",
     "zero_mode_state", "zero_mode_full_state", "solve_zero_mode_sum",
     # triangle_ribbon
-    "zeta_of_k", "tau_of_k", "linear_spectrum", "zz1_secular_residual",
-    "zz2_secular_residual", "zz1_state", "zz2_state", "RootTable",
-    "zz1_roots", "zz2_roots", "zz1_spectrum", "zz2_spectrum",
-    "TriangleEdgeSolution", "zz1_edge_solutions", "zz2_edge_solutions",
-    "zz1_edge_profile", "zz2_edge_profile", "zz1_edge_state",
-    "zz2_edge_state", "zz2_edge_bloch_state", "zz1_edge_existence",
-    "zz2_edge_existence", "default_u_grid",
+    "zeta_of_k", "tau_of_k", "linear_energies", "linear_states",
+    "zz1_secular_residual", "zz2_secular_residual", "zz1_state", "zz2_state",
+    "RootTable", "zz1_roots", "zz2_roots", "TriangleEdgeSolution",
+    "zz1_edge_solutions", "zz2_edge_solutions", "zz1_edge_profile",
+    "zz2_edge_profile", "zz1_edge_state", "zz2_edge_state",
+    "zz1_edge_existence", "zz2_edge_existence", "default_u_grid",
     # classify
     "StateLabel", "StateClass", "ipr", "classify_analytic_square",
     "classify_analytic_triangle", "classify_numeric", "model_edge_sides",

@@ -4,15 +4,17 @@ The three-term recurrence U_n = 2x U_{n-1} - U_{n-2} (U_0 = 1, U_{-1} = 0) is
 the single source of truth here.  Off [-1, 1] the values grow like
 exp(n*arccosh|x|), so the recurrence carries a running log-scale; results are
 exposed reconstructed (u_eval, saturating to +/-inf past float range), as
-log-magnitude + sign (u_log), or as same-scale ratios (u_ratio_prev) for the
-secular solvers that only ever need ratios.
+log-magnitude + sign (u_log), or as a same-scale pair (u_pair).
 
-Closed forms sin((n+1)v)/sin(v) and sinh((n+1)u)/sinh(u) are provided
-separately (u_trig, u_hyp) so the recurrence can be validated against them.
+Closed forms sin((n+1)v)/sin(v) and log[sinh((n+1)u)/sinh(u)] are provided
+separately (u_trig, u_hyp_log) so the recurrence can be validated against
+them.
 All functions are pure and accept scalars or arrays in the real argument.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -26,9 +28,7 @@ __all__ = [
     "u_all",
     "u_log",
     "u_pair",
-    "u_ratio_prev",
     "u_trig",
-    "u_hyp",
     "u_hyp_log",
     "u_zeros",
     "det_perturbed_corner",
@@ -121,14 +121,6 @@ def u_log(n, x):
     return logmag, np.sign(b)
 
 
-def u_ratio_prev(n, x):
-    """U_{n-1}(x) / U_n(x) from one shared-scale recurrence pass."""
-    a, b, _ = u_pair(n, x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = a / b
-    return _match_scalar(x, out)
-
-
 def u_trig(n, v):
     """sin((n+1)v)/sin(v), the closed form of U_n(cos v)."""
     s = np.sin(v)
@@ -136,13 +128,6 @@ def u_trig(n, v):
         raise SingularArgumentError(
             "angle too close to a multiple of pi; use u_eval(n, cos v)")
     return _match_scalar(v, np.sin((n + 1) * np.asarray(v, dtype=float)) / s)
-
-
-def u_hyp(n, u):
-    """sinh((n+1)u)/sinh(u), the closed form of U_n(cosh u); u > 0."""
-    with np.errstate(over="ignore"):
-        out = np.exp(u_hyp_log(n, u))
-    return _match_scalar(u, out)
 
 
 def u_hyp_log(n, u):
@@ -170,6 +155,11 @@ def logsinh(y):
     with np.errstate(over="ignore", divide="ignore"):
         tail = y_arr - _LOG2 + np.log1p(-np.exp(-2.0 * np.where(small, 1.0, y_arr)))
     return _match_scalar(y, np.where(small, direct, tail))
+
+
+def _sinh_ratio(num_arg, den_arg):
+    """sinh(num_arg)/sinh(den_arg) for positive arguments, overflow-safe."""
+    return math.exp(logsinh(num_arg) - logsinh(den_arg))
 
 
 def logcosh(y):

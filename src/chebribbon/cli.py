@@ -17,6 +17,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -140,18 +141,23 @@ def _write_json(config, payload):
 
 # ----------------------------------------------------------- band builders --
 #
-# A builder returns a scan's rows as the seven BAND_COLUMNS lists, in
-# (k index, band index) order.
+# Each closed-form model has one scan function, config -> _Scan, which
+# `bands` and `validate` both read.  A builder of `bands` columns returns a
+# scan's rows as the seven BAND_COLUMNS lists, in (k index, band index)
+# order.
+
+def _bloch(config, k):
+    """The Bloch matrix of config's model at momentum k."""
+    h, N, a = config.hoppings, config.model.N, config.model.a
+    if config.kind.is_square:
+        return build_square_bloch(h, N, k, a=a)
+    return build_triangle_bloch(h, N, k, edge=_TRIANGLE_EDGE[config.kind],
+                                a=a)
+
 
 def _oracle_rows(config, k):
     """Dense-diagonalization fallback columns for one momentum."""
-    h, N, a = config.hoppings, config.model.N, config.model.a
-    if config.kind.is_square:
-        bloch = build_square_bloch(h, N, k, a=a)
-    else:
-        bloch = build_triangle_bloch(h, N, k, edge=_TRIANGLE_EDGE[config.kind],
-                                     a=a)
-    spec = eigensolve_dense(bloch)
+    spec = eigensolve_dense(_bloch(config, k))
     energy = spec.energies.tolist()
     count = len(energy)
     try:
@@ -170,16 +176,6 @@ def _join(tables):
     """The column tables `tables` one after the other, as one table."""
     return tuple(list(itertools.chain.from_iterable(column))
                  for column in zip(*tables))
-
-
-def _analytic_rows(ks, counts, energy, label, u, part):
-    """Closed-form columns: counts[m] rows at momentum ks[m], the energy,
-    label, u and ipr columns given whole."""
-    counts = np.asarray(counts, dtype=int)
-    first = np.repeat(np.cumsum(counts) - counts, counts)
-    return (np.repeat(ks, counts).tolist(),
-            (np.arange(len(first)) - first + 1).tolist(), energy, label, u,
-            part, ["analytic"] * len(first))
 
 
 def _edge_column(values, edge):
@@ -202,49 +198,82 @@ def _iprs(energies, states):
     return ipr(states).tolist()
 
 
-def _closed_form_scan(grid, solve):
-    """Pass 1 of a scan: (k, solve(k)) per momentum of `grid`, with None for
-    solve(k) where the closed form degenerates or misses a root, so that
-    momentum takes the oracle rows."""
-    out = []
-    for k in grid:
+class _Scan(NamedTuple):
+    """A model's closed-form solution of the momenta of its config's grid.
+
+    grid: (k, rows) per momentum, in grid order.  rows is the slice of the
+        scan's rows (config.model.dim of them) that the closed form gives
+        at k, or else the DegenerateParameterError or RootCountError (None
+        on a model without a closed form) that sends k to the oracle.
+    energy, label: one entry per row, ascending in energy at each momentum;
+        label values of StateLabel.
+    near: True where a row lies within 0.1 of a band edge in the reduced
+        variable, where the numeric boundary fit is unreliable; None on a
+        model whose states are all bulk, with no label to check.
+    u: the decay of each edge row, None on the others.
+    reduce(fn, rows, residuals=None): fn's value per state of the row slice
+        `rows`, in row order; fn(energies, states) gets runs of states, one
+        column each.  On the triangular zigzag ribbons a list `residuals`
+        also gets each state's scaled secular residual.
+    """
+
+    grid: list
+    energy: np.ndarray
+    label: np.ndarray
+    near: object
+    u: list
+    reduce: object
+
+
+def _solve_grid(config, solve):
+    """Pass 1 of a scan: solve(k) at each momentum of config's grid.
+    Returns the scan's grid (see _Scan) and the solutions of the solved
+    momenta, in order; a momentum where the closed form degenerates or
+    misses a root keeps its error instead."""
+    dim = config.model.dim
+    grid, solved = [], []
+    for k in config.k_grid():
         try:
-            out.append((k, solve(k)))
-        except (DegenerateParameterError, RootCountError):
-            out.append((k, None))
-    return out
+            solved.append(solve(k))
+        except (DegenerateParameterError, RootCountError) as exc:
+            grid.append((k, exc))
+        else:
+            grid.append((k, slice((len(solved) - 1) * dim,
+                                  len(solved) * dim)))
+    return grid, solved
 
 
-def _oracle_scan(config, grid):
-    """Columns of a scan with every momentum from the oracle."""
-    return _join([_oracle_rows(config, k) for k in grid])
+def _solved_momenta(grid):
+    return [k for k, rows in grid if isinstance(rows, slice)]
 
 
-def _scan_rows(config, scan, rows):
-    """Columns of a whole scan: `rows` holds the closed-form rows of the
-    solved momenta of `scan`, one per entry of the first item of their
-    solution, and each unsolved momentum's oracle rows take its place."""
-    if all(solution is not None for _, solution in scan):
-        return rows
-    tables, start = [], 0
-    for k, solution in scan:
-        if solution is None:
-            tables.append(_oracle_rows(config, k))
-            continue
-        stop = start + len(solution[0])
-        tables.append([column[start:stop] for column in rows])
-        start = stop
-    return _join(tables)
+def _unsolved(grid):
+    """The _Scan of a grid with no closed-form momentum."""
+    return _Scan(grid, np.empty(0), np.empty(0, dtype=str), None, [],
+                 lambda fn, rows, residuals=None: [])
 
 
-def _square_zigzag_walk(N, scan, reduce):
-    """reduce's value per band of `scan`, a list of (xi, signed omegas)
-    pairs, in scan order.  The states of all entries share Chebyshev tables
-    of at most _TABLE_BLOCK elements, formed and reduced _STATE_BLOCK
-    elements at a time (edge states from their closed-form envelopes)."""
-    omegas = np.concatenate([[]] + [signed for _, signed in scan])
-    xis = np.concatenate([np.empty(0, dtype=complex)]
-                         + [np.full(len(signed), xi) for xi, signed in scan])
+def _oracle_scan(config):
+    """The scan of a model without a closed form (square-general)."""
+    return _unsolved([(k, None) for k in config.k_grid()])
+
+
+def _per_momentum(dim, energy, states):
+    """The reduce of a _Scan whose states come one momentum at a time:
+    states(m) gives the `dim` states of the m-th solved momentum."""
+    def reduce(fn, rows, residuals=None):
+        out = []
+        for start in range(*rows.indices(len(energy)))[::dim]:
+            out.extend(fn(energy[start:start + dim], states(start // dim)))
+        return out
+    return reduce
+
+
+def _square_zigzag_walk(N, xis, omegas, reduce):
+    """reduce's value per state at reduced energy omegas[i] and complex xi
+    xis[i], in order.  The states share Chebyshev tables of at most
+    _TABLE_BLOCK elements, formed and reduced _STATE_BLOCK elements at a
+    time (edge states from their closed-form envelopes)."""
     values = []
     for table in _blocks(np.arange(len(omegas)), N + 2, _TABLE_BLOCK):
         values.extend(sq.zigzag_full_state(xis[table], omegas[table], N,
@@ -263,26 +292,27 @@ def _square_zigzag_spectrum(h, N, k, a):
     return signed[np.argsort(signed, kind="stable")], xi_c, xi
 
 
-def _square_zigzag_rows(config, grid):
+def _square_zigzag_scan(config):
     h, N, a = config.hoppings, config.model.N, config.model.a
-    scan = _closed_form_scan(
-        grid, lambda k: _square_zigzag_spectrum(h, N, k, a))
-    solved = [(k, s) for k, s in scan if s is not None]
+    grid, solved = _solve_grid(
+        config, lambda k: _square_zigzag_spectrum(h, N, k, a))
     if not solved:
-        return _oracle_scan(config, grid)
-    omega = np.concatenate([signed for _, (signed, _, _) in solved])
-    counts = [len(signed) for _, (signed, _, _) in solved]
-    xi = np.repeat([xi for _, (_, _, xi) in solved], counts)
-    part = _square_zigzag_walk(
-        N, [(xi_c, signed) for _, (signed, xi_c, _) in solved], _iprs)
+        return _unsolved(grid)
+    omega = np.concatenate([signed for signed, _, _ in solved])
+    xi_c = np.repeat([xi_c for _, xi_c, _ in solved], 2 * N)
+    xi = np.repeat([xi for _, _, xi in solved], 2 * N)
     label = classify_analytic_square(omega, xi)
     edge = label == StateLabel.EDGE_BOTH.value
-    x = (omega[edge] * omega[edge] - xi[edge] * xi[edge] - 1.0) \
-        / (2.0 * xi[edge])
-    u = _edge_column(map(math.acosh, (-x).tolist()), edge)
-    return _scan_rows(config, scan, _analytic_rows(
-        [k for k, _ in solved], counts, (h.tr * omega).tolist(),
-        label.tolist(), u, part))
+    x = (omega * omega - xi * xi - 1.0) / (2.0 * xi)
+
+    def reduce(fn, rows, residuals=None):
+        # the walk gives reduced energies; fn gets the energies tr * omega
+        return _square_zigzag_walk(N, xi_c[rows], omega[rows],
+                                   lambda w, states: fn(h.tr * w, states))
+
+    return _Scan(grid, h.tr * omega, label, np.abs(x + 1.0) < 0.1,
+                 _edge_column(map(math.acosh, (-x[edge]).tolist()), edge),
+                 reduce)
 
 
 def _lr_bands(h, N, k, a):
@@ -296,23 +326,56 @@ def _lr_bands(h, N, k, a):
     return entries
 
 
-def _lr_states(h, N, k, a, entries):
-    """The states of `entries` from _lr_bands, one column each."""
-    return sq.lr_isotropic_state(h, N, k, np.array([e[1] for e in entries]),
-                                 a=a, sign=np.array([e[2] for e in entries]))
-
-
-def _square_lr_rows(config, grid):
+def _square_lr_scan(config):
     h, N, a = config.hoppings, config.model.N, config.model.a
-    energy, part = [], []
-    for k in grid:
-        entries = _lr_bands(h, N, k, a)
-        energy.extend(e for e, _, _ in entries)
-        part.extend(ipr(_lr_states(h, N, k, a, entries)).tolist())
-    count = len(energy)
-    return _analytic_rows(grid, [2 * N] * len(grid), energy,
-                          [StateLabel.BULK.value] * count, [None] * count,
-                          part)
+    grid, solved = _solve_grid(config, lambda k: _lr_bands(h, N, k, a))
+    ks = _solved_momenta(grid)
+    energy, j, sign = (np.array(column) for column in zip(
+        *(entry for entries in solved for entry in entries)))
+
+    def states(m):
+        rows = slice(m * 2 * N, (m + 1) * 2 * N)
+        return sq.lr_isotropic_state(h, N, ks[m], j[rows], a=a,
+                                     sign=sign[rows])
+
+    return _Scan(grid, energy, np.full(len(energy), StateLabel.BULK.value),
+                 None, [None] * len(energy),
+                 _per_momentum(2 * N, energy, states))
+
+
+def _triangle_labels(kind, energy, tau, zeta_abs):
+    """Label values and band-edge proximity of triangular-ribbon rows."""
+    label = classify_analytic_triangle(
+        energy, tau, zeta_abs,
+        sides=model_edge_sides(kind) or StateLabel.EDGE_BOTH)
+    ratio = (energy - tau) / (2.0 * zeta_abs)
+    return label, (np.abs(ratio - 1.0) < 0.1) | (np.abs(ratio + 1.0) < 0.1)
+
+
+def _triangle_linear_scan(config):
+    h, N, a = config.hoppings, config.model.N, config.model.a
+
+    def solve(k):
+        zeta_abs = abs(tri.zeta_of_k(h, k, a)[0])
+        if zeta_abs == 0.0:
+            raise DegenerateParameterError(f"|zeta| = 0 at k = {k}")
+        energies = tri.linear_energies(h, N, k, a=a)
+        order = np.argsort(energies)
+        return energies[order], order, tri.tau_of_k(h, k, a), zeta_abs
+
+    grid, solved = _solve_grid(config, solve)
+    if not solved:
+        return _unsolved(grid)
+    ks = _solved_momenta(grid)
+    energy = np.concatenate([s[0] for s in solved])
+
+    def states(m):
+        return tri.linear_states(h, N, ks[m], a=a)[:, solved[m][1]]
+
+    return _Scan(grid, energy, *_triangle_labels(
+        config.kind, energy, np.repeat([s[2] for s in solved], N),
+        np.repeat([s[3] for s in solved], N)), [None] * len(energy),
+        _per_momentum(N, energy, states))
 
 
 def _scan_roots(scan):
@@ -323,95 +386,97 @@ def _scan_roots(scan):
     return momenta, tri.RootTable(*map(np.concatenate, zip(*tables)))
 
 
-def _triangle_walk(kind, h, N, a, momenta, roots, reduce):
+def _triangle_walk(kind, h, N, a, momenta, roots, reduce, residuals=None):
     """reduce's value per root of the zigzag-triangle root table `roots`,
     whose i-th root lies at momentum momenta[i].  The bulk roots share
     Chebyshev tables of at most _TABLE_BLOCK elements, whose states are
     formed and reduced _STATE_BLOCK elements at a time; edge roots come one
-    by one."""
+    by one.  A list `residuals` also gets each root's scaled secular
+    residual: the bulk ones read from those tables, the edge ones from one
+    recurrence run of their own."""
     zz1 = kind == ModelKind.TRIANGLE_ZIGZAG1
     state = tri.zz1_state if zz1 else tri.zz2_state
     bulk, edge = np.flatnonzero(~roots.edge), np.flatnonzero(roots.edge)
     values = []
+    bulk_residuals = None if residuals is None else []
     for table in _blocks(bulk, N + 2, _TABLE_BLOCK):
         values.extend(state(roots.energy[table], h, N, momenta[table], a=a,
-                            reduce=reduce, block=_STATE_BLOCK))
+                            reduce=reduce, block=_STATE_BLOCK,
+                            residuals=bulk_residuals))
     # deep edge roots need the closed-form envelopes: the polynomial
     # recurrence cancels catastrophically there
-    for k, energy, u, sign, family in zip(momenta[edge], *(
+    for energy, u, sign, family, theta in zip(*(
             column[edge].tolist() for column in (
-                roots.energy, roots.u, roots.sign, roots.family))):
-        theta = tri.zeta_of_k(h, k, a)[1]
+                roots.energy, roots.u, roots.sign, roots.family,
+                roots.theta))):
         if zz1:
             psi = tri.zz1_edge_state(u, N, sign, theta)
-        else:
-            psi = tri.zz2_edge_bloch_state(u, N, sign, family, theta)
+        else:  # the Bloch-matrix gauge
+            psi = tri.zz2_edge_state(u, N, sign, family, -theta)
         values.append(reduce(np.array([energy]), psi[:, None])[0])
+    if residuals is not None:
+        scaled = np.empty(len(roots.energy))
+        scaled[bulk] = bulk_residuals
+        if len(edge):
+            residual = tri.zz1_secular_residual if zz1 \
+                else tri.zz2_secular_residual
+            scaled[edge] = residual(roots.energy[edge], h, N, momenta[edge],
+                                    a=a, scaled=True)
+        residuals.extend(scaled.tolist())
     order = np.argsort(np.concatenate([bulk, edge])).tolist()
     return [values[i] for i in order]
 
 
-def _triangle_linear_rows(config, grid):
-    h, N, a = config.hoppings, config.model.N, config.model.a
-
-    def solve(k):
-        zeta_abs = abs(tri.zeta_of_k(h, k, a)[0])
-        if zeta_abs == 0.0:
-            raise DegenerateParameterError("|zeta| = 0: use the dense oracle")
-        energies, states = tri.linear_spectrum(h, N, k, a=a)
-        order = np.argsort(energies)
-        return (energies[order], ipr(states[:, order]),
-                tri.tau_of_k(h, k, a), zeta_abs)
-
-    scan = _closed_form_scan(grid, solve)
-    solved = [s for _, s in scan if s is not None]
-    if not solved:
-        return _oracle_scan(config, grid)
-    energy = np.concatenate([s[0] for s in solved])
-    label = classify_analytic_triangle(
-        energy, np.repeat([s[2] for s in solved], N),
-        np.repeat([s[3] for s in solved], N))
-    return _scan_rows(config, scan, _analytic_rows(
-        [k for k, s in scan if s is not None], [N] * len(solved),
-        energy.tolist(), label.tolist(), [None] * len(energy),
-        np.concatenate([s[1] for s in solved]).tolist()))
-
-
-def _triangle_zigzag_rows(config, grid):
+def _triangle_zigzag_scan(config):
     h, N, a = config.hoppings, config.model.N, config.model.a
     kind = config.kind
     solve = tri.zz1_roots if kind == ModelKind.TRIANGLE_ZIGZAG1 \
         else tri.zz2_roots
-    scan = _closed_form_scan(grid, lambda k: solve(h, N, k, a=a))
-    solved = [(k, roots) for k, roots in scan if roots is not None]
+    grid, solved = _solve_grid(config, lambda k: solve(h, N, k, a=a))
     if not solved:
-        return _oracle_scan(config, grid)
-    momenta, roots = _scan_roots(solved)
-    part = _triangle_walk(kind, h, N, a, momenta, roots, _iprs)
-    ks = [k for k, _ in solved]
-    counts = [len(roots.energy) for _, roots in solved]
-    label = classify_analytic_triangle(
-        roots.energy, np.repeat([tri.tau_of_k(h, k, a) for k in ks], counts),
-        np.repeat([abs(tri.zeta_of_k(h, k, a)[0]) for k in ks], counts),
-        sides=model_edge_sides(kind))
-    return _scan_rows(config, scan, _analytic_rows(
-        ks, counts, roots.energy.tolist(), label.tolist(),
-        _edge_column(roots.u[roots.edge].tolist(), roots.edge), part))
+        return _unsolved(grid)
+    momenta, roots = _scan_roots(list(zip(_solved_momenta(grid), solved)))
+
+    def reduce(fn, rows, residuals=None):
+        return _triangle_walk(kind, h, N, a, momenta[rows],
+                              tri.RootTable(*(c[rows] for c in roots)), fn,
+                              residuals)
+
+    return _Scan(grid, roots.energy, *_triangle_labels(
+        kind, roots.energy, roots.tau, roots.zeta_abs),
+        _edge_column(roots.u[roots.edge].tolist(), roots.edge), reduce)
+
+
+_SCANS = {
+    ModelKind.SQUARE_ZIGZAG: _square_zigzag_scan,
+    ModelKind.SQUARE_LR: _square_lr_scan,
+    ModelKind.TRIANGLE_LINEAR: _triangle_linear_scan,
+    ModelKind.TRIANGLE_ZIGZAG1: _triangle_zigzag_scan,
+    ModelKind.TRIANGLE_ZIGZAG2: _triangle_zigzag_scan,
+}
+
+
+def _band_rows(config, scan):
+    """Columns of a whole scan: the closed-form rows of `scan`, with their
+    IPRs reduced over the whole scan, and each unsolved momentum's oracle
+    rows in its place."""
+    ks, dim = _solved_momenta(scan.grid), config.model.dim
+    rows = (np.repeat(ks, dim).tolist(),
+            np.tile(np.arange(1, dim + 1), len(ks)).tolist(),
+            scan.energy.tolist(), scan.label.tolist(), scan.u,
+            scan.reduce(_iprs, slice(None)), ["analytic"] * len(scan.energy))
+    if len(ks) == len(scan.grid):
+        return rows
+    return _join([[column[r] for column in rows] if isinstance(r, slice)
+                  else _oracle_rows(config, k) for k, r in scan.grid])
 
 
 def cmd_bands(config):
-    """Pass 1 solves each momentum (or falls back to the oracle), pass 2
-    walks the closed-form states of the whole scan, pass 3 builds each
-    column of the scan's rows and emits them in (k, band) order."""
-    grid = config.k_grid()
-    builder = {
-        ModelKind.SQUARE_ZIGZAG: _square_zigzag_rows,
-        ModelKind.SQUARE_LR: _square_lr_rows,
-        ModelKind.TRIANGLE_LINEAR: _triangle_linear_rows,
-        ModelKind.TRIANGLE_ZIGZAG1: _triangle_zigzag_rows,
-        ModelKind.TRIANGLE_ZIGZAG2: _triangle_zigzag_rows,
-    }.get(config.kind, _oracle_scan)  # square-general: oracle only
-    _write_table(config, BAND_COLUMNS, builder(config, grid))
+    """Pass 1 is the model's scan, pass 2 walks the closed-form states of
+    the whole scan, pass 3 builds each column of the scan's rows and emits
+    them in (k, band) order."""
+    scan = _SCANS.get(config.kind, _oracle_scan)(config)
+    _write_table(config, BAND_COLUMNS, _band_rows(config, scan))
     return 0
 
 
@@ -492,11 +557,11 @@ def cmd_edges(config):
 
 # --------------------------------------------------------------- validate --
 
-def _overlaps(spec, scale=1.0):
+def _overlaps(spec):
     """Reduction of a run of states to their overlaps with the oracle
-    eigenspaces of `spec` at scale * their energies."""
+    eigenspaces of `spec` at their energies."""
     def reduce(energies, states):
-        return [subspace_overlap(spec, scale * e, states[:, i])
+        return [subspace_overlap(spec, e, states[:, i])
                 for i, e in enumerate(energies)]
     return reduce
 
@@ -511,11 +576,14 @@ def _check_momentum(name, k, energies, spec, analytic, near, tol,
     and return the deviations and how many `analytic` label values agree
     with the numeric classes.  A label agrees when it is equal, when both
     are edges, when it is a transition, or `near` a band edge, where the
-    numeric boundary fit is unreliable."""
+    numeric boundary fit is unreliable; with `near` None every state is
+    bulk and every label agrees."""
     d = np.abs(energies - spec.energies)
     scale = np.abs(energies)
     for i in np.flatnonzero(d > tol * np.where(scale > 1.0, scale, 1.0)):
         violations.append((name, float(k), int(i) + 1, "energy", d[i]))
+    if near is None:
+        return d.tolist(), len(d)
     numeric = np.array([sc.label.value
                         for sc in classify_numeric(spec.vectors)])
     edge = np.isin(analytic, _EDGE_LABELS) & np.isin(numeric, _EDGE_LABELS)
@@ -524,44 +592,37 @@ def _check_momentum(name, k, energies, spec, analytic, near, tol,
     return d.tolist(), int(np.count_nonzero(agree))
 
 
-def _validate_square_zigzag(h, N, grid, tol, violations):
+def _validate_scan(config, violations):
+    """Check config's closed-form scan against the oracle, momentum by
+    momentum: energies, overlaps, labels and, on the triangular zigzag
+    ribbons, the worst scaled secular residual."""
+    scan = _SCANS[config.kind](config)
     dev = deficit = 0.0
     agree = total = 0
-    for k in grid:
-        signed, xi_c, xi = _square_zigzag_spectrum(h, N, k, 1.0)
-        spec = eigensolve_dense(build_square_bloch(h, N, k))
+    residuals = []
+    for k, rows in scan.grid:
+        if not isinstance(rows, slice):
+            raise rows
+        spec = eigensolve_dense(_bloch(config, k))
         # subspace projection: degenerate pairs (e.g. the +-0 partners of a
         # deep edge state) leave single oracle vectors arbitrary
-        overlap = _square_zigzag_walk(N, [(xi_c, signed)],
-                                      _overlaps(spec, h.tr))
-        x = (signed * signed - xi * xi - 1.0) / (2.0 * xi)
+        scaled = []
+        overlap = scan.reduce(_overlaps(spec), rows, scaled)
         d, agreed = _check_momentum(
-            "square-zigzag", k, h.tr * signed, spec,
-            classify_analytic_square(signed, xi), np.abs(x + 1.0) < 0.1,
-            tol, violations)
+            config.kind.value, k, scan.energy[rows], spec, scan.label[rows],
+            None if scan.near is None else scan.near[rows],
+            config.tolerance, violations)
         dev = max([dev] + d)
         deficit = max([deficit] + [1.0 - o for o in overlap])
         agree += agreed
         total += len(d)
-    return {"max_energy_dev": dev, "max_overlap_deficit": deficit,
-            "agreement": agree / total}
-
-
-def _validate_square_lr(h, N, grid, tol, violations):
-    dev = deficit = 0.0
-    for k in grid:
-        entries = _lr_bands(h, N, k, 1.0)
-        spec = eigensolve_dense(build_square_bloch(h, N, k))
-        states = _lr_states(h, N, k, 1.0, entries)
-        for i, (energy, _, _) in enumerate(entries):
-            d = abs(energy - spec.energies[i])
-            if d > tol * max(1.0, abs(energy)):
-                violations.append(("square-lr", float(k), i + 1, "energy", d))
-            dev = max(dev, d)
-            deficit = max(deficit, 1.0 - subspace_overlap(spec, energy,
-                                                          states[:, i]))
-    return {"max_energy_dev": dev, "max_overlap_deficit": deficit,
-            "agreement": 1.0}
+        if scaled:
+            residuals.append(max(abs(v) for v in scaled))
+    out = {"max_energy_dev": dev, "max_overlap_deficit": deficit,
+           "agreement": agree / total}
+    if residuals:
+        out["max_secular_residual"] = max(residuals)
+    return out
 
 
 def _validate_zero_modes(h, N, tol, violations):
@@ -579,57 +640,6 @@ def _validate_zero_modes(h, N, tol, violations):
         deficit = max(deficit, 1.0 - subspace_overlap(spec, 0.0, state))
     return {"max_energy_dev": dev, "max_overlap_deficit": deficit,
             "agreement": 1.0}
-
-
-def _validate_triangle(kind, h, N, grid, tol, violations):
-    edge = _TRIANGLE_EDGE[kind]
-    sides = model_edge_sides(kind) or StateLabel.EDGE_BOTH
-    dev = deficit = 0.0
-    agree = total = 0
-    resid_max = None
-    for k in grid:
-        zeta = tri.zeta_of_k(h, k)[0]
-        if zeta == 0.0:
-            raise DegenerateParameterError(f"|zeta| = 0 at k = {k}")
-        tau = tri.tau_of_k(h, k)
-        spec = eigensolve_dense(build_triangle_bloch(h, N, k, edge=edge))
-        if kind == ModelKind.TRIANGLE_LINEAR:
-            energies, states = tri.linear_spectrum(h, N, k)
-            order = np.argsort(energies)
-            energies = energies[order]
-            states = states[:, order]
-            overlap = [subspace_overlap(spec, e, states[:, i])
-                       for i, e in enumerate(energies)]
-        else:
-            zz1 = kind == ModelKind.TRIANGLE_ZIGZAG1
-            roots = tri.zz1_roots(h, N, k) if zz1 else tri.zz2_roots(h, N, k)
-            energies = roots.energy
-            overlap = _triangle_walk(kind, h, N, 1.0,
-                                     *_scan_roots([(k, roots)]),
-                                     _overlaps(spec))
-            residual = tri.zz1_secular_residual if zz1 \
-                else tri.zz2_secular_residual
-            resid = max(abs(v)
-                        for block in _blocks(np.arange(len(energies)), N + 2,
-                                             _TABLE_BLOCK)
-                        for v in residual(energies[block], h, N, k,
-                                          scaled=True).tolist())
-            resid_max = resid if resid_max is None else max(resid_max, resid)
-        ratio = (energies - tau) / (2.0 * abs(zeta))
-        d, agreed = _check_momentum(
-            kind.value, k, energies, spec,
-            classify_analytic_triangle(energies, tau, abs(zeta), sides=sides),
-            (np.abs(ratio - 1.0) < 0.1) | (np.abs(ratio + 1.0) < 0.1), tol,
-            violations)
-        dev = max([dev] + d)
-        deficit = max([deficit] + [1.0 - o for o in overlap])
-        agree += agreed
-        total += len(d)
-    out = {"max_energy_dev": dev, "max_overlap_deficit": deficit,
-           "agreement": agree / total}
-    if resid_max is not None:
-        out["max_secular_residual"] = resid_max
-    return out
 
 
 def _validate_branch_tables(tol, violations):
@@ -654,7 +664,7 @@ def _validate_branch_tables(tol, violations):
                 bloch = build_triangle_bloch(h, N, sol.k,
                                              edge=TriangleEdge.ZIGZAG2)
                 zeta, theta = tri.zeta_of_k(h, sol.k)
-                psi = tri.zz2_edge_bloch_state(sol.u, N, sign, family, theta)
+                psi = tri.zz2_edge_state(sol.u, N, sign, family, -theta)
                 worst = max(worst, float(np.linalg.norm(
                     bloch.entries @ psi - sol.energy * psi)
                     / np.linalg.norm(psi)))
@@ -708,23 +718,14 @@ def cmd_validate(config, single_model=False):
             reports[name] = _validate_branch_tables(tol, violations)
             continue
         kind = ModelKind(name)
-        model = RibbonModel(kind=kind, N=N, a=config.model.a)
-        dims[name] = model.dim
-        grid = np.array([-model.bz_halfwidth + (i + 0.5)
-                         * (2.0 * model.bz_halfwidth / k_pts)
-                         for i in range(k_pts)])
+        entry = ScanConfig(model=RibbonModel(kind=kind, N=N, a=config.model.a),
+                           hoppings=h, k_points=k_pts, tolerance=tol)
+        dims[name] = entry.model.dim
         try:
-            if kind == ModelKind.SQUARE_ZIGZAG:
-                reports[name] = _validate_square_zigzag(h, N, grid, tol,
-                                                        violations)
-            elif kind == ModelKind.SQUARE_LR:
-                reports[name] = _validate_square_lr(h, N, grid, tol,
-                                                    violations)
-            elif kind == ModelKind.SQUARE_GENERAL:
+            if kind == ModelKind.SQUARE_GENERAL:
                 reports[name] = _validate_zero_modes(h, N, tol, violations)
             else:
-                reports[name] = _validate_triangle(kind, h, N, grid, tol,
-                                                   violations)
+                reports[name] = _validate_scan(entry, violations)
         except DegenerateParameterError as exc:
             # zero transverse coupling: no closed form to check
             raise ConfigError(f"cannot validate {name}: {exc}")
@@ -815,13 +816,7 @@ def cmd_wavefunction(config, args):
         if not 1 <= args.band <= config.model.dim:
             raise ConfigError(f"band index must be in 1..{config.model.dim}, "
                               f"got {args.band}")
-        if config.kind.is_square:
-            bloch = build_square_bloch(h, N, k, a=a)
-        else:
-            bloch = build_triangle_bloch(h, N, k,
-                                         edge=_TRIANGLE_EDGE[kind], a=a)
-        spec = eigensolve_dense(bloch)
-        vec = spec.vectors[:, args.band - 1]
+        vec = eigensolve_dense(_bloch(config, k)).vectors[:, args.band - 1]
         if config.kind.is_square:
             rows = _wave_rows_square(vec, N, "oracle")
         else:

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._roots import angular_scan, invert_monotone_ratio, secular_nodes
 from ._runs import reduce_in_runs
-from .chebpoly import logsinh, u_all, u_eval, u_pair
+from .chebpoly import _sinh_ratio, logsinh, u_all, u_eval, u_pair
 from .errors import (DegenerateParameterError, NoEdgeStateError,
                      RootCountError, SingularArgumentError)
 
@@ -31,7 +31,6 @@ __all__ = [
     "zigzag_secular_residual",
     "zigzag_spectrum",
     "zigzag_bulk_components",
-    "zigzag_bulk_state",
     "zigzag_edge_branch",
     "zigzag_edge_u_from_xi",
     "zigzag_full_state",
@@ -41,7 +40,6 @@ __all__ = [
     "RegimeVerdict",
     "edge_regime",
     "extrema_ellipse_residual",
-    "d_omega_d_xi",
     "lr_isotropic_spectrum",
     "lr_isotropic_state",
     "zero_mode_momenta",
@@ -58,11 +56,6 @@ def xi_of_k(h, k, a=1.0):
         raise ValueError("xi is defined only for tr > 0")
     xi = (h.tu + h.td * cmath.exp(2.0j * k * a)) / h.tr
     return xi, cmath.phase(xi)
-
-
-def _sinh_ratio(num_arg, den_arg):
-    """sinh(num_arg)/sinh(den_arg) for positive arguments, overflow-safe."""
-    return math.exp(logsinh(num_arg) - logsinh(den_arg))
 
 
 # ---------------------------------------------------------------- zigzag ---
@@ -154,13 +147,6 @@ def zigzag_bulk_components(v, xi_abs, N):
     c_circ = un[1:N + 1] + un[0:N] / xi_abs
     c_bullet = un[N + 1 - n] + un[N - n] / xi_abs
     return c_circ, c_bullet
-
-
-def zigzag_bulk_state(v, xi_abs, N, sublattice="circ"):
-    """Modulus profile of a bulk state, anchored to 1 at chain 1 (circ
-    sublattice) or chain N (bullet)."""
-    c_circ, c_bullet = zigzag_bulk_components(v, xi_abs, N)
-    return np.abs(c_circ if sublattice == "circ" else c_bullet)
 
 
 @dataclass(frozen=True)
@@ -365,17 +351,6 @@ def edge_regime(h, N):
 def extrema_ellipse_residual(omega, xi_abs, N):
     """omega^2 + ((N+2)/N)|xi|^2 - 1; zero on the locus of subband extrema."""
     return omega * omega + (N + 2.0) / N * xi_abs * xi_abs - 1.0
-
-
-def d_omega_d_xi(omega, xi_abs, N):
-    """Slope of a subband omega(|xi|) away from vertical tangents."""
-    if xi_abs <= 0.0:
-        raise ValueError("slope needs |xi| > 0")
-    den = (2 * N + 1) * omega * omega + xi_abs * xi_abs - 1.0
-    if den == 0.0:
-        raise ZeroDivisionError("vertical tangent: slope diverges here")
-    num = N * omega * omega + (N + 2) * xi_abs * xi_abs - N
-    return (omega / xi_abs) * num / den
 
 
 # ------------------------------------------------- left-right isotropic ---

@@ -25,13 +25,14 @@ import numpy as np
 
 from ._roots import angular_scan, invert_monotone_ratio, secular_nodes
 from ._runs import reduce_in_runs
-from .chebpoly import logcosh, logsinh, u_all, u_eval
+from .chebpoly import _sinh_ratio, logcosh, logsinh, u_all, u_eval
 from .errors import DegenerateParameterError, RootCountError
 
 __all__ = [
     "zeta_of_k",
     "tau_of_k",
-    "linear_spectrum",
+    "linear_energies",
+    "linear_states",
     "zz1_secular_residual",
     "zz2_secular_residual",
     "zz1_state",
@@ -39,8 +40,6 @@ __all__ = [
     "RootTable",
     "zz1_roots",
     "zz2_roots",
-    "zz1_spectrum",
-    "zz2_spectrum",
     "TriangleEdgeSolution",
     "zz1_edge_solutions",
     "zz2_edge_solutions",
@@ -48,7 +47,6 @@ __all__ = [
     "zz2_edge_profile",
     "zz1_edge_state",
     "zz2_edge_state",
-    "zz2_edge_bloch_state",
     "zz1_edge_existence",
     "zz2_edge_existence",
     "default_u_grid",
@@ -66,31 +64,29 @@ def tau_of_k(h, k, a=1.0):
     return 2.0 * h.t3 * math.cos(k * a)
 
 
-def _sinh_ratio(num_arg, den_arg):
-    return math.exp(logsinh(num_arg) - logsinh(den_arg))
-
-
 def _cosh_ratio(num_arg, den_arg):
     return math.exp(logcosh(num_arg) - logcosh(den_arg))
 
 
 # ---------------------------------------------------------------- linear ---
 
-def linear_spectrum(h, N, k, a=1.0):
-    """Exact spectrum and states of the linear-edge ribbon.
+def linear_energies(h, N, k, a=1.0):
+    """Exact spectrum of the linear-edge ribbon: energies[j-1] = tau +
+    2|zeta| cos(pi j/(N+1)), j = 1..N."""
+    zeta = zeta_of_k(h, k, a)[0]
+    j = np.arange(1, N + 1)
+    return tau_of_k(h, k, a) + 2.0 * abs(zeta) * np.cos(np.pi * j / (N + 1))
 
-    Returns (energies, states): energies[j-1] = tau + 2|zeta| cos(pi j/(N+1))
-    and states[:, j-1] the matching normalized standing wave (all bulk).
-    """
-    zeta, theta = zeta_of_k(h, k, a)
-    tau = tau_of_k(h, k, a)
+
+def linear_states(h, N, k, a=1.0):
+    """Normalized standing waves of the linear-edge ribbon (all bulk), one
+    column per energy of linear_energies, in the same order."""
+    theta = zeta_of_k(h, k, a)[1]
     j = np.arange(1, N + 1)
     n = np.arange(1, N + 1)
-    energies = tau + 2.0 * abs(zeta) * np.cos(np.pi * j / (N + 1))
     states = (np.exp(1.0j * (n[:, None] - 1) * theta)
               * np.sin(np.pi * np.outer(n, j) / (N + 1)))
-    states = states / np.linalg.norm(states, axis=0)
-    return energies, states
+    return states / np.linalg.norm(states, axis=0)
 
 
 # -------------------------------------------------------------- seculars ---
@@ -99,8 +95,8 @@ def _reduced(h, N, k, a):
     zeta, theta = zeta_of_k(h, k, a)
     za = abs(zeta)
     if za == 0.0:
-        raise DegenerateParameterError(
-            "|zeta| = 0 (t1 = t2 at the zone boundary): use the dense oracle")
+        # t1 = t2 at the zone boundary, or t1 = t2 = 0: use the dense oracle
+        raise DegenerateParameterError(f"|zeta| = 0 at k = {k}")
     tau = tau_of_k(h, k, a)
     return za, tau / za, tau, theta
 
@@ -172,7 +168,8 @@ def zz2_secular_residual(E, h, N, k, a=1.0, scaled=False):
     return _secular_residual(E, h, N, k, a, scaled, two_sided=True)
 
 
-def _secular_state(E, h, N, k, a, tol, two_sided, reduce, block):
+def _secular_state(E, h, N, k, a, tol, two_sided, reduce, block,
+                   residuals):
     """Normalized e^{i n theta} [U_{n-1}(y) + r U_{n-2}(y)]: a vector for
     scalar E, else one contiguous column per energy, or with `reduce` the
     values it gives run by run (see zz1_state)."""
@@ -183,6 +180,8 @@ def _secular_state(E, h, N, k, a, tol, two_sided, reduce, block):
         raise ValueError(
             f"energy is not on the spectrum (scaled residual "
             f"{resid[off][0]:.3e})")
+    if residuals is not None:
+        residuals.extend((resid / _at_least_one(scale)).tolist())
     phases = np.exp(1.0j * np.arange(1, N + 1) * theta[:, None])
 
     def form(cols):
@@ -200,7 +199,8 @@ def _secular_state(E, h, N, k, a, tol, two_sided, reduce, block):
     return psi[0] if np.ndim(E) == 0 else psi.T
 
 
-def zz1_state(E, h, N, k, a=1.0, tol=1e-6, reduce=None, block=None):
+def zz1_state(E, h, N, k, a=1.0, tol=1e-6, reduce=None, block=None,
+              residuals=None):
     """Normalized transverse eigenvector of the one-sided zigzag ribbon:
     psi_n = e^{i n theta} [U_{n-1}(y) + (tau/|zeta|) U_{n-2}(y)].
 
@@ -210,31 +210,39 @@ def zz1_state(E, h, N, k, a=1.0, tol=1e-6, reduce=None, block=None):
     the states are formed at most `block` matrix elements at a time and
     never all held: reduce(energies, states) gets each run's energies and
     states (one column per state) and returns one value per state, and the
-    result is the list of those values."""
-    return _secular_state(E, h, N, k, a, tol, False, reduce, block)
+    result is the list of those values.  A list `residuals` gets the scaled
+    secular residual of each energy (zz1_secular_residual) appended, read
+    from the same table."""
+    return _secular_state(E, h, N, k, a, tol, False, reduce, block,
+                          residuals)
 
 
-def zz2_state(E, h, N, k, a=1.0, tol=1e-6, reduce=None, block=None):
+def zz2_state(E, h, N, k, a=1.0, tol=1e-6, reduce=None, block=None,
+              residuals=None):
     """Normalized transverse eigenvector of the two-sided zigzag ribbon
     (same componentwise form as zz1_state; only the secular check differs).
-    Arrays of energies and momenta, `reduce` and `block` act as in
-    zz1_state."""
+    Arrays of energies and momenta, `reduce`, `block` and `residuals` act
+    as in zz1_state."""
     if N < 2:
         raise ValueError("two-sided zigzag needs N >= 2")
-    return _secular_state(E, h, N, k, a, tol, True, reduce, block)
+    return _secular_state(E, h, N, k, a, tol, True, reduce, block,
+                          residuals)
 
 
 # ------------------------------------------------------------- per-k roots --
 
 class RootTable(NamedTuple):
     """The N secular roots of one momentum, one array entry per root,
-    ascending in energy."""
+    ascending in energy, with the momentum's reduced parameters."""
 
     energy: np.ndarray
-    phi: np.ndarray     # bulk angle, y = cos(phi); NaN on edge roots
-    u: np.ndarray       # edge decay, y = sign*cosh(u); NaN on bulk roots
-    sign: np.ndarray    # edge branch: +1 above, -1 below the band; 0 on bulk
-    family: np.ndarray  # edge family "A" or "B" (two-sided zigzag); "" on bulk
+    phi: np.ndarray       # bulk angle, y = cos(phi); NaN on edge roots
+    u: np.ndarray         # edge decay, y = sign*cosh(u); NaN on bulk roots
+    sign: np.ndarray      # edge branch: +1 above, -1 below the band; 0 on bulk
+    family: np.ndarray    # edge family "A"/"B" (two-sided zigzag); "" on bulk
+    tau: np.ndarray       # on-site term tau_of_k, the same on every root
+    zeta_abs: np.ndarray  # |zeta|, the same on every root
+    theta: np.ndarray     # arg zeta, the same on every root
 
     @property
     def edge(self):
@@ -257,7 +265,7 @@ def _ratio_zz2(u, N, family):
 def _scan_bulk(N, coeffs):
     """Shared bulk scan: coeffs c_m multiply U_{N-m}(cos phi), m = 0,1[,2].
     Returns the bulk angles (interior roots ascending, then a root on 0 or
-    pi), the two boundary flags and the limits _rescue_boundary reads."""
+    pi) and the two boundary flags."""
     degs = tuple(N - m for m in range(len(coeffs)))
 
     def g_grid(phi):
@@ -281,62 +289,58 @@ def _scan_bulk(N, coeffs):
         phis.append(0.0)
     if bpi:
         phis.append(math.pi)
-    return phis, b0, bpi, (r0, r_pi, scale)
+    return phis, b0, bpi
 
 
-def _rescue_boundary(count, b0, bpi, limits, N):
-    """Near-transition fallback: a root sitting numerically on a zone-edge
-    energy can evade both the sign scan and the strict boundary tolerance.
-    The angle of the missing root of `count` found, as a list of at most
-    one."""
-    r0, r_pi, scale = limits
-    if count == N - 1:
-        if not b0 and abs(r0) <= 1e-6 * scale:
-            return [0.0]
-        if not bpi and abs(r_pi) <= 1e-6 * scale:
-            return [math.pi]
-    return []
-
-
-def _root_table(k, N, tau, za, phis, edges, limits, b0, bpi):
+def _root_table(k, N, tau, za, theta, phis, edges):
     """RootTable of the bulk angles `phis` and the (u, sign, family) edge
-    roots, with a rescued boundary root after them, stably sorted by
-    energy from that order."""
-    rescue = _rescue_boundary(len(phis) + len(edges), b0, bpi, limits, N)
-    count = len(phis) + len(edges) + len(rescue)
+    roots, stably sorted by energy from that order."""
+    count = len(phis) + len(edges)
     if count != N:
         raise RootCountError(
             f"found {count} roots, expected {N} (k={k}, N={N})")
-    before, between, after = len(phis), len(edges), len(rescue)
+    before = len(phis)
     edge_u, edge_sign, edge_family = zip(*edges) if edges else ((), (), ())
-    phi = np.array(phis + [math.nan] * between + rescue)
+    phi = np.array(phis + [math.nan] * len(edges))
     # libm's cosine per root: numpy's vector loops may round differently
     # (its cosh does on about a fifth of arguments)
-    cos = np.array([*map(math.cos, phis), *[0.0] * between,
-                    *map(math.cos, rescue)])
+    cos = np.array([*map(math.cos, phis), *[0.0] * len(edges)])
     energy = tau + 2.0 * za * cos
     for i, (u, s, _) in enumerate(edges, start=before):
         energy[i] = tau + s * 2.0 * za * math.cosh(u)
-    u = np.array([math.nan] * before + list(edge_u) + [math.nan] * after)
-    sign = np.array([0] * before + list(edge_sign) + [0] * after)
-    family = np.array([""] * before + list(edge_family) + [""] * after)
+    u = np.array([math.nan] * before + list(edge_u))
+    sign = np.array([0] * before + list(edge_sign))
+    family = np.array([""] * before + list(edge_family))
     order = np.argsort(energy, kind="stable")
     return RootTable(energy[order], phi[order], u[order], sign[order],
-                     family[order])
+                     family[order], np.full(N, tau), np.full(N, za),
+                     np.full(N, theta))
+
+
+def _edge_u(ratio, target):
+    """The decay u > 0 at which ratio(u) = target, or 0.0 where target lies
+    within rounding of ratio's u -> 0 limit, the edge-bulk transition: there
+    the inversion finds no sign change or cannot converge on a ratio flat to
+    rounding, and the root is the zone-edge root tau +- 2|zeta|, which the
+    bulk scan counts."""
+    try:
+        return invert_monotone_ratio(ratio, target)
+    except (ValueError, RuntimeError):
+        return 0.0
 
 
 def zz1_roots(h, N, k, a=1.0):
     """All N secular roots of the one-sided zigzag ribbon at momentum k, as
     a RootTable ascending in energy."""
-    za, r, tau, _ = _reduced(h, N, k, a)
-    phis, b0, bpi, limits = _scan_bulk(N, (1.0, r))
+    za, r, tau, theta = _reduced(h, N, k, a)
+    phis, b0, bpi = _scan_bulk(N, (1.0, r))
     edges = []
     if abs(r) > (N + 1) / N:
         s = 1 if r < 0.0 else -1
-        u = invert_monotone_ratio(lambda uu: _ratio_zz1(uu, N), abs(r))
-        if not ((b0 if s > 0 else bpi) and u < 1e-3):
+        u = _edge_u(lambda uu: _ratio_zz1(uu, N), abs(r))
+        if u > 0.0 and not ((b0 if s > 0 else bpi) and u < 1e-3):
             edges.append((u, s, "A"))
-    return _root_table(k, N, tau, za, phis, edges, limits, b0, bpi)
+    return _root_table(k, N, tau, za, theta, phis, edges)
 
 
 def zz2_roots(h, N, k, a=1.0):
@@ -344,8 +348,8 @@ def zz2_roots(h, N, k, a=1.0):
     a RootTable ascending in energy."""
     if N < 2:
         raise ValueError("two-sided zigzag needs N >= 2")
-    za, r, tau, _ = _reduced(h, N, k, a)
-    phis, b0, bpi, limits = _scan_bulk(N, (1.0, 2.0 * r, r * r))
+    za, r, tau, theta = _reduced(h, N, k, a)
+    phis, b0, bpi = _scan_bulk(N, (1.0, 2.0 * r, r * r))
     thresholds = {"A": 1.0, "B": (N + 1.0) / (N - 1.0)}
     edges = []
     if r != 0.0:
@@ -354,22 +358,11 @@ def zz2_roots(h, N, k, a=1.0):
         for family, thr in thresholds.items():
             if abs(r) <= thr:
                 continue
-            u = invert_monotone_ratio(
-                lambda uu: _ratio_zz2(uu, N, family), abs(r))
-            if matched and u < 1e-3:
+            u = _edge_u(lambda uu: _ratio_zz2(uu, N, family), abs(r))
+            if u == 0.0 or matched and u < 1e-3:
                 continue  # already counted as the zone-edge bulk root
             edges.append((u, s, family))
-    return _root_table(k, N, tau, za, phis, edges, limits, b0, bpi)
-
-
-def zz1_spectrum(h, N, k, a=1.0):
-    """Ascending energies of the one-sided zigzag ribbon at momentum k."""
-    return zz1_roots(h, N, k, a=a).energy
-
-
-def zz2_spectrum(h, N, k, a=1.0):
-    """Ascending energies of the two-sided zigzag ribbon at momentum k."""
-    return zz2_roots(h, N, k, a=a).energy
+    return _root_table(k, N, tau, za, theta, phis, edges)
 
 
 # ----------------------------------------------------------- edge branches --
@@ -418,17 +411,11 @@ def zz1_edge_state(u, N, sign, theta=0.0):
 
 def zz2_edge_state(u, N, sign, family, theta=0.0):
     """Two-sided zigzag edge state in its printed form, with the e^{-in
-    theta} phase prefactor: (sign)^{n-1} e^{-i n theta} * envelope."""
+    theta} phase prefactor: (sign)^{n-1} e^{-i n theta} * envelope.  At
+    -theta it is the state in the Bloch-matrix gauge (e^{+in theta}), the
+    convention of the dense oracle's eigenvectors."""
     n = np.arange(1, N + 1)
     return (float(sign) ** (n - 1) * np.exp(-1.0j * n * theta)
-            * zz2_edge_profile(u, N, family))
-
-
-def zz2_edge_bloch_state(u, N, sign, family, theta=0.0):
-    """Two-sided zigzag edge state in the Bloch-matrix gauge (e^{+in theta}),
-    the convention that matches the dense oracle's eigenvectors."""
-    n = np.arange(1, N + 1)
-    return (float(sign) ** (n - 1) * np.exp(1.0j * n * theta)
             * zz2_edge_profile(u, N, family))
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -18,7 +19,8 @@ from chebribbon.classify import ipr
 from chebribbon.cli import ScanConfig, _emit, run
 from chebribbon.errors import RootCountError
 from chebribbon.hamiltonian import (ModelKind, RibbonModel, SquareHoppings,
-                                    TriangleHoppings)
+                                    TriangleEdge, TriangleHoppings,
+                                    build_triangle_bloch)
 
 HEADER = "k,band,energy,class,u,ipr,source"
 
@@ -86,7 +88,7 @@ def _single_triangle_states(kind, h, N, k, roots):
         elif zz1:
             yield tri.zz1_edge_state(u, N, sign, theta)
         else:
-            yield tri.zz2_edge_bloch_state(u, N, sign, family, theta)
+            yield tri.zz2_edge_state(u, N, sign, family, -theta)
 
 
 def _triangle_scan(kind, h, N, grid):
@@ -119,7 +121,9 @@ def _check_triangle_walk(kind, h, N, scan, tables=()):
 def _check_square_walk(h, N, scan, tables=()):
     runs = _Runs()
     before = len(tables)
-    states = cli._square_zigzag_walk(N, scan, runs)
+    xis = np.concatenate([np.full(len(signed), xi) for xi, signed in scan])
+    omegas = np.concatenate([signed for _, signed in scan])
+    states = cli._square_zigzag_walk(N, xis, omegas, runs)
     runs.tables = len(tables) - before
     single = [sq.zigzag_full_state(xi, omega, N)
               for xi, signed in scan for omega in signed]
@@ -216,8 +220,11 @@ def test_block_iprs_equal_single_state_iprs():
     cases = []
     for N, grid in ((120, [0.3]), (7, np.linspace(-1.5, 1.5, 9))):
         scan = _square_scan(hs, N, grid)
-        cases.append((cli._square_zigzag_walk(N, scan, cli._iprs),
-                      cli._square_zigzag_walk(N, scan, _Runs())))
+        walk = (N, np.concatenate([np.full(len(signed), xi)
+                                   for xi, signed in scan]),
+                np.concatenate([signed for _, signed in scan]))
+        cases.append((cli._square_zigzag_walk(*walk, cli._iprs),
+                      cli._square_zigzag_walk(*walk, _Runs())))
     for kind, N, grid in ((ModelKind.TRIANGLE_ZIGZAG1, 200, [0.4]),
                           (ModelKind.TRIANGLE_ZIGZAG2, 7,
                            np.linspace(-3.0, 3.0, 11))):
@@ -229,6 +236,143 @@ def test_block_iprs_equal_single_state_iprs():
     for parts, states in cases:
         assert parts == [ipr(s) for s in states] \
             == [_reference_ipr(s) for s in states]
+
+
+def _transition_commands(count, seed):
+    """`bands` commands on the triangular zigzag models whose t3 puts
+    |tau/zeta| on an edge threshold, to rounding, at one grid momentum."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        zz1 = rng.random() < 0.5
+        N, m = rng.randint(2, 14), rng.randint(1, 9)
+        # the momentum of grid index i, as ScanConfig.k_grid() computes it
+        k = -math.pi + (rng.randrange(m) + 0.5) * (2.0 * math.pi / m)
+        if abs(math.cos(k)) < 1e-3:
+            continue
+        t1, t2 = rng.uniform(0.05, 3.0), rng.uniform(0.05, 3.0)
+        zeta = abs(tri.zeta_of_k(TriangleHoppings(t1, t2, 1.0), k)[0])
+        threshold = (N + 1) / N if zz1 else rng.choice(
+            [1.0, (N + 1) / (N - 1)])
+        t3 = threshold * zeta / (2.0 * abs(math.cos(k)))
+        out.append(["bands", "--model", "triangle-zigzag1" if zz1
+                    else "triangle-zigzag2", "--N", str(N), "--t1", repr(t1),
+                    "--t2", repr(t2), "--t3", repr(t3), "--k-points", str(m)])
+    return out
+
+
+def test_bands_at_the_edge_bulk_transition(capsys):
+    # the inversion of the edge ratio fails when |tau/zeta| is within
+    # rounding of its u -> 0 limit; that root is the zone-edge root
+    reproducer = ["bands", "--model", "triangle-zigzag1", "--N", "5",
+                  "--t1", "0.5382329171037927", "--t2", "1.7549260524983104",
+                  "--t3", "1.8686512949518996", "--k-points", "3"]
+    for argv in [reproducer] + _transition_commands(200, 7):
+        N = int(argv[4])
+        h = TriangleHoppings(*(float(argv[i]) for i in (6, 8, 10)))
+        edge = TriangleEdge.ZIGZAG1 if argv[2] == "triangle-zigzag1" \
+            else TriangleEdge.ZIGZAG2
+        rows = _bands(capsys, argv)
+        assert len(rows) == N * int(argv[12])
+        for start in range(0, len(rows), N):
+            k = float(rows[start][0])
+            energy = np.array([float(r[2]) for r in rows[start:start + N]])
+            oracle = np.linalg.eigvalsh(
+                build_triangle_bloch(h, N, k, edge=edge).entries)
+            assert np.all(np.abs(energy - oracle)
+                          <= 1e-9 * np.maximum(1.0, np.abs(oracle))), argv
+
+
+@pytest.mark.parametrize("kind", [ModelKind.SQUARE_ZIGZAG, ModelKind.SQUARE_LR,
+                                  ModelKind.TRIANGLE_LINEAR,
+                                  ModelKind.TRIANGLE_ZIGZAG1,
+                                  ModelKind.TRIANGLE_ZIGZAG2])
+def test_bands_and_validate_read_one_scan(monkeypatch, capsys, kind):
+    grids = []
+    scan = cli._SCANS[kind]
+
+    def recorded(config):
+        grids.append(config.k_grid().tolist())
+        return scan(config)
+
+    monkeypatch.setitem(cli._SCANS, kind, recorded)
+    for command in ("bands", "validate"):
+        assert run([command, "--model", kind.value, "--N", "6",
+                    "--k-points", "4"]) == 0
+        capsys.readouterr()
+    assert len(grids) == 2 and grids[0] == grids[1]
+
+
+def test_validate_checks_the_whole_zone_at_any_lattice_constant(
+        monkeypatch, capsys):
+    # k*a of every Bloch matrix validate builds: the lattice constant only
+    # rescales the momenta, so --a 2 checks the midpoints --a 1 checks, and
+    # the closed-form models are checked at a = 2 (the zero modes and the
+    # branch tables keep their own a = 1)
+    seen, constants = [], []
+    for name in ("build_square_bloch", "build_triangle_bloch"):
+        def recorded(h, N, k, *args, _build=getattr(cli, name), a=1.0,
+                     **kwargs):
+            seen[-1].append(k * a)
+            constants[-1].add(a)
+            return _build(h, N, k, *args, a=a, **kwargs)
+
+        monkeypatch.setattr(cli, name, recorded)
+    for a in ("1", "2"):
+        seen.append([])
+        constants.append(set())
+        assert run(["validate", "--a", a, "--k-points", "8"]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "pass"
+    assert len(seen[0]) > 6 * 8
+    assert seen[0] == seen[1]
+    assert constants == [{1.0}, {1.0, 2.0}]
+
+
+@pytest.mark.parametrize("kind", [ModelKind.TRIANGLE_ZIGZAG1,
+                                  ModelKind.TRIANGLE_ZIGZAG2])
+def test_validate_reads_secular_residuals_from_the_walk(monkeypatch, capsys,
+                                                        kind):
+    # one recurrence run per momentum for the bulk states, whose table also
+    # holds their residuals, and one for the edge roots of a momentum
+    N, m = 11, 32
+    h = TriangleHoppings(t1=0.9, t2=0.1, t3=1.0)
+    tables = _counting(monkeypatch, tri, "u_all")
+    assert run(["validate", "--model", kind.value, "--N", str(N),
+                "--t1", "0.9", "--t2", "0.1", "--t3", "1", "--k-points",
+                str(m)]) == 0
+    reported = json.loads(capsys.readouterr().out)["reports"][kind.value]
+    runs = len(tables)
+    roots_of = tri.zz1_roots if kind == ModelKind.TRIANGLE_ZIGZAG1 \
+        else tri.zz2_roots
+    residual = tri.zz1_secular_residual \
+        if kind == ModelKind.TRIANGLE_ZIGZAG1 else tri.zz2_secular_residual
+    worst, edges = [], 0
+    for k in ScanConfig(model=RibbonModel(kind, N), hoppings=h,
+                        k_points=m).k_grid():
+        roots = roots_of(h, N, k)
+        edges += bool(roots.edge.any())
+        worst.append(max(abs(v) for v in residual(
+            roots.energy, h, N, k, scaled=True).tolist()))
+    assert 0 < edges < m
+    assert runs == m + edges
+    assert reported["max_secular_residual"] == max(worst)
+    # every root's residual, edge roots included, in root order
+    scan = _triangle_scan(kind, h, N, [-0.4, 0.4])
+    residuals = []
+    cli._triangle_walk(kind, h, N, 1.0, *cli._scan_roots(scan), cli._iprs,
+                       residuals)
+    assert any(roots.edge.any() for _, roots in scan)
+    assert np.array_equal(residuals, np.concatenate([
+        residual(roots.energy, h, N, k, scaled=True) for k, roots in scan]))
+
+
+def test_validate_exempts_labels_near_band_edges(capsys):
+    # within 0.1 of a band edge the numeric boundary fit is unreliable; here
+    # it mislabels some states there, and the exemption keeps the agreement
+    # above the 0.99 gate
+    assert run(["validate", "--N", "13", "--k-points", "32"]) == 0
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert 0.99 <= reports["triangle-zigzag2"]["agreement"] < 1.0
 
 
 def test_root_count_error_mid_scan_falls_back_to_oracle_rows(

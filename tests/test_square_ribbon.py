@@ -86,8 +86,6 @@ def test_bulk_components_anchor_and_recurrence():
     # components are signed, not moduli
     c_circ_neg, _ = sq.zigzag_bulk_components(2.8, 1.0, 5)
     assert c_circ_neg[1] < 0.0
-    np.testing.assert_allclose(sq.zigzag_bulk_state(v, xi_abs, N),
-                               np.abs(c_circ))
     with pytest.raises(SingularArgumentError):
         sq.zigzag_bulk_components(0.0, 1.0, 5)
     with pytest.raises(SingularArgumentError):
@@ -104,7 +102,7 @@ def test_bulk_state_matches_oracle_modulus():
     omega = spec.energies[-1] / h.tr  # top subband is always in the band
     x = (omega * omega - abs(xi) ** 2 - 1.0) / (2.0 * abs(xi))
     v = math.acos(min(1.0, max(-1.0, x)))
-    profile = sq.zigzag_bulk_state(v, abs(xi), N)
+    profile = np.abs(sq.zigzag_bulk_components(v, abs(xi), N)[0])
     oracle = np.abs(spec.vectors[:N, -1])
     np.testing.assert_allclose(profile / np.linalg.norm(profile),
                                oracle / np.linalg.norm(oracle), atol=1e-8)
@@ -334,19 +332,6 @@ def test_ellipse_residual_axis_and_detachment_points():
     # the marginal branch point sits exactly on the locus
     assert sq.extrema_ellipse_residual(1.0 / 6.0, 5.0 / 6.0, N) == (
         pytest.approx(0.0, abs=1e-15))
-
-
-def test_band_slope_matches_finite_differences():
-    N, j, xi0 = 5, 2, 0.6
-    omega0 = sq.zigzag_spectrum(xi0, N)[j]
-    step = 1e-6
-    fd = (sq.zigzag_spectrum(xi0 + step, N)[j]
-          - sq.zigzag_spectrum(xi0 - step, N)[j]) / (2.0 * step)
-    assert sq.d_omega_d_xi(omega0, xi0, N) == pytest.approx(fd, rel=1e-5)
-    with pytest.raises(ZeroDivisionError):
-        sq.d_omega_d_xi(0.0, 1.0, N)
-    with pytest.raises(ValueError):
-        sq.d_omega_d_xi(0.5, 0.0, N)
 
 
 # --------------------------------------------------- left-right isotropic --

@@ -49,10 +49,10 @@ def test_zeta_and_tau_examples():
 
 def test_linear_spectrum_small_cases():
     h = TriangleHoppings(t1=1.0, t2=1.0, t3=1.0)
-    energies, states = tri.linear_spectrum(h, 1, 0.0)
+    energies = tri.linear_energies(h, 1, 0.0)
     np.testing.assert_allclose(energies, [2.0])  # tau alone at N = 1
-    np.testing.assert_allclose(np.abs(states), [[1.0]])
-    energies, _ = tri.linear_spectrum(h, 2, 0.0)
+    np.testing.assert_allclose(np.abs(tri.linear_states(h, 1, 0.0)), [[1.0]])
+    energies = tri.linear_energies(h, 2, 0.0)
     np.testing.assert_allclose(np.sort(energies), [0.0, 4.0], atol=1e-12)
 
 
@@ -62,7 +62,8 @@ def test_linear_spectrum_matches_oracle(rng):
     h = TriangleHoppings(t1=t1, t2=t2, t3=t3)
     N = 5
     for k in midpoint_grid(math.pi, 64):
-        energies, states = tri.linear_spectrum(h, N, k)
+        energies = tri.linear_energies(h, N, k)
+        states = tri.linear_states(h, N, k)
         spec = _oracle(h, N, k, TriangleEdge.LINEAR)
         np.testing.assert_allclose(np.sort(energies), spec.energies,
                                    atol=1e-10)
@@ -93,7 +94,7 @@ def test_zz2_width_two_energies_are_plus_minus_zeta():
     h = TriangleHoppings(t1=1.3, t2=0.4, t3=0.8)
     k = 0.7
     za = abs(h.t1 + h.t2 * cmath.exp(-1.0j * k))
-    np.testing.assert_allclose(tri.zz2_spectrum(h, 2, k), [-za, za],
+    np.testing.assert_allclose(tri.zz2_roots(h, 2, k).energy, [-za, za],
                                atol=1e-12)
     spec = _oracle(h, 2, k, TriangleEdge.ZIGZAG2)
     np.testing.assert_allclose(spec.energies, [-za, za], atol=1e-12)
@@ -227,12 +228,43 @@ def test_roots_match_oracle_across_widths(rng):
                     if is_edge and edge is TriangleEdge.ZIGZAG1:
                         psi = tri.zz1_edge_state(u, N, sign, theta)
                     elif is_edge:
-                        psi = tri.zz2_edge_bloch_state(
-                            u, N, sign, family, theta)
+                        psi = tri.zz2_edge_state(
+                            u, N, sign, family, -theta)
                     else:
                         psi = state_fn(energy, h, N, k)
                     assert subspace_overlap(spec, energy,
                                             psi) > 1 - 1e-8
+
+
+def test_root_tables_carry_the_reduced_parameters():
+    h = TriangleHoppings(t1=0.9, t2=0.1, t3=1.0)
+    for roots_fn in (tri.zz1_roots, tri.zz2_roots):
+        for k in (-2.9, -0.4, 0.0, 1.3):
+            roots = roots_fn(h, 7, k, a=1.5)
+            zeta, theta = tri.zeta_of_k(h, k, 1.5)
+            assert np.all(roots.tau == tri.tau_of_k(h, k, 1.5))
+            assert np.all(roots.zeta_abs == abs(zeta))
+            assert np.all(roots.theta == theta)
+
+
+def test_state_residuals_equal_secular_residuals():
+    # the scaled residuals read from a state table equal the secular
+    # residual's, bit for bit, for tables spanning momenta
+    h = TriangleHoppings(t1=0.9, t2=0.1, t3=1.0)
+    N = 9
+    for roots_fn, state_fn, residual_fn in (
+            (tri.zz1_roots, tri.zz1_state, tri.zz1_secular_residual),
+            (tri.zz2_roots, tri.zz2_state, tri.zz2_secular_residual)):
+        energies, momenta = [], []
+        for k in (-1.1, 0.2, 2.5):
+            bulk = ~roots_fn(h, N, k).edge
+            energies.extend(roots_fn(h, N, k).energy[bulk].tolist())
+            momenta.extend([k] * int(bulk.sum()))
+        energies, momenta = np.array(energies), np.array(momenta)
+        residuals = []
+        state_fn(energies, h, N, momenta, residuals=residuals)
+        expected = residual_fn(energies, h, N, momenta, scaled=True)
+        assert np.array_equal(residuals, expected)
 
 
 # ----------------------------------------------------------- edge branches --
@@ -288,7 +320,7 @@ def test_zz2_edge_solutions_all_branches():
                 assert sol.tau / sol.zeta_abs == pytest.approx(
                     -sign * ratio, abs=1e-9)
                 _, theta = tri.zeta_of_k(WEAK, sol.k)
-                psi = tri.zz2_edge_bloch_state(sol.u, N, sign, family, theta)
+                psi = tri.zz2_edge_state(sol.u, N, sign, family, -theta)
                 H = build_triangle_bloch(WEAK, N, sol.k,
                                          edge=TriangleEdge.ZIGZAG2).entries
                 resid = np.abs(H @ psi - sol.energy * psi).max()
@@ -333,10 +365,17 @@ def test_zz2_edge_profiles_symmetry():
 
 
 def test_zz2_gauge_conventions_are_mirror_images():
+    # the printed e^{-in theta} form at -theta is the Bloch-matrix gauge
+    # e^{+in theta}, which the dense oracle's eigenvectors use
     u, N, sign, family, theta = 0.6, 7, -1, "B", 0.83
+    n = np.arange(1, N + 1)
+    np.testing.assert_allclose(
+        tri.zz2_edge_state(u, N, sign, family, -theta),
+        float(sign) ** (n - 1) * np.exp(1.0j * n * theta)
+        * tri.zz2_edge_profile(u, N, family), atol=1e-15)
     np.testing.assert_allclose(
         tri.zz2_edge_state(u, N, sign, family, theta),
-        tri.zz2_edge_bloch_state(u, N, sign, family, -theta), atol=1e-15)
+        np.conj(tri.zz2_edge_state(u, N, sign, family, -theta)), atol=1e-15)
 
 
 # -------------------------------------------------------------- existence ---
