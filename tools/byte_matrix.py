@@ -1,0 +1,308 @@
+"""Compare the command-line output of two chebribbon source trees.
+
+    python3 tools/byte_matrix.py SRC_A SRC_B [--list]
+
+SRC_A and SRC_B are checkouts (or their ``src`` directories).  A fixed list
+of commands runs under each tree in a process of its own, each command
+through ``chebribbon.cli.run`` in-process with ``--out`` to a file.  Per
+command the tool compares the ``--out`` bytes, the exit code and the stderr
+text (or, when ``run`` raises, the last line of the exception), prints each
+command that differs and exits 1 if any does.  Warnings are recorded as
+``Category: message`` lines after the stderr text, without the file and
+line they came from, so that moved code compares equal.  ``--list`` prints
+the commands and exits.
+
+The list: both perfbench workloads on seeds 7101 and 7102 with their known
+defects; zigzag ``bands`` at N = 200 and 1000 in CSV and JSON; ``bands`` on
+all six models at N = 1..13 with random, zero and near-equal hoppings;
+single-model ``validate`` at N = 4, 7, 13 and 30, also at ``--tol 1e-16``;
+``edges``; ``zeromodes``; and ``wavefunction`` with every ``--sign`` and
+``--family``, plus the reproducers of known defects.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import math
+import random
+import subprocess
+import sys
+import tempfile
+import traceback
+import warnings
+from functools import partial
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MODELS = ("square-zigzag", "square-lr", "square-general", "triangle-linear",
+          "triangle-zigzag1", "triangle-zigzag2")
+ZIGZAG = ("square-zigzag", "triangle-zigzag1", "triangle-zigzag2")
+SEEDS = (7101, 7102)
+
+
+def _num(x):
+    return repr(float(x))
+
+
+def _hoppings(model, values):
+    """Hopping flags of `model` from the sequence `values` (3 triangular,
+    4 square; square-zigzag drops tl, square-lr sets tl = tr)."""
+    if model.startswith("triangle"):
+        return [f for name, v in zip(("t1", "t2", "t3"), values)
+                for f in (f"--{name}", _num(v))]
+    tu, td, tr, tl = values
+    flags = ["--tu", _num(tu), "--td", _num(td), "--tr", _num(tr)]
+    if model == "square-general":
+        flags += ["--tl", _num(tl)]
+    elif model == "square-lr":
+        flags += ["--tl", _num(tr)]
+    return flags
+
+
+def _workloads():
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+    cmds = []
+    for name in ("wide-scan", "narrow-mix"):
+        for seed in SEEDS:
+            cmds.extend(workloads.generate(name, seed))
+        cmds.extend(workloads.KNOWN_DEFECTS.get(name, []))
+    return cmds
+
+
+def _wide():
+    tri = ["--t1", "0.9", "--t2", "0.1", "--t3", "1"]
+    cmds = []
+    for N, k in (("200", "8"), ("1000", "2")):
+        for fmt in ("csv", "json"):
+            for model in ZIGZAG:
+                hop = tri if model.startswith("triangle") else [
+                    "--tu", "1", "--td", "0.6", "--tr", "1"]
+                cmds.append(["bands", "--model", model, "--N", N, *hop,
+                             "--k-points", k, "--format", fmt])
+    return cmds
+
+
+def _narrow(rng):
+    """`bands` on every model at N = 1..13: random hoppings, one hopping
+    zero (each in turn), and two nearly equal legs."""
+    cmds = []
+    for model in MODELS:
+        count = 3 if model.startswith("triangle") else 4
+        for N in range(1, 14):
+            base = [rng.uniform(0.1, 2.0) for _ in range(count)]
+            zero = list(base)
+            zero[N % count] = 0.0
+            near = list(base)
+            near[1] = near[0] * (1.0 + 1e-12)
+            for values in (base, zero, near):
+                cmds.append(["bands", "--model", model, "--N", str(N),
+                             *_hoppings(model, values), "--k-points", "12"])
+    cmds.append(["bands", "--model", "triangle-zigzag2", "--N", "9",
+                 "--k-points", "5", "--format", "json"])
+    cmds.append(["bands", "--model", "square-zigzag", "--N", "40",
+                 "--tu", "1", "--td", "0.6", "--tr", "1", "--k-points", "6"])
+    return cmds
+
+
+def _validate(rng):
+    cmds = [["validate", "--k-points", "8"],
+            ["validate", "--N", "12", "--k-points", "8"],
+            ["validate", "--k-points", "8", "--tol", "1e-16"]]
+    for model in MODELS:
+        count = 3 if model.startswith("triangle") else 4
+        for N in (4, 7, 13, 30):
+            if model == "square-general":
+                # hoppings with a k = 0 zero mode at j = 1
+                root = 0.8
+                half = root * math.cos(math.pi / (N + 1))
+                hop = ["--tu", _num(half), "--td", _num(half), "--tr", "1",
+                       "--tl", _num(root * root)]
+            else:
+                hop = _hoppings(model, [rng.uniform(0.1, 2.0)
+                                        for _ in range(count)])
+            argv = ["validate", "--model", model, "--N", str(N), *hop,
+                    "--k-points", "6"]
+            cmds.append(argv)
+            cmds.append(argv + ["--tol", "1e-16"])
+    return cmds
+
+
+def _edges(rng):
+    cmds = []
+    for model in ZIGZAG:
+        count = 3 if model.startswith("triangle") else 4
+        for N in (1, 2, 3, 4, 7, 12, 30):
+            for _ in range(2):
+                values = [rng.uniform(0.1, 2.0) for _ in range(count)]
+                cmds.append(["edges", "--model", model, "--N", str(N),
+                             *_hoppings(model, values)])
+            values = [rng.uniform(0.1, 2.0) for _ in range(count)]
+            values[1] = values[0] * (1.0 + rng.uniform(-0.01, 0.01))
+            cmds.append(["edges", "--model", model, "--N", str(N),
+                         *_hoppings(model, values)])
+    cmds += [["edges", "--model", "triangle-zigzag1"],
+             ["edges", "--model", "triangle-zigzag2", "--N", "9"],
+             ["edges", "--model", "square-lr"],
+             ["edges", "--model", "triangle-zigzag1", "--t3", "0"]]
+    return cmds
+
+
+def _zeromodes():
+    return [["zeromodes", "--model", "square-general", "--N", "5", "--tu",
+             "0.5", "--td", "0.5", "--tr", "1", "--tl", "0.64", "--j", "2"],
+            ["zeromodes", "--model", "square-general", "--N", "8", "--tu",
+             "0.3", "--td", "0.7", "--tr", "0.5", "--tl", "2"],
+            ["zeromodes", "--model", "square-lr", "--N", "6", "--j", "3"],
+            ["zeromodes", "--model", "square-general", "--N", "4", "--j",
+             "9"],
+            ["zeromodes", "--model", "triangle-linear"]]
+
+
+def _wavefunction(rng):
+    cmds = []
+    for model in ZIGZAG:
+        count = 3 if model.startswith("triangle") else 4
+        hops = ([0.9, 0.1, 1.0], [0.5, 0.45, 2.0]) if count == 3 \
+            else ([1.0, 0.6, 1.0, 0.0],)
+        for hop, N in itertools.product(map(partial(_hoppings, model), hops),
+                                        ("2", "7")):
+            for u in ("0.05", "0.7", "3", "40"):
+                for sign in (None, "1", "-1", "0"):
+                    for family in (None, "A", "B"):
+                        argv = ["wavefunction", "--model", model, "--N", N,
+                                *hop, "--u", u]
+                        if sign is not None:
+                            argv += ["--sign", sign]
+                        if family is not None:
+                            argv += ["--family", family]
+                        cmds.append(argv)
+    for model in MODELS:
+        count = 3 if model.startswith("triangle") else 4
+        hop = _hoppings(model, [rng.uniform(0.1, 2.0) for _ in range(count)])
+        for band in ("1", "3"):
+            cmds.append(["wavefunction", "--model", model, "--N", "6", *hop,
+                         "--band", band, "--k", _num(rng.uniform(-1.5, 1.5))])
+    cmds += [["wavefunction", "--model", "square-general", "--N", "5",
+              "--tu", "0.5", "--td", "0.5", "--tr", "1", "--tl", "0.64",
+              "--j", "2"],
+             ["wavefunction", "--model", "triangle-zigzag1", "--u", "-1"],
+             ["wavefunction", "--model", "triangle-zigzag1"]]
+    return cmds
+
+
+def _defects():
+    """Reproducers of known defects: their outcome is compared too."""
+    return [
+        ["edges", "--model", "triangle-zigzag2", "--N", "4", "--t1",
+         "1.4860", "--t2", "1.4897", "--t3", "1.8323"],
+        ["edges", "--model", "triangle-zigzag1", "--t3", "1e-300"],
+        ["edges", "--model", "triangle-zigzag2", "--t3", "1e-300"],
+        ["wavefunction", "--model", "triangle-zigzag2", "--N", "4", "--t1",
+         "1.4860", "--t2", "1.4897", "--t3", "1.8323", "--u", "9"],
+        ["bands", "--model", "triangle-zigzag1", "--t3", "1e300",
+         "--k-points", "3"],
+        ["bands", "--model", "triangle-zigzag1", "--t3", "1e200",
+         "--k-points", "3"],
+        ["bands", "--model", "square-zigzag", "--tu", "1e300", "--td",
+         "1e300", "--k-points", "3"],
+        ["zeromodes", "--model", "square-general", "--tr", "1e300", "--tl",
+         "1e-300"],
+        ["validate", "--model", "square-zigzag", "--N", "1"],
+        ["validate", "--model", "triangle-linear", "--N", "3"],
+        ["bands", "--model", "triangle-zigzag2", "--N", "2", "--t1",
+         "0.34216959415669657", "--t2", "0.9935623143969152", "--t3",
+         "2.6226920480422935", "--k-points", "3"],
+    ]
+
+
+def commands():
+    """The fixed command list, the same on every call."""
+    rng = random.Random(8128)
+    return (_workloads() + _wide() + _narrow(rng) + _validate(rng)
+            + _edges(rng) + _zeromodes() + _wavefunction(rng) + _defects())
+
+
+def _src(path):
+    path = Path(path).resolve()
+    src = path / "src" if (path / "src" / "chebribbon").is_dir() else path
+    if not (src / "chebribbon" / "cli.py").is_file():
+        raise SystemExit(f"no chebribbon sources under {path}")
+    return src
+
+
+def _run_tree(src, results):
+    """Worker: run every command under the tree `src`, writing one JSON
+    record per command to the file `results`."""
+    sys.path.insert(0, str(src))
+    import chebribbon.cli as cli
+    if Path(cli.__file__).resolve().parent.parent != Path(src):
+        raise SystemExit(f"imported {cli.__file__}, not {src}")
+    records = []
+    with tempfile.TemporaryDirectory() as work:
+        out = Path(work) / "out"
+        for argv in commands():
+            if out.exists():
+                out.unlink()
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                try:
+                    code = cli.run(argv + ["--out", str(out)])
+                except Exception as exc:  # the last line of the traceback
+                    code = "raised"
+                    err.write(traceback.format_exception_only(
+                        type(exc), exc)[-1])
+            text = err.getvalue() + "".join(
+                f"{w.category.__name__}: {w.message}\n" for w in caught)
+            data = out.read_bytes() if out.exists() else b""
+            records.append({"code": code, "stderr": text,
+                            "out": hashlib.sha256(data).hexdigest(),
+                            "bytes": len(data)})
+    Path(results).write_text(json.dumps(records))
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("trees", nargs="*", metavar="SRC")
+    parser.add_argument("--list", action="store_true",
+                        help="print the commands and exit")
+    parser.add_argument("--worker", nargs=2, metavar=("SRC", "RESULTS"),
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        _run_tree(*args.worker)
+        return 0
+    cmds = commands()
+    if args.list:
+        print("\n".join(" ".join(c) for c in cmds))
+        return 0
+    if len(args.trees) != 2:
+        parser.error("give two source trees, SRC_A and SRC_B")
+    trees = [_src(t) for t in args.trees]
+    with tempfile.TemporaryDirectory() as work:
+        files = [Path(work) / f"{i}.json" for i in range(2)]
+        procs = [subprocess.Popen([sys.executable, __file__, "--worker",
+                                   str(t), str(f)])
+                 for t, f in zip(trees, files)]
+        if any(p.wait() != 0 for p in procs):
+            print("a worker failed", file=sys.stderr)
+            return 2
+        a, b = (json.loads(f.read_text()) for f in files)
+    differ = [i for i, (x, y) in enumerate(zip(a, b)) if x != y]
+    for i in differ:
+        what = [key for key in ("code", "out", "stderr")
+                if a[i][key] != b[i][key]]
+        print(f"DIFFERS ({', '.join(what)}): {' '.join(cmds[i])}")
+    print(f"{len(differ)} of {len(cmds)} commands differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
