@@ -184,18 +184,18 @@ def _node_grid(N, degrees):
     return nodes
 
 
-def invert_monotone_ratio(f, target, lo=1e-300, hi_start=1.0):
+def invert_monotone_ratio(f, target):
     """Solve f(u) = target for the strictly increasing ratio f on (0, inf).
 
-    Doubles hi until f(hi) >= target, then Brent-refines.  The caller must
-    guarantee target > lim_{u->0} f(u).
+    Doubles hi from 1 until f(hi) >= target, then Brent-refines on
+    [1e-300, hi].  The caller must guarantee target > lim_{u->0} f(u).
     """
-    hi = hi_start
+    hi = 1.0
     for _ in range(200):
         if f(hi) >= target:
             break
         hi *= 2.0
     else:
         raise RuntimeError("failed to bracket the ratio inversion")
-    return float(brentq(lambda u: f(u) - target, lo, hi,
+    return float(brentq(lambda u: f(u) - target, 1e-300, hi,
                         xtol=1e-300, rtol=8.9e-16))

@@ -15,6 +15,7 @@ All functions are pure and accept scalars or arrays in the real argument.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +35,9 @@ __all__ = [
     "det_perturbed_corner",
     "logsinh",
     "logcosh",
+    "EdgeFamily",
+    "zigzag_ends",
+    "by_family",
 ]
 
 
@@ -157,11 +161,6 @@ def logsinh(y):
     return _match_scalar(y, np.where(small, direct, tail))
 
 
-def _sinh_ratio(num_arg, den_arg):
-    """sinh(num_arg)/sinh(den_arg) for positive arguments, overflow-safe."""
-    return math.exp(logsinh(num_arg) - logsinh(den_arg))
-
-
 def logcosh(y):
     """log(cosh y), valid across the whole double range."""
     if isinstance(y, float):
@@ -175,6 +174,79 @@ def logcosh(y):
     with np.errstate(over="ignore"):
         tail = y_arr - _LOG2 + np.log1p(np.exp(-2.0 * y_arr))
     return _match_scalar(y, np.where(small, direct, tail))
+
+
+def _sinh_ratio(num_arg, den_arg):
+    """sinh(num_arg)/sinh(den_arg) for positive arguments, overflow-safe."""
+    return math.exp(logsinh(num_arg) - logsinh(den_arg))
+
+
+def _cosh_ratio(num_arg, den_arg):
+    """cosh(num_arg)/cosh(den_arg), overflow-safe."""
+    return math.exp(logcosh(num_arg) - logcosh(den_arg))
+
+
+class EdgeFamily(NamedTuple):
+    """An edge branch of a zigzag ribbon: |r| = ratio(u) on it, rising from
+    `threshold` at u -> 0; half(u) = 1/ratio(u) and bound = 1/threshold,
+    each evaluated as such; envelope(u) is the state's profile."""
+
+    name: str   # "A" (one-sided, or two-sided even) or "B" (odd)
+    label: str  # its name in reports
+    ratio: object
+    half: object
+    threshold: float
+    bound: float
+    envelope: object
+
+
+def zigzag_ends(ends, N):
+    """(coefficients, families) of the zigzag ribbon of width N with `ends`
+    truncated end rows, 1 or 2: the secular equation in r = tau/|zeta| is
+    sum_m c_m U_{N-m}(y) = 0 with (c_0, c_1[, c_2]) = coefficients(r), and
+    families are its EdgeFamily branches.  The square zigzag ribbon has the
+    one-sided edge condition with |r| = 1/|xi|."""
+    n = np.arange(1, N + 1)
+    if ends == 1:
+        def envelope(u):  # sinh((N-n+1)u)/sinh(Nu)
+            with np.errstate(under="ignore"):
+                return np.exp(logsinh((N - n + 1) * u) - logsinh(N * u))
+
+        return (lambda r: (1.0, r)), (EdgeFamily(
+            "A", "one_sided", lambda u: _sinh_ratio((N + 1) * u, N * u),
+            lambda u: _sinh_ratio(N * u, (N + 1) * u), (N + 1) / N,
+            N / (N + 1.0), envelope),)
+    if N < 2:
+        raise ValueError("two-sided zigzag needs N >= 2")
+    # [sinh((N-n)u) +- sinh((n-1)u)]/sinh((N-1)u) in their stable symmetric
+    # forms: cosh(mu)/cosh((N-1)u/2) and -sign(m) sinh(|m|u)/sinh((N-1)u/2)
+    m = n - (N + 1) / 2.0
+
+    def even(u):
+        with np.errstate(under="ignore"):
+            return np.exp(logcosh(m * u) - logcosh((N - 1) * u / 2.0))
+
+    def odd(u):
+        with np.errstate(under="ignore"):
+            return -np.sign(m) * np.where(m == 0.0, 0.0, np.exp(
+                logsinh(np.abs(np.where(m == 0.0, 1.0, m)) * u)
+                - logsinh((N - 1) * u / 2.0)))
+
+    def args(u):
+        return (N + 1) * u / 2.0, (N - 1) * u / 2.0
+
+    return (lambda r: (1.0, 2.0 * r, r * r)), (
+        EdgeFamily("A", "family_A", lambda u: _cosh_ratio(*args(u)),
+                   lambda u: _cosh_ratio(*args(u)[::-1]), 1.0, 1.0, even),
+        EdgeFamily("B", "family_B", lambda u: _sinh_ratio(*args(u)),
+                   lambda u: _sinh_ratio(*args(u)[::-1]),
+                   (N + 1.0) / (N - 1.0), (N - 1.0) / (N + 1.0), odd))
+
+
+def by_family(families, value):
+    """value(family) keyed by family name; one family's value alone."""
+    out = {fam.name: value(fam) for fam in families}
+    return out if len(out) > 1 else out[families[0].name]
 
 
 def u_zeros(n):

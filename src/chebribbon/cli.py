@@ -23,6 +23,7 @@ import numpy as np
 
 from . import square_ribbon as sq
 from . import triangle_ribbon as tri
+from .chebpoly import by_family, zigzag_ends
 from .classify import (StateLabel, classify_analytic_square,
                        classify_analytic_triangle, classify_numeric, ipr,
                        model_edge_sides)
@@ -58,6 +59,9 @@ _TRIANGLE_EDGE = {
     ModelKind.TRIANGLE_ZIGZAG1: TriangleEdge.ZIGZAG1,
     ModelKind.TRIANGLE_ZIGZAG2: TriangleEdge.ZIGZAG2,
 }
+
+# truncated end rows of each zigzag triangle model (chebpoly.zigzag_ends)
+_ZIGZAG_ENDS = {ModelKind.TRIANGLE_ZIGZAG1: 1, ModelKind.TRIANGLE_ZIGZAG2: 2}
 
 
 class ConfigError(Exception):
@@ -137,6 +141,26 @@ def _emit(path, text):
 
 def _write_json(config, payload):
     _emit(config.output_path, json.dumps(payload, indent=2) + "\n")
+
+
+def _zz(ends, name):
+    """triangle_ribbon's zz{ends}_{name}, looked up at each call and never
+    kept, so that a replaced module attribute is the one called."""
+    return getattr(tri, f"zz{ends}_{name}")
+
+
+def _edge_solutions(ends, h, N, sign, family, **kwargs):
+    """The edge-branch table of (sign, family); one-sided: of sign."""
+    if ends == 1:
+        return tri.zz1_edge_solutions(h, N, sign, **kwargs)
+    return tri.zz2_edge_solutions(h, N, sign, family, **kwargs)
+
+
+def _bloch_edge_state(ends, u, N, sign, family, theta):
+    """An edge state in the Bloch-matrix gauge (zz2_edge_state at -theta)."""
+    if ends == 1:
+        return tri.zz1_edge_state(u, N, sign, theta)
+    return tri.zz2_edge_state(u, N, sign, family, -theta)
 
 
 # ----------------------------------------------------------- band builders --
@@ -394,8 +418,8 @@ def _triangle_walk(kind, h, N, a, momenta, roots, reduce, residuals=None):
     by one.  A list `residuals` also gets each root's scaled secular
     residual: the bulk ones read from those tables, the edge ones from one
     recurrence run of their own."""
-    zz1 = kind == ModelKind.TRIANGLE_ZIGZAG1
-    state = tri.zz1_state if zz1 else tri.zz2_state
+    ends = _ZIGZAG_ENDS[kind]
+    state = _zz(ends, "state")
     bulk, edge = np.flatnonzero(~roots.edge), np.flatnonzero(roots.edge)
     values = []
     bulk_residuals = None if residuals is None else []
@@ -409,19 +433,14 @@ def _triangle_walk(kind, h, N, a, momenta, roots, reduce, residuals=None):
             column[edge].tolist() for column in (
                 roots.energy, roots.u, roots.sign, roots.family,
                 roots.theta))):
-        if zz1:
-            psi = tri.zz1_edge_state(u, N, sign, theta)
-        else:  # the Bloch-matrix gauge
-            psi = tri.zz2_edge_state(u, N, sign, family, -theta)
+        psi = _bloch_edge_state(ends, u, N, sign, family, theta)
         values.append(reduce(np.array([energy]), psi[:, None])[0])
     if residuals is not None:
         scaled = np.empty(len(roots.energy))
         scaled[bulk] = bulk_residuals
         if len(edge):
-            residual = tri.zz1_secular_residual if zz1 \
-                else tri.zz2_secular_residual
-            scaled[edge] = residual(roots.energy[edge], h, N, momenta[edge],
-                                    a=a, scaled=True)
+            scaled[edge] = _zz(ends, "secular_residual")(
+                roots.energy[edge], h, N, momenta[edge], a=a, scaled=True)
         residuals.extend(scaled.tolist())
     order = np.argsort(np.concatenate([bulk, edge])).tolist()
     return [values[i] for i in order]
@@ -430,8 +449,7 @@ def _triangle_walk(kind, h, N, a, momenta, roots, reduce, residuals=None):
 def _triangle_zigzag_scan(config):
     h, N, a = config.hoppings, config.model.N, config.model.a
     kind = config.kind
-    solve = tri.zz1_roots if kind == ModelKind.TRIANGLE_ZIGZAG1 \
-        else tri.zz2_roots
+    solve = _zz(_ZIGZAG_ENDS[kind], "roots")
     grid, solved = _solve_grid(config, lambda k: solve(h, N, k, a=a))
     if not solved:
         return _unsolved(grid)
@@ -494,8 +512,6 @@ def _require_positive(h):
 def cmd_edges(config):
     h, N = config.hoppings, config.model.N
     kind = config.kind
-    if kind in (ModelKind.TRIANGLE_ZIGZAG1, ModelKind.TRIANGLE_ZIGZAG2):
-        _require_positive(h)
     if kind == ModelKind.SQUARE_ZIGZAG:
         regime = sq.edge_regime(h, N)
         table = []
@@ -513,39 +529,26 @@ def cmd_edges(config):
             "critical": {"xi": regime.xi_cr, "omega": regime.omega_cr},
             "branch": table,
         }
-    elif kind == ModelKind.TRIANGLE_ZIGZAG1:
-        report = tri.zz1_edge_existence(h, N)
-        branches = {}
-        for label, sign in (("plus", 1), ("minus", -1)):
-            branches[label] = [
-                {"u": s.u, "cos_ka": s.cos_ka, "k": s.k, "energy": s.energy}
-                for s in tri.zz1_edge_solutions(h, N, sign)]
+    elif kind in _ZIGZAG_ENDS:
+        _require_positive(h)
+        ends = _ZIGZAG_ENDS[kind]
+        families = zigzag_ends(ends, N)[1]
+
+        def branches(fam):
+            return {label: [{"u": s.u, "cos_ka": s.cos_ka, "k": s.k,
+                             "energy": s.energy}
+                            for s in _edge_solutions(ends, h, N, sign,
+                                                     fam.name)]
+                    for label, sign in (("plus", 1), ("minus", -1))}
+
         payload = {
             "model": kind.value,
             "N": N,
             "hoppings": {"t1": h.t1, "t2": h.t2, "t3": h.t3},
-            "existence": report,
-            "critical": {"one_sided_bound": N / (N + 1.0)},
-            "branch": branches,
-        }
-    elif kind == ModelKind.TRIANGLE_ZIGZAG2:
-        report = tri.zz2_edge_existence(h, N)
-        branches = {}
-        for family in ("A", "B"):
-            branches[family] = {}
-            for label, sign in (("plus", 1), ("minus", -1)):
-                branches[family][label] = [
-                    {"u": s.u, "cos_ka": s.cos_ka, "k": s.k,
-                     "energy": s.energy}
-                    for s in tri.zz2_edge_solutions(h, N, sign, family)]
-        payload = {
-            "model": kind.value,
-            "N": N,
-            "hoppings": {"t1": h.t1, "t2": h.t2, "t3": h.t3},
-            "existence": report,
-            "critical": {"family_A_bound": 1.0,
-                         "family_B_bound": (N - 1.0) / (N + 1.0)},
-            "branch": branches,
+            "existence": _zz(ends, "edge_existence")(h, N),
+            "critical": {f"{fam.label}_bound": fam.bound
+                         for fam in families},
+            "branch": by_family(families, branches),
         }
     else:
         raise ConfigError(
@@ -650,24 +653,18 @@ def _validate_branch_tables(tol, violations):
     h = TriangleHoppings(t1=0.9, t2=0.1, t3=1.0)
     N = 5
     for sign in (1, -1):
-        for sol in tri.zz1_edge_solutions(h, N, sign, u_grid=grid):
-            bloch = build_triangle_bloch(h, N, sol.k,
-                                         edge=TriangleEdge.ZIGZAG1)
-            zeta, theta = tri.zeta_of_k(h, sol.k)
-            psi = tri.zz1_edge_state(sol.u, N, sign, theta)
-            worst = max(worst, float(np.linalg.norm(
-                bloch.entries @ psi - sol.energy * psi)
-                / np.linalg.norm(psi)))
-        for family in ("A", "B"):
-            for sol in tri.zz2_edge_solutions(h, N, sign, family,
-                                              u_grid=grid):
-                bloch = build_triangle_bloch(h, N, sol.k,
-                                             edge=TriangleEdge.ZIGZAG2)
-                zeta, theta = tri.zeta_of_k(h, sol.k)
-                psi = tri.zz2_edge_state(sol.u, N, sign, family, -theta)
-                worst = max(worst, float(np.linalg.norm(
-                    bloch.entries @ psi - sol.energy * psi)
-                    / np.linalg.norm(psi)))
+        for kind, ends in _ZIGZAG_ENDS.items():
+            for fam in zigzag_ends(ends, N)[1]:
+                for sol in _edge_solutions(ends, h, N, sign, fam.name,
+                                           u_grid=grid):
+                    bloch = build_triangle_bloch(h, N, sol.k,
+                                                 edge=_TRIANGLE_EDGE[kind])
+                    zeta, theta = tri.zeta_of_k(h, sol.k)
+                    psi = _bloch_edge_state(ends, sol.u, N, sign, fam.name,
+                                            theta)
+                    worst = max(worst, float(np.linalg.norm(
+                        bloch.entries @ psi - sol.energy * psi)
+                        / np.linalg.norm(psi)))
     hs = SquareHoppings(tu=1.0, td=0.6, tr=1.0, tl=0.0)
     regime = sq.edge_regime(hs, N)
     for u in grid:
@@ -784,14 +781,10 @@ def cmd_wavefunction(config, args):
         state = np.concatenate([pt.psi_circ, sign * pt.psi_bullet])
         state = state * pt.norm_const
         rows = _wave_rows_square(state.astype(complex), N, "analytic")
-    elif kind in (ModelKind.TRIANGLE_ZIGZAG1,
-                  ModelKind.TRIANGLE_ZIGZAG2) and given_u:
+    elif kind in _ZIGZAG_ENDS and given_u:
         _require_positive(h)
-        if kind == ModelKind.TRIANGLE_ZIGZAG1:
-            sols = tri.zz1_edge_solutions(h, N, sign, u_grid=[args.u], a=a)
-        else:
-            sols = tri.zz2_edge_solutions(h, N, sign, family,
-                                          u_grid=[args.u], a=a)
+        sols = _edge_solutions(_ZIGZAG_ENDS[kind], h, N, sign, family,
+                               u_grid=[args.u], a=a)
         if not sols:
             raise ConfigError(
                 f"u={args.u} is not on an admissible edge branch for these "
@@ -982,10 +975,10 @@ def _resolve_config(args):
                 t3=args.t3 if args.t3 is not None else 1.0)
         model = RibbonModel(kind=kind, N=N, a=a)
         model.validate_hoppings(hoppings)
+        if kind in _ZIGZAG_ENDS:
+            zigzag_ends(_ZIGZAG_ENDS[kind], N)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    if kind == ModelKind.TRIANGLE_ZIGZAG2 and N < 2:
-        raise ConfigError("two-sided zigzag needs N >= 2")
     k_points = args.k_points if args.k_points is not None else 128
     if k_points < 1:
         raise ConfigError("k-points must be >= 1")

@@ -223,14 +223,14 @@ def state_overlap(v1, v2):
     return float(abs(np.vdot(v1, v2)) / (n1 * n2))
 
 
-def subspace_overlap(spectrum, energy, vector, window=1e-7):
+def subspace_overlap(spectrum, energy, vector):
     """Norm of the projection of `vector` onto the eigenspace spanned by all
-    eigenvalues within `window` of `energy`.  Degeneracy-safe overlap."""
+    eigenvalues within 1e-7 of `energy`.  Degeneracy-safe overlap."""
     vector = np.asarray(vector, dtype=complex).ravel()
     norm = np.linalg.norm(vector)
     if norm == 0.0:
         raise ValueError("overlap of a zero vector is undefined")
-    sel = np.abs(spectrum.energies - energy) <= window
+    sel = np.abs(spectrum.energies - energy) <= 1e-7
     if not np.any(sel):
         return 0.0
     basis = spectrum.vectors[:, sel]

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._roots import angular_scan, invert_monotone_ratio, secular_nodes
 from ._runs import reduce_in_runs
-from .chebpoly import _sinh_ratio, logsinh, u_all, u_eval, u_pair
+from .chebpoly import _sinh_ratio, u_all, u_eval, u_pair, zigzag_ends
 from .errors import (DegenerateParameterError, NoEdgeStateError,
                      RootCountError, SingularArgumentError)
 
@@ -75,6 +75,11 @@ def zigzag_secular_residual(omega, xi_abs, N):
     return float(out)
 
 
+def _edge_family(N):
+    # the square zigzag ribbon has the one-sided edge condition, |r| = 1/|xi|
+    return zigzag_ends(1, N)[1][0]
+
+
 def _edge_omega(u, N):
     # on-branch energy: omega = sinh(u)/sinh((N+1)u), the stable equivalent
     # of the omega^2(u) branch formula (which cancels catastrophically for
@@ -86,13 +91,13 @@ def zigzag_edge_u_from_xi(xi_abs, N):
     """Invert |xi| = sinh(Nu)/sinh((N+1)u) for the decay parameter u > 0."""
     if xi_abs <= 0.0:
         raise ValueError("xi_abs must be positive")
-    xi_cr = N / (N + 1.0)
+    family = _edge_family(N)
+    xi_cr = family.bound
     if xi_abs >= xi_cr:
         raise NoEdgeStateError(
             f"|xi| = {xi_abs} >= N/(N+1) = {xi_cr}: no localized branch")
     # equivalent increasing problem: sinh((N+1)u)/sinh(Nu) = 1/|xi|
-    return invert_monotone_ratio(
-        lambda u: _sinh_ratio((N + 1) * u, N * u), 1.0 / xi_abs)
+    return invert_monotone_ratio(family.ratio, 1.0 / xi_abs)
 
 
 def zigzag_spectrum(xi_abs, N):
@@ -101,8 +106,6 @@ def zigzag_spectrum(xi_abs, N):
     if xi_abs <= 0.0:
         raise DegenerateParameterError(
             "|xi| = 0: secular form undefined, use the dense oracle")
-    xi_cr = N / (N + 1.0)
-
     def g_grid(v):
         v = np.asarray(v, dtype=float)
         return xi_abs * np.sin((N + 1) * v) + np.sin(N * v)
@@ -121,7 +124,7 @@ def zigzag_spectrum(xi_abs, N):
               for v in roots_v]
     if boundary_pi:
         omegas.append(abs(xi_abs - 1.0))
-    if xi_abs < xi_cr and not boundary_pi:
+    if xi_abs < _edge_family(N).bound and not boundary_pi:
         omegas.append(_edge_omega(zigzag_edge_u_from_xi(xi_abs, N), N))
     if len(omegas) == N - 1 and abs(r_pi) <= 1e-6 * r0 and not boundary_pi:
         omegas.append(abs(xi_abs - 1.0))  # near-critical rescue
@@ -161,17 +164,6 @@ class EdgeBranchPoint:
     norm_const: float
 
 
-def _edge_profiles(u, N):
-    """Decaying modulus envelopes sinh((N-n+1)u)/sinh(Nu) (circ, from chain 1)
-    and sinh(nu)/sinh(Nu) (bullet, toward chain N), overflow-safe."""
-    n = np.arange(1, N + 1)
-    log_den = logsinh(N * u)
-    with np.errstate(under="ignore"):
-        circ = np.exp(logsinh((N - n + 1) * u) - log_den)
-        bullet = np.exp(logsinh(n * u) - log_den)
-    return circ, bullet
-
-
 def _edge_norm_square(u, N):
     """|Psi|^2 of the unit-anchored edge state:
     [sinh((2N+1)u) - (2N+1) sinh(u)] / (2 sinh(u) sinh^2(Nu)).
@@ -199,12 +191,14 @@ def zigzag_edge_branch(u, N):
     decaying profiles, and the closed-form normalization constant."""
     if u <= 0.0:
         raise ValueError("decay parameter must be positive")
-    xi_abs = _sinh_ratio(N * u, (N + 1) * u)
+    xi_abs = _edge_family(N).half(u)
     omega = _edge_omega(u, N)
-    psi_circ, psi_bullet = _edge_profiles(u, N)
+    # decaying envelopes sinh((N-n+1)u)/sinh(Nu) from chain 1 (circ) and
+    # its mirror image toward chain N (bullet)
+    psi_circ = _edge_family(N).envelope(u)
     norm_const = 1.0 / math.sqrt(_edge_norm_square(u, N))
     return EdgeBranchPoint(u=u, xi_abs=xi_abs, omega=omega,
-                           psi_circ=psi_circ, psi_bullet=psi_bullet,
+                           psi_circ=psi_circ, psi_bullet=psi_circ[::-1],
                            norm_const=norm_const)
 
 
@@ -229,9 +223,9 @@ def _edge_full_state(xi_abs, omega, x, N):
     Alternating signs come from the reflected polynomial argument; on this
     branch |xi| C_circ,N / omega collapses to a pure sign, absorbed together
     with the bullet-side reflection parity."""
-    circ_env, bullet_env = _edge_profiles(math.acosh(-x), N)
+    env = _edge_family(N).envelope(math.acosh(-x))
     alt = (-1.0) ** np.arange(N)
-    return alt * circ_env, alt * bullet_env, 1.0 if omega >= 0.0 else -1.0
+    return alt * env, alt * env[::-1], 1.0 if omega >= 0.0 else -1.0
 
 
 def _xi_columns(xi, count):
@@ -337,7 +331,7 @@ def edge_regime(h, N):
                          "(tl = 0)")
     xi_min = abs(h.tu - h.td) / h.tr
     xi_max = (h.tu + h.td) / h.tr
-    xi_cr = N / (N + 1.0)
+    xi_cr = _edge_family(N).bound
     if xi_min > xi_cr:
         verdict = RegimeVerdict.NEVER_EMERGE
     elif xi_max < xi_cr:

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._roots import angular_scan, invert_monotone_ratio, secular_nodes
 from ._runs import reduce_in_runs
-from .chebpoly import _sinh_ratio, logcosh, logsinh, u_all, u_eval
+from .chebpoly import by_family, u_all, u_eval, zigzag_ends
 from .errors import DegenerateParameterError, RootCountError
 
 __all__ = [
@@ -62,10 +62,6 @@ def zeta_of_k(h, k, a=1.0):
 def tau_of_k(h, k, a=1.0):
     """On-site Bloch term 2 t3 cos(ka)."""
     return 2.0 * h.t3 * math.cos(k * a)
-
-
-def _cosh_ratio(num_arg, den_arg):
-    return math.exp(logcosh(num_arg) - logcosh(den_arg))
 
 
 # ---------------------------------------------------------------- linear ---
@@ -114,22 +110,21 @@ def _reduced_columns(h, N, k, a, count):
     return za, r, tau, theta, which.reshape(-1)
 
 
-def _secular_terms(E, h, N, k, a, two_sided):
+def _secular_terms(E, h, N, k, a, ends):
     """Chebyshev table un = u_all(N, y) at y = (E - tau)/(2|zeta|), one
     column per energy, with the secular sum and the magnitude of its
     cancelling terms per column, tau/|zeta| per column, arg zeta per
     distinct momentum and the momentum index of each column."""
+    coefficients, _ = zigzag_ends(ends, N)
     E = np.atleast_1d(np.asarray(E, dtype=float))
     za, r, tau, theta, which = _reduced_columns(h, N, k, a, len(E))
     za, r, tau = za[which], r[which], tau[which]
     un = u_all(N, (E - tau) / (2.0 * za))
-    if two_sided:
-        resid = un[N + 1] + 2.0 * r * un[N] + r * r * un[N - 1]
-        scale = (np.abs(un[N + 1]) + np.abs(2.0 * r * un[N])
-                 + np.abs(r * r * un[N - 1]))
-    else:
-        resid = un[N + 1] + r * un[N]
-        scale = np.abs(un[N + 1]) + np.abs(r * un[N])
+    terms = [c * un[N + 1 - m] for m, c in enumerate(coefficients(r))]
+    resid, scale = terms[0], np.abs(terms[0])
+    for term in terms[1:]:
+        resid = resid + term
+        scale = scale + np.abs(term)
     return un, resid, scale, r, theta, which
 
 
@@ -138,8 +133,8 @@ def _at_least_one(scale):
     return np.where(scale > 1.0, scale, 1.0)
 
 
-def _secular_residual(E, h, N, k, a, scaled, two_sided):
-    _, resid, scale, _, _, _ = _secular_terms(E, h, N, k, a, two_sided)
+def _secular_residual(E, h, N, k, a, scaled, ends):
+    _, resid, scale, _, _, _ = _secular_terms(E, h, N, k, a, ends)
     if scaled:
         resid = resid / _at_least_one(scale)
     return float(resid[0]) if np.ndim(E) == 0 else resid
@@ -153,7 +148,7 @@ def zz1_secular_residual(E, h, N, k, a=1.0, scaled=False):
     polynomials grow exponentially.  An array of energies gives an array;
     `k` may then be an array too, one momentum per energy.
     """
-    return _secular_residual(E, h, N, k, a, scaled, two_sided=False)
+    return _secular_residual(E, h, N, k, a, scaled, ends=1)
 
 
 def zz2_secular_residual(E, h, N, k, a=1.0, scaled=False):
@@ -163,19 +158,15 @@ def zz2_secular_residual(E, h, N, k, a=1.0, scaled=False):
     zz1_secular_residual).  An array of energies gives an array, and `k`
     may be one momentum per energy.
     """
-    if N < 2:
-        raise ValueError("two-sided zigzag needs N >= 2")
-    return _secular_residual(E, h, N, k, a, scaled, two_sided=True)
+    return _secular_residual(E, h, N, k, a, scaled, ends=2)
 
 
-def _secular_state(E, h, N, k, a, tol, two_sided, reduce, block,
-                   residuals):
+def _secular_state(E, h, N, k, a, ends, reduce, block, residuals):
     """Normalized e^{i n theta} [U_{n-1}(y) + r U_{n-2}(y)]: a vector for
     scalar E, else one contiguous column per energy, or with `reduce` the
     values it gives run by run (see zz1_state)."""
-    un, resid, scale, r, theta, which = _secular_terms(E, h, N, k, a,
-                                                       two_sided)
-    off = np.abs(resid) > tol * _at_least_one(scale)
+    un, resid, scale, r, theta, which = _secular_terms(E, h, N, k, a, ends)
+    off = np.abs(resid) > 1e-6 * _at_least_one(scale)
     if np.any(off):
         raise ValueError(
             f"energy is not on the spectrum (scaled residual "
@@ -199,34 +190,29 @@ def _secular_state(E, h, N, k, a, tol, two_sided, reduce, block,
     return psi[0] if np.ndim(E) == 0 else psi.T
 
 
-def zz1_state(E, h, N, k, a=1.0, tol=1e-6, reduce=None, block=None,
-              residuals=None):
+def zz1_state(E, h, N, k, a=1.0, reduce=None, block=None, residuals=None):
     """Normalized transverse eigenvector of the one-sided zigzag ribbon:
     psi_n = e^{i n theta} [U_{n-1}(y) + (tau/|zeta|) U_{n-2}(y)].
 
     An array of energies gives one column per energy, from one recurrence
     run for all of them; `k` may then be an array too, one momentum per
-    energy, so that one table spans the momenta of a scan.  With `reduce`,
+    energy, so that one table spans the momenta of a scan.  An energy whose
+    scaled secular residual exceeds 1e-6 raises ValueError.  With `reduce`,
     the states are formed at most `block` matrix elements at a time and
     never all held: reduce(energies, states) gets each run's energies and
     states (one column per state) and returns one value per state, and the
     result is the list of those values.  A list `residuals` gets the scaled
     secular residual of each energy (zz1_secular_residual) appended, read
     from the same table."""
-    return _secular_state(E, h, N, k, a, tol, False, reduce, block,
-                          residuals)
+    return _secular_state(E, h, N, k, a, 1, reduce, block, residuals)
 
 
-def zz2_state(E, h, N, k, a=1.0, tol=1e-6, reduce=None, block=None,
-              residuals=None):
+def zz2_state(E, h, N, k, a=1.0, reduce=None, block=None, residuals=None):
     """Normalized transverse eigenvector of the two-sided zigzag ribbon
     (same componentwise form as zz1_state; only the secular check differs).
     Arrays of energies and momenta, `reduce`, `block` and `residuals` act
     as in zz1_state."""
-    if N < 2:
-        raise ValueError("two-sided zigzag needs N >= 2")
-    return _secular_state(E, h, N, k, a, tol, True, reduce, block,
-                          residuals)
+    return _secular_state(E, h, N, k, a, 2, reduce, block, residuals)
 
 
 # ------------------------------------------------------------- per-k roots --
@@ -248,18 +234,6 @@ class RootTable(NamedTuple):
     def edge(self):
         """True on edge roots."""
         return self.sign != 0
-
-
-def _ratio_zz1(u, N):
-    # sinh((N+1)u)/sinh(Nu), strictly increasing from (N+1)/N
-    return _sinh_ratio((N + 1) * u, N * u)
-
-
-def _ratio_zz2(u, N, family):
-    # |tau/zeta| on the two-sided edge branch; strictly increasing
-    if family == "A":
-        return _cosh_ratio((N + 1) * u / 2.0, (N - 1) * u / 2.0)  # from 1
-    return _sinh_ratio((N + 1) * u / 2.0, (N - 1) * u / 2.0)  # from (N+1)/(N-1)
 
 
 def _scan_bulk(N, coeffs):
@@ -329,56 +303,62 @@ def _edge_u(ratio, target):
         return 0.0
 
 
+def _roots(h, N, k, a, ends):
+    # the bulk scan's angles, then at most one edge root per family: above
+    # the band for tau < 0, below it for tau > 0
+    coefficients, families = zigzag_ends(ends, N)
+    za, r, tau, theta = _reduced(h, N, k, a)
+    phis, b0, bpi = _scan_bulk(N, coefficients(r))
+    edges = []
+    if r != 0.0:
+        s = 1 if r < 0.0 else -1
+        matched = b0 if s > 0 else bpi
+        for fam in families:
+            if abs(r) <= fam.threshold:
+                continue
+            u = _edge_u(fam.ratio, abs(r))
+            if u == 0.0 or matched and u < 1e-3:
+                continue  # already counted as the zone-edge bulk root
+            edges.append((u, s, fam.name))
+    return _root_table(k, N, tau, za, theta, phis, edges)
+
+
 def zz1_roots(h, N, k, a=1.0):
     """All N secular roots of the one-sided zigzag ribbon at momentum k, as
     a RootTable ascending in energy."""
-    za, r, tau, theta = _reduced(h, N, k, a)
-    phis, b0, bpi = _scan_bulk(N, (1.0, r))
-    edges = []
-    if abs(r) > (N + 1) / N:
-        s = 1 if r < 0.0 else -1
-        u = _edge_u(lambda uu: _ratio_zz1(uu, N), abs(r))
-        if u > 0.0 and not ((b0 if s > 0 else bpi) and u < 1e-3):
-            edges.append((u, s, "A"))
-    return _root_table(k, N, tau, za, theta, phis, edges)
+    return _roots(h, N, k, a, ends=1)
 
 
 def zz2_roots(h, N, k, a=1.0):
     """All N secular roots of the two-sided zigzag ribbon at momentum k, as
     a RootTable ascending in energy."""
-    if N < 2:
-        raise ValueError("two-sided zigzag needs N >= 2")
-    za, r, tau, theta = _reduced(h, N, k, a)
-    phis, b0, bpi = _scan_bulk(N, (1.0, 2.0 * r, r * r))
-    thresholds = {"A": 1.0, "B": (N + 1.0) / (N - 1.0)}
-    edges = []
-    if r != 0.0:
-        s = 1 if r < 0.0 else -1
-        matched = b0 if s > 0 else bpi
-        for family, thr in thresholds.items():
-            if abs(r) <= thr:
-                continue
-            u = _edge_u(lambda uu: _ratio_zz2(uu, N, family), abs(r))
-            if u == 0.0 or matched and u < 1e-3:
-                continue  # already counted as the zone-edge bulk root
-            edges.append((u, s, family))
-    return _root_table(k, N, tau, za, theta, phis, edges)
+    return _roots(h, N, k, a, ends=2)
 
 
 # ----------------------------------------------------------- edge branches --
 
-def default_u_grid(points=400):
-    """Log-spaced decay-parameter grid covering the physical branch range."""
-    return np.logspace(-4.0, 1.0, points)
+def default_u_grid():
+    """Log-spaced grid of 400 decay parameters covering the physical branch
+    range."""
+    return np.logspace(-4.0, 1.0, 400)
+
+
+def _family(ends, N, name):
+    for fam in zigzag_ends(ends, N)[1]:
+        if fam.name == name:
+            return fam
+    raise ValueError(f"family must be 'A' or 'B', got {name!r}")
+
+
+def _edge_profile(u, N, ends, family):
+    if u <= 0.0:
+        raise ValueError("decay parameter must be positive")
+    return _family(ends, N, family).envelope(u)
 
 
 def zz1_edge_profile(u, N):
     """Decaying envelope sinh((N-n+1)u)/sinh(Nu), n = 1..N."""
-    if u <= 0.0:
-        raise ValueError("decay parameter must be positive")
-    n = np.arange(1, N + 1)
-    with np.errstate(under="ignore"):
-        return np.exp(logsinh((N - n + 1) * u) - logsinh(N * u))
+    return _edge_profile(u, N, 1, "A")
 
 
 def zz2_edge_profile(u, N, family):
@@ -386,27 +366,19 @@ def zz2_edge_profile(u, N, family):
     evaluated in its stable symmetric form: the A family is the even
     combination cosh((n-(N+1)/2)u)/cosh((N-1)u/2), the B family the odd one.
     """
-    if u <= 0.0:
-        raise ValueError("decay parameter must be positive")
-    if N < 2:
-        raise ValueError("two-sided zigzag needs N >= 2")
-    m = np.arange(1, N + 1) - (N + 1) / 2.0
-    with np.errstate(under="ignore"):
-        if family == "A":
-            return np.exp(logcosh(m * u) - logcosh((N - 1) * u / 2.0))
-        if family == "B":
-            mag = np.where(m == 0.0, 0.0,
-                           np.exp(logsinh(np.abs(np.where(m == 0.0, 1.0, m)) * u)
-                                  - logsinh((N - 1) * u / 2.0)))
-            return -np.sign(m) * mag
-    raise ValueError(f"family must be 'A' or 'B', got {family!r}")
+    return _edge_profile(u, N, 2, family)
+
+
+def _edge_state(u, N, sign, ends, family, theta):
+    # (sign)^{n-1} e^{+i n theta} * envelope, the Bloch-matrix gauge
+    n = np.arange(1, N + 1)
+    return (float(sign) ** (n - 1) * np.exp(1.0j * n * theta)
+            * _edge_profile(u, N, ends, family))
 
 
 def zz1_edge_state(u, N, sign, theta=0.0):
     """One-sided zigzag edge state (sign)^{n-1} e^{+i n theta} * envelope."""
-    n = np.arange(1, N + 1)
-    return (float(sign) ** (n - 1) * np.exp(1.0j * n * theta)
-            * zz1_edge_profile(u, N))
+    return _edge_state(u, N, sign, 1, "A", theta)
 
 
 def zz2_edge_state(u, N, sign, family, theta=0.0):
@@ -414,9 +386,7 @@ def zz2_edge_state(u, N, sign, family, theta=0.0):
     theta} phase prefactor: (sign)^{n-1} e^{-i n theta} * envelope.  At
     -theta it is the state in the Bloch-matrix gauge (e^{+in theta}), the
     convention of the dense oracle's eigenvectors."""
-    n = np.arange(1, N + 1)
-    return (float(sign) ** (n - 1) * np.exp(-1.0j * n * theta)
-            * zz2_edge_profile(u, N, family))
+    return _edge_state(u, N, sign, 2, family, -theta)
 
 
 @dataclass(frozen=True)
@@ -440,108 +410,76 @@ def _edge_sign_scale(h, sign):
     return abs(h.t1 - h.t2) if sign > 0 else h.t1 + h.t2
 
 
-def _edge_solution_at(h, N, sign, family, u, famcoef, a, onesided):
-    f2 = famcoef * famcoef
+def _edge_solutions(h, N, sign, ends, family, u_grid, a):
+    h.require_positive()
+    zigzag_ends(ends, N)
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    fam = _family(ends, N, family)
+    threshold = _edge_sign_scale(h, sign) / (2.0 * h.t3)
+    if threshold >= fam.bound:
+        return []
+    if u_grid is None:
+        u_grid = default_u_grid()
     t1, t2, t3 = h.t1, h.t2, h.t3
-    disc = math.sqrt(t1 * t1 * t2 * t2 + f2 * (t1 * t1 + t2 * t2) * t3 * t3)
-    c = (t1 * t2 - sign * disc) / (f2 * t3 * t3)
-    if abs(c) > 1.0:
-        return None
-    k = math.acos(c) / a
-    zeta, theta = zeta_of_k(h, k, a)
-    tau = 2.0 * t3 * c
-    energy = tau + sign * 2.0 * abs(zeta) * math.cosh(u)
-    if onesided:
-        psi = zz1_edge_state(u, N, sign, theta)
-    else:
-        psi = zz2_edge_state(u, N, sign, family, theta)
-    return TriangleEdgeSolution(u=u, sign=sign, family=family, cos_ka=c, k=k,
-                                energy=energy, zeta_abs=abs(zeta), tau=tau,
-                                psi=psi)
+    out = []
+    for u in np.asarray(u_grid, dtype=float):
+        half = fam.half(u)  # decreasing in u
+        if half <= threshold:
+            continue
+        famcoef = 2.0 * half
+        f2 = famcoef * famcoef
+        disc = math.sqrt(t1 * t1 * t2 * t2
+                         + f2 * (t1 * t1 + t2 * t2) * t3 * t3)
+        c = (t1 * t2 - sign * disc) / (f2 * t3 * t3)
+        if abs(c) > 1.0:
+            continue
+        k = math.acos(c) / a
+        zeta, theta = zeta_of_k(h, k, a)
+        tau = 2.0 * t3 * c
+        energy = tau + sign * 2.0 * abs(zeta) * math.cosh(u)
+        u = float(u)
+        psi = zz1_edge_state(u, N, sign, theta) if ends == 1 \
+            else zz2_edge_state(u, N, sign, family, theta)
+        out.append(TriangleEdgeSolution(
+            u=u, sign=sign, family=family, cos_ka=c, k=k, energy=energy,
+            zeta_abs=abs(zeta), tau=tau, psi=psi))
+    return out
 
 
 def zz1_edge_solutions(h, N, sign, u_grid=None, a=1.0):
     """Edge-branch table of the one-sided zigzag ribbon for one energy side.
 
     Walks the admissible part of the u grid and resolves each point to its
-    momentum, energy and wavefunction.  Empty when the existence bound
-    fails (threshold >= N/(N+1)) — no localized states on that side.
+    momentum, energy and wavefunction (zz1_edge_state).  Empty when the
+    existence bound fails (threshold >= N/(N+1)) — no localized states on
+    that side.
     """
-    h.require_positive()
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    threshold = _edge_sign_scale(h, sign) / (2.0 * h.t3)
-    if threshold >= N / (N + 1.0):
-        return []
-    if u_grid is None:
-        u_grid = default_u_grid()
-    out = []
-    for u in np.asarray(u_grid, dtype=float):
-        half = _sinh_ratio(N * u, (N + 1) * u)  # famcoef/2, decreasing
-        if half <= threshold:
-            continue
-        sol = _edge_solution_at(h, N, sign, "A", float(u), 2.0 * half, a,
-                                onesided=True)
-        if sol is not None:
-            out.append(sol)
-    return out
+    return _edge_solutions(h, N, sign, 1, "A", u_grid, a)
 
 
 def zz2_edge_solutions(h, N, sign, family, u_grid=None, a=1.0):
     """Edge-branch table of the two-sided zigzag ribbon for one (sign,
-    family) pair; empty when the existence bound fails (family A: threshold
-    >= 1; family B: threshold >= (N-1)/(N+1))."""
+    family) pair, with states in zz2_edge_state's printed form; empty when
+    the existence bound fails (family A: threshold >= 1; family B:
+    threshold >= (N-1)/(N+1))."""
+    return _edge_solutions(h, N, sign, 2, family, u_grid, a)
+
+
+def _edge_existence(h, N, ends):
     h.require_positive()
-    if N < 2:
-        raise ValueError("two-sided zigzag needs N >= 2")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if family not in ("A", "B"):
-        raise ValueError(f"family must be 'A' or 'B', got {family!r}")
-    threshold = _edge_sign_scale(h, sign) / (2.0 * h.t3)
-    bound = 1.0 if family == "A" else (N - 1.0) / (N + 1.0)
-    if threshold >= bound:
-        return []
-    if u_grid is None:
-        u_grid = default_u_grid()
-    out = []
-    for u in np.asarray(u_grid, dtype=float):
-        if family == "A":
-            half = _cosh_ratio((N - 1) * u / 2.0, (N + 1) * u / 2.0)
-        else:
-            half = _sinh_ratio((N - 1) * u / 2.0, (N + 1) * u / 2.0)
-        if half <= threshold:
-            continue
-        sol = _edge_solution_at(h, N, sign, family, float(u), 2.0 * half, a,
-                                onesided=False)
-        if sol is not None:
-            out.append(sol)
-    return out
+    thresholds = {label: _edge_sign_scale(h, sign) / (2.0 * h.t3)
+                  for label, sign in (("plus", 1), ("minus", -1))}
+    return by_family(zigzag_ends(ends, N)[1], lambda fam: {
+        label: {"threshold": t, "bound": fam.bound, "exists": t < fam.bound}
+        for label, t in thresholds.items()})
 
 
 def zz1_edge_existence(h, N):
     """Existence report for the two one-sided edge branches."""
-    h.require_positive()
-    bound = N / (N + 1.0)
-    out = {}
-    for label, sign in (("plus", 1), ("minus", -1)):
-        threshold = _edge_sign_scale(h, sign) / (2.0 * h.t3)
-        out[label] = {"threshold": threshold, "bound": bound,
-                      "exists": threshold < bound}
-    return out
+    return _edge_existence(h, N, 1)
 
 
 def zz2_edge_existence(h, N):
     """Existence report for the four two-sided (family, sign) branches."""
-    h.require_positive()
-    if N < 2:
-        raise ValueError("two-sided zigzag needs N >= 2")
-    out = {}
-    for family, bound in (("A", 1.0), ("B", (N - 1.0) / (N + 1.0))):
-        fam = {}
-        for label, sign in (("plus", 1), ("minus", -1)):
-            threshold = _edge_sign_scale(h, sign) / (2.0 * h.t3)
-            fam[label] = {"threshold": threshold, "bound": bound,
-                          "exists": threshold < bound}
-        out[family] = fam
-    return out
+    return _edge_existence(h, N, 2)

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: tables, reports, and exit codes."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -399,6 +400,54 @@ def test_root_count_error_mid_scan_falls_back_to_oracle_rows(
         else:
             assert after == before
     assert sum(r[6] == "oracle" for r in patched) == 9
+
+
+def _traced_groups():
+    """The triangle_ribbon names of each per-layer time of the benchmark's
+    span tracer (perfbench/spans.py), which patches module attributes."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "spans.py")
+    spec = importlib.util.spec_from_file_location("_bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return {metric: [name.split(".", 1)[1] for name in names]
+            for metric, names in spans.TIMES.items()
+            if metric.startswith("triangle_ribbon.")}
+
+
+@pytest.mark.parametrize("model", ["triangle-zigzag1", "triangle-zigzag2"])
+def test_traced_triangle_names_are_called(monkeypatch, capsys, model):
+    # every zigzag function a per-layer time groups is called through its
+    # module attribute, and never from inside another member of its group
+    # (which would count that time twice)
+    prefix = "zz1_" if model.endswith("1") else "zz2_"
+    groups = {metric: [n for n in names
+                       if n.startswith(prefix) and hasattr(tri, n)]
+              for metric, names in _traced_groups().items()}
+    reached, active, nested = set(), [], []
+    for metric, names in groups.items():
+        for name in names:
+            def counted(*args, _fn=getattr(tri, name), _name=name,
+                        _metric=metric, **kwargs):
+                reached.add(_name)
+                if _metric in active:
+                    nested.append(_name)
+                active.append(_metric)
+                try:
+                    return _fn(*args, **kwargs)
+                finally:
+                    active.pop()
+
+            monkeypatch.setattr(tri, name, counted)
+    hop = ["--N", "6", "--t1", "0.9", "--t2", "0.1", "--t3", "1"]
+    for argv in (["bands", "--k-points", "8"], ["validate", "--k-points", "8"],
+                 ["edges"], ["wavefunction", "--u", "0.3"]):
+        assert run([argv[0], "--model", model, *hop, *argv[1:]]) == 0
+        capsys.readouterr()
+    names = {n for ns in groups.values() for n in ns}
+    assert len(names) == 4
+    assert reached == names
+    assert nested == []
 
 
 @pytest.mark.parametrize("row", [
