@@ -422,28 +422,36 @@ def _edge_solutions(h, N, sign, ends, family, u_grid, a):
     if u_grid is None:
         u_grid = default_u_grid()
     t1, t2, t3 = h.t1, h.t2, h.t3
+    s, p, d2 = t1 * t1 + t2 * t2, t1 * t2, (t1 - t2) ** 2
     out = []
     for u in np.asarray(u_grid, dtype=float):
         half = fam.half(u)  # decreasing in u
         if half <= threshold:
             continue
-        famcoef = 2.0 * half
-        f2 = famcoef * famcoef
-        disc = math.sqrt(t1 * t1 * t2 * t2
-                         + f2 * (t1 * t1 + t2 * t2) * t3 * t3)
-        c = (t1 * t2 - sign * disc) / (f2 * t3 * t3)
-        if abs(c) > 1.0:
+        # cos(ka) = c solves f2 t3^2 c^2 - 2 p c - s = 0 with f2 = (2 half)^2;
+        # on the +cosh branch c = (p - disc)/(f2 t3^2) cancels, so c and
+        # 1 + c (small near k = pi) are taken in forms that do not
+        ft = 4.0 * half * half * t3 * t3
+        disc = math.sqrt(p * p + ft * s)
+        if sign > 0:
+            c = -s / (p + disc)
+            one_plus_c = s * (ft - d2) / ((disc + s - p) * (p + disc))
+        else:
+            c = (p + disc) / ft
+            one_plus_c = 1.0 + c
+        if abs(c) > 1.0 or one_plus_c < 0.0:
             continue
-        k = math.acos(c) / a
-        zeta, theta = zeta_of_k(h, k, a)
+        k = 2.0 * math.atan2(math.sqrt(1.0 - c), math.sqrt(one_plus_c)) / a
+        zeta_abs = math.sqrt(d2 + 2.0 * p * one_plus_c)  # |t1 + t2 e^{-ika}|
+        theta = zeta_of_k(h, k, a)[1]
         tau = 2.0 * t3 * c
-        energy = tau + sign * 2.0 * abs(zeta) * math.cosh(u)
+        energy = tau + sign * 2.0 * zeta_abs * math.cosh(u)
         u = float(u)
         psi = zz1_edge_state(u, N, sign, theta) if ends == 1 \
             else zz2_edge_state(u, N, sign, family, theta)
         out.append(TriangleEdgeSolution(
             u=u, sign=sign, family=family, cos_ka=c, k=k, energy=energy,
-            zeta_abs=abs(zeta), tau=tau, psi=psi))
+            zeta_abs=zeta_abs, tau=tau, psi=psi))
     return out
 
 

@@ -584,6 +584,53 @@ def test_edges_triangle_two_sided(capsys):
     assert weak["branch"]["B"]["plus"] and weak["branch"]["B"]["minus"]
 
 
+def _branch_points(report):
+    """(k, energy) of every point of an `edges` report's branch tables."""
+    tables = report["branch"].values()
+    if report["model"] == "triangle-zigzag2":
+        tables = [t for family in tables for t in family.values()]
+    return [(p["k"], p["energy"]) for t in tables for p in t]
+
+
+def _edges_sweep(count, seed):
+    """`edges` on both triangular zigzag models at N = 2..12 with hoppings
+    in [0.1, 2]; every second command has t1 within 1% of t2."""
+    rng = random.Random(seed)
+    for i in range(count):
+        t1, t2, t3 = (rng.uniform(0.1, 2.0) for _ in range(3))
+        if i % 2:
+            t2 = t1 * (1.0 + rng.uniform(-0.01, 0.01))
+        yield ["edges", "--model", f"triangle-zigzag{1 + i % 2}", "--N",
+               str(rng.randint(2, 12)), "--t1", repr(t1), "--t2", repr(t2),
+               "--t3", repr(t3)]
+
+
+def test_edge_branch_points_lie_on_the_bloch_spectrum(capsys):
+    # every printed branch point is an eigenvalue of the Bloch matrix at the
+    # printed momentum, within validate's 1e-9 max(1, |E|): the reproducer
+    # (t1 close to t2, where cos(ka) and 1 + cos(ka) used to cancel), a
+    # t3 whose square underflows, and a seeded sweep
+    commands = [
+        ["edges", "--model", "triangle-zigzag2", "--N", "4", "--t1",
+         "1.4860", "--t2", "1.4897", "--t3", "1.8323"],
+        ["edges", "--model", "triangle-zigzag1", "--t3", "1e-300"],
+        *_edges_sweep(200, 8317)]
+    for argv in commands:
+        assert run(argv) == 0, argv
+        report = json.loads(capsys.readouterr().out)
+        h = TriangleHoppings(**report["hoppings"])
+        edge = TriangleEdge(report["model"].split("-")[1])
+        points = _branch_points(report)
+        if not points:
+            continue
+        k, energy = np.array(points).T
+        spectra = np.linalg.eigvalsh(np.array([
+            build_triangle_bloch(h, report["N"], kk, edge=edge).entries
+            for kk in k]))
+        gap = np.min(np.abs(spectra - energy[:, None]), axis=1)
+        assert np.all(gap <= 1e-9 * np.maximum(1.0, np.abs(energy))), argv
+
+
 def test_edges_rejects_models_without_branch_analytics(capsys):
     for model in ("square-lr", "triangle-linear", "square-general"):
         assert run(["edges", "--model", model]) == 2
