@@ -14,6 +14,7 @@ All functions are pure and accept scalars or arrays in the real argument.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -161,21 +162,6 @@ def logsinh(y):
     return _match_scalar(y, np.where(small, direct, tail))
 
 
-def logcosh(y):
-    """log(cosh y), valid across the whole double range."""
-    if isinstance(y, float):
-        y = abs(y)
-        if y < 350.0:
-            return float(np.log(np.cosh(y)))
-        return float(y - _LOG2 + np.log1p(np.exp(-2.0 * y)))  # also NaN
-    y_arr = np.abs(np.asarray(y, dtype=float))
-    small = y_arr < 350.0
-    direct = np.log(np.cosh(np.where(small, y_arr, 1.0)))
-    with np.errstate(over="ignore"):
-        tail = y_arr - _LOG2 + np.log1p(np.exp(-2.0 * y_arr))
-    return _match_scalar(y, np.where(small, direct, tail))
-
-
 def _sinh_ratio(num_arg, den_arg):
     """sinh(num_arg)/sinh(den_arg) for positive arguments, overflow-safe."""
     return math.exp(logsinh(num_arg) - logsinh(den_arg))
@@ -200,6 +186,8 @@ class EdgeFamily(NamedTuple):
     envelope: object
 
 
+# a scan asks for the same ribbon at every momentum
+@functools.lru_cache(maxsize=64)
 def zigzag_ends(ends, N):
     """(coefficients, families) of the zigzag ribbon of width N with `ends`
     truncated end rows, 1 or 2: the secular equation in r = tau/|zeta| is
@@ -218,8 +206,7 @@ def zigzag_ends(ends, N):
             N / (N + 1.0), envelope),)
     if N < 2:
         raise ValueError("two-sided zigzag needs N >= 2")
-    # [sinh((N-n)u) +- sinh((n-1)u)]/sinh((N-1)u) in their stable symmetric
-    # forms: cosh(mu)/cosh((N-1)u/2) and -sign(m) sinh(|m|u)/sinh((N-1)u/2)
+    # the envelopes in their stable symmetric forms (see zz2_edge_profile)
     m = n - (N + 1) / 2.0
 
     def even(u):
@@ -247,6 +234,21 @@ def by_family(families, value):
     """value(family) keyed by family name; one family's value alone."""
     out = {fam.name: value(fam) for fam in families}
     return out if len(out) > 1 else out[families[0].name]
+
+
+def logcosh(y):
+    """log(cosh y), valid across the whole double range."""
+    if isinstance(y, float):
+        y = abs(y)
+        if y < 350.0:
+            return float(np.log(np.cosh(y)))
+        return float(y - _LOG2 + np.log1p(np.exp(-2.0 * y)))  # also NaN
+    y_arr = np.abs(np.asarray(y, dtype=float))
+    small = y_arr < 350.0
+    direct = np.log(np.cosh(np.where(small, y_arr, 1.0)))
+    with np.errstate(over="ignore"):
+        tail = y_arr - _LOG2 + np.log1p(np.exp(-2.0 * y_arr))
+    return _match_scalar(y, np.where(small, direct, tail))
 
 
 def u_zeros(n):

@@ -143,24 +143,19 @@ def _write_json(config, payload):
     _emit(config.output_path, json.dumps(payload, indent=2) + "\n")
 
 
-def _zz(ends, name):
-    """triangle_ribbon's zz{ends}_{name}, looked up at each call and never
-    kept, so that a replaced module attribute is the one called."""
-    return getattr(tri, f"zz{ends}_{name}")
-
-
-def _edge_solutions(ends, h, N, sign, family, **kwargs):
-    """The edge-branch table of (sign, family); one-sided: of sign."""
+def _zz(ends, name, *args, **kwargs):
+    """triangle_ribbon's zz{ends}_{name}(*args, **kwargs), without `family`
+    on the one-sided ribbon.  The name is looked up at each call, so that a
+    replaced module attribute is the one called."""
     if ends == 1:
-        return tri.zz1_edge_solutions(h, N, sign, **kwargs)
-    return tri.zz2_edge_solutions(h, N, sign, family, **kwargs)
+        kwargs.pop("family", None)
+    return getattr(tri, f"zz{ends}_{name}")(*args, **kwargs)
 
 
 def _bloch_edge_state(ends, u, N, sign, family, theta):
     """An edge state in the Bloch-matrix gauge (zz2_edge_state at -theta)."""
-    if ends == 1:
-        return tri.zz1_edge_state(u, N, sign, theta)
-    return tri.zz2_edge_state(u, N, sign, family, -theta)
+    return _zz(ends, "edge_state", u, N, sign, family=family,
+               theta=theta if ends == 1 else -theta)
 
 
 # ----------------------------------------------------------- band builders --
@@ -419,14 +414,13 @@ def _triangle_walk(kind, h, N, a, momenta, roots, reduce, residuals=None):
     residual: the bulk ones read from those tables, the edge ones from one
     recurrence run of their own."""
     ends = _ZIGZAG_ENDS[kind]
-    state = _zz(ends, "state")
     bulk, edge = np.flatnonzero(~roots.edge), np.flatnonzero(roots.edge)
     values = []
     bulk_residuals = None if residuals is None else []
     for table in _blocks(bulk, N + 2, _TABLE_BLOCK):
-        values.extend(state(roots.energy[table], h, N, momenta[table], a=a,
-                            reduce=reduce, block=_STATE_BLOCK,
-                            residuals=bulk_residuals))
+        values.extend(_zz(ends, "state", roots.energy[table], h, N,
+                          momenta[table], a=a, reduce=reduce,
+                          block=_STATE_BLOCK, residuals=bulk_residuals))
     # deep edge roots need the closed-form envelopes: the polynomial
     # recurrence cancels catastrophically there
     for energy, u, sign, family, theta in zip(*(
@@ -439,8 +433,8 @@ def _triangle_walk(kind, h, N, a, momenta, roots, reduce, residuals=None):
         scaled = np.empty(len(roots.energy))
         scaled[bulk] = bulk_residuals
         if len(edge):
-            scaled[edge] = _zz(ends, "secular_residual")(
-                roots.energy[edge], h, N, momenta[edge], a=a, scaled=True)
+            scaled[edge] = _zz(ends, "secular_residual", roots.energy[edge],
+                               h, N, momenta[edge], a=a, scaled=True)
         residuals.extend(scaled.tolist())
     order = np.argsort(np.concatenate([bulk, edge])).tolist()
     return [values[i] for i in order]
@@ -449,8 +443,8 @@ def _triangle_walk(kind, h, N, a, momenta, roots, reduce, residuals=None):
 def _triangle_zigzag_scan(config):
     h, N, a = config.hoppings, config.model.N, config.model.a
     kind = config.kind
-    solve = _zz(_ZIGZAG_ENDS[kind], "roots")
-    grid, solved = _solve_grid(config, lambda k: solve(h, N, k, a=a))
+    grid, solved = _solve_grid(
+        config, lambda k: _zz(_ZIGZAG_ENDS[kind], "roots", h, N, k, a=a))
     if not solved:
         return _unsolved(grid)
     momenta, roots = _scan_roots(list(zip(_solved_momenta(grid), solved)))
@@ -537,15 +531,15 @@ def cmd_edges(config):
         def branches(fam):
             return {label: [{"u": s.u, "cos_ka": s.cos_ka, "k": s.k,
                              "energy": s.energy}
-                            for s in _edge_solutions(ends, h, N, sign,
-                                                     fam.name)]
+                            for s in _zz(ends, "edge_solutions", h, N, sign,
+                                         family=fam.name)]
                     for label, sign in (("plus", 1), ("minus", -1))}
 
         payload = {
             "model": kind.value,
             "N": N,
             "hoppings": {"t1": h.t1, "t2": h.t2, "t3": h.t3},
-            "existence": _zz(ends, "edge_existence")(h, N),
+            "existence": _zz(ends, "edge_existence", h, N),
             "critical": {f"{fam.label}_bound": fam.bound
                          for fam in families},
             "branch": by_family(families, branches),
@@ -655,8 +649,8 @@ def _validate_branch_tables(tol, violations):
     for sign in (1, -1):
         for kind, ends in _ZIGZAG_ENDS.items():
             for fam in zigzag_ends(ends, N)[1]:
-                for sol in _edge_solutions(ends, h, N, sign, fam.name,
-                                           u_grid=grid):
+                for sol in _zz(ends, "edge_solutions", h, N, sign,
+                               family=fam.name, u_grid=grid):
                     bloch = build_triangle_bloch(h, N, sol.k,
                                                  edge=_TRIANGLE_EDGE[kind])
                     zeta, theta = tri.zeta_of_k(h, sol.k)
@@ -783,8 +777,8 @@ def cmd_wavefunction(config, args):
         rows = _wave_rows_square(state.astype(complex), N, "analytic")
     elif kind in _ZIGZAG_ENDS and given_u:
         _require_positive(h)
-        sols = _edge_solutions(_ZIGZAG_ENDS[kind], h, N, sign, family,
-                               u_grid=[args.u], a=a)
+        sols = _zz(_ZIGZAG_ENDS[kind], "edge_solutions", h, N, sign,
+                   family=family, u_grid=[args.u], a=a)
         if not sols:
             raise ConfigError(
                 f"u={args.u} is not on an admissible edge branch for these "

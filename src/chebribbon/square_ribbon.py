@@ -92,10 +92,9 @@ def zigzag_edge_u_from_xi(xi_abs, N):
     if xi_abs <= 0.0:
         raise ValueError("xi_abs must be positive")
     family = _edge_family(N)
-    xi_cr = family.bound
-    if xi_abs >= xi_cr:
-        raise NoEdgeStateError(
-            f"|xi| = {xi_abs} >= N/(N+1) = {xi_cr}: no localized branch")
+    if xi_abs >= family.bound:
+        raise NoEdgeStateError(f"|xi| = {xi_abs} >= N/(N+1) = "
+                               f"{family.bound}: no localized branch")
     # equivalent increasing problem: sinh((N+1)u)/sinh(Nu) = 1/|xi|
     return invert_monotone_ratio(family.ratio, 1.0 / xi_abs)
 

@@ -304,8 +304,6 @@ def _edge_u(ratio, target):
 
 
 def _roots(h, N, k, a, ends):
-    # the bulk scan's angles, then at most one edge root per family: above
-    # the band for tau < 0, below it for tau > 0
     coefficients, families = zigzag_ends(ends, N)
     za, r, tau, theta = _reduced(h, N, k, a)
     phis, b0, bpi = _scan_bulk(N, coefficients(r))
@@ -338,8 +336,7 @@ def zz2_roots(h, N, k, a=1.0):
 # ----------------------------------------------------------- edge branches --
 
 def default_u_grid():
-    """Log-spaced grid of 400 decay parameters covering the physical branch
-    range."""
+    """Log-spaced grid of 400 decay parameters over the branch range."""
     return np.logspace(-4.0, 1.0, 400)
 
 
@@ -412,7 +409,7 @@ def _edge_sign_scale(h, sign):
 
 def _edge_solutions(h, N, sign, ends, family, u_grid, a):
     h.require_positive()
-    zigzag_ends(ends, N)
+    zigzag_ends(ends, N)  # the N >= 2 check comes before the sign's
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     fam = _family(ends, N, family)
@@ -459,9 +456,8 @@ def zz1_edge_solutions(h, N, sign, u_grid=None, a=1.0):
     """Edge-branch table of the one-sided zigzag ribbon for one energy side.
 
     Walks the admissible part of the u grid and resolves each point to its
-    momentum, energy and wavefunction (zz1_edge_state).  Empty when the
-    existence bound fails (threshold >= N/(N+1)) — no localized states on
-    that side.
+    momentum, energy and wavefunction.  Empty when the existence bound
+    fails (threshold >= N/(N+1)) — no localized states on that side.
     """
     return _edge_solutions(h, N, sign, 1, "A", u_grid, a)
 
