@@ -84,11 +84,14 @@ class ScanConfig:
         return self.model.kind
 
     def k_grid(self):
-        """Midpoint half-open grid spanning exactly one Brillouin zone."""
+        """Midpoint half-open grid spanning exactly one Brillouin zone.
+
+        Each midpoint is its exact half-integer offset from the zone centre
+        times one spacing, so k[m-1-i] == -k[i] bit for bit and an odd grid
+        holds k = 0.0; no point loses digits to a cancellation near k = 0."""
         half = self.model.bz_halfwidth
         m = self.k_points
-        return np.array([-half + (i + 0.5) * (2.0 * half / m)
-                         for i in range(m)])
+        return (np.arange(m) + 0.5 - m / 2) * (2.0 * half / m)
 
 
 def _fmt(value):

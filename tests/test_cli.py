@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -53,6 +54,23 @@ def test_bands_csv_shape(capsys):
             assert r[6] == "analytic"
     assert any(r[3] == "edge-both" for r in rows)
     assert any(r[3] == "bulk" for r in rows)
+
+
+@pytest.mark.parametrize("kind", [ModelKind.SQUARE_ZIGZAG,
+                                  ModelKind.TRIANGLE_ZIGZAG1])
+def test_k_grid_is_antisymmetric_and_on_the_midpoints(kind):
+    model = RibbonModel(kind, 5)
+    half = Fraction(model.bz_halfwidth)
+    for m in range(1, 301):
+        k = ScanConfig(model=model, hoppings=None, k_points=m).k_grid()
+        assert len(k) == m and (k[::-1] == -k).all()
+        for i, value in enumerate(k.tolist()):
+            exact = half * Fraction(2 * i + 1 - m, m)
+            if exact == 0:
+                assert value == 0.0 and math.copysign(1.0, value) == 1.0
+            else:
+                assert abs(Fraction(value) - exact) \
+                    <= Fraction(2.5e-16) * abs(exact), (m, i)
 
 
 def test_bands_deterministic(capsys):
@@ -247,8 +265,8 @@ def _transition_commands(count, seed):
     while len(out) < count:
         zz1 = rng.random() < 0.5
         N, m = rng.randint(2, 14), rng.randint(1, 9)
-        # the momentum of grid index i, as ScanConfig.k_grid() computes it
-        k = -math.pi + (rng.randrange(m) + 0.5) * (2.0 * math.pi / m)
+        k = ScanConfig(model=RibbonModel(ModelKind.TRIANGLE_ZIGZAG1, N),
+                       hoppings=None, k_points=m).k_grid()[rng.randrange(m)]
         if abs(math.cos(k)) < 1e-3:
             continue
         t1, t2 = rng.uniform(0.05, 3.0), rng.uniform(0.05, 3.0)
