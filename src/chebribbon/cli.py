@@ -226,7 +226,9 @@ class _Scan(NamedTuple):
     grid: (k, rows) per momentum, in grid order.  rows is the slice of the
         scan's rows (config.model.dim of them) that the closed form gives
         at k, or else the DegenerateParameterError or RootCountError (None
-        on a model without a closed form) that sends k to the oracle.
+        on a model without a closed form) that sends k to the oracle.  The
+        rows of -k are those of k with the conjugate states (see
+        _solve_grid).
     energy, label: one entry per row, ascending in energy at each momentum;
         label values of StateLabel.
     near: True where a row lies within 0.1 of a band edge in the reduced
@@ -247,19 +249,33 @@ class _Scan(NamedTuple):
     reduce: object
 
 
-def _solve_grid(config, solve):
-    """Pass 1 of a scan: solve(k) at each momentum of config's grid.
+def _solve_grid(config, solve, mirror):
+    """Pass 1 of a scan: solve(k) at each momentum of config's grid, but
+    mirror(solution of -k) at a momentum whose partner -k came earlier in
+    the grid.  The hoppings are real, so H(-k) = H(k)*: the partner has the
+    same energies, labels and decays, and the conjugate states.
     Returns the scan's grid (see _Scan) and the solutions of the solved
-    momenta, in order; a momentum where the closed form degenerates or
-    misses a root keeps its error instead."""
+    momenta, in grid order; a momentum where the closed form degenerates or
+    misses a root keeps its error instead, which its partner shares under
+    its own k."""
     dim = config.model.dim
+    first = {}  # the result of each momentum solved
     grid, solved = [], []
     for k in config.k_grid():
-        try:
-            solved.append(solve(k))
-        except (DegenerateParameterError, RootCountError) as exc:
-            grid.append((k, exc))
+        if -k in first:
+            result = first[-k]
+            result = (type(result)(str(result).replace(f"{-k}", f"{k}"))
+                      if isinstance(result, Exception) else mirror(result))
         else:
+            try:
+                result = solve(k)
+            except (DegenerateParameterError, RootCountError) as exc:
+                result = exc
+            first[k] = result
+        if isinstance(result, Exception):
+            grid.append((k, result))
+        else:
+            solved.append(result)
             grid.append((k, slice((len(solved) - 1) * dim,
                                   len(solved) * dim)))
     return grid, solved
@@ -317,7 +333,8 @@ def _square_zigzag_spectrum(h, N, k, a):
 def _square_zigzag_scan(config):
     h, N, a = config.hoppings, config.model.N, config.model.a
     grid, solved = _solve_grid(
-        config, lambda k: _square_zigzag_spectrum(h, N, k, a))
+        config, lambda k: _square_zigzag_spectrum(h, N, k, a),
+        lambda s: (s[0], s[1].conjugate(), s[2]))
     if not solved:
         return _unsolved(grid)
     omega = np.concatenate([signed for signed, _, _ in solved])
@@ -350,7 +367,9 @@ def _lr_bands(h, N, k, a):
 
 def _square_lr_scan(config):
     h, N, a = config.hoppings, config.model.N, config.model.a
-    grid, solved = _solve_grid(config, lambda k: _lr_bands(h, N, k, a))
+    # the states are built from each momentum's own k
+    grid, solved = _solve_grid(config, lambda k: _lr_bands(h, N, k, a),
+                               lambda entries: entries)
     ks = _solved_momenta(grid)
     energy, j, sign = (np.array(column) for column in zip(
         *(entry for entries in solved for entry in entries)))
@@ -385,7 +404,8 @@ def _triangle_linear_scan(config):
         order = np.argsort(energies)
         return energies[order], order, tri.tau_of_k(h, k, a), zeta_abs
 
-    grid, solved = _solve_grid(config, solve)
+    # the states are built from each momentum's own k
+    grid, solved = _solve_grid(config, solve, lambda s: s)
     if not solved:
         return _unsolved(grid)
     ks = _solved_momenta(grid)
@@ -447,7 +467,8 @@ def _triangle_zigzag_scan(config):
     h, N, a = config.hoppings, config.model.N, config.model.a
     kind = config.kind
     grid, solved = _solve_grid(
-        config, lambda k: _zz(_ZIGZAG_ENDS[kind], "roots", h, N, k, a=a))
+        config, lambda k: _zz(_ZIGZAG_ENDS[kind], "roots", h, N, k, a=a),
+        lambda roots: roots._replace(theta=-roots.theta))
     if not solved:
         return _unsolved(grid)
     momenta, roots = _scan_roots(list(zip(_solved_momenta(grid), solved)))
@@ -471,15 +492,40 @@ _SCANS = {
 }
 
 
+def _pair_iprs(scan):
+    """The IPR of each closed-form row of `scan`: reduced over the first
+    momentum of each +-k pair in grid order, in runs of consecutive rows,
+    and copied to its partner, whose conjugate states have the same |psi|
+    bit for bit."""
+    first, runs, copies = {}, [], []
+    for k, rows in scan.grid:
+        if not isinstance(rows, slice):
+            continue
+        if -k in first:
+            copies.append((rows, first[-k]))
+            continue
+        first[k] = rows
+        if runs and runs[-1].stop == rows.start:
+            runs[-1] = slice(runs[-1].start, rows.stop)
+        else:
+            runs.append(rows)
+    part = np.empty(len(scan.energy))
+    for rows in runs:
+        part[rows] = scan.reduce(_iprs, rows)
+    for rows, source in copies:
+        part[rows] = part[source]
+    return part.tolist()
+
+
 def _band_rows(config, scan):
     """Columns of a whole scan: the closed-form rows of `scan`, with their
-    IPRs reduced over the whole scan, and each unsolved momentum's oracle
-    rows in its place."""
+    IPRs reduced over one momentum of each pair, and each unsolved
+    momentum's oracle rows in its place."""
     ks, dim = _solved_momenta(scan.grid), config.model.dim
     rows = (np.repeat(ks, dim).tolist(),
             np.tile(np.arange(1, dim + 1), len(ks)).tolist(),
             scan.energy.tolist(), scan.label.tolist(), scan.u,
-            scan.reduce(_iprs, slice(None)), ["analytic"] * len(scan.energy))
+            _pair_iprs(scan), ["analytic"] * len(scan.energy))
     if len(ks) == len(scan.grid):
         return rows
     return _join([[column[r] for column in rows] if isinstance(r, slice)

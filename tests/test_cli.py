@@ -322,6 +322,39 @@ def test_bands_and_validate_read_one_scan(monkeypatch, capsys, kind):
     assert len(grids) == 2 and grids[0] == grids[1]
 
 
+_HALF_GRID_HOPPINGS = {
+    ModelKind.SQUARE_ZIGZAG: ["--tu", "1", "--td", "0.6", "--tr", "1"],
+    ModelKind.SQUARE_LR: ["--tu", "0.9", "--td", "0.4", "--tr", "0.7"],
+    ModelKind.TRIANGLE_LINEAR: ["--t1", "1.2", "--t2", "0.7", "--t3", "0.9"],
+    ModelKind.TRIANGLE_ZIGZAG1: ["--t1", "0.9", "--t2", "0.1", "--t3", "1"],
+    ModelKind.TRIANGLE_ZIGZAG2: ["--t1", "0.9", "--t2", "0.1", "--t3", "1"],
+}
+
+
+@pytest.mark.parametrize("m", [7, 8])
+@pytest.mark.parametrize("kind", list(_HALF_GRID_HOPPINGS))
+def test_each_half_of_the_grid_gives_the_rows_of_the_full_scan(
+        monkeypatch, capsys, kind, m):
+    # a half grid holds no +-k pair, so each of its momenta is solved
+    # alone; the full scan solves one momentum of each pair and mirrors it
+    argv = ["bands", "--model", kind.value, "--N", "6",
+            *_HALF_GRID_HOPPINGS[kind], "--k-points", str(m)]
+    assert run(argv) == 0
+    full = capsys.readouterr().out.splitlines()
+    assert sum(line.endswith(",analytic") for line in full) == len(full) - 1
+    assert any(",edge-" in line for line in full) \
+        == kind.value.endswith(("zigzag", "zigzag1", "zigzag2"))
+    dim = RibbonModel(kind, 6).dim
+    k_grid = ScanConfig.k_grid
+    for half in (slice(0, (m + 1) // 2), slice((m + 1) // 2, m)):
+        monkeypatch.setattr(ScanConfig, "k_grid",
+                            lambda self, _half=half: k_grid(self)[_half])
+        assert run(argv) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[0] == full[0]
+        assert rows[1:] == full[1 + half.start * dim:1 + half.stop * dim]
+
+
 def test_validate_checks_the_whole_zone_at_any_lattice_constant(
         monkeypatch, capsys):
     # k*a of every Bloch matrix validate builds: the lattice constant only
@@ -396,28 +429,39 @@ def test_validate_exempts_labels_near_band_edges(capsys):
 
 def test_root_count_error_mid_scan_falls_back_to_oracle_rows(
         monkeypatch, capsys):
+    # the error is shared by the momentum and its mirror -k, each naming
+    # its own k; every other row stays as it was
     argv = ["bands", "--model", "triangle-zigzag2", "--N", "9", "--t1", "0.9",
             "--t2", "0.1", "--t3", "1.0", "--k-points", "16"]
     plain = _bands(capsys, argv)
     grid = [float(r[0]) for r in plain[::9]]
+    assert grid[8] == -grid[7]
     original = tri.zz2_roots
 
     def failing(h, N, k, a=1.0):
         if float(k) == grid[7]:
-            raise RootCountError("forced")
+            raise RootCountError(f"forced at k = {k}")
         return original(h, N, k, a=a)
 
     monkeypatch.setattr(tri, "zz2_roots", failing)
     patched = _bands(capsys, argv)
     assert len(patched) == len(plain)
     for before, after in zip(plain, patched):
-        if float(after[0]) == grid[7]:
+        if float(after[0]) in (grid[7], grid[8]):
             assert after[6] == "oracle"
             assert float(after[2]) == pytest.approx(float(before[2]),
                                                     abs=1e-9)
         else:
             assert after == before
-    assert sum(r[6] == "oracle" for r in patched) == 9
+    assert sum(r[6] == "oracle" for r in patched) == 18
+    scan = cli._SCANS[ModelKind.TRIANGLE_ZIGZAG2](ScanConfig(
+        model=RibbonModel(ModelKind.TRIANGLE_ZIGZAG2, 9),
+        hoppings=TriangleHoppings(0.9, 0.1, 1.0), k_points=16))
+    errors = [(k, rows) for k, rows in scan.grid
+              if isinstance(rows, RootCountError)]
+    assert [k for k, _ in errors] == grid[7:9]
+    assert [str(exc) for _, exc in errors] == [f"forced at k = {k}"
+                                               for k, _ in errors]
 
 
 def _traced_groups():

@@ -1,5 +1,6 @@
-"""Property test of `bands`: any model, hoppings and width either exits 2
-with one line, or gives finite rows that match the dense oracle."""
+"""Property tests of `bands`: any model, hoppings and width either exits 2
+with one line, or gives finite rows that match the dense oracle, with the
+closed-form rows of k and -k equal."""
 
 import contextlib
 import io
@@ -86,3 +87,11 @@ def test_bands_exits_2_or_matches_the_oracle(command):
         expected = _oracle(model, flags, N, k)
         assert np.all(np.abs(energies - expected)
                       <= 1e-9 * np.maximum(1.0, np.abs(expected)))
+    # the grid is antisymmetric, and the closed form gives -k the energies,
+    # classes, decays and IPRs of k bit for bit
+    groups = [rows[start:start + dim] for start in range(0, len(rows), dim)]
+    for group, mirror in zip(groups, groups[::-1]):
+        assert float(group[0][0]) == -float(mirror[0][0])
+        assert [r[6] for r in group] == [r[6] for r in mirror]
+        if group[0][6] == "analytic":
+            assert [r[2:6] for r in group] == [r[2:6] for r in mirror]
