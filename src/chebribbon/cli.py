@@ -37,6 +37,7 @@ __all__ = ["ScanConfig", "run", "main"]
 
 BAND_COLUMNS = ("k", "band", "energy", "class", "u", "ipr", "source")
 WAVE_COLUMNS = ("n", "sublattice", "abs", "re", "im", "source")
+_FLOAT_COLUMNS = {"k", "energy", "u", "ipr", "abs", "re", "im"}
 
 # Float64 elements per Chebyshev table.  A table's columns are the
 # closed-form bulk states of consecutive momenta of a scan, so one recurrence
@@ -104,6 +105,16 @@ def _fmt(value):
     return format(float(value), ".17g")
 
 
+def _require_finite(names, columns):
+    """ConfigError unless every number of the float columns is finite: an
+    inf or nan there comes from hoppings past the range of floats."""
+    for name, column in zip(names, columns):
+        if name in _FLOAT_COLUMNS and not np.isfinite(
+                [v for v in column if v is not None]).all():
+            raise ConfigError(f"the {name} column overflows to inf or nan; "
+                              "the hoppings are out of range")
+
+
 def _write_table(config, names, columns):
     """Emit a table given as one sequence per column."""
     if config.output_format == "csv":
@@ -143,7 +154,12 @@ def _emit(path, text):
 
 
 def _write_json(config, payload):
-    _emit(config.output_path, json.dumps(payload, indent=2) + "\n")
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError:  # inf or nan, which JSON cannot hold
+        raise ConfigError("the report overflows to inf or nan; the hoppings "
+                          "are out of range")
+    _emit(config.output_path, text + "\n")
 
 
 def _zz(ends, name, *args, **kwargs):
@@ -537,7 +553,9 @@ def cmd_bands(config):
     the whole scan, pass 3 builds each column of the scan's rows and emits
     them in (k, band) order."""
     scan = _SCANS.get(config.kind, _oracle_scan)(config)
-    _write_table(config, BAND_COLUMNS, _band_rows(config, scan))
+    rows = _band_rows(config, scan)
+    _require_finite(BAND_COLUMNS, rows)
+    _write_table(config, BAND_COLUMNS, rows)
     return 0
 
 
@@ -623,15 +641,20 @@ def _check_momentum(name, k, energies, spec, analytic, near, tol,
     with the numeric classes.  A label agrees when it is equal, when both
     are edges, when it is a transition, or `near` a band edge, where the
     numeric boundary fit is unreliable; with `near` None every state is
-    bulk and every label agrees."""
+    bulk and every label agrees.  The count is None when the states are
+    too short for the numeric classifier (fewer than 4 sites): there is no
+    numeric label to compare with."""
     d = np.abs(energies - spec.energies)
     scale = np.abs(energies)
     for i in np.flatnonzero(d > tol * np.where(scale > 1.0, scale, 1.0)):
         violations.append((name, float(k), int(i) + 1, "energy", d[i]))
     if near is None:
         return d.tolist(), len(d)
-    numeric = np.array([sc.label.value
-                        for sc in classify_numeric(spec.vectors)])
+    try:
+        classes = classify_numeric(spec.vectors)
+    except ValueError:  # too few sites for the boundary fits
+        return d.tolist(), None
+    numeric = np.array([sc.label.value for sc in classes])
     edge = np.isin(analytic, _EDGE_LABELS) & np.isin(numeric, _EDGE_LABELS)
     agree = ((analytic == numeric) | edge
              | (analytic == StateLabel.TRANSITION.value) | near)
@@ -660,12 +683,13 @@ def _validate_scan(config, violations):
             config.tolerance, violations)
         dev = max([dev] + d)
         deficit = max([deficit] + [1.0 - o for o in overlap])
-        agree += agreed
-        total += len(d)
+        if agreed is not None:
+            agree += agreed
+            total += len(d)
         if scaled:
             residuals.append(max(abs(v) for v in scaled))
     out = {"max_energy_dev": dev, "max_overlap_deficit": deficit,
-           "agreement": agree / total}
+           "agreement": agree / total if total else None}
     if residuals:
         out["max_secular_residual"] = max(residuals)
     return out
@@ -861,7 +885,9 @@ def cmd_wavefunction(config, args):
         raise ConfigError(
             "wavefunction needs --u (edge branch), --band [--k], or "
             "--j (zero mode, square-general)")
-    _write_table(config, WAVE_COLUMNS, list(zip(*rows)))
+    columns = list(zip(*rows))
+    _require_finite(WAVE_COLUMNS, columns)
+    _write_table(config, WAVE_COLUMNS, columns)
     return 0
 
 
@@ -1038,6 +1064,26 @@ def _resolve_config(args):
     )
 
 
+def _command(args):
+    _merge_config_file(args)
+    if args.command == "validate" and args.model is None:
+        args.model = ModelKind.SQUARE_ZIGZAG.value
+        config = _resolve_config(args)
+        return cmd_validate(config, single_model=False)
+    config = _resolve_config(args)
+    if args.command == "bands":
+        return cmd_bands(config)
+    if args.command == "edges":
+        return cmd_edges(config)
+    if args.command == "validate":
+        return cmd_validate(config, single_model=True)
+    if args.command == "wavefunction":
+        return cmd_wavefunction(config, args)
+    if args.command == "zeromodes":
+        return cmd_zeromodes(config, args)
+    raise ConfigError(f"unknown command {args.command!r}")
+
+
 # built on the first run() rather than at import, which stays as fast
 _PARSER = None
 
@@ -1051,23 +1097,11 @@ def run(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _merge_config_file(args)
-        if args.command == "validate" and args.model is None:
-            args.model = ModelKind.SQUARE_ZIGZAG.value
-            config = _resolve_config(args)
-            return cmd_validate(config, single_model=False)
-        config = _resolve_config(args)
-        if args.command == "bands":
-            return cmd_bands(config)
-        if args.command == "edges":
-            return cmd_edges(config)
-        if args.command == "validate":
-            return cmd_validate(config, single_model=True)
-        if args.command == "wavefunction":
-            return cmd_wavefunction(config, args)
-        if args.command == "zeromodes":
-            return cmd_zeromodes(config, args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        # an overflow that reaches the output exits 2 with one line
+        # (_require_finite, _write_json); numpy's floating-point warnings
+        # on the way there would add lines to it
+        with np.errstate(all="ignore"):
+            return _command(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,6 +17,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -153,14 +154,28 @@ def zigzag_bulk_components(v, xi_abs, N):
 
 @dataclass(frozen=True)
 class EdgeBranchPoint:
-    """One point of the u-parameterized edge branch (units of tr)."""
+    """One point of the u-parameterized edge branch (units of tr) of a
+    ribbon N chains wide.  The decaying envelopes sinh((N-n+1)u)/sinh(Nu)
+    from chain 1 (psi_circ) and its mirror image toward chain N
+    (psi_bullet), and the closed-form normalization constant, are formed
+    when first read."""
 
     u: float
     xi_abs: float
     omega: float
-    psi_circ: np.ndarray
-    psi_bullet: np.ndarray
-    norm_const: float
+    N: int
+
+    @cached_property
+    def psi_circ(self):
+        return _edge_family(self.N).envelope(self.u)
+
+    @cached_property
+    def psi_bullet(self):
+        return self.psi_circ[::-1]
+
+    @cached_property
+    def norm_const(self):
+        return 1.0 / math.sqrt(_edge_norm_square(self.u, self.N))
 
 
 def _edge_norm_square(u, N):
@@ -190,15 +205,8 @@ def zigzag_edge_branch(u, N):
     decaying profiles, and the closed-form normalization constant."""
     if u <= 0.0:
         raise ValueError("decay parameter must be positive")
-    xi_abs = _edge_family(N).half(u)
-    omega = _edge_omega(u, N)
-    # decaying envelopes sinh((N-n+1)u)/sinh(Nu) from chain 1 (circ) and
-    # its mirror image toward chain N (bullet)
-    psi_circ = _edge_family(N).envelope(u)
-    norm_const = 1.0 / math.sqrt(_edge_norm_square(u, N))
-    return EdgeBranchPoint(u=u, xi_abs=xi_abs, omega=omega,
-                           psi_circ=psi_circ, psi_bullet=psi_circ[::-1],
-                           norm_const=norm_const)
+    return EdgeBranchPoint(u=u, xi_abs=_edge_family(N).half(u),
+                           omega=_edge_omega(u, N), N=N)
 
 
 def sublattice_link(omega, u_n_value, theta_total=0.0):

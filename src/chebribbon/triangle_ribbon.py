@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -388,7 +389,10 @@ def zz2_edge_state(u, N, sign, family, theta=0.0):
 
 @dataclass(frozen=True)
 class TriangleEdgeSolution:
-    """One u-point of an edge branch, resolved to a momentum."""
+    """One u-point of an edge branch, resolved to a momentum, on a ribbon N
+    chains wide with `ends` truncated end rows.  Its edge state `psi`, in
+    the ribbon's printed form (zz1_edge_state or zz2_edge_state at theta =
+    arg zeta), is formed when first read."""
 
     u: float
     sign: int
@@ -398,7 +402,16 @@ class TriangleEdgeSolution:
     energy: float
     zeta_abs: float
     tau: float
-    psi: np.ndarray
+    N: int
+    ends: int
+    theta: float
+
+    @cached_property
+    def psi(self):
+        if self.ends == 1:
+            return zz1_edge_state(self.u, self.N, self.sign, self.theta)
+        return zz2_edge_state(self.u, self.N, self.sign, self.family,
+                              self.theta)
 
 
 def _edge_sign_scale(h, sign):
@@ -440,15 +453,12 @@ def _edge_solutions(h, N, sign, ends, family, u_grid, a):
             continue
         k = 2.0 * math.atan2(math.sqrt(1.0 - c), math.sqrt(one_plus_c)) / a
         zeta_abs = math.sqrt(d2 + 2.0 * p * one_plus_c)  # |t1 + t2 e^{-ika}|
-        theta = zeta_of_k(h, k, a)[1]
         tau = 2.0 * t3 * c
         energy = tau + sign * 2.0 * zeta_abs * math.cosh(u)
-        u = float(u)
-        psi = zz1_edge_state(u, N, sign, theta) if ends == 1 \
-            else zz2_edge_state(u, N, sign, family, theta)
         out.append(TriangleEdgeSolution(
-            u=u, sign=sign, family=family, cos_ka=c, k=k, energy=energy,
-            zeta_abs=zeta_abs, tau=tau, psi=psi))
+            u=float(u), sign=sign, family=family, cos_ka=c, k=k,
+            energy=energy, zeta_abs=zeta_abs, tau=tau, N=N, ends=ends,
+            theta=zeta_of_k(h, k, a)[1]))
     return out
 
 
@@ -456,7 +466,7 @@ def zz1_edge_solutions(h, N, sign, u_grid=None, a=1.0):
     """Edge-branch table of the one-sided zigzag ribbon for one energy side.
 
     Walks the admissible part of the u grid and resolves each point to its
-    momentum, energy and wavefunction.  Empty when the existence bound
+    momentum and energy; each point's wavefunction is formed when read.  Empty when the existence bound
     fails (threshold >= N/(N+1)) — no localized states on that side.
     """
     return _edge_solutions(h, N, sign, 1, "A", u_grid, a)

@@ -693,6 +693,27 @@ def test_edge_branch_points_lie_on_the_bloch_spectrum(capsys):
         assert np.all(gap <= 1e-9 * np.maximum(1.0, np.abs(energy))), argv
 
 
+def test_edges_forms_no_state(monkeypatch, capsys):
+    # edges prints u, k, energy (triangular) or u, |xi|, omega (square); the
+    # states of its branch points are formed only where they are read
+    states = [_counting(monkeypatch, tri, name)
+              for name in ("zz1_edge_state", "zz2_edge_state")]
+    norms = _counting(monkeypatch, sq, "_edge_norm_square")
+    for model, hop in (("triangle-zigzag1", ["--t1", "0.9", "--t2", "0.1"]),
+                       ("triangle-zigzag2", ["--t1", "0.9", "--t2", "0.1"]),
+                       ("square-zigzag", ["--tu", "1", "--td", "0.6"])):
+        assert run(["edges", "--model", model, "--N", "6", *hop]) == 0
+        assert json.loads(capsys.readouterr().out)["branch"]
+    assert states == [[], []] and norms == []
+    h = TriangleHoppings(0.9, 0.1, 1.0)
+    for sol in tri.zz2_edge_solutions(h, 6, 1, "B", u_grid=[0.3, 2.0]):
+        theta = tri.zeta_of_k(h, sol.k)[1]
+        assert sol.psi is sol.psi
+        assert np.array_equal(sol.psi,
+                              tri.zz2_edge_state(sol.u, 6, 1, "B", theta))
+    assert len(states[1]) == 2
+
+
 def test_edges_rejects_models_without_branch_analytics(capsys):
     for model in ("square-lr", "triangle-linear", "square-general"):
         assert run(["edges", "--model", model]) == 2
@@ -733,6 +754,26 @@ def test_validate_fails_at_impossible_tolerance(capsys):
     assert payload["violations"]
     sample = payload["violations"][0]
     assert set(sample) == {"model", "k", "band", "metric", "value"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--model", "triangle-linear", "--N", "3"],
+    ["validate", "--model", "triangle-zigzag2", "--N", "2"],
+    ["validate", "--model", "square-zigzag", "--N", "1"],
+])
+def test_validate_below_the_classifier_width_reports_no_agreement(capsys,
+                                                                  argv):
+    # fewer than 4 sites leave the numeric classifier no two fit windows:
+    # energies and overlaps are checked, labels are not, agreement is null
+    code = run(argv)
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert code == 0 and err == ""
+    assert payload["status"] == "pass"
+    report = payload["reports"][argv[2]]
+    assert report["agreement"] is None
+    assert report["max_energy_dev"] <= 1e-9
+    assert report["max_overlap_deficit"] <= 1e-8
 
 
 # ------------------------------------------------------------ config file --
@@ -1001,6 +1042,22 @@ def test_module_runs_as_a_script():
                          capture_output=True, text=True)
     assert bad.returncode == 2
     assert bad.stdout == "" and bad.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    # energies overflow to inf and IPRs to nan
+    ["bands", "--model", "square-zigzag", "--tu", "1e300", "--td", "1e300",
+     "--k-points", "3"],
+    # the suppression ratio tr/tl overflows to inf
+    ["zeromodes", "--model", "square-general", "--tr", "1e300", "--tl",
+     "1e-300"],
+])
+def test_output_that_overflows_exits_2_with_one_line(argv):
+    done = subprocess.run([sys.executable, "-m", "chebribbon.cli", *argv],
+                          capture_output=True, text=True)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error:")
+    assert done.stderr.count("\n") == 1
 
 
 def test_broken_pipe_exits_without_traceback():

@@ -1,9 +1,11 @@
-"""Property tests of `bands`: any model, hoppings and width either exits 2
-with one line, or gives finite rows that match the dense oracle, with the
-closed-form rows of k and -k equal."""
+"""Property tests of `bands` and `validate`: any model, hoppings and width
+either exits 2 with one line, or `bands` gives finite rows that match the
+dense oracle, with the closed-form rows of k and -k equal, and `validate`
+passes."""
 
 import contextlib
 import io
+import json
 import math
 
 import numpy as np
@@ -33,7 +35,8 @@ def _pair(draw):
 
 
 @st.composite
-def _commands(draw):
+def _commands(draw, command="bands", widths=st.integers(1, 40),
+              k_points=st.integers(1, 16)):
     model = draw(st.sampled_from([kind.value for kind in ModelKind]))
     first, second = draw(_pair())
     third = draw(_hopping)
@@ -43,9 +46,9 @@ def _commands(draw):
                  "tl": draw(_hopping) if tl is None else tl}
     else:
         flags = {"t1": first, "t2": second, "t3": third}
-    N = draw(st.integers(1, 40))
-    k_points = draw(st.integers(1, 16))
-    argv = ["bands", "--model", model, "--N", str(N), "--k-points",
+    N = draw(widths)
+    k_points = draw(k_points)
+    argv = [command, "--model", model, "--N", str(N), "--k-points",
             str(k_points)]
     for name, value in flags.items():
         argv += [f"--{name}", repr(value)]
@@ -61,18 +64,28 @@ def _oracle(model, flags, N, k):
     return np.linalg.eigvalsh(bloch.entries)
 
 
-@settings(max_examples=150, deadline=None)
-@given(_commands())
-def test_bands_exits_2_or_matches_the_oracle(command):
-    argv, model, flags, N, k_points = command
+def _run(argv):
+    """run(argv)'s exit code and output, having checked that an exit code 2
+    comes with one line of error and no output."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
     out, err = out.getvalue(), err.getvalue()
     if code == 2:
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    else:
+        assert err == ""
+    return code, out
+
+
+@settings(max_examples=150, deadline=None)
+@given(_commands())
+def test_bands_exits_2_or_matches_the_oracle(command):
+    argv, model, flags, N, k_points = command
+    code, out = _run(argv)
+    if code == 2:
         return
-    assert code == 0 and err == ""
+    assert code == 0
     rows = [line.split(",") for line in out.splitlines()[1:]]
     dim = 2 * N if model.startswith("square") else N
     assert len(rows) == k_points * dim
@@ -95,3 +108,20 @@ def test_bands_exits_2_or_matches_the_oracle(command):
         assert [r[6] for r in group] == [r[6] for r in mirror]
         if group[0][6] == "analytic":
             assert [r[2:6] for r in group] == [r[2:6] for r in mirror]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_commands("validate", st.integers(1, 6), st.integers(1, 8)))
+def test_validate_exits_2_or_passes(command):
+    # N < 4 included, where the numeric classifier has no two fit windows
+    argv, model, flags, N, k_points = command
+    code, out = _run(argv)
+    if code == 2:
+        return
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["status"] == "pass" and payload["violations"] == []
+    report, = payload["reports"].values()
+    assert (report["agreement"] is None) == (
+        N < (2 if model.startswith("square") else 4)
+        and model not in ("square-lr", "square-general"))
