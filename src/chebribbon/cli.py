@@ -550,8 +550,8 @@ def _band_rows(config, scan):
 
 def cmd_bands(config):
     """Pass 1 is the model's scan, pass 2 walks the closed-form states of
-    the whole scan, pass 3 builds each column of the scan's rows and emits
-    them in (k, band) order."""
+    one momentum of each +-k pair, pass 3 builds each column of the scan's
+    rows and emits them in (k, band) order."""
     scan = _SCANS.get(config.kind, _oracle_scan)(config)
     rows = _band_rows(config, scan)
     _require_finite(BAND_COLUMNS, rows)
@@ -1064,26 +1064,6 @@ def _resolve_config(args):
     )
 
 
-def _command(args):
-    _merge_config_file(args)
-    if args.command == "validate" and args.model is None:
-        args.model = ModelKind.SQUARE_ZIGZAG.value
-        config = _resolve_config(args)
-        return cmd_validate(config, single_model=False)
-    config = _resolve_config(args)
-    if args.command == "bands":
-        return cmd_bands(config)
-    if args.command == "edges":
-        return cmd_edges(config)
-    if args.command == "validate":
-        return cmd_validate(config, single_model=True)
-    if args.command == "wavefunction":
-        return cmd_wavefunction(config, args)
-    if args.command == "zeromodes":
-        return cmd_zeromodes(config, args)
-    raise ConfigError(f"unknown command {args.command!r}")
-
-
 # built on the first run() rather than at import, which stays as fast
 _PARSER = None
 
@@ -1101,7 +1081,23 @@ def run(argv=None):
         # (_require_finite, _write_json); numpy's floating-point warnings
         # on the way there would add lines to it
         with np.errstate(all="ignore"):
-            return _command(args)
+            _merge_config_file(args)
+            if args.command == "validate" and args.model is None:
+                args.model = ModelKind.SQUARE_ZIGZAG.value
+                config = _resolve_config(args)
+                return cmd_validate(config, single_model=False)
+            config = _resolve_config(args)
+            if args.command == "bands":
+                return cmd_bands(config)
+            if args.command == "edges":
+                return cmd_edges(config)
+            if args.command == "validate":
+                return cmd_validate(config, single_model=True)
+            if args.command == "wavefunction":
+                return cmd_wavefunction(config, args)
+            if args.command == "zeromodes":
+                return cmd_zeromodes(config, args)
+            raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
