@@ -15,8 +15,9 @@ the commands and exits.
 The list: both perfbench workloads on seeds 7101 and 7102 with their known
 defects; zigzag ``bands`` at N = 200 and 1000 in CSV and JSON; ``bands`` on
 all six models at N = 1..13 with random, zero and near-equal hoppings;
-single-model ``validate`` at N = 4, 7, 13 and 30, also at ``--tol 1e-16``;
-``edges``; ``zeromodes``; and ``wavefunction`` with every ``--sign`` and
+single-model ``validate`` at N = 4, 7, 13 and 30, also at ``--tol 1e-16``,
+at 1, 3 and 5 k-points on each closed-form model at N = 6 and 13, and at
+N = 200 on the zigzag models; ``edges``; ``zeromodes``; and ``wavefunction`` with every ``--sign`` and
 ``--family``, plus the reproducers of known defects.
 """
 
@@ -42,6 +43,8 @@ ROOT = Path(__file__).resolve().parent.parent
 MODELS = ("square-zigzag", "square-lr", "square-general", "triangle-linear",
           "triangle-zigzag1", "triangle-zigzag2")
 ZIGZAG = ("square-zigzag", "triangle-zigzag1", "triangle-zigzag2")
+CLOSED_FORM = ("square-zigzag", "square-lr", "triangle-linear",
+               "triangle-zigzag1", "triangle-zigzag2")
 SEEDS = (7101, 7102)
 
 
@@ -133,6 +136,24 @@ def _validate(rng):
     return cmds
 
 
+def _validate_pairs(rng):
+    """Single-model ``validate`` on short grids, whose +-k pairs are a large
+    share of the momenta; an odd grid holds k = 0, its own partner."""
+    cmds = []
+    for model in CLOSED_FORM:
+        count = 3 if model.startswith("triangle") else 4
+        hop = _hoppings(model, [rng.uniform(0.1, 2.0) for _ in range(count)])
+        for N, k in itertools.product(("6", "13"), ("1", "3", "5")):
+            cmds.append(["validate", "--model", model, "--N", N, *hop,
+                         "--k-points", k, "--tol", "1e-16"])
+    for model in ZIGZAG:
+        hop = _hoppings(model, [1.0, 0.6, 1.0, 0.0] if model == "square-zigzag"
+                        else [0.9, 0.1, 1.0])
+        cmds.append(["validate", "--model", model, "--N", "200", *hop,
+                     "--k-points", "3"])
+    return cmds
+
+
 def _edges(rng):
     cmds = []
     for model in ZIGZAG:
@@ -218,6 +239,26 @@ def _defects():
         ["bands", "--model", "triangle-zigzag2", "--N", "2", "--t1",
          "0.34216959415669657", "--t2", "0.9935623143969152", "--t3",
          "2.6226920480422935", "--k-points", "3"],
+        ["bands", "--model", "triangle-zigzag2", "--t3", "1e300",
+         "--k-points", "3"],
+        ["bands", "--model", "square-zigzag", "--tr", "1e300"],
+        ["validate", "--model", "square-zigzag", "--tr", "1e300", "--tu",
+         "1", "--td", "1"],
+        ["zeromodes", "--model", "square-general", "--tr", "1e-170", "--tl",
+         "1e-170"],
+        ["wavefunction", "--model", "square-general", "--tr", "1e-170",
+         "--tl", "1e-170", "--j", "1"],
+        ["validate", "--model", "square-general", "--tr", "1e-170", "--tl",
+         "1e-170"],
+        ["zeromodes", "--model", "square-lr", "--tr", "1e-300", "--tl",
+         "1e-300"],
+        ["bands", "--model", "square-zigzag", "--tr", "1e200"],
+        *(["bands", "--model", model, "--N", N, "--t3", t3,
+           "--k-points", "128"]
+          for model in ("triangle-zigzag1", "triangle-zigzag2")
+          for N, t3 in (("40", "100"), ("12", "300"), ("5", "3000"))),
+        ["validate", "--model", "triangle-zigzag1", "--N", "40", "--t3",
+         "1000", "--k-points", "8"],
     ]
 
 
@@ -225,7 +266,8 @@ def commands():
     """The fixed command list, the same on every call."""
     rng = random.Random(8128)
     return (_workloads() + _wide() + _narrow(rng) + _validate(rng)
-            + _edges(rng) + _zeromodes() + _wavefunction(rng) + _defects())
+            + _edges(rng) + _zeromodes() + _wavefunction(rng) + _defects()
+            + _validate_pairs(random.Random(8129)))
 
 
 def _src(path):
