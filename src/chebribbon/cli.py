@@ -239,12 +239,14 @@ def _iprs(energies, states):
 class _Scan(NamedTuple):
     """A model's closed-form solution of the momenta of its config's grid.
 
-    grid: (k, rows) per momentum, in grid order.  rows is the slice of the
-        scan's rows (config.model.dim of them) that the closed form gives
-        at k, or else the DegenerateParameterError or RootCountError (None
-        on a model without a closed form) that sends k to the oracle.  The
-        rows of -k are those of k with the conjugate states (see
-        _solve_grid).
+    grid: (k, rows, mirrored) per momentum, in grid order.  rows is the
+        slice of the scan's rows (config.model.dim of them) that the closed
+        form gives at k, or else the DegenerateParameterError or
+        RootCountError (None on a model without a closed form) that sends k
+        to the oracle.  A mirrored momentum shares the rows (or the error)
+        of its partner -k, which came earlier in the grid: the energies,
+        labels and decays are those of -k, and its states are the
+        conjugates of the states of those rows (see _solve_grid).
     energy, label: one entry per row, ascending in energy at each momentum;
         label values of StateLabel.
     near: True where a row lies within 0.1 of a band edge in the reduced
@@ -265,40 +267,34 @@ class _Scan(NamedTuple):
     reduce: object
 
 
-def _solve_grid(config, solve, mirror):
-    """Pass 1 of a scan: solve(k) at each momentum of config's grid, but
-    mirror(solution of -k) at a momentum whose partner -k came earlier in
-    the grid.  The hoppings are real, so H(-k) = H(k)*: the partner has the
-    same energies, labels and decays, and the conjugate states.
+def _solve_grid(config, solve):
+    """Pass 1 of a scan: solve(k) at each momentum of config's grid whose
+    partner -k has not come earlier in the grid.  The hoppings are real, so
+    H(-k) = H(k)*: the partner has the same energies, labels and decays,
+    and the conjugate states, so it reads the rows of -k, mirrored.
     Returns the scan's grid (see _Scan) and the solutions of the solved
     momenta, in grid order; a momentum where the closed form degenerates or
-    misses a root keeps its error instead, which its partner shares under
-    its own k."""
+    misses a root keeps its error instead, which its partner shares."""
     dim = config.model.dim
-    first = {}  # the result of each momentum solved
+    first = {}  # the rows (or error) of each momentum solved
     grid, solved = [], []
     for k in config.k_grid():
         if -k in first:
-            result = first[-k]
-            result = (type(result)(str(result).replace(f"{-k}", f"{k}"))
-                      if isinstance(result, Exception) else mirror(result))
-        else:
-            try:
-                result = solve(k)
-            except (DegenerateParameterError, RootCountError) as exc:
-                result = exc
-            first[k] = result
-        if isinstance(result, Exception):
-            grid.append((k, result))
-        else:
-            solved.append(result)
-            grid.append((k, slice((len(solved) - 1) * dim,
-                                  len(solved) * dim)))
+            grid.append((k, first[-k], True))
+            continue
+        try:
+            solved.append(solve(k))
+            rows = slice((len(solved) - 1) * dim, len(solved) * dim)
+        except (DegenerateParameterError, RootCountError) as exc:
+            rows = exc
+        first[k] = rows
+        grid.append((k, rows, False))
     return grid, solved
 
 
 def _solved_momenta(grid):
-    return [k for k, rows in grid if isinstance(rows, slice)]
+    return [k for k, rows, mirrored in grid
+            if isinstance(rows, slice) and not mirrored]
 
 
 def _unsolved(grid):
@@ -309,7 +305,7 @@ def _unsolved(grid):
 
 def _oracle_scan(config):
     """The scan of a model without a closed form (square-general)."""
-    return _unsolved([(k, None) for k in config.k_grid()])
+    return _unsolved([(k, None, False) for k in config.k_grid()])
 
 
 def _per_momentum(dim, energy, states):
@@ -349,8 +345,7 @@ def _square_zigzag_spectrum(h, N, k, a):
 def _square_zigzag_scan(config):
     h, N, a = config.hoppings, config.model.N, config.model.a
     grid, solved = _solve_grid(
-        config, lambda k: _square_zigzag_spectrum(h, N, k, a),
-        lambda s: (s[0], s[1].conjugate(), s[2]))
+        config, lambda k: _square_zigzag_spectrum(h, N, k, a))
     if not solved:
         return _unsolved(grid)
     omega = np.concatenate([signed for signed, _, _ in solved])
@@ -383,9 +378,7 @@ def _lr_bands(h, N, k, a):
 
 def _square_lr_scan(config):
     h, N, a = config.hoppings, config.model.N, config.model.a
-    # the states are built from each momentum's own k
-    grid, solved = _solve_grid(config, lambda k: _lr_bands(h, N, k, a),
-                               lambda entries: entries)
+    grid, solved = _solve_grid(config, lambda k: _lr_bands(h, N, k, a))
     ks = _solved_momenta(grid)
     energy, j, sign = (np.array(column) for column in zip(
         *(entry for entries in solved for entry in entries)))
@@ -420,8 +413,7 @@ def _triangle_linear_scan(config):
         order = np.argsort(energies)
         return energies[order], order, tri.tau_of_k(h, k, a), zeta_abs
 
-    # the states are built from each momentum's own k
-    grid, solved = _solve_grid(config, solve, lambda s: s)
+    grid, solved = _solve_grid(config, solve)
     if not solved:
         return _unsolved(grid)
     ks = _solved_momenta(grid)
@@ -483,8 +475,7 @@ def _triangle_zigzag_scan(config):
     h, N, a = config.hoppings, config.model.N, config.model.a
     kind = config.kind
     grid, solved = _solve_grid(
-        config, lambda k: _zz(_ZIGZAG_ENDS[kind], "roots", h, N, k, a=a),
-        lambda roots: roots._replace(theta=-roots.theta))
+        config, lambda k: _zz(_ZIGZAG_ENDS[kind], "roots", h, N, k, a=a))
     if not solved:
         return _unsolved(grid)
     momenta, roots = _scan_roots(list(zip(_solved_momenta(grid), solved)))
@@ -508,50 +499,24 @@ _SCANS = {
 }
 
 
-def _pair_iprs(scan):
-    """The IPR of each closed-form row of `scan`: reduced over the first
-    momentum of each +-k pair in grid order, in runs of consecutive rows,
-    and copied to its partner, whose conjugate states have the same |psi|
-    bit for bit."""
-    first, runs, copies = {}, [], []
-    for k, rows in scan.grid:
-        if not isinstance(rows, slice):
-            continue
-        if -k in first:
-            copies.append((rows, first[-k]))
-            continue
-        first[k] = rows
-        if runs and runs[-1].stop == rows.start:
-            runs[-1] = slice(runs[-1].start, rows.stop)
-        else:
-            runs.append(rows)
-    part = np.empty(len(scan.energy))
-    for rows in runs:
-        part[rows] = scan.reduce(_iprs, rows)
-    for rows, source in copies:
-        part[rows] = part[source]
-    return part.tolist()
-
-
 def _band_rows(config, scan):
-    """Columns of a whole scan: the closed-form rows of `scan`, with their
-    IPRs reduced over one momentum of each pair, and each unsolved
-    momentum's oracle rows in its place."""
-    ks, dim = _solved_momenta(scan.grid), config.model.dim
-    rows = (np.repeat(ks, dim).tolist(),
-            np.tile(np.arange(1, dim + 1), len(ks)).tolist(),
-            scan.energy.tolist(), scan.label.tolist(), scan.u,
-            _pair_iprs(scan), ["analytic"] * len(scan.energy))
-    if len(ks) == len(scan.grid):
-        return rows
-    return _join([[column[r] for column in rows] if isinstance(r, slice)
-                  else _oracle_rows(config, k) for k, r in scan.grid])
+    """Columns of a whole scan: each momentum's closed-form rows, a mirrored
+    one's read from its partner's, with the IPRs reduced once over all
+    solved rows, and each unsolved momentum's oracle rows in its place."""
+    dim = config.model.dim
+    energy, label = scan.energy.tolist(), scan.label.tolist()
+    # a mirrored momentum's conjugate states have the same |psi| bit for bit
+    part = scan.reduce(_iprs, slice(None))
+    band, source = list(range(1, dim + 1)), ["analytic"] * dim
+    return _join([([k] * dim, band, energy[r], label[r], scan.u[r], part[r],
+                   source) if isinstance(r, slice) else _oracle_rows(config, k)
+                  for k, r, _ in scan.grid])
 
 
 def cmd_bands(config):
     """Pass 1 is the model's scan, pass 2 walks the closed-form states of
-    one momentum of each +-k pair, pass 3 builds each column of the scan's
-    rows and emits them in (k, band) order."""
+    its solved momenta, one of each +-k pair, pass 3 builds each column of
+    the scan's rows and emits them in (k, band) order."""
     scan = _SCANS.get(config.kind, _oracle_scan)(config)
     rows = _band_rows(config, scan)
     _require_finite(BAND_COLUMNS, rows)
@@ -621,10 +586,13 @@ def cmd_edges(config):
 
 # --------------------------------------------------------------- validate --
 
-def _overlaps(spec):
+def _overlaps(spec, mirrored):
     """Reduction of a run of states to their overlaps with the oracle
-    eigenspaces of `spec` at their energies."""
+    eigenspaces of `spec` at their energies; of their conjugates when
+    `mirrored`, the states at the partner momentum."""
     def reduce(energies, states):
+        if mirrored:
+            states = states.conj()
         return [subspace_overlap(spec, e, states[:, i])
                 for i, e in enumerate(energies)]
     return reduce
@@ -669,14 +637,14 @@ def _validate_scan(config, violations):
     dev = deficit = 0.0
     agree = total = 0
     residuals = []
-    for k, rows in scan.grid:
+    for k, rows, mirrored in scan.grid:
         if not isinstance(rows, slice):
-            raise rows
+            raise rows  # the solved momentum's, which comes first
         spec = eigensolve_dense(_bloch(config, k))
         # subspace projection: degenerate pairs (e.g. the +-0 partners of a
         # deep edge state) leave single oracle vectors arbitrary
         scaled = []
-        overlap = scan.reduce(_overlaps(spec), rows, scaled)
+        overlap = scan.reduce(_overlaps(spec, mirrored), rows, scaled)
         d, agreed = _check_momentum(
             config.kind.value, k, scan.energy[rows], spec, scan.label[rows],
             None if scan.near is None else scan.near[rows],

@@ -336,16 +336,26 @@ _HALF_GRID_HOPPINGS = {
 def test_each_half_of_the_grid_gives_the_rows_of_the_full_scan(
         monkeypatch, capsys, kind, m):
     # a half grid holds no +-k pair, so each of its momenta is solved
-    # alone; the full scan solves one momentum of each pair and mirrors it
+    # alone; the full scan solves one momentum of each pair, and its
+    # partner reads those rows (validate: their conjugate states)
     argv = ["bands", "--model", kind.value, "--N", "6",
             *_HALF_GRID_HOPPINGS[kind], "--k-points", str(m)]
+    check = ["validate", *argv[1:], "--tol", "1e-16"]
+
+    def validate():
+        run(check)
+        payload = json.loads(capsys.readouterr().out)
+        return payload["reports"][kind.value], payload["violations"]
+
     assert run(argv) == 0
     full = capsys.readouterr().out.splitlines()
     assert sum(line.endswith(",analytic") for line in full) == len(full) - 1
     assert any(",edge-" in line for line in full) \
         == kind.value.endswith(("zigzag", "zigzag1", "zigzag2"))
+    report, violations = validate()
     dim = RibbonModel(kind, 6).dim
     k_grid = ScanConfig.k_grid
+    reports, half_violations = [], []
     for half in (slice(0, (m + 1) // 2), slice((m + 1) // 2, m)):
         monkeypatch.setattr(ScanConfig, "k_grid",
                             lambda self, _half=half: k_grid(self)[_half])
@@ -353,6 +363,15 @@ def test_each_half_of_the_grid_gives_the_rows_of_the_full_scan(
         rows = capsys.readouterr().out.splitlines()
         assert rows[0] == full[0]
         assert rows[1:] == full[1 + half.start * dim:1 + half.stop * dim]
+        half_report, found = validate()
+        reports.append(half_report)
+        half_violations += found
+    assert violations == half_violations
+    metrics = ["max_energy_dev", "max_overlap_deficit"]
+    if "max_secular_residual" in report:
+        metrics.append("max_secular_residual")
+    for metric in metrics:
+        assert report[metric] == max(r[metric] for r in reports), metric
 
 
 def test_validate_checks_the_whole_zone_at_any_lattice_constant(
@@ -429,8 +448,8 @@ def test_validate_exempts_labels_near_band_edges(capsys):
 
 def test_root_count_error_mid_scan_falls_back_to_oracle_rows(
         monkeypatch, capsys):
-    # the error is shared by the momentum and its mirror -k, each naming
-    # its own k; every other row stays as it was
+    # the error is shared by the momentum and its mirror -k; every other
+    # row stays as it was
     argv = ["bands", "--model", "triangle-zigzag2", "--N", "9", "--t1", "0.9",
             "--t2", "0.1", "--t3", "1.0", "--k-points", "16"]
     plain = _bands(capsys, argv)
@@ -457,11 +476,12 @@ def test_root_count_error_mid_scan_falls_back_to_oracle_rows(
     scan = cli._SCANS[ModelKind.TRIANGLE_ZIGZAG2](ScanConfig(
         model=RibbonModel(ModelKind.TRIANGLE_ZIGZAG2, 9),
         hoppings=TriangleHoppings(0.9, 0.1, 1.0), k_points=16))
-    errors = [(k, rows) for k, rows in scan.grid
+    errors = [(k, rows, mirrored) for k, rows, mirrored in scan.grid
               if isinstance(rows, RootCountError)]
-    assert [k for k, _ in errors] == grid[7:9]
-    assert [str(exc) for _, exc in errors] == [f"forced at k = {k}"
-                                               for k, _ in errors]
+    assert [(k, mirrored) for k, _, mirrored in errors] == [
+        (grid[7], False), (grid[8], True)]
+    assert errors[0][1] is errors[1][1]
+    assert str(errors[0][1]) == f"forced at k = {grid[7]}"
 
 
 def _traced_groups():
