@@ -663,11 +663,19 @@ def _validate_scan(config, violations):
     return out
 
 
+def _zero_mode_momenta(h, N, a=1.0):
+    """sq.zero_mode_momenta, ConfigError where it rejects the hoppings."""
+    try:
+        return sq.zero_mode_momenta(h, N, a=a)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+
+
 def _validate_zero_modes(h, N, tol, violations):
     if h.tl <= 0.0 or h.tr <= 0.0:
         raise ConfigError("zero-mode validation needs tr > 0 and tl > 0")
     dev = deficit = 0.0
-    for k, j in sq.zero_mode_momenta(h, N):
+    for k, j in _zero_mode_momenta(h, N):
         spec = eigensolve_dense(build_square_bloch(h, N, k))
         d = float(np.min(np.abs(spec.energies)))
         if d > tol:
@@ -870,7 +878,7 @@ def cmd_zeromodes(config, args):
     if args.j is not None and not 1 <= args.j <= N:
         raise ConfigError(f"--j must be a transverse index in 1..{N}, "
                           f"got {args.j}")
-    momenta = sq.zero_mode_momenta(h, N, a=a)
+    momenta = _zero_mode_momenta(h, N, a=a)
     root = 2.0 * math.sqrt(h.tr * h.tl)
     if math.isclose(h.tr, h.tl, rel_tol=1e-12):
         localization = "none"
@@ -1068,6 +1076,10 @@ def run(argv=None):
             raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError:  # `math` raises it past the float range
+        print("error: a value overflows the float range; the hoppings are "
+              "out of range", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # downstream pipe (head, less, ...) closed early; silence the

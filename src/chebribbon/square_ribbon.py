@@ -442,6 +442,9 @@ def zero_mode_momenta(h, N, a=1.0):
     if h.tr <= 0.0 or h.tl <= 0.0:
         raise ValueError("zero-mode analysis needs tr > 0 and tl > 0")
     root = math.sqrt(h.tr * h.tl)
+    if root == 0.0:
+        raise ValueError("tr * tl underflows to 0; the hoppings are out of "
+                         "range")
     cos_j = np.cos(np.pi * np.arange(1, N + 1) / (N + 1))
     found = []
     for j in range(1, N + 1):

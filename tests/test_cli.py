@@ -991,6 +991,14 @@ def test_zeromodes_rejections(capsys):
     ["edges", "--model", "triangle-zigzag2", "--t1", "0"],
     ["wavefunction", "--model", "triangle-zigzag1", "--t3", "0",
      "--u", "0.5"],
+    # the closed forms overflow past the float range
+    ["bands", "--model", "triangle-zigzag1", "--t3", "1e300",
+     "--k-points", "3"],
+    ["bands", "--model", "triangle-zigzag2", "--t3", "1e300",
+     "--k-points", "3"],
+    ["bands", "--model", "square-zigzag", "--tr", "1e300"],
+    ["validate", "--model", "square-zigzag", "--tr", "1e300", "--tu", "1",
+     "--td", "1"],
 ])
 def test_invalid_invocations_exit_2(capsys, argv):
     assert run(argv) == 2
@@ -1071,6 +1079,9 @@ def test_module_runs_as_a_script():
     # the suppression ratio tr/tl overflows to inf
     ["zeromodes", "--model", "square-general", "--tr", "1e300", "--tl",
      "1e-300"],
+    # a closed form raises OverflowError on the way
+    ["bands", "--model", "triangle-zigzag1", "--t3", "1e300",
+     "--k-points", "3"],
 ])
 def test_output_that_overflows_exits_2_with_one_line(argv):
     done = subprocess.run([sys.executable, "-m", "chebribbon.cli", *argv],
@@ -1078,6 +1089,25 @@ def test_output_that_overflows_exits_2_with_one_line(argv):
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("error:")
     assert done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeromodes", "--model", "square-general", "--tr", "1e-170", "--tl",
+     "1e-170"],
+    ["wavefunction", "--model", "square-general", "--tr", "1e-170", "--tl",
+     "1e-170", "--j", "1"],
+    ["validate", "--model", "square-general", "--tr", "1e-170", "--tl",
+     "1e-170"],
+    ["zeromodes", "--model", "square-lr", "--tr", "1e-300", "--tl",
+     "1e-300"],
+])
+def test_zero_modes_of_underflowing_tr_tl_exit_2_with_one_line(capsys, argv):
+    # sqrt(tr * tl) scales the zero-mode condition; here it underflows to 0
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: tr * tl underflows to 0; the hoppings are out of "
+                   "range\n")
 
 
 def test_broken_pipe_exits_without_traceback():

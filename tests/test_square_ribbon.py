@@ -493,5 +493,8 @@ def test_zero_mode_error_paths():
         sq.zero_mode_state(h, 2, 0.0, 3)  # index out of range
     with pytest.raises(ValueError):
         sq.zero_mode_momenta(SquareHoppings(tu=1, td=1, tl=0, tr=1), 2)
+    with pytest.raises(ValueError):  # tr * tl underflows to 0
+        sq.zero_mode_momenta(SquareHoppings(tu=1, td=1, tl=1e-170,
+                                            tr=1e-170), 2)
     with pytest.raises(ValueError):
         sq.solve_zero_mode_sum(0.0, 1.0, 2, 1)
