@@ -8,7 +8,9 @@ log-magnitude + sign (u_log), or as a same-scale pair (u_pair).
 
 Closed forms sin((n+1)v)/sin(v) and log[sinh((n+1)u)/sinh(u)] are provided
 separately (u_trig, u_hyp_log) so the recurrence can be validated against
-them.
+them.  The zigzag ribbons' bulk profiles U_{n-1}(cos phi) + r U_{n-2}(cos phi)
+and their inverse participation ratios come from the angle phi in closed
+form (u_profile, u_profile_ipr).
 All functions are pure and accept scalars or arrays in the real argument.
 """
 
@@ -31,6 +33,8 @@ __all__ = [
     "u_log",
     "u_pair",
     "u_trig",
+    "u_profile",
+    "u_profile_ipr",
     "u_hyp_log",
     "u_zeros",
     "det_perturbed_corner",
@@ -133,6 +137,78 @@ def u_trig(n, v):
         raise SingularArgumentError(
             "angle too close to a multiple of pi; use u_eval(n, cos v)")
     return _match_scalar(v, np.sin((n + 1) * np.asarray(v, dtype=float)) / s)
+
+
+# pi - float(pi): subtracted after float(pi), it reduces an angle mod pi to
+# full relative precision
+_PI_LO = 1.2246467991473532e-16
+
+
+def _folded(phi, r):
+    """(psi, r', delta, fold) of angles phi in [0, pi] and ratios r.
+
+    The profile sin(n phi) + r sin((n-1) phi) equals |c| sin(n phi + delta)
+    with c = 1 + r e^{-i phi}; delta is taken mod pi, which flips only the
+    sign.  Past 3 pi/4 (fold) it is (-1)^{n-1} times the profile at
+    psi = pi - phi and r' = -r, so that angles near pi, whose products
+    n phi would lose digits to rounding, are near 0 instead."""
+    phi = np.asarray(phi, dtype=float)
+    r = np.asarray(r, dtype=float)
+    fold = phi > 0.75 * math.pi
+    psi = np.where(fold, (math.pi - phi) + _PI_LO, phi)
+    r = np.where(fold, -r, r)
+    half = np.sin(0.5 * psi)
+    # Re c = 1 + r cos(psi), in a form that keeps its digits at r ~ -1
+    re_c = (1.0 + r) - 2.0 * r * half * half
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = np.arctan(-r * np.sin(psi) / re_c)
+    return psi, r, delta, fold
+
+
+def u_profile(phi, r, N):
+    """Rows p_n, n = 1..N, proportional to U_{n-1}(cos phi) + r
+    U_{n-2}(cos phi) = [sin(n phi) + r sin((n-1) phi)]/sin(phi) with a
+    positive factor, one row per entry of phi and r (broadcast together),
+    formed from sin(n phi + delta) and never from the recurrence.  At
+    phi = 0 and phi = pi the rows are the limits (1 +- r) n -+ r."""
+    psi, r, delta, fold = (v[..., None] for v in _folded(phi, r))
+    n = np.arange(1, N + 1)
+    rows = np.where(psi == 0.0, (1.0 + r) * n - r, np.sin(n * psi + delta))
+    rows = np.where(fold & (n % 2 == 0), -rows, rows)
+    return rows * np.copysign(1.0, rows[..., :1])  # p_1 > 0, as U_0 = 1
+
+
+def _cosine_sum(m, psi, delta, N):
+    """sum_{n=1..N} cos(m (n psi + delta)), a Dirichlet kernel in
+    x = m psi / 2, which depends on x mod pi only: reduced there, its poles
+    at multiples of pi cost no digits."""
+    x = 0.5 * m * psi
+    turns = np.rint(x / math.pi)
+    x = (x - turns * math.pi) - turns * _PI_LO
+    return np.cos(m * delta + (N + 1) * x) * np.sin(N * x) / np.sin(x)
+
+
+def u_profile_ipr(phi, r, N):
+    """Inverse participation ratio sum p^4 / (sum p^2)^2 of each profile
+    of u_profile(phi, r, N), with no profile formed.
+
+    With C_m = sum_n cos(m (n phi + delta)), sum sin^2 = (N - C_2)/2 and
+    sum sin^4 = (3N - 4 C_2 + C_4)/8, so the IPR is
+    (3N - 4 C_2 + C_4) / (2 (N - C_2)^2).  Where sum sin^2 falls below
+    N/4 that difference cancels, near phi = 0 and pi with N phi small and
+    at phi in {0, pi} itself; those few rows are summed from u_profile."""
+    phi, r = np.broadcast_arrays(np.asarray(phi, dtype=float),
+                                 np.asarray(r, dtype=float))
+    psi, _, delta, _ = _folded(phi, r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c2 = _cosine_sum(2, psi, delta, N)
+        c4 = _cosine_sum(4, psi, delta, N)
+        d = N - c2
+        out = (3.0 * N - 4.0 * c2 + c4) / (2.0 * d * d)
+    direct = ~(d > 0.5 * N)  # a NaN at phi = 0 too
+    p2 = u_profile(phi[direct], r[direct], N) ** 2
+    out[direct] = (p2 * p2).sum(axis=-1) / p2.sum(axis=-1) ** 2
+    return out
 
 
 def u_hyp_log(n, u):

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import square_ribbon as sq
 from . import triangle_ribbon as tri
-from .chebpoly import by_family, zigzag_ends
+from .chebpoly import by_family, u_profile_ipr, zigzag_ends
 from .classify import (StateLabel, classify_analytic_square,
                        classify_analytic_triangle, classify_numeric, ipr,
                        model_edge_sides)
@@ -38,19 +38,6 @@ __all__ = ["ScanConfig", "run", "main"]
 BAND_COLUMNS = ("k", "band", "energy", "class", "u", "ipr", "source")
 WAVE_COLUMNS = ("n", "sublattice", "abs", "re", "im", "source")
 _FLOAT_COLUMNS = {"k", "energy", "u", "ipr", "abs", "re", "im"}
-
-# Float64 elements per Chebyshev table.  A table's columns are the
-# closed-form bulk states of consecutive momenta of a scan, so one recurrence
-# run serves a whole scan of a narrow ribbon, and about 130 states at
-# N = 1000 instead of the 16 that one state block holds.
-_TABLE_BLOCK = 2 ** 17
-
-# Matrix elements per block of complex states formed from a table.  Each
-# block is reduced to its IPRs or overlaps before the next one is formed, so
-# a wide ribbon never holds all its states at once: for `bands` at N = 1000,
-# all states at once raised peak RSS by 38 MB, blocks of 2**16 by 3.6 MB
-# and blocks of 2**14 by 0.4 MB.
-_STATE_BLOCK = 2 ** 14
 
 # one `bands` CSV row: k, band, energy, class, u (formatted), ipr, source
 _BAND_LINE = "%.17g,%d,%.17g,%s,%s,%.17g,%s"
@@ -225,17 +212,6 @@ def _edge_column(values, edge):
     return out
 
 
-def _blocks(indices, size, budget):
-    """`indices` cut into runs of at most budget // size entries (one at
-    least)."""
-    step = max(1, budget // size)
-    return [indices[i:i + step] for i in range(0, len(indices), step)]
-
-
-def _iprs(energies, states):
-    return ipr(states).tolist()
-
-
 class _Scan(NamedTuple):
     """A model's closed-form solution of the momenta of its config's grid.
 
@@ -253,10 +229,10 @@ class _Scan(NamedTuple):
         variable, where the numeric boundary fit is unreliable; None on a
         model whose states are all bulk, with no label to check.
     u: the decay of each edge row, None on the others.
-    reduce(fn, rows, residuals=None): fn's value per state of the row slice
-        `rows`, in row order; fn(energies, states) gets runs of states, one
-        column each.  On the triangular zigzag ribbons a list `residuals`
-        also gets each state's scaled secular residual.
+    ipr: the inverse participation ratio of each row's state, in closed
+        form: no state is formed.
+    states(m): the normalized states of the rows of the m-th solved
+        momentum, one column per row.
     """
 
     grid: list
@@ -264,7 +240,8 @@ class _Scan(NamedTuple):
     label: np.ndarray
     near: object
     u: list
-    reduce: object
+    ipr: np.ndarray
+    states: object
 
 
 def _solve_grid(config, solve):
@@ -300,7 +277,7 @@ def _solved_momenta(grid):
 def _unsolved(grid):
     """The _Scan of a grid with no closed-form momentum."""
     return _Scan(grid, np.empty(0), np.empty(0, dtype=str), None, [],
-                 lambda fn, rows, residuals=None: [])
+                 np.empty(0), None)
 
 
 def _oracle_scan(config):
@@ -308,38 +285,16 @@ def _oracle_scan(config):
     return _unsolved([(k, None, False) for k in config.k_grid()])
 
 
-def _per_momentum(dim, energy, states):
-    """The reduce of a _Scan whose states come one momentum at a time:
-    states(m) gives the `dim` states of the m-th solved momentum."""
-    def reduce(fn, rows, residuals=None):
-        out = []
-        for start in range(*rows.indices(len(energy)))[::dim]:
-            out.extend(fn(energy[start:start + dim], states(start // dim)))
-        return out
-    return reduce
-
-
-def _square_zigzag_walk(N, xis, omegas, reduce):
-    """reduce's value per state at reduced energy omegas[i] and complex xi
-    xis[i], in order.  The states share Chebyshev tables of at most
-    _TABLE_BLOCK elements, formed and reduced _STATE_BLOCK elements at a
-    time (edge states from their closed-form envelopes)."""
-    values = []
-    for table in _blocks(np.arange(len(omegas)), N + 2, _TABLE_BLOCK):
-        values.extend(sq.zigzag_full_state(xis[table], omegas[table], N,
-                                           reduce=reduce,
-                                           block=_STATE_BLOCK))
-    return values
-
-
 def _square_zigzag_spectrum(h, N, k, a):
-    """(signed omegas ascending, xi, |xi|) of one momentum."""
+    """(signed omegas ascending, xi, |xi|, and the angle v and decay u of
+    each, see sq.zigzag_roots) of one momentum."""
     xi_c, _ = sq.xi_of_k(h, k, a)
     xi = abs(xi_c)
-    omegas = sq.zigzag_spectrum(xi, N)
+    omegas, v, u = sq.zigzag_roots(xi, N)
     # stable, so a -0.0/+0.0 pair keeps this order
     signed = np.concatenate([-omegas, omegas])
-    return signed[np.argsort(signed, kind="stable")], xi_c, xi
+    order = np.argsort(signed, kind="stable")
+    return signed[order], xi_c, xi, np.tile(v, 2)[order], np.tile(u, 2)[order]
 
 
 def _square_zigzag_scan(config):
@@ -348,21 +303,28 @@ def _square_zigzag_scan(config):
         config, lambda k: _square_zigzag_spectrum(h, N, k, a))
     if not solved:
         return _unsolved(grid)
-    omega = np.concatenate([signed for signed, _, _ in solved])
-    xi_c = np.repeat([xi_c for _, xi_c, _ in solved], 2 * N)
-    xi = np.repeat([xi for _, _, xi in solved], 2 * N)
+    omega, v, decay = (np.concatenate([s[i] for s in solved])
+                       for i in (0, 3, 4))
+    xi = np.repeat([s[2] for s in solved], 2 * N)
     label = classify_analytic_square(omega, xi)
     edge = label == StateLabel.EDGE_BOTH.value
     x = (omega * omega - xi * xi - 1.0) / (2.0 * xi)
+    # the bullet block is the circ block mirrored, times +-1: half the IPR
+    # of the circ block, of an edge row that of its real envelope
+    part = np.empty(len(omega))
+    bulk = ~np.isnan(v)
+    part[bulk] = 0.5 * u_profile_ipr(v[bulk], 1.0 / xi[bulk], N)
+    envelope = zigzag_ends(1, N)[1][0].envelope
+    part[~bulk] = [0.5 * ipr(envelope(u)) for u in decay[~bulk].tolist()]
 
-    def reduce(fn, rows, residuals=None):
-        # the walk gives reduced energies; fn gets the energies tr * omega
-        return _square_zigzag_walk(N, xi_c[rows], omega[rows],
-                                   lambda w, states: fn(h.tr * w, states))
+    def states(m):
+        rows = slice(m * 2 * N, (m + 1) * 2 * N)
+        return sq.zigzag_root_states(solved[m][1], omega[rows], v[rows],
+                                     decay[rows], N)
 
     return _Scan(grid, h.tr * omega, label, np.abs(x + 1.0) < 0.1,
                  _edge_column(map(math.acosh, (-x[edge]).tolist()), edge),
-                 reduce)
+                 part, states)
 
 
 def _lr_bands(h, N, k, a):
@@ -388,9 +350,11 @@ def _square_lr_scan(config):
         return sq.lr_isotropic_state(h, N, ks[m], j[rows], a=a,
                                      sign=sign[rows])
 
+    # both blocks carry the standing wave sin(pi j n/(N+1)) with equal
+    # weight: half its IPR
     return _Scan(grid, energy, np.full(len(energy), StateLabel.BULK.value),
                  None, [None] * len(energy),
-                 _per_momentum(2 * N, energy, states))
+                 0.5 * u_profile_ipr(np.pi * j / (N + 1), 0.0, N), states)
 
 
 def _triangle_labels(kind, energy, tau, zeta_abs):
@@ -418,6 +382,7 @@ def _triangle_linear_scan(config):
         return _unsolved(grid)
     ks = _solved_momenta(grid)
     energy = np.concatenate([s[0] for s in solved])
+    j = np.concatenate([s[1] for s in solved]) + 1
 
     def states(m):
         return tri.linear_states(h, N, ks[m], a=a)[:, solved[m][1]]
@@ -425,69 +390,28 @@ def _triangle_linear_scan(config):
     return _Scan(grid, energy, *_triangle_labels(
         config.kind, energy, np.repeat([s[2] for s in solved], N),
         np.repeat([s[3] for s in solved], N)), [None] * len(energy),
-        _per_momentum(N, energy, states))
-
-
-def _scan_roots(scan):
-    """The root tables of `scan`, a list of (k, root table) pairs, as the
-    momentum of each root and one root table."""
-    tables = [roots for _, roots in scan]
-    momenta = np.repeat([k for k, _ in scan], [len(t.energy) for t in tables])
-    return momenta, tri.RootTable(*map(np.concatenate, zip(*tables)))
-
-
-def _triangle_walk(kind, h, N, a, momenta, roots, reduce, residuals=None):
-    """reduce's value per root of the zigzag-triangle root table `roots`,
-    whose i-th root lies at momentum momenta[i].  The bulk roots share
-    Chebyshev tables of at most _TABLE_BLOCK elements, whose states are
-    formed and reduced _STATE_BLOCK elements at a time; edge roots come one
-    by one.  A list `residuals` also gets each root's scaled secular
-    residual: the bulk ones read from those tables, the edge ones from one
-    recurrence run of their own."""
-    ends = _ZIGZAG_ENDS[kind]
-    bulk, edge = np.flatnonzero(~roots.edge), np.flatnonzero(roots.edge)
-    values = []
-    bulk_residuals = None if residuals is None else []
-    for table in _blocks(bulk, N + 2, _TABLE_BLOCK):
-        values.extend(_zz(ends, "state", roots.energy[table], h, N,
-                          momenta[table], a=a, reduce=reduce,
-                          block=_STATE_BLOCK, residuals=bulk_residuals))
-    # deep edge roots need the closed-form envelopes: the polynomial
-    # recurrence cancels catastrophically there
-    for energy, u, sign, family, theta in zip(*(
-            column[edge].tolist() for column in (
-                roots.energy, roots.u, roots.sign, roots.family,
-                roots.theta))):
-        psi = _bloch_edge_state(ends, u, N, sign, family, theta)
-        values.append(reduce(np.array([energy]), psi[:, None])[0])
-    if residuals is not None:
-        scaled = np.empty(len(roots.energy))
-        scaled[bulk] = bulk_residuals
-        if len(edge):
-            scaled[edge] = _zz(ends, "secular_residual", roots.energy[edge],
-                               h, N, momenta[edge], a=a, scaled=True)
-        residuals.extend(scaled.tolist())
-    order = np.argsort(np.concatenate([bulk, edge])).tolist()
-    return [values[i] for i in order]
+        u_profile_ipr(np.pi * j / (N + 1), 0.0, N), states)
 
 
 def _triangle_zigzag_scan(config):
     h, N, a = config.hoppings, config.model.N, config.model.a
-    kind = config.kind
+    ends = _ZIGZAG_ENDS[config.kind]
     grid, solved = _solve_grid(
-        config, lambda k: _zz(_ZIGZAG_ENDS[kind], "roots", h, N, k, a=a))
+        config, lambda k: _zz(ends, "roots", h, N, k, a=a))
     if not solved:
         return _unsolved(grid)
-    momenta, roots = _scan_roots(list(zip(_solved_momenta(grid), solved)))
-
-    def reduce(fn, rows, residuals=None):
-        return _triangle_walk(kind, h, N, a, momenta[rows],
-                              tri.RootTable(*(c[rows] for c in roots)), fn,
-                              residuals)
-
+    roots = tri.RootTable(*map(np.concatenate, zip(*solved)))
+    edge = roots.edge
+    part = np.empty(len(roots.energy))
+    part[~edge] = u_profile_ipr(roots.phi[~edge], roots.tau[~edge]
+                                / roots.zeta_abs[~edge], N)
+    part[edge] = [ipr(_zz(ends, "edge_profile", u, N, family=family))
+                  for u, family in zip(roots.u[edge].tolist(),
+                                       roots.family[edge].tolist())]
     return _Scan(grid, roots.energy, *_triangle_labels(
-        kind, roots.energy, roots.tau, roots.zeta_abs),
-        _edge_column(roots.u[roots.edge].tolist(), roots.edge), reduce)
+        config.kind, roots.energy, roots.tau, roots.zeta_abs),
+        _edge_column(roots.u[edge].tolist(), edge), part,
+        lambda m: tri.root_states(solved[m], N, ends))
 
 
 _SCANS = {
@@ -501,12 +425,12 @@ _SCANS = {
 
 def _band_rows(config, scan):
     """Columns of a whole scan: each momentum's closed-form rows, a mirrored
-    one's read from its partner's, with the IPRs reduced once over all
-    solved rows, and each unsolved momentum's oracle rows in its place."""
+    one's read from its partner's, and each unsolved momentum's oracle rows
+    in its place."""
     dim = config.model.dim
     energy, label = scan.energy.tolist(), scan.label.tolist()
-    # a mirrored momentum's conjugate states have the same |psi| bit for bit
-    part = scan.reduce(_iprs, slice(None))
+    # a mirrored momentum's conjugate states have the same |psi|
+    part = scan.ipr.tolist()
     band, source = list(range(1, dim + 1)), ["analytic"] * dim
     return _join([([k] * dim, band, energy[r], label[r], scan.u[r], part[r],
                    source) if isinstance(r, slice) else _oracle_rows(config, k)
@@ -514,9 +438,9 @@ def _band_rows(config, scan):
 
 
 def cmd_bands(config):
-    """Pass 1 is the model's scan, pass 2 walks the closed-form states of
-    its solved momenta, one of each +-k pair, pass 3 builds each column of
-    the scan's rows and emits them in (k, band) order."""
+    """Pass 1 is the model's scan of its solved momenta, one of each +-k
+    pair, pass 2 builds each column of the scan's rows and emits them in
+    (k, band) order."""
     scan = _SCANS.get(config.kind, _oracle_scan)(config)
     rows = _band_rows(config, scan)
     _require_finite(BAND_COLUMNS, rows)
@@ -586,18 +510,6 @@ def cmd_edges(config):
 
 # --------------------------------------------------------------- validate --
 
-def _overlaps(spec, mirrored):
-    """Reduction of a run of states to their overlaps with the oracle
-    eigenspaces of `spec` at their energies; of their conjugates when
-    `mirrored`, the states at the partner momentum."""
-    def reduce(energies, states):
-        if mirrored:
-            states = states.conj()
-        return [subspace_overlap(spec, e, states[:, i])
-                for i, e in enumerate(energies)]
-    return reduce
-
-
 _EDGE_LABELS = [label.value for label in StateLabel if label.is_edge]
 
 
@@ -633,6 +545,8 @@ def _validate_scan(config, violations):
     """Check config's closed-form scan against the oracle, momentum by
     momentum: energies, overlaps, labels and, on the triangular zigzag
     ribbons, the worst scaled secular residual."""
+    h, N, a = config.hoppings, config.model.N, config.model.a
+    ends = _ZIGZAG_ENDS.get(config.kind)
     scan = _SCANS[config.kind](config)
     dev = deficit = 0.0
     agree = total = 0
@@ -641,12 +555,17 @@ def _validate_scan(config, violations):
         if not isinstance(rows, slice):
             raise rows  # the solved momentum's, which comes first
         spec = eigensolve_dense(_bloch(config, k))
+        energies = scan.energy[rows]
+        # a mirrored momentum's states are the conjugates of its partner's
+        states = scan.states(rows.start // config.model.dim)
+        if mirrored:
+            states = states.conj()
         # subspace projection: degenerate pairs (e.g. the +-0 partners of a
         # deep edge state) leave single oracle vectors arbitrary
-        scaled = []
-        overlap = scan.reduce(_overlaps(spec, mirrored), rows, scaled)
+        overlap = [subspace_overlap(spec, e, states[:, i])
+                   for i, e in enumerate(energies.tolist())]
         d, agreed = _check_momentum(
-            config.kind.value, k, scan.energy[rows], spec, scan.label[rows],
+            config.kind.value, k, energies, spec, scan.label[rows],
             None if scan.near is None else scan.near[rows],
             config.tolerance, violations)
         dev = max([dev] + d)
@@ -654,8 +573,10 @@ def _validate_scan(config, violations):
         if agreed is not None:
             agree += agreed
             total += len(d)
-        if scaled:
-            residuals.append(max(abs(v) for v in scaled))
+        if ends is not None:
+            residuals.append(max(abs(v) for v in _zz(
+                ends, "secular_residual", energies, h, N, k, a=a,
+                scaled=True).tolist()))
     out = {"max_energy_dev": dev, "max_overlap_deficit": deficit,
            "agreement": agree / total if total else None}
     if residuals:

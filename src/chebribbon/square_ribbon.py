@@ -22,19 +22,21 @@ from functools import cached_property
 import numpy as np
 
 from ._roots import angular_scan, invert_monotone_ratio, secular_nodes
-from ._runs import reduce_in_runs
-from .chebpoly import _sinh_ratio, u_all, u_eval, u_pair, zigzag_ends
+from .chebpoly import (_sinh_ratio, u_all, u_eval, u_pair, u_profile,
+                       zigzag_ends)
 from .errors import (DegenerateParameterError, NoEdgeStateError,
                      RootCountError, SingularArgumentError)
 
 __all__ = [
     "xi_of_k",
     "zigzag_secular_residual",
+    "zigzag_roots",
     "zigzag_spectrum",
     "zigzag_bulk_components",
     "zigzag_edge_branch",
     "zigzag_edge_u_from_xi",
     "zigzag_full_state",
+    "zigzag_root_states",
     "sublattice_link",
     "EdgeBranchPoint",
     "EdgeRegime",
@@ -100,9 +102,12 @@ def zigzag_edge_u_from_xi(xi_abs, N):
     return invert_monotone_ratio(family.ratio, 1.0 / xi_abs)
 
 
-def zigzag_spectrum(xi_abs, N):
+def zigzag_roots(xi_abs, N):
     """All N non-negative omega roots at fixed |xi| (mirror negatives are
-    implied by chiral symmetry), ascending."""
+    implied by chiral symmetry), ascending, as three arrays (omega, v, u):
+    a bulk root's angle v, x = cos v (pi on a root at the band edge
+    x = -1, NaN on the edge root), and the edge root's decay u,
+    x = -cosh u (NaN on the others)."""
     if xi_abs <= 0.0:
         raise DegenerateParameterError(
             "|xi| = 0: secular form undefined, use the dense oracle")
@@ -120,18 +125,29 @@ def zigzag_spectrum(xi_abs, N):
     roots_v, _, boundary_pi = angular_scan(
         g_grid, g_exact, r0, r_pi, nodes, boundary_tol=1e-9 * r0)
 
-    omegas = [math.sqrt(xi_abs * xi_abs + 1.0 + 2.0 * xi_abs * math.cos(v))
-              for v in roots_v]
+    roots = [(math.sqrt(xi_abs * xi_abs + 1.0 + 2.0 * xi_abs * math.cos(v)),
+              v, math.nan) for v in roots_v]
+    band_edge = (abs(xi_abs - 1.0), math.pi, math.nan)
     if boundary_pi:
-        omegas.append(abs(xi_abs - 1.0))
+        roots.append(band_edge)
     if xi_abs < _edge_family(N).bound and not boundary_pi:
-        omegas.append(_edge_omega(zigzag_edge_u_from_xi(xi_abs, N), N))
-    if len(omegas) == N - 1 and abs(r_pi) <= 1e-6 * r0 and not boundary_pi:
-        omegas.append(abs(xi_abs - 1.0))  # near-critical rescue
-    if len(omegas) != N:
+        u = zigzag_edge_u_from_xi(xi_abs, N)
+        roots.append((_edge_omega(u, N), math.nan, u))
+    if len(roots) == N - 1 and abs(r_pi) <= 1e-6 * r0 and not boundary_pi:
+        roots.append(band_edge)  # near-critical rescue
+    if len(roots) != N:
         raise RootCountError(
-            f"found {len(omegas)} roots, expected {N} (|xi|={xi_abs}, N={N})")
-    return np.sort(np.asarray(omegas))
+            f"found {len(roots)} roots, expected {N} (|xi|={xi_abs}, N={N})")
+    omega, v, u = np.array(roots).T
+    order = np.argsort(omega)
+    return omega[order], v[order], u[order]
+
+
+def zigzag_spectrum(xi_abs, N):
+    """All N non-negative omega roots at fixed |xi| (mirror negatives are
+    implied by chiral symmetry), ascending: zigzag_roots without the
+    angles."""
+    return zigzag_roots(xi_abs, N)[0]
 
 
 def zigzag_bulk_components(v, xi_abs, N):
@@ -223,92 +239,55 @@ def sublattice_link(omega, u_n_value, theta_total=0.0):
     return -phase / denom
 
 
-def _edge_full_state(xi_abs, omega, x, N):
-    """Signed circ and bullet components and the bullet factor of an edge
-    state at x < -1.
+def zigzag_root_states(xi, omega, v, u, N):
+    """Full normalized 2N eigenvectors (circ block then bullet block) for
+    complex xi, matching the Bloch matrix gauge, one contiguous column per
+    root: signed reduced energies omega with the angles v and decays u of
+    zigzag_roots (v NaN on an edge root).
 
-    Alternating signs come from the reflected polynomial argument; on this
-    branch |xi| C_circ,N / omega collapses to a pure sign, absorbed together
-    with the bullet-side reflection parity."""
-    env = _edge_family(N).envelope(math.acosh(-x))
-    alt = (-1.0) ** np.arange(N)
-    return alt * env, alt * env[::-1], 1.0 if omega >= 0.0 else -1.0
+    The circ block is c_n = U_{n-1}(cos v) + U_{n-2}(cos v)/|xi| formed at
+    the angle (u_profile), or the alternating decaying envelope of an edge
+    root.  The bullet block is the circ block mirrored, times
+    t = |xi| c_N / omega, which is +-1 on the spectrum."""
+    xi_abs, theta = abs(xi), cmath.phase(xi)
+    omega, v, u = (np.atleast_1d(np.asarray(c, dtype=float))
+                   for c in (omega, v, u))
+    n = np.arange(1, N + 1)
+    edge = np.isnan(v)
+    c_circ = np.empty((len(omega), N))
+    c_circ[~edge] = u_profile(v[~edge], 1.0 / xi_abs, N)
+    envelope = _edge_family(N).envelope
+    for i in np.flatnonzero(edge).tolist():
+        c_circ[i] = (-1.0) ** (n - 1) * envelope(u[i])
+    t = np.where(c_circ[:, -1] * omega < 0.0, -1.0, 1.0)
+    full = np.empty((len(omega), 2 * N), dtype=complex)
+    full[:, :N] = np.exp(-1.0j * (n - 1) * theta) * c_circ
+    full[:, N:] = np.exp(-1.0j * n * theta) * (t[:, None] * c_circ[:, ::-1])
+    full /= np.linalg.norm(full, axis=1, keepdims=True)
+    return full.T
 
 
-def _xi_columns(xi, count):
-    """|xi| and arg xi of each distinct xi, and for each of `count` columns
-    the index of its xi: `xi` is one value for every column or one per
-    column."""
-    if np.ndim(xi) == 0:
-        distinct, which = [xi], np.zeros(count, dtype=int)
-    else:
-        distinct, which = np.unique(np.asarray(xi, dtype=complex),
-                                    return_inverse=True)
-        distinct = [complex(v) for v in distinct]
-    xi_abs = np.array([abs(v) for v in distinct], dtype=float)
-    theta = np.array([cmath.phase(v) for v in distinct], dtype=float)
-    return xi_abs, theta, which.reshape(-1)
-
-
-def zigzag_full_state(xi, omega, N, reduce=None, block=None):
+def zigzag_full_state(xi, omega, N):
     """Full normalized 2N eigenvector (circ block then bullet block) at
-    reduced energy omega for complex xi, matching the Bloch matrix gauge.
+    reduced energy omega for complex xi, matching the Bloch matrix gauge
+    (zigzag_root_states at the angle or decay read back from omega).
 
-    An array of energies gives one contiguous column per energy; the bulk
-    ones share one recurrence run.  `xi` may then be an array too, one
-    value per energy, so that one table spans the momenta of a scan.  With
-    `reduce`, the states are formed at most `block` matrix elements at a
-    time and never all held: reduce(omegas, states) gets each run's
-    energies and states (one column per state) and returns one value per
-    state, and the result is the list of those values."""
-    omegas = np.atleast_1d(np.asarray(omega, dtype=float))
-    xi_abs, theta, which = _xi_columns(xi, len(omegas))
-    if np.any(xi_abs <= 0.0):
+    An array of energies gives one contiguous column per energy."""
+    xi_abs = abs(xi)
+    if xi_abs <= 0.0:
         raise DegenerateParameterError("|xi| = 0 has no reduced closed form")
-    xa = xi_abs[which]
-    x = (omegas * omegas - xa * xa - 1.0) / (2.0 * xa)
+    omegas = np.atleast_1d(np.asarray(omega, dtype=float))
+    x = (omegas * omegas - xi_abs * xi_abs - 1.0) / (2.0 * xi_abs)
     if np.any(x > 1.0 + 1e-12):
         raise ValueError("omega lies outside the spectral range for this xi")
     edge = x < -1.0 - 1e-12
     if np.any(omegas[~edge] == 0.0):
         raise ValueError("omega = 0 is not a zigzag eigenvalue for "
                          "nonzero xi")
-    n = np.arange(1, N + 1)
-    circ_phases = np.exp(-1.0j * (n - 1) * theta[:, None])
-    bullet_phases = np.exp(-1.0j * n * theta[:, None])
-    bulk = np.flatnonzero(~edge)
-    if len(bulk):
-        un = u_all(N, np.clip(x[bulk], -1.0, 1.0))  # un[m+1] = U_m
-    slot = np.cumsum(~edge) - 1  # table column of each bulk state
-
-    def form(cols):
-        run = np.arange(len(omegas))[cols]
-        c_circ = np.empty((len(run), N))
-        c_bullet = np.empty((len(run), N))
-        t = np.empty(len(run))
-        inner = np.flatnonzero(~edge[run])
-        if len(inner):
-            i, col = run[inner], slot[run[inner]]
-            c_circ[inner] = (un[1:N + 1, col] + un[0:N, col] / xa[i]).T
-            c_bullet[inner] = (un[N:0:-1, col] + un[N - 1::-1, col] / xa[i]).T
-            t[inner] = xa[i] * c_circ[inner, -1] / omegas[i]
-        for j in np.flatnonzero(edge[run]):
-            i = run[j]
-            c_circ[j], c_bullet[j], t[j] = _edge_full_state(xa[i], omegas[i],
-                                                            x[i], N)
-        full = np.empty((len(run), 2 * N), dtype=complex)
-        full[:, :N] = circ_phases[which[run]] * c_circ
-        full[:, N:] = bullet_phases[which[run]] * (t[:, None] * c_bullet)
-        # one norm per contiguous state: a batched reduction sums in another
-        # order and changes the last bits
-        for row in full:
-            row /= np.linalg.norm(row)
-        return full
-
-    if reduce is not None:
-        return reduce_in_runs(form, omegas, 2 * N, reduce, block)
-    full = form(slice(None))
-    return full[0] if np.ndim(omega) == 0 else full.T
+    v = np.where(edge, np.nan, np.arccos(np.clip(x, -1.0, 1.0)))
+    u = np.where(edge, np.arccosh(np.maximum(-x, 1.0)), np.nan)
+    full = zigzag_root_states(xi, omegas, v, u, N)
+    return full[:, 0] if np.ndim(omega) == 0 else full
 
 
 # ---------------------------------------------------------------- regime ---

@@ -25,8 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._roots import angular_scan, invert_monotone_ratio, secular_nodes
-from ._runs import reduce_in_runs
-from .chebpoly import by_family, u_all, u_eval, zigzag_ends
+from .chebpoly import by_family, u_all, u_eval, u_profile, zigzag_ends
 from .errors import DegenerateParameterError, RootCountError
 
 __all__ = [
@@ -41,6 +40,7 @@ __all__ = [
     "RootTable",
     "zz1_roots",
     "zz2_roots",
+    "root_states",
     "TriangleEdgeSolution",
     "zz1_edge_solutions",
     "zz2_edge_solutions",
@@ -98,35 +98,20 @@ def _reduced(h, N, k, a):
     return za, tau / za, tau, theta
 
 
-def _reduced_columns(h, N, k, a, count):
-    """_reduced at each distinct momentum as four arrays (|zeta|, tau/|zeta|,
-    tau, arg zeta), and for each of `count` columns the index of its
-    momentum: `k` is one momentum for every column or one per column."""
-    if np.ndim(k) == 0:
-        distinct, which = [k], np.zeros(count, dtype=int)
-    else:
-        distinct, which = np.unique(np.asarray(k, dtype=float),
-                                    return_inverse=True)
-    za, r, tau, theta = np.array([_reduced(h, N, kk, a) for kk in distinct]).T
-    return za, r, tau, theta, which.reshape(-1)
-
-
 def _secular_terms(E, h, N, k, a, ends):
     """Chebyshev table un = u_all(N, y) at y = (E - tau)/(2|zeta|), one
-    column per energy, with the secular sum and the magnitude of its
-    cancelling terms per column, tau/|zeta| per column, arg zeta per
-    distinct momentum and the momentum index of each column."""
+    column per energy, with y, the secular sum and the magnitude of its
+    cancelling terms per column, tau/|zeta| and arg zeta."""
     coefficients, _ = zigzag_ends(ends, N)
-    E = np.atleast_1d(np.asarray(E, dtype=float))
-    za, r, tau, theta, which = _reduced_columns(h, N, k, a, len(E))
-    za, r, tau = za[which], r[which], tau[which]
-    un = u_all(N, (E - tau) / (2.0 * za))
+    za, r, tau, theta = _reduced(h, N, k, a)
+    y = (np.atleast_1d(np.asarray(E, dtype=float)) - tau) / (2.0 * za)
+    un = u_all(N, y)
     terms = [c * un[N + 1 - m] for m, c in enumerate(coefficients(r))]
     resid, scale = terms[0], np.abs(terms[0])
     for term in terms[1:]:
         resid = resid + term
         scale = scale + np.abs(term)
-    return un, resid, scale, r, theta, which
+    return un, y, resid, scale, r, theta
 
 
 def _at_least_one(scale):
@@ -135,7 +120,7 @@ def _at_least_one(scale):
 
 
 def _secular_residual(E, h, N, k, a, scaled, ends):
-    _, resid, scale, _, _, _ = _secular_terms(E, h, N, k, a, ends)
+    _, _, resid, scale, _, _ = _secular_terms(E, h, N, k, a, ends)
     if scaled:
         resid = resid / _at_least_one(scale)
     return float(resid[0]) if np.ndim(E) == 0 else resid
@@ -146,8 +131,7 @@ def zz1_secular_residual(E, h, N, k, a=1.0, scaled=False):
 
     With ``scaled=True`` the residual is divided by the magnitude of the
     cancelling terms, so it stays meaningful for |y| > 1 where the
-    polynomials grow exponentially.  An array of energies gives an array;
-    `k` may then be an array too, one momentum per energy.
+    polynomials grow exponentially.  An array of energies gives an array.
     """
     return _secular_residual(E, h, N, k, a, scaled, ends=1)
 
@@ -156,64 +140,56 @@ def zz2_secular_residual(E, h, N, k, a=1.0, scaled=False):
     """U_N(y) + (2 tau/|zeta|) U_{N-1}(y) + (tau/|zeta|)^2 U_{N-2}(y).
 
     ``scaled=True`` divides by the magnitude of the cancelling terms (see
-    zz1_secular_residual).  An array of energies gives an array, and `k`
-    may be one momentum per energy.
+    zz1_secular_residual).  An array of energies gives an array.
     """
     return _secular_residual(E, h, N, k, a, scaled, ends=2)
 
 
-def _secular_state(E, h, N, k, a, ends, reduce, block, residuals):
-    """Normalized e^{i n theta} [U_{n-1}(y) + r U_{n-2}(y)]: a vector for
-    scalar E, else one contiguous column per energy, or with `reduce` the
-    values it gives run by run (see zz1_state)."""
-    un, resid, scale, r, theta, which = _secular_terms(E, h, N, k, a, ends)
+def _bulk_states(phi, r, theta, N):
+    """Normalized e^{i n theta} [U_{n-1}(cos phi) + r U_{n-2}(cos phi)], one
+    row per entry of phi, r and theta, formed at the angle phi."""
+    phases = np.exp(1.0j * np.arange(1, N + 1) * np.asarray(theta)[..., None])
+    psi = phases * u_profile(phi, r, N)
+    return psi / np.linalg.norm(psi, axis=-1, keepdims=True)
+
+
+def _secular_state(E, h, N, k, a, ends):
+    """zz1_state at `ends` truncated end rows: the secular check, then each
+    state at the angle read back from its energy (off the band, from the
+    Chebyshev table)."""
+    un, y, resid, scale, r, theta = _secular_terms(E, h, N, k, a, ends)
     off = np.abs(resid) > 1e-6 * _at_least_one(scale)
     if np.any(off):
         raise ValueError(
             f"energy is not on the spectrum (scaled residual "
             f"{resid[off][0]:.3e})")
-    if residuals is not None:
-        residuals.extend((resid / _at_least_one(scale)).tolist())
-    phases = np.exp(1.0j * np.arange(1, N + 1) * theta[:, None])
-
-    def form(cols):
-        psi = phases[which[cols]] * np.ascontiguousarray(
-            (un[1:N + 1, cols] + r[cols] * un[0:N, cols]).T)
-        # one norm per contiguous state: a batched reduction sums in another
-        # order and changes the last bits
-        for row in psi:
-            row /= np.linalg.norm(row)
-        return psi
-
-    if reduce is not None:
-        return reduce_in_runs(form, np.atleast_1d(E), N, reduce, block)
-    psi = form(slice(None))
+    psi = _bulk_states(np.arccos(np.clip(y, -1.0, 1.0)), r, theta, N)
+    band = np.abs(y) <= 1.0
+    if not band.all():
+        table = (np.exp(1.0j * np.arange(1, N + 1) * theta)
+                 * (un[1:N + 1, ~band] + r * un[0:N, ~band]).T)
+        psi[~band] = table / np.linalg.norm(table, axis=1, keepdims=True)
     return psi[0] if np.ndim(E) == 0 else psi.T
 
 
-def zz1_state(E, h, N, k, a=1.0, reduce=None, block=None, residuals=None):
+def zz1_state(E, h, N, k, a=1.0):
     """Normalized transverse eigenvector of the one-sided zigzag ribbon:
     psi_n = e^{i n theta} [U_{n-1}(y) + (tau/|zeta|) U_{n-2}(y)].
 
-    An array of energies gives one column per energy, from one recurrence
-    run for all of them; `k` may then be an array too, one momentum per
-    energy, so that one table spans the momenta of a scan.  An energy whose
-    scaled secular residual exceeds 1e-6 raises ValueError.  With `reduce`,
-    the states are formed at most `block` matrix elements at a time and
-    never all held: reduce(energies, states) gets each run's energies and
-    states (one column per state) and returns one value per state, and the
-    result is the list of those values.  A list `residuals` gets the scaled
-    secular residual of each energy (zz1_secular_residual) appended, read
-    from the same table."""
-    return _secular_state(E, h, N, k, a, 1, reduce, block, residuals)
+    An array of energies gives one contiguous column per energy.  An energy
+    whose scaled secular residual exceeds 1e-6 raises ValueError.  On the
+    band each state is formed at the angle phi = arccos(y) read back from
+    its energy (root_states forms them at the roots' own angles); off the
+    band it comes from the Chebyshev recurrence, which cancels for deep
+    edge states (zz1_edge_state)."""
+    return _secular_state(E, h, N, k, a, 1)
 
 
-def zz2_state(E, h, N, k, a=1.0, reduce=None, block=None, residuals=None):
+def zz2_state(E, h, N, k, a=1.0):
     """Normalized transverse eigenvector of the two-sided zigzag ribbon
     (same componentwise form as zz1_state; only the secular check differs).
-    Arrays of energies and momenta, `reduce`, `block` and `residuals` act
-    as in zz1_state."""
-    return _secular_state(E, h, N, k, a, 2, reduce, block, residuals)
+    """
+    return _secular_state(E, h, N, k, a, 2)
 
 
 # ------------------------------------------------------------- per-k roots --
@@ -332,6 +308,22 @@ def zz2_roots(h, N, k, a=1.0):
     """All N secular roots of the two-sided zigzag ribbon at momentum k, as
     a RootTable ascending in energy."""
     return _roots(h, N, k, a, ends=2)
+
+
+def root_states(roots, N, ends):
+    """Normalized states of the roots of one momentum's RootTable, from
+    zz1_roots or zz2_roots for `ends` = 1 or 2, one column per root, in
+    the Bloch-matrix gauge e^{+i n theta}: bulk roots formed at their
+    angles, edge roots from their envelopes."""
+    psi = np.empty((N, N), dtype=complex)
+    bulk = ~roots.edge
+    psi[bulk] = _bulk_states(roots.phi[bulk], roots.tau[bulk]
+                             / roots.zeta_abs[bulk], roots.theta[bulk], N)
+    for i in np.flatnonzero(roots.edge).tolist():
+        state = _edge_state(roots.u[i], N, roots.sign[i], ends,
+                            roots.family[i], roots.theta[i])
+        psi[i] = state / np.linalg.norm(state)
+    return psi.T
 
 
 # ----------------------------------------------------------- edge branches --

@@ -83,20 +83,9 @@ def test_bands_deterministic(capsys):
     assert first == second
 
 
-class _Runs:
-    """A walk's reduction that keeps each state and the size of each run."""
-
-    def __init__(self):
-        self.sizes = []
-
-    def __call__(self, energies, states):
-        assert states.shape[1] == len(energies)
-        self.sizes.append(states.shape[1])
-        return [states[:, c].copy() for c in range(states.shape[1])]
-
-
 def _single_triangle_states(kind, h, N, k, roots):
-    """The state of each root of the table `roots`, one by one."""
+    """The state of each root of the table `roots`, one by one, normalized:
+    the bulk ones at the angle read back from their energies."""
     zz1 = kind == ModelKind.TRIANGLE_ZIGZAG1
     theta = tri.zeta_of_k(h, k)[1]
     for energy, u, sign, family, edge in zip(
@@ -104,73 +93,59 @@ def _single_triangle_states(kind, h, N, k, roots):
             roots.family.tolist(), roots.edge):
         if not edge:
             yield (tri.zz1_state if zz1 else tri.zz2_state)(energy, h, N, k)
-        elif zz1:
-            yield tri.zz1_edge_state(u, N, sign, theta)
+            continue
+        if zz1:
+            psi = tri.zz1_edge_state(u, N, sign, theta)
         else:
-            yield tri.zz2_edge_state(u, N, sign, family, -theta)
+            psi = tri.zz2_edge_state(u, N, sign, family, -theta)
+        yield psi / np.linalg.norm(psi)
 
 
-def _triangle_scan(kind, h, N, grid):
-    solve = tri.zz1_roots if kind == ModelKind.TRIANGLE_ZIGZAG1 \
-        else tri.zz2_roots
-    return [(k, solve(h, N, k)) for k in grid]
-
-
-def _square_scan(h, N, grid):
-    return [cli._square_zigzag_spectrum(h, N, k, 1.0)[1::-1] for k in grid]
-
-
-def _check_triangle_walk(kind, h, N, scan, tables=()):
-    """Every state of the walk equals its single-energy state, and every
-    run holds at most _STATE_BLOCK elements (or one state).  `runs.tables`
-    is the number of entries the walk added to `tables`."""
-    runs = _Runs()
-    before = len(tables)
-    states = cli._triangle_walk(kind, h, N, 1.0, *cli._scan_roots(scan), runs)
-    runs.tables = len(tables) - before
-    single = [state for k, roots in scan
-              for state in _single_triangle_states(kind, h, N, k, roots)]
-    assert len(states) == len(single)
-    for state, expected in zip(states, single):
-        assert np.array_equal(state, expected)
-    assert all(m == 1 or m * N <= cli._STATE_BLOCK for m in runs.sizes)
-    return runs
-
-
-def _check_square_walk(h, N, scan, tables=()):
-    runs = _Runs()
-    before = len(tables)
-    xis = np.concatenate([np.full(len(signed), xi) for xi, signed in scan])
-    omegas = np.concatenate([signed for _, signed in scan])
-    states = cli._square_zigzag_walk(N, xis, omegas, runs)
-    runs.tables = len(tables) - before
-    single = [sq.zigzag_full_state(xi, omega, N)
-              for xi, signed in scan for omega in signed]
-    assert len(states) == len(single)
-    for state, expected in zip(states, single):
-        assert np.array_equal(state, expected)
-    assert all(m * 2 * N <= cli._STATE_BLOCK for m in runs.sizes)
-    return runs
+def _scan(kind, N, hoppings, k_points):
+    """The scan of `kind` and the momentum of each of its solved ones."""
+    config = ScanConfig(model=RibbonModel(kind, N), hoppings=hoppings,
+                        k_points=k_points)
+    scan = cli._SCANS[kind](config)
+    return scan, [k for k, rows, mirrored in scan.grid
+                  if isinstance(rows, slice) and not mirrored]
 
 
 @pytest.mark.parametrize("kind", [ModelKind.TRIANGLE_ZIGZAG1,
                                   ModelKind.TRIANGLE_ZIGZAG2])
 def test_triangle_state_blocks_equal_single_states(kind):
-    N, k = 200, 0.4
+    # states(m) forms each bulk state at its root's angle; zz1_state reads
+    # the angle back from the energy, which loses digits near the band
+    # edges, so the two agree to that loss; edge states are the same
+    N = 200
     h = TriangleHoppings(t1=0.9, t2=0.1, t3=1.0)
-    scan = _triangle_scan(kind, h, N, [k])
-    runs = _check_triangle_walk(kind, h, N, scan)
-    assert scan[0][1].edge.any()
-    assert N * N > 2 * cli._STATE_BLOCK  # several bulk blocks
-    assert len(runs.sizes) > 2
+    scan, momenta = _scan(kind, N, h, 3)
+    roots_of = tri.zz1_roots if kind == ModelKind.TRIANGLE_ZIGZAG1 \
+        else tri.zz2_roots
+    for m, k in enumerate(momenta):
+        roots = roots_of(h, N, k)
+        assert roots.edge.any()
+        block = scan.states(m)
+        assert block.shape == (N, N)
+        for state, single, edge in zip(
+                block.T, _single_triangle_states(kind, h, N, k, roots),
+                roots.edge):
+            if edge:
+                assert np.array_equal(state, single)
+            else:
+                np.testing.assert_allclose(state, single, rtol=0, atol=1e-9)
 
 
 def test_square_state_blocks_equal_single_states():
-    N, k = 120, 0.3
+    N = 120
     h = SquareHoppings(tu=1.0, td=0.6, tl=0.0, tr=1.0)
-    runs = _check_square_walk(h, N, _square_scan(h, N, [k]))
-    assert sum(runs.sizes) == 2 * N
-    assert sum(runs.sizes) * 2 * N > 2 * cli._STATE_BLOCK
+    scan, momenta = _scan(ModelKind.SQUARE_ZIGZAG, N, h, 4)
+    assert any(label == "edge-both" for label in scan.label)
+    for m, k in enumerate(momenta):
+        xi = sq.xi_of_k(h, k)[0]
+        rows = slice(m * 2 * N, (m + 1) * 2 * N)
+        single = sq.zigzag_full_state(xi, scan.energy[rows] / h.tr, N)
+        np.testing.assert_allclose(scan.states(m), single, rtol=0,
+                                   atol=1e-9)
 
 
 def _counting(monkeypatch, module, name):
@@ -186,75 +161,27 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-@pytest.mark.parametrize("N", [1, 2, 5, 12])
-def test_one_table_spans_the_scan_of_a_narrow_ribbon(monkeypatch, N):
-    # 128 momenta with edge roots interleaved between the bulk ones
-    grid = ScanConfig(model=RibbonModel(ModelKind.TRIANGLE_ZIGZAG1, N),
-                      hoppings=None).k_grid()
-    h = TriangleHoppings(t1=0.9, t2=0.1, t3=1.0)
-    tables = _counting(monkeypatch, tri, "u_all")
-    for kind in (ModelKind.TRIANGLE_ZIGZAG1, ModelKind.TRIANGLE_ZIGZAG2):
-        if kind == ModelKind.TRIANGLE_ZIGZAG2 and N < 2:
-            continue
-        scan = _triangle_scan(kind, h, N, grid)
-        assert any(roots.edge.any() for _, roots in scan) or N == 1
-        assert _check_triangle_walk(kind, h, N, scan, tables).tables == 1
-    hs = SquareHoppings(tu=1.0, td=0.6, tl=0.0, tr=1.0)
-    scan = _square_scan(hs, N, grid[::2])  # 64 momenta in the square zone
-    tables = _counting(monkeypatch, sq, "u_all")
-    assert _check_square_walk(hs, N, scan, tables).tables == 1
-
-
-def test_one_momentum_spans_several_tables(monkeypatch):
-    N = 40
-    h = TriangleHoppings(t1=0.9, t2=0.1, t3=1.0)
-    hs = SquareHoppings(tu=1.0, td=0.6, tl=0.0, tr=1.0)
-    monkeypatch.setattr(cli, "_TABLE_BLOCK", 7 * (N + 2))
-    monkeypatch.setattr(cli, "_STATE_BLOCK", 3 * 2 * N)
-    tables = _counting(monkeypatch, tri, "u_all")
-    for kind in (ModelKind.TRIANGLE_ZIGZAG1, ModelKind.TRIANGLE_ZIGZAG2):
-        scan = _triangle_scan(kind, h, N, [-0.4, 0.4])
-        bulk = sum(int((~roots.edge).sum()) for _, roots in scan)
-        runs = _check_triangle_walk(kind, h, N, scan, tables)
-        assert runs.tables == -(-bulk // 7) > 2 * 2
-        assert max(runs.sizes) == 6
-    tables = _counting(monkeypatch, sq, "u_all")
-    runs = _check_square_walk(hs, N, _square_scan(hs, N, [-0.3, 0.3]), tables)
-    assert runs.tables == -(-4 * N // 7)
-    assert max(runs.sizes) == 3
-
-
-def _reference_ipr(state):
-    # the per-state reduction that the block IPRs replace
-    p2 = np.abs(state) ** 2
-    total = p2.sum()
-    return float((p2 * p2).sum() / (total * total))
-
-
-def test_block_iprs_equal_single_state_iprs():
-    # several state blocks, tables spanning momenta, and triangle edge
-    # states one by one
-    h = TriangleHoppings(t1=0.9, t2=0.1, t3=1.0)
-    hs = SquareHoppings(tu=1.0, td=0.6, tl=0.0, tr=1.0)
-    cases = []
-    for N, grid in ((120, [0.3]), (7, np.linspace(-1.5, 1.5, 9))):
-        scan = _square_scan(hs, N, grid)
-        walk = (N, np.concatenate([np.full(len(signed), xi)
-                                   for xi, signed in scan]),
-                np.concatenate([signed for _, signed in scan]))
-        cases.append((cli._square_zigzag_walk(*walk, cli._iprs),
-                      cli._square_zigzag_walk(*walk, _Runs())))
-    for kind, N, grid in ((ModelKind.TRIANGLE_ZIGZAG1, 200, [0.4]),
-                          (ModelKind.TRIANGLE_ZIGZAG2, 7,
-                           np.linspace(-3.0, 3.0, 11))):
-        scan = _triangle_scan(kind, h, N, grid)
-        assert any(roots.edge.any() for _, roots in scan)
-        walk = (kind, h, N, 1.0, *cli._scan_roots(scan))
-        cases.append((cli._triangle_walk(*walk, cli._iprs),
-                      cli._triangle_walk(*walk, _Runs())))
-    for parts, states in cases:
-        assert parts == [ipr(s) for s in states] \
-            == [_reference_ipr(s) for s in states]
+def test_closed_form_iprs_equal_single_state_iprs():
+    # the ipr column is the IPR of the states validate checks: several
+    # momenta, wide and narrow ribbons, edge rows among bulk ones
+    square = SquareHoppings(tu=1.0, td=0.6, tl=0.0, tr=1.0)
+    triangle = TriangleHoppings(t1=0.9, t2=0.1, t3=1.0)
+    for kind, N, k_points, hoppings in (
+            (ModelKind.SQUARE_ZIGZAG, 120, 3, square),
+            (ModelKind.SQUARE_ZIGZAG, 7, 18, square),
+            (ModelKind.SQUARE_LR, 9, 5,
+             SquareHoppings(tu=0.9, td=0.4, tl=0.7, tr=0.7)),
+            (ModelKind.TRIANGLE_LINEAR, 9, 5,
+             TriangleHoppings(t1=1.2, t2=0.7, t3=0.9)),
+            (ModelKind.TRIANGLE_ZIGZAG1, 200, 3, triangle),
+            (ModelKind.TRIANGLE_ZIGZAG2, 7, 22, triangle)):
+        scan, momenta = _scan(kind, N, hoppings, k_points)
+        assert (scan.label != "bulk").any() == kind.value.endswith(
+            ("zigzag", "zigzag1", "zigzag2"))
+        dim = RibbonModel(kind, N).dim
+        for m in range(len(momenta)):
+            np.testing.assert_allclose(scan.ipr[m * dim:(m + 1) * dim],
+                                       ipr(scan.states(m)), rtol=1e-12)
 
 
 def _transition_commands(count, seed):
@@ -401,22 +328,24 @@ def test_validate_checks_the_whole_zone_at_any_lattice_constant(
 
 @pytest.mark.parametrize("kind", [ModelKind.TRIANGLE_ZIGZAG1,
                                   ModelKind.TRIANGLE_ZIGZAG2])
-def test_validate_reads_secular_residuals_from_the_walk(monkeypatch, capsys,
-                                                        kind):
-    # one recurrence run per momentum for the bulk states, whose table also
-    # holds their residuals, and one for the edge roots of a momentum
+def test_validate_reads_one_secular_residual_call_per_momentum(
+        monkeypatch, capsys, kind):
+    # one call, and one recurrence run, for all the roots of a momentum,
+    # edge roots included
     N, m = 11, 32
     h = TriangleHoppings(t1=0.9, t2=0.1, t3=1.0)
+    name = "zz1_secular_residual" if kind == ModelKind.TRIANGLE_ZIGZAG1 \
+        else "zz2_secular_residual"
+    residual = getattr(tri, name)
+    calls = _counting(monkeypatch, tri, name)
     tables = _counting(monkeypatch, tri, "u_all")
     assert run(["validate", "--model", kind.value, "--N", str(N),
                 "--t1", "0.9", "--t2", "0.1", "--t3", "1", "--k-points",
                 str(m)]) == 0
     reported = json.loads(capsys.readouterr().out)["reports"][kind.value]
-    runs = len(tables)
+    assert len(calls) == len(tables) == m
     roots_of = tri.zz1_roots if kind == ModelKind.TRIANGLE_ZIGZAG1 \
         else tri.zz2_roots
-    residual = tri.zz1_secular_residual \
-        if kind == ModelKind.TRIANGLE_ZIGZAG1 else tri.zz2_secular_residual
     worst, edges = [], 0
     for k in ScanConfig(model=RibbonModel(kind, N), hoppings=h,
                         k_points=m).k_grid():
@@ -425,16 +354,7 @@ def test_validate_reads_secular_residuals_from_the_walk(monkeypatch, capsys,
         worst.append(max(abs(v) for v in residual(
             roots.energy, h, N, k, scaled=True).tolist()))
     assert 0 < edges < m
-    assert runs == m + edges
     assert reported["max_secular_residual"] == max(worst)
-    # every root's residual, edge roots included, in root order
-    scan = _triangle_scan(kind, h, N, [-0.4, 0.4])
-    residuals = []
-    cli._triangle_walk(kind, h, N, 1.0, *cli._scan_roots(scan), cli._iprs,
-                       residuals)
-    assert any(roots.edge.any() for _, roots in scan)
-    assert np.array_equal(residuals, np.concatenate([
-        residual(roots.energy, h, N, k, scaled=True) for k, roots in scan]))
 
 
 def test_validate_exempts_labels_near_band_edges(capsys):
@@ -528,7 +448,9 @@ def test_traced_triangle_names_are_called(monkeypatch, capsys, model):
         capsys.readouterr()
     names = {n for ns in groups.values() for n in ns}
     assert len(names) == 4
-    assert reached == names
+    # the commands form states at the roots' angles (root_states) and never
+    # through zz*_state, which reads the angle back from an energy
+    assert reached == names - {prefix + "state"}
     assert nested == []
 
 

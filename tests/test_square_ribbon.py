@@ -246,11 +246,13 @@ def test_batched_full_states_equal_scalar_reference(N):
         block = sq.zigzag_full_state(xi, signed, N)
         assert block.shape == (2 * N, 2 * N)
         for j, omega in enumerate(signed):
+            # bulk states are formed at the angle, not from the table
             expected = _scalar_full_state(xi, omega, N)
             assert block[:, j].flags.c_contiguous
-            assert np.array_equal(block[:, j], expected)
+            np.testing.assert_allclose(block[:, j], expected, rtol=0,
+                                       atol=1e-12)
             assert np.array_equal(sq.zigzag_full_state(xi, omega, N),
-                                  expected)
+                                  block[:, j])
 
 
 def test_full_state_error_paths():
