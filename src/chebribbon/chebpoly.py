@@ -271,10 +271,15 @@ def zigzag_ends(ends, N):
     families are its EdgeFamily branches.  The square zigzag ribbon has the
     one-sided edge condition with |r| = 1/|xi|."""
     n = np.arange(1, N + 1)
+    # the sinh ratios of the envelopes as sinh(a)/sinh(b) =
+    # e^{a-b} expm1(-2a)/expm1(-2b), a <= b, with a - b formed exactly:
+    # nothing overflows, and each factor keeps full relative precision
+    # from u ~ 1e-300 to past sinh's range
     if ends == 1:
         def envelope(u):  # sinh((N-n+1)u)/sinh(Nu)
             with np.errstate(under="ignore"):
-                return np.exp(logsinh((N - n + 1) * u) - logsinh(N * u))
+                return (np.exp(-(n - 1) * u) * np.expm1(-2.0 * (N - n + 1) * u)
+                        / math.expm1(-2.0 * N * u))
 
         return (lambda r: (1.0, r)), (EdgeFamily(
             "A", "one_sided", lambda u: _sinh_ratio((N + 1) * u, N * u),
@@ -289,11 +294,12 @@ def zigzag_ends(ends, N):
         with np.errstate(under="ignore"):
             return np.exp(logcosh(m * u) - logcosh((N - 1) * u / 2.0))
 
-    def odd(u):
+    def odd(u):  # -sign(m) sinh(|m|u)/sinh((N-1)u/2)
+        half = (N - 1) / 2.0
         with np.errstate(under="ignore"):
-            return -np.sign(m) * np.where(m == 0.0, 0.0, np.exp(
-                logsinh(np.abs(np.where(m == 0.0, 1.0, m)) * u)
-                - logsinh((N - 1) * u / 2.0)))
+            return -np.sign(m) * (np.exp((np.abs(m) - half) * u)
+                                  * np.expm1(-2.0 * np.abs(m) * u)
+                                  / math.expm1(-2.0 * half * u))
 
     def args(u):
         return (N + 1) * u / 2.0, (N - 1) * u / 2.0

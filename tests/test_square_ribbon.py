@@ -131,6 +131,13 @@ def test_edge_branch_profiles_and_norm():
         direct = math.sqrt(float(np.sum(pt.psi_circ ** 2)
                                  + np.sum(pt.psi_bullet ** 2)))
         assert pt.norm_const == pytest.approx(1.0 / direct, rel=1e-12)
+    # at tiny u the envelope is (N - n + 1)/N to rounding, and the
+    # closed-form norm makes the state a unit vector to rounding
+    pt = sq.zigzag_edge_branch(1e-150, N)
+    np.testing.assert_allclose(pt.psi_circ, (N - np.arange(N)) / N,
+                               rtol=1e-15)
+    state = np.concatenate([pt.psi_circ, pt.psi_bullet]) * pt.norm_const
+    assert abs(math.fsum((state ** 2).tolist()) - 1.0) < 1e-15
     with pytest.raises(ValueError):
         sq.zigzag_edge_branch(0.0, 5)
     with pytest.raises(ValueError):
