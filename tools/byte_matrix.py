@@ -7,7 +7,10 @@ of commands runs under each tree in a process of its own, each command
 through ``chebribbon.cli.run`` in-process with ``--out`` to a file.  Per
 command the tool compares the ``--out`` bytes, the exit code and the stderr
 text (or, when ``run`` raises, the last line of the exception), prints each
-command that differs and exits 1 if any does.  Warnings are recorded as
+command that differs and exits 1 if any does.  For a ``bands`` command whose
+output differs, it also names the columns that differ and gives the worst
+|a - b| / max(1, |a|) of ``energy``, ``u`` and ``ipr``, a from SRC_A, and
+ends with the worst of each over all such commands.  Warnings are recorded as
 ``Category: message`` lines after the stderr text, without the file and
 line they came from, so that moved code compares equal.  ``--list`` prints
 the commands and exits.
@@ -280,15 +283,19 @@ def _src(path):
 
 def _run_tree(src, results):
     """Worker: run every command under the tree `src`, writing one JSON
-    record per command to the file `results`."""
+    record per command to the file `results`, and the output of each
+    `bands` command to the directory `results`.d, one file per command
+    index."""
     sys.path.insert(0, str(src))
     import chebribbon.cli as cli
     if Path(cli.__file__).resolve().parent.parent != Path(src):
         raise SystemExit(f"imported {cli.__file__}, not {src}")
     records = []
+    kept = _kept(results)
+    kept.mkdir()
     with tempfile.TemporaryDirectory() as work:
-        out = Path(work) / "out"
-        for argv in commands():
+        for i, argv in enumerate(commands()):
+            out = kept / str(i) if argv[0] == "bands" else Path(work) / "out"
             if out.exists():
                 out.unlink()
             err = io.StringIO()
@@ -308,6 +315,49 @@ def _run_tree(src, results):
                             "out": hashlib.sha256(data).hexdigest(),
                             "bytes": len(data)})
     Path(results).write_text(json.dumps(records))
+
+
+def _kept(results):
+    return Path(f"{results}.d")
+
+
+_NUMERIC = ("energy", "u", "ipr")
+
+
+def _band_table(path):
+    """(column names, rows of cell texts) of a `bands` output, CSV or
+    JSON."""
+    text = path.read_text()
+    if text.startswith("{"):
+        payload = json.loads(text)
+        return payload["columns"], [
+            ["" if v is None else json.dumps(v) for v in row]
+            for row in payload["rows"]]
+    lines = text.splitlines()
+    return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def _column_report(path_a, path_b, worst):
+    """The columns of two `bands` outputs that differ, with the worst
+    relative deviation of each numeric one; `worst` keeps the largest of
+    each over the calls."""
+    names, rows_a = _band_table(path_a)
+    names_b, rows_b = _band_table(path_b)
+    if names != names_b or len(rows_a) != len(rows_b):
+        return "rows differ"
+    parts = []
+    for c, name in enumerate(names):
+        pairs = [(a[c], b[c]) for a, b in zip(rows_a, rows_b) if a[c] != b[c]]
+        if not pairs:
+            continue
+        if name not in _NUMERIC:
+            parts.append(name)
+            continue
+        dev = max(abs(float(a) - float(b)) / max(1.0, abs(float(a)))
+                  if a and b else math.inf for a, b in pairs)
+        worst[name] = max(worst.get(name, 0.0), dev)
+        parts.append(f"{name} {dev:.3g}")
+    return ", ".join(parts)
 
 
 def main(argv=None):
@@ -337,12 +387,21 @@ def main(argv=None):
             print("a worker failed", file=sys.stderr)
             return 2
         a, b = (json.loads(f.read_text()) for f in files)
-    differ = [i for i, (x, y) in enumerate(zip(a, b)) if x != y]
-    for i in differ:
-        what = [key for key in ("code", "out", "stderr")
-                if a[i][key] != b[i][key]]
-        print(f"DIFFERS ({', '.join(what)}): {' '.join(cmds[i])}")
+        differ = [i for i, (x, y) in enumerate(zip(a, b)) if x != y]
+        worst = {}
+        for i in differ:
+            what = [key for key in ("code", "out", "stderr")
+                    if a[i][key] != b[i][key]]
+            print(f"DIFFERS ({', '.join(what)}): {' '.join(cmds[i])}")
+            if cmds[i][0] == "bands" and what == ["out"] \
+                    and a[i]["code"] == 0:
+                print("    columns: " + _column_report(
+                    *(_kept(f) / str(i) for f in files), worst))
     print(f"{len(differ)} of {len(cmds)} commands differ")
+    for name in _NUMERIC:
+        if name in worst:
+            print(f"worst {name} deviation in differing bands rows: "
+                  f"{worst[name]:.3g}")
     return 1 if differ else 0
 
 
