@@ -10,6 +10,7 @@ edges phi in {0, pi} and the edge-bulk transition; deep and shallow edge
 states.
 """
 
+import functools
 import math
 
 import mpmath
@@ -32,6 +33,17 @@ def _sums_ipr(values):
                  / mpmath.fsum(v * v for v in values) ** 2)
 
 
+@functools.lru_cache(maxsize=None)
+def _sines(phi, N):
+    """sin(n phi), n = 0..N, at 40 digits: Im z^n with z = e^{i phi}."""
+    with mpmath.workdps(40):
+        z, power, out = mpmath.expj(mpmath.mpf(phi)), mpmath.mpc(1), []
+        for _ in range(N + 1):
+            out.append(power.imag)
+            power *= z
+        return out
+
+
 def _profile_ipr(phi, r, N):
     """The 40-digit IPR of sin(n phi) + r sin((n-1) phi), n = 1..N, or of
     its limit (1 +- r) n -+ r (over sin phi) at phi = 0 and phi = pi."""
@@ -41,12 +53,9 @@ def _profile_ipr(phi, r, N):
             s = 1 if phi == 0.0 else -1
             return _sums_ipr([(1 + s * r) * n - s * r
                               for n in range(1, N + 1)])
-        z = mpmath.expj(mpmath.mpf(phi))
-        term, values = z + r, []
-        for _ in range(N):  # Im z^(n-1) (z + r)
-            values.append(term.imag)
-            term *= z
-        return _sums_ipr(values)
+        sines = _sines(phi, N)
+        return _sums_ipr([sines[n] + r * sines[n - 1]
+                          for n in range(1, N + 1)])
 
 
 def _envelope_ipr(u, N, ends, family):
@@ -155,11 +164,13 @@ def test_zigzag_band_iprs(capsys, N):
             if model == "square-zigzag":
                 xi = abs(sq.xi_of_k(square, k)[0])
                 omega, phi, u = sq.zigzag_roots(xi, N)
-                phi, u = np.tile(phi, 2), np.tile(u, 2)
+                # rows: -omega and omega ascending, as bands orders them
+                order = np.argsort(np.concatenate([-omega, omega]),
+                                   kind="stable")
+                phi, u = np.tile(phi, 2)[order], np.tile(u, 2)[order]
                 r = np.full(2 * N, 1.0 / xi)
                 # the mirrored bullet block halves the circ block's IPR
-                found = 2.0 * part[np.argsort(np.concatenate(
-                    [-omega, omega]), kind="stable")]
+                found = 2.0 * part
                 family = np.full(2 * N, "A")
             else:
                 roots = (tri.zz1_roots if ends == 1 else tri.zz2_roots)(
