@@ -37,11 +37,11 @@ def _pair(draw):
     return first, draw(_hopping)
 
 
-@st.composite
-def _strong(draw, first, second):
+def _strong(first, second):
     """A third hopping 1 to 1e4 times the larger of the first two: t3 on
     the triangular ribbons, tr on the square ones (|xi| <= (tu + td)/tr)."""
-    return max(first, second, 0.05) * 10.0 ** draw(st.floats(0.0, 4.0))
+    scale = max(first, second, 0.05)
+    return st.floats(0.0, 4.0).map(lambda e: scale * 10.0 ** e)
 
 
 @st.composite
