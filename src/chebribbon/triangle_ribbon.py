@@ -100,18 +100,18 @@ def _reduced(h, N, k, a):
 
 def _secular_terms(E, h, N, k, a, ends):
     """Chebyshev table un = u_all(N, y) at y = (E - tau)/(2|zeta|), one
-    column per energy, with y, the secular sum and the magnitude of its
+    column per energy, with the secular sum and the magnitude of its
     cancelling terms per column, tau/|zeta| and arg zeta."""
     coefficients, _ = zigzag_ends(ends, N)
     za, r, tau, theta = _reduced(h, N, k, a)
-    y = (np.atleast_1d(np.asarray(E, dtype=float)) - tau) / (2.0 * za)
-    un = u_all(N, y)
+    un = u_all(N, (np.atleast_1d(np.asarray(E, dtype=float)) - tau)
+               / (2.0 * za))
     terms = [c * un[N + 1 - m] for m, c in enumerate(coefficients(r))]
     resid, scale = terms[0], np.abs(terms[0])
     for term in terms[1:]:
         resid = resid + term
         scale = scale + np.abs(term)
-    return un, y, resid, scale, r, theta
+    return un, resid, scale, r, theta
 
 
 def _at_least_one(scale):
@@ -120,7 +120,7 @@ def _at_least_one(scale):
 
 
 def _secular_residual(E, h, N, k, a, scaled, ends):
-    _, _, resid, scale, _, _ = _secular_terms(E, h, N, k, a, ends)
+    _, resid, scale, _, _ = _secular_terms(E, h, N, k, a, ends)
     if scaled:
         resid = resid / _at_least_one(scale)
     return float(resid[0]) if np.ndim(E) == 0 else resid
@@ -145,30 +145,21 @@ def zz2_secular_residual(E, h, N, k, a=1.0, scaled=False):
     return _secular_residual(E, h, N, k, a, scaled, ends=2)
 
 
-def _bulk_states(phi, r, theta, N):
-    """Normalized e^{i n theta} [U_{n-1}(cos phi) + r U_{n-2}(cos phi)], one
-    row per entry of phi, r and theta, formed at the angle phi."""
-    phases = np.exp(1.0j * np.arange(1, N + 1) * np.asarray(theta)[..., None])
-    psi = phases * u_profile(phi, r, N)
-    return psi / np.linalg.norm(psi, axis=-1, keepdims=True)
-
-
 def _secular_state(E, h, N, k, a, ends):
-    """zz1_state at `ends` truncated end rows: the secular check, then each
-    state at the angle read back from its energy (off the band, from the
-    Chebyshev table)."""
-    un, y, resid, scale, r, theta = _secular_terms(E, h, N, k, a, ends)
+    """Normalized e^{i n theta} [U_{n-1}(y) + r U_{n-2}(y)]: a vector for
+    scalar E, else one contiguous column per energy, from one table."""
+    un, resid, scale, r, theta = _secular_terms(E, h, N, k, a, ends)
     off = np.abs(resid) > 1e-6 * _at_least_one(scale)
     if np.any(off):
         raise ValueError(
             f"energy is not on the spectrum (scaled residual "
             f"{resid[off][0]:.3e})")
-    psi = _bulk_states(np.arccos(np.clip(y, -1.0, 1.0)), r, theta, N)
-    band = np.abs(y) <= 1.0
-    if not band.all():
-        table = (np.exp(1.0j * np.arange(1, N + 1) * theta)
-                 * (un[1:N + 1, ~band] + r * un[0:N, ~band]).T)
-        psi[~band] = table / np.linalg.norm(table, axis=1, keepdims=True)
+    psi = np.exp(1.0j * np.arange(1, N + 1) * theta) * np.ascontiguousarray(
+        (un[1:N + 1] + r * un[0:N]).T)
+    # one norm per contiguous state: a batched reduction sums in another
+    # order and changes the last bits
+    for row in psi:
+        row /= np.linalg.norm(row)
     return psi[0] if np.ndim(E) == 0 else psi.T
 
 
@@ -176,12 +167,12 @@ def zz1_state(E, h, N, k, a=1.0):
     """Normalized transverse eigenvector of the one-sided zigzag ribbon:
     psi_n = e^{i n theta} [U_{n-1}(y) + (tau/|zeta|) U_{n-2}(y)].
 
-    An array of energies gives one contiguous column per energy.  An energy
-    whose scaled secular residual exceeds 1e-6 raises ValueError.  On the
-    band each state is formed at the angle phi = arccos(y) read back from
-    its energy (root_states forms them at the roots' own angles); off the
-    band it comes from the Chebyshev recurrence, which cancels for deep
-    edge states (zz1_edge_state)."""
+    An array of energies gives one contiguous column per energy, from one
+    recurrence run for all of them.  An energy whose scaled secular
+    residual exceeds 1e-6 raises ValueError.  The recurrence at y read
+    back from E cancels for deep edge states (zz1_edge_state) and when
+    |tau| >> |zeta|; root_states forms a momentum's states at the roots'
+    own angles and decays instead."""
     return _secular_state(E, h, N, k, a, 1)
 
 
@@ -308,6 +299,14 @@ def zz2_roots(h, N, k, a=1.0):
     """All N secular roots of the two-sided zigzag ribbon at momentum k, as
     a RootTable ascending in energy."""
     return _roots(h, N, k, a, ends=2)
+
+
+def _bulk_states(phi, r, theta, N):
+    """Normalized e^{i n theta} [U_{n-1}(cos phi) + r U_{n-2}(cos phi)], one
+    row per entry of phi, r and theta, formed at the angle phi."""
+    phases = np.exp(1.0j * np.arange(1, N + 1) * np.asarray(theta)[..., None])
+    psi = phases * u_profile(phi, r, N)
+    return psi / np.linalg.norm(psi, axis=-1, keepdims=True)
 
 
 def root_states(roots, N, ends):

@@ -155,13 +155,10 @@ def test_batched_states_and_residuals_equal_scalar_reference(N):
             block = state(bulk, WEAK, N, k)
             assert block.shape == (N, len(bulk))
             for j, e in enumerate(bulk):
-                # formed at the angle, not from the recurrence's table
                 _, _, psi = _scalar_secular(e, WEAK, N, k, coeffs)
                 assert block[:, j].flags.c_contiguous
-                np.testing.assert_allclose(block[:, j], psi, rtol=0,
-                                           atol=1e-12)
-                assert np.array_equal(state(float(e), WEAK, N, k),
-                                      block[:, j])
+                assert np.array_equal(block[:, j], psi)
+                assert np.array_equal(state(float(e), WEAK, N, k), psi)
             expected = []
             for e in every:
                 resid, scale, _ = _scalar_secular(e, WEAK, N, k, coeffs)
