@@ -251,7 +251,10 @@ def _cosh_ratio(num_arg, den_arg):
 class EdgeFamily(NamedTuple):
     """An edge branch of a zigzag ribbon: |r| = ratio(u) on it, rising from
     `threshold` at u -> 0; half(u) = 1/ratio(u) and bound = 1/threshold,
-    each evaluated as such; envelope(u) is the state's profile."""
+    each evaluated as such; envelope(u) is the state's profile.  level(u)
+    is 2 cosh(u) - ratio(u) in a form that does not cancel, so that the
+    edge energy tau + s 2|zeta| cosh(u), s = -sign(r), is s |zeta| level(u)
+    to full relative precision however large |r| is."""
 
     name: str   # "A" (one-sided, or two-sided even) or "B" (odd)
     label: str  # its name in reports
@@ -260,6 +263,7 @@ class EdgeFamily(NamedTuple):
     threshold: float
     bound: float
     envelope: object
+    level: object
 
 
 # a scan asks for the same ribbon at every momentum
@@ -281,10 +285,14 @@ def zigzag_ends(ends, N):
                 return (np.exp(-(n - 1) * u) * np.expm1(-2.0 * (N - n + 1) * u)
                         / math.expm1(-2.0 * N * u))
 
+        def level(u):  # sinh((N-1)u)/sinh(Nu), 0.0 at N = 1
+            return abs(math.exp(-u) * math.expm1(-2.0 * (N - 1) * u)
+                       / math.expm1(-2.0 * N * u))
+
         return (lambda r: (1.0, r)), (EdgeFamily(
             "A", "one_sided", lambda u: _sinh_ratio((N + 1) * u, N * u),
             lambda u: _sinh_ratio(N * u, (N + 1) * u), (N + 1) / N,
-            N / (N + 1.0), envelope),)
+            N / (N + 1.0), envelope, level),)
     if N < 2:
         raise ValueError("two-sided zigzag needs N >= 2")
     # the envelopes in their stable symmetric forms (see zz2_edge_profile)
@@ -304,12 +312,26 @@ def zigzag_ends(ends, N):
     def args(u):
         return (N + 1) * u / 2.0, (N - 1) * u / 2.0
 
+    # the levels with a = |N - 3| u/2 <= b = (N - 1) u/2, whose difference
+    # is -u (0 at N = 2)
+    def level_even(u):  # cosh((N-3)u/2)/cosh((N-1)u/2)
+        return (math.exp(-u if N > 2 else 0.0)
+                * (1.0 + math.exp(-abs(N - 3) * u))
+                / (1.0 + math.exp(-(N - 1) * u)))
+
+    def level_odd(u):  # sinh((N-3)u/2)/sinh((N-1)u/2), 0.0 at N = 3
+        return math.copysign(math.exp(-u if N > 2 else 0.0)
+                             * math.expm1(-abs(N - 3) * u)
+                             / math.expm1(-(N - 1) * u), N - 3)
+
     return (lambda r: (1.0, 2.0 * r, r * r)), (
         EdgeFamily("A", "family_A", lambda u: _cosh_ratio(*args(u)),
-                   lambda u: _cosh_ratio(*args(u)[::-1]), 1.0, 1.0, even),
+                   lambda u: _cosh_ratio(*args(u)[::-1]), 1.0, 1.0, even,
+                   level_even),
         EdgeFamily("B", "family_B", lambda u: _sinh_ratio(*args(u)),
                    lambda u: _sinh_ratio(*args(u)[::-1]),
-                   (N + 1.0) / (N - 1.0), (N - 1.0) / (N + 1.0), odd))
+                   (N + 1.0) / (N - 1.0), (N - 1.0) / (N + 1.0), odd,
+                   level_odd))
 
 
 def by_family(families, value):

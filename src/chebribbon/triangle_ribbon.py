@@ -235,8 +235,8 @@ def _scan_bulk(N, coeffs):
 
 
 def _root_table(k, N, tau, za, theta, phis, edges):
-    """RootTable of the bulk angles `phis` and the (u, sign, family) edge
-    roots, stably sorted by energy from that order."""
+    """RootTable of the bulk angles `phis` and the (u, sign, EdgeFamily)
+    edge roots, stably sorted by energy from that order."""
     count = len(phis) + len(edges)
     if count != N:
         raise RootCountError(
@@ -245,14 +245,15 @@ def _root_table(k, N, tau, za, theta, phis, edges):
     edge_u, edge_sign, edge_family = zip(*edges) if edges else ((), (), ())
     phi = np.array(phis + [math.nan] * len(edges))
     # libm's cosine per root: numpy's vector loops may round differently
-    # (its cosh does on about a fifth of arguments)
     cos = np.array([*map(math.cos, phis), *[0.0] * len(edges)])
     energy = tau + 2.0 * za * cos
-    for i, (u, s, _) in enumerate(edges, start=before):
-        energy[i] = tau + s * 2.0 * za * math.cosh(u)
+    for i, (u, s, fam) in enumerate(edges, start=before):
+        # tau + s 2|zeta| cosh(u) cancels when |tau| >> |zeta|; + 0.0 keeps
+        # the flat levels (N = 1, family B at N = 3) from printing as -0
+        energy[i] = s * za * fam.level(u) + 0.0
     u = np.array([math.nan] * before + list(edge_u))
     sign = np.array([0] * before + list(edge_sign))
-    family = np.array([""] * before + list(edge_family))
+    family = np.array([""] * before + [fam.name for fam in edge_family])
     order = np.argsort(energy, kind="stable")
     return RootTable(energy[order], phi[order], u[order], sign[order],
                      family[order], np.full(N, tau), np.full(N, za),
@@ -285,7 +286,7 @@ def _roots(h, N, k, a, ends):
             u = _edge_u(fam.ratio, abs(r))
             if u == 0.0 or matched and u < 1e-3:
                 continue  # already counted as the zone-edge bulk root
-            edges.append((u, s, fam.name))
+            edges.append((u, s, fam))
     return _root_table(k, N, tau, za, theta, phis, edges)
 
 

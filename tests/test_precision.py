@@ -7,7 +7,8 @@ and u that the program holds, so they measure the arithmetic of the IPRs
 and nothing else.  Widths N = 5, 200 and 1000; angles near 0, pi and pi/2,
 where the Dirichlet kernels of the closed form have their poles; the band
 edges phi in {0, pi} and the edge-bulk transition; deep and shallow edge
-states.
+states.  Last, the edge energies of the strong-anisotropy regime, against
+the eigenvalues of the Bloch matrix at 60 and 450 digits.
 """
 
 import functools
@@ -19,10 +20,11 @@ import pytest
 
 from chebribbon import square_ribbon as sq
 from chebribbon import triangle_ribbon as tri
-from chebribbon.chebpoly import u_profile_ipr
+from chebribbon.chebpoly import u_profile_ipr, zigzag_ends
 from chebribbon.classify import ipr
 from chebribbon.cli import run
-from chebribbon.hamiltonian import SquareHoppings, TriangleHoppings
+from chebribbon.hamiltonian import (SquareHoppings, TriangleEdge,
+                                    TriangleHoppings, build_triangle_bloch)
 
 WIDTHS = (5, 200, 1000)
 TOL = 1e-13
@@ -188,3 +190,55 @@ def test_zigzag_band_iprs(capsys, N):
             _assert_close(found[edge], [
                 _envelope_ipr(u[i], N, ends, family[i]) for i in edge],
                 (model, k, "edge"))
+
+
+@pytest.mark.parametrize("N", (1, 2, 3, 5, 200))
+def test_edge_levels_do_not_cancel(N):
+    # EdgeFamily.level(u) = 2 cosh u - ratio(u) within 1e-14 relative, also
+    # at large u, where the two terms agree to every digit of a double, and
+    # on the flat levels 0 (one-sided N = 1, family B at N = 3) as +0.0
+    mp = mpmath
+    for ends in (1, 2) if N > 1 else (1,):
+        for fam in zigzag_ends(ends, N)[1]:
+            for u in (1e-150, 1e-3, 0.5, 5.0, 40.0, 400.0):
+                with mpmath.workdps(400):
+                    x = mp.mpf(u)
+                    if ends == 1:
+                        ratio = mp.sinh((N + 1) * x) / mp.sinh(N * x)
+                    elif fam.name == "A":
+                        ratio = (mp.cosh((N + 1) * x / 2)
+                                 / mp.cosh((N - 1) * x / 2))
+                    else:
+                        ratio = (mp.sinh((N + 1) * x / 2)
+                                 / mp.sinh((N - 1) * x / 2))
+                    expected = float(2 * mp.cosh(x) - ratio)
+                found = fam.level(u)
+                assert abs(found - expected) <= 1e-14 * abs(expected), (
+                    ends, fam.name, u)
+                if expected == 0.0:
+                    assert math.copysign(1.0, found) == 1.0
+
+
+@pytest.mark.parametrize("model, edge", [
+    ("triangle-zigzag1", TriangleEdge.ZIGZAG1),
+    ("triangle-zigzag2", TriangleEdge.ZIGZAG2)])
+@pytest.mark.parametrize("t3, k_points, digits", [
+    ("1e12", "8", 60), ("1e200", "3", 450)])
+def test_edge_energies_when_tau_dwarfs_zeta(capsys, model, edge, t3,
+                                            k_points, digits):
+    # an edge energy of about |zeta|^2/tau, far below tau: formed as
+    # tau +- 2|zeta| cosh u it would cancel (0.026 for -2.1e-12 at t3 =
+    # 1e12); every energy within 1e-12 relative of the Bloch matrix's, whose
+    # smallest eigenvalue at t3 = 1e200 needs some 400 digits to resolve
+    assert run(["bands", "--model", model, "--N", "5", "--t3", t3,
+                "--k-points", k_points]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    for start in range(0, len(lines), 5):
+        rows = [line.split(",") for line in lines[start:start + 5]]
+        bloch = build_triangle_bloch(TriangleHoppings(1.0, 1.0, float(t3)),
+                                     5, float(rows[0][0]), edge=edge)
+        with mpmath.workdps(digits):
+            expected = sorted(float(e) for e in mpmath.eighe(
+                mpmath.matrix(bloch.entries.tolist()), eigvals_only=True))
+        np.testing.assert_allclose([float(r[2]) for r in rows], expected,
+                                   rtol=1e-12, atol=0)

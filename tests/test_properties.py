@@ -145,6 +145,10 @@ _REPRODUCERS = [
       for model in ("triangle-zigzag1", "triangle-zigzag2")
       for N, t3 in (("40", "100"), ("12", "300"), ("5", "3000"))),
     ["bands", "--model", "square-zigzag", "--tr", "1e200"],
+    # and an edge energy of about |zeta|^2/t3 that tau +- 2|zeta| cosh u
+    # would cancel
+    *(["bands", "--model", model, "--N", "5", "--t3", "1e12", "--k-points",
+       "8"] for model in ("triangle-zigzag1", "triangle-zigzag2")),
 ]
 
 
