@@ -577,6 +577,8 @@ def _validate_scan(config, violations):
             residuals.append(max(abs(v) for v in _zz(
                 ends, "secular_residual", energies, h, N, k, a=a,
                 scaled=True).tolist()))
+        # freed before the next momentum's dense solve, not after it
+        del spec, states
     out = {"max_energy_dev": dev, "max_overlap_deficit": deficit,
            "agreement": agree / total if total else None}
     if residuals:
