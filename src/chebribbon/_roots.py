@@ -1,187 +1,161 @@
-"""Shared bracketing machinery for the angular secular equations.
+"""Roots of the zigzag secular equations, every momentum of a scan at once.
 
-Every bulk secular equation in this package reduces to finding the roots of a
-smooth function R(phi) on [0, pi] whose product with sin(phi) is a cheap
-trigonometric polynomial.  The scan brackets sign changes of that product on
-a node grid (the grid must include the zeros of the participating Chebyshev
-polynomials: for strongly weighted secular terms, root pairs straddle those
-zeros and would otherwise share a cell without a net sign change), and
-refines with Brent's method.  Endpoint-adjacent brackets use the smooth form
-R itself, since the product vanishes identically at 0 and pi.
+With y = cos(phi), U_n(y) = sin((n+1) phi)/sin(phi), so each zigzag secular
+sum, times sin(phi), is the imaginary part of e^{i M phi} (e^{i phi} + r)^p:
+(M, p) = (N, 1) on the one-sided triangular ribbon (r = tau/|zeta|) and on
+the square zigzag ribbon (r = 1/|xi|), (N - 1, 2) on the two-sided one.  Its
+bulk roots in [0, pi] solve the indexed phase equation
 
-Interior brackets are refined all at once by brent_lockstep, an array port
-of scipy's brentq that returns the same roots bit for bit, once there are
-enough of them to repay its per-iteration array overhead.
+    F(phi) = M phi + p atan2(sin phi, cos phi + r) = j pi,
+
+and as the atan2 term lies in [0, pi], root j lies in
+[(j - p) pi/M, j pi/M].  F(0) and F(pi) fix the indices:
+p [r < -1] + 1 <= j <= M + p [r <= 1] - 1.  F increases everywhere but in
+the edge-bulk transition band 1 < |r| <= (M + p)/M, where it has one
+extremum, at cos phi* = -(M (1 + r^2) + p)/(r (2M + p)); beyond it F does
+not come back to the level of any root.  There the range gains the index
+next to the extremum, and every bracket is cut at phi*.  So each bracket
+holds one root of an increasing function, and phase_roots refines all of
+them at once by a safeguarded Newton iteration, with no grid and no
+tolerance at the interval ends.  At the band's upper end (the edge
+threshold, where the edge root leaves) the extra root sits on phi = 0 or pi.
+
+Edge roots solve ratio(u) = |r| for the decay ratios of the edge families,
+cosh((b+1)u)/cosh(bu) or sinh((b+1)u)/sinh(bu), which ratio_roots inverts
+the same way.  invert_monotone_ratio is the scalar inversion of any
+increasing ratio, by scipy's brentq.
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 from scipy.optimize import brentq
 
+from .chebpoly import _PI_LO
 
-# Interior brackets per scan from which brent_lockstep beats a loop of
-# scalar brentq calls (measured per momentum: 0.36 vs 0.57 ms at N = 4,
-# 0.68 vs 0.59 ms at N = 8).
-LOCKSTEP_MIN_BRACKETS = 8
-
-_XTOL = 1e-15
-_RTOL = 8.9e-16
+_EPS = np.finfo(float).eps
 
 
-def angular_scan(g_grid, g_exact, left_limit, right_limit, nodes,
-                 boundary_tol):
-    """Roots of R(phi) in (0, pi), plus boundary-root flags.
+def _newton(f, x, lo, hi):
+    """Root of each increasing f in its bracket [lo, hi], from x.
 
-    g_grid: vectorized, equals R(phi)*sin(phi) on the open interval (same
-        sign as R there).
-    g_exact: scalar-friendly smooth continuation of R through 0 and pi.
-    left_limit / right_limit: R(0) and R(pi).
-    nodes: sorted grid covering [0, pi] with 0 and pi included.
-    boundary_tol: |limit| at or below this counts as a root sitting exactly
-        on the interval end (returned as a flag, not in the root list).
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    vals = np.empty(len(nodes))
-    vals[1:-1] = g_grid(nodes[1:-1])
-    vals[0] = left_limit
-    vals[-1] = right_limit
-    boundary0 = abs(left_limit) <= boundary_tol
-    boundary_pi = abs(right_limit) <= boundary_tol
-
-    roots = []
-    for i in np.nonzero(vals[1:-1] == 0.0)[0] + 1:
-        roots.append(float(nodes[i]))  # grid point landed on a root
-        vals[i] = np.nan
-    if boundary0:
-        vals[0] = np.nan
-    if boundary_pi:
-        vals[-1] = np.nan
-
-    # NaN neighbours compare False, so flagged cells drop out here
-    cells = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
-    last = len(nodes) - 1
-    ends = (cells == 0) | (cells + 1 == last)
-    for i in cells[ends]:
-        roots.append(float(brentq(g_exact, nodes[i], nodes[i + 1],
-                                  xtol=_XTOL, rtol=_RTOL)))
-    inner = cells[~ends]
-    if len(inner) >= LOCKSTEP_MIN_BRACKETS:
-        roots.extend(brent_lockstep(g_grid, nodes[inner], nodes[inner + 1],
-                                    xtol=_XTOL, rtol=_RTOL).tolist())
-    else:
-        for i in inner:
-            roots.append(float(brentq(g_grid, nodes[i], nodes[i + 1],
-                                      xtol=_XTOL, rtol=_RTOL)))
-    return sorted(roots), boundary0, boundary_pi
+    f(x, live) gives the values, slopes and the sums of the magnitudes of
+    the terms of the values at x of the functions of the entries `live`.
+    A Newton step that does not land inside the bracket bisects it
+    instead (so that a step cannot bounce between its ends); each value
+    narrows the bracket.  An entry is done, with its last Newton step
+    taken, when that step is within a few ulps of x or its value is within
+    rounding of 0, or when its bracket is down to a few ulps; an entry not
+    done after 100 steps is NaN."""
+    out = np.full(x.shape, np.nan)
+    live = np.arange(x.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(100):
+            if not live.size:
+                break
+            value, slope, scale = f(x, live)
+            below = value < 0.0
+            lo = np.where(below, x, lo)
+            hi = np.where(below, hi, x)
+            delta = value / slope
+            step = x - delta
+            inside = (step > lo) & (step < hi)
+            close = ((np.abs(delta) <= 4.0 * _EPS * x)
+                     | (np.abs(value) <= 4.0 * _EPS * scale))
+            out[live[close]] = np.where(inside, step, x)[close]
+            narrow = ~close & (hi - lo <= 4.0 * _EPS * hi)
+            out[live[narrow]] = x[narrow]
+            keep = ~(close | narrow)
+            x = np.where(inside, step, 0.5 * (lo + hi))[keep]
+            live, lo, hi = live[keep], lo[keep], hi[keep]
+    return out
 
 
-def _nan_checked(f, x):
-    fx = np.asarray(f(x), dtype=float)
-    bad = np.isnan(fx)
-    if np.any(bad):
-        raise ValueError(f"The function value at x={x[bad][0]} is NaN; "
-                         "solver cannot continue.")
-    return fx
+def phase_roots(r, M, p):
+    """Every bulk root of F(phi) = M phi + p atan2(sin phi, cos phi + r) =
+    j pi in [0, pi], for each entry of the array r.
+
+    Returns (m, j, phi): the index into r, the root index j and the angle
+    of each root, grouped by m.  A root not converged after 100 Newton
+    steps has phi NaN.  A negative r is solved as -r, whose roots are
+    pi - phi with index M + p - j, so that the transition band's extremum
+    lies next to pi, where F - j pi is formed from pi - phi without
+    cancelling."""
+    r = np.asarray(r, dtype=float)
+    rho = np.abs(r)
+    band = (rho > 1.0) & (rho <= (M + p) / M)
+    first = np.ones(r.shape, dtype=int)
+    last = M + p * (rho <= 1.0) - 1 + band
+    count = last - first + 1
+    m = np.repeat(np.arange(r.size), count)
+    j = np.arange(m.size) - np.repeat(np.cumsum(count) - count, count) + 1
+    lo = np.maximum((j - p) * np.pi / M, 0.0)
+    hi = np.minimum(j * np.pi / M, np.pi)
+    # pi - phi* of the extremum, from cos^2(phi*/2) formed from |r| - 1
+    dr = rho - 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cut = 2.0 * np.arcsin(np.sqrt(np.maximum(
+            dr * (p - M * dr), 0.0) / (2.0 * rho * (2 * M + p))))
+    hi = np.where(band[m], np.minimum(hi, np.pi - cut[m]), hi)
+    rm = rho[m]
+    low_end = (j - M) * np.pi
+
+    def f(phi, live):
+        rl = rm[live]
+        jl = low_end[live]
+        near = phi < 0.5 * np.pi
+        # past pi/2 every term comes from x = pi - phi, to full precision
+        x = np.where(near, phi, (np.pi - phi) + _PI_LO)
+        s, c = np.sin(0.5 * x), np.cos(0.5 * x)
+        sin = 2.0 * s * c
+        # cos(phi) + r, without cancelling at r ~ 1 near phi = pi
+        q = np.where(near, (1.0 + rl) - 2.0 * s * s, (rl - 1.0) + 2.0 * s * s)
+        # M phi - j pi, as -M (pi - phi) - (j - M) pi past pi/2
+        linear = np.where(near, M * x, -M * x)
+        offset = np.where(near, jl + M * np.pi, jl)
+        turn = p * np.arctan2(sin, q)
+        slope = M + p * (1.0 + rl * (q - rl)) / (sin * sin + q * q)
+        return (linear - offset + turn, slope,
+                np.abs(linear) + np.abs(offset) + turn)
+
+    phi = _newton(f, 0.5 * (lo + hi), lo, hi)
+    flip = r[m] < 0.0
+    return m, np.where(flip, M + p - j, j), np.where(flip, np.pi - phi, phi)
 
 
-def brent_lockstep(f, a, b, xtol=_XTOL, rtol=_RTOL, maxiter=100):
-    """Roots of f in every bracket [a[i], b[i]], refined side by side.
+def ratio_roots(rho, b, even):
+    """The decay u > 0 at which cosh((b+1)u)/cosh(bu) (even) or
+    sinh((b+1)u)/sinh(bu) equals rho, for each entry of the array rho
+    above the ratio's u -> 0 limit, 1 or (b+1)/b.
 
-    f maps an array of abscissae to the array of function values.  The step
-    rule is scipy's brentq (scipy/optimize/Zeros/brentq.c) with each
-    expression evaluated in the same order, so every entry of the result
-    equals brentq(f, a[i], b[i], xtol=xtol, rtol=rtol, maxiter=maxiter) bit
-    for bit.  Like brentq it raises ValueError on a NaN function value or a
-    bracket without a sign change, and RuntimeError when a bracket has not
-    converged after maxiter iterations.
-    """
-    xpre = np.array(a, dtype=float)
-    xcur = np.array(b, dtype=float)
-    fpre = _nan_checked(f, xpre)
-    fcur = _nan_checked(f, xcur)
-    root = np.where(fpre == 0.0, xpre, xcur)
-    live = (fpre != 0.0) & (fcur != 0.0)
-    if np.any(live & (np.signbit(fpre) == np.signbit(fcur))):
-        raise ValueError("f(a) and f(b) must have different signs")
-    idx = np.flatnonzero(live)
-    xpre, xcur, fpre, fcur = xpre[idx], xcur[idx], fpre[idx], fcur[idx]
-    xblk = np.zeros_like(xcur)
-    fblk = np.zeros_like(xcur)
-    spre = np.zeros_like(xcur)
-    scur = np.zeros_like(xcur)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(maxiter):
-            fresh = ((fpre != 0.0) & (fcur != 0.0)
-                     & (np.signbit(fpre) != np.signbit(fcur)))
-            xblk = np.where(fresh, xpre, xblk)
-            fblk = np.where(fresh, fpre, fblk)
-            spre = np.where(fresh, xcur - xpre, spre)
-            scur = np.where(fresh, spre, scur)
-            swap = np.abs(fblk) < np.abs(fcur)
-            xpre, xcur, xblk = (np.where(swap, xcur, xpre),
-                                np.where(swap, xblk, xcur),
-                                np.where(swap, xcur, xblk))
-            fpre, fcur, fblk = (np.where(swap, fcur, fpre),
-                                np.where(swap, fblk, fcur),
-                                np.where(swap, fcur, fblk))
+    Newton's method on log ratio(u) - log rho, which neither overflows nor
+    cancels, inside [log(rho/limit), log(2 rho)], from the root of its
+    quadratic expansion at u = 0.  NaN where it does not converge."""
+    rho = np.asarray(rho, dtype=float)
+    a = b + 1.0
+    limit = 1.0 if even else a / b
+    level = np.log1p((rho - limit) / limit)  # log(rho/limit)
+    curvature = (a + b) / (2.0 if even else 6.0)
+    lo, hi = level, np.log(rho) + np.log(2.0)
+    u0 = np.clip(np.sqrt(level / curvature), lo, hi)
+    offset = np.log(limit)
 
-            delta = (xtol + rtol * np.abs(xcur)) / 2
-            sbis = (xblk - xcur) / 2
-            done = (fcur == 0.0) | (np.abs(sbis) < delta)
-            if np.any(done):
-                root[idx[done]] = xcur[done]
-                keep = ~done
-                idx, xpre, xcur, xblk = idx[keep], xpre[keep], xcur[keep], \
-                    xblk[keep]
-                fpre, fcur, fblk = fpre[keep], fcur[keep], fblk[keep]
-                spre, scur = spre[keep], scur[keep]
-                delta, sbis = delta[keep], sbis[keep]
-            if not len(idx):
-                return root
+    def f(u, live):
+        if even:
+            terms = (np.log1p(np.exp(-2.0 * a * u)),
+                     -np.log1p(np.exp(-2.0 * b * u)))
+            slope = a * np.tanh(a * u) - b * np.tanh(b * u)
+        else:
+            terms = (np.log(np.expm1(-2.0 * a * u) / np.expm1(-2.0 * b * u)),
+                     -offset)
+            # a coth(au) - b coth(bu) cancels at small u: its series there
+            slope = np.where(a * u < 1e-3, (a + b) * u / 3.0,
+                             a / np.tanh(a * u) - b / np.tanh(b * u))
+        value = u + terms[0] + terms[1] - level[live]
+        return (value, slope,
+                u + np.abs(terms[0]) + np.abs(terms[1]) + level[live])
 
-            interpolate = -fcur * (xcur - xpre) / (fcur - fpre)
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            extrapolate = (-fcur * (fblk * dblk - fpre * dpre)
-                           / (dblk * dpre * (fblk - fpre)))
-            stry = np.where(xpre == xblk, interpolate, extrapolate)
-            lim_s, lim_b = np.abs(spre), 3 * np.abs(sbis) - delta
-            short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
-                     & (2 * np.abs(stry)
-                        < np.where(lim_s < lim_b, lim_s, lim_b)))
-            spre = np.where(short, scur, sbis)
-            scur = np.where(short, stry, sbis)
-
-            xpre, fpre = xcur, fcur
-            xcur = xcur + np.where(np.abs(scur) > delta, scur,
-                                   np.where(sbis > 0, delta, -delta))
-            fcur = _nan_checked(f, xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations, "
-                       f"value is {xcur[0]}")
-
-
-def secular_nodes(N, degrees):
-    """Uniform 8(N+1)-interval grid on [0, pi] joined with the zero angles
-    pi*j/(d+1) of each Chebyshev degree d in `degrees`.
-
-    Built once per (N, degrees) and shared by every caller, so the array is
-    read-only."""
-    return _node_grid(N, tuple(degrees))
-
-
-# a scan asks for the same few grids at every momentum
-@functools.lru_cache(maxsize=64)
-def _node_grid(N, degrees):
-    parts = [np.linspace(0.0, np.pi, 8 * (N + 1) + 1)]
-    for d in degrees:
-        if d >= 1:
-            parts.append(np.pi * np.arange(1, d + 1) / (d + 1))
-    nodes = np.unique(np.concatenate(parts))
-    nodes.flags.writeable = False
-    return nodes
+    return _newton(f, u0, lo, hi)
 
 
 def invert_monotone_ratio(f, target):

@@ -251,10 +251,12 @@ def _cosh_ratio(num_arg, den_arg):
 class EdgeFamily(NamedTuple):
     """An edge branch of a zigzag ribbon: |r| = ratio(u) on it, rising from
     `threshold` at u -> 0; half(u) = 1/ratio(u) and bound = 1/threshold,
-    each evaluated as such; envelope(u) is the state's profile.  level(u)
-    is 2 cosh(u) - ratio(u) in a form that does not cancel, so that the
-    edge energy tau + s 2|zeta| cosh(u), s = -sign(r), is s |zeta| level(u)
-    to full relative precision however large |r| is."""
+    each evaluated as such; envelope(u) is the state's profile.  ratio(u)
+    is cosh((b+1)u)/cosh(bu) (even) or sinh((b+1)u)/sinh(bu) with b =
+    `order`.  level(u) is 2 cosh(u) - ratio(u) in a form that does not
+    cancel, for a decay or an array of them, so that the edge energy
+    tau + s 2|zeta| cosh(u), s = -sign(r), is s |zeta| level(u) to full
+    relative precision however large |r| is."""
 
     name: str   # "A" (one-sided, or two-sided even) or "B" (odd)
     label: str  # its name in reports
@@ -264,6 +266,8 @@ class EdgeFamily(NamedTuple):
     bound: float
     envelope: object
     level: object
+    order: float
+    even: bool
 
 
 # a scan asks for the same ribbon at every momentum
@@ -286,24 +290,24 @@ def zigzag_ends(ends, N):
                         / math.expm1(-2.0 * N * u))
 
         def level(u):  # sinh((N-1)u)/sinh(Nu), 0.0 at N = 1
-            return abs(math.exp(-u) * math.expm1(-2.0 * (N - 1) * u)
-                       / math.expm1(-2.0 * N * u))
+            return np.abs(np.exp(-u) * np.expm1(-2.0 * (N - 1) * u)
+                          / np.expm1(-2.0 * N * u))
 
         return (lambda r: (1.0, r)), (EdgeFamily(
             "A", "one_sided", lambda u: _sinh_ratio((N + 1) * u, N * u),
             lambda u: _sinh_ratio(N * u, (N + 1) * u), (N + 1) / N,
-            N / (N + 1.0), envelope, level),)
+            N / (N + 1.0), envelope, level, float(N), False),)
     if N < 2:
         raise ValueError("two-sided zigzag needs N >= 2")
     # the envelopes in their stable symmetric forms (see zz2_edge_profile)
     m = n - (N + 1) / 2.0
+    half = (N - 1) / 2.0
 
     def even(u):
         with np.errstate(under="ignore"):
             return np.exp(logcosh(m * u) - logcosh((N - 1) * u / 2.0))
 
     def odd(u):  # -sign(m) sinh(|m|u)/sinh((N-1)u/2)
-        half = (N - 1) / 2.0
         with np.errstate(under="ignore"):
             return -np.sign(m) * (np.exp((np.abs(m) - half) * u)
                                   * np.expm1(-2.0 * np.abs(m) * u)
@@ -315,23 +319,23 @@ def zigzag_ends(ends, N):
     # the levels with a = |N - 3| u/2 <= b = (N - 1) u/2, whose difference
     # is -u (0 at N = 2)
     def level_even(u):  # cosh((N-3)u/2)/cosh((N-1)u/2)
-        return (math.exp(-u if N > 2 else 0.0)
-                * (1.0 + math.exp(-abs(N - 3) * u))
-                / (1.0 + math.exp(-(N - 1) * u)))
+        return (np.exp(-u if N > 2 else 0.0 * u)
+                * (1.0 + np.exp(-abs(N - 3) * u))
+                / (1.0 + np.exp(-(N - 1) * u)))
 
     def level_odd(u):  # sinh((N-3)u/2)/sinh((N-1)u/2), 0.0 at N = 3
-        return math.copysign(math.exp(-u if N > 2 else 0.0)
-                             * math.expm1(-abs(N - 3) * u)
-                             / math.expm1(-(N - 1) * u), N - 3)
+        return np.copysign(np.exp(-u if N > 2 else 0.0 * u)
+                           * np.expm1(-abs(N - 3) * u)
+                           / np.expm1(-(N - 1) * u), N - 3)
 
     return (lambda r: (1.0, 2.0 * r, r * r)), (
         EdgeFamily("A", "family_A", lambda u: _cosh_ratio(*args(u)),
                    lambda u: _cosh_ratio(*args(u)[::-1]), 1.0, 1.0, even,
-                   level_even),
+                   level_even, half, True),
         EdgeFamily("B", "family_B", lambda u: _sinh_ratio(*args(u)),
                    lambda u: _sinh_ratio(*args(u)[::-1]),
                    (N + 1.0) / (N - 1.0), (N - 1.0) / (N + 1.0), odd,
-                   level_odd))
+                   level_odd, half, False))
 
 
 def by_family(families, value):

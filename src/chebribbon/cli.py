@@ -233,6 +233,9 @@ class _Scan(NamedTuple):
         form: no state is formed.
     states(m): the normalized states of the rows of the m-th solved
         momentum, one column per row.
+    residuals: None, or on the triangular zigzag ribbons a function giving
+        the scaled secular residual of every row at its root's own angle or
+        decay (tri.root_residuals).
     """
 
     grid: list
@@ -242,31 +245,52 @@ class _Scan(NamedTuple):
     u: list
     ipr: np.ndarray
     states: object
+    residuals: object = None
 
 
 def _solve_grid(config, solve):
-    """Pass 1 of a scan: solve(k) at each momentum of config's grid whose
-    partner -k has not come earlier in the grid.  The hoppings are real, so
-    H(-k) = H(k)*: the partner has the same energies, labels and decays,
-    and the conjugate states, so it reads the rows of -k, mirrored.
-    Returns the scan's grid (see _Scan) and the solutions of the solved
-    momenta, in grid order; a momentum where the closed form degenerates or
-    misses a root keeps its error instead, which its partner shares."""
+    """Pass 1 of a scan: one call solve(ks) for the momenta ks of config's
+    grid whose partner -k has not come earlier in the grid.  The hoppings
+    are real, so H(-k) = H(k)*: the partner has the same energies, labels
+    and decays, and the conjugate states, so it reads the rows of -k,
+    mirrored.  solve returns its solution of the momenta it solved, in the
+    order of ks, and {index into ks: the DegenerateParameterError or
+    RootCountError} of those where the closed form degenerates or misses
+    a root, which their partners share.  Returns the scan's grid (see
+    _Scan) and the solution."""
     dim = config.model.dim
-    first = {}  # the rows (or error) of each momentum solved
-    grid, solved = [], []
-    for k in config.k_grid():
-        if -k in first:
-            grid.append((k, first[-k], True))
-            continue
-        try:
-            solved.append(solve(k))
-            rows = slice((len(solved) - 1) * dim, len(solved) * dim)
-        except (DegenerateParameterError, RootCountError) as exc:
-            rows = exc
-        first[k] = rows
-        grid.append((k, rows, False))
-    return grid, solved
+    grid = config.k_grid()
+    first = {}  # the grid index of each momentum solved
+    for i, k in enumerate(grid.tolist()):
+        if -k not in first:
+            first[k] = i
+    solution, failed = solve(grid[list(first.values())])
+    rows, count = {}, 0
+    for n, i in enumerate(first.values()):
+        if n in failed:
+            rows[i] = failed[n]
+        else:
+            rows[i] = slice(count * dim, (count + 1) * dim)
+            count += 1
+    return [(k, rows[i], False) if i in rows else
+            (k, rows[first[-k]], True)
+            for i, k in enumerate(grid.tolist())], solution
+
+
+def _each(solve):
+    """A solve for _solve_grid from solve(k) of one momentum, which raises
+    where the closed form degenerates; the solution is the list of the
+    results of the momenta solved."""
+    def solve_all(ks):
+        solved, failed = [], {}
+        for n, k in enumerate(ks):
+            try:
+                solved.append(solve(k))
+            except (DegenerateParameterError, RootCountError) as exc:
+                failed[n] = exc
+        return solved, failed
+
+    return solve_all
 
 
 def _solved_momenta(grid):
@@ -285,27 +309,26 @@ def _oracle_scan(config):
     return _unsolved([(k, None, False) for k in config.k_grid()])
 
 
-def _square_zigzag_spectrum(h, N, k, a):
-    """(signed omegas ascending, xi, |xi|, and the angle v and decay u of
-    each, see sq.zigzag_roots) of one momentum."""
-    xi_c, _ = sq.xi_of_k(h, k, a)
-    xi = abs(xi_c)
-    omegas, v, u = sq.zigzag_roots(xi, N)
-    # stable, so a -0.0/+0.0 pair keeps this order
-    signed = np.concatenate([-omegas, omegas])
-    order = np.argsort(signed, kind="stable")
-    return signed[order], xi_c, xi, np.tile(v, 2)[order], np.tile(u, 2)[order]
+def _square_zigzag_roots(h, N, ks, a):
+    """sq.zigzag_roots of the momenta ks: ((omega, v, u) as arrays of one
+    row per solved momentum, complex xi of each), failed."""
+    xi = [sq.xi_of_k(h, k, a)[0] for k in ks.tolist()]
+    roots, failed = sq.zigzag_roots(np.abs(xi), N)
+    return (roots, [x for n, x in enumerate(xi) if n not in failed]), failed
 
 
 def _square_zigzag_scan(config):
     h, N, a = config.hoppings, config.model.N, config.model.a
-    grid, solved = _solve_grid(
-        config, lambda k: _square_zigzag_spectrum(h, N, k, a))
-    if not solved:
+    grid, ((omegas, v, decay), xi_c) = _solve_grid(
+        config, lambda ks: _square_zigzag_roots(h, N, ks, a))
+    if not xi_c:
         return _unsolved(grid)
-    omega, v, decay = (np.concatenate([s[i] for s in solved])
-                       for i in (0, 3, 4))
-    xi = np.repeat([s[2] for s in solved], 2 * N)
+    # each momentum's -omegas then omegas, ascending; the omegas ascend, so
+    # that is the negated row reversed (a -0.0 before a +0.0)
+    omega = np.concatenate([-omegas[:, ::-1], omegas], axis=1).ravel()
+    v, decay = (np.concatenate([c[:, ::-1], c], axis=1).ravel()
+                for c in (v, decay))
+    xi = np.repeat(np.abs(xi_c), 2 * N)
     label = classify_analytic_square(omega, xi)
     edge = label == StateLabel.EDGE_BOTH.value
     x = (omega * omega - xi * xi - 1.0) / (2.0 * xi)
@@ -319,7 +342,7 @@ def _square_zigzag_scan(config):
 
     def states(m):
         rows = slice(m * 2 * N, (m + 1) * 2 * N)
-        return sq.zigzag_root_states(solved[m][1], omega[rows], v[rows],
+        return sq.zigzag_root_states(xi_c[m], omega[rows], v[rows],
                                      decay[rows], N)
 
     return _Scan(grid, h.tr * omega, label, np.abs(x + 1.0) < 0.1,
@@ -340,7 +363,7 @@ def _lr_bands(h, N, k, a):
 
 def _square_lr_scan(config):
     h, N, a = config.hoppings, config.model.N, config.model.a
-    grid, solved = _solve_grid(config, lambda k: _lr_bands(h, N, k, a))
+    grid, solved = _solve_grid(config, _each(lambda k: _lr_bands(h, N, k, a)))
     ks = _solved_momenta(grid)
     energy, j, sign = (np.array(column) for column in zip(
         *(entry for entries in solved for entry in entries)))
@@ -377,7 +400,7 @@ def _triangle_linear_scan(config):
         order = np.argsort(energies)
         return energies[order], order, tri.tau_of_k(h, k, a), zeta_abs
 
-    grid, solved = _solve_grid(config, solve)
+    grid, solved = _solve_grid(config, _each(solve))
     if not solved:
         return _unsolved(grid)
     ks = _solved_momenta(grid)
@@ -396,11 +419,10 @@ def _triangle_linear_scan(config):
 def _triangle_zigzag_scan(config):
     h, N, a = config.hoppings, config.model.N, config.model.a
     ends = _ZIGZAG_ENDS[config.kind]
-    grid, solved = _solve_grid(
-        config, lambda k: _zz(ends, "roots", h, N, k, a=a))
-    if not solved:
+    grid, roots = _solve_grid(
+        config, lambda ks: _zz(ends, "roots", h, N, ks, a=a))
+    if not len(roots.energy):
         return _unsolved(grid)
-    roots = tri.RootTable(*map(np.concatenate, zip(*solved)))
     edge = roots.edge
     part = np.empty(len(roots.energy))
     part[~edge] = u_profile_ipr(roots.phi[~edge], roots.tau[~edge]
@@ -408,10 +430,16 @@ def _triangle_zigzag_scan(config):
     part[edge] = [ipr(_zz(ends, "edge_profile", u, N, family=family))
                   for u, family in zip(roots.u[edge].tolist(),
                                        roots.family[edge].tolist())]
+
+    def states(m):
+        rows = slice(m * N, (m + 1) * N)
+        return tri.root_states(tri.RootTable(*(c[rows] for c in roots)), N,
+                               ends)
+
     return _Scan(grid, roots.energy, *_triangle_labels(
         config.kind, roots.energy, roots.tau, roots.zeta_abs),
-        _edge_column(roots.u[edge].tolist(), edge), part,
-        lambda m: tri.root_states(solved[m], N, ends))
+        _edge_column(roots.u[edge].tolist(), edge), part, states,
+        lambda: tri.root_residuals(roots, N, ends))
 
 
 _SCANS = {
@@ -544,13 +572,11 @@ def _check_momentum(name, k, energies, spec, analytic, near, tol,
 def _validate_scan(config, violations):
     """Check config's closed-form scan against the oracle, momentum by
     momentum: energies, overlaps, labels and, on the triangular zigzag
-    ribbons, the worst scaled secular residual."""
-    h, N, a = config.hoppings, config.model.N, config.model.a
-    ends = _ZIGZAG_ENDS.get(config.kind)
+    ribbons, the worst scaled secular residual at the roots' own angles
+    and decays."""
     scan = _SCANS[config.kind](config)
     dev = deficit = 0.0
     agree = total = 0
-    residuals = []
     for k, rows, mirrored in scan.grid:
         if not isinstance(rows, slice):
             raise rows  # the solved momentum's, which comes first
@@ -573,16 +599,13 @@ def _validate_scan(config, violations):
         if agreed is not None:
             agree += agreed
             total += len(d)
-        if ends is not None:
-            residuals.append(max(abs(v) for v in _zz(
-                ends, "secular_residual", energies, h, N, k, a=a,
-                scaled=True).tolist()))
         # freed before the next momentum's dense solve, not after it
         del spec, states
     out = {"max_energy_dev": dev, "max_overlap_deficit": deficit,
            "agreement": agree / total if total else None}
-    if residuals:
-        out["max_secular_residual"] = max(residuals)
+    if scan.residuals is not None:
+        # every row of the scan is a row of a momentum of the grid
+        out["max_secular_residual"] = float(np.abs(scan.residuals()).max())
     return out
 
 

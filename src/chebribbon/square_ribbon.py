@@ -21,9 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ._roots import angular_scan, invert_monotone_ratio, secular_nodes
-from .chebpoly import (_sinh_ratio, u_all, u_eval, u_pair, u_profile,
-                       zigzag_ends)
+from ._roots import invert_monotone_ratio, phase_roots, ratio_roots
+from .chebpoly import _sinh_ratio, u_all, u_pair, u_profile, zigzag_ends
 from .errors import (DegenerateParameterError, NoEdgeStateError,
                      RootCountError, SingularArgumentError)
 
@@ -105,42 +104,48 @@ def zigzag_edge_u_from_xi(xi_abs, N):
 def zigzag_roots(xi_abs, N):
     """All N non-negative omega roots at fixed |xi| (mirror negatives are
     implied by chiral symmetry), ascending, as three arrays (omega, v, u):
-    a bulk root's angle v, x = cos v (pi on a root at the band edge
-    x = -1, NaN on the edge root), and the edge root's decay u,
-    x = -cosh u (NaN on the others)."""
-    if xi_abs <= 0.0:
-        raise DegenerateParameterError(
-            "|xi| = 0: secular form undefined, use the dense oracle")
-    def g_grid(v):
-        v = np.asarray(v, dtype=float)
-        return xi_abs * np.sin((N + 1) * v) + np.sin(N * v)
+    a bulk root's angle v, x = cos v (NaN on the edge root), and the edge
+    root's decay u, x = -cosh u (NaN on the others).
 
-    def g_exact(v):
-        c = np.cos(v)
-        return xi_abs * u_eval(N, c) + u_eval(N - 1, c)
-
-    r0 = xi_abs * (N + 1) + N
-    r_pi = (-1.0) ** N * (xi_abs * (N + 1) - N)
-    nodes = secular_nodes(N, (N, N - 1))
-    roots_v, _, boundary_pi = angular_scan(
-        g_grid, g_exact, r0, r_pi, nodes, boundary_tol=1e-9 * r0)
-
-    roots = [(math.sqrt(xi_abs * xi_abs + 1.0 + 2.0 * xi_abs * math.cos(v)),
-              v, math.nan) for v in roots_v]
-    band_edge = (abs(xi_abs - 1.0), math.pi, math.nan)
-    if boundary_pi:
-        roots.append(band_edge)
-    if xi_abs < _edge_family(N).bound and not boundary_pi:
-        u = zigzag_edge_u_from_xi(xi_abs, N)
-        roots.append((_edge_omega(u, N), math.nan, u))
-    if len(roots) == N - 1 and abs(r_pi) <= 1e-6 * r0 and not boundary_pi:
-        roots.append(band_edge)  # near-critical rescue
-    if len(roots) != N:
-        raise RootCountError(
-            f"found {len(roots)} roots, expected {N} (|xi|={xi_abs}, N={N})")
-    omega, v, u = np.array(roots).T
-    order = np.argsort(omega)
-    return omega[order], v[order], u[order]
+    For an array of |xi|: the three arrays of those solved, one row of N
+    roots each in the order of xi_abs, and {index into xi_abs: the
+    DegenerateParameterError or RootCountError} of the others, which a
+    single |xi| raises.  The secular equation is the one-sided zigzag one
+    with r = 1/|xi|: one phase_roots pass gives every bulk root and one
+    ratio_roots pass the edge roots of the |xi| below the critical one."""
+    xis = np.atleast_1d(np.asarray(xi_abs, dtype=float))
+    failed = {i: DegenerateParameterError(
+        "|xi| = 0: secular form undefined, use the dense oracle")
+        for i in np.flatnonzero(~(xis > 0.0)).tolist()}
+    solved = np.flatnonzero(xis > 0.0)
+    xi = xis[solved]
+    r = 1.0 / xi
+    m, _, v = phase_roots(r, N, 1)
+    family = _edge_family(N)
+    host = np.flatnonzero(r > family.threshold)
+    u = ratio_roots(r[host], family.order, family.even)
+    # sinh(u)/sinh((N+1)u), the stable form of the branch's omega(u)
+    edge_omega = (np.exp(-N * u) * np.expm1(-2.0 * u)
+                  / np.expm1(-2.0 * (N + 1) * u))
+    m = np.concatenate([m, host])
+    omega = np.concatenate([np.sqrt(xi[m[:len(v)]] ** 2 + 1.0 + 2.0
+                                    * xi[m[:len(v)]] * np.cos(v)),
+                            edge_omega])
+    v = np.concatenate([v, np.full(len(host), math.nan)])
+    u = np.concatenate([np.full(len(m) - len(host), math.nan), u])
+    lost = np.unique(m[np.isnan(v) & np.isnan(u)])
+    for i in lost.tolist():
+        failed[int(solved[i])] = RootCountError(
+            f"a root did not converge (|xi|={xi[i]}, N={N})")
+    order = np.argsort(omega, kind="stable")
+    order = order[np.argsort(m[order], kind="stable")]
+    order = order[~np.isin(m[order], lost)]
+    roots = tuple(c[order].reshape(-1, N) for c in (omega, v, u))
+    if np.ndim(xi_abs):
+        return roots, failed
+    if failed:
+        raise failed[0]
+    return tuple(c[0] for c in roots)
 
 
 def zigzag_spectrum(xi_abs, N):

@@ -24,8 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._roots import angular_scan, invert_monotone_ratio, secular_nodes
-from .chebpoly import by_family, u_all, u_eval, u_profile, zigzag_ends
+from ._roots import phase_roots, ratio_roots
+from .chebpoly import by_family, u_all, u_profile, zigzag_ends
 from .errors import DegenerateParameterError, RootCountError
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "RootTable",
     "zz1_roots",
     "zz2_roots",
+    "root_residuals",
     "root_states",
     "TriangleEdgeSolution",
     "zz1_edge_solutions",
@@ -204,102 +205,101 @@ class RootTable(NamedTuple):
         return self.sign != 0
 
 
-def _scan_bulk(N, coeffs):
-    """Shared bulk scan: coeffs c_m multiply U_{N-m}(cos phi), m = 0,1[,2].
-    Returns the bulk angles (interior roots ascending, then a root on 0 or
-    pi) and the two boundary flags."""
-    degs = tuple(N - m for m in range(len(coeffs)))
-
-    def g_grid(phi):
-        phi = np.asarray(phi, dtype=float)
-        out = np.zeros_like(phi)
-        for c, d in zip(coeffs, degs):
-            out += c * np.sin((d + 1) * phi)
-        return out
-
-    def g_exact(phi):
-        c0 = np.cos(phi)
-        return sum(c * u_eval(d, c0) for c, d in zip(coeffs, degs))
-
-    r0 = sum(c * (d + 1) for c, d in zip(coeffs, degs))
-    r_pi = sum(c * (d + 1) * (-1.0) ** d for c, d in zip(coeffs, degs))
-    scale = sum(abs(c) * (d + 1) for c, d in zip(coeffs, degs))
-    nodes = secular_nodes(N, degs)
-    phis, b0, bpi = angular_scan(g_grid, g_exact, r0, r_pi, nodes,
-                                 boundary_tol=1e-9 * scale)
-    if b0:
-        phis.append(0.0)
-    if bpi:
-        phis.append(math.pi)
-    return phis, b0, bpi
-
-
-def _root_table(k, N, tau, za, theta, phis, edges):
-    """RootTable of the bulk angles `phis` and the (u, sign, EdgeFamily)
-    edge roots, stably sorted by energy from that order."""
-    count = len(phis) + len(edges)
-    if count != N:
-        raise RootCountError(
-            f"found {count} roots, expected {N} (k={k}, N={N})")
-    before = len(phis)
-    edge_u, edge_sign, edge_family = zip(*edges) if edges else ((), (), ())
-    phi = np.array(phis + [math.nan] * len(edges))
-    # libm's cosine per root: numpy's vector loops may round differently
-    cos = np.array([*map(math.cos, phis), *[0.0] * len(edges)])
-    energy = tau + 2.0 * za * cos
-    for i, (u, s, fam) in enumerate(edges, start=before):
+def _roots(h, N, k, a, ends):
+    """The RootTable of momentum k, or for an array of momenta the
+    RootTable of those solved, N rows each in the order of k, with
+    {index into k: DegenerateParameterError or RootCountError} of the
+    others.  One phase_roots pass gives the bulk roots of every momentum
+    and one ratio_roots pass per family its edge roots, at the momenta
+    whose |r| = |tau/zeta| exceeds the family's threshold."""
+    ks = np.atleast_1d(np.asarray(k, dtype=float)).tolist()
+    families = zigzag_ends(ends, N)[1]
+    zetas = [zeta_of_k(h, q, a) for q in ks]
+    failed = {i: DegenerateParameterError(f"|zeta| = 0 at k = {q}")
+              for i, (q, (zeta, _)) in enumerate(zip(ks, zetas))
+              if zeta == 0.0}
+    solved = [i for i in range(len(ks)) if i not in failed]
+    za = np.array([abs(zetas[i][0]) for i in solved])
+    theta = np.array([zetas[i][1] for i in solved])
+    tau = np.array([tau_of_k(h, ks[i], a) for i in solved])
+    r = tau / za
+    m, _, phi = phase_roots(r, *((N, 1) if ends == 1 else (N - 1, 2)))
+    nan = np.full(len(m), math.nan)
+    rows = [(m, tau[m] + 2.0 * za[m] * np.cos(phi), phi, nan,
+             np.zeros(len(m), dtype=int), np.full(len(m), ""))]
+    for fam in families:
+        host = np.flatnonzero(np.abs(r) > fam.threshold)
+        u = ratio_roots(np.abs(r[host]), fam.order, fam.even)
+        s = np.where(r[host] < 0.0, 1, -1)
         # tau + s 2|zeta| cosh(u) cancels when |tau| >> |zeta|; + 0.0 keeps
         # the flat levels (N = 1, family B at N = 3) from printing as -0
-        energy[i] = s * za * fam.level(u) + 0.0
-    u = np.array([math.nan] * before + list(edge_u))
-    sign = np.array([0] * before + list(edge_sign))
-    family = np.array([""] * before + [fam.name for fam in edge_family])
+        rows.append((host, s * za[host] * fam.level(u) + 0.0,
+                     np.full(len(host), math.nan), u, s,
+                     np.full(len(host), fam.name)))
+    m, energy, phi, u, sign, family = map(np.concatenate, zip(*rows))
+    lost = np.unique(m[np.isnan(phi) & np.isnan(u)])
+    for i in lost.tolist():
+        failed[solved[i]] = RootCountError(
+            f"a root did not converge (k={ks[solved[i]]}, N={N})")
+    # each momentum's rows ascending in energy; equal energies keep the
+    # order above, bulk before family A before family B
     order = np.argsort(energy, kind="stable")
-    return RootTable(energy[order], phi[order], u[order], sign[order],
-                     family[order], np.full(N, tau), np.full(N, za),
-                     np.full(N, theta))
-
-
-def _edge_u(ratio, target):
-    """The decay u > 0 at which ratio(u) = target, or 0.0 where target lies
-    within rounding of ratio's u -> 0 limit, the edge-bulk transition: there
-    the inversion finds no sign change or cannot converge on a ratio flat to
-    rounding, and the root is the zone-edge root tau +- 2|zeta|, which the
-    bulk scan counts."""
-    try:
-        return invert_monotone_ratio(ratio, target)
-    except (ValueError, RuntimeError):
-        return 0.0
-
-
-def _roots(h, N, k, a, ends):
-    coefficients, families = zigzag_ends(ends, N)
-    za, r, tau, theta = _reduced(h, N, k, a)
-    phis, b0, bpi = _scan_bulk(N, coefficients(r))
-    edges = []
-    if r != 0.0:
-        s = 1 if r < 0.0 else -1
-        matched = b0 if s > 0 else bpi
-        for fam in families:
-            if abs(r) <= fam.threshold:
-                continue
-            u = _edge_u(fam.ratio, abs(r))
-            if u == 0.0 or matched and u < 1e-3:
-                continue  # already counted as the zone-edge bulk root
-            edges.append((u, s, fam))
-    return _root_table(k, N, tau, za, theta, phis, edges)
+    order = order[np.argsort(m[order], kind="stable")]
+    order = order[~np.isin(m[order], lost)]
+    m = m[order]
+    table = RootTable(energy[order], phi[order], u[order], sign[order],
+                      family[order], tau[m], za[m], theta[m])
+    if np.ndim(k):
+        return table, failed
+    if failed:
+        raise failed[0]
+    return table
 
 
 def zz1_roots(h, N, k, a=1.0):
     """All N secular roots of the one-sided zigzag ribbon at momentum k, as
-    a RootTable ascending in energy."""
+    a RootTable ascending in energy.  For an array of momenta: the
+    RootTable of every momentum solved, N rows each in the order of k, and
+    {index into k: the DegenerateParameterError or RootCountError} of the
+    others, which a single momentum raises."""
     return _roots(h, N, k, a, ends=1)
 
 
 def zz2_roots(h, N, k, a=1.0):
     """All N secular roots of the two-sided zigzag ribbon at momentum k, as
-    a RootTable ascending in energy."""
+    a RootTable ascending in energy; an array of momenta as for
+    zz1_roots."""
     return _roots(h, N, k, a, ends=2)
+
+
+def root_residuals(roots, N, ends):
+    """The secular sum of each root of a RootTable (from zz1_roots or
+    zz2_roots for `ends` = 1 or 2) at the root's own angle or decay,
+    scaled so that rounding shows as about 1e-16.
+
+    On a bulk root, sin(phi) times the sum is Im z, z = e^{i M phi}
+    (e^{i phi} + r)^p (see _roots.phase_roots); the residual is Im z/|z|.
+    On an edge root at y = sign cosh(u) it is the sum over the sum of the
+    magnitudes of its terms, each term as a ratio to sinh((N+1)u)."""
+    r = roots.tau / roots.zeta_abs
+    coefficients = zigzag_ends(ends, N)[0](r)
+    out = np.empty(len(r))
+    bulk = ~roots.edge
+    phi = roots.phi[bulk]
+    M, p = (N, 1) if ends == 1 else (N - 1, 2)
+    out[bulk] = np.sin(M * phi + p * np.arctan2(np.sin(phi),
+                                                np.cos(phi) + r[bulk]))
+    u, sign = roots.u[~bulk], roots.sign[~bulk]
+    total = scale = 0.0
+    for power, c in enumerate(coefficients):
+        # sinh((N + 1 - power) u)/sinh((N + 1) u)
+        w = (np.exp(-power * u) * np.expm1(-2.0 * (N + 1 - power) * u)
+             / np.expm1(-2.0 * (N + 1) * u))
+        term = np.broadcast_to(c, r.shape)[~bulk] * w
+        total = total + sign ** power * term
+        scale = scale + np.abs(term)
+    out[~bulk] = total / scale
+    return out
 
 
 def _bulk_states(phi, r, theta, N):

@@ -2,8 +2,11 @@
 either exits 2 with one line, or `bands` gives finite rows that match the
 dense oracle, with the closed-form rows of k and -k equal, and `validate`
 passes.  A stratum draws the paper's strong-anisotropy regime: t3 up to
-1e4 |zeta| on the triangular ribbons, |xi| down to 1e-4 on square-zigzag."""
+1e4 |zeta| on the triangular ribbons, |xi| down to 1e-4 on square-zigzag.
+Another draws the edge-bulk transition: |r| within 1e-12 to 1e-2 relative
+of an end of the band where the bulk phase equation is not monotone."""
 
+import cmath
 import contextlib
 import io
 import json
@@ -11,14 +14,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chebribbon.classify import ipr
 from chebribbon.cli import run
-from chebribbon.hamiltonian import (ModelKind, SquareHoppings, TriangleEdge,
-                                    TriangleHoppings, build_square_bloch,
-                                    build_triangle_bloch)
+from chebribbon.hamiltonian import (ModelKind, RibbonModel, SquareHoppings,
+                                    TriangleEdge, TriangleHoppings,
+                                    build_square_bloch, build_triangle_bloch)
 
 _EDGE = {"triangle-linear": TriangleEdge.LINEAR,
          "triangle-zigzag1": TriangleEdge.ZIGZAG1,
@@ -149,6 +152,11 @@ _REPRODUCERS = [
     # would cancel
     *(["bands", "--model", model, "--N", "5", "--t3", "1e12", "--k-points",
        "8"] for model in ("triangle-zigzag1", "triangle-zigzag2")),
+    # and edge decays past u = 512, where a search doubling u from 1 met
+    # sinh overflow before the root
+    *(["bands", "--model", model, "--t3", "1e300", "--k-points", "3"]
+      for model in ("triangle-zigzag1", "triangle-zigzag2")),
+    ["bands", "--model", "square-zigzag", "--tr", "1e300"],
 ]
 
 
@@ -192,3 +200,56 @@ def test_validate_exits_2_or_passes(command):
     assert (report["agreement"] is None) == (
         N < (2 if model.startswith("square") else 4)
         and model not in ("square-lr", "square-general"))
+
+
+@st.composite
+def _transition_commands(draw):
+    """`bands` on a zigzag model whose |r| at one momentum of the grid is
+    an end of the transition band times 1 +- delta, delta from 1e-12 to
+    1e-2: r = tau/|zeta| on the triangular ribbons, whose band runs from 1
+    to (N+1)/N (one-sided) or (N+1)/(N-1) (two-sided), and r = 1/|xi| on
+    square-zigzag, whose band runs from 1 to (N+1)/N."""
+    model = draw(st.sampled_from(["triangle-zigzag1", "triangle-zigzag2",
+                                  "square-zigzag"]))
+    N = draw(st.integers(2, 40))
+    k_points = draw(st.integers(1, 16))
+    half = RibbonModel(ModelKind(model), N).bz_halfwidth
+    k = (draw(st.integers(0, k_points - 1)) + 0.5 - k_points / 2) \
+        * (2.0 * half / k_points)
+    top = (N + 1) / (N - 1) if model == "triangle-zigzag2" else (N + 1) / N
+    r = draw(st.sampled_from([1.0, top])) * (1.0 + draw(
+        st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-12.0, -2.0)))
+    first, second = draw(st.floats(0.1, 2.0)), draw(st.floats(0.1, 2.0))
+    if model == "square-zigzag":
+        # |xi| = |tu + td e^{2ik}|/tr = 1/r
+        flags = {"tu": first, "td": second, "tr": r * abs(
+            first + second * cmath.exp(2.0j * k)), "tl": 0.0}
+    else:
+        # |tau| = 2 t3 |cos k| = r |t1 + t2 e^{-ik}|
+        assume(abs(math.cos(k)) > 1e-3)
+        flags = {"t1": first, "t2": second, "t3": r * abs(
+            first + second * cmath.exp(-1.0j * k)) / (2.0 * abs(math.cos(k)))}
+    argv = ["bands", "--model", model, "--N", str(N), "--k-points",
+            str(k_points)]
+    for name, value in flags.items():
+        if name != "tl":
+            argv += [f"--{name}", repr(value)]
+    return argv, model, flags, N, k_points
+
+
+@settings(max_examples=200, deadline=None)
+@given(_transition_commands())
+def test_transition_band_energies_match_the_oracle(command):
+    # every energy within 1e-9 max(1, |E|) of the Bloch matrix's
+    argv, model, flags, N, k_points = command
+    code, out = _run(argv)
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    dim = 2 * N if model.startswith("square") else N
+    assert len(rows) == k_points * dim
+    for start in range(0, len(rows), dim):
+        group = rows[start:start + dim]
+        expected = _oracle(model, flags, N, float(group[0][0]))[0]
+        energies = np.array([float(r[2]) for r in group])
+        assert np.all(np.abs(energies - expected)
+                      <= 1e-9 * np.maximum(1.0, np.abs(expected)))

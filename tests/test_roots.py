@@ -1,132 +1,196 @@
+"""The indexed phase equation of the zigzag secular sums (_roots)."""
+
+import math
+
+import mpmath
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from chebribbon import _roots
 from chebribbon import square_ribbon as sq
 from chebribbon import triangle_ribbon as tri
-from chebribbon._roots import brent_lockstep, secular_nodes
-from chebribbon.hamiltonian import TriangleHoppings
+from chebribbon._roots import phase_roots, ratio_roots
+from chebribbon.chebpoly import zigzag_ends
+from chebribbon.hamiltonian import (SquareHoppings, TriangleEdge,
+                                    TriangleHoppings, build_square_bloch,
+                                    build_triangle_bloch)
 
-TOL = {"xtol": 1e-15, "rtol": 8.9e-16}
-
-
-def _sine_form(coeffs, N):
-    """sin(phi) times the secular sum c_m U_{N-m}(cos phi), vectorized."""
-    degs = [N - m for m in range(len(coeffs))]
-
-    def g(phi):
-        phi = np.asarray(phi, dtype=float)
-        out = np.zeros_like(phi)
-        for c, d in zip(coeffs, degs):
-            out += c * np.sin((d + 1) * phi)
-        return out
-
-    return g, degs
+# (M, p) of the one-sided (and square) and two-sided secular sums
+_FORMS = [(N, 1) for N in (1, 2, 3, 5, 13)] + \
+    [(N - 1, 2) for N in (2, 3, 5, 13)]
 
 
-def _evaluations(solve, g, a, b):
-    """Every abscissa at which `solve` evaluates g on one bracket."""
-    seen = []
-
-    def logged(x):
-        seen.extend(np.atleast_1d(x).tolist())
-        return g(x)
-
-    solve(logged, a, b)
-    return seen
+def _offsets(value):
+    return [value * (1.0 + d) for d in (-1e-9, 0.0, 1e-9)]
 
 
-@pytest.mark.parametrize("N", [2, 3, 5, 13, 50, 200, 1000])
-def test_brent_lockstep_matches_brentq_bit_for_bit(N):
-    rng = np.random.default_rng(N)
-    forms = []
-    for _ in range(2):
-        r = rng.uniform(-3.0, 3.0)
-        forms += [(1.0, r), (1.0, 2.0 * r, r * r),
-                  (rng.uniform(0.05, 2.0), 1.0)]
-    checked = 0
-    for coeffs in forms:
-        g, degs = _sine_form(coeffs, N)
-        nodes = secular_nodes(N, degs)
-        vals = g(nodes)
-        cells = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
-        a, b = nodes[cells], nodes[cells + 1]
-        expected = [brentq(g, lo, hi, **TOL) for lo, hi in zip(a, b)]
-        assert np.array_equal(brent_lockstep(g, a, b, **TOL), expected)
-        checked += len(cells)
-        # the same step rule: the same abscissae, one bracket at a time
-        for lo, hi in list(zip(a, b))[:5]:
-            assert _evaluations(
-                lambda f, x0, x1: brent_lockstep(f, np.array([x0]),
-                                                 np.array([x1]), **TOL),
-                g, lo, hi) == _evaluations(
-                lambda f, x0, x1: brentq(f, x0, x1, **TOL), g, lo, hi)
-    assert checked >= N
+def _ratios(M, p):
+    """r on both sides of -1, 1 and the edge thresholds +-(M + p)/M, and
+    away from them."""
+    top = (M + p) / M
+    return sorted({s * x for s in (1.0, -1.0) for x in
+                   [0.0, 0.5, *_offsets(1.0), *_offsets(top), 3.0, 1e4]})
 
 
-def test_brent_lockstep_root_on_a_grid_node():
-    # brentq returns an end point whose value is exactly zero untouched
-    nodes = secular_nodes(13, (13, 12))
-    root = nodes[40]
-    f = lambda x: np.asarray(x) - root  # noqa: E731
-    a = np.array([nodes[39], nodes[40], nodes[10], nodes[33]])
-    b = np.array([nodes[40], nodes[41], nodes[60], nodes[90]])
-    expected = [brentq(f, lo, hi, **TOL) for lo, hi in zip(a, b)]
-    got = brent_lockstep(f, a, b, **TOL)
-    assert np.array_equal(got, expected)
-    assert got[0] == got[1] == root
+@pytest.mark.parametrize("M, p", _FORMS)
+def test_phase_roots_index_range(M, p):
+    r = np.array(_ratios(M, p))
+    m, j, phi = phase_roots(r, M, p)
+    top = (M + p) / M
+    for i, ri in enumerate(r.tolist()):
+        rho = abs(ri)
+        band = 1.0 < rho <= top
+        # F(0) and F(pi) fix the range; the band adds the index next to
+        # the extremum
+        first = p * (ri < -1.0) + 1 - (band and ri < 0.0)
+        last = M + p * (ri <= 1.0) - 1 + (band and ri > 0.0)
+        assert sorted(j[m == i].tolist()) == list(range(first, last + 1)), ri
+        root = phi[m == i]
+        assert np.all((root >= 0.0) & (root <= math.pi))
+        # each root solves its own indexed equation, evaluated at 40 digits
+        with mpmath.workdps(40):
+            for phi_j, j_j in zip(root.tolist(), j[m == i].tolist()):
+                F = M * mpmath.mpf(phi_j) + p * mpmath.atan2(
+                    mpmath.sin(phi_j), mpmath.cos(phi_j) + ri)
+                assert abs(F - j_j * mpmath.pi) < 1e-14 * (M + p), (ri, j_j)
 
 
-def test_brent_lockstep_fails_where_brentq_fails():
-    f = lambda x: np.asarray(x) ** 3 - 0.2  # noqa: E731
-    with pytest.raises(ValueError):
-        brentq(f, 0.7, 1.0)
-    with pytest.raises(ValueError, match="different signs"):
-        brent_lockstep(f, np.array([0.0, 0.7]), np.array([1.0, 1.0]))
-    nan_f = lambda x: np.where(np.asarray(x) > 0.5, np.nan, -1.0)  # noqa: E731
-    with pytest.raises(ValueError):
-        brentq(nan_f, 0.0, 1.0)
-    with pytest.raises(ValueError, match="NaN"):
-        brent_lockstep(nan_f, np.array([0.0]), np.array([1.0]))
-    with pytest.raises(RuntimeError):
-        brentq(f, 0.0, 1.0, maxiter=2)
-    with pytest.raises(RuntimeError, match="converge"):
-        brent_lockstep(f, np.array([0.0]), np.array([1.0]), maxiter=2)
-    assert brent_lockstep(f, np.array([]), np.array([])).size == 0
+def _reduced_spectrum(ri, N, ends):
+    """y = (E - tau)/(2|zeta|) of the zigzag ribbon: the eigenvalues of the
+    tridiagonal matrix with 1/2 off the diagonal and -r/2 on the
+    truncated end rows."""
+    diag = np.zeros(N)
+    diag[0] -= ri / 2.0
+    if ends == 2:
+        diag[-1] -= ri / 2.0
+    off = np.full(N - 1, 0.5)
+    return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1)
+                              + np.diag(off, -1))
 
 
-@pytest.mark.parametrize("N", [3, 5, 13, 50])
-def test_angular_scan_paths_agree(monkeypatch, N):
-    h = TriangleHoppings(t1=0.9, t2=0.1, t3=1.0)
-    ks = np.linspace(-3.0, 3.0, 7)
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 13, 40])
+@pytest.mark.parametrize("ends", [1, 2])
+def test_phase_and_ratio_roots_give_the_whole_spectrum(N, ends):
+    # bulk roots and one edge root per family above its threshold are the
+    # N eigenvalues, across -1, 1 and both thresholds
+    if ends == 2 and N < 2:
+        return
+    M, p = (N, 1) if ends == 1 else (N - 1, 2)
+    r = np.array(_ratios(M, p) + [1.0 + 1e-12, -(1.0 + 1e-12)])
+    m, _, phi = phase_roots(r, M, p)
+    families = zigzag_ends(ends, N)[1]
+    for i, ri in enumerate(r.tolist()):
+        y = np.cos(phi[m == i]).tolist()
+        for fam in families:
+            if abs(ri) > fam.threshold:
+                u, = ratio_roots(np.array([abs(ri)]), fam.order, fam.even)
+                y.append(-math.copysign(math.cosh(u), ri))
+        expected = _reduced_spectrum(ri, N, ends)
+        assert len(y) == N
+        # the dense solver's own error is eps times the matrix norm
+        assert np.allclose(np.sort(y), expected, rtol=0.0,
+                           atol=1e-13 * (1.0 + abs(ri))), ri
 
-    def spectra():
-        return ([tri.zz1_roots(h, N, k).energy.tolist() for k in ks],
-                [tri.zz2_roots(h, N, k).energy.tolist() for k in ks],
-                [sq.zigzag_spectrum(xi, N).tolist()
-                 for xi in (0.2, 0.6, 0.97, 1.4)])
 
-    monkeypatch.setattr(_roots, "LOCKSTEP_MIN_BRACKETS", 10 ** 9)
-    scalar = spectra()
-    monkeypatch.setattr(_roots, "LOCKSTEP_MIN_BRACKETS", 1)
-    assert spectra() == scalar
+def _log_ratio(u, b, even):
+    """log of cosh((b+1)u)/cosh(bu) (even) or sinh((b+1)u)/sinh(bu)."""
+    if even:
+        return u + np.log((1.0 + np.exp(-2.0 * (b + 1) * u))
+                          / (1.0 + np.exp(-2.0 * b * u)))
+    return u + np.log(np.expm1(-2.0 * (b + 1) * u) / np.expm1(-2.0 * b * u))
 
 
-def _uncached_nodes(N, degrees):
-    parts = [np.linspace(0.0, np.pi, 8 * (N + 1) + 1)]
-    for d in degrees:
-        if d >= 1:
-            parts.append(np.pi * np.arange(1, d + 1) / (d + 1))
-    return np.unique(np.concatenate(parts))
+@pytest.mark.parametrize("b, even", [(1.0, False), (0.5, False), (0.5, True),
+                                     (6.0, True), (6.0, False),
+                                     (199.5, True), (1000.0, False)])
+def test_ratio_roots_invert_the_family_ratios(b, even):
+    u = np.array([1e-7, 1e-4, 0.01, 0.3, 1.0, 5.0, 50.0, 700.0])
+    rho = np.exp(_log_ratio(u, b, even))
+    found = ratio_roots(rho, b, even)
+    # each decay gives back its ratio to rounding; the ratio flattens as
+    # u -> 0, where the rounding of rho costs u more digits
+    assert np.all(np.abs(_log_ratio(found, b, even) - np.log(rho))
+                  <= 8.0 * np.finfo(float).eps * (1.0 + u))
+    assert np.allclose(found[u >= 1.0], u[u >= 1.0], rtol=1e-14, atol=0.0)
 
 
-@pytest.mark.parametrize("N, degrees", [(1, (1, 0)), (2, [2, 1, 0]),
-                                        (13, (13, 12)), (200, (200, 199, 198))])
-def test_secular_nodes_shared_and_read_only(N, degrees):
-    nodes = secular_nodes(N, degrees)
-    assert np.array_equal(nodes, _uncached_nodes(N, degrees))
-    assert secular_nodes(N, tuple(degrees)) is nodes
-    assert not nodes.flags.writeable
-    with pytest.raises(ValueError):
-        nodes[0] = 1.0
+def _counted_newton(monkeypatch):
+    """Record the Newton steps of each _roots._newton call."""
+    steps = []
+    newton = _roots._newton
+
+    def counted(f, *args):
+        steps.append(0)
+
+        def step(x, live):
+            steps[-1] += 1
+            return f(x, live)
+
+        return newton(step, *args)
+
+    monkeypatch.setattr(_roots, "_newton", counted)
+    return steps
+
+
+def test_slow_two_sided_scan_converges_within_the_cap(monkeypatch):
+    # t = (1, 1, 1) at N = 40 puts momenta of a 128-point grid near the
+    # family B threshold, where F flattens next to its extremum
+    h, N = TriangleHoppings(1.0, 1.0, 1.0), 40
+    ks = (np.arange(128) + 0.5 - 64) * (2.0 * math.pi / 128)
+    steps = _counted_newton(monkeypatch)
+    table, failed = tri.zz2_roots(h, N, ks)
+    assert failed == {} and len(table.energy) == N * len(ks)
+    assert max(steps) <= 20
+    for i, k in enumerate(ks.tolist()):
+        expected = np.linalg.eigvalsh(build_triangle_bloch(
+            h, N, k, edge=TriangleEdge.ZIGZAG2).entries)
+        assert np.allclose(table.energy[i * N:(i + 1) * N], expected,
+                           rtol=0.0, atol=3e-14)
+
+
+@pytest.mark.parametrize("M, p", [(5, 1), (40, 1), (4, 2), (39, 2), (199, 2)])
+def test_roots_next_to_the_thresholds_converge(monkeypatch, M, p):
+    # |r| from 1e-16 to 1e-1 relative on either side of 1 and of (M + p)/M,
+    # where F is flattest
+    side = np.concatenate([s * np.logspace(-16.0, -1.0, 200)
+                           for s in (1.0, -1.0)])
+    rho = np.concatenate([1.0 + side, (M + p) / M * (1.0 + side)])
+    steps = _counted_newton(monkeypatch)
+    m, j, phi = phase_roots(np.concatenate([rho, -rho]), M, p)
+    assert not np.isnan(phi).any()
+    assert max(steps) <= 60
+
+
+def _r_with_root_at(phi, M, p):
+    """The r < -1 of the transition band for which phi is the root next to
+    0: M phi + p atan2(sin phi, cos phi + r) = p pi."""
+    return -math.cos(phi) - math.sin(phi) / math.tan(M * phi / p)
+
+
+@pytest.mark.parametrize("N", [3, 6, 12])
+def test_root_near_the_band_edge_matches_the_dense_spectrum(N):
+    # a bulk root at phi ~ 1e-4 of the transition band, which a boundary
+    # tolerance would snap onto phi = 0 (an energy error ~ |zeta| phi^2)
+    for ends in (1, 2):
+        M, p = (N, 1) if ends == 1 else (N - 1, 2)
+        r = _r_with_root_at(1e-4, M, p)
+        assert -(M + p) / M < r < -1.0
+        # t2 = 0 and k = pi: zeta = t1 = 1 and tau = -2 t3
+        h = TriangleHoppings(1.0, 0.0, -r / 2.0)
+        roots = (tri.zz1_roots if ends == 1 else tri.zz2_roots)(h, N,
+                                                                 math.pi)
+        assert np.nanmin(roots.phi) == pytest.approx(1e-4, rel=1e-9)
+        expected = np.linalg.eigvalsh(build_triangle_bloch(
+            h, N, math.pi, edge=(TriangleEdge.ZIGZAG1,
+                                 TriangleEdge.ZIGZAG2)[ends - 1]).entries)
+        assert np.all(np.abs(roots.energy - expected)
+                      <= 1e-9 * np.maximum(1.0, np.abs(expected)))
+    # square-zigzag's one-sided form with r = 1/|xi| > 0: the root next to
+    # pi is the mirror image of the one next to 0 at -r
+    xi = -1.0 / _r_with_root_at(1e-4, N, 1)
+    omega, v, u = sq.zigzag_roots(xi, N)
+    assert math.pi - np.nanmax(v) == pytest.approx(1e-4, rel=1e-9)
+    h = SquareHoppings(tu=xi, td=0.0, tr=1.0, tl=0.0)
+    expected = np.linalg.eigvalsh(build_square_bloch(h, N, 0.0).entries)
+    assert np.allclose(np.concatenate([-omega[::-1], omega]), expected,
+                       rtol=0.0, atol=1e-9)
