@@ -10,7 +10,13 @@ text (or, when ``run`` raises, the last line of the exception), prints each
 command that differs and exits 1 if any does.  For a ``bands`` command whose
 output differs, it also names the columns that differ and gives the worst
 |a - b| / max(1, |a|) of ``energy``, ``u`` and ``ipr``, a from SRC_A, and
-ends with the worst of each over all such commands.  Warnings are recorded as
+ends with the worst of each over all such commands.  It lists each row of
+such a command, by (k, band), whose ``energy`` moved by more than
+1e-13 max(1, |a|) or whose ``class`` changed.  Each tree's ``bands``
+energies are also compared with ``numpy.linalg.eigvalsh`` of the Bloch
+matrix at each row's k: the tool gives the worst |E - eigvalsh| /
+max(1, |E|) of each tree, beyond the solver's own error, and lists the
+commands above 1e-9.  Warnings are recorded as
 ``Category: message`` lines after the stderr text, without the file and
 line they came from, so that moved code compares equal.  ``--list`` prints
 the commands and exits.
@@ -281,11 +287,34 @@ def _src(path):
     return src
 
 
+def _oracle_deviation(cli, argv, path):
+    """The worst |E - eigvalsh| / max(1, |E|) of the rows of a `bands`
+    output, with the eigenvalues of the Bloch matrix at each row's k, less
+    the solver's own error 4 dim eps max|eigvalsh| (which only hoppings
+    near the float range make large)."""
+    import numpy as np
+    config = cli._resolve_config(cli._build_parser().parse_args(argv))
+    names, rows = _band_table(path)
+    k_col, e_col = names.index("k"), names.index("energy")
+    dim, worst = config.model.dim, 0.0
+    for start in range(0, len(rows), dim):
+        group = rows[start:start + dim]
+        energy = np.array([float(r[e_col]) for r in group])
+        expected = np.linalg.eigvalsh(
+            cli._bloch(config, float(group[0][k_col])).entries)
+        own = 4.0 * dim * np.finfo(float).eps * np.abs(expected).max()
+        worst = max(worst, float(np.max(
+            np.maximum(np.abs(energy - expected) - own, 0.0)
+            / np.maximum(1.0, np.abs(energy)))))
+    return worst
+
+
 def _run_tree(src, results):
     """Worker: run every command under the tree `src`, writing one JSON
     record per command to the file `results`, and the output of each
     `bands` command to the directory `results`.d, one file per command
-    index."""
+    index.  The record of a `bands` command that exits 0 also holds the
+    worst deviation of its energies from the Bloch matrix's."""
     sys.path.insert(0, str(src))
     import chebribbon.cli as cli
     if Path(cli.__file__).resolve().parent.parent != Path(src):
@@ -314,6 +343,8 @@ def _run_tree(src, results):
             records.append({"code": code, "stderr": text,
                             "out": hashlib.sha256(data).hexdigest(),
                             "bytes": len(data)})
+            if argv[0] == "bands" and code == 0:
+                records[-1]["oracle"] = _oracle_deviation(cli, argv, out)
     Path(results).write_text(json.dumps(records))
 
 
@@ -360,6 +391,26 @@ def _column_report(path_a, path_b, worst):
     return ", ".join(parts)
 
 
+def _row_report(path_a, path_b):
+    """Lines naming each row, by (k, band), of two `bands` outputs whose
+    energy moved by more than 1e-13 max(1, |a|) or whose class changed."""
+    names, rows_a = _band_table(path_a)
+    names_b, rows_b = _band_table(path_b)
+    if names != names_b or len(rows_a) != len(rows_b):
+        return []
+    k, band, energy, label = (names.index(n)
+                              for n in ("k", "band", "energy", "class"))
+    lines = []
+    for a, b in zip(rows_a, rows_b):
+        dev = abs(float(a[energy]) - float(b[energy])) \
+            / max(1.0, abs(float(a[energy])))
+        if dev > 1e-13 or a[label] != b[label]:
+            lines.append(f"k {a[k]} band {a[band]}: energy {a[energy]} -> "
+                         f"{b[energy]} ({dev:.3g}), class {a[label]} -> "
+                         f"{b[label]}")
+    return lines
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("trees", nargs="*", metavar="SRC")
@@ -387,21 +438,36 @@ def main(argv=None):
             print("a worker failed", file=sys.stderr)
             return 2
         a, b = (json.loads(f.read_text()) for f in files)
-        differ = [i for i, (x, y) in enumerate(zip(a, b)) if x != y]
-        worst = {}
+        keys = ("code", "out", "stderr")
+        differ = [i for i, (x, y) in enumerate(zip(a, b))
+                  if any(x[key] != y[key] for key in keys)]
+        worst, moved = {}, 0
         for i in differ:
-            what = [key for key in ("code", "out", "stderr")
-                    if a[i][key] != b[i][key]]
+            what = [key for key in keys if a[i][key] != b[i][key]]
             print(f"DIFFERS ({', '.join(what)}): {' '.join(cmds[i])}")
             if cmds[i][0] == "bands" and what == ["out"] \
                     and a[i]["code"] == 0:
-                print("    columns: " + _column_report(
-                    *(_kept(f) / str(i) for f in files), worst))
+                paths = [_kept(f) / str(i) for f in files]
+                print("    columns: " + _column_report(*paths, worst))
+                rows = _row_report(*paths)
+                moved += len(rows)
+                for line in rows:
+                    print("    row " + line)
     print(f"{len(differ)} of {len(cmds)} commands differ")
     for name in _NUMERIC:
         if name in worst:
             print(f"worst {name} deviation in differing bands rows: "
                   f"{worst[name]:.3g}")
+    print(f"{moved} bands rows moved energy by more than 1e-13 of "
+          f"max(1, |E|) or changed class")
+    for tree, records in zip(args.trees, (a, b)):
+        deviations = [(r["oracle"], i) for i, r in enumerate(records)
+                      if "oracle" in r]
+        print(f"worst bands energy deviation from eigvalsh, {tree}: "
+              f"{max(deviations)[0]:.3g}")
+        for dev, i in deviations:
+            if dev > 1e-9:
+                print(f"    above 1e-9 ({dev:.3g}): {' '.join(cmds[i])}")
     return 1 if differ else 0
 
 
