@@ -1,29 +1,21 @@
 """Roots of the zigzag secular equations, every momentum of a scan at once.
 
 With y = cos(phi), U_n(y) = sin((n+1) phi)/sin(phi), so each zigzag secular
-sum, times sin(phi), is the imaginary part of e^{i M phi} (e^{i phi} + r)^p:
-(M, p) = (N, 1) on the one-sided triangular ribbon (r = tau/|zeta|) and on
-the square zigzag ribbon (r = 1/|xi|), (N - 1, 2) on the two-sided one.  Its
-bulk roots in [0, pi] solve the indexed phase equation
+sum times sin(phi) is Im[e^{i M phi} (e^{i phi} + r)^p]: (M, p) = (N, 1) on
+the one-sided triangular ribbon (r = tau/|zeta|) and the square zigzag one
+(r = 1/|xi|), (N - 1, 2) on the two-sided one.  So bulk root j solves
 
-    F(phi) = M phi + p atan2(sin phi, cos phi + r) = j pi,
+    F(phi) = M phi + p atan2(sin phi, cos phi + r) = j pi
 
-and as the atan2 term lies in [0, pi], root j lies in
-[(j - p) pi/M, j pi/M].  F(0) and F(pi) fix the indices:
-p [r < -1] + 1 <= j <= M + p [r <= 1] - 1.  F increases everywhere but in
-the edge-bulk transition band 1 < |r| <= (M + p)/M, where it has one
-extremum, at cos phi* = -(M (1 + r^2) + p)/(r (2M + p)); beyond it F does
-not come back to the level of any root.  There the range gains the index
-next to the extremum, and every bracket is cut at phi*.  So each bracket
-holds one root of an increasing function, and phase_roots refines all of
-them at once by a safeguarded Newton iteration, with no grid and no
-tolerance at the interval ends.  At the band's upper end (the edge
-threshold, where the edge root leaves) the extra root sits on phi = 0 or pi.
-
-Edge roots solve ratio(u) = |r| for the decay ratios of the edge families,
-cosh((b+1)u)/cosh(bu) or sinh((b+1)u)/sinh(bu), which ratio_roots inverts
-the same way.  invert_monotone_ratio is the scalar inversion of any
-increasing ratio, by scipy's brentq.
+in [(j - p) pi/M, j pi/M], as the atan2 term lies in [0, pi], and F(0),
+F(pi) fix the indices: p [r < -1] + 1 <= j <= M + p [r <= 1] - 1.  F
+increases but in the edge-bulk transition band 1 < |r| <= (M + p)/M, where
+its one extremum, cos phi* = -(M (1 + r^2) + p)/(r (2M + p)), adds the
+index next to it and cuts every bracket (beyond phi*, F never comes back to
+a root's level).  phase_roots refines every root in its bracket at once by
+a safeguarded Newton iteration: no grid, and no tolerance at phi = 0 or pi.
+Edge roots solve ratio(u) = |r|, which ratio_roots inverts the same way;
+invert_monotone_ratio inverts one increasing ratio by scipy's brentq.
 """
 
 from __future__ import annotations
@@ -39,14 +31,12 @@ _EPS = np.finfo(float).eps
 def _newton(f, x, lo, hi):
     """Root of each increasing f in its bracket [lo, hi], from x.
 
-    f(x, live) gives the values, slopes and the sums of the magnitudes of
-    the terms of the values at x of the functions of the entries `live`.
-    A Newton step that does not land inside the bracket bisects it
-    instead (so that a step cannot bounce between its ends); each value
-    narrows the bracket.  An entry is done, with its last Newton step
-    taken, when that step is within a few ulps of x or its value is within
-    rounding of 0, or when its bracket is down to a few ulps; an entry not
-    done after 100 steps is NaN."""
+    f(x, live) gives, for the entries `live`, the values, the slopes and
+    the sums of the magnitudes of the terms of the values.  A Newton step
+    not strictly inside the bracket bisects it instead, and each value
+    narrows the bracket.  An entry is done, with its last Newton step, when
+    that step is a few ulps or its value is within rounding of 0, or when
+    its bracket is a few ulps wide; one not done after 100 steps is NaN."""
     out = np.full(x.shape, np.nan)
     live = np.arange(x.size)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -62,12 +52,10 @@ def _newton(f, x, lo, hi):
             inside = (step > lo) & (step < hi)
             close = ((np.abs(delta) <= 4.0 * _EPS * x)
                      | (np.abs(value) <= 4.0 * _EPS * scale))
-            out[live[close]] = np.where(inside, step, x)[close]
-            narrow = ~close & (hi - lo <= 4.0 * _EPS * hi)
-            out[live[narrow]] = x[narrow]
-            keep = ~(close | narrow)
-            x = np.where(inside, step, 0.5 * (lo + hi))[keep]
-            live, lo, hi = live[keep], lo[keep], hi[keep]
+            done = close | (hi - lo <= 4.0 * _EPS * hi)
+            out[live[done]] = np.where(inside & close, step, x)[done]
+            x = np.where(inside, step, 0.5 * (lo + hi))[~done]
+            live, lo, hi = live[~done], lo[~done], hi[~done]
     return out
 
 
@@ -75,18 +63,15 @@ def phase_roots(r, M, p):
     """Every bulk root of F(phi) = M phi + p atan2(sin phi, cos phi + r) =
     j pi in [0, pi], for each entry of the array r.
 
-    Returns (m, j, phi): the index into r, the root index j and the angle
-    of each root, grouped by m.  A root not converged after 100 Newton
-    steps has phi NaN.  A negative r is solved as -r, whose roots are
-    pi - phi with index M + p - j, so that the transition band's extremum
-    lies next to pi, where F - j pi is formed from pi - phi without
-    cancelling."""
+    Returns (m, j, phi), the index into r, root index and angle of each
+    root, grouped by m; phi is NaN on a root not converged.  A negative r
+    is solved as -r, whose roots are pi - phi with index M + p - j, so the
+    band's extremum lies next to pi, where F - j pi is formed from pi - phi
+    without cancelling."""
     r = np.asarray(r, dtype=float)
     rho = np.abs(r)
     band = (rho > 1.0) & (rho <= (M + p) / M)
-    first = np.ones(r.shape, dtype=int)
-    last = M + p * (rho <= 1.0) - 1 + band
-    count = last - first + 1
+    count = M + p * (rho <= 1.0) - 1 + band  # j = 1..count for r >= 0
     m = np.repeat(np.arange(r.size), count)
     j = np.arange(m.size) - np.repeat(np.cumsum(count) - count, count) + 1
     lo = np.maximum((j - p) * np.pi / M, 0.0)
@@ -98,11 +83,10 @@ def phase_roots(r, M, p):
             dr * (p - M * dr), 0.0) / (2.0 * rho * (2 * M + p))))
     hi = np.where(band[m], np.minimum(hi, np.pi - cut[m]), hi)
     rm = rho[m]
-    low_end = (j - M) * np.pi
+    past = (j - M) * np.pi
 
     def f(phi, live):
-        rl = rm[live]
-        jl = low_end[live]
+        rl, jl = rm[live], past[live]
         near = phi < 0.5 * np.pi
         # past pi/2 every term comes from x = pi - phi, to full precision
         x = np.where(near, phi, (np.pi - phi) + _PI_LO)
@@ -121,6 +105,28 @@ def phase_roots(r, M, p):
     phi = _newton(f, 0.5 * (lo + hi), lo, hi)
     flip = r[m] < 0.0
     return m, np.where(flip, M + p - j, j), np.where(flip, np.pi - phi, phi)
+
+
+def scan_roots(r, M, p, families):
+    """Every root of the zigzag secular equation of each entry of the array
+    r: the bulk roots of phase_roots and, for each edge family (a
+    chebpoly.EdgeFamily) whose threshold |r| exceeds, one from ratio_roots.
+
+    Returns the rows (m, phi, u, family), bulk rows first: the index into
+    r, the bulk angle or the edge decay (the other NaN) and the index of
+    the edge root's family (-1 on a bulk root); and the indices m with a
+    root not converged, whose rows are left out."""
+    m, _, phi = phase_roots(r, M, p)
+    rows = [(m, phi, np.full(m.size, np.nan), np.full(m.size, -1))]
+    for i, family in enumerate(families):
+        host = np.flatnonzero(np.abs(r) > family.threshold)
+        rows.append((host, np.full(host.size, np.nan),
+                     ratio_roots(np.abs(r[host]), family.order, family.even),
+                     np.full(host.size, i)))
+    m, phi, u, family = map(np.concatenate, zip(*rows))
+    lost = np.unique(m[np.isnan(phi) & np.isnan(u)])
+    keep = ~np.isin(m, lost)
+    return m[keep], phi[keep], u[keep], family[keep], lost
 
 
 def ratio_roots(rho, b, even):

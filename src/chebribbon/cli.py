@@ -265,16 +265,11 @@ def _solve_grid(config, solve):
         if -k not in first:
             first[k] = i
     solution, failed = solve(grid[list(first.values())])
-    rows, count = {}, 0
-    for n, i in enumerate(first.values()):
-        if n in failed:
-            rows[i] = failed[n]
-        else:
-            rows[i] = slice(count * dim, (count + 1) * dim)
-            count += 1
-    return [(k, rows[i], False) if i in rows else
-            (k, rows[first[-k]], True)
-            for i, k in enumerate(grid.tolist())], solution
+    solved = [n for n in range(len(first)) if n not in failed]
+    rows = {n: slice(i * dim, (i + 1) * dim) for i, n in enumerate(solved)}
+    rows = {k: rows.get(n, failed.get(n)) for n, k in enumerate(first)}
+    return [(k, rows[k], False) if k in rows else (k, rows[-k], True)
+            for k in grid.tolist()], solution
 
 
 def _each(solve):

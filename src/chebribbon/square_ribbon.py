@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._roots import invert_monotone_ratio, phase_roots, ratio_roots
+from ._roots import invert_monotone_ratio, scan_roots
 from .chebpoly import _sinh_ratio, u_all, u_pair, u_profile, zigzag_ends
 from .errors import (DegenerateParameterError, NoEdgeStateError,
                      RootCountError, SingularArgumentError)
@@ -111,35 +111,23 @@ def zigzag_roots(xi_abs, N):
     roots each in the order of xi_abs, and {index into xi_abs: the
     DegenerateParameterError or RootCountError} of the others, which a
     single |xi| raises.  The secular equation is the one-sided zigzag one
-    with r = 1/|xi|: one phase_roots pass gives every bulk root and one
-    ratio_roots pass the edge roots of the |xi| below the critical one."""
+    with r = 1/|xi|, solved by one scan_roots pass."""
     xis = np.atleast_1d(np.asarray(xi_abs, dtype=float))
     failed = {i: DegenerateParameterError(
         "|xi| = 0: secular form undefined, use the dense oracle")
         for i in np.flatnonzero(~(xis > 0.0)).tolist()}
     solved = np.flatnonzero(xis > 0.0)
     xi = xis[solved]
-    r = 1.0 / xi
-    m, _, v = phase_roots(r, N, 1)
-    family = _edge_family(N)
-    host = np.flatnonzero(r > family.threshold)
-    u = ratio_roots(r[host], family.order, family.even)
-    # sinh(u)/sinh((N+1)u), the stable form of the branch's omega(u)
-    edge_omega = (np.exp(-N * u) * np.expm1(-2.0 * u)
-                  / np.expm1(-2.0 * (N + 1) * u))
-    m = np.concatenate([m, host])
-    omega = np.concatenate([np.sqrt(xi[m[:len(v)]] ** 2 + 1.0 + 2.0
-                                    * xi[m[:len(v)]] * np.cos(v)),
-                            edge_omega])
-    v = np.concatenate([v, np.full(len(host), math.nan)])
-    u = np.concatenate([np.full(len(m) - len(host), math.nan), u])
-    lost = np.unique(m[np.isnan(v) & np.isnan(u)])
+    m, v, u, family, lost = scan_roots(1.0 / xi, N, 1, (_edge_family(N),))
     for i in lost.tolist():
         failed[int(solved[i])] = RootCountError(
             f"a root did not converge (|xi|={xi[i]}, N={N})")
-    order = np.argsort(omega, kind="stable")
-    order = order[np.argsort(m[order], kind="stable")]
-    order = order[~np.isin(m[order], lost)]
+    omega = np.sqrt(xi[m] * xi[m] + 1.0 + 2.0 * xi[m] * np.cos(v))
+    edge = family == 0
+    # sinh(u)/sinh((N+1)u), the stable form of the branch's omega(u)
+    omega[edge] = (np.exp(-N * u[edge]) * np.expm1(-2.0 * u[edge])
+                   / np.expm1(-2.0 * (N + 1) * u[edge]))
+    order = np.lexsort((omega, m))
     roots = tuple(c[order].reshape(-1, N) for c in (omega, v, u))
     if np.ndim(xi_abs):
         return roots, failed

@@ -8,8 +8,9 @@ edge states at y = +-cosh(u).
 
 Edge branches are parameterized by the decay constant u.  One-sided zigzag
 supports at most one localized state per momentum; the two-sided case has a
-symmetric and an antisymmetric family (A and B) and can host two.  Per-k
-root finding inverts the strictly monotone hyperbolic-ratio equations; the
+symmetric and an antisymmetric family (A and B) and can host two.  The
+roots of every momentum of a scan come from one pass of the indexed phase
+equation and the edge-ratio inversion (_roots.scan_roots); the
 u-parameterized branch tables used for phase diagrams evaluate the momenta
 in closed form instead.
 """
@@ -24,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._roots import phase_roots, ratio_roots
+from ._roots import scan_roots
 from .chebpoly import by_family, u_all, u_profile, zigzag_ends
 from .errors import DegenerateParameterError, RootCountError
 
@@ -209,9 +210,7 @@ def _roots(h, N, k, a, ends):
     """The RootTable of momentum k, or for an array of momenta the
     RootTable of those solved, N rows each in the order of k, with
     {index into k: DegenerateParameterError or RootCountError} of the
-    others.  One phase_roots pass gives the bulk roots of every momentum
-    and one ratio_roots pass per family its edge roots, at the momenta
-    whose |r| = |tau/zeta| exceeds the family's threshold."""
+    others, from one scan_roots pass over r = tau/|zeta|."""
     ks = np.atleast_1d(np.asarray(k, dtype=float)).tolist()
     families = zigzag_ends(ends, N)[1]
     zetas = [zeta_of_k(h, q, a) for q in ks]
@@ -223,32 +222,25 @@ def _roots(h, N, k, a, ends):
     theta = np.array([zetas[i][1] for i in solved])
     tau = np.array([tau_of_k(h, ks[i], a) for i in solved])
     r = tau / za
-    m, _, phi = phase_roots(r, *((N, 1) if ends == 1 else (N - 1, 2)))
-    nan = np.full(len(m), math.nan)
-    rows = [(m, tau[m] + 2.0 * za[m] * np.cos(phi), phi, nan,
-             np.zeros(len(m), dtype=int), np.full(len(m), ""))]
-    for fam in families:
-        host = np.flatnonzero(np.abs(r) > fam.threshold)
-        u = ratio_roots(np.abs(r[host]), fam.order, fam.even)
-        s = np.where(r[host] < 0.0, 1, -1)
-        # tau + s 2|zeta| cosh(u) cancels when |tau| >> |zeta|; + 0.0 keeps
-        # the flat levels (N = 1, family B at N = 3) from printing as -0
-        rows.append((host, s * za[host] * fam.level(u) + 0.0,
-                     np.full(len(host), math.nan), u, s,
-                     np.full(len(host), fam.name)))
-    m, energy, phi, u, sign, family = map(np.concatenate, zip(*rows))
-    lost = np.unique(m[np.isnan(phi) & np.isnan(u)])
+    m, phi, u, fam, lost = scan_roots(
+        r, *((N, 1) if ends == 1 else (N - 1, 2)), families)
     for i in lost.tolist():
         failed[solved[i]] = RootCountError(
             f"a root did not converge (k={ks[solved[i]]}, N={N})")
+    sign = np.where(fam < 0, 0, np.where(r[m] < 0.0, 1, -1))
+    energy = tau[m] + 2.0 * za[m] * np.cos(phi)
+    for i, family in enumerate(families):
+        edge = fam == i
+        # tau + s 2|zeta| cosh(u) cancels when |tau| >> |zeta|; + 0.0 keeps
+        # the flat levels (N = 1, family B at N = 3) from printing as -0
+        energy[edge] = sign[edge] * za[m[edge]] * family.level(u[edge]) + 0.0
     # each momentum's rows ascending in energy; equal energies keep the
-    # order above, bulk before family A before family B
-    order = np.argsort(energy, kind="stable")
-    order = order[np.argsort(m[order], kind="stable")]
-    order = order[~np.isin(m[order], lost)]
+    # order of scan_roots, bulk before family A before family B
+    order = np.lexsort((energy, m))
     m = m[order]
+    names = np.array(["", *(family.name for family in families)])
     table = RootTable(energy[order], phi[order], u[order], sign[order],
-                      family[order], tau[m], za[m], theta[m])
+                      names[fam[order] + 1], tau[m], za[m], theta[m])
     if np.ndim(k):
         return table, failed
     if failed:
