@@ -152,8 +152,7 @@ _REPRODUCERS = [
     # would cancel
     *(["bands", "--model", model, "--N", "5", "--t3", "1e12", "--k-points",
        "8"] for model in ("triangle-zigzag1", "triangle-zigzag2")),
-    # and edge decays past u = 512, where a search doubling u from 1 met
-    # sinh overflow before the root
+    # and edge decays near u = 690, past where sinh overflows
     *(["bands", "--model", model, "--t3", "1e300", "--k-points", "3"]
       for model in ("triangle-zigzag1", "triangle-zigzag2")),
     ["bands", "--model", "square-zigzag", "--tr", "1e300"],
