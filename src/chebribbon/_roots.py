@@ -63,10 +63,10 @@ def phase_roots(r, M, p):
     """Every bulk root of F(phi) = M phi + p atan2(sin phi, cos phi + r) =
     j pi in [0, pi], for each entry of the array r.
 
-    Returns (m, j, phi), the index into r, root index and angle of each
-    root, grouped by m; phi is NaN on a root not converged.  A negative r
-    is solved as -r, whose roots are pi - phi with index M + p - j, so the
-    band's extremum lies next to pi, where F - j pi is formed from pi - phi
+    Returns (m, phi), the index into r and the angle of each root, grouped
+    by m; phi is NaN on a root not converged.  A negative r is solved as
+    -r, whose roots are pi - phi (with index M + p - j), so the band's
+    extremum lies next to pi, where F - j pi is formed from pi - phi
     without cancelling."""
     r = np.asarray(r, dtype=float)
     rho = np.abs(r)
@@ -103,8 +103,7 @@ def phase_roots(r, M, p):
                 np.abs(linear) + np.abs(offset) + turn)
 
     phi = _newton(f, 0.5 * (lo + hi), lo, hi)
-    flip = r[m] < 0.0
-    return m, np.where(flip, M + p - j, j), np.where(flip, np.pi - phi, phi)
+    return m, np.where(r[m] < 0.0, np.pi - phi, phi)
 
 
 def scan_roots(r, M, p, families):
@@ -116,7 +115,7 @@ def scan_roots(r, M, p, families):
     r, the bulk angle or the edge decay (the other NaN) and the index of
     the edge root's family (-1 on a bulk root); and the indices m with a
     root not converged, whose rows are left out."""
-    m, _, phi = phase_roots(r, M, p)
+    m, phi = phase_roots(r, M, p)
     rows = [(m, phi, np.full(m.size, np.nan), np.full(m.size, -1))]
     for i, family in enumerate(families):
         host = np.flatnonzero(np.abs(r) > family.threshold)

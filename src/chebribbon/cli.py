@@ -28,10 +28,10 @@ from .classify import (StateLabel, classify_analytic_square,
                        classify_analytic_triangle, classify_numeric, ipr,
                        model_edge_sides)
 from .errors import DegenerateParameterError, RootCountError
-from .hamiltonian import (ModelKind, RibbonModel, SquareHoppings,
-                          TriangleEdge, TriangleHoppings, build_square_bloch,
-                          build_triangle_bloch, eigensolve_dense,
-                          subspace_overlap)
+from .hamiltonian import (OVERLAP_WINDOW, ModelKind, RibbonModel,
+                          SquareHoppings, TriangleEdge, TriangleHoppings,
+                          build_square_bloch, build_triangle_bloch,
+                          eigensolve_dense, subspace_overlap)
 
 __all__ = ["ScanConfig", "run", "main"]
 
@@ -536,6 +536,23 @@ def cmd_edges(config):
 _EDGE_LABELS = [label.value for label in StateLabel if label.is_edge]
 
 
+def _oracle_spectrum(bloch):
+    """eigensolve_dense(bloch), or a ConfigError where the oracle's own
+    rounding, about dim eps max|E|, exceeds the energy window of
+    subspace_overlap: the overlap check could then not find the oracle's
+    vectors, and every check would charge that rounding to the closed
+    form."""
+    spec = eigensolve_dense(bloch)
+    rounding = (len(spec.energies) * np.finfo(float).eps
+                * float(np.abs(spec.energies).max()))
+    if rounding > OVERLAP_WINDOW:
+        raise ConfigError(
+            f"the oracle's rounding, about {rounding:.1e}, exceeds the "
+            f"{OVERLAP_WINDOW:g} energy window of its overlap check; the "
+            "hoppings are out of range")
+    return spec
+
+
 def _check_momentum(name, k, energies, spec, analytic, near, tol,
                     violations):
     """Compare one momentum's closed form with the oracle `spec`: append
@@ -575,7 +592,7 @@ def _validate_scan(config, violations):
     for k, rows, mirrored in scan.grid:
         if not isinstance(rows, slice):
             raise rows  # the solved momentum's, which comes first
-        spec = eigensolve_dense(_bloch(config, k))
+        spec = _oracle_spectrum(_bloch(config, k))
         energies = scan.energy[rows]
         # a mirrored momentum's states are the conjugates of its partner's
         states = scan.states(rows.start // config.model.dim)
@@ -617,7 +634,7 @@ def _validate_zero_modes(h, N, tol, violations):
         raise ConfigError("zero-mode validation needs tr > 0 and tl > 0")
     dev = deficit = 0.0
     for k, j in _zero_mode_momenta(h, N):
-        spec = eigensolve_dense(build_square_bloch(h, N, k))
+        spec = _oracle_spectrum(build_square_bloch(h, N, k))
         d = float(np.min(np.abs(spec.energies)))
         if d > tol:
             violations.append(("square-general", float(k), j, "zero-energy",

@@ -223,14 +223,19 @@ def state_overlap(v1, v2):
     return float(abs(np.vdot(v1, v2)) / (n1 * n2))
 
 
+# the energy window of subspace_overlap, absolute
+OVERLAP_WINDOW = 1e-7
+
+
 def subspace_overlap(spectrum, energy, vector):
     """Norm of the projection of `vector` onto the eigenspace spanned by all
-    eigenvalues within 1e-7 of `energy`.  Degeneracy-safe overlap."""
+    eigenvalues within OVERLAP_WINDOW of `energy`.  Degeneracy-safe
+    overlap."""
     vector = np.asarray(vector, dtype=complex).ravel()
     norm = np.linalg.norm(vector)
     if norm == 0.0:
         raise ValueError("overlap of a zero vector is undefined")
-    sel = np.abs(spectrum.energies - energy) <= 1e-7
+    sel = np.abs(spectrum.energies - energy) <= OVERLAP_WINDOW
     if not np.any(sel):
         return 0.0
     basis = spectrum.vectors[:, sel]

@@ -22,7 +22,8 @@ from functools import cached_property
 import numpy as np
 
 from ._roots import invert_monotone_ratio, scan_roots
-from .chebpoly import _sinh_ratio, u_all, u_pair, u_profile, zigzag_ends
+from .chebpoly import (_sinh_quotient, u_all, u_pair, u_profile,
+                       zigzag_ends)
 from .errors import (DegenerateParameterError, NoEdgeStateError,
                      RootCountError, SingularArgumentError)
 
@@ -83,10 +84,10 @@ def _edge_family(N):
 
 
 def _edge_omega(u, N):
-    # on-branch energy: omega = sinh(u)/sinh((N+1)u), the stable equivalent
-    # of the omega^2(u) branch formula (which cancels catastrophically for
-    # large u)
-    return _sinh_ratio(u, (N + 1) * u)
+    # on-branch energy of a decay or an array of them: omega =
+    # sinh(u)/sinh((N+1)u), the stable equivalent of the omega^2(u) branch
+    # formula (which cancels catastrophically for large u)
+    return _sinh_quotient(1, N + 1, u)
 
 
 def zigzag_edge_u_from_xi(xi_abs, N):
@@ -124,9 +125,7 @@ def zigzag_roots(xi_abs, N):
             f"a root did not converge (|xi|={xi[i]}, N={N})")
     omega = np.sqrt(xi[m] * xi[m] + 1.0 + 2.0 * xi[m] * np.cos(v))
     edge = family == 0
-    # sinh(u)/sinh((N+1)u), the stable form of the branch's omega(u)
-    omega[edge] = (np.exp(-N * u[edge]) * np.expm1(-2.0 * u[edge])
-                   / np.expm1(-2.0 * (N + 1) * u[edge]))
+    omega[edge] = _edge_omega(u[edge], N)
     order = np.lexsort((omega, m))
     roots = tuple(c[order].reshape(-1, N) for c in (omega, v, u))
     if np.ndim(xi_abs):
@@ -215,7 +214,7 @@ def zigzag_edge_branch(u, N):
     if u <= 0.0:
         raise ValueError("decay parameter must be positive")
     return EdgeBranchPoint(u=u, xi_abs=_edge_family(N).half(u),
-                           omega=_edge_omega(u, N), N=N)
+                           omega=float(_edge_omega(u, N)), N=N)
 
 
 def sublattice_link(omega, u_n_value, theta_total=0.0):

@@ -26,7 +26,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._roots import scan_roots
-from .chebpoly import by_family, u_all, u_profile, zigzag_ends
+from .chebpoly import (_folded, _sinh_quotient, by_family, u_all,
+                       u_profile, zigzag_ends)
 from .errors import DegenerateParameterError, RootCountError
 
 __all__ = [
@@ -213,15 +214,14 @@ def _roots(h, N, k, a, ends):
     others, from one scan_roots pass over r = tau/|zeta|."""
     ks = np.atleast_1d(np.asarray(k, dtype=float)).tolist()
     families = zigzag_ends(ends, N)[1]
-    zetas = [zeta_of_k(h, q, a) for q in ks]
-    failed = {i: DegenerateParameterError(f"|zeta| = 0 at k = {q}")
-              for i, (q, (zeta, _)) in enumerate(zip(ks, zetas))
-              if zeta == 0.0}
-    solved = [i for i in range(len(ks)) if i not in failed]
-    za = np.array([abs(zetas[i][0]) for i in solved])
-    theta = np.array([zetas[i][1] for i in solved])
-    tau = np.array([tau_of_k(h, ks[i], a) for i in solved])
-    r = tau / za
+    failed, reduced = {}, {}
+    for i, q in enumerate(ks):
+        try:
+            reduced[i] = _reduced(h, N, q, a)
+        except DegenerateParameterError as exc:
+            failed[i] = exc
+    solved = list(reduced)
+    za, r, tau, theta = np.array(list(reduced.values())).reshape(-1, 4).T
     m, phi, u, fam, lost = scan_roots(
         r, *((N, 1) if ends == 1 else (N - 1, 2)), families)
     for i in lost.tolist():
@@ -265,32 +265,41 @@ def zz2_roots(h, N, k, a=1.0):
 
 
 def root_residuals(roots, N, ends):
-    """The secular sum of each root of a RootTable (from zz1_roots or
-    zz2_roots for `ends` = 1 or 2) at the root's own angle or decay,
-    scaled so that rounding shows as about 1e-16.
+    """The secular sum sum_m c_m U_{N-m}(y) of each root of a RootTable
+    (from zz1_roots or zz2_roots for `ends` = 1 or 2) at the root's own
+    angle or decay, scaled so that rounding shows as a small multiple of
+    N eps.
 
-    On a bulk root, sin(phi) times the sum is Im z, z = e^{i M phi}
-    (e^{i phi} + r)^p (see _roots.phase_roots); the residual is Im z/|z|.
-    On an edge root at y = sign cosh(u) it is the sum over the sum of the
-    magnitudes of its terms, each term as a ratio to sinh((N+1)u)."""
+    On a bulk root, sin(phi) times the sum is sum_m c_m sin((N+1-m) phi),
+    the imaginary part of e^{i (N+1) phi} (1 + r e^{-i phi})^p (p = ends),
+    and is divided by that number's modulus |1 + r e^{-i phi}|^p: the sum
+    of the magnitudes of its terms would swell the rounding of the angle
+    by about |r| when |tau| >> |zeta|.  Past 3 pi/4 the terms are (-1)^N
+    times those at psi = pi - phi and -r (chebpoly._folded), whose
+    products n psi lose no digits.  On an edge root at y = sign cosh(u)
+    the sum, each term a ratio to sinh((N+1)u), is divided by the sum of
+    the magnitudes of its terms."""
     r = roots.tau / roots.zeta_abs
-    coefficients = zigzag_ends(ends, N)[0](r)
-    out = np.empty(len(r))
+    coefficients = zigzag_ends(ends, N)[0]
     bulk = ~roots.edge
-    phi = roots.phi[bulk]
-    M, p = (N, 1) if ends == 1 else (N - 1, 2)
-    out[bulk] = np.sin(M * phi + p * np.arctan2(np.sin(phi),
-                                                np.cos(phi) + r[bulk]))
+    psi, rf, _, fold = _folded(roots.phi[bulk], r[bulk])
     u, sign = roots.u[~bulk], roots.sign[~bulk]
-    total = scale = 0.0
-    for power, c in enumerate(coefficients):
-        # sinh((N + 1 - power) u)/sinh((N + 1) u)
-        w = (np.exp(-power * u) * np.expm1(-2.0 * (N + 1 - power) * u)
-             / np.expm1(-2.0 * (N + 1) * u))
-        term = np.broadcast_to(c, r.shape)[~bulk] * w
-        total = total + sign ** power * term
-        scale = scale + np.abs(term)
-    out[~bulk] = total / scale
+    total = np.zeros(len(r))
+    scale = np.zeros(len(r))
+    for power, (c, c_edge) in enumerate(zip(coefficients(rf),
+                                            coefficients(r[~bulk]))):
+        n = N + 1 - power
+        total[bulk] += c * np.sin(n * psi)
+        term = sign ** power * c_edge * _sinh_quotient(n, N + 1, u)
+        total[~bulk] += term
+        scale[~bulk] += np.abs(term)
+    # |1 + r' e^{-i psi}|, its real part 1 + r' cos(psi) formed as in
+    # _folded
+    half = np.sin(0.5 * psi)
+    scale[bulk] = np.hypot((1.0 + rf) - 2.0 * rf * half * half,
+                           rf * np.sin(psi)) ** ends
+    out = total / scale
+    out[bulk] *= np.where(fold & (N % 2 == 1), -1.0, 1.0)
     return out
 
 

@@ -954,6 +954,9 @@ def test_zeromodes_rejections(capsys):
     ["edges", "--model", "triangle-zigzag2", "--t1", "0"],
     ["wavefunction", "--model", "triangle-zigzag1", "--t3", "0",
      "--u", "0.5"],
+    # the oracle's rounding, about eps 1e300, swamps every check
+    ["validate", "--model", "square-zigzag", "--tr", "1e300", "--tu", "1",
+     "--td", "1"],
 ])
 def test_invalid_invocations_exit_2(capsys, argv):
     assert run(argv) == 2
@@ -1041,6 +1044,38 @@ def test_output_that_overflows_exits_2_with_one_line(argv):
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("error:")
     assert done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--model", "square-zigzag", "--tr", "1e300", "--tu", "1",
+     "--td", "1"],
+    ["validate", "--model", "triangle-zigzag1", "--t3", "1e300"],
+    ["validate", "--model", "triangle-zigzag2", "--t3", "1e300"],
+    ["validate", "--model", "triangle-linear", "--t1", "1e300"],
+    ["validate", "--model", "square-lr", "--tr", "1e300", "--tl", "1e300"],
+    ["validate", "--model", "square-general", "--tr", "1e300"],
+    # 40 eps 2e7 = 1.8e-7, just past the window
+    ["validate", "--model", "triangle-zigzag1", "--N", "40", "--t3", "1e7"],
+])
+def test_validate_exits_2_where_the_oracle_rounds_past_its_window(argv):
+    # the dense oracle's eigenvalues carry about dim eps max|E|; past the
+    # energy window of its overlap check no vector of it matches, and the
+    # report would charge its rounding to the closed form
+    done = subprocess.run([sys.executable, "-m", "chebribbon.cli", *argv],
+                          capture_output=True, text=True)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: the oracle's rounding")
+    assert done.stderr.count("\n") == 1
+
+
+def test_oracle_within_its_window_is_checked(capsys):
+    # 40 eps 1e6 = 8.9e-9, inside the window: the report is written, and
+    # the overlap check finds the oracle's vectors
+    run(["validate", "--model", "triangle-zigzag1", "--N", "40", "--t3",
+         "5e5"])
+    report = json.loads(capsys.readouterr().out)["reports"]["triangle-zigzag1"]
+    assert report["max_energy_dev"] < 1e-9
+    assert report["max_overlap_deficit"] < 1e-12
 
 
 @pytest.mark.parametrize("argv", [

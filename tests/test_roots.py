@@ -35,24 +35,28 @@ def _ratios(M, p):
 @pytest.mark.parametrize("M, p", _FORMS)
 def test_phase_roots_index_range(M, p):
     r = np.array(_ratios(M, p))
-    m, j, phi = phase_roots(r, M, p)
+    m, phi = phase_roots(r, M, p)
     top = (M + p) / M
     for i, ri in enumerate(r.tolist()):
         rho = abs(ri)
         band = 1.0 < rho <= top
+        root = phi[m == i]
+        assert np.all((root >= 0.0) & (root <= math.pi))
+        # each root solves an indexed equation F = j pi, F evaluated at 40
+        # digits, which gives back its index j
+        index = []
+        with mpmath.workdps(40):
+            for phi_j in root.tolist():
+                F = M * mpmath.mpf(phi_j) + p * mpmath.atan2(
+                    mpmath.sin(phi_j), mpmath.cos(phi_j) + ri)
+                j = int(mpmath.nint(F / mpmath.pi))
+                assert abs(F - j * mpmath.pi) < 1e-14 * (M + p), (ri, j)
+                index.append(j)
         # F(0) and F(pi) fix the range; the band adds the index next to
         # the extremum
         first = p * (ri < -1.0) + 1 - (band and ri < 0.0)
         last = M + p * (ri <= 1.0) - 1 + (band and ri > 0.0)
-        assert sorted(j[m == i].tolist()) == list(range(first, last + 1)), ri
-        root = phi[m == i]
-        assert np.all((root >= 0.0) & (root <= math.pi))
-        # each root solves its own indexed equation, evaluated at 40 digits
-        with mpmath.workdps(40):
-            for phi_j, j_j in zip(root.tolist(), j[m == i].tolist()):
-                F = M * mpmath.mpf(phi_j) + p * mpmath.atan2(
-                    mpmath.sin(phi_j), mpmath.cos(phi_j) + ri)
-                assert abs(F - j_j * mpmath.pi) < 1e-14 * (M + p), (ri, j_j)
+        assert sorted(index) == list(range(first, last + 1)), ri
 
 
 def _reduced_spectrum(ri, N, ends):
@@ -77,7 +81,7 @@ def test_phase_and_ratio_roots_give_the_whole_spectrum(N, ends):
         return
     M, p = (N, 1) if ends == 1 else (N - 1, 2)
     r = np.array(_ratios(M, p) + [1.0 + 1e-12, -(1.0 + 1e-12)])
-    m, _, phi = phase_roots(r, M, p)
+    m, phi = phase_roots(r, M, p)
     families = zigzag_ends(ends, N)[1]
     for i, ri in enumerate(r.tolist()):
         y = np.cos(phi[m == i]).tolist()
@@ -156,7 +160,7 @@ def test_roots_next_to_the_thresholds_converge(monkeypatch, M, p):
                            for s in (1.0, -1.0)])
     rho = np.concatenate([1.0 + side, (M + p) / M * (1.0 + side)])
     steps = _counted_newton(monkeypatch)
-    m, j, phi = phase_roots(np.concatenate([rho, -rho]), M, p)
+    m, phi = phase_roots(np.concatenate([rho, -rho]), M, p)
     assert not np.isnan(phi).any()
     assert max(steps) <= 60
 

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -169,6 +170,58 @@ def test_batched_states_and_residuals_equal_scalar_reference(N):
             with pytest.raises(ValueError, match="not on the spectrum"):
                 state(bulk + np.where(bulk == bulk[-1], 0.05, 0.0),
                       WEAK, N, k)
+
+
+def _secular_sum_at_40_digits(roots, N, ends):
+    """sum_m c_m sin((N+1-m) phi) over |1 + r e^{-i phi}|^ends (bulk) or
+    sum_m c_m sign^m sinh((N+1-m)u)/sinh((N+1)u) over the sum of the
+    magnitudes of its terms (edge) of each row of a RootTable, at 40
+    digits."""
+    out = []
+    with mpmath.workdps(40):
+        for phi, u, sign, tau, za in zip(
+                roots.phi.tolist(), roots.u.tolist(), roots.sign.tolist(),
+                roots.tau.tolist(), roots.zeta_abs.tolist()):
+            r = mpmath.mpf(tau) / za
+            c = [1, r] if ends == 1 else [1, 2 * r, r * r]
+            if sign == 0:
+                terms = [c_m * mpmath.sin((N + 1 - m) * mpmath.mpf(phi))
+                         for m, c_m in enumerate(c)]
+                scale = abs(1 + r * mpmath.expj(-phi)) ** ends
+            else:
+                terms = [c_m * sign ** m * mpmath.sinh((N + 1 - m) * u)
+                         / mpmath.sinh((N + 1) * mpmath.mpf(u))
+                         for m, c_m in enumerate(c)]
+                scale = sum(abs(t) for t in terms)
+            out.append(float(sum(terms) / scale))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("N", [3, 8, 41])
+@pytest.mark.parametrize("ends", [1, 2])
+def test_root_residuals_are_the_scaled_chebyshev_sum(N, ends):
+    # the Chebyshev secular sum itself, not the phase equation the roots
+    # solve: equal at the roots, and equal off them; at t3 = 40 the sum
+    # over the magnitudes of its terms would read up to |r| times more
+    roots_of = tri.zz1_roots if ends == 1 else tri.zz2_roots
+    ks = np.array([0.3, 2.0, 3.0])
+    for h in (WEAK, TriangleHoppings(1.0, 1.0, 1.0),
+              TriangleHoppings(0.3, 0.2, 40.0)):
+        roots, failed = roots_of(h, N, ks)
+        assert failed == {}
+        # n phi rounds to eps (N + 1) pi, swollen a few times where
+        # 1 + r e^{-i phi} is small, and an edge term's (N + 1)u to
+        # eps (N + 1) u
+        rounding = 64.0 * (N + 1) * np.finfo(float).eps
+        got = tri.root_residuals(roots, N, ends)
+        assert np.allclose(got, _secular_sum_at_40_digits(roots, N, ends),
+                           rtol=0.0, atol=rounding)
+        moved = roots._replace(phi=roots.phi * (1.0 - 1e-3),
+                               u=roots.u * (1.0 + 1e-3))
+        got = tri.root_residuals(moved, N, ends)
+        expected = _secular_sum_at_40_digits(moved, N, ends)
+        assert np.abs(expected).min() > 1e-9
+        assert np.allclose(got, expected, rtol=1e-12, atol=rounding)
 
 
 def test_roots_match_oracle_across_widths(rng):
