@@ -27,7 +27,7 @@ from .chebpoly import by_family, u_profile_ipr, zigzag_ends
 from .classify import (StateLabel, classify_analytic_square,
                        classify_analytic_triangle, classify_numeric, ipr,
                        model_edge_sides)
-from .errors import DegenerateParameterError, RootCountError
+from .errors import DegenerateParameterError
 from .hamiltonian import (OVERLAP_WINDOW, ModelKind, RibbonModel,
                           SquareHoppings, TriangleEdge, TriangleHoppings,
                           build_square_bloch, build_triangle_bloch,
@@ -272,22 +272,6 @@ def _solve_grid(config, solve):
             for k in grid.tolist()], solution
 
 
-def _each(solve):
-    """A solve for _solve_grid from solve(k) of one momentum, which raises
-    where the closed form degenerates; the solution is the list of the
-    results of the momenta solved."""
-    def solve_all(ks):
-        solved, failed = [], {}
-        for n, k in enumerate(ks):
-            try:
-                solved.append(solve(k))
-            except (DegenerateParameterError, RootCountError) as exc:
-                failed[n] = exc
-        return solved, failed
-
-    return solve_all
-
-
 def _solved_momenta(grid):
     return [k for k, rows, mirrored in grid
             if isinstance(rows, slice) and not mirrored]
@@ -358,7 +342,9 @@ def _lr_bands(h, N, k, a):
 
 def _square_lr_scan(config):
     h, N, a = config.hoppings, config.model.N, config.model.a
-    grid, solved = _solve_grid(config, _each(lambda k: _lr_bands(h, N, k, a)))
+    # the closed form |c(k, j)| holds at every momentum
+    grid, solved = _solve_grid(
+        config, lambda ks: ([_lr_bands(h, N, k, a) for k in ks], {}))
     ks = _solved_momenta(grid)
     energy, j, sign = (np.array(column) for column in zip(
         *(entry for entries in solved for entry in entries)))
@@ -387,15 +373,20 @@ def _triangle_labels(kind, energy, tau, zeta_abs):
 def _triangle_linear_scan(config):
     h, N, a = config.hoppings, config.model.N, config.model.a
 
-    def solve(k):
-        zeta_abs = abs(tri.zeta_of_k(h, k, a)[0])
-        if zeta_abs == 0.0:
-            raise DegenerateParameterError(f"|zeta| = 0 at k = {k}")
-        energies = tri.linear_energies(h, N, k, a=a)
-        order = np.argsort(energies)
-        return energies[order], order, tri.tau_of_k(h, k, a), zeta_abs
+    def solve(ks):
+        solved, failed = [], {}
+        for n, k in enumerate(ks):
+            zeta_abs = abs(tri.zeta_of_k(h, k, a)[0])
+            if zeta_abs == 0.0:
+                failed[n] = DegenerateParameterError(f"|zeta| = 0 at k = {k}")
+                continue
+            energies = tri.linear_energies(h, N, k, a=a)
+            order = np.argsort(energies)
+            solved.append((energies[order], order, tri.tau_of_k(h, k, a),
+                           zeta_abs))
+        return solved, failed
 
-    grid, solved = _solve_grid(config, _each(solve))
+    grid, solved = _solve_grid(config, solve)
     if not solved:
         return _unsolved(grid)
     ks = _solved_momenta(grid)
@@ -537,11 +528,9 @@ _EDGE_LABELS = [label.value for label in StateLabel if label.is_edge]
 
 
 def _oracle_spectrum(bloch):
-    """eigensolve_dense(bloch), or a ConfigError where the oracle's own
-    rounding, about dim eps max|E|, exceeds the energy window of
-    subspace_overlap: the overlap check could then not find the oracle's
-    vectors, and every check would charge that rounding to the closed
-    form."""
+    """eigensolve_dense(bloch), or a ConfigError where its own rounding,
+    about dim eps max|E|, exceeds the energy window of subspace_overlap,
+    and every check would charge that rounding to the closed form."""
     spec = eigensolve_dense(bloch)
     rounding = (len(spec.energies) * np.finfo(float).eps
                 * float(np.abs(spec.energies).max()))

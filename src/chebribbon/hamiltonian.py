@@ -223,7 +223,6 @@ def state_overlap(v1, v2):
     return float(abs(np.vdot(v1, v2)) / (n1 * n2))
 
 
-# the energy window of subspace_overlap, absolute
 OVERLAP_WINDOW = 1e-7
 
 

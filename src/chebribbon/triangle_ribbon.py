@@ -268,58 +268,42 @@ def root_residuals(roots, N, ends):
     """The secular sum sum_m c_m U_{N-m}(y) of each root of a RootTable
     (from zz1_roots or zz2_roots for `ends` = 1 or 2) at the root's own
     angle or decay, scaled so that rounding shows as a small multiple of
-    N eps.
-
-    On a bulk root, sin(phi) times the sum is sum_m c_m sin((N+1-m) phi),
-    the imaginary part of e^{i (N+1) phi} (1 + r e^{-i phi})^p (p = ends),
-    and is divided by that number's modulus |1 + r e^{-i phi}|^p: the sum
-    of the magnitudes of its terms would swell the rounding of the angle
-    by about |r| when |tau| >> |zeta|.  Past 3 pi/4 the terms are (-1)^N
-    times those at psi = pi - phi and -r (chebpoly._folded), whose
-    products n psi lose no digits.  On an edge root at y = sign cosh(u)
-    the sum, each term a ratio to sinh((N+1)u), is divided by the sum of
-    the magnitudes of its terms."""
+    N eps.  On a bulk root sin(phi) times it is sum_m c_m sin((N+1-m) phi),
+    the imaginary part of e^{i (N+1) phi} (1 + r e^{-i phi})^ends, over
+    whose modulus it is taken (the sum of the magnitudes of its terms
+    would swell the rounding of phi about |r| times); past 3 pi/4 its
+    terms are (-1)^N times those at psi = pi - phi and -r (_folded), whose
+    products n psi lose no digits.  On an edge root at y = sign cosh(u) it
+    is over the sum of the magnitudes of its terms, ratios to
+    sinh((N+1)u)."""
     r = roots.tau / roots.zeta_abs
     coefficients = zigzag_ends(ends, N)[0]
+    out = np.empty(len(r))
     bulk = ~roots.edge
     psi, rf, _, fold = _folded(roots.phi[bulk], r[bulk])
+    half = np.sin(0.5 * psi)  # Re(1 + r' e^{-i psi}) as in _folded
+    modulus = np.hypot((1.0 + rf) - 2.0 * rf * half * half, rf * np.sin(psi))
+    out[bulk] = (sum(c * np.sin((N + 1 - m) * psi)
+                     for m, c in enumerate(coefficients(rf)))
+                 / modulus ** ends * np.where(fold & (N % 2 == 1), -1.0, 1.0))
     u, sign = roots.u[~bulk], roots.sign[~bulk]
-    total = np.zeros(len(r))
-    scale = np.zeros(len(r))
-    for power, (c, c_edge) in enumerate(zip(coefficients(rf),
-                                            coefficients(r[~bulk]))):
-        n = N + 1 - power
-        total[bulk] += c * np.sin(n * psi)
-        term = sign ** power * c_edge * _sinh_quotient(n, N + 1, u)
-        total[~bulk] += term
-        scale[~bulk] += np.abs(term)
-    # |1 + r' e^{-i psi}|, its real part 1 + r' cos(psi) formed as in
-    # _folded
-    half = np.sin(0.5 * psi)
-    scale[bulk] = np.hypot((1.0 + rf) - 2.0 * rf * half * half,
-                           rf * np.sin(psi)) ** ends
-    out = total / scale
-    out[bulk] *= np.where(fold & (N % 2 == 1), -1.0, 1.0)
+    terms = [sign ** m * c * _sinh_quotient(N + 1 - m, N + 1, u)
+             for m, c in enumerate(coefficients(r[~bulk]))]
+    out[~bulk] = sum(terms) / sum(map(np.abs, terms))
     return out
-
-
-def _bulk_states(phi, r, theta, N):
-    """Normalized e^{i n theta} [U_{n-1}(cos phi) + r U_{n-2}(cos phi)], one
-    row per entry of phi, r and theta, formed at the angle phi."""
-    phases = np.exp(1.0j * np.arange(1, N + 1) * np.asarray(theta)[..., None])
-    psi = phases * u_profile(phi, r, N)
-    return psi / np.linalg.norm(psi, axis=-1, keepdims=True)
 
 
 def root_states(roots, N, ends):
     """Normalized states of the roots of one momentum's RootTable, from
     zz1_roots or zz2_roots for `ends` = 1 or 2, one column per root, in
     the Bloch-matrix gauge e^{+i n theta}: bulk roots formed at their
-    angles, edge roots from their envelopes."""
+    angles (u_profile), edge roots from their envelopes."""
     psi = np.empty((N, N), dtype=complex)
     bulk = ~roots.edge
-    psi[bulk] = _bulk_states(roots.phi[bulk], roots.tau[bulk]
-                             / roots.zeta_abs[bulk], roots.theta[bulk], N)
+    psi[bulk] = (np.exp(1.0j * np.arange(1, N + 1) * roots.theta[bulk, None])
+                 * u_profile(roots.phi[bulk],
+                             roots.tau[bulk] / roots.zeta_abs[bulk], N))
+    psi[bulk] /= np.linalg.norm(psi[bulk], axis=-1, keepdims=True)
     for i in np.flatnonzero(roots.edge).tolist():
         state = _edge_state(roots.u[i], N, roots.sign[i], ends,
                             roots.family[i], roots.theta[i])
