@@ -268,11 +268,11 @@ def root_residuals(roots, N, ends):
     """The secular sum sum_m c_m U_{N-m}(y) of each root of a RootTable
     (from zz1_roots or zz2_roots for `ends` = 1 or 2) at the root's own
     angle or decay, scaled so that rounding shows as a small multiple of
-    N eps.  On a bulk root sin(phi) times it is sum_m c_m sin((N+1-m) phi),
-    the imaginary part of e^{i (N+1) phi} (1 + r e^{-i phi})^ends, over
-    whose modulus it is taken (the sum of the magnitudes of its terms
-    would swell the rounding of phi about |r| times); past 3 pi/4 its
-    terms are (-1)^N times those at psi = pi - phi and -r (_folded), whose
+    N eps.  On a bulk root sin(phi) times it, sum_m c_m sin((N+1-m) phi),
+    is taken over the sum of the magnitudes of its coefficients, which
+    bounds it: the magnitudes of its terms can fall far below their
+    rounding (by about |r| when |tau| >> |zeta|).  Past 3 pi/4 the terms
+    are (-1)^N times those at psi = pi - phi and -r (_folded), whose
     products n psi lose no digits.  On an edge root at y = sign cosh(u) it
     is over the sum of the magnitudes of its terms, ratios to
     sinh((N+1)u)."""
@@ -281,14 +281,13 @@ def root_residuals(roots, N, ends):
     out = np.empty(len(r))
     bulk = ~roots.edge
     psi, rf, _, fold = _folded(roots.phi[bulk], r[bulk])
-    half = np.sin(0.5 * psi)  # Re(1 + r' e^{-i psi}) as in _folded
-    modulus = np.hypot((1.0 + rf) - 2.0 * rf * half * half, rf * np.sin(psi))
-    out[bulk] = (sum(c * np.sin((N + 1 - m) * psi)
-                     for m, c in enumerate(coefficients(rf)))
-                 / modulus ** ends * np.where(fold & (N % 2 == 1), -1.0, 1.0))
+    c = coefficients(rf)
+    out[bulk] = (sum(c_m * np.sin((N + 1 - m) * psi)
+                     for m, c_m in enumerate(c)) / sum(map(np.abs, c))
+                 * np.where(fold & (N % 2 == 1), -1.0, 1.0))
     u, sign = roots.u[~bulk], roots.sign[~bulk]
-    terms = [sign ** m * c * _sinh_quotient(N + 1 - m, N + 1, u)
-             for m, c in enumerate(coefficients(r[~bulk]))]
+    terms = [sign ** m * c_m * _sinh_quotient(N + 1 - m, N + 1, u)
+             for m, c_m in enumerate(coefficients(r[~bulk]))]
     out[~bulk] = sum(terms) / sum(map(np.abs, terms))
     return out
 
