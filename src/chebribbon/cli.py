@@ -172,7 +172,8 @@ def _bloch_edge_state(ends, u, N, sign, family, theta):
 # order.
 
 def _bloch(config, k):
-    """The Bloch matrix of config's model at momentum k."""
+    """The Bloch matrix of config's model at momentum k, or the stack of
+    them at an array of momenta."""
     h, N, a = config.hoppings, config.model.N, config.model.a
     if config.kind.is_square:
         return build_square_bloch(h, N, k, a=a)
@@ -180,27 +181,53 @@ def _bloch(config, k):
                                 a=a)
 
 
-def _oracle_rows(config, k):
-    """Dense-diagonalization fallback columns for one momentum."""
-    spec = eigensolve_dense(_bloch(config, k))
-    energy = spec.energies.tolist()
-    count = len(energy)
-    try:
-        classes = classify_numeric(spec.vectors)
-        label = [sc.label.value for sc in classes]
-        u = [sc.u_estimate for sc in classes]
-        part = [sc.ipr for sc in classes]
-    except ValueError:  # too few sites for the boundary fits
-        label, u = [""] * count, [None] * count
-        part = ipr(spec.vectors).tolist()
-    return ([k] * count, list(range(1, count + 1)), energy, label, u, part,
-            ["oracle"] * count)
+# complex matrix entries of one stacked dense solve (16 momenta at dim 24):
+# the momenta of a scan are solved, and classified, in chunks of at most
+# this many entries (one momentum at least), so that no array holds the
+# states of a whole scan
+_CHUNK_ENTRIES = 16 * 24 * 24
+
+
+def _oracle_chunks(config, ks):
+    """The oracle Spectrum of each momentum of the array ks, one list per
+    chunk of at most _CHUNK_ENTRIES matrix entries, each chunk solved by
+    one eigensolve_dense call when it is asked for."""
+    step = max(1, _CHUNK_ENTRIES // config.model.dim ** 2)
+    for start in range(0, len(ks), step):
+        yield eigensolve_dense(_bloch(config, ks[start:start + step]))
+
+
+def _oracle_rows(config, ks):
+    """The energy, class, u and ipr columns of the dense oracle at the
+    momenta of the array ks, config.model.dim rows each in the order of ks;
+    each chunk is classified before the next is solved."""
+    energy, label, u, part = [], [], [], []
+    for spectra in _oracle_chunks(config, ks):
+        energy += np.concatenate([s.energies for s in spectra]).tolist()
+        vectors = np.concatenate([s.vectors for s in spectra], axis=1)
+        try:
+            classes = classify_numeric(vectors)
+        except ValueError:  # too few sites for the boundary fits
+            label += [""] * vectors.shape[1]
+            u += [None] * vectors.shape[1]
+            part += ipr(vectors).tolist()
+            continue
+        label += [sc.label.value for sc in classes]
+        u += [sc.u_estimate for sc in classes]
+        part += [sc.ipr for sc in classes]
+    return energy, label, u, part
 
 
 def _join(tables):
     """The column tables `tables` one after the other, as one table."""
     return tuple(list(itertools.chain.from_iterable(column))
                  for column in zip(*tables))
+
+
+def _profile_iprs(profiles, N):
+    """The IPR of each of the profiles of N sites, in one ipr call (of
+    their matrix, one profile per column)."""
+    return ipr(np.reshape(profiles, (-1, N)).T)
 
 
 def _edge_column(values, edge):
@@ -283,9 +310,11 @@ def _unsolved(grid):
                  np.empty(0), None)
 
 
-def _oracle_scan(config):
-    """The scan of a model without a closed form (square-general)."""
-    return _unsolved([(k, None, False) for k in config.k_grid()])
+def _general_scan(config):
+    """The scan of square-general, which has no closed form: every
+    momentum, one of each +-k pair, takes oracle rows."""
+    return _unsolved(_solve_grid(
+        config, lambda ks: (None, dict.fromkeys(range(len(ks)))))[0])
 
 
 def _square_zigzag_roots(h, N, ks, a):
@@ -317,7 +346,8 @@ def _square_zigzag_scan(config):
     bulk = ~np.isnan(v)
     part[bulk] = 0.5 * u_profile_ipr(v[bulk], 1.0 / xi[bulk], N)
     envelope = zigzag_ends(1, N)[1][0].envelope
-    part[~bulk] = [0.5 * ipr(envelope(u)) for u in decay[~bulk].tolist()]
+    part[~bulk] = 0.5 * _profile_iprs(
+        [envelope(u) for u in decay[~bulk].tolist()], N)
 
     def states(m):
         rows = slice(m * 2 * N, (m + 1) * 2 * N)
@@ -413,9 +443,10 @@ def _triangle_zigzag_scan(config):
     part = np.empty(len(roots.energy))
     part[~edge] = u_profile_ipr(roots.phi[~edge], roots.tau[~edge]
                                 / roots.zeta_abs[~edge], N)
-    part[edge] = [ipr(_zz(ends, "edge_profile", u, N, family=family))
-                  for u, family in zip(roots.u[edge].tolist(),
-                                       roots.family[edge].tolist())]
+    part[edge] = _profile_iprs(
+        [_zz(ends, "edge_profile", u, N, family=family)
+         for u, family in zip(roots.u[edge].tolist(),
+                              roots.family[edge].tolist())], N)
 
     def states(m):
         rows = slice(m * N, (m + 1) * N)
@@ -429,6 +460,7 @@ def _triangle_zigzag_scan(config):
 
 
 _SCANS = {
+    ModelKind.SQUARE_GENERAL: _general_scan,
     ModelKind.SQUARE_ZIGZAG: _square_zigzag_scan,
     ModelKind.SQUARE_LR: _square_lr_scan,
     ModelKind.TRIANGLE_LINEAR: _triangle_linear_scan,
@@ -438,24 +470,34 @@ _SCANS = {
 
 
 def _band_rows(config, scan):
-    """Columns of a whole scan: each momentum's closed-form rows, a mirrored
-    one's read from its partner's, and each unsolved momentum's oracle rows
-    in its place."""
+    """Columns of a whole scan: each momentum's closed-form rows, or the
+    oracle rows of each momentum the closed form leaves unsolved; a
+    mirrored momentum reads either from its partner's rows."""
     dim = config.model.dim
-    energy, label = scan.energy.tolist(), scan.label.tolist()
+    unsolved = [k for k, rows, mirrored in scan.grid
+                if not (isinstance(rows, slice) or mirrored)]
+    at = {k: slice(n * dim, (n + 1) * dim) for n, k in enumerate(unsolved)}
     # a mirrored momentum's conjugate states have the same |psi|
-    part = scan.ipr.tolist()
-    band, source = list(range(1, dim + 1)), ["analytic"] * dim
-    return _join([([k] * dim, band, energy[r], label[r], scan.u[r], part[r],
-                   source) if isinstance(r, slice) else _oracle_rows(config, k)
-                  for k, r, _ in scan.grid])
+    analytic = (scan.energy.tolist(), scan.label.tolist(), scan.u,
+                scan.ipr.tolist())
+    oracle = _oracle_rows(config, np.array(unsolved))
+    band = list(range(1, dim + 1))
+    tables = []
+    for k, r, mirrored in scan.grid:
+        if isinstance(r, slice):
+            columns, source = analytic, "analytic"
+        else:
+            columns, source, r = oracle, "oracle", at[-k if mirrored else k]
+        tables.append(([k] * dim, band, *(c[r] for c in columns),
+                       [source] * dim))
+    return _join(tables)
 
 
 def cmd_bands(config):
     """Pass 1 is the model's scan of its solved momenta, one of each +-k
     pair, pass 2 builds each column of the scan's rows and emits them in
     (k, band) order."""
-    scan = _SCANS.get(config.kind, _oracle_scan)(config)
+    scan = _SCANS[config.kind](config)
     rows = _band_rows(config, scan)
     _require_finite(BAND_COLUMNS, rows)
     _write_table(config, BAND_COLUMNS, rows)
@@ -527,11 +569,10 @@ def cmd_edges(config):
 _EDGE_LABELS = [label.value for label in StateLabel if label.is_edge]
 
 
-def _oracle_spectrum(bloch):
-    """eigensolve_dense(bloch), or a ConfigError where its own rounding,
+def _within_window(spec):
+    """The oracle spectrum spec, or a ConfigError where its own rounding,
     about dim eps max|E|, exceeds the energy window of subspace_overlap,
     and every check would charge that rounding to the closed form."""
-    spec = eigensolve_dense(bloch)
     rounding = (len(spec.energies) * np.finfo(float).eps
                 * float(np.abs(spec.energies).max()))
     if rounding > OVERLAP_WINDOW:
@@ -578,10 +619,14 @@ def _validate_scan(config, violations):
     scan = _SCANS[config.kind](config)
     dev = deficit = 0.0
     agree = total = 0
-    for k, rows, mirrored in scan.grid:
+    # every momentum is solved, a mirrored one too: its own oracle spectrum
+    # is what checks the mirror
+    spectra = itertools.chain.from_iterable(_oracle_chunks(
+        config, np.array([k for k, _, _ in scan.grid])))
+    for (k, rows, mirrored), spec in zip(scan.grid, spectra):
         if not isinstance(rows, slice):
             raise rows  # the solved momentum's, which comes first
-        spec = _oracle_spectrum(_bloch(config, k))
+        spec = _within_window(spec)
         energies = scan.energy[rows]
         # a mirrored momentum's states are the conjugates of its partner's
         states = scan.states(rows.start // config.model.dim)
@@ -600,7 +645,7 @@ def _validate_scan(config, violations):
         if agreed is not None:
             agree += agreed
             total += len(d)
-        # freed before the next momentum's dense solve, not after it
+        # freed before the next chunk's dense solve, not after it
         del spec, states
     out = {"max_energy_dev": dev, "max_overlap_deficit": deficit,
            "agreement": agree / total if total else None}
@@ -623,7 +668,7 @@ def _validate_zero_modes(h, N, tol, violations):
         raise ConfigError("zero-mode validation needs tr > 0 and tl > 0")
     dev = deficit = 0.0
     for k, j in _zero_mode_momenta(h, N):
-        spec = _oracle_spectrum(build_square_bloch(h, N, k))
+        spec = _within_window(eigensolve_dense(build_square_bloch(h, N, k)))
         d = float(np.min(np.abs(spec.energies)))
         if d > tol:
             violations.append(("square-general", float(k), j, "zero-energy",

@@ -9,7 +9,9 @@ corner diagonal entries are removed by zigzag truncation.
 The oracle path is numpy.linalg.eigh with a deterministic eigenvector phase
 convention (largest-magnitude component rotated real positive, ties to the
 lowest index) and hard residual/orthonormality checks, so analytic formulas
-are always compared against verified eigenpairs.
+are always compared against verified eigenpairs.  The builders take an
+array of momenta as well as one, and the oracle a stack of matrices as well
+as one, so that a scan is solved in a few array calls.
 """
 
 from __future__ import annotations
@@ -155,61 +157,91 @@ def build_beta(N):
     return np.eye(N, k=1)
 
 
+def _stacked(x):
+    """x with two trailing axes of length 1, to scale a stack of
+    matrices entry by entry."""
+    return np.asarray(x)[..., None, None]
+
+
 def build_square_bloch(h, N, k, a=1.0):
     """2N x 2N block Bloch matrix [[0, T], [T.dag, 0]], basis (circ, bullet).
 
     T = (tu + td e^{2ika}) I + tr beta.dag + tl e^{2ika} beta; the missing
-    hops at the two boundary chains are encoded by beta's shape.
+    hops at the two boundary chains are encoded by beta's shape.  An array
+    of momenta gives a stack of matrices, one per momentum, each entry that
+    of the momentum's own build bit for bit.
     """
     beta = build_beta(N)
-    phase = np.exp(2.0j * k * a)
-    T = (h.tu + h.td * phase) * np.eye(N) + h.tr * beta.T + h.tl * phase * beta
-    H = np.zeros((2 * N, 2 * N), dtype=complex)
-    H[:N, N:] = T
-    H[N:, :N] = T.conj().T
+    phase = np.exp(2.0j * np.asarray(k, dtype=float) * a)
+    T = (_stacked(h.tu + h.td * phase) * np.eye(N) + h.tr * beta.T
+         + _stacked(h.tl * phase) * beta)
+    H = np.zeros(phase.shape + (2 * N, 2 * N), dtype=complex)
+    H[..., :N, N:] = T
+    H[..., N:, :N] = T.conj().swapaxes(-1, -2)
     return BlochMatrix(dim=2 * N, entries=H, k=k)
 
 
 def build_triangle_bloch(h, N, k, edge=TriangleEdge.LINEAR, a=1.0):
     """N x N tridiagonal Bloch matrix: diagonal 2 t3 cos(ka) (zeroed on
     zigzag-truncated rows), zeta* = conj(t1 + t2 e^{-ika}) above the diagonal
-    and zeta below."""
+    and zeta below.  An array of momenta gives a stack of matrices, as for
+    build_square_bloch."""
     beta = build_beta(N)
-    zeta = h.t1 + h.t2 * np.exp(-1.0j * k * a)
-    diag = np.full(N, 2.0 * h.t3 * np.cos(k * a))
+    ks = np.asarray(k, dtype=float)
+    zeta = h.t1 + h.t2 * np.exp(-1.0j * ks * a)
+    diag = np.zeros(ks.shape + (N,))
+    diag[...] = (2.0 * h.t3 * np.cos(ks * a))[..., None]
     if edge in (TriangleEdge.ZIGZAG1, TriangleEdge.ZIGZAG2):
-        diag[0] = 0.0
+        diag[..., 0] = 0.0
     if edge is TriangleEdge.ZIGZAG2:
-        diag[N - 1] = 0.0  # N=1 collapses to the single truncated row
-    H = np.diag(diag).astype(complex) + np.conj(zeta) * beta + zeta * beta.T
+        diag[..., N - 1] = 0.0  # N=1 collapses to the single truncated row
+    H = np.zeros(ks.shape + (N, N), dtype=complex)
+    H[..., range(N), range(N)] = diag
+    H = H + _stacked(np.conj(zeta)) * beta + _stacked(zeta) * beta.T
     return BlochMatrix(dim=N, entries=H, k=k)
 
 
 def eigensolve_dense(H):
     """Full spectrum of a Hermitian BlochMatrix (or plain matrix) with
-    deterministic eigenvector phases and verified residuals."""
+    deterministic eigenvector phases and verified residuals.
+
+    A stack of matrices (a BlochMatrix of an array of momenta, or an array
+    of shape (m, dim, dim)) gives a list of m Spectrum, each equal to that
+    of its matrix on its own: the checks, the one eigh call and the phase
+    rule run over the whole stack, matrix by matrix."""
     if isinstance(H, BlochMatrix):
         mat, k = H.entries, H.k
     else:
         mat, k = np.asarray(H), 0.0
     mat = np.asarray(mat, dtype=complex)
-    scale = max(1.0, float(np.abs(mat).max()))
-    asym = float(np.abs(mat - mat.conj().T).max())
-    if asym > 1e-13 * scale:
-        raise HermiticityError(f"matrix asymmetry {asym:.3e} exceeds "
-                               f"{1e-13 * scale:.3e}")
-    energies, vectors = np.linalg.eigh(mat)
+    single = mat.ndim == 2
+    stack = mat.reshape((-1,) + mat.shape[-2:])
+    # max(1, max|H|) of each matrix; fmax keeps 1 where that is NaN
+    scale = np.fmax(1.0, np.abs(stack).max(axis=(1, 2)))
+    asym = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    bad = np.flatnonzero(asym > 1e-13 * scale)
+    if bad.size:
+        i = bad[0]
+        raise HermiticityError(f"matrix asymmetry {asym[i]:.3e} exceeds "
+                               f"{1e-13 * scale[i]:.3e}")
+    energies, vectors = np.linalg.eigh(stack)
     # rotate each column so its largest-|.| component (first on ties) is
     # real positive
-    lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(len(energies))]
+    lead = np.take_along_axis(
+        vectors, np.argmax(np.abs(vectors), axis=1)[:, None, :], axis=1)
     safe = np.where(np.abs(lead) == 0.0, 1.0, lead)
     vectors = vectors * (np.abs(safe) / safe)
-    residual = np.abs(mat @ vectors - vectors * energies).max(axis=0)
-    tol = 1e-10 * np.maximum(1.0, np.maximum(np.abs(energies), scale))
+    residual = np.abs(stack @ vectors - vectors * energies[:, None, :]).max(
+        axis=1)
+    tol = 1e-10 * np.maximum(1.0, np.maximum(np.abs(energies),
+                                             scale[:, None]))
     if np.any(residual > tol):
         raise RuntimeError(f"eigensolver residual {residual.max():.3e} "
                            "out of tolerance")
-    return Spectrum(energies=energies, vectors=vectors, k=k)
+    ks = [k] if single else np.broadcast_to(k, len(stack)).tolist()
+    spectra = [Spectrum(energies=e, vectors=v, k=kk)
+               for e, v, kk in zip(energies, vectors, ks)]
+    return spectra[0] if single else spectra
 
 
 def state_overlap(v1, v2):

@@ -303,15 +303,16 @@ def test_each_half_of_the_grid_gives_the_rows_of_the_full_scan(
 
 def test_validate_checks_the_whole_zone_at_any_lattice_constant(
         monkeypatch, capsys):
-    # k*a of every Bloch matrix validate builds: the lattice constant only
-    # rescales the momenta, so --a 2 checks the midpoints --a 1 checks, and
-    # the closed-form models are checked at a = 2 (the zero modes and the
-    # branch tables keep their own a = 1)
+    # k*a of every Bloch matrix validate builds, each momentum of a stacked
+    # build in turn: the lattice constant only rescales the momenta, so
+    # --a 2 checks the midpoints --a 1 checks, and the closed-form models
+    # are checked at a = 2 (the zero modes and the branch tables keep their
+    # own a = 1)
     seen, constants = [], []
     for name in ("build_square_bloch", "build_triangle_bloch"):
         def recorded(h, N, k, *args, _build=getattr(cli, name), a=1.0,
                      **kwargs):
-            seen[-1].append(k * a)
+            seen[-1].extend(np.atleast_1d(k * a).tolist())
             constants[-1].add(a)
             return _build(h, N, k, *args, a=a, **kwargs)
 
@@ -983,6 +984,56 @@ def test_bands_zero_transverse_coupling_takes_oracle_rows(monkeypatch,
         degenerate = _bands(capsys, argv)
     assert {r[6] for r in degenerate} == {"oracle"}
     assert {r[6] for r in _bands(capsys, argv)} == {"analytic"}
+
+
+@pytest.mark.parametrize("k_points", [8, 7])
+def test_general_bands_solve_one_momentum_of_each_pair(monkeypatch, capsys,
+                                                       k_points):
+    # square-general has no closed form: the oracle solves one momentum of
+    # each +-k pair, and the rows of -k are those of k but for the k
+    # column; an odd grid holds k = 0, its own partner
+    N = 5
+    built = []
+
+    def recorded(h, N, k, *args, _build=cli.build_square_bloch, **kwargs):
+        built.extend(np.atleast_1d(k).tolist())
+        return _build(h, N, k, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_square_bloch", recorded)
+    rows = _bands(capsys, ["bands", "--model", "square-general", "--N",
+                           str(N), "--tl", "0.4", "--k-points",
+                           str(k_points)])
+    groups = [rows[i:i + 2 * N] for i in range(0, len(rows), 2 * N)]
+    assert len(groups) == k_points
+    assert {r[6] for r in rows} == {"oracle"}
+    for group, partner in zip(groups, groups[::-1]):
+        assert float(partner[0][0]) == -float(group[0][0])
+        assert [r[1:] for r in partner] == [r[1:] for r in group]
+    assert built == [float(g[0][0]) for g in groups[:(k_points + 1) // 2]]
+    assert (float(groups[3][0][0]) == 0.0) == (k_points == 7)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bands", "--model", "square-general", "--N", "12", "--tl", "0.4"],
+    ["bands", "--model", "triangle-linear", "--N", "40", "--t1", "0",
+     "--t2", "0"],
+    ["validate", "--model", "square-zigzag", "--N", "12", "--tu", "1",
+     "--td", "0.6", "--tr", "1"]])
+def test_oracle_chunks_leave_every_byte(monkeypatch, capsys, argv):
+    # at 128 momenta half the grid (all of it in validate) spans several
+    # chunks of the module's budget; chunks of one momentum, and of three
+    # with a short last one, give the same bytes
+    calls = _counting(monkeypatch, cli, "eigensolve_dense")
+    dim = 2 * 12 if argv[2].startswith("square") else 40
+    momenta = 128 if argv[0] == "validate" else 64
+    outputs = []
+    for budget in (cli._CHUNK_ENTRIES, 1, 3 * dim * dim):
+        monkeypatch.setattr(cli, "_CHUNK_ENTRIES", budget)
+        calls.clear()
+        assert run(argv) == 0
+        outputs.append(capsys.readouterr().out)
+        assert len(calls) == -(-momenta // max(1, budget // (dim * dim)))
+    assert len(set(outputs)) == 1
 
 
 def test_parser_built_once_and_reused(monkeypatch, capsys):

@@ -149,6 +149,69 @@ def test_eigensolve_rejects_non_hermitian():
         eigensolve_dense(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_eigensolve_rejects_a_non_hermitian_member_of_a_stack():
+    stack = np.array([np.eye(3), np.diag([1.0, 2.0, 3.0]), np.eye(3)])
+    assert len(eigensolve_dense(stack)) == 3
+    stack[1, 0, 2] = 1e-3
+    with pytest.raises(HermiticityError, match="asymmetry 1.000e-03"):
+        eigensolve_dense(stack)
+
+
+# --------------------------------------------------------- stacked momenta --
+
+def _random_builds(rng, N):
+    """k -> BlochMatrix of random hoppings at width N and a random lattice
+    constant, for the square ribbon and each triangular edge."""
+    a = float(rng.uniform(0.3, 3.0))
+    sq = SquareHoppings(*rng.uniform(0.1, 2.0, size=4))
+    tri = TriangleHoppings(*rng.uniform(0.1, 2.0, size=3))
+    return [lambda k: build_square_bloch(sq, N, k, a=a)] + [
+        lambda k, edge=edge: build_triangle_bloch(tri, N, k, edge=edge, a=a)
+        for edge in TriangleEdge]
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 24, 59, 118])
+def test_stacked_builds_equal_each_momentum_built_alone(rng, N):
+    # a build at an array of momenta is the stack of the builds at each,
+    # bit for bit (signed zeros included), and H(-k) == conj(H(k))
+    ks = rng.uniform(-4.0, 4.0, size=5)
+    for build in _random_builds(rng, N):
+        stack = build(ks)
+        assert stack.entries.shape == (5, stack.dim, stack.dim)
+        assert stack.k is ks
+        for k, entries in zip(ks.tolist(), stack.entries):
+            alone = build(k)
+            assert alone.k == k
+            assert alone.entries.tobytes() == entries.tobytes()
+            assert np.array_equal(build(-k).entries, alone.entries.conj())
+
+
+@pytest.mark.parametrize("dim", [2, 4, 10, 48, 118])
+def test_stacked_solve_equals_each_matrix_solved_alone(rng, dim):
+    # one eigensolve_dense of a stack gives each matrix's own Spectrum bit
+    # for bit; H(-k) = conj(H(k)) gives the same energies and |psi|, which
+    # is what lets a scan solve one momentum of each +-k pair
+    ks = rng.uniform(-4.0, 4.0, size=4)
+    builds = (_random_builds(rng, dim // 2)[:1]
+              + _random_builds(rng, dim)[1:])
+    for build in builds:
+        spectra = eigensolve_dense(build(ks))
+        assert len(spectra) == len(ks)
+        for k, spec in zip(ks.tolist(), spectra):
+            alone = eigensolve_dense(build(k))
+            assert spec.k == alone.k == k
+            assert spec.energies.tobytes() == alone.energies.tobytes()
+            assert spec.vectors.tobytes() == alone.vectors.tobytes()
+            mirror = eigensolve_dense(build(-k))
+            assert mirror.energies.tobytes() == alone.energies.tobytes()
+            assert (np.abs(mirror.vectors).tobytes()
+                    == np.abs(alone.vectors).tobytes())
+    # a plain stack, of one matrix too, gives a list
+    plain = eigensolve_dense(build(ks[:1]).entries)
+    assert len(plain) == 1 and plain[0].k == 0.0
+    assert plain[0].vectors.tobytes() == spectra[0].vectors.tobytes()
+
+
 def test_overlap_helpers():
     v1 = np.array([1.0, 0.0])
     v2 = np.array([0.0, 2.0])

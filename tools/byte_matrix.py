@@ -26,8 +26,11 @@ defects; zigzag ``bands`` at N = 200 and 1000 in CSV and JSON; ``bands`` on
 all six models at N = 1..13 with random, zero and near-equal hoppings;
 single-model ``validate`` at N = 4, 7, 13 and 30, also at ``--tol 1e-16``,
 at 1, 3 and 5 k-points on each closed-form model at N = 6 and 13, and at
-N = 200 on the zigzag models; ``edges``; ``zeromodes``; and ``wavefunction`` with every ``--sign`` and
-``--family``, plus the reproducers of known defects.
+N = 200 on the zigzag models; ``edges``; ``zeromodes``; ``wavefunction``
+with every ``--sign`` and ``--family``; the reproducers of known defects;
+and ``bands`` whose rows all come from the dense oracle: square-general at
+N = 40 and 200, where half the grid spans several oracle chunks, and on an
+odd grid, and triangle-linear with ``--t1 0 --t2 0``.
 """
 
 from __future__ import annotations
@@ -271,12 +274,22 @@ def _defects():
     ]
 
 
+def _oracle_bands():
+    general = ["bands", "--model", "square-general", "--tu", "1", "--td",
+               "0.6", "--tr", "1", "--tl", "0.4"]
+    return [general + ["--N", "40", "--k-points", "16"],
+            general + ["--N", "200", "--k-points", "8"],
+            general + ["--N", "7", "--k-points", "7"],
+            ["bands", "--model", "triangle-linear", "--N", "6", "--t1", "0",
+             "--t2", "0", "--t3", "0.7", "--k-points", "8"]]
+
+
 def commands():
     """The fixed command list, the same on every call."""
     rng = random.Random(8128)
     return (_workloads() + _wide() + _narrow(rng) + _validate(rng)
             + _edges(rng) + _zeromodes() + _wavefunction(rng) + _defects()
-            + _validate_pairs(random.Random(8129)))
+            + _validate_pairs(random.Random(8129)) + _oracle_bands())
 
 
 def _src(path):
