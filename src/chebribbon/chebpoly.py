@@ -238,11 +238,6 @@ def logsinh(y):
     return _match_scalar(y, np.where(small, direct, tail))
 
 
-def _sinh_ratio(num_arg, den_arg):
-    """sinh(num_arg)/sinh(den_arg) for positive arguments, overflow-safe."""
-    return math.exp(logsinh(num_arg) - logsinh(den_arg))
-
-
 def _sinh_quotient(a, b, u):
     """sinh(a u)/sinh(b u) for 0 <= a <= b and decays u > 0, as
     e^{(a-b)u} expm1(-2au)/expm1(-2bu) with a - b formed exactly: nothing
@@ -260,13 +255,14 @@ def _cosh_ratio(num_arg, den_arg):
 
 class EdgeFamily(NamedTuple):
     """An edge branch of a zigzag ribbon: |r| = ratio(u) on it, rising from
-    `threshold` at u -> 0; half(u) = 1/ratio(u) and bound = 1/threshold,
-    each evaluated as such; envelope(u) is the state's profile.  ratio(u)
-    is cosh((b+1)u)/cosh(bu) (even) or sinh((b+1)u)/sinh(bu) with b =
-    `order`.  level(u) is 2 cosh(u) - ratio(u) in a form that does not
-    cancel, for a decay or an array of them, so that the edge energy
-    tau + s 2|zeta| cosh(u), s = -sign(r), is s |zeta| level(u) to full
-    relative precision however large |r| is."""
+    `threshold` at u -> 0; half(u) = 1/ratio(u) and bound = 1/threshold;
+    envelope(u) is the state's profile.  ratio(u) is cosh((b+1)u)/cosh(bu)
+    (even) or sinh((b+1)u)/sinh(bu) with b = `order`; on the sinh families
+    half(u) is _sinh_quotient's expm1 form, to a few eps at any u, and
+    ratio(u) its reciprocal.  level(u) is 2 cosh(u) - ratio(u) in a form
+    that does not cancel, for a decay or an array of them, so that the edge
+    energy tau + s 2|zeta| cosh(u), s = -sign(r), is s |zeta| level(u) to
+    full relative precision however large |r| is."""
 
     name: str   # "A" (one-sided, or two-sided even) or "B" (odd)
     label: str  # its name in reports
@@ -302,10 +298,13 @@ def zigzag_ends(ends, N):
         def level(u):  # sinh((N-1)u)/sinh(Nu), 0.0 at N = 1
             return np.abs(_sinh_quotient(N - 1, N, u))
 
+        def half_one_sided(u):  # sinh(Nu)/sinh((N+1)u)
+            return _sinh_quotient(N, N + 1, u)
+
         return (lambda r: (1.0, r)), (EdgeFamily(
-            "A", "one_sided", lambda u: _sinh_ratio((N + 1) * u, N * u),
-            lambda u: _sinh_ratio(N * u, (N + 1) * u), (N + 1) / N,
-            N / (N + 1.0), envelope, level, float(N), False),)
+            "A", "one_sided", lambda u: 1.0 / half_one_sided(u),
+            half_one_sided, (N + 1) / N, N / (N + 1.0), envelope, level,
+            float(N), False),)
     if N < 2:
         raise ValueError("two-sided zigzag needs N >= 2")
     # the envelopes in their stable symmetric forms (see zz2_edge_profile)
@@ -337,12 +336,14 @@ def zigzag_ends(ends, N):
                            * np.expm1(-abs(N - 3) * u)
                            / np.expm1(-(N - 1) * u), N - 3)
 
+    def half_odd(u):  # sinh((N-1)u/2)/sinh((N+1)u/2)
+        return _sinh_quotient(half, half + 1.0, u)
+
     return (lambda r: (1.0, 2.0 * r, r * r)), (
         EdgeFamily("A", "family_A", lambda u: _cosh_ratio(*args(u)),
                    lambda u: _cosh_ratio(*args(u)[::-1]), 1.0, 1.0, even,
                    level_even, half, True),
-        EdgeFamily("B", "family_B", lambda u: _sinh_ratio(*args(u)),
-                   lambda u: _sinh_ratio(*args(u)[::-1]),
+        EdgeFamily("B", "family_B", lambda u: 1.0 / half_odd(u), half_odd,
                    (N + 1.0) / (N - 1.0), (N - 1.0) / (N + 1.0), odd,
                    level_odd, half, False))
 

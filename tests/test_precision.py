@@ -219,6 +219,29 @@ def test_edge_levels_do_not_cancel(N):
                     assert math.copysign(1.0, found) == 1.0
 
 
+@pytest.mark.parametrize("N", (1, 2, 3, 5, 30, 200, 1000))
+def test_sinh_branch_ratios_keep_full_precision(N):
+    # ratio(u) = sinh(bu)/sinh(au) and half(u) = sinh(au)/sinh(bu) of the
+    # sinh families (one-sided: a = N, b = N + 1; two-sided B: a, b =
+    # (N -+ 1)/2) within 4 eps relative of the 40-digit quotient; half is
+    # the printed xi of `edges --model square-zigzag`.  A log-domain
+    # quotient loses eps |log sinh(bu)| (2.6e3 eps at N = 1000, u = 5.5)
+    eps = np.finfo(float).eps
+    families = [(N, N + 1, zigzag_ends(1, N)[1][0])]
+    if N > 1:
+        families.append(((N - 1) / 2, (N + 1) / 2, zigzag_ends(2, N)[1][1]))
+    for a, b, fam in families:
+        for u in (1e-150, 1e-50, 1e-12, 1e-6, 1e-3, 0.037, 0.5, 1.0, 5.1,
+                  5.541020330009481, 7.443803013251681, 40.0, 400.0):
+            with mpmath.workdps(40):
+                x = mpmath.mpf(u)
+                half = mpmath.sinh(a * x) / mpmath.sinh(b * x)
+            for found, expected in ((fam.half(u), half),
+                                    (fam.ratio(u), 1 / half)):
+                err = abs((mpmath.mpf(float(found)) - expected) / expected)
+                assert err <= 4 * eps, (fam.name, u, float(err) / eps)
+
+
 @pytest.mark.parametrize("model, edge", [
     ("triangle-zigzag1", TriangleEdge.ZIGZAG1),
     ("triangle-zigzag2", TriangleEdge.ZIGZAG2)])
