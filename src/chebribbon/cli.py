@@ -39,9 +39,6 @@ BAND_COLUMNS = ("k", "band", "energy", "class", "u", "ipr", "source")
 WAVE_COLUMNS = ("n", "sublattice", "abs", "re", "im", "source")
 _FLOAT_COLUMNS = {"k", "energy", "u", "ipr", "abs", "re", "im"}
 
-# one `bands` CSV row: k, band, energy, class, u (formatted), ipr, source
-_BAND_LINE = "%.17g,%d,%.17g,%s,%s,%.17g,%s"
-
 _TRIANGLE_EDGE = {
     ModelKind.TRIANGLE_LINEAR: TriangleEdge.LINEAR,
     ModelKind.TRIANGLE_ZIGZAG1: TriangleEdge.ZIGZAG1,
@@ -105,12 +102,7 @@ def _require_finite(names, columns):
 def _write_table(config, names, columns):
     """Emit a table given as one sequence per column."""
     if config.output_format == "csv":
-        if names == BAND_COLUMNS:
-            k, band, energy, label, u, part, source = columns
-            out = list(map(_BAND_LINE.__mod__, zip(
-                k, band, energy, label, map(_fmt, u), part, source)))
-        else:
-            out = [",".join(map(_fmt, row)) for row in zip(*columns)]
+        out = [",".join(map(_fmt, row)) for row in zip(*columns)]
         text = ",".join(names) + "\n" + "\n".join(out) + ("\n" if out else "")
     else:
         payload = {"columns": list(names),
@@ -167,9 +159,9 @@ def _bloch_edge_state(ends, u, N, sign, family, theta):
 # ----------------------------------------------------------- band builders --
 #
 # Each closed-form model has one scan function, config -> _Scan, which
-# `bands` and `validate` both read.  A builder of `bands` columns returns a
-# scan's rows as the seven BAND_COLUMNS lists, in (k index, band index)
-# order.
+# `bands` and `validate` both read; _band_rows turns a scan into one block
+# of rows per solved momentum, which `bands` renders in (k index, band
+# index) order.
 
 def _bloch(config, k):
     """The Bloch matrix of config's model at momentum k, or the stack of
@@ -216,12 +208,6 @@ def _oracle_rows(config, ks):
         u += [sc.u_estimate for sc in classes]
         part += [sc.ipr for sc in classes]
     return energy, label, u, part
-
-
-def _join(tables):
-    """The column tables `tables` one after the other, as one table."""
-    return tuple(list(itertools.chain.from_iterable(column))
-                 for column in zip(*tables))
 
 
 def _profile_iprs(profiles, N):
@@ -470,37 +456,74 @@ _SCANS = {
 
 
 def _band_rows(config, scan):
-    """Columns of a whole scan: each momentum's closed-form rows, or the
-    oracle rows of each momentum the closed form leaves unsolved; a
-    mirrored momentum reads either from its partner's rows."""
+    """(k, block) of each grid momentum, in grid order.  A block is one
+    momentum's rows without their k, (energy, label, u, ipr, source), one
+    entry per band: a closed-form momentum's slice of the scan's columns, or
+    the oracle's rows of a momentum the closed form leaves unsolved.  A
+    mirrored momentum reads its partner's block, the same object: the
+    conjugate states have the same |psi|."""
     dim = config.model.dim
     unsolved = [k for k, rows, mirrored in scan.grid
                 if not (isinstance(rows, slice) or mirrored)]
     at = {k: slice(n * dim, (n + 1) * dim) for n, k in enumerate(unsolved)}
-    # a mirrored momentum's conjugate states have the same |psi|
+    oracle = _oracle_rows(config, np.array(unsolved))
     analytic = (scan.energy.tolist(), scan.label.tolist(), scan.u,
                 scan.ipr.tolist())
-    oracle = _oracle_rows(config, np.array(unsolved))
-    band = list(range(1, dim + 1))
-    tables = []
-    for k, r, mirrored in scan.grid:
-        if isinstance(r, slice):
-            columns, source = analytic, "analytic"
+    # every solved row is a row of the output, and no other is
+    _require_finite(("k", "energy", "u", "ipr"), (
+        [k for k, _, _ in scan.grid],
+        *(analytic[c] + oracle[c] for c in (0, 2, 3))))
+    blocks, out = {}, []
+    for k, rows, mirrored in scan.grid:
+        if mirrored:
+            k_block = blocks[-k]
+        elif isinstance(rows, slice):
+            k_block = blocks[k] = (*(c[rows] for c in analytic), "analytic")
         else:
-            columns, source, r = oracle, "oracle", at[-k if mirrored else k]
-        tables.append(([k] * dim, band, *(c[r] for c in columns),
-                       [source] * dim))
-    return _join(tables)
+            k_block = blocks[k] = (*(c[at[k]] for c in oracle), "oracle")
+        out.append((k, k_block))
+    return out
+
+
+def _band_tails(block, csv):
+    """The rows of one block without their k: CSV text with a newline
+    before each line, or JSON rows."""
+    energy, label, u, part, source = block
+    band = range(1, len(energy) + 1)
+    if csv:
+        return "".join(map(("\n%d,%.17g,%s,%s,%.17g," + source).__mod__,
+                           zip(band, energy, label, map(_fmt, u), part)))
+    return [[b, e, c or None, v, p, source]
+            for b, e, c, v, p in zip(band, energy, label, u, part)]
+
+
+def _write_bands(config, rows):
+    """Emit the (k, block) rows of _band_rows in the BAND_COLUMNS table:
+    each block's tails are rendered once, for both members of a +-k pair,
+    and each momentum's k once, in front of its block's lines."""
+    csv = config.output_format == "csv"
+    tails, out = {}, []
+    for k, block in rows:
+        if id(block) not in tails:
+            tails[id(block)] = _band_tails(block, csv)
+        if csv:
+            out.append(tails[id(block)].replace(
+                "\n", "\n" + format(k, ".17g") + ","))
+        else:
+            out += ([k, *row] for row in tails[id(block)])
+    if csv:
+        text = ",".join(BAND_COLUMNS) + "".join(out) + "\n"
+    else:
+        text = json.dumps({"columns": list(BAND_COLUMNS), "rows": out},
+                          indent=2) + "\n"
+    _emit(config.output_path, text)
 
 
 def cmd_bands(config):
     """Pass 1 is the model's scan of its solved momenta, one of each +-k
-    pair, pass 2 builds each column of the scan's rows and emits them in
-    (k, band) order."""
-    scan = _SCANS[config.kind](config)
-    rows = _band_rows(config, scan)
-    _require_finite(BAND_COLUMNS, rows)
-    _write_table(config, BAND_COLUMNS, rows)
+    pair, pass 2 renders each block of rows once and emits them in (k,
+    band) order."""
+    _write_bands(config, _band_rows(config, _SCANS[config.kind](config)))
     return 0
 
 

@@ -504,11 +504,85 @@ def test_traced_triangle_names_are_called(monkeypatch, capsys, model):
     [1e22, 1, float("nan"), "edge-both", -0.0, float("inf"), "oracle"],
 ])
 def test_band_line_equals_joined_fmt(capsys, row):
+    # a block of `band` equal rows, read by the momentum k and by -k: each
+    # line is the row's values joined by _fmt, numbered 1..band
+    k, band, *values = row
     config = ScanConfig(model=RibbonModel(ModelKind.SQUARE_ZIGZAG, 1),
                         hoppings=None)
-    cli._write_table(config, cli.BAND_COLUMNS, [[v] for v in row])
-    line = ",".join(cli._fmt(v) for v in row)
-    assert capsys.readouterr().out == HEADER + "\n" + line + "\n"
+    energy, label, u, part, source = values
+    block = tuple([v] * int(band) for v in (energy, label, u, part)) \
+        + (source,)
+    cli._write_bands(config, [(k, block), (-k, block)])
+    lines = [",".join(cli._fmt(v) for v in (sign * k, b, *values))
+             for sign in (1, -1) for b in range(1, int(band) + 1)]
+    assert capsys.readouterr().out == HEADER + "\n" + "\n".join(lines) + "\n"
+
+
+def _reference_rows(config):
+    """The `bands` rows of config, (k, band, energy, class, u, ipr, source)
+    one by one: each momentum's closed-form rows from its scan, or the
+    oracle's rows of the momentum (of its partner, when mirrored) solved
+    alone."""
+    scan = cli._SCANS[config.kind](config)
+    rows = []
+    for k, r, mirrored in scan.grid:
+        if isinstance(r, slice):
+            columns, source = (scan.energy[r].tolist(), scan.label[r].tolist(),
+                               scan.u[r], scan.ipr[r].tolist()), "analytic"
+        else:
+            columns, source = cli._oracle_rows(
+                config, np.array([-k if mirrored else k])), "oracle"
+        rows += [[k, band, *values, source]
+                 for band, values in enumerate(zip(*columns), 1)]
+    return rows
+
+
+_BLOCK_CASES = {
+    "square-zigzag": ["--N", "5", "--tu", "1", "--td", "0.6", "--tr", "1"],
+    "square-lr": ["--N", "4", "--tu", "0.9", "--td", "0.4", "--tr", "0.7",
+                  "--tl", "0.7"],
+    "square-general": ["--N", "4", "--tu", "1", "--td", "0.6", "--tr", "1",
+                       "--tl", "0.4"],
+    "triangle-linear": ["--N", "5", "--t1", "0.8", "--t2", "0.3"],
+    "triangle-linear-oracle": ["--N", "4", "--t1", "0", "--t2", "0",
+                               "--t3", "0.7"],
+    "triangle-zigzag1": ["--N", "6", "--t1", "0.9", "--t2", "0.1"],
+    "triangle-zigzag2": ["--N", "9", "--t1", "0.9", "--t2", "0.1"],
+    "triangle-zigzag2-root-count-error": ["--N", "9", "--t1", "0.9", "--t2",
+                                          "0.1", "--t3", "1.0"],
+}
+
+
+@pytest.mark.parametrize("a", ["1", "0.5"])
+@pytest.mark.parametrize("k_points", [8, 7])
+@pytest.mark.parametrize("case", list(_BLOCK_CASES))
+def test_bands_blocks_equal_row_by_row_reference(monkeypatch, capsys, case,
+                                                 k_points, a):
+    # the block writer's CSV and JSON against each row's values joined one
+    # by one, on every model, even and odd grids, oracle-only scans and a
+    # +-k pair sent to the oracle mid-scan
+    model = case.split("-oracle")[0].split("-root")[0]
+    argv = ["bands", "--model", model, *_BLOCK_CASES[case],
+            "--k-points", str(k_points), "--a", a]
+    config = cli._resolve_config(cli._build_parser().parse_args(argv))
+    if case.endswith("root-count-error"):
+        k = config.k_grid().tolist()[2]
+        monkeypatch.setattr(tri, "zz2_roots", _failing_at(
+            tri.zz2_roots, 2, [k], RootCountError(f"forced at k = {k}")))
+    rows = _reference_rows(config)
+    sources = {r[6] for r in rows}
+    assert sources == ({"oracle"} if case in ("square-general",
+                                              "triangle-linear-oracle")
+                       else {"analytic", "oracle"} if "root" in case
+                       else {"analytic"})
+    assert run(argv) == 0
+    assert capsys.readouterr().out == "\n".join(
+        [HEADER] + [",".join(map(cli._fmt, r)) for r in rows]) + "\n"
+    assert run(argv + ["--format", "json"]) == 0
+    assert capsys.readouterr().out == json.dumps(
+        {"columns": HEADER.split(","),
+         "rows": [[None if v == "" or v is None else v for v in r]
+                  for r in rows]}, indent=2) + "\n"
 
 
 def test_wavefunction_band_solves_once(monkeypatch, capsys):
@@ -962,6 +1036,7 @@ def test_zeromodes_rejections(capsys):
 def test_invalid_invocations_exit_2(capsys, argv):
     assert run(argv) == 2
     capsys.readouterr()
+
 
 
 def test_bands_zero_transverse_coupling_takes_oracle_rows(monkeypatch,
