@@ -104,6 +104,9 @@ class RibbonModel:
         _require_finite("lattice constant", self.a)
         if self.a <= 0.0:
             raise ValueError("lattice constant must be positive")
+        if not math.isfinite(2.0 * self.bz_halfwidth):
+            raise ValueError(f"lattice constant {self.a!r} is too small: "
+                             "the Brillouin zone overflows the float range")
 
     @property
     def bz_halfwidth(self):

@@ -988,6 +988,16 @@ def test_zeromodes_rejections(capsys):
 
 # -------------------------------------------------------------- exit codes --
 
+_TINY_LATTICE_CONSTANTS = [
+    ["bands", "--model", "triangle-linear", "--N", "3", "--k-points", "1",
+     "--a", "1e-320"],
+    ["bands", "--model", "square-zigzag", "--N", "6", "--k-points", "3",
+     "--a", "1e-320"],
+    ["validate", "--model", "triangle-zigzag1", "--N", "6", "--a", "1e-320"],
+    ["bands", "--model", "square-lr", "--N", "3", "--a", "1e-309"],
+]
+
+
 @pytest.mark.parametrize("argv", [
     [],
     ["bands"],
@@ -1032,11 +1042,19 @@ def test_zeromodes_rejections(capsys):
     # the oracle's rounding, about eps 1e300, swamps every check
     ["validate", "--model", "square-zigzag", "--tr", "1e300", "--tu", "1",
      "--td", "1"],
+    *_TINY_LATTICE_CONSTANTS,
 ])
 def test_invalid_invocations_exit_2(capsys, argv):
     assert run(argv) == 2
     capsys.readouterr()
 
+
+@pytest.mark.parametrize("argv", _TINY_LATTICE_CONSTANTS)
+def test_tiny_lattice_constant_is_one_line(capsys, argv):
+    # pi/a past the float range would leave a zone of nan momenta
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "lattice constant" in err
 
 
 def test_bands_zero_transverse_coupling_takes_oracle_rows(monkeypatch,
