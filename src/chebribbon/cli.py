@@ -37,7 +37,6 @@ __all__ = ["ScanConfig", "run", "main"]
 
 BAND_COLUMNS = ("k", "band", "energy", "class", "u", "ipr", "source")
 WAVE_COLUMNS = ("n", "sublattice", "abs", "re", "im", "source")
-_FLOAT_COLUMNS = {"k", "energy", "u", "ipr", "abs", "re", "im"}
 
 _TRIANGLE_EDGE = {
     ModelKind.TRIANGLE_LINEAR: TriangleEdge.LINEAR,
@@ -90,10 +89,11 @@ def _fmt(value):
 
 
 def _require_finite(names, columns):
-    """ConfigError unless every number of the float columns is finite: an
-    inf or nan there comes from hoppings past the range of floats."""
+    """ConfigError unless every number (None skipped) of the float columns
+    `columns` is finite: an inf or nan there comes from hoppings past the
+    range of floats."""
     for name, column in zip(names, columns):
-        if name in _FLOAT_COLUMNS and not np.isfinite(
+        if not np.isfinite(
                 [v for v in column if v is not None]).all():
             raise ConfigError(f"the {name} column overflows to inf or nan; "
                               "the hoppings are out of range")
@@ -456,12 +456,11 @@ _SCANS = {
 
 
 def _band_rows(config, scan):
-    """(k, block) of each grid momentum, in grid order.  A block is one
-    momentum's rows without their k, (energy, label, u, ipr, source), one
-    entry per band: a closed-form momentum's slice of the scan's columns, or
-    the oracle's rows of a momentum the closed form leaves unsolved.  A
-    mirrored momentum reads its partner's block, the same object: the
-    conjugate states have the same |psi|."""
+    """(grid, blocks): (k, n) of each grid momentum in grid order, and the
+    blocks of rows, the n-th one momentum's (energy, label, u, ipr,
+    source) per band: its slice of the scan's columns, or of the oracle's
+    rows where the closed form leaves it unsolved.  A mirrored momentum
+    reads its partner's block (conjugate states have the same |psi|)."""
     dim = config.model.dim
     unsolved = [k for k, rows, mirrored in scan.grid
                 if not (isinstance(rows, slice) or mirrored)]
@@ -473,49 +472,37 @@ def _band_rows(config, scan):
     _require_finite(("k", "energy", "u", "ipr"), (
         [k for k, _, _ in scan.grid],
         *(analytic[c] + oracle[c] for c in (0, 2, 3))))
-    blocks, out = {}, []
+    index, blocks = {}, []
     for k, rows, mirrored in scan.grid:
-        if mirrored:
-            k_block = blocks[-k]
-        elif isinstance(rows, slice):
-            k_block = blocks[k] = (*(c[rows] for c in analytic), "analytic")
-        else:
-            k_block = blocks[k] = (*(c[at[k]] for c in oracle), "oracle")
-        out.append((k, k_block))
-    return out
+        if not mirrored:
+            index[k] = len(blocks)
+            blocks.append((*(c[rows] for c in analytic), "analytic")
+                          if isinstance(rows, slice) else
+                          (*(c[at[k]] for c in oracle), "oracle"))
+    return [(k, index[-k if mirrored else k])
+            for k, _, mirrored in scan.grid], blocks
 
 
-def _band_tails(block, csv):
-    """The rows of one block without their k: CSV text with a newline
-    before each line, or JSON rows."""
-    energy, label, u, part, source = block
-    band = range(1, len(energy) + 1)
-    if csv:
-        return "".join(map(("\n%d,%.17g,%s,%s,%.17g," + source).__mod__,
-                           zip(band, energy, label, map(_fmt, u), part)))
-    return [[b, e, c or None, v, p, source]
-            for b, e, c, v, p in zip(band, energy, label, u, part)]
-
-
-def _write_bands(config, rows):
-    """Emit the (k, block) rows of _band_rows in the BAND_COLUMNS table:
-    each block's tails are rendered once, for both members of a +-k pair,
-    and each momentum's k once, in front of its block's lines."""
-    csv = config.output_format == "csv"
-    tails, out = {}, []
-    for k, block in rows:
-        if id(block) not in tails:
-            tails[id(block)] = _band_tails(block, csv)
-        if csv:
-            out.append(tails[id(block)].replace(
-                "\n", "\n" + format(k, ".17g") + ","))
-        else:
-            out += ([k, *row] for row in tails[id(block)])
-    if csv:
-        text = ",".join(BAND_COLUMNS) + "".join(out) + "\n"
+def _write_bands(config, grid, blocks):
+    """Emit the BAND_COLUMNS table of _band_rows' grid and blocks: the
+    rows of each block without their k (its tails) are rendered once, for
+    both members of a +-k pair, and each momentum's k once, in front of
+    its block's lines."""
+    band = range(1, config.model.dim + 1)
+    if config.output_format == "csv":
+        # a newline before each line, replaced by one and the k
+        tails = ["".join(map(("\n%d,%.17g,%s,%s,%.17g," + source).__mod__,
+                             zip(band, energy, label, map(_fmt, u), part)))
+                 for energy, label, u, part, source in blocks]
+        text = ",".join(BAND_COLUMNS) + "".join(
+            tails[n].replace("\n", "\n" + format(k, ".17g") + ",")
+            for k, n in grid) + "\n"
     else:
-        text = json.dumps({"columns": list(BAND_COLUMNS), "rows": out},
-                          indent=2) + "\n"
+        tails = [[[b, e, c or None, v, p, source]
+                  for b, e, c, v, p in zip(band, energy, label, u, part)]
+                 for energy, label, u, part, source in blocks]
+        text = json.dumps({"columns": list(BAND_COLUMNS), "rows": [
+            [k, *row] for k, n in grid for row in tails[n]]}, indent=2) + "\n"
     _emit(config.output_path, text)
 
 
@@ -523,7 +510,7 @@ def cmd_bands(config):
     """Pass 1 is the model's scan of its solved momenta, one of each +-k
     pair, pass 2 renders each block of rows once and emits them in (k,
     band) order."""
-    _write_bands(config, _band_rows(config, _SCANS[config.kind](config)))
+    _write_bands(config, *_band_rows(config, _SCANS[config.kind](config)))
     return 0
 
 
@@ -877,7 +864,7 @@ def cmd_wavefunction(config, args):
             "wavefunction needs --u (edge branch), --band [--k], or "
             "--j (zero mode, square-general)")
     columns = list(zip(*rows))
-    _require_finite(WAVE_COLUMNS, columns)
+    _require_finite(WAVE_COLUMNS[2:5], columns[2:5])  # abs, re, im
     _write_table(config, WAVE_COLUMNS, columns)
     return 0
 

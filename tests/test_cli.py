@@ -507,12 +507,12 @@ def test_band_line_equals_joined_fmt(capsys, row):
     # a block of `band` equal rows, read by the momentum k and by -k: each
     # line is the row's values joined by _fmt, numbered 1..band
     k, band, *values = row
-    config = ScanConfig(model=RibbonModel(ModelKind.SQUARE_ZIGZAG, 1),
-                        hoppings=None)
+    config = ScanConfig(model=RibbonModel(ModelKind.TRIANGLE_LINEAR,
+                                          int(band)), hoppings=None)
     energy, label, u, part, source = values
     block = tuple([v] * int(band) for v in (energy, label, u, part)) \
         + (source,)
-    cli._write_bands(config, [(k, block), (-k, block)])
+    cli._write_bands(config, [(k, 0), (-k, 0)], [block])
     lines = [",".join(cli._fmt(v) for v in (sign * k, b, *values))
              for sign in (1, -1) for b in range(1, int(band) + 1)]
     assert capsys.readouterr().out == HEADER + "\n" + "\n".join(lines) + "\n"
