@@ -248,21 +248,24 @@ def _sinh_quotient(a, b, u):
                 / np.expm1(-2.0 * b * u))
 
 
-def _cosh_ratio(num_arg, den_arg):
-    """cosh(num_arg)/cosh(den_arg), overflow-safe."""
-    return math.exp(logcosh(num_arg) - logcosh(den_arg))
+def _cosh_quotient(a, b, u):
+    """cosh(a u)/cosh(b u) for 0 <= a <= b and decays u >= 0, as
+    e^{(a-b)u} (1 + e^{-2au})/(1 + e^{-2bu}), in _sinh_quotient's way."""
+    with np.errstate(under="ignore"):
+        return (np.exp((a - b) * u) * (1.0 + np.exp(-2.0 * a * u))
+                / (1.0 + np.exp(-2.0 * b * u)))
 
 
 class EdgeFamily(NamedTuple):
     """An edge branch of a zigzag ribbon: |r| = ratio(u) on it, rising from
     `threshold` at u -> 0; half(u) = 1/ratio(u) and bound = 1/threshold;
     envelope(u) is the state's profile.  ratio(u) is cosh((b+1)u)/cosh(bu)
-    (even) or sinh((b+1)u)/sinh(bu) with b = `order`; on the sinh families
-    half(u) is _sinh_quotient's expm1 form, to a few eps at any u, and
-    ratio(u) its reciprocal.  level(u) is 2 cosh(u) - ratio(u) in a form
-    that does not cancel, for a decay or an array of them, so that the edge
-    energy tau + s 2|zeta| cosh(u), s = -sign(r), is s |zeta| level(u) to
-    full relative precision however large |r| is."""
+    (even) or sinh((b+1)u)/sinh(bu) with b = `order`; half(u) is
+    _cosh_quotient's or _sinh_quotient's exponential form, to a few eps at
+    any u, and ratio(u) its reciprocal.  level(u) is 2 cosh(u) - ratio(u)
+    in a form that does not cancel, for a decay or an array of them, so
+    that the edge energy tau + s 2|zeta| cosh(u), s = -sign(r), is
+    s |zeta| level(u) to full relative precision however large |r| is."""
 
     name: str   # "A" (one-sided, or two-sided even) or "B" (odd)
     label: str  # its name in reports
@@ -321,28 +324,23 @@ def zigzag_ends(ends, N):
                                   * np.expm1(-2.0 * np.abs(m) * u)
                                   / math.expm1(-2.0 * half * u))
 
-    def args(u):
-        return (N + 1) * u / 2.0, (N - 1) * u / 2.0
-
-    # the levels with a = |N - 3| u/2 <= b = (N - 1) u/2, whose difference
-    # is -u (0 at N = 2)
+    # the levels with a = |N - 3|/2 <= b = (N - 1)/2, whose difference is
+    # -1 (0 at N = 2)
     def level_even(u):  # cosh((N-3)u/2)/cosh((N-1)u/2)
-        return (np.exp(-u if N > 2 else 0.0 * u)
-                * (1.0 + np.exp(-abs(N - 3) * u))
-                / (1.0 + np.exp(-(N - 1) * u)))
+        return _cosh_quotient(abs(N - 3) / 2.0, half, u)
+
+    def half_even(u):  # cosh((N-1)u/2)/cosh((N+1)u/2)
+        return _cosh_quotient(half, half + 1.0, u)
 
     def level_odd(u):  # sinh((N-3)u/2)/sinh((N-1)u/2), 0.0 at N = 3
-        return np.copysign(np.exp(-u if N > 2 else 0.0 * u)
-                           * np.expm1(-abs(N - 3) * u)
-                           / np.expm1(-(N - 1) * u), N - 3)
+        return np.copysign(_sinh_quotient(abs(N - 3) / 2.0, half, u), N - 3)
 
     def half_odd(u):  # sinh((N-1)u/2)/sinh((N+1)u/2)
         return _sinh_quotient(half, half + 1.0, u)
 
     return (lambda r: (1.0, 2.0 * r, r * r)), (
-        EdgeFamily("A", "family_A", lambda u: _cosh_ratio(*args(u)),
-                   lambda u: _cosh_ratio(*args(u)[::-1]), 1.0, 1.0, even,
-                   level_even, half, True),
+        EdgeFamily("A", "family_A", lambda u: 1.0 / half_even(u), half_even,
+                   1.0, 1.0, even, level_even, half, True),
         EdgeFamily("B", "family_B", lambda u: 1.0 / half_odd(u), half_odd,
                    (N + 1.0) / (N - 1.0), (N - 1.0) / (N + 1.0), odd,
                    level_odd, half, False))

@@ -221,21 +221,25 @@ def test_edge_levels_do_not_cancel(N):
 
 @pytest.mark.parametrize("N", (1, 2, 3, 5, 30, 200, 1000))
 def test_sinh_branch_ratios_keep_full_precision(N):
-    # ratio(u) = sinh(bu)/sinh(au) and half(u) = sinh(au)/sinh(bu) of the
-    # sinh families (one-sided: a = N, b = N + 1; two-sided B: a, b =
-    # (N -+ 1)/2) within 4 eps relative of the 40-digit quotient; half is
-    # the printed xi of `edges --model square-zigzag`.  A log-domain
-    # quotient loses eps |log sinh(bu)| (2.6e3 eps at N = 1000, u = 5.5)
+    # ratio(u) = f(bu)/f(au) and half(u) = f(au)/f(bu) of every family
+    # within 4 eps relative of the 40-digit quotient: f = sinh on the
+    # one-sided family (a = N, b = N + 1) and two-sided B (a, b = (N -+ 1)/2),
+    # f = cosh on two-sided A; half is the printed xi of `edges --model
+    # square-zigzag`.  A log-domain quotient loses eps |log f(bu)| (2.6e3
+    # eps at N = 1000, u = 5.5; 4.1e3 eps on family A at u = 9.4)
     eps = np.finfo(float).eps
-    families = [(N, N + 1, zigzag_ends(1, N)[1][0])]
+    families = [(N, N + 1, zigzag_ends(1, N)[1][0], mpmath.sinh)]
     if N > 1:
-        families.append(((N - 1) / 2, (N + 1) / 2, zigzag_ends(2, N)[1][1]))
-    for a, b, fam in families:
-        for u in (1e-150, 1e-50, 1e-12, 1e-6, 1e-3, 0.037, 0.5, 1.0, 5.1,
-                  5.541020330009481, 7.443803013251681, 40.0, 400.0):
+        even, odd = zigzag_ends(2, N)[1]
+        families += [((N - 1) / 2, (N + 1) / 2, odd, mpmath.sinh),
+                     ((N - 1) / 2, (N + 1) / 2, even, mpmath.cosh)]
+    for a, b, fam, f in families:
+        for u in (1e-150, 1e-50, 1e-12, 1e-6, 1e-3, 0.037, 0.5, 1.0, 4.58,
+                  5.1, 5.541020330009481, 7.443803013251681, 9.4, 40.0,
+                  400.0):
             with mpmath.workdps(40):
                 x = mpmath.mpf(u)
-                half = mpmath.sinh(a * x) / mpmath.sinh(b * x)
+                half = f(a * x) / f(b * x)
             for found, expected in ((fam.half(u), half),
                                     (fam.ratio(u), 1 / half)):
                 err = abs((mpmath.mpf(float(found)) - expected) / expected)
