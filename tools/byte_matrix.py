@@ -28,9 +28,12 @@ single-model ``validate`` at N = 4, 7, 13 and 30, also at ``--tol 1e-16``,
 at 1, 3 and 5 k-points on each closed-form model at N = 6 and 13, and at
 N = 200 on the zigzag models; ``edges``; ``zeromodes``; ``wavefunction``
 with every ``--sign`` and ``--family``; the reproducers of known defects;
-and ``bands`` whose rows all come from the dense oracle: square-general at
+``bands`` whose rows all come from the dense oracle: square-general at
 N = 40 and 200, where half the grid spans several oracle chunks, and on an
-odd grid, and triangle-linear with ``--t1 0 --t2 0``.
+odd grid in CSV and JSON, and triangle-linear with ``--t1 0 --t2 0``;
+``bands`` on all six models at ``--a 0.5`` and ``--a 3`` on even and odd
+grids; and lattice constants so small that the zone overflows, whose
+exit code and stderr are compared.
 """
 
 from __future__ import annotations
@@ -280,8 +283,29 @@ def _oracle_bands():
     return [general + ["--N", "40", "--k-points", "16"],
             general + ["--N", "200", "--k-points", "8"],
             general + ["--N", "7", "--k-points", "7"],
+            general + ["--N", "7", "--k-points", "7", "--format", "json"],
             ["bands", "--model", "triangle-linear", "--N", "6", "--t1", "0",
              "--t2", "0", "--t3", "0.7", "--k-points", "8"]]
+
+
+def _lattice_constants(rng):
+    """`bands` on every model at a = 0.5 and 3, on even and odd grids, and
+    the lattice constants so small that the zone overflows."""
+    cmds = []
+    for model in MODELS:
+        count = 3 if model.startswith("triangle") else 4
+        hop = _hoppings(model, [rng.uniform(0.1, 2.0) for _ in range(count)])
+        for a, k in itertools.product(("0.5", "3"), ("8", "7")):
+            cmds.append(["bands", "--model", model, "--N", "6", *hop,
+                         "--a", a, "--k-points", k])
+    return cmds + [
+        ["bands", "--model", "triangle-linear", "--N", "3", "--k-points", "1",
+         "--a", "1e-320"],
+        ["bands", "--model", "square-zigzag", "--N", "6", "--k-points", "3",
+         "--a", "1e-320"],
+        ["validate", "--model", "triangle-zigzag1", "--N", "6", "--a",
+         "1e-320"],
+        ["bands", "--model", "square-lr", "--N", "3", "--a", "1e-309"]]
 
 
 def commands():
@@ -289,7 +313,8 @@ def commands():
     rng = random.Random(8128)
     return (_workloads() + _wide() + _narrow(rng) + _validate(rng)
             + _edges(rng) + _zeromodes() + _wavefunction(rng) + _defects()
-            + _validate_pairs(random.Random(8129)) + _oracle_bands())
+            + _validate_pairs(random.Random(8129)) + _oracle_bands()
+            + _lattice_constants(random.Random(8130)))
 
 
 def _src(path):
