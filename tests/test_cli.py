@@ -544,7 +544,8 @@ _BLOCK_CASES = {
     "square-general": ["--N", "4", "--tu", "1", "--td", "0.6", "--tr", "1",
                        "--tl", "0.4"],
     "triangle-linear": ["--N", "5", "--t1", "0.8", "--t2", "0.3"],
-    "triangle-linear-oracle": ["--N", "4", "--t1", "0", "--t2", "0",
+    # three sites are too few to classify: no class, and no u
+    "triangle-linear-oracle": ["--N", "3", "--t1", "0", "--t2", "0",
                                "--t3", "0.7"],
     "triangle-zigzag1": ["--N", "6", "--t1", "0.9", "--t2", "0.1"],
     "triangle-zigzag2": ["--N", "9", "--t1", "0.9", "--t2", "0.1"],
