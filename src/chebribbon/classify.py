@@ -153,34 +153,38 @@ def classify_analytic_triangle(E, tau, zeta_abs, sides=StateLabel.EDGE_BOTH):
     return _labels((E, tau, zeta_abs), labeller)
 
 
-def _linfit(y):
-    """Least-squares line through (0..m-1, y): (slope, R^2)."""
-    x = np.arange(y.size, dtype=float)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot == 0.0:
-        return float(slope), 1.0
-    return float(slope), 1.0 - float(np.sum(resid * resid)) / ss_tot
-
-
 # A side's slope is first taken from the closed-form least-squares line,
-# for all states at once; np.polyfit then refits only a side whose fast
-# slope lies below -_SLOPE_MIN + _REFIT_MARGIN, and the exact refit alone
-# decides the label and the decay estimate.  The two slopes are roundings of
-# the same line and differ by ulps of the log-amplitudes (about 1e-14 for
-# normalized states), so a side the fast slope rules out can never pass the
-# exact test.  With this margin about 0.3% of oracle sides are refit.
+# for all states at once; only a side whose fast slope lies below
+# -_SLOPE_MIN + _REFIT_MARGIN is refit as np.polyfit fits it, and the exact
+# refit alone decides the label and the decay estimate.  The two slopes are
+# roundings of the same line and differ by ulps of the log-amplitudes (about
+# 1e-14 for normalized states), so a side the fast slope rules out can never
+# pass the exact test.  With this margin about 0.3% of oracle sides are
+# refit.
 _REFIT_MARGIN = 1e-6
 
 
-def _edge_slope(fast, window):
-    """The polyfit slope of a boundary window when it decays inward with
-    R^2 > 0.99, else None; `fast` is the window's closed-form slope."""
-    if fast >= -_SLOPE_MIN + _REFIT_MARGIN:  # NaN is refit, as before
-        return None
-    slope, r2 = _linfit(window)
-    return slope if slope < -_SLOPE_MIN and r2 > _R2_MIN else None
+def _refit(windows):
+    """np.polyfit(arange(w), y, 1) of each row y of the C-contiguous
+    `windows`, as (slope, R^2) columns: one np.linalg.lstsq call per row
+    on polyfit's own column-scaled Vandermonde matrix with its rcond, the
+    call polyfit makes, so every slope keeps polyfit's bits (a 2-D
+    right-hand side changes the last bits of some); R^2 of all rows at
+    once, over C-contiguous rows, which numpy sums as it sums one row."""
+    x = np.arange(windows.shape[1], dtype=float)
+    lhs = np.vander(x, 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    rcond = len(x) * np.finfo(float).eps
+    coef = np.array([np.linalg.lstsq(lhs, y, rcond)[0] for y in windows])
+    slope, intercept = (coef.reshape(-1, 2) / scale).T
+    resid = windows - (slope[:, None] * x + intercept[:, None])
+    ss_tot = ((windows - windows.mean(axis=1)[:, None]) ** 2).sum(axis=1)
+    ss_res = (resid * resid).sum(axis=1)
+    r2 = np.ones(len(windows))
+    spread = ss_tot != 0.0
+    r2[spread] = 1.0 - ss_res[spread] / ss_tot[spread]
+    return slope, r2
 
 
 def classify_numeric(psi, threshold_ipr=None, fit_window=None):
@@ -192,8 +196,10 @@ def classify_numeric(psi, threshold_ipr=None, fit_window=None):
     inverse participation ratio exceeds threshold_ipr.  u_estimate is the
     mean slope magnitude over the qualifying sides.
 
-    A vector gives one StateClass; a (dim, m) matrix gives a list with one
-    StateClass per column, each equal to that of the column on its own.
+    A (dim, m) matrix gives three columns with one entry per state: its
+    label values of StateLabel, its decay estimate (NaN off edge states)
+    and its IPR, each entry that of the state on its own.  A vector gives
+    one StateClass, the one-column case.
     """
     states = np.asarray(psi, dtype=complex)
     single = states.ndim == 1
@@ -211,30 +217,34 @@ def classify_numeric(psi, threshold_ipr=None, fit_window=None):
     participation = _row_iprs(amp)
     floor = amp.max(axis=1) * 1e-15
     logamp = np.log(np.maximum(amp, floor[:, None]))
-    left = logamp[:, :fit_window]
-    right = logamp[:, ::-1][:, :fit_window]
+    # the left windows of all states, then the right ones, each read inward
+    windows = np.concatenate([logamp[:, :fit_window],
+                              logamp[:, ::-1][:, :fit_window]])
     x = np.arange(fit_window, dtype=float)
     x -= x.mean()
     x /= x @ x
-    fast_l, fast_r = (left @ x).tolist(), (right @ x).tolist()
-    localized = (participation > threshold_ipr).tolist()
-    out = []
-    for j, part in enumerate(participation.tolist()):
-        slope_l = slope_r = None
-        if localized[j]:
-            slope_l = _edge_slope(fast_l[j], left[j])
-            slope_r = _edge_slope(fast_r[j], right[j])
-        if slope_l is not None and slope_r is not None:
-            label = StateLabel.EDGE_BOTH
-            u_est = (abs(slope_l) + abs(slope_r)) / 2
-        elif slope_l is not None:
-            label, u_est = StateLabel.EDGE_LEFT, abs(slope_l)
-        elif slope_r is not None:
-            label, u_est = StateLabel.EDGE_RIGHT, abs(slope_r)
-        else:
-            label, u_est = StateLabel.BULK, None
-        out.append(StateClass(label=label, ipr=part, u_estimate=u_est))
-    return out[0] if single else out
+    # NaN is refit, as is a fast slope below the margin
+    refit = (np.tile(participation > threshold_ipr, 2)
+             & ~(windows @ x >= -_SLOPE_MIN + _REFIT_MARGIN))
+    slope = np.full(len(windows), np.nan)
+    edge = np.zeros(len(windows), dtype=bool)
+    slope[refit], r2 = _refit(windows[refit])
+    edge[refit] = (slope[refit] < -_SLOPE_MIN) & (r2 > _R2_MIN)
+    m = len(participation)
+    left, right = edge[:m], edge[m:]
+    decay_l, decay_r = np.abs(slope[:m]), np.abs(slope[m:])
+    label = np.full(m, StateLabel.BULK.value, dtype=_LABEL_DTYPE)
+    label[left] = StateLabel.EDGE_LEFT.value
+    label[right] = StateLabel.EDGE_RIGHT.value
+    both = left & right
+    label[both] = StateLabel.EDGE_BOTH.value
+    u = np.where(left, decay_l, np.where(right, decay_r, np.nan))
+    u[both] = (decay_l[both] + decay_r[both]) / 2
+    if single:
+        return StateClass(label=StateLabel(label[0]),
+                          ipr=float(participation[0]),
+                          u_estimate=None if np.isnan(u[0]) else float(u[0]))
+    return label, u, participation
 
 
 def model_edge_sides(kind):

@@ -11,7 +11,6 @@ by (k index, band index).
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -198,15 +197,14 @@ def _oracle_rows(config, ks):
         energy += np.concatenate([s.energies for s in spectra]).tolist()
         vectors = np.concatenate([s.vectors for s in spectra], axis=1)
         try:
-            classes = classify_numeric(vectors)
+            labels, decay, parts = classify_numeric(vectors)
         except ValueError:  # too few sites for the boundary fits
-            label += [""] * vectors.shape[1]
-            u += [None] * vectors.shape[1]
-            part += ipr(vectors).tolist()
-            continue
-        label += [sc.label.value for sc in classes]
-        u += [sc.u_estimate for sc in classes]
-        part += [sc.ipr for sc in classes]
+            labels = np.full(vectors.shape[1], "")
+            decay, parts = np.full(vectors.shape[1], np.nan), ipr(vectors)
+        edge = ~np.isnan(decay)
+        label += labels.tolist()
+        u += _edge_column(decay[edge].tolist(), edge)
+        part += parts.tolist()
     return energy, label, u, part
 
 
@@ -593,70 +591,82 @@ def _within_window(spec):
     return spec
 
 
-def _check_momentum(name, k, energies, spec, analytic, near, tol,
-                    violations):
-    """Compare one momentum's closed form with the oracle `spec`: append
-    each energy off by more than `tol` (relative above 1) to `violations`,
-    and return the deviations and how many `analytic` label values agree
-    with the numeric classes.  A label agrees when it is equal, when both
-    are edges, when it is a transition, or `near` a band edge, where the
-    numeric boundary fit is unreliable; with `near` None every state is
-    bulk and every label agrees.  The count is None when the states are
-    too short for the numeric classifier (fewer than 4 sites): there is no
-    numeric label to compare with."""
+def _energy_deviations(name, k, energies, spec, tol, violations):
+    """The deviations of one momentum's closed-form energies from the
+    oracle `spec`; each off by more than `tol` (relative above 1) is
+    appended to `violations`."""
     d = np.abs(energies - spec.energies)
     scale = np.abs(energies)
     for i in np.flatnonzero(d > tol * np.where(scale > 1.0, scale, 1.0)):
         violations.append((name, float(k), int(i) + 1, "energy", d[i]))
-    if near is None:
-        return d.tolist(), len(d)
+    return d.tolist()
+
+
+def _label_agreement(analytic, near, vectors):
+    """How many `analytic` label values agree with the numeric classes of
+    the oracle states `vectors` (one per column), classified in one call.
+    A label agrees when it is equal, when both are edges, when it is a
+    transition, or `near` a band edge, where the numeric boundary fit is
+    unreliable.  None when the states are too short for the numeric
+    classifier (fewer than 4 sites): there is no numeric label to compare
+    with."""
     try:
-        classes = classify_numeric(spec.vectors)
+        numeric = classify_numeric(vectors)[0]
     except ValueError:  # too few sites for the boundary fits
-        return d.tolist(), None
-    numeric = np.array([sc.label.value for sc in classes])
+        return None
     edge = np.isin(analytic, _EDGE_LABELS) & np.isin(numeric, _EDGE_LABELS)
-    agree = ((analytic == numeric) | edge
-             | (analytic == StateLabel.TRANSITION.value) | near)
-    return d.tolist(), int(np.count_nonzero(agree))
+    return int(np.count_nonzero(
+        (analytic == numeric) | edge
+        | (analytic == StateLabel.TRANSITION.value) | near))
 
 
 def _validate_scan(config, violations):
-    """Check config's closed-form scan against the oracle, momentum by
-    momentum: energies, overlaps, labels and, on the triangular zigzag
+    """Check config's closed-form scan against the oracle, chunk of momenta
+    by chunk: energies, overlaps, labels and, on the triangular zigzag
     ribbons, the worst scaled secular residual at the roots' own angles
-    and decays."""
+    and decays.  With `near` None every state is bulk and every label
+    agrees."""
     scan = _SCANS[config.kind](config)
+    dim = config.model.dim
     dev = deficit = 0.0
     agree = total = 0
     # every momentum is solved, a mirrored one too: its own oracle spectrum
     # is what checks the mirror
-    spectra = itertools.chain.from_iterable(_oracle_chunks(
-        config, np.array([k for k, _, _ in scan.grid])))
-    for (k, rows, mirrored), spec in zip(scan.grid, spectra):
-        if not isinstance(rows, slice):
-            raise rows  # the solved momentum's, which comes first
-        spec = _within_window(spec)
-        energies = scan.energy[rows]
-        # a mirrored momentum's states are the conjugates of its partner's
-        states = scan.states(rows.start // config.model.dim)
-        if mirrored:
-            states = states.conj()
-        # subspace projection: degenerate pairs (e.g. the +-0 partners of a
-        # deep edge state) leave single oracle vectors arbitrary
-        overlap = [subspace_overlap(spec, e, states[:, i])
-                   for i, e in enumerate(energies.tolist())]
-        d, agreed = _check_momentum(
-            config.kind.value, k, energies, spec, scan.label[rows],
-            None if scan.near is None else scan.near[rows],
-            config.tolerance, violations)
-        dev = max([dev] + d)
-        deficit = max([deficit] + [1.0 - o for o in overlap])
+    grid = iter(scan.grid)
+    for spectra in _oracle_chunks(
+            config, np.array([k for k, _, _ in scan.grid])):
+        chunk = []
+        for spec, (k, rows, mirrored) in zip(spectra, grid):
+            if not isinstance(rows, slice):
+                raise rows  # the solved momentum's, which comes first
+            spec = _within_window(spec)
+            energies = scan.energy[rows]
+            # a mirrored momentum's states are the conjugates of its
+            # partner's
+            states = scan.states(rows.start // dim)
+            if mirrored:
+                states = states.conj()
+            # subspace projection: degenerate pairs (e.g. the +-0 partners
+            # of a deep edge state) leave single oracle vectors arbitrary
+            overlap = [subspace_overlap(spec, e, states[:, i])
+                       for i, e in enumerate(energies.tolist())]
+            dev = max([dev] + _energy_deviations(
+                config.kind.value, k, energies, spec, config.tolerance,
+                violations))
+            deficit = max([deficit] + [1.0 - o for o in overlap])
+            chunk.append(rows)
+        if scan.near is None:
+            agreed = len(chunk) * dim
+        else:
+            agreed = _label_agreement(
+                np.concatenate([scan.label[r] for r in chunk]),
+                np.concatenate([scan.near[r] for r in chunk]),
+                np.concatenate([s.vectors for s in spectra], axis=1))
         if agreed is not None:
             agree += agreed
-            total += len(d)
+            total += len(chunk) * dim
         # freed before the next chunk's dense solve, not after it
-        del spec, states
+        del spectra, spec, states
     out = {"max_energy_dev": dev, "max_overlap_deficit": deficit,
            "agreement": agree / total if total else None}
     if scan.residuals is not None:

@@ -313,20 +313,29 @@ def _reference_classify(psi, threshold_ipr=None, fit_window=None):
 
 
 def _assert_batch_matches_columns(states, **kwargs):
-    """classify_numeric and ipr of the matrix equal the per-column calls
-    and the per-state references exactly; the classes of the batch."""
+    """The label, u and ipr columns of classify_numeric of the matrix, and
+    ipr of it, equal the per-column calls and the per-state references
+    exactly; the labels of the batch."""
     columns = list(states.T)
-    batch = classify_numeric(states, **kwargs)
-    assert isinstance(batch, list) and len(batch) == len(columns)
-    for got, col in zip(batch, columns):
-        assert got == classify_numeric(col, **kwargs)
-        assert got == _reference_classify(col, **kwargs)
-        assert type(got.ipr) is float
+    label, u, part = classify_numeric(states, **kwargs)
+    assert label.shape == u.shape == part.shape == (len(columns),)
+    for j, col in enumerate(columns):
+        ref = _reference_classify(col, **kwargs)
+        one = classify_numeric(col, **kwargs)
+        assert one == ref
+        assert type(one.ipr) is float
+        assert label[j] == ref.label.value
+        assert part[j] == ref.ipr
+        if ref.u_estimate is None:
+            assert np.isnan(u[j])
+        else:
+            assert type(one.u_estimate) is float
+            assert u[j] == ref.u_estimate
     parts = ipr(states)
     assert parts.shape == (len(columns),)
     assert parts.tolist() == [ipr(c) for c in columns] \
         == [_reference_ipr(c) for c in columns]
-    return batch
+    return [StateLabel(v) for v in label.tolist()]
 
 
 def _oracle_spectrum(kind, N, k, rng):
@@ -356,8 +365,7 @@ def test_batched_oracle_classes_equal_per_state_classes(kind, rng):
                 with pytest.raises(ValueError, match=str(exc)):
                     classify_numeric(vectors)
                 continue
-            labels |= {c.label for c in
-                       _assert_batch_matches_columns(vectors)}
+            labels |= set(_assert_batch_matches_columns(vectors))
     assert StateLabel.BULK in labels
     if kind in (ModelKind.SQUARE_ZIGZAG, ModelKind.TRIANGLE_ZIGZAG1,
                 ModelKind.TRIANGLE_ZIGZAG2):
@@ -405,8 +413,7 @@ def test_batched_hand_built_profiles_equal_per_state_classes():
     wave = np.sin(np.pi * np.arange(1, dim + 1) / (dim + 1))
     states = np.array(grid + near + [flat, wave]).T
     _assert_batch_matches_columns(states)
-    labels = [c.label for c in
-              _assert_batch_matches_columns(states, threshold_ipr=0.0)]
+    labels = _assert_batch_matches_columns(states, threshold_ipr=0.0)
     assert {StateLabel.BULK, StateLabel.EDGE_LEFT, StateLabel.EDGE_RIGHT,
             StateLabel.EDGE_BOTH} <= set(labels[:len(grid)])
     assert {StateLabel.BULK, StateLabel.EDGE_LEFT} == set(
@@ -423,9 +430,12 @@ def test_batched_hand_built_profiles_equal_per_state_classes():
 
 def test_batched_classification_shapes_and_errors():
     profile = np.exp(-0.7 * np.arange(12.0))
-    assert isinstance(classify_numeric(profile), StateClass)
-    assert classify_numeric(profile[:, None]) == [classify_numeric(profile)]
-    assert classify_numeric(np.ones((12, 0))) == []
+    one = classify_numeric(profile)
+    assert isinstance(one, StateClass) and one.label.is_edge
+    label, u, part = classify_numeric(profile[:, None])
+    assert (label.tolist(), u.tolist(), part.tolist()) == (
+        [one.label.value], [one.u_estimate], [one.ipr])
+    assert [c.shape for c in classify_numeric(np.ones((12, 0)))] == [(0,)] * 3
     assert isinstance(ipr(profile), float)
     message = "profile of 3 sites is too short for two windows of 2"
     for short in (np.ones(3), np.ones((3, 4))):
