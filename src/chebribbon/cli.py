@@ -648,12 +648,11 @@ def _validate_scan(config, violations):
                 states = states.conj()
             # subspace projection: degenerate pairs (e.g. the +-0 partners
             # of a deep edge state) leave single oracle vectors arbitrary
-            overlap = [subspace_overlap(spec, e, states[:, i])
-                       for i, e in enumerate(energies.tolist())]
+            overlap = subspace_overlap(spec, energies, states)
             dev = max([dev] + _energy_deviations(
                 config.kind.value, k, energies, spec, config.tolerance,
                 violations))
-            deficit = max([deficit] + [1.0 - o for o in overlap])
+            deficit = max([deficit] + (1.0 - overlap).tolist())
             chunk.append(rows)
         if scan.near is None:
             agreed = len(chunk) * dim

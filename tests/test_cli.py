@@ -1116,17 +1116,21 @@ def test_general_bands_solve_one_momentum_of_each_pair(monkeypatch, capsys,
 def test_oracle_chunks_leave_every_byte(monkeypatch, capsys, argv):
     # at 128 momenta half the grid (all of it in validate) spans several
     # chunks of the module's budget; chunks of one momentum, and of three
-    # with a short last one, give the same bytes
+    # with a short last one, give the same bytes; each chunk is classified
+    # in one classify_numeric call
     calls = _counting(monkeypatch, cli, "eigensolve_dense")
+    classified = _counting(monkeypatch, cli, "classify_numeric")
     dim = 2 * 12 if argv[2].startswith("square") else 40
     momenta = 128 if argv[0] == "validate" else 64
     outputs = []
     for budget in (cli._CHUNK_ENTRIES, 1, 3 * dim * dim):
         monkeypatch.setattr(cli, "_CHUNK_ENTRIES", budget)
         calls.clear()
+        classified.clear()
         assert run(argv) == 0
         outputs.append(capsys.readouterr().out)
         assert len(calls) == -(-momenta // max(1, budget // (dim * dim)))
+        assert len(classified) == len(calls)
     assert len(set(outputs)) == 1
 
 

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from chebribbon.errors import HermiticityError
-from chebribbon.hamiltonian import (ModelKind, RibbonModel, SquareHoppings,
-                                    TriangleEdge, TriangleHoppings,
-                                    build_beta, build_square_bloch,
-                                    build_triangle_bloch, eigensolve_dense,
-                                    state_overlap, subspace_overlap)
+from chebribbon.hamiltonian import (OVERLAP_WINDOW, ModelKind, RibbonModel,
+                                    Spectrum, SquareHoppings, TriangleEdge,
+                                    TriangleHoppings, build_beta,
+                                    build_square_bloch, build_triangle_bloch,
+                                    eigensolve_dense, state_overlap,
+                                    subspace_overlap)
 from chebribbon.square_ribbon import xi_of_k, zigzag_spectrum
 
 
@@ -227,6 +228,49 @@ def test_overlap_helpers():
     assert subspace_overlap(spec, 99.0, mixed) == 0.0  # empty window
     with pytest.raises(ValueError):
         subspace_overlap(spec, 1.0, np.zeros(3))
+
+
+def _reference_overlap(spectrum, energy, vector):
+    """subspace_overlap of one vector as it was written before it took a
+    matrix: the norm of the product of the window's basis with it."""
+    vector = np.asarray(vector, dtype=complex).ravel()
+    sel = np.abs(spectrum.energies - energy) <= OVERLAP_WINDOW
+    if not np.any(sel):
+        return 0.0
+    return float(np.linalg.norm(spectrum.vectors[:, sel].conj().T @ vector)
+                 / np.linalg.norm(vector))
+
+
+def test_subspace_overlap_of_a_matrix_equals_per_column_calls(rng):
+    # eigenvalues exactly at -W and +W from 0.0 (in its window), one ulp
+    # past +W (outside it), and a degenerate pair at 1
+    w = OVERLAP_WINDOW
+    energies = np.array([-1.0, -w, 0.0, w, np.nextafter(w, 1.0), 0.5, 1.0,
+                         1.0])
+    dim = len(energies)
+    basis = np.linalg.qr(rng.normal(size=(dim, dim))
+                         + 1j * rng.normal(size=(dim, dim)))[0]
+    spec = Spectrum(energies=energies, vectors=basis, k=0.0)
+    # windows of 3 (-W, 0, +W about 0; 0, +W and the next float about +W),
+    # 2 (the degenerate pair), 1 and none (0.25 and 2.0)
+    queries = np.array([0.0, w, 1.0, -1.0, 0.25, 2.0, 1.0, 0.5 + w])
+    vectors = rng.normal(size=(dim, len(queries))) \
+        + 1j * rng.normal(size=(dim, len(queries)))
+    vectors[:, 6] = 0.6 * basis[:, 6] - 0.8j * basis[:, 7]
+    found = subspace_overlap(spec, queries, vectors)
+    assert found.shape == (len(queries),)
+    for j, e in enumerate(queries.tolist()):
+        one = subspace_overlap(spec, e, vectors[:, j])
+        assert type(one) is float
+        for expected in (one, _reference_overlap(spec, e, vectors[:, j])):
+            assert abs(found[j] - expected) <= 4 * np.spacing(expected)
+    assert found[4] == found[5] == 0.0  # empty windows
+    assert abs(found[6] - 1.0) <= 4 * np.spacing(1.0)
+    windows = np.abs(energies - queries[:, None]) <= w
+    assert windows.sum(axis=1)[:7].tolist() == [3, 3, 2, 1, 0, 0, 2]
+    vectors[:, 3] = 0.0
+    with pytest.raises(ValueError, match="zero vector"):
+        subspace_overlap(spec, queries, vectors)
 
 
 # -------------------------------------------------------------- validation --
