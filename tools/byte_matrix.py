@@ -12,7 +12,12 @@ output differs, it also names the columns that differ and gives the worst
 |a - b| / max(1, |a|) of ``energy``, ``u`` and ``ipr``, a from SRC_A, and
 ends with the worst of each over all such commands.  It lists each row of
 such a command, by (k, band), whose ``energy`` moved by more than
-1e-13 max(1, |a|) or whose ``class`` changed.  Each tree's ``bands``
+1e-13 max(1, |a|) or whose ``class`` changed.  For any other command whose
+JSON output differs (``validate``, ``edges``, ``zeromodes``), it names each
+key that differs, with |a - b| of a numeric one, flags (``FLAG``) a change
+of ``status``, of ``violations`` or of any non-numeric value, and ends
+with the worst |a - b| of each numeric field, by its last key, over all
+such commands.  Each tree's ``bands``
 energies are also compared with ``numpy.linalg.eigvalsh`` of the Bloch
 matrix at each row's k: the tool gives the worst |E - eigvalsh| /
 max(1, |E|) of each tree, beyond the solver's own error, and lists the
@@ -46,6 +51,7 @@ import itertools
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -350,9 +356,9 @@ def _oracle_deviation(cli, argv, path):
 def _run_tree(src, results):
     """Worker: run every command under the tree `src`, writing one JSON
     record per command to the file `results`, and the output of each
-    `bands` command to the directory `results`.d, one file per command
-    index.  The record of a `bands` command that exits 0 also holds the
-    worst deviation of its energies from the Bloch matrix's."""
+    command to the directory `results`.d, one file per command index.
+    The record of a `bands` command that exits 0 also holds the worst
+    deviation of its energies from the Bloch matrix's."""
     sys.path.insert(0, str(src))
     import chebribbon.cli as cli
     if Path(cli.__file__).resolve().parent.parent != Path(src):
@@ -360,29 +366,26 @@ def _run_tree(src, results):
     records = []
     kept = _kept(results)
     kept.mkdir()
-    with tempfile.TemporaryDirectory() as work:
-        for i, argv in enumerate(commands()):
-            out = kept / str(i) if argv[0] == "bands" else Path(work) / "out"
-            if out.exists():
-                out.unlink()
-            err = io.StringIO()
-            with warnings.catch_warnings(record=True) as caught, \
-                    contextlib.redirect_stderr(err):
-                warnings.simplefilter("always")
-                try:
-                    code = cli.run(argv + ["--out", str(out)])
-                except Exception as exc:  # the last line of the traceback
-                    code = "raised"
-                    err.write(traceback.format_exception_only(
-                        type(exc), exc)[-1])
-            text = err.getvalue() + "".join(
-                f"{w.category.__name__}: {w.message}\n" for w in caught)
-            data = out.read_bytes() if out.exists() else b""
-            records.append({"code": code, "stderr": text,
-                            "out": hashlib.sha256(data).hexdigest(),
-                            "bytes": len(data)})
-            if argv[0] == "bands" and code == 0:
-                records[-1]["oracle"] = _oracle_deviation(cli, argv, out)
+    for i, argv in enumerate(commands()):
+        out = kept / str(i)
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            try:
+                code = cli.run(argv + ["--out", str(out)])
+            except Exception as exc:  # the last line of the traceback
+                code = "raised"
+                err.write(traceback.format_exception_only(
+                    type(exc), exc)[-1])
+        text = err.getvalue() + "".join(
+            f"{w.category.__name__}: {w.message}\n" for w in caught)
+        data = out.read_bytes() if out.exists() else b""
+        records.append({"code": code, "stderr": text,
+                        "out": hashlib.sha256(data).hexdigest(),
+                        "bytes": len(data)})
+        if argv[0] == "bands" and code == 0:
+            records[-1]["oracle"] = _oracle_deviation(cli, argv, out)
     Path(results).write_text(json.dumps(records))
 
 
@@ -449,6 +452,51 @@ def _row_report(path_a, path_b):
     return lines
 
 
+def _leaves(value, key=""):
+    """(key, value) of each leaf of a JSON value: dict keys joined by
+    dots, list indices in brackets."""
+    if isinstance(value, dict):
+        for name, v in value.items():
+            yield from _leaves(v, f"{key}.{name}" if key else name)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _leaves(v, f"{key}[{i}]")
+    else:
+        yield key, value
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_FLAGGED = ("status", "violations")
+
+
+def _json_report(path_a, path_b, worst):
+    """Lines naming each key of two JSON outputs whose value differs, with
+    |a - b| of a numeric one; a change of `status`, of `violations` or of
+    a non-numeric value (a missing key included) is flagged.  `worst`
+    keeps the largest |a - b| of each numeric field, by its last key, over
+    the calls."""
+    a, b = (dict(_leaves(json.loads(p.read_text())))
+            for p in (path_a, path_b))
+    lines = []
+    for key in sorted(a.keys() | b.keys()):
+        x, y = a.get(key, "<missing>"), b.get(key, "<missing>")
+        if type(x) is type(y) and x == y:
+            continue
+        field = re.sub(r"\[\d+\]", "", key).rsplit(".", 1)[-1]
+        flag = (not (_is_number(x) and _is_number(y))
+                or key.split(".")[0].split("[")[0] in _FLAGGED)
+        line = f"{'FLAG ' if flag else ''}{key}: {x!r} -> {y!r}"
+        if _is_number(x) and _is_number(y):
+            dev = abs(x - y)
+            worst[field] = max(worst.get(field, 0.0), dev)
+            line += f" (|a - b| {dev:.3g})"
+        lines.append(line)
+    return lines
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("trees", nargs="*", metavar="SRC")
@@ -479,23 +527,33 @@ def main(argv=None):
         keys = ("code", "out", "stderr")
         differ = [i for i, (x, y) in enumerate(zip(a, b))
                   if any(x[key] != y[key] for key in keys)]
-        worst, moved = {}, 0
+        worst, worst_json, moved, flagged = {}, {}, 0, 0
         for i in differ:
             what = [key for key in keys if a[i][key] != b[i][key]]
             print(f"DIFFERS ({', '.join(what)}): {' '.join(cmds[i])}")
+            paths = [_kept(f) / str(i) for f in files]
             if cmds[i][0] == "bands" and what == ["out"] \
                     and a[i]["code"] == 0:
-                paths = [_kept(f) / str(i) for f in files]
                 print("    columns: " + _column_report(*paths, worst))
                 rows = _row_report(*paths)
                 moved += len(rows)
                 for line in rows:
                     print("    row " + line)
+            elif "out" in what and all(
+                    p.exists() and p.read_bytes().startswith(b"{")
+                    for p in paths):
+                for line in _json_report(*paths, worst_json):
+                    flagged += line.startswith("FLAG ")
+                    print("    key " + line)
     print(f"{len(differ)} of {len(cmds)} commands differ")
     for name in _NUMERIC:
         if name in worst:
             print(f"worst {name} deviation in differing bands rows: "
                   f"{worst[name]:.3g}")
+    for name, dev in sorted(worst_json.items()):
+        print(f"worst |a - b| of {name} in differing JSON outputs: {dev:.3g}")
+    print(f"{flagged} flagged keys in differing JSON outputs (status, "
+          "violations or a non-numeric value)")
     print(f"{moved} bands rows moved energy by more than 1e-13 of "
           f"max(1, |E|) or changed class")
     for tree, records in zip(args.trees, (a, b)):
