@@ -4,7 +4,9 @@ dense oracle, with the closed-form rows of k and -k equal, and `validate`
 passes.  A stratum draws the paper's strong-anisotropy regime: t3 up to
 1e4 |zeta| on the triangular ribbons, |xi| down to 1e-4 on square-zigzag.
 Another draws the edge-bulk transition: |r| within 1e-12 to 1e-2 relative
-of an end of the band where the bulk phase equation is not monotone."""
+of an end of the band where the bulk phase equation is not monotone.  Last,
+the paper's critical conditions: each `edges` existence verdict and regime
+against the Bloch spectrum on a fine momentum grid."""
 
 import cmath
 import contextlib
@@ -252,3 +254,99 @@ def test_transition_band_energies_match_the_oracle(command):
         energies = np.array([float(r[2]) for r in group])
         assert np.all(np.abs(energies - expected)
                       <= 1e-9 * np.maximum(1.0, np.abs(expected)))
+
+
+# the paper's critical conditions: `edges` predicts from the hoppings alone
+# on which side of the bulk band edge states exist (triangular zigzag
+# ribbons) and whether they exist at no, some or every momentum
+# (square-zigzag); the Bloch spectrum on a fine grid of the half zone
+# (H(-k) = H(k)*) decides the same.  Draws whose threshold lies within 2%
+# of its bound are skipped: there the edge state hugs the band edge over
+# a sliver of momenta that a finite grid cannot resolve.
+
+def _edges(argv):
+    code, out = _run(argv)
+    assert code == 0, argv
+    return json.loads(out)
+
+
+def _stacked_eigvalsh(bloch, ks, chunk=128):
+    """eigvalsh of the Bloch matrix at each momentum of ks, one row each,
+    a chunk of stacked matrices at a time."""
+    return np.concatenate([np.linalg.eigvalsh(bloch(ks[i:i + chunk]).entries)
+                           for i in range(0, len(ks), chunk)])
+
+
+def _draws(rng, count):
+    """count derandomized (first, second, third) hoppings: the first two
+    in [0.1, 2], the third log-uniform in [0.01, 100]."""
+    for first, second, power in zip(rng.uniform(0.1, 2.0, count),
+                                    rng.uniform(0.1, 2.0, count),
+                                    rng.uniform(-2.0, 2.0, count)):
+        yield float(first), float(second), float(10.0 ** power)
+
+
+@pytest.mark.parametrize("model", ["triangle-zigzag1", "triangle-zigzag2"])
+def test_edge_existence_matches_the_bloch_spectrum(model):
+    # a side's edge states lie beyond [tau - 2|zeta|, tau + 2|zeta|]: above
+    # it on the plus side, below it on the minus side; as many at some
+    # momentum as the families `edges` says exist on that side
+    rng = np.random.default_rng(7)
+    ks = np.linspace(0.0, math.pi, 513)
+    seen = set()
+    for N in (3, 4, 6, 12, 40):
+        for t1, t2, t3 in _draws(rng, 6):
+            report = _edges(["edges", "--model", model, "--N", str(N),
+                             "--t1", repr(t1), "--t2", repr(t2),
+                             "--t3", repr(t3)])["existence"]
+            families = [report] if "plus" in report else list(
+                report.values())
+            if any(abs(fam[side]["threshold"] / fam[side]["bound"] - 1.0)
+                   < 0.02 for fam in families for side in ("plus", "minus")):
+                continue
+            h = TriangleHoppings(t1, t2, t3)
+            energies = _stacked_eigvalsh(
+                lambda k: build_triangle_bloch(h, N, k, edge=_EDGE[model]),
+                ks)
+            tau = 2.0 * t3 * np.cos(ks)[:, None]
+            reach = 2.0 * np.abs(t1 + t2 * np.exp(-1j * ks))[:, None]
+            tol = 1e-11 * np.maximum(1.0, np.abs(energies).max())
+            beyond = {"plus": energies > tau + reach + tol,
+                      "minus": energies < tau - reach - tol}
+            for side, outside in beyond.items():
+                count = sum(fam[side]["exists"] for fam in families)
+                assert outside.sum(axis=1).max() == count, (
+                    model, N, t1, t2, t3, side)
+                seen.add((side, count))
+    # edge states present and absent on both sides
+    assert {(side, count) for side in ("plus", "minus")
+            for count in (0, 1)} <= seen
+
+
+def test_edge_regime_matches_the_bloch_spectrum():
+    # square-zigzag edge states lie below the bulk band of the reduced
+    # energy, |E/tr| < |1 - |xi||: at no momentum (never-emerge), at every
+    # momentum (always-edge), or at some (edge-bulk-transition)
+    rng = np.random.default_rng(8)
+    ks = np.linspace(0.0, math.pi / 2, 129)
+    seen = set()
+    for N in (3, 4, 6, 12, 40):
+        for tu, td, tr in _draws(rng, 5):
+            report = _edges(["edges", "--model", "square-zigzag", "--N",
+                             str(N), "--tu", repr(tu), "--td", repr(td),
+                             "--tr", repr(tr)])
+            critical = report["critical"]["xi"]
+            if any(abs(xi / critical - 1.0) < 0.02
+                   for xi in report["xi_range"]):
+                continue
+            h = SquareHoppings(tu=tu, td=td, tr=tr, tl=0.0)
+            omega = np.abs(_stacked_eigvalsh(
+                lambda k: build_square_bloch(h, N, k), ks)) / tr
+            gap = np.abs(1.0 - np.abs(tu + td * np.exp(2j * ks)) / tr)
+            edge = (omega < gap[:, None] - 1e-9).any(axis=1)
+            expected = ("always-edge" if edge.all() else
+                        "edge-bulk-transition" if edge.any() else
+                        "never-emerge")
+            assert report["verdict"] == expected, (N, tu, td, tr)
+            seen.add(expected)
+    assert len(seen) == 3
