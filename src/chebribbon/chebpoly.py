@@ -314,9 +314,8 @@ def zigzag_ends(ends, N):
     m = n - (N + 1) / 2.0
     half = (N - 1) / 2.0
 
-    def even(u):
-        with np.errstate(under="ignore"):
-            return np.exp(logcosh(m * u) - logcosh((N - 1) * u / 2.0))
+    def even(u):  # cosh(mu)/cosh((N-1)u/2)
+        return _cosh_quotient(np.abs(m), half, u)
 
     def odd(u):  # -sign(m) sinh(|m|u)/sinh((N-1)u/2)
         with np.errstate(under="ignore"):

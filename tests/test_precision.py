@@ -7,8 +7,9 @@ and u that the program holds, so they measure the arithmetic of the IPRs
 and nothing else.  Widths N = 5, 200 and 1000; angles near 0, pi and pi/2,
 where the Dirichlet kernels of the closed form have their poles; the band
 edges phi in {0, pi} and the edge-bulk transition; deep and shallow edge
-states.  Last, the edge energies of the strong-anisotropy regime, against
-the eigenvalues of the Bloch matrix at 60 and 450 digits.
+states.  The family A envelope of the two-sided ribbon against its
+40-digit cosh quotient.  Last, the edge energies of the strong-anisotropy
+regime, against the eigenvalues of the Bloch matrix at 60 and 450 digits.
 """
 
 import functools
@@ -244,6 +245,30 @@ def test_sinh_branch_ratios_keep_full_precision(N):
                                     (fam.ratio(u), 1 / half)):
                 err = abs((mpmath.mpf(float(found)) - expected) / expected)
                 assert err <= 4 * eps, (fam.name, u, float(err) / eps)
+
+
+@pytest.mark.parametrize("N", (3, 40, 200, 1000))
+def test_family_a_envelope_keeps_full_precision(N):
+    # the two-sided even envelope cosh(m u)/cosh((N - 1)u/2), m = n - (N +
+    # 1)/2, within (|x|/2 + 2) eps relative of the 40-digit quotient, x =
+    # (|m| - (N - 1)/2) u: what is left is the rounding of x itself.  A
+    # log-domain difference is off by 22.9 eps at N = 40, u = 2 and 1,520
+    # eps at N = 1000, u = 4.58.  Values below the float range are skipped
+    eps = np.finfo(float).eps
+    m = np.arange(1, N + 1) - (N + 1) / 2.0
+    envelope = zigzag_ends(2, N)[1][0].envelope
+    for u in (1e-3, 0.37, 2.0, 4.58, 9.4, 10.0):
+        found = envelope(u)
+        bound = (np.abs((np.abs(m) - (N - 1) / 2.0) * u) / 2.0 + 2.0) * eps
+        with mpmath.workdps(40):
+            x = mpmath.mpf(u)
+            for n, (mn, value) in enumerate(zip(m.tolist(), found.tolist())):
+                expected = (mpmath.cosh(mn * x)
+                            / mpmath.cosh(mpmath.mpf(N - 1) / 2 * x))
+                if expected < np.finfo(float).tiny:
+                    continue
+                err = abs((mpmath.mpf(value) - expected) / expected)
+                assert err <= bound[n], (u, n + 1, float(err) / eps)
 
 
 @pytest.mark.parametrize("model, edge", [
