@@ -155,36 +155,32 @@ def classify_analytic_triangle(E, tau, zeta_abs, sides=StateLabel.EDGE_BOTH):
 
 # A side's slope is first taken from the closed-form least-squares line,
 # for all states at once; only a side whose fast slope lies below
-# -_SLOPE_MIN + _REFIT_MARGIN is refit as np.polyfit fits it, and the exact
-# refit alone decides the label and the decay estimate.  The two slopes are
-# roundings of the same line and differ by ulps of the log-amplitudes (about
-# 1e-14 for normalized states), so a side the fast slope rules out can never
-# pass the exact test.  With this margin about 0.3% of oracle sides are
-# refit.
+# -_SLOPE_MIN + _REFIT_MARGIN is refit, by the np.linalg.lstsq call
+# np.polyfit makes (its scaled Vandermonde matrix, its rcond; one side per
+# call, as a 2-D right-hand side changes the last bits of some slopes), and
+# that refit alone decides the label and the decay estimate.  The two
+# slopes differ by ulps of the log-amplitudes (about 1e-14 for normalized
+# states), so a side the fast slope rules out can never pass the exact
+# test.  With this margin about 0.3% of oracle sides are refit.
 _REFIT_MARGIN = 1e-6
 
 
-def _refit(windows):
-    """np.polyfit(arange(w), y, 1) of each row y of the C-contiguous
-    `windows`, as (slope, R^2) columns: one np.linalg.lstsq call per row
-    on polyfit's own column-scaled Vandermonde matrix with its rcond, the
-    call polyfit makes, so every slope keeps polyfit's bits (a 2-D
-    right-hand side changes the last bits of some); R^2 of all rows at
-    once, over C-contiguous rows, which numpy sums as it sums one row."""
+def _edge_slopes(windows):
+    """The polyfit slope of each row of `windows` that decays inward
+    (slope < -1e-2) with R^2 > 0.99, NaN on the others; R^2 of all rows at
+    once, over C-contiguous rows, summed as one row is."""
     x = np.arange(windows.shape[1], dtype=float)
     lhs = np.vander(x, 2)
     scale = np.sqrt((lhs * lhs).sum(axis=0))
     lhs /= scale
-    rcond = len(x) * np.finfo(float).eps
+    rcond = len(x) * np.finfo(float).eps  # polyfit's
     coef = np.array([np.linalg.lstsq(lhs, y, rcond)[0] for y in windows])
     slope, intercept = (coef.reshape(-1, 2) / scale).T
     resid = windows - (slope[:, None] * x + intercept[:, None])
     ss_tot = ((windows - windows.mean(axis=1)[:, None]) ** 2).sum(axis=1)
     ss_res = (resid * resid).sum(axis=1)
-    r2 = np.ones(len(windows))
-    spread = ss_tot != 0.0
-    r2[spread] = 1.0 - ss_res[spread] / ss_tot[spread]
-    return slope, r2
+    r2 = 1.0 - ss_res / np.where(ss_tot == 0.0, np.inf, ss_tot)  # 1 if flat
+    return np.where((slope < -_SLOPE_MIN) & (r2 > _R2_MIN), slope, np.nan)
 
 
 def classify_numeric(psi, threshold_ipr=None, fit_window=None):
@@ -226,20 +222,15 @@ def classify_numeric(psi, threshold_ipr=None, fit_window=None):
     # NaN is refit, as is a fast slope below the margin
     refit = (np.tile(participation > threshold_ipr, 2)
              & ~(windows @ x >= -_SLOPE_MIN + _REFIT_MARGIN))
-    slope = np.full(len(windows), np.nan)
-    edge = np.zeros(len(windows), dtype=bool)
-    slope[refit], r2 = _refit(windows[refit])
-    edge[refit] = (slope[refit] < -_SLOPE_MIN) & (r2 > _R2_MIN)
-    m = len(participation)
-    left, right = edge[:m], edge[m:]
-    decay_l, decay_r = np.abs(slope[:m]), np.abs(slope[m:])
-    label = np.full(m, StateLabel.BULK.value, dtype=_LABEL_DTYPE)
-    label[left] = StateLabel.EDGE_LEFT.value
-    label[right] = StateLabel.EDGE_RIGHT.value
-    both = left & right
-    label[both] = StateLabel.EDGE_BOTH.value
-    u = np.where(left, decay_l, np.where(right, decay_r, np.nan))
-    u[both] = (decay_l[both] + decay_r[both]) / 2
+    decay = np.full(len(windows), np.nan)
+    decay[refit] = -_edge_slopes(windows[refit])
+    decay_l, decay_r = np.split(decay, 2)
+    left, right = ~np.isnan(decay_l), ~np.isnan(decay_r)
+    label = np.array([side.value for side in (
+        StateLabel.BULK, StateLabel.EDGE_LEFT, StateLabel.EDGE_RIGHT,
+        StateLabel.EDGE_BOTH)])[left + 2 * right]
+    u = np.where(left & right, (decay_l + decay_r) / 2,
+                 np.where(left, decay_l, decay_r))
     if single:
         return StateClass(label=StateLabel(label[0]),
                           ipr=float(participation[0]),

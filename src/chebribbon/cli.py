@@ -201,9 +201,8 @@ def _oracle_rows(config, ks):
         except ValueError:  # too few sites for the boundary fits
             labels = np.full(vectors.shape[1], "")
             decay, parts = np.full(vectors.shape[1], np.nan), ipr(vectors)
-        edge = ~np.isnan(decay)
         label += labels.tolist()
-        u += _edge_column(decay[edge].tolist(), edge)
+        u += [None if math.isnan(v) else v for v in decay.tolist()]
         part += parts.tolist()
     return energy, label, u, part
 
@@ -591,43 +590,32 @@ def _within_window(spec):
     return spec
 
 
-def _energy_deviations(name, k, energies, spec, tol, violations):
-    """The deviations of one momentum's closed-form energies from the
-    oracle `spec`; each off by more than `tol` (relative above 1) is
-    appended to `violations`."""
-    d = np.abs(energies - spec.energies)
-    scale = np.abs(energies)
-    for i in np.flatnonzero(d > tol * np.where(scale > 1.0, scale, 1.0)):
-        violations.append((name, float(k), int(i) + 1, "energy", d[i]))
-    return d.tolist()
-
-
-def _label_agreement(analytic, near, vectors):
-    """How many `analytic` label values agree with the numeric classes of
-    the oracle states `vectors` (one per column), classified in one call.
-    A label agrees when it is equal, when both are edges, when it is a
-    transition, or `near` a band edge, where the numeric boundary fit is
-    unreliable.  None when the states are too short for the numeric
-    classifier (fewer than 4 sites): there is no numeric label to compare
-    with."""
+def _label_agreement(scan, rows, spectra):
+    """How many label values of the scan's `rows` agree with the numeric
+    classes of the oracle `spectra`'s states, classified in one call: all
+    when `near` is None (every state is bulk), else those equal, both
+    edges, transitions or `near` a band edge, where the boundary fit is
+    unreliable.  None below 4 sites, too short for the boundary fits."""
+    if scan.near is None:
+        return len(rows)
     try:
-        numeric = classify_numeric(vectors)[0]
+        numeric = classify_numeric(
+            np.concatenate([s.vectors for s in spectra], axis=1))[0]
     except ValueError:  # too few sites for the boundary fits
         return None
+    analytic = scan.label[rows]
     edge = np.isin(analytic, _EDGE_LABELS) & np.isin(numeric, _EDGE_LABELS)
-    return int(np.count_nonzero(
-        (analytic == numeric) | edge
-        | (analytic == StateLabel.TRANSITION.value) | near))
+    return int(np.count_nonzero((analytic == numeric) | edge | scan.near[rows]
+                                | (analytic == StateLabel.TRANSITION.value)))
 
 
 def _validate_scan(config, violations):
-    """Check config's closed-form scan against the oracle, chunk of momenta
-    by chunk: energies, overlaps, labels and, on the triangular zigzag
-    ribbons, the worst scaled secular residual at the roots' own angles
-    and decays.  With `near` None every state is bulk and every label
-    agrees."""
+    """Check config's closed-form scan against the oracle, a chunk of
+    momenta at a time: energies, overlaps, labels and, on the triangular
+    zigzag ribbons, the worst scaled secular residual at the roots' own
+    angles and decays."""
     scan = _SCANS[config.kind](config)
-    dim = config.model.dim
+    name, tol = config.kind.value, config.tolerance
     dev = deficit = 0.0
     agree = total = 0
     # every momentum is solved, a mirrored one too: its own oracle spectrum
@@ -635,35 +623,30 @@ def _validate_scan(config, violations):
     grid = iter(scan.grid)
     for spectra in _oracle_chunks(
             config, np.array([k for k, _, _ in scan.grid])):
-        chunk = []
-        for spec, (k, rows, mirrored) in zip(spectra, grid):
-            if not isinstance(rows, slice):
-                raise rows  # the solved momentum's, which comes first
+        rows = []
+        for spec, (k, at, mirrored) in zip(spectra, grid):
+            if not isinstance(at, slice):
+                raise at  # the solved momentum's, which comes first
             spec = _within_window(spec)
-            energies = scan.energy[rows]
-            # a mirrored momentum's states are the conjugates of its
-            # partner's
-            states = scan.states(rows.start // dim)
+            energies = scan.energy[at]
+            # a mirrored momentum's states are the conjugates of its partner's
+            states = scan.states(at.start // config.model.dim)
             if mirrored:
                 states = states.conj()
-            # subspace projection: degenerate pairs (e.g. the +-0 partners
-            # of a deep edge state) leave single oracle vectors arbitrary
+            # subspace projection: degenerate pairs (e.g. the +-0 partners of a
+            # deep edge state) leave single oracle vectors arbitrary
             overlap = subspace_overlap(spec, energies, states)
-            dev = max([dev] + _energy_deviations(
-                config.kind.value, k, energies, spec, config.tolerance,
-                violations))
             deficit = max([deficit] + (1.0 - overlap).tolist())
-            chunk.append(rows)
-        if scan.near is None:
-            agreed = len(chunk) * dim
-        else:
-            agreed = _label_agreement(
-                np.concatenate([scan.label[r] for r in chunk]),
-                np.concatenate([scan.near[r] for r in chunk]),
-                np.concatenate([s.vectors for s in spectra], axis=1))
+            d = np.abs(energies - spec.energies)
+            for i in np.flatnonzero(d > tol * np.maximum(np.abs(energies), 1)):
+                violations.append((name, float(k), int(i) + 1, "energy", d[i]))
+            dev = max([dev] + d.tolist())
+            rows.append(at)
+        rows = np.r_[tuple(rows)]
+        agreed = _label_agreement(scan, rows, spectra)
         if agreed is not None:
             agree += agreed
-            total += len(chunk) * dim
+            total += len(rows)
         # freed before the next chunk's dense solve, not after it
         del spectra, spec, states
     out = {"max_energy_dev": dev, "max_overlap_deficit": deficit,

@@ -263,18 +263,11 @@ OVERLAP_WINDOW = 1e-7
 
 def subspace_overlap(spectrum, energy, vector):
     """Norm of the projection of `vector` onto the eigenspace spanned by all
-    eigenvalues within OVERLAP_WINDOW of `energy` (0.0 where there is none):
-    a degeneracy-safe overlap.
-
-    A (dim, m) matrix of vectors with an array of their m energies gives
-    one overlap per column; one vector is the one-column case.  The
-    eigenvalues ascend, as eigensolve_dense gives them, so each window is a
-    contiguous run of them, and |<v_j, s>|^2 is summed over it for all
-    columns at once: O(dim^2 w) for a widest window of w eigenvalues,
-    without the product of the whole eigenbasis with the vectors."""
+    eigenvalues within OVERLAP_WINDOW of `energy` (0.0 if none): a
+    degeneracy-safe overlap.  A (dim, m) matrix of vectors with their m
+    energies gives one per column.  The eigenvalues ascend, so |<v_j, s>|^2
+    is summed over a contiguous run: O(dim^2 w) for a widest window w."""
     vectors = np.asarray(vector, dtype=complex)
-    single = vectors.ndim == 1
-    # one conjugated vector per C-contiguous row
     states = np.conjugate(vectors.reshape(len(vectors), -1).T, order="C")
     norm = np.sqrt((states.real ** 2 + states.imag ** 2).sum(axis=1))
     if np.any(norm == 0.0):
@@ -282,11 +275,10 @@ def subspace_overlap(spectrum, energy, vector):
     sel = (np.abs(spectrum.energies - np.reshape(energy, (-1, 1)))
            <= OVERLAP_WINDOW)
     first, count = sel.argmax(axis=1), sel.sum(axis=1)
-    last = len(spectrum.energies) - 1
     total = np.zeros(len(states))
     for j in range(count.max(initial=0)):
-        dots = (spectrum.vectors.T[np.minimum(first + j, last)]
+        dots = (spectrum.vectors.T.take(first + j, axis=0, mode="clip")
                 * states).sum(axis=1)
         total += np.where(j < count, dots.real ** 2 + dots.imag ** 2, 0.0)
     out = np.where(count > 0, np.sqrt(total) / norm, 0.0)
-    return float(out[0]) if single else out
+    return float(out[0]) if vectors.ndim == 1 else out
