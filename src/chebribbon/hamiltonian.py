@@ -267,18 +267,19 @@ def subspace_overlap(spectrum, energy, vector):
     degeneracy-safe overlap.  A (dim, m) matrix of vectors with their m
     energies gives one per column.  The eigenvalues ascend, so |<v_j, s>|^2
     is summed over a contiguous run: O(dim^2 w) for a widest window w."""
+    sel = (np.abs(spectrum.energies - np.reshape(energy, (-1, 1)))
+           <= OVERLAP_WINDOW)
+    first, count = sel.argmax(axis=1), sel.sum(axis=1)
     vectors = np.asarray(vector, dtype=complex)
     states = np.conjugate(vectors.reshape(len(vectors), -1).T, order="C")
     norm = np.sqrt((states.real ** 2 + states.imag ** 2).sum(axis=1))
     if np.any(norm == 0.0):
         raise ValueError("overlap of a zero vector is undefined")
-    sel = (np.abs(spectrum.energies - np.reshape(energy, (-1, 1)))
-           <= OVERLAP_WINDOW)
-    first, count = sel.argmax(axis=1), sel.sum(axis=1)
-    total = np.zeros(len(states))
-    for j in range(count.max(initial=0)):
-        dots = (spectrum.vectors.T.take(first + j, axis=0, mode="clip")
-                * states).sum(axis=1)
+    total, last = np.zeros(len(states)), len(spectrum.energies) - 1
+    for j in range(count.max(initial=0)):  # two dim^2 arrays at most
+        dots = spectrum.vectors.T[np.minimum(first + j, last)]
+        dots *= states
+        dots = dots.sum(axis=1)
         total += np.where(j < count, dots.real ** 2 + dots.imag ** 2, 0.0)
     out = np.where(count > 0, np.sqrt(total) / norm, 0.0)
     return float(out[0]) if vectors.ndim == 1 else out
