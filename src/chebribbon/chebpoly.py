@@ -16,6 +16,7 @@ All functions are pure and accept scalars or arrays in the real argument.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from typing import NamedTuple
@@ -142,6 +143,14 @@ def u_trig(n, v):
 # pi - float(pi): subtracted after float(pi), it reduces an angle mod pi to
 # full relative precision
 _PI_LO = 1.2246467991473532e-16
+
+
+def _with_phase(z):
+    """(z, arg z) of a 1-D complex array, arg by cmath.phase (np.angle
+    differs in the last bit); a complex and a float for a 0-d z."""
+    if z.ndim:
+        return z, np.array([cmath.phase(v) for v in z.tolist()])
+    return complex(z), cmath.phase(z)
 
 
 def _folded(phi, r):

@@ -149,12 +149,6 @@ def _zz(ends, name, *args, **kwargs):
     return getattr(tri, f"zz{ends}_{name}")(*args, **kwargs)
 
 
-def _bloch_edge_state(ends, u, N, sign, family, theta):
-    """An edge state in the Bloch-matrix gauge (zz2_edge_state at -theta)."""
-    return _zz(ends, "edge_state", u, N, sign, family=family,
-               theta=theta if ends == 1 else -theta)
-
-
 # ----------------------------------------------------------- band builders --
 #
 # Each closed-form model has one scan function, config -> _Scan, which
@@ -204,6 +198,7 @@ def _oracle_rows(config, ks):
         label += labels.tolist()
         u += [None if math.isnan(v) else v for v in decay.tolist()]
         part += parts.tolist()
+        del spectra, vectors  # freed before the next chunk's dense solve
     return energy, label, u, part
 
 
@@ -282,11 +277,6 @@ def _solve_grid(config, solve):
             for k in grid.tolist()], solution
 
 
-def _solved_momenta(grid):
-    return [k for k, rows, mirrored in grid
-            if isinstance(rows, slice) and not mirrored]
-
-
 def _unsolved(grid):
     """The _Scan of a grid with no closed-form momentum."""
     return _Scan(grid, np.empty(0), np.empty(0, dtype=str), None, [],
@@ -300,18 +290,17 @@ def _general_scan(config):
         config, lambda ks: (None, dict.fromkeys(range(len(ks)))))[0])
 
 
-def _square_zigzag_roots(h, N, ks, a):
-    """sq.zigzag_roots of the momenta ks: ((omega, v, u) as arrays of one
-    row per solved momentum, complex xi of each), failed."""
-    xi = [sq.xi_of_k(h, k, a)[0] for k in ks.tolist()]
-    roots, failed = sq.zigzag_roots(np.abs(xi), N)
-    return (roots, [x for n, x in enumerate(xi) if n not in failed]), failed
-
-
 def _square_zigzag_scan(config):
     h, N, a = config.hoppings, config.model.N, config.model.a
-    grid, ((omegas, v, decay), xi_c) = _solve_grid(
-        config, lambda ks: _square_zigzag_roots(h, N, ks, a))
+
+    def solve(ks):
+        # sq.zigzag_roots of each momentum, with its complex xi
+        xi = sq.xi_of_k(h, ks, a)[0]
+        roots, failed = sq.zigzag_roots(np.abs(xi), N)
+        return (roots, [x for n, x in enumerate(xi.tolist())
+                        if n not in failed]), failed
+
+    grid, ((omegas, v, decay), xi_c) = _solve_grid(config, solve)
     if not xi_c:
         return _unsolved(grid)
     # each momentum's -omegas then omegas, ascending; the omegas ascend, so
@@ -342,25 +331,21 @@ def _square_zigzag_scan(config):
                  part, states)
 
 
-def _lr_bands(h, N, k, a):
-    """(energy, j, sign) of one momentum's 2N states, ascending."""
-    entries = []
-    for j in range(1, N + 1):
-        e_plus, e_minus = sq.lr_isotropic_spectrum(h, N, k, j, a=a)
-        entries.append((e_minus, j, -1))
-        entries.append((e_plus, j, 1))
-    entries.sort(key=lambda t: t[0])
-    return entries
-
-
 def _square_lr_scan(config):
     h, N, a = config.hoppings, config.model.N, config.model.a
-    # the closed form |c(k, j)| holds at every momentum
-    grid, solved = _solve_grid(
-        config, lambda ks: ([_lr_bands(h, N, k, a) for k in ks], {}))
-    ks = _solved_momenta(grid)
-    energy, j, sign = (np.array(column) for column in zip(
-        *(entry for entries in solved for entry in entries)))
+
+    def solve(ks):
+        # |c(k, j)| at every momentum: the entries (-, j = 1), (+, j = 1),
+        # (-, j = 2), ... of each sorted by energy, equal ones in that order
+        plus, minus = sq.lr_isotropic_spectrum(h, N, ks[:, None],
+                                               np.arange(1, N + 1), a=a)
+        energy = np.stack([minus, plus], axis=2).reshape(len(ks), 2 * N)
+        order = np.argsort(energy, axis=1, kind="stable")
+        return (np.take_along_axis(energy, order, 1).ravel(), order.ravel(),
+                ks.tolist()), {}
+
+    grid, (energy, order, ks) = _solve_grid(config, solve)
+    j, sign = order // 2 + 1, 2 * (order % 2) - 1
 
     def states(m):
         rows = slice(m * 2 * N, (m + 1) * 2 * N)
@@ -387,32 +372,25 @@ def _triangle_linear_scan(config):
     h, N, a = config.hoppings, config.model.N, config.model.a
 
     def solve(ks):
-        solved, failed = [], {}
-        for n, k in enumerate(ks):
-            zeta_abs = abs(tri.zeta_of_k(h, k, a)[0])
-            if zeta_abs == 0.0:
-                failed[n] = DegenerateParameterError(f"|zeta| = 0 at k = {k}")
-                continue
-            energies = tri.linear_energies(h, N, k, a=a)
-            order = np.argsort(energies)
-            solved.append((energies[order], order, tri.tau_of_k(h, k, a),
-                           zeta_abs))
-        return solved, failed
+        zeta_abs, tau, _, failed = tri.reduced(h, ks, a)
+        keep = zeta_abs != 0.0
+        zeta_abs, tau = zeta_abs[keep, None], tau[keep, None]
+        # tri.linear_energies, each momentum's ascending
+        energy = tau + 2.0 * zeta_abs * np.cos(np.pi * np.arange(1, N + 1)
+                                               / (N + 1))
+        order = np.argsort(energy, axis=1)
+        return (np.take_along_axis(energy, order, 1).ravel(), order, tau,
+                zeta_abs, ks[keep].tolist()), failed
 
-    grid, solved = _solve_grid(config, solve)
-    if not solved:
-        return _unsolved(grid)
-    ks = _solved_momenta(grid)
-    energy = np.concatenate([s[0] for s in solved])
-    j = np.concatenate([s[1] for s in solved]) + 1
+    grid, (energy, order, tau, zeta_abs, ks) = _solve_grid(config, solve)
 
     def states(m):
-        return tri.linear_states(h, N, ks[m], a=a)[:, solved[m][1]]
+        return tri.linear_states(h, N, ks[m], a=a)[:, order[m]]
 
     return _Scan(grid, energy, *_triangle_labels(
-        config.kind, energy, np.repeat([s[2] for s in solved], N),
-        np.repeat([s[3] for s in solved], N)), [None] * len(energy),
-        u_profile_ipr(np.pi * j / (N + 1), 0.0, N), states)
+        config.kind, energy, np.repeat(tau, N), np.repeat(zeta_abs, N)),
+        [None] * len(energy),
+        u_profile_ipr(np.pi * (order.ravel() + 1) / (N + 1), 0.0, N), states)
 
 
 def _triangle_zigzag_scan(config):
@@ -696,9 +674,10 @@ def _validate_branch_tables(tol, violations):
                                family=fam.name, u_grid=grid):
                     bloch = build_triangle_bloch(h, N, sol.k,
                                                  edge=_TRIANGLE_EDGE[kind])
-                    zeta, theta = tri.zeta_of_k(h, sol.k)
-                    psi = _bloch_edge_state(ends, sol.u, N, sign, fam.name,
-                                            theta)
+                    # in the Bloch-matrix gauge: zz2_edge_state at -theta
+                    theta = sol.theta if ends == 1 else -sol.theta
+                    psi = _zz(ends, "edge_state", sol.u, N, sign,
+                              family=fam.name, theta=theta)
                     worst = max(worst, float(np.linalg.norm(
                         bloch.entries @ psi - sol.energy * psi)
                         / np.linalg.norm(psi)))

@@ -22,8 +22,8 @@ from functools import cached_property
 import numpy as np
 
 from ._roots import invert_monotone_ratio, scan_roots
-from .chebpoly import (_sinh_quotient, u_all, u_pair, u_profile,
-                       zigzag_ends)
+from .chebpoly import (_sinh_quotient, _with_phase, u_all, u_pair,
+                       u_profile, zigzag_ends)
 from .errors import (DegenerateParameterError, NoEdgeStateError,
                      RootCountError, SingularArgumentError)
 
@@ -54,11 +54,15 @@ __all__ = [
 
 
 def xi_of_k(h, k, a=1.0):
-    """Reduced off-diagonal parameter at momentum k: (xi, arg xi)."""
+    """Reduced off-diagonal parameter at momentum k: (xi, arg xi), or
+    arrays of both at an array of momenta."""
     if h.tr <= 0.0:
         raise ValueError("xi is defined only for tr > 0")
-    xi = (h.tu + h.td * cmath.exp(2.0j * k * a)) / h.tr
-    return xi, cmath.phase(xi)
+    xi = np.array(h.tu + h.td * np.exp(2.0j * np.asarray(k, dtype=float) * a))
+    # Python's complex / float divides each part; numpy's multiplies by 1/tr
+    xi.real /= h.tr
+    xi.imag /= h.tr
+    return _with_phase(xi)
 
 
 # ---------------------------------------------------------------- zigzag ---
@@ -327,24 +331,30 @@ def extrema_ellipse_residual(omega, xi_abs, N):
 
 # ------------------------------------------------- left-right isotropic ---
 
-def _require_lr(h):
+def _require_lr(h, N, j):
+    # tl = tr > 0, and every transverse index j in 1..N
     if h.tr <= 0.0 or not math.isclose(h.tl, h.tr, rel_tol=1e-12,
                                        abs_tol=0.0):
         raise ValueError("closed form needs tl = tr > 0")
+    for jj in np.ravel(j).tolist():
+        if not 1 <= jj <= N:
+            raise ValueError(f"band index must be in 1..{N}, got {jj}")
 
 
 def _lr_c(h, N, k, a, j):
-    # complex dispersion amplitude whose modulus is the band energy
-    return (2.0 * h.tr * math.cos(math.pi * j / (N + 1))
-            + h.tu * cmath.exp(-1.0j * k * a) + h.td * cmath.exp(1.0j * k * a))
+    # complex dispersion amplitude whose modulus is the band energy: a
+    # complex, or an array over the broadcast momenta k and indices j
+    c = (2.0 * h.tr * np.cos(np.pi * j / (N + 1))
+         + h.tu * np.exp(-1.0j * k * a) + h.td * np.exp(1.0j * k * a))
+    return c if np.ndim(c) else complex(c)
 
 
 def lr_isotropic_spectrum(h, N, k, j, a=1.0):
-    """Band pair (+E, -E) of the tl = tr ribbon for transverse index j."""
-    _require_lr(h)
-    if not 1 <= j <= N:
-        raise ValueError(f"band index must be in 1..{N}, got {j}")
-    e = abs(_lr_c(h, N, k, a, j))
+    """Band pair (+E, -E) of the tl = tr ribbon for transverse index j;
+    arrays of momenta k and indices j broadcast to arrays of both."""
+    _require_lr(h, N, j)
+    c = _lr_c(h, N, k, a, j)
+    e = np.hypot(c.real, c.imag)  # as abs(); np.abs rounds apart
     return e, -e
 
 
@@ -354,14 +364,11 @@ def lr_isotropic_state(h, N, k, j, a=1.0, sign=1):
 
     Arrays of indices j and signs give one contiguous column per (j, sign)
     pair."""
-    _require_lr(h)
+    _require_lr(h, N, j)
     js = np.atleast_1d(j)
     signs = np.broadcast_to(sign, js.shape)
-    for jj, s in zip(js.tolist(), signs.tolist()):
-        if not 1 <= jj <= N:
-            raise ValueError(f"band index must be in 1..{N}, got {jj}")
-        if s not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
+    if (np.abs(signs) != 1).any():
+        raise ValueError("sign must be +1 or -1")
     n = np.arange(1, N + 1)
     f = np.sin(math.pi * js[:, None] * n / (N + 1))
     gauge = np.exp(-1.0j * n * k * a)
@@ -370,8 +377,8 @@ def lr_isotropic_state(h, N, k, j, a=1.0, sign=1):
     full = np.empty((len(js), 2 * N), dtype=complex)
     # a complex product rounds differently on numpy's broadcast paths, so
     # each state's circ amplitude multiplies a vector, as for one state
-    for row, jj, s in zip(full, js.tolist(), signs.tolist()):
-        c = _lr_c(h, N, k, a, jj)
+    for row, c, s in zip(full, _lr_c(h, N, k, a, js).tolist(),
+                         signs.tolist()):
         if abs(c) == 0.0:
             row[:N] = circ * a_bullet  # degenerate pair convention
         else:

@@ -17,7 +17,6 @@ in closed form instead.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,13 +25,14 @@ from typing import NamedTuple
 import numpy as np
 
 from ._roots import scan_roots
-from .chebpoly import (_folded, _sinh_quotient, by_family, u_all,
-                       u_profile, zigzag_ends)
+from .chebpoly import (_folded, _sinh_quotient, _with_phase, by_family,
+                       u_all, u_profile, zigzag_ends)
 from .errors import DegenerateParameterError, RootCountError
 
 __all__ = [
     "zeta_of_k",
     "tau_of_k",
+    "reduced",
     "linear_energies",
     "linear_states",
     "zz1_secular_residual",
@@ -58,24 +58,38 @@ __all__ = [
 
 
 def zeta_of_k(h, k, a=1.0):
-    """Transverse coupling at momentum k: (zeta, arg zeta)."""
-    zeta = h.t1 + h.t2 * cmath.exp(-1.0j * k * a)
-    return zeta, cmath.phase(zeta)
+    """Transverse coupling at momentum k: (zeta, arg zeta), or arrays of
+    both at an array of momenta."""
+    return _with_phase(np.asarray(
+        h.t1 + h.t2 * np.exp(-1.0j * np.asarray(k, dtype=float) * a)))
 
 
 def tau_of_k(h, k, a=1.0):
-    """On-site Bloch term 2 t3 cos(ka)."""
-    return 2.0 * h.t3 * math.cos(k * a)
+    """On-site Bloch term 2 t3 cos(ka), an array at an array of momenta."""
+    return 2.0 * h.t3 * np.cos(np.asarray(k, dtype=float) * a)
+
+
+def reduced(h, k, a=1.0):
+    """|zeta|, tau and arg zeta at each momentum of the array k, and
+    {index into k: DegenerateParameterError} where |zeta| = 0 (t1 = t2 at
+    the zone boundary, or t1 = t2 = 0), which the dense oracle solves."""
+    zeta, theta = zeta_of_k(h, k, a)
+    zeta_abs = np.hypot(zeta.real, zeta.imag)  # as abs(); np.abs rounds apart
+    failed = {i: DegenerateParameterError(f"|zeta| = 0 at k = {k.tolist()[i]}")
+              for i in np.flatnonzero(zeta_abs == 0.0).tolist()}
+    return zeta_abs, tau_of_k(h, k, a), theta, failed
 
 
 # ---------------------------------------------------------------- linear ---
 
 def linear_energies(h, N, k, a=1.0):
     """Exact spectrum of the linear-edge ribbon: energies[j-1] = tau +
-    2|zeta| cos(pi j/(N+1)), j = 1..N."""
+    2|zeta| cos(pi j/(N+1)), j = 1..N; one row of them per momentum of an
+    array k."""
     zeta = zeta_of_k(h, k, a)[0]
-    j = np.arange(1, N + 1)
-    return tau_of_k(h, k, a) + 2.0 * abs(zeta) * np.cos(np.pi * j / (N + 1))
+    cos = np.cos(np.pi * np.arange(1, N + 1) / (N + 1))
+    return (tau_of_k(h, k, a)[..., None]
+            + 2.0 * np.hypot(zeta.real, zeta.imag)[..., None] * cos)
 
 
 def linear_states(h, N, k, a=1.0):
@@ -91,22 +105,15 @@ def linear_states(h, N, k, a=1.0):
 
 # -------------------------------------------------------------- seculars ---
 
-def _reduced(h, N, k, a):
-    zeta, theta = zeta_of_k(h, k, a)
-    za = abs(zeta)
-    if za == 0.0:
-        # t1 = t2 at the zone boundary, or t1 = t2 = 0: use the dense oracle
-        raise DegenerateParameterError(f"|zeta| = 0 at k = {k}")
-    tau = tau_of_k(h, k, a)
-    return za, tau / za, tau, theta
-
-
 def _secular_terms(E, h, N, k, a, ends):
     """Chebyshev table un = u_all(N, y) at y = (E - tau)/(2|zeta|), one
     column per energy, with the secular sum and the magnitude of its
     cancelling terms per column, tau/|zeta| and arg zeta."""
     coefficients, _ = zigzag_ends(ends, N)
-    za, r, tau, theta = _reduced(h, N, k, a)
+    (za,), (tau,), (theta,), failed = reduced(h, np.array([k], float), a)
+    if failed:
+        raise failed[0]
+    r = tau / za
     un = u_all(N, (np.atleast_1d(np.asarray(E, dtype=float)) - tau)
                / (2.0 * za))
     terms = [c * un[N + 1 - m] for m, c in enumerate(coefficients(r))]
@@ -212,21 +219,17 @@ def _roots(h, N, k, a, ends):
     RootTable of those solved, N rows each in the order of k, with
     {index into k: DegenerateParameterError or RootCountError} of the
     others, from one scan_roots pass over r = tau/|zeta|."""
-    ks = np.atleast_1d(np.asarray(k, dtype=float)).tolist()
+    ks = np.atleast_1d(np.asarray(k, dtype=float))
     families = zigzag_ends(ends, N)[1]
-    failed, reduced = {}, {}
-    for i, q in enumerate(ks):
-        try:
-            reduced[i] = _reduced(h, N, q, a)
-        except DegenerateParameterError as exc:
-            failed[i] = exc
-    solved = list(reduced)
-    za, r, tau, theta = np.array(list(reduced.values())).reshape(-1, 4).T
+    za, tau, theta, failed = reduced(h, ks, a)
+    solved = np.flatnonzero(za != 0.0)
+    za, tau, theta = za[solved], tau[solved], theta[solved]
+    r = tau / za
     m, phi, u, fam, lost = scan_roots(
         r, *((N, 1) if ends == 1 else (N - 1, 2)), families)
     for i in lost.tolist():
-        failed[solved[i]] = RootCountError(
-            f"a root did not converge (k={ks[solved[i]]}, N={N})")
+        failed[int(solved[i])] = RootCountError(
+            f"a root did not converge (k={ks.tolist()[solved[i]]}, N={N})")
     sign = np.where(fam < 0, 0, np.where(r[m] < 0.0, 1, -1))
     energy = tau[m] + 2.0 * za[m] * np.cos(phi)
     for i, family in enumerate(families):
@@ -431,11 +434,11 @@ def _edge_solutions(h, N, sign, ends, family, u_grid, a):
         zeta_abs = math.sqrt(d2 + 2.0 * p * one_plus_c)  # |t1 + t2 e^{-ika}|
         tau = 2.0 * t3 * c
         energy = tau + sign * 2.0 * zeta_abs * math.cosh(u)
-        out.append(TriangleEdgeSolution(
-            u=float(u), sign=sign, family=family, cos_ka=c, k=k,
-            energy=energy, zeta_abs=zeta_abs, tau=tau, N=N, ends=ends,
-            theta=zeta_of_k(h, k, a)[1]))
-    return out
+        out.append(dict(u=float(u), sign=sign, family=family, cos_ka=c, k=k,
+                        energy=energy, zeta_abs=zeta_abs, tau=tau, N=N,
+                        ends=ends))
+    thetas = zeta_of_k(h, np.array([s["k"] for s in out]), a)[1].tolist()
+    return [TriangleEdgeSolution(**s, theta=t) for s, t in zip(out, thetas)]
 
 
 def zz1_edge_solutions(h, N, sign, u_grid=None, a=1.0):

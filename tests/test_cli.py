@@ -3,12 +3,14 @@
 import contextlib
 import importlib.util
 import io
+import itertools
 import json
 import math
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,9 +19,10 @@ import pytest
 from chebribbon import square_ribbon as sq
 from chebribbon import triangle_ribbon as tri
 from chebribbon import cli
+from chebribbon.chebpoly import u_profile_ipr
 from chebribbon.classify import ipr
 from chebribbon.cli import ScanConfig, _emit, run
-from chebribbon.errors import RootCountError
+from chebribbon.errors import DegenerateParameterError, RootCountError
 from chebribbon.hamiltonian import (ModelKind, RibbonModel, SquareHoppings,
                                     TriangleEdge, TriangleHoppings,
                                     build_triangle_bloch)
@@ -584,6 +587,191 @@ def test_bands_blocks_equal_row_by_row_reference(monkeypatch, capsys, case,
         {"columns": HEADER.split(","),
          "rows": [[None if v == "" or v is None else v for v in r]
                   for r in rows]}, indent=2) + "\n"
+
+
+def _per_momentum_lr_scan(config):
+    """Reference: the square-lr scan solved one momentum at a time, each
+    momentum's 2N entries sorted as Python sorts a list of tuples."""
+    h, N, a = config.hoppings, config.model.N, config.model.a
+
+    def lr_bands(k):
+        entries = []
+        for j in range(1, N + 1):
+            e_plus, e_minus = sq.lr_isotropic_spectrum(h, N, k, j, a=a)
+            entries.append((e_minus, j, -1))
+            entries.append((e_plus, j, 1))
+        entries.sort(key=lambda t: t[0])
+        return entries
+
+    grid, solved = cli._solve_grid(
+        config, lambda ks: ([lr_bands(k) for k in ks], {}))
+    ks = [k for k, rows, mirrored in grid
+          if isinstance(rows, slice) and not mirrored]
+    energy, j, sign = (np.array(column) for column in zip(
+        *(entry for entries in solved for entry in entries)))
+
+    def states(m):
+        rows = slice(m * 2 * N, (m + 1) * 2 * N)
+        return sq.lr_isotropic_state(h, N, ks[m], j[rows], a=a,
+                                     sign=sign[rows])
+
+    return cli._Scan(grid, energy, np.full(len(energy), "bulk"), None,
+                     [None] * len(energy),
+                     0.5 * u_profile_ipr(np.pi * j / (N + 1), 0.0, N),
+                     states)
+
+
+def _per_momentum_linear_scan(config):
+    """Reference: the triangle-linear scan solved one momentum at a time."""
+    h, N, a = config.hoppings, config.model.N, config.model.a
+
+    def solve(ks):
+        solved, failed = [], {}
+        for n, k in enumerate(ks):
+            zeta_abs = abs(tri.zeta_of_k(h, k, a)[0])
+            if zeta_abs == 0.0:
+                failed[n] = DegenerateParameterError(f"|zeta| = 0 at k = {k}")
+                continue
+            energies = tri.linear_energies(h, N, k, a=a)
+            order = np.argsort(energies)
+            solved.append((energies[order], order, tri.tau_of_k(h, k, a),
+                           zeta_abs))
+        return solved, failed
+
+    grid, solved = cli._solve_grid(config, solve)
+    if not solved:
+        return cli._unsolved(grid)
+    ks = [k for k, rows, mirrored in grid
+          if isinstance(rows, slice) and not mirrored]
+    energy = np.concatenate([s[0] for s in solved])
+    j = np.concatenate([s[1] for s in solved]) + 1
+
+    def states(m):
+        return tri.linear_states(h, N, ks[m], a=a)[:, solved[m][1]]
+
+    return cli._Scan(grid, energy, *cli._triangle_labels(
+        config.kind, energy, np.repeat([s[2] for s in solved], N),
+        np.repeat([s[3] for s in solved], N)), [None] * len(energy),
+        u_profile_ipr(np.pi * j / (N + 1), 0.0, N), states)
+
+
+_PER_MOMENTUM_SCANS = {ModelKind.SQUARE_LR: _per_momentum_lr_scan,
+                       ModelKind.TRIANGLE_LINEAR: _per_momentum_linear_scan}
+
+
+def _zeta_zero_at(k0):
+    """tri.zeta_of_k with zeta = 0 at the momentum k0, for a scalar
+    momentum or an array of them."""
+    original = tri.zeta_of_k
+
+    def zeta_of_k(h, k, a=1.0):
+        zeta, theta = original(h, k, a)
+        if np.ndim(k):
+            return np.where(np.asarray(k) == k0, 0j, zeta), theta
+        return (0j if k == k0 else zeta), theta
+
+    return zeta_of_k
+
+
+def _array_scan_cases():
+    """(model, flags) of square-lr and triangle-linear bands: derandomized
+    hoppings at a = 0.5, 1 and 3 on even and odd grids, equal legs (|c| =
+    0 at the zone edge on square-lr, |zeta| small near it), and absent
+    legs, where |zeta| = 0 sends every momentum to the oracle."""
+    rng = random.Random(1601)
+    cases = []
+    for a, k_points in itertools.product(("0.5", "1", "3"), ("8", "7")):
+        for N in ("1", "4", "9"):
+            tu, td, tr = (repr(rng.uniform(0.1, 2.0)) for _ in range(3))
+            t1, t2, t3 = (repr(rng.uniform(0.1, 2.0)) for _ in range(3))
+            common = ["--N", N, "--a", a, "--k-points", k_points]
+            cases += [
+                ("square-lr", ["--tu", tu, "--td", td, "--tr", tr, *common]),
+                ("square-lr", ["--tu", tu, "--td", tu, "--tr", tr, *common]),
+                ("triangle-linear", ["--t1", t1, "--t2", t2, "--t3", t3,
+                                     *common]),
+                ("triangle-linear", ["--t1", t1, "--t2", t1, "--t3", t3,
+                                     *common])]
+        cases.append(("triangle-linear", ["--t1", "0", "--t2", "0", "--N",
+                                          "5", "--a", a, "--k-points",
+                                          k_points]))
+    # tr = 1, tu = td = -cos(10 pi/13): c = 0 exactly at j = 10 of N = 12
+    # at k = 0, the middle of an odd grid, whose rows -0.0 and +0.0 tie
+    legs = repr(-math.cos(math.pi * 10 / 13))
+    cases.append(("square-lr", ["--tu", legs, "--td", legs, "--N", "12",
+                                "--k-points", "7"]))
+    return cases
+
+
+def _assert_scan_equals_per_momentum_scan(monkeypatch, capsys, argv):
+    config = cli._resolve_config(cli._build_parser().parse_args(argv))
+    scan = cli._SCANS[config.kind](config)
+    reference = _PER_MOMENTUM_SCANS[config.kind](config)
+
+    def grid(s):
+        return [(k, m, r if isinstance(r, slice) else (type(r), str(r)))
+                for k, r, m in s.grid]
+
+    assert grid(scan) == grid(reference), argv
+    for column in ("energy", "ipr"):
+        assert (getattr(scan, column).tobytes()
+                == getattr(reference, column).tobytes()), (argv, column)
+    if len(reference.energy):
+        assert scan.label.tolist() == reference.label.tolist()
+        assert np.array_equal(np.asarray(scan.near, dtype=object),
+                              np.asarray(reference.near, dtype=object))
+        for m in range(len(reference.energy) // config.model.dim):
+            assert (scan.states(m).tobytes()
+                    == reference.states(m).tobytes()), (argv, m)
+    outputs = []
+    for scans in (cli._SCANS,
+                  {**cli._SCANS, config.kind: _PER_MOMENTUM_SCANS[
+                      config.kind]}):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_SCANS", scans)
+            for fmt in ("csv", "json"):
+                assert run(argv + ["--format", fmt]) == 0
+                outputs.append(capsys.readouterr().out)
+    assert outputs[:2] == outputs[2:], argv
+    return scan
+
+
+def test_array_scans_equal_per_momentum_scans(monkeypatch, capsys):
+    # every energy, label, ipr and state of the one-pass scans, and the
+    # bands output, bit for bit those of the per-momentum solves
+    for model, flags in _array_scan_cases():
+        _assert_scan_equals_per_momentum_scan(
+            monkeypatch, capsys, ["bands", "--model", model, *flags])
+
+
+@pytest.mark.parametrize("a", ["0.5", "1", "3"])
+@pytest.mark.parametrize("k_points", ["8", "7"])
+def test_degenerate_momentum_of_a_linear_scan_takes_oracle_rows(
+        monkeypatch, capsys, a, k_points):
+    # |zeta| = 0 at one momentum: its +-k pair falls to the oracle, the
+    # others stay bit for bit those of the per-momentum solves
+    argv = ["bands", "--model", "triangle-linear", "--N", "6", "--t1",
+            "0.8", "--t2", "0.3", "--a", a, "--k-points", k_points]
+    config = cli._resolve_config(cli._build_parser().parse_args(argv))
+    monkeypatch.setattr(tri, "zeta_of_k", _zeta_zero_at(config.k_grid()[1]))
+    scan = _assert_scan_equals_per_momentum_scan(monkeypatch, capsys, argv)
+    assert sum(not isinstance(r, slice) for _, r, _ in scan.grid) == 2
+
+
+def test_oracle_rows_hold_one_chunk_at_a_time(tmp_path):
+    # at dim 300 a chunk is one momentum, whose spectrum's vectors take
+    # 1.44 MB; holding the previous chunk's spectra and vectors while the
+    # next is solved peaked at 8.9 MB, freeing them first at 6.0 MB
+    argv = ["bands", "--model", "square-general", "--N", "150",
+            "--k-points", "8", "--out", str(tmp_path / "bands.csv")]
+    assert run(argv) == 0  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5e6
 
 
 def test_wavefunction_band_solves_once(monkeypatch, capsys):

@@ -8,8 +8,10 @@ and nothing else.  Widths N = 5, 200 and 1000; angles near 0, pi and pi/2,
 where the Dirichlet kernels of the closed form have their poles; the band
 edges phi in {0, pi} and the edge-bulk transition; deep and shallow edge
 states.  The family A envelope of the two-sided ribbon against its
-40-digit cosh quotient.  Last, the edge energies of the strong-anisotropy
-regime, against the eigenvalues of the Bloch matrix at 60 and 450 digits.
+40-digit cosh quotient.  The square-lr and triangle-linear energies
+against their 40-digit closed forms, rows near |c| = 0 included.  Last,
+the edge energies of the strong-anisotropy regime, against the eigenvalues
+of the Bloch matrix at 60 and 450 digits.
 """
 
 import functools
@@ -124,12 +126,13 @@ def test_edge_envelope_iprs(N):
                           _envelope_ipr(u, N, 2, family), (u, family))
 
 
-def _band_iprs(capsys, argv):
-    """The ipr column of a `bands` command, one row of it per momentum."""
+def _band_iprs(capsys, argv, column=5):
+    """The ipr column (or another) of a `bands` command, one row of it per
+    momentum."""
     assert run(argv) == 0
     lines = capsys.readouterr().out.splitlines()[1:]
     ks = sorted({float(line.split(",")[0]) for line in lines})
-    return {k: np.array([float(line.split(",")[5]) for line in lines
+    return {k: np.array([float(line.split(",")[column]) for line in lines
                          if float(line.split(",")[0]) == k]) for k in ks}
 
 
@@ -148,6 +151,66 @@ def test_linear_iprs_are_exact(capsys, N):
             assert middle.sum() == (N % 2) * (2 if half < 1.0 else 1)
             _assert_close(part, np.where(middle, half * 2.0, half * 1.5)
                           / (N + 1), model)
+
+
+# the worst |E - E_40| of the square-lr and triangle-linear energies over
+# the sum of the magnitudes of their terms, in eps: 1.54 eps over the cases
+# of the test below (triangle-linear, t1 = t2, N = 1000), also when each
+# momentum was solved alone
+_LINEAR_ENERGY_BOUND = 1.6
+
+
+def _linear_levels(model, hop, N, k):
+    """The 40-digit energies of `model`'s rows at momentum k (a = 1),
+    ascending, and the sum of the magnitudes of their terms: +-|c| with c
+    = 2 tr cos(pi j/(N+1)) + tu e^{-ik} + td e^{ik} on square-lr, tau +
+    2|zeta| cos(pi j/(N+1)) with tau = 2 t3 cos k, zeta = t1 + t2 e^{-ik}
+    on triangle-linear."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(k)
+        t = {name: mpmath.mpf(value) for name, value in hop.items()}
+        cosines = [mpmath.cos(mpmath.pi * j / (N + 1))
+                   for j in range(1, N + 1)]
+        if model == "square-lr":
+            c = [abs(2 * t["tr"] * cj + t["tu"] * mpmath.expj(-x)
+                     + t["td"] * mpmath.expj(x)) for cj in cosines]
+            return sorted(c + [-v for v in c]), 2 * t["tr"] + t["tu"] + t["td"]
+        zeta = abs(t["t1"] + t["t2"] * mpmath.expj(-x))
+        return (sorted(2 * t["t3"] * mpmath.cos(x) + 2 * zeta * cj
+                       for cj in cosines),
+                2 * t["t3"] + 2 * (t["t1"] + t["t2"]))
+
+
+@pytest.mark.parametrize("N", WIDTHS)
+def test_linear_band_energies_against_40_digits(capsys, N):
+    # every square-lr and triangle-linear energy within
+    # _LINEAR_ENERGY_BOUND eps of the scale of its terms; with tu = td = 2
+    # tr cos(pi/(N+1)), c vanishes to rounding at j = N and k = +-pi/3, a
+    # row of the three-point grid, where no relative bound holds
+    eps = np.finfo(float).eps
+    zero = 2.0 * 0.7 * math.cos(math.pi / (N + 1))
+    for model, hop in (
+            ("square-lr", {"tu": 0.9, "td": 0.4, "tr": 0.7}),
+            ("square-lr", {"tu": zero, "td": zero, "tr": 0.7}),
+            ("triangle-linear", {"t1": 1.2, "t2": 0.7, "t3": 0.9}),
+            ("triangle-linear", {"t1": 0.8, "t2": 0.8, "t3": 0.3})):
+        flags = [f for name, value in hop.items()
+                 for f in (f"--{name}", repr(value))]
+        if model == "square-lr":
+            flags += ["--tl", repr(hop["tr"])]
+        energies = _band_iprs(capsys, ["bands", "--model", model, "--N",
+                                       str(N), *flags, "--k-points", "3"], 2)
+        nearest = math.inf
+        for k, found in energies.items():
+            expected, scale = _linear_levels(model, hop, N, k)
+            with mpmath.workdps(40):
+                err = max(abs(mpmath.mpf(f) - e)
+                          for f, e in zip(found.tolist(), expected))
+                nearest = min(nearest, min(abs(e) for e in expected))
+                assert err <= _LINEAR_ENERGY_BOUND * eps * scale, (
+                    model, hop, k, float(err / scale) / eps)
+        if hop["tu" if model == "square-lr" else "t1"] == zero:
+            assert nearest < 1e-15
 
 
 @pytest.mark.parametrize("N", WIDTHS)

@@ -1,7 +1,9 @@
-"""Property tests of `bands` and `validate`: any model, hoppings and width
-either exits 2 with one line, or `bands` gives finite rows that match the
-dense oracle, with the closed-form rows of k and -k equal, and `validate`
-passes.  A stratum draws the paper's strong-anisotropy regime: t3 up to
+"""Property tests of `bands` and `validate`: any model, hoppings (inf and
+nan among them) and width either exits 2 with one line, or `bands` gives
+finite rows that match the dense oracle, with the closed-form rows of k
+and -k equal, and `validate` passes.  `edges` and `wavefunction` (edge
+branches, oracle bands and zero modes, good and bad flags) exit 2 with one
+line or 0 with finite output.  A stratum draws the paper's strong-anisotropy regime: t3 up to
 1e4 |zeta| on the triangular ribbons, |xi| down to 1e-4 on square-zigzag.
 Another draws the edge-bulk transition: |r| within 1e-12 to 1e-2 relative
 of an end of the band where the bulk phase equation is not monotone.  Last,
@@ -51,7 +53,9 @@ def _strong(first, second):
 
 @st.composite
 def _commands(draw, command="bands", widths=st.integers(1, 40),
-              k_points=st.integers(1, 16)):
+              k_points=st.integers(1, 16), nonfinite=False):
+    """(argv, model, flags, N, k_points) of a command on any model; with
+    `nonfinite`, one hopping in ten draws is inf or nan."""
     model = draw(st.sampled_from([kind.value for kind in ModelKind]))
     first, second = draw(_pair())
     third = draw(st.one_of(_hopping, _strong(first, second)))
@@ -61,6 +65,9 @@ def _commands(draw, command="bands", widths=st.integers(1, 40),
                  "tl": draw(_hopping) if tl is None else tl}
     else:
         flags = {"t1": first, "t2": second, "t3": third}
+    if nonfinite and draw(st.integers(0, 9)) == 0:
+        flags[draw(st.sampled_from(sorted(flags)))] = draw(
+            st.sampled_from([math.inf, math.nan]))
     N = draw(widths)
     k_points = draw(k_points)
     argv = [command, "--model", model, "--N", str(N), "--k-points",
@@ -137,10 +144,87 @@ def _check_bands(argv, model, flags, N, k_points):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_commands())
+@given(_commands(nonfinite=True))
 def test_bands_exits_2_or_matches_the_oracle(command):
     if _run(command[0])[0] != 2:
+        assert all(map(math.isfinite, command[2].values()))
         _check_bands(*command)
+
+
+_ZIGZAG = ["square-zigzag", "triangle-zigzag1", "triangle-zigzag2"]
+
+
+@st.composite
+def _model_flags(draw, models):
+    """(model, --name=value flags) on one of `models`: positive hoppings,
+    and in one draw of five a zero, inf or nan one."""
+    model = draw(st.sampled_from(models))
+    names = (("tu", "td", "tr", "tl") if model.startswith("square")
+             else ("t1", "t2", "t3"))
+    values = {name: draw(st.floats(0.05, 5.0)) for name in names}
+    if model != "square-general" and "tl" in values:
+        values["tl"] = 0.0 if model == "square-zigzag" else values["tr"]
+    if draw(st.integers(0, 4)) == 0:
+        values[draw(st.sampled_from(names))] = draw(st.sampled_from(
+            [0.0, math.inf, math.nan]))
+    # --name=value, so that no value (-1e-05, say) is read as a flag
+    return model, [f"--{name}={value!r}" for name, value in values.items()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_model_flags(_ZIGZAG * 3 + ["square-lr", "square-general",
+                                   "triangle-linear"]), st.integers(1, 40))
+def test_edges_exits_2_or_gives_finite_output(model_flags, N):
+    model, flags = model_flags
+    code, out = _run(["edges", "--model", model, f"--N={N}", *flags])
+    if code != 2:
+        assert code == 0
+        # no inf or nan in the report
+        json.loads(out, parse_constant=lambda c: pytest.fail(c))
+
+
+# a decay or a momentum: mostly in range, and any float
+_floats = st.one_of(*[st.floats(0.01, 10.0)] * 3, st.floats(-4.0, 4.0),
+                    st.floats(allow_nan=True, allow_infinity=True),
+                    st.sampled_from([0.0, -0.0, 1e-300, 700.0, 1e300]))
+
+
+@st.composite
+def _wavefunction_argv(draw):
+    """A `wavefunction` command: an edge branch (--u, --sign, --family) on
+    a zigzag model, an oracle band (--band, --k) on any model, a zero
+    mode (--j) on square-general, or a bad mix of them."""
+    mode = draw(st.sampled_from(["u"] * 3 + ["band"] * 3 + ["j", "mixed"]))
+    model, flags = draw(_model_flags(
+        _ZIGZAG if mode == "u" else ["square-general"] if mode == "j"
+        else [kind.value for kind in ModelKind]))
+    N = draw(st.integers(1, 12))
+    argv = ["wavefunction", "--model", model, f"--N={N}", *flags]
+    if mode in ("u", "mixed"):
+        argv += [f"--u={draw(_floats)!r}",
+                 f"--sign={draw(st.integers(-3, 3))}"]
+        if draw(st.booleans()):
+            argv.append(f"--family={draw(st.sampled_from(['A', 'B']))}")
+    if mode in ("band", "mixed"):
+        argv.append(f"--band={draw(st.integers(0, 2 * N + 1))}")
+        if draw(st.booleans()):
+            argv.append(f"--k={draw(_floats)!r}")
+    if mode in ("j", "mixed"):
+        argv.append(f"--j={draw(st.integers(-1, 13))}")
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wavefunction_argv())
+def test_wavefunction_exits_2_or_gives_finite_output(argv):
+    code, out = _run(argv)
+    if code != 2:
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "n,sublattice,abs,re,im,source" and lines[1:]
+        for line in lines[1:]:
+            assert all(math.isfinite(float(v))
+                       for v in line.split(",")[2:5]), line
 
 
 # the paper's strong-anisotropy regime, where the closed form once formed

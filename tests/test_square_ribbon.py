@@ -364,6 +364,35 @@ def test_lr_examples_and_node_pattern():
             SquareHoppings(tu=1, td=1, tl=0.5, tr=1), 3, 0.0, 1)
 
 
+def test_xi_and_lr_spectrum_of_arrays_equal_scalar_calls_and_cmath():
+    # xi_of_k and lr_isotropic_spectrum take arrays of momenta (and of
+    # indices); each entry is bit for bit the scalar call, and that the
+    # cmath / math closed form (Python's complex / float and abs)
+    rng = np.random.default_rng(16)
+    N = 6
+    tu, td, tr = rng.uniform(0.1, 2.0, 3).tolist()
+    for h in (SquareHoppings(tu=tu, td=td, tl=tr, tr=tr),
+              SquareHoppings(tu=tu, td=tu, tl=tr, tr=tr)):
+        for a in (0.5, 1.0, 3.0):
+            ks = np.concatenate([rng.uniform(-4.0, 4.0, 30),
+                                 [0.0, math.pi / (2 * a)]])
+            xi, theta = sq.xi_of_k(h, ks, a)
+            plus, minus = sq.lr_isotropic_spectrum(
+                h, N, ks[:, None], np.arange(1, N + 1), a=a)
+            for i, k in enumerate(ks.tolist()):
+                x = (h.tu + h.td * cmath.exp(2.0j * k * a)) / h.tr
+                assert sq.xi_of_k(h, k, a) == (x, cmath.phase(x))
+                assert (xi[i], theta[i]) == (x, cmath.phase(x))
+                for j in range(1, N + 1):
+                    e = abs(2.0 * h.tr * math.cos(math.pi * j / (N + 1))
+                            + h.tu * cmath.exp(-1.0j * k * a)
+                            + h.td * cmath.exp(1.0j * k * a))
+                    assert sq.lr_isotropic_spectrum(h, N, k, j, a) == (e, -e)
+                    assert (plus[i, j - 1], minus[i, j - 1]) == (e, -e)
+    with pytest.raises(ValueError, match="got 7"):
+        sq.lr_isotropic_spectrum(h, N, ks, np.array([[1], [7]]))
+
+
 def test_lr_matches_oracle(rng):
     tu, td, tr = rng.uniform(0.3, 1.4, size=3)
     h = SquareHoppings(tu=tu, td=td, tl=tr, tr=tr)

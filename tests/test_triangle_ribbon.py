@@ -46,6 +46,40 @@ def test_zeta_and_tau_examples():
         tri.zz1_roots(TriangleHoppings(t1=0.0, t2=0.0, t3=0.5), 3, 0.3)
 
 
+def test_reductions_of_an_array_equal_scalar_calls_and_cmath():
+    # zeta_of_k, tau_of_k, reduced and linear_energies take an array of
+    # momenta; each entry is bit for bit the scalar call, and that the
+    # cmath / math closed form (abs and phase of a Python complex)
+    rng = np.random.default_rng(16)
+    N = 7
+    cosines = np.cos(np.pi * np.arange(1, N + 1) / (N + 1))
+    for h in (TriangleHoppings(*rng.uniform(0.1, 2.0, 3).tolist()),
+              TriangleHoppings(t1=0.6, t2=0.6, t3=0.4)):
+        for a in (0.5, 1.0, 3.0):
+            ks = np.concatenate([rng.uniform(-4.0, 4.0, 40),
+                                 [0.0, -math.pi / a]])
+            zeta, theta = tri.zeta_of_k(h, ks, a)
+            tau = tri.tau_of_k(h, ks, a)
+            zeta_abs, tau_r, theta_r, failed = tri.reduced(h, ks, a)
+            energies = tri.linear_energies(h, N, ks, a)
+            assert failed == {} and energies.shape == (len(ks), N)
+            for i, k in enumerate(ks.tolist()):
+                z = h.t1 + h.t2 * cmath.exp(-1.0j * k * a)
+                t = 2.0 * h.t3 * math.cos(k * a)
+                assert tri.zeta_of_k(h, k, a) == (z, cmath.phase(z))
+                assert (zeta[i], theta[i]) == (z, cmath.phase(z))
+                assert tri.tau_of_k(h, k, a) == tau[i] == tau_r[i] == t
+                assert zeta_abs[i] == abs(z) and theta_r[i] == theta[i]
+                expected = t + 2.0 * abs(z) * cosines
+                assert np.array_equal(tri.linear_energies(h, N, k, a),
+                                      expected)
+                assert np.array_equal(energies[i], expected)
+    # absent legs: |zeta| = 0 at every momentum, which `reduced` reports
+    failed = tri.reduced(TriangleHoppings(0.0, 0.0, 1.0), ks)[3]
+    assert sorted(failed) == list(range(len(ks)))
+    assert str(failed[0]) == f"|zeta| = 0 at k = {ks[0]}"
+
+
 # ----------------------------------------------------------- linear edge ---
 
 def test_linear_spectrum_small_cases():

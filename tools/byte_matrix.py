@@ -26,9 +26,12 @@ commands above 1e-9.  Warnings are recorded as
 line they came from, so that moved code compares equal.  ``--list`` prints
 the commands and exits.
 
-The list: both perfbench workloads on seeds 7101 and 7102 with their known
-defects; zigzag ``bands`` at N = 200 and 1000 in CSV and JSON; ``bands`` on
-all six models at N = 1..13 with random, zero and near-equal hoppings;
+The list, 1,202 commands: both perfbench workloads on seeds 7101 and 7102
+with their known defects; zigzag ``bands`` at N = 200 and 1000 in CSV and
+JSON; square-lr and triangle-linear ``bands`` at N = 200 and 1000 in CSV
+and JSON, and with equal legs (tu = td, t1 = t2) at odd widths on odd
+grids; ``bands`` on all six models at N = 1..13 with random, zero and
+near-equal hoppings;
 single-model ``validate`` at N = 4, 7, 13 and 30, also at ``--tol 1e-16``,
 at 1, 3 and 5 k-points on each closed-form model at N = 6 and 13, and at
 N = 200 on the zigzag models; ``edges``; ``zeromodes``; ``wavefunction``
@@ -109,6 +112,27 @@ def _wide():
                     "--tu", "1", "--td", "0.6", "--tr", "1"]
                 cmds.append(["bands", "--model", model, "--N", N, *hop,
                              "--k-points", k, "--format", fmt])
+    return cmds
+
+
+def _linear_bands():
+    """square-lr and triangle-linear `bands` at N = 200 and 1000 in CSV and
+    JSON, and with equal legs (tu = td, t1 = t2) on odd grids and odd
+    widths, where |c| or |zeta| nearly vanishes near the zone edge."""
+    square = ["--model", "square-lr", "--tr", "0.7", "--tl", "0.7"]
+    triangle = ["--model", "triangle-linear", "--t3", "0.9"]
+    cmds = []
+    for N, k in (("200", "8"), ("1000", "2")):
+        for fmt in ("csv", "json"):
+            cmds += [["bands", *square, "--tu", "0.9", "--td", "0.4",
+                      "--N", N, "--k-points", k, "--format", fmt],
+                     ["bands", *triangle, "--t1", "1.2", "--t2", "0.7",
+                      "--N", N, "--k-points", k, "--format", fmt]]
+    for N, k in itertools.product(("5", "13", "201"), ("7", "33", "129")):
+        cmds += [["bands", *square, "--tu", "0.6", "--td", "0.6", "--N", N,
+                  "--k-points", k],
+                 ["bands", *triangle, "--t1", "0.8", "--t2", "0.8", "--N", N,
+                  "--k-points", k]]
     return cmds
 
 
@@ -317,7 +341,8 @@ def _lattice_constants(rng):
 def commands():
     """The fixed command list, the same on every call."""
     rng = random.Random(8128)
-    return (_workloads() + _wide() + _narrow(rng) + _validate(rng)
+    return (_workloads() + _wide() + _linear_bands() + _narrow(rng)
+            + _validate(rng)
             + _edges(rng) + _zeromodes() + _wavefunction(rng) + _defects()
             + _validate_pairs(random.Random(8129)) + _oracle_bands()
             + _lattice_constants(random.Random(8130)))
