@@ -269,16 +269,16 @@ class EdgeFamily(NamedTuple):
     """An edge branch of a zigzag ribbon: |r| = ratio(u) on it, rising from
     `threshold` at u -> 0; half(u) = 1/ratio(u) and bound = 1/threshold;
     envelope(u) is the state's profile.  ratio(u) is cosh((b+1)u)/cosh(bu)
-    (even) or sinh((b+1)u)/sinh(bu) with b = `order`; half(u) is
-    _cosh_quotient's or _sinh_quotient's exponential form, to a few eps at
-    any u, and ratio(u) its reciprocal.  level(u) is 2 cosh(u) - ratio(u)
-    in a form that does not cancel, for a decay or an array of them, so
-    that the edge energy tau + s 2|zeta| cosh(u), s = -sign(r), is
-    s |zeta| level(u) to full relative precision however large |r| is."""
+    (even) or sinh((b+1)u)/sinh(bu) with b = `order`, which
+    _roots.ratio_roots inverts; half(u) is _cosh_quotient's or
+    _sinh_quotient's exponential form, to a few eps at any u.  level(u) is
+    2 cosh(u) - ratio(u) in a form that does not cancel, for a decay or an
+    array of them, so that the edge energy tau + s 2|zeta| cosh(u), s =
+    -sign(r), is s |zeta| level(u) to full relative precision however large
+    |r| is."""
 
     name: str   # "A" (one-sided, or two-sided even) or "B" (odd)
     label: str  # its name in reports
-    ratio: object
     half: object
     threshold: float
     bound: float
@@ -314,9 +314,8 @@ def zigzag_ends(ends, N):
             return _sinh_quotient(N, N + 1, u)
 
         return (lambda r: (1.0, r)), (EdgeFamily(
-            "A", "one_sided", lambda u: 1.0 / half_one_sided(u),
-            half_one_sided, (N + 1) / N, N / (N + 1.0), envelope, level,
-            float(N), False),)
+            "A", "one_sided", half_one_sided, (N + 1) / N, N / (N + 1.0),
+            envelope, level, float(N), False),)
     if N < 2:
         raise ValueError("two-sided zigzag needs N >= 2")
     # the envelopes in their stable symmetric forms (see zz2_edge_profile)
@@ -347,11 +346,10 @@ def zigzag_ends(ends, N):
         return _sinh_quotient(half, half + 1.0, u)
 
     return (lambda r: (1.0, 2.0 * r, r * r)), (
-        EdgeFamily("A", "family_A", lambda u: 1.0 / half_even(u), half_even,
-                   1.0, 1.0, even, level_even, half, True),
-        EdgeFamily("B", "family_B", lambda u: 1.0 / half_odd(u), half_odd,
-                   (N + 1.0) / (N - 1.0), (N - 1.0) / (N + 1.0), odd,
-                   level_odd, half, False))
+        EdgeFamily("A", "family_A", half_even, 1.0, 1.0, even, level_even,
+                   half, True),
+        EdgeFamily("B", "family_B", half_odd, (N + 1.0) / (N - 1.0),
+                   (N - 1.0) / (N + 1.0), odd, level_odd, half, False))
 
 
 def by_family(families, value):

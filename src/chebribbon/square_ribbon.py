@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._roots import invert_monotone_ratio, scan_roots
+from ._roots import ratio_roots, scan_roots
 from .chebpoly import (_sinh_quotient, _with_phase, u_all, u_pair,
                        u_profile, zigzag_ends)
 from .errors import (DegenerateParameterError, NoEdgeStateError,
@@ -103,7 +103,8 @@ def zigzag_edge_u_from_xi(xi_abs, N):
         raise NoEdgeStateError(f"|xi| = {xi_abs} >= N/(N+1) = "
                                f"{family.bound}: no localized branch")
     # equivalent increasing problem: sinh((N+1)u)/sinh(Nu) = 1/|xi|
-    return invert_monotone_ratio(family.ratio, 1.0 / xi_abs)
+    return float(ratio_roots(np.array([1.0 / xi_abs]), family.order,
+                             family.even)[0])
 
 
 def zigzag_roots(xi_abs, N):

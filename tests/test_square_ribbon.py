@@ -195,6 +195,22 @@ def test_edge_u_inversion():
         sq.zigzag_edge_u_from_xi(5.0 / 6.0, N)
     with pytest.raises(NoEdgeStateError):
         sq.zigzag_edge_u_from_xi(0.9, N)
+    # against 40-digit roots of log(sinh((N+1)u)/sinh(Nu)) = -log|xi|, up to
+    # 1e-6 below the bound, where u ~ sqrt(bound - |xi|) is still
+    # conditioned well enough for 1e-9
+    for N in (1, 5, 40, 1000):
+        bound = N / (N + 1.0)
+        for share in (1e-300, 1e-100, 1e-10, 1e-3, 0.1, 0.5, 0.9, 0.999,
+                      1.0 - 1e-6):
+            xi_abs = share * bound
+            with mpmath.workdps(40):
+                level = -mpmath.log(mpmath.mpf(xi_abs))
+                expected = mpmath.findroot(
+                    lambda u: mpmath.log(mpmath.sinh((N + 1) * u)
+                                         / mpmath.sinh(N * u)) - level,
+                    (mpmath.mpf("1e-30"), level), solver="anderson")
+            assert sq.zigzag_edge_u_from_xi(xi_abs, N) == pytest.approx(
+                float(expected), rel=1e-9), (N, share)
 
 
 # ------------------------------------------------------------ full states --
