@@ -688,7 +688,7 @@ def _validate_branch_tables(tol, violations):
         resid = abs(sq.zigzag_secular_residual(pt.omega, pt.xi_abs, N))
         worst = max(worst, resid)
     if worst > 1000.0 * tol:
-        violations.append(("edge-branches", 0.0, 0, "residual", worst))
+        violations.append(("edge-branches", None, None, "residual", worst))
     return {"max_energy_dev": worst, "max_overlap_deficit": 0.0,
             "agreement": 1.0, "verdict_exercised": regime.verdict.value}
 
@@ -744,12 +744,13 @@ def cmd_validate(config, single_model=False):
             raise ConfigError(f"cannot validate {name}: {exc}")
     for name, rep in reports.items():
         if rep["max_overlap_deficit"] > overlap_tol:
-            violations.append((name, 0.0, 0, "overlap",
+            violations.append((name, None, None, "overlap",
                                rep["max_overlap_deficit"]))
         # the boundary-fit detector needs enough sites to resolve a tail;
         # below that width the agreement rate is reported but not gated
         if dims.get(name, 0) >= 13 and rep["agreement"] < 0.99:
-            violations.append((name, 0.0, 0, "agreement", rep["agreement"]))
+            violations.append((name, None, None, "agreement",
+                               rep["agreement"]))
     payload = {
         "tolerance": tol,
         "overlap_tolerance": overlap_tol,
@@ -889,8 +890,15 @@ _CONFIG_KEYS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors in one line, `error: <message>`, with exit code 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chebribbon",
         description="Exact spectra and edge-state phase diagrams of "
                     "anisotropic square and triangular lattice ribbons.")

@@ -1003,6 +1003,18 @@ def test_validate_fails_at_impossible_tolerance(capsys):
     assert set(sample) == {"model", "k", "band", "metric", "value"}
 
 
+def test_whole_scan_violation_has_no_momentum_or_band(capsys):
+    # the agreement rate is a share over the whole scan: no single (k,
+    # band) is at fault, so both are null rather than a point off the grid
+    code = run(["validate", "--model", "triangle-zigzag1", "--N", "40",
+                "--t3", "1000", "--k-points", "8"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1 and payload["status"] == "fail"
+    [violation] = payload["violations"]
+    assert violation["metric"] == "agreement"
+    assert violation["k"] is None and violation["band"] is None
+
+
 @pytest.mark.parametrize("argv", [
     ["validate", "--model", "triangle-linear", "--N", "3"],
     ["validate", "--model", "triangle-zigzag2", "--N", "2"],
@@ -1381,6 +1393,40 @@ def test_output_that_overflows_exits_2_with_one_line(argv):
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("error:")
     assert done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    # a value that starts with "-" but is not a plain number reads as a flag
+    ["bands", "--model", "square-lr", "--tu", "-1e-5"],
+    ["bands", "--model", "square-lr", "--tu"],
+    ["bands", "--N", "x"],
+    ["bands", "--bogus", "1"],
+])
+def test_usage_error_exits_2_with_one_line(argv):
+    done = subprocess.run([sys.executable, "-m", "chebribbon.cli", *argv],
+                          capture_output=True, text=True)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ")
+    assert done.stderr.count("\n") == 1
+
+
+def test_help_still_prints_usage(capsys):
+    assert run(["bands", "--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: chebribbon bands") and err == ""
+
+
+def test_import_does_not_load_scipy():
+    # no command needs scipy, and importing it costs a one-shot command
+    # more than the computation does
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, chebribbon.cli; print(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -26,7 +26,7 @@ commands above 1e-9.  Warnings are recorded as
 line they came from, so that moved code compares equal.  ``--list`` prints
 the commands and exits.
 
-The list, 1,202 commands: both perfbench workloads on seeds 7101 and 7102
+The list, 1,206 commands: both perfbench workloads on seeds 7101 and 7102
 with their known defects; zigzag ``bands`` at N = 200 and 1000 in CSV and
 JSON; square-lr and triangle-linear ``bands`` at N = 200 and 1000 in CSV
 and JSON, and with equal legs (tu = td, t1 = t2) at odd widths on odd
@@ -35,7 +35,8 @@ near-equal hoppings;
 single-model ``validate`` at N = 4, 7, 13 and 30, also at ``--tol 1e-16``,
 at 1, 3 and 5 k-points on each closed-form model at N = 6 and 13, and at
 N = 200 on the zigzag models; ``edges``; ``zeromodes``; ``wavefunction``
-with every ``--sign`` and ``--family``; the reproducers of known defects;
+with every ``--sign`` and ``--family``; the reproducers of known defects,
+argparse usage errors among them;
 ``bands`` whose rows all come from the dense oracle: square-general at
 N = 40 and 200, where half the grid spans several oracle chunks, and on an
 odd grid in CSV and JSON, and triangle-linear with ``--t1 0 --t2 0``;
@@ -304,6 +305,10 @@ def _defects():
           for N, t3 in (("40", "100"), ("12", "300"), ("5", "3000"))),
         ["validate", "--model", "triangle-zigzag1", "--N", "40", "--t3",
          "1000", "--k-points", "8"],
+        ["bands", "--model", "square-lr", "--tu", "-1e-5"],
+        ["bands", "--model", "square-lr", "--tu"],
+        ["bands", "--N", "x"],
+        ["bands", "--bogus", "1"],
     ]
 
 
