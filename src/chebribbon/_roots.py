@@ -163,9 +163,8 @@ def ratio_roots(rho, b, even):
 
 
 def __getattr__(name):
-    # scipy's brentq, imported on first lookup into a module global, for
-    # perfbench's tracer, which finds `_roots.brentq` by name and patches
-    # it there; goes when the benchmark stops tracing it
+    # scipy's brentq, imported on lookup into a global that perfbench's
+    # tracer patches by name; goes when the benchmark stops tracing it
     if name == "brentq":
         global brentq
         from scipy.optimize import brentq

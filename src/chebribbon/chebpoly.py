@@ -268,14 +268,13 @@ def _cosh_quotient(a, b, u):
 class EdgeFamily(NamedTuple):
     """An edge branch of a zigzag ribbon: |r| = ratio(u) on it, rising from
     `threshold` at u -> 0; half(u) = 1/ratio(u) and bound = 1/threshold;
-    envelope(u) is the state's profile.  ratio(u) is cosh((b+1)u)/cosh(bu)
-    (even) or sinh((b+1)u)/sinh(bu) with b = `order`, which
-    _roots.ratio_roots inverts; half(u) is _cosh_quotient's or
-    _sinh_quotient's exponential form, to a few eps at any u.  level(u) is
-    2 cosh(u) - ratio(u) in a form that does not cancel, for a decay or an
-    array of them, so that the edge energy tau + s 2|zeta| cosh(u), s =
-    -sign(r), is s |zeta| level(u) to full relative precision however large
-    |r| is."""
+    envelope(u) is the state's profile.  ratio(u), which _roots.ratio_roots
+    inverts, is cosh((b+1)u)/cosh(bu) (even) or sinh((b+1)u)/sinh(bu) with
+    b = `order`; half(u) is _cosh_quotient's or _sinh_quotient's
+    exponential form, to a few eps at any u.  level(u) is 2 cosh(u) -
+    ratio(u) in a form that does not cancel, for a decay or an array of
+    them, so that the edge energy tau + s 2|zeta| cosh(u), s = -sign(r), is
+    s |zeta| level(u) to full relative precision however large |r| is."""
 
     name: str   # "A" (one-sided, or two-sided even) or "B" (odd)
     label: str  # its name in reports
