@@ -18,25 +18,22 @@ from .hamiltonian import (BlochMatrix, ModelKind, RibbonModel, Spectrum,
                           SquareHoppings, TriangleEdge, TriangleHoppings,
                           build_beta, build_square_bloch,
                           build_triangle_bloch, eigensolve_dense,
-                          state_overlap, subspace_overlap)
+                          subspace_overlap)
 from .square_ribbon import (EdgeBranchPoint, EdgeRegime, RegimeVerdict,
                             ZeroModeState, edge_regime,
                             extrema_ellipse_residual, lr_isotropic_spectrum,
                             lr_isotropic_state, solve_zero_mode_sum,
-                            sublattice_link, xi_of_k, zero_mode_full_state,
+                            xi_of_k, zero_mode_full_state,
                             zero_mode_momenta, zero_mode_state,
-                            zigzag_bulk_components, zigzag_edge_branch,
-                            zigzag_edge_u_from_xi, zigzag_full_state,
+                            zigzag_edge_branch, zigzag_edge_u_from_xi,
                             zigzag_secular_residual, zigzag_spectrum)
 from .triangle_ribbon import (RootTable, TriangleEdgeSolution,
                               default_u_grid, linear_energies, linear_states,
                               tau_of_k, zeta_of_k,
                               zz1_edge_existence, zz1_edge_profile,
                               zz1_edge_solutions, zz1_edge_state, zz1_roots,
-                              zz1_secular_residual, zz1_state,
                               zz2_edge_existence, zz2_edge_profile,
-                              zz2_edge_solutions, zz2_edge_state, zz2_roots,
-                              zz2_secular_residual, zz2_state)
+                              zz2_edge_solutions, zz2_edge_state, zz2_roots)
 
 __version__ = "0.1.0"
 
@@ -52,18 +49,16 @@ __all__ = [
     "ModelKind", "TriangleEdge", "SquareHoppings", "TriangleHoppings",
     "RibbonModel", "BlochMatrix", "Spectrum", "build_beta",
     "build_square_bloch", "build_triangle_bloch", "eigensolve_dense",
-    "state_overlap", "subspace_overlap",
+    "subspace_overlap",
     # square_ribbon
     "xi_of_k", "zigzag_secular_residual", "zigzag_spectrum",
-    "zigzag_edge_u_from_xi", "zigzag_bulk_components",
-    "EdgeBranchPoint", "zigzag_edge_branch", "sublattice_link",
-    "zigzag_full_state", "RegimeVerdict", "EdgeRegime", "edge_regime",
+    "zigzag_edge_u_from_xi", "EdgeBranchPoint", "zigzag_edge_branch",
+    "RegimeVerdict", "EdgeRegime", "edge_regime",
     "extrema_ellipse_residual", "lr_isotropic_spectrum",
     "lr_isotropic_state", "ZeroModeState", "zero_mode_momenta",
     "zero_mode_state", "zero_mode_full_state", "solve_zero_mode_sum",
     # triangle_ribbon
     "zeta_of_k", "tau_of_k", "linear_energies", "linear_states",
-    "zz1_secular_residual", "zz2_secular_residual", "zz1_state", "zz2_state",
     "RootTable", "zz1_roots", "zz2_roots", "TriangleEdgeSolution",
     "zz1_edge_solutions", "zz2_edge_solutions", "zz1_edge_profile",
     "zz2_edge_profile", "zz1_edge_state", "zz2_edge_state",

@@ -247,17 +247,6 @@ def eigensolve_dense(H):
     return spectra[0] if single else spectra
 
 
-def state_overlap(v1, v2):
-    """|<v1|v2>| with both vectors normalized."""
-    v1 = np.asarray(v1, dtype=complex).ravel()
-    v2 = np.asarray(v2, dtype=complex).ravel()
-    n1 = np.linalg.norm(v1)
-    n2 = np.linalg.norm(v2)
-    if n1 == 0.0 or n2 == 0.0:
-        raise ValueError("overlap of a zero vector is undefined")
-    return float(abs(np.vdot(v1, v2)) / (n1 * n2))
-
-
 OVERLAP_WINDOW = 1e-7
 
 

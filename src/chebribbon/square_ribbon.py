@@ -22,22 +22,19 @@ from functools import cached_property
 import numpy as np
 
 from ._roots import ratio_roots, scan_roots
-from .chebpoly import (_sinh_quotient, _with_phase, u_all, u_pair,
-                       u_profile, zigzag_ends)
+from .chebpoly import (_sinh_quotient, _with_phase, u_pair, u_profile,
+                       zigzag_ends)
 from .errors import (DegenerateParameterError, NoEdgeStateError,
-                     RootCountError, SingularArgumentError)
+                     RootCountError)
 
 __all__ = [
     "xi_of_k",
     "zigzag_secular_residual",
     "zigzag_roots",
     "zigzag_spectrum",
-    "zigzag_bulk_components",
     "zigzag_edge_branch",
     "zigzag_edge_u_from_xi",
-    "zigzag_full_state",
     "zigzag_root_states",
-    "sublattice_link",
     "EdgeBranchPoint",
     "EdgeRegime",
     "RegimeVerdict",
@@ -103,7 +100,12 @@ def zigzag_edge_u_from_xi(xi_abs, N):
         raise NoEdgeStateError(f"|xi| = {xi_abs} >= N/(N+1) = "
                                f"{family.bound}: no localized branch")
     # equivalent increasing problem: sinh((N+1)u)/sinh(Nu) = 1/|xi|
-    return float(ratio_roots(np.array([1.0 / xi_abs]), family.order,
+    level = 1.0 / xi_abs
+    if math.isinf(level):
+        # |xi| < 1/DBL_MAX: u > 709, where log ratio(u) = u + O(e^{-2Nu})
+        # equals -log|xi| to rounding
+        return -math.log(xi_abs)
+    return float(ratio_roots(np.array([level]), family.order,
                              family.even)[0])
 
 
@@ -145,24 +147,6 @@ def zigzag_spectrum(xi_abs, N):
     implied by chiral symmetry), ascending: zigzag_roots without the
     angles."""
     return zigzag_roots(xi_abs, N)[0]
-
-
-def zigzag_bulk_components(v, xi_abs, N):
-    """Signed transverse components of a bulk state at angle v.
-
-    Returns (c_circ, c_bullet): c_circ[n-1] = U_{n-1}(x) + U_{n-2}(x)/|xi|
-    anchored at chain 1, and the mirrored c_bullet anchored at chain N,
-    with x = cos v.
-    """
-    if not 0.0 < v < math.pi:
-        raise SingularArgumentError("bulk angle must lie strictly in (0, pi)")
-    if xi_abs <= 0.0:
-        raise DegenerateParameterError("|xi| = 0 has no reduced bulk form")
-    un = u_all(N, math.cos(v))  # un[m+1] = U_m
-    n = np.arange(1, N + 1)
-    c_circ = un[1:N + 1] + un[0:N] / xi_abs
-    c_bullet = un[N + 1 - n] + un[N - n] / xi_abs
-    return c_circ, c_bullet
 
 
 @dataclass(frozen=True)
@@ -222,20 +206,6 @@ def zigzag_edge_branch(u, N):
                            omega=float(_edge_omega(u, N)), N=N)
 
 
-def sublattice_link(omega, u_n_value, theta_total=0.0):
-    """Complex amplitude ratio psi_circ(1) : psi_bullet(N) of an eigenstate,
-    -e^{i theta_total} / (omega * U_N); theta_total = N arg(xi).
-
-    A vanishing product (decoupled flat-band limit) falls back to the
-    symmetric unit-modulus convention -e^{i theta_total}.
-    """
-    phase = cmath.exp(1.0j * theta_total)
-    denom = omega * u_n_value
-    if denom == 0.0:
-        return -phase
-    return -phase / denom
-
-
 def zigzag_root_states(xi, omega, v, u, N):
     """Full normalized 2N eigenvectors (circ block then bullet block) for
     complex xi, matching the Bloch matrix gauge, one contiguous column per
@@ -262,29 +232,6 @@ def zigzag_root_states(xi, omega, v, u, N):
     full[:, N:] = np.exp(-1.0j * n * theta) * (t[:, None] * c_circ[:, ::-1])
     full /= np.linalg.norm(full, axis=1, keepdims=True)
     return full.T
-
-
-def zigzag_full_state(xi, omega, N):
-    """Full normalized 2N eigenvector (circ block then bullet block) at
-    reduced energy omega for complex xi, matching the Bloch matrix gauge
-    (zigzag_root_states at the angle or decay read back from omega).
-
-    An array of energies gives one contiguous column per energy."""
-    xi_abs = abs(xi)
-    if xi_abs <= 0.0:
-        raise DegenerateParameterError("|xi| = 0 has no reduced closed form")
-    omegas = np.atleast_1d(np.asarray(omega, dtype=float))
-    x = (omegas * omegas - xi_abs * xi_abs - 1.0) / (2.0 * xi_abs)
-    if np.any(x > 1.0 + 1e-12):
-        raise ValueError("omega lies outside the spectral range for this xi")
-    edge = x < -1.0 - 1e-12
-    if np.any(omegas[~edge] == 0.0):
-        raise ValueError("omega = 0 is not a zigzag eigenvalue for "
-                         "nonzero xi")
-    v = np.where(edge, np.nan, np.arccos(np.clip(x, -1.0, 1.0)))
-    u = np.where(edge, np.arccosh(np.maximum(-x, 1.0)), np.nan)
-    full = zigzag_root_states(xi, omegas, v, u, N)
-    return full[:, 0] if np.ndim(omega) == 0 else full
 
 
 # ---------------------------------------------------------------- regime ---

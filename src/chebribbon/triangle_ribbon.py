@@ -26,7 +26,7 @@ import numpy as np
 
 from ._roots import scan_roots
 from .chebpoly import (_folded, _sinh_quotient, _with_phase, by_family,
-                       u_all, u_profile, zigzag_ends)
+                       u_profile, zigzag_ends)
 from .errors import DegenerateParameterError, RootCountError
 
 __all__ = [
@@ -35,10 +35,6 @@ __all__ = [
     "reduced",
     "linear_energies",
     "linear_states",
-    "zz1_secular_residual",
-    "zz2_secular_residual",
-    "zz1_state",
-    "zz2_state",
     "RootTable",
     "zz1_roots",
     "zz2_roots",
@@ -101,96 +97,6 @@ def linear_states(h, N, k, a=1.0):
     states = (np.exp(1.0j * (n[:, None] - 1) * theta)
               * np.sin(np.pi * np.outer(n, j) / (N + 1)))
     return states / np.linalg.norm(states, axis=0)
-
-
-# -------------------------------------------------------------- seculars ---
-
-def _secular_terms(E, h, N, k, a, ends):
-    """Chebyshev table un = u_all(N, y) at y = (E - tau)/(2|zeta|), one
-    column per energy, with the secular sum and the magnitude of its
-    cancelling terms per column, tau/|zeta| and arg zeta."""
-    coefficients, _ = zigzag_ends(ends, N)
-    (za,), (tau,), (theta,), failed = reduced(h, np.array([k], float), a)
-    if failed:
-        raise failed[0]
-    r = tau / za
-    un = u_all(N, (np.atleast_1d(np.asarray(E, dtype=float)) - tau)
-               / (2.0 * za))
-    terms = [c * un[N + 1 - m] for m, c in enumerate(coefficients(r))]
-    resid, scale = terms[0], np.abs(terms[0])
-    for term in terms[1:]:
-        resid = resid + term
-        scale = scale + np.abs(term)
-    return un, resid, scale, r, theta
-
-
-def _at_least_one(scale):
-    # max(1.0, scale) per entry; a NaN scale gives 1.0, as max() does
-    return np.where(scale > 1.0, scale, 1.0)
-
-
-def _secular_residual(E, h, N, k, a, scaled, ends):
-    _, resid, scale, _, _ = _secular_terms(E, h, N, k, a, ends)
-    if scaled:
-        resid = resid / _at_least_one(scale)
-    return float(resid[0]) if np.ndim(E) == 0 else resid
-
-
-def zz1_secular_residual(E, h, N, k, a=1.0, scaled=False):
-    """U_N(y) + (tau/|zeta|) U_{N-1}(y) at y = (E - tau)/(2|zeta|).
-
-    With ``scaled=True`` the residual is divided by the magnitude of the
-    cancelling terms, so it stays meaningful for |y| > 1 where the
-    polynomials grow exponentially.  An array of energies gives an array.
-    """
-    return _secular_residual(E, h, N, k, a, scaled, ends=1)
-
-
-def zz2_secular_residual(E, h, N, k, a=1.0, scaled=False):
-    """U_N(y) + (2 tau/|zeta|) U_{N-1}(y) + (tau/|zeta|)^2 U_{N-2}(y).
-
-    ``scaled=True`` divides by the magnitude of the cancelling terms (see
-    zz1_secular_residual).  An array of energies gives an array.
-    """
-    return _secular_residual(E, h, N, k, a, scaled, ends=2)
-
-
-def _secular_state(E, h, N, k, a, ends):
-    """Normalized e^{i n theta} [U_{n-1}(y) + r U_{n-2}(y)]: a vector for
-    scalar E, else one contiguous column per energy, from one table."""
-    un, resid, scale, r, theta = _secular_terms(E, h, N, k, a, ends)
-    off = np.abs(resid) > 1e-6 * _at_least_one(scale)
-    if np.any(off):
-        raise ValueError(
-            f"energy is not on the spectrum (scaled residual "
-            f"{resid[off][0]:.3e})")
-    psi = np.exp(1.0j * np.arange(1, N + 1) * theta) * np.ascontiguousarray(
-        (un[1:N + 1] + r * un[0:N]).T)
-    # one norm per contiguous state: a batched reduction sums in another
-    # order and changes the last bits
-    for row in psi:
-        row /= np.linalg.norm(row)
-    return psi[0] if np.ndim(E) == 0 else psi.T
-
-
-def zz1_state(E, h, N, k, a=1.0):
-    """Normalized transverse eigenvector of the one-sided zigzag ribbon:
-    psi_n = e^{i n theta} [U_{n-1}(y) + (tau/|zeta|) U_{n-2}(y)].
-
-    An array of energies gives one contiguous column per energy, from one
-    recurrence run for all of them.  An energy whose scaled secular
-    residual exceeds 1e-6 raises ValueError.  The recurrence at y read
-    back from E cancels for deep edge states (zz1_edge_state) and when
-    |tau| >> |zeta|; root_states forms a momentum's states at the roots'
-    own angles and decays instead."""
-    return _secular_state(E, h, N, k, a, 1)
-
-
-def zz2_state(E, h, N, k, a=1.0):
-    """Normalized transverse eigenvector of the two-sided zigzag ribbon
-    (same componentwise form as zz1_state; only the secular check differs).
-    """
-    return _secular_state(E, h, N, k, a, 2)
 
 
 # ------------------------------------------------------------- per-k roots --

@@ -251,9 +251,10 @@ def test_criterion_10():
         w = pt.xi_abs / 2.0
         h = SquareHoppings(tu=w, td=w, tl=0.0, tr=1.0)
         spec = _square_oracle(h, N, 0.0)
-        for omega in (pt.omega, -pt.omega):
-            state = sq.zigzag_full_state(complex(pt.xi_abs), omega, N)
-            assert subspace_overlap(spec, omega, state) > 1 - 1e-6
+        omega = np.array([pt.omega, -pt.omega])
+        states = sq.zigzag_root_states(complex(pt.xi_abs), omega,
+                                       np.full(2, np.nan), np.full(2, u), N)
+        assert np.all(subspace_overlap(spec, omega, states) > 1 - 1e-6)
         direct = math.sqrt(float(np.sum(pt.psi_circ ** 2)
                                  + np.sum(pt.psi_bullet ** 2)))
         assert pt.norm_const == pytest.approx(1.0 / direct, rel=1e-12)
@@ -267,6 +268,17 @@ def test_criterion_11():
     expected = (N - n + 1.0) / N
     assert np.max(np.abs(pt.psi_circ - expected)) < 1e-4
     assert np.max(np.abs(pt.psi_bullet[::-1] - expected)) < 1e-4
+    # at the detachment point |xi| = N/(N+1) the oracle's state at
+    # omega = 1/(N+1) follows the power law itself
+    for N in (5, 30, 200):
+        w = N / (2.0 * (N + 1))
+        spec = _square_oracle(SquareHoppings(tu=w, td=w, tl=0.0, tr=1.0),
+                              N, 0.0)
+        circ = np.abs(spec.vectors[:N, np.argmin(
+            np.abs(spec.energies - 1.0 / (N + 1)))])
+        expected = N - np.arange(N, dtype=float)
+        assert np.max(np.abs(circ / np.linalg.norm(circ)
+                             - expected / np.linalg.norm(expected))) < 1e-12
 
 
 def test_criterion_12():

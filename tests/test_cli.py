@@ -25,7 +25,8 @@ from chebribbon.cli import ScanConfig, _emit, run
 from chebribbon.errors import DegenerateParameterError, RootCountError
 from chebribbon.hamiltonian import (ModelKind, RibbonModel, SquareHoppings,
                                     TriangleEdge, TriangleHoppings,
-                                    build_triangle_bloch)
+                                    build_square_bloch, build_triangle_bloch,
+                                    eigensolve_dense, subspace_overlap)
 
 HEADER = "k,band,energy,class,u,ipr,source"
 
@@ -86,24 +87,6 @@ def test_bands_deterministic(capsys):
     assert first == second
 
 
-def _single_triangle_states(kind, h, N, k, roots):
-    """The state of each root of the table `roots`, one by one, normalized:
-    the bulk ones at the angle read back from their energies."""
-    zz1 = kind == ModelKind.TRIANGLE_ZIGZAG1
-    theta = tri.zeta_of_k(h, k)[1]
-    for energy, u, sign, family, edge in zip(
-            roots.energy.tolist(), roots.u.tolist(), roots.sign.tolist(),
-            roots.family.tolist(), roots.edge):
-        if not edge:
-            yield (tri.zz1_state if zz1 else tri.zz2_state)(energy, h, N, k)
-            continue
-        if zz1:
-            psi = tri.zz1_edge_state(u, N, sign, theta)
-        else:
-            psi = tri.zz2_edge_state(u, N, sign, family, -theta)
-        yield psi / np.linalg.norm(psi)
-
-
 def _scan(kind, N, hoppings, k_points):
     """The scan of `kind` and the momentum of each of its solved ones."""
     config = ScanConfig(model=RibbonModel(kind, N), hoppings=hoppings,
@@ -113,42 +96,36 @@ def _scan(kind, N, hoppings, k_points):
                   if isinstance(rows, slice) and not mirrored]
 
 
-@pytest.mark.parametrize("kind", [ModelKind.TRIANGLE_ZIGZAG1,
-                                  ModelKind.TRIANGLE_ZIGZAG2])
-def test_triangle_state_blocks_equal_single_states(kind):
-    # states(m) forms each bulk state at its root's angle; zz1_state reads
-    # the angle back from the energy, which loses digits near the band
-    # edges, so the two agree to that loss; edge states are the same
+@pytest.mark.parametrize("kind, edge", [
+    (ModelKind.TRIANGLE_ZIGZAG1, TriangleEdge.ZIGZAG1),
+    (ModelKind.TRIANGLE_ZIGZAG2, TriangleEdge.ZIGZAG2)])
+def test_triangle_state_blocks_match_oracle(kind, edge):
+    # states(m) forms each bulk state at its root's angle and each edge
+    # state from its envelope: each column lies in the oracle's eigenspace
+    # at its energy
     N = 200
     h = TriangleHoppings(t1=0.9, t2=0.1, t3=1.0)
     scan, momenta = _scan(kind, N, h, 3)
-    roots_of = tri.zz1_roots if kind == ModelKind.TRIANGLE_ZIGZAG1 \
-        else tri.zz2_roots
     for m, k in enumerate(momenta):
-        roots = roots_of(h, N, k)
-        assert roots.edge.any()
+        rows = slice(m * N, (m + 1) * N)
+        assert any(u is not None for u in scan.u[rows])
         block = scan.states(m)
         assert block.shape == (N, N)
-        for state, single, edge in zip(
-                block.T, _single_triangle_states(kind, h, N, k, roots),
-                roots.edge):
-            if edge:
-                assert np.array_equal(state, single)
-            else:
-                np.testing.assert_allclose(state, single, rtol=0, atol=1e-9)
+        spec = eigensolve_dense(build_triangle_bloch(h, N, k, edge=edge))
+        overlap = subspace_overlap(spec, scan.energy[rows], block)
+        assert np.all(1.0 - overlap <= 1e-9)
 
 
-def test_square_state_blocks_equal_single_states():
+def test_square_state_blocks_match_oracle():
     N = 120
     h = SquareHoppings(tu=1.0, td=0.6, tl=0.0, tr=1.0)
     scan, momenta = _scan(ModelKind.SQUARE_ZIGZAG, N, h, 4)
     assert any(label == "edge-both" for label in scan.label)
     for m, k in enumerate(momenta):
-        xi = sq.xi_of_k(h, k)[0]
         rows = slice(m * 2 * N, (m + 1) * 2 * N)
-        single = sq.zigzag_full_state(xi, scan.energy[rows] / h.tr, N)
-        np.testing.assert_allclose(scan.states(m), single, rtol=0,
-                                   atol=1e-9)
+        spec = eigensolve_dense(build_square_bloch(h, N, k))
+        overlap = subspace_overlap(spec, scan.energy[rows], scan.states(m))
+        assert np.all(1.0 - overlap <= 1e-9)
 
 
 def _counting(monkeypatch, module, name):
@@ -492,10 +469,8 @@ def test_traced_triangle_names_are_called(monkeypatch, capsys, model):
         assert run([argv[0], "--model", model, *hop, *argv[1:]]) == 0
         capsys.readouterr()
     names = {n for ns in groups.values() for n in ns}
-    assert len(names) == 4
-    # the commands form states at the roots' angles (root_states) and never
-    # through zz*_state, which reads the angle back from an energy
-    assert reached == names - {prefix + "state"}
+    assert len(names) == 3
+    assert reached == names
     assert nested == []
 
 

@@ -10,8 +10,7 @@ from chebribbon.hamiltonian import (OVERLAP_WINDOW, ModelKind, RibbonModel,
                                     Spectrum, SquareHoppings, TriangleEdge,
                                     TriangleHoppings, build_beta,
                                     build_square_bloch, build_triangle_bloch,
-                                    eigensolve_dense, state_overlap,
-                                    subspace_overlap)
+                                    eigensolve_dense, subspace_overlap)
 from chebribbon.square_ribbon import xi_of_k, zigzag_spectrum
 
 
@@ -214,12 +213,6 @@ def test_stacked_solve_equals_each_matrix_solved_alone(rng, dim):
 
 
 def test_overlap_helpers():
-    v1 = np.array([1.0, 0.0])
-    v2 = np.array([0.0, 2.0])
-    assert state_overlap(v1, v1) == pytest.approx(1.0)
-    assert state_overlap(v1, v2) == pytest.approx(0.0)
-    with pytest.raises(ValueError):
-        state_overlap(v1, np.zeros(2))
     spec = eigensolve_dense(np.diag([1.0, 1.0, 2.0]))
     mixed = np.array([0.6, 0.8, 0.0])
     assert subspace_overlap(spec, 1.0, mixed) == pytest.approx(1.0)

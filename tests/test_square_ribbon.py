@@ -11,8 +11,7 @@ from conftest import midpoint_grid
 
 from chebribbon import square_ribbon as sq
 from chebribbon.chebpoly import u_all, u_eval
-from chebribbon.errors import (DegenerateParameterError, NoEdgeStateError,
-                               SingularArgumentError)
+from chebribbon.errors import DegenerateParameterError, NoEdgeStateError
 from chebribbon.hamiltonian import (SquareHoppings, build_square_bloch,
                                     eigensolve_dense, subspace_overlap)
 
@@ -77,32 +76,15 @@ def test_spectrum_matches_oracle_across_widths():
 
 # ------------------------------------------------------------ bulk states --
 
-def test_bulk_components_anchor_and_recurrence():
-    v, xi_abs, N = math.pi / 3, 1.0, 5
-    c_circ, c_bullet = sq.zigzag_bulk_components(v, xi_abs, N)
-    assert c_circ[0] == pytest.approx(1.0)     # U_0 anchor at chain 1
-    assert c_bullet[-1] == pytest.approx(1.0)  # mirrored anchor at chain N
-    assert c_circ[1] == pytest.approx(2.0 * math.cos(v) + 1.0 / xi_abs)
-    # components are signed, not moduli
-    c_circ_neg, _ = sq.zigzag_bulk_components(2.8, 1.0, 5)
-    assert c_circ_neg[1] < 0.0
-    with pytest.raises(SingularArgumentError):
-        sq.zigzag_bulk_components(0.0, 1.0, 5)
-    with pytest.raises(SingularArgumentError):
-        sq.zigzag_bulk_components(math.pi, 1.0, 5)
-    with pytest.raises(DegenerateParameterError):
-        sq.zigzag_bulk_components(v, 0.0, 5)
-
-
 def test_bulk_state_matches_oracle_modulus():
     h = SquareHoppings(tu=0.8, td=0.3, tl=0.0, tr=1.0)
     N, k = 5, 0.45
     xi, _ = sq.xi_of_k(h, k)
     spec = eigensolve_dense(build_square_bloch(h, N, k))
-    omega = spec.energies[-1] / h.tr  # top subband is always in the band
-    x = (omega * omega - abs(xi) ** 2 - 1.0) / (2.0 * abs(xi))
-    v = math.acos(min(1.0, max(-1.0, x)))
-    profile = np.abs(sq.zigzag_bulk_components(v, abs(xi), N)[0])
+    # the top subband is always in the band
+    omega, v, u = (c[-1:] for c in sq.zigzag_roots(abs(xi), N))
+    assert not np.isnan(v[0])
+    profile = np.abs(sq.zigzag_root_states(xi, omega, v, u, N)[:N, 0])
     oracle = np.abs(spec.vectors[:N, -1])
     np.testing.assert_allclose(profile / np.linalg.norm(profile),
                                oracle / np.linalg.norm(oracle), atol=1e-8)
@@ -197,12 +179,13 @@ def test_edge_u_inversion():
         sq.zigzag_edge_u_from_xi(0.9, N)
     # against 40-digit roots of log(sinh((N+1)u)/sinh(Nu)) = -log|xi|, up to
     # 1e-6 below the bound, where u ~ sqrt(bound - |xi|) is still
-    # conditioned well enough for 1e-9
+    # conditioned well enough for 1e-9, and below 1/DBL_MAX, where 1/|xi|
+    # overflows
     for N in (1, 5, 40, 1000):
         bound = N / (N + 1.0)
-        for share in (1e-300, 1e-100, 1e-10, 1e-3, 0.1, 0.5, 0.9, 0.999,
-                      1.0 - 1e-6):
-            xi_abs = share * bound
+        for xi_abs in [share * bound for share in (
+                1e-300, 1e-100, 1e-10, 1e-3, 0.1, 0.5, 0.9, 0.999,
+                1.0 - 1e-6)] + [1e-310, 5e-324]:
             with mpmath.workdps(40):
                 level = -mpmath.log(mpmath.mpf(xi_abs))
                 expected = mpmath.findroot(
@@ -210,7 +193,7 @@ def test_edge_u_inversion():
                                          / mpmath.sinh(N * u)) - level,
                     (mpmath.mpf("1e-30"), level), solver="anderson")
             assert sq.zigzag_edge_u_from_xi(xi_abs, N) == pytest.approx(
-                float(expected), rel=1e-9), (N, share)
+                float(expected), rel=1e-9), (N, xi_abs)
 
 
 # ------------------------------------------------------------ full states --
@@ -227,13 +210,13 @@ def test_full_state_matches_oracle_for_edge_and_bulk():
     h = _hoppings_for_xi(pt.xi_abs, k)
     xi, _ = sq.xi_of_k(h, k)
     spec = eigensolve_dense(build_square_bloch(h, N, k))
-    for omega in (pt.omega, -pt.omega):
-        state = sq.zigzag_full_state(xi, omega, N)
+    omegas, v, u = sq.zigzag_roots(pt.xi_abs, N)
+    edge = int(np.flatnonzero(np.isnan(v))[0])
+    assert u[edge] == pytest.approx(0.5, rel=1e-12)
+    for i, sign in ((edge, 1.0), (edge, -1.0), (N - 1, 1.0), (N - 1, -1.0)):
+        omega = sign * omegas[i]
+        state = sq.zigzag_root_states(xi, omega, v[i], u[i], N)[:, 0]
         assert abs(np.linalg.norm(state) - 1.0) < 1e-12
-        assert subspace_overlap(spec, omega, state) > 1 - 1e-8
-    bulk_omega = sq.zigzag_spectrum(pt.xi_abs, N)[-1]
-    for omega in (bulk_omega, -bulk_omega):
-        state = sq.zigzag_full_state(xi, omega, N)
         assert subspace_overlap(spec, omega, state) > 1 - 1e-8
 
 
@@ -264,9 +247,10 @@ def test_batched_full_states_equal_scalar_reference(N):
                  (SquareHoppings(tu=1.0, td=0.6, tl=0.0, tr=1.0), 1.5),
                  (SquareHoppings(tu=0.3, td=0.2, tl=0.0, tr=1.1), 0.2)):
         xi, _ = sq.xi_of_k(h, k)
-        omegas = sq.zigzag_spectrum(abs(xi), N)
+        omegas, v, u = sq.zigzag_roots(abs(xi), N)
         signed = np.concatenate([-omegas[::-1], omegas])
-        block = sq.zigzag_full_state(xi, signed, N)
+        v, u = (np.concatenate([c[::-1], c]) for c in (v, u))
+        block = sq.zigzag_root_states(xi, signed, v, u, N)
         assert block.shape == (2 * N, 2 * N)
         for j, omega in enumerate(signed):
             # bulk states are formed at the angle, not from the table
@@ -274,38 +258,21 @@ def test_batched_full_states_equal_scalar_reference(N):
             assert block[:, j].flags.c_contiguous
             np.testing.assert_allclose(block[:, j], expected, rtol=0,
                                        atol=1e-12)
-            assert np.array_equal(sq.zigzag_full_state(xi, omega, N),
-                                  block[:, j])
-
-
-def test_full_state_error_paths():
-    with pytest.raises(ValueError):
-        sq.zigzag_full_state(0.5 + 0.0j, 9.0, 5)   # above the band
-    with pytest.raises(ValueError):
-        sq.zigzag_full_state(1.0 + 0.0j, 0.0, 5)   # omega = 0 not a root
-    with pytest.raises(ValueError):
-        sq.zigzag_full_state(1.0 + 0.0j, np.array([0.5, 0.0]), 5)
-    with pytest.raises(DegenerateParameterError):
-        sq.zigzag_full_state(0.0j, 0.3, 5)
-
-
-def test_sublattice_link_examples():
-    # vanishing product falls back to the pure phase convention
-    assert sq.sublattice_link(0.0, 5.0) == pytest.approx(-1.0)
-    assert sq.sublattice_link(0.2, -3.0) == pytest.approx(1.0 / 0.6)
-    phase = cmath.exp(0.7j)
-    assert sq.sublattice_link(0.5, 2.0, 0.7) == pytest.approx(-phase)
+            assert np.array_equal(
+                sq.zigzag_root_states(xi, omega, v[j], u[j], N)[:, 0],
+                block[:, j])
 
 
 def test_sublattice_link_consistent_with_full_state():
     N = 5
     xi_abs, theta = 0.9, 0.3
     xi = xi_abs * cmath.exp(1.0j * theta)
-    omega = sq.zigzag_spectrum(xi_abs, N)[2]
-    state = sq.zigzag_full_state(xi, omega, N)
+    omega, v, u = (c[2] for c in sq.zigzag_roots(xi_abs, N))
+    state = sq.zigzag_root_states(xi, omega, v, u, N)[:, 0]
     ratio = state[0] / state[2 * N - 1]  # psi_circ(1) over psi_bullet(N)
+    # the link -e^{i N theta}/(omega U_N(x)) at the root's x
     x = (omega * omega - xi_abs * xi_abs - 1.0) / (2.0 * xi_abs)
-    link = sq.sublattice_link(omega, u_eval(N, x), N * theta)
+    link = -cmath.exp(1.0j * N * theta) / (omega * u_eval(N, x))
     assert ratio == pytest.approx(link, rel=1e-9)
 
 

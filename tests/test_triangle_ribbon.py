@@ -10,7 +10,6 @@ import pytest
 from conftest import midpoint_grid
 
 from chebribbon import triangle_ribbon as tri
-from chebribbon.chebpoly import u_all
 from chebribbon.errors import DegenerateParameterError
 from chebribbon.hamiltonian import (TriangleEdge, TriangleHoppings,
                                     build_triangle_bloch, eigensolve_dense,
@@ -112,17 +111,9 @@ def test_linear_spectrum_matches_oracle(rng):
 def test_zz1_width_one_pins_zero_energy():
     h = TriangleHoppings(t1=0.7, t2=0.4, t3=0.9)
     for k in (0.0, 0.8, 2.5):
-        assert abs(tri.zz1_secular_residual(0.0, h, 1, k)) < 1e-12
+        assert abs(tri.zz1_roots(h, 1, k).energy[0]) < 1e-12
         spec = _oracle(h, 1, k, TriangleEdge.ZIGZAG1)
         assert abs(spec.energies[0]) < 1e-14
-
-
-def test_zz1_residual_vanishes_on_oracle_energies():
-    N, k = 5, 0.0
-    spec = _oracle(WEAK, N, k, TriangleEdge.ZIGZAG1)
-    for E in spec.energies:
-        assert abs(tri.zz1_secular_residual(E, WEAK, N, k,
-                                            scaled=True)) < 1e-8
 
 
 def test_zz2_width_two_energies_are_plus_minus_zeta():
@@ -133,77 +124,6 @@ def test_zz2_width_two_energies_are_plus_minus_zeta():
                                atol=1e-12)
     spec = _oracle(h, 2, k, TriangleEdge.ZIGZAG2)
     np.testing.assert_allclose(spec.energies, [-za, za], atol=1e-12)
-    assert abs(tri.zz2_secular_residual(za, h, 2, k)) < 1e-12
-
-
-# ------------------------------------------------------------ bulk states ---
-
-def test_zz1_state_phase_and_edge_modulus():
-    N, k = 5, math.pi
-    roots = tri.zz1_roots(WEAK, N, k)
-    assert len(roots.energy) == N
-    _, theta = tri.zeta_of_k(WEAK, k)
-    bulk = roots.energy[~roots.edge]
-    psi = tri.zz1_state(bulk[0], WEAK, N, k)
-    assert cmath.phase(psi[0]) == pytest.approx(theta, abs=1e-12)
-    edge = np.flatnonzero(roots.edge)
-    assert len(edge) == 1 and roots.sign[edge[0]] == 1
-    assert roots.u[edge[0]] == pytest.approx(0.9, abs=0.1)
-    psi_edge = tri.zz1_state(roots.energy[edge[0]], WEAK, N, k)
-    profile = tri.zz1_edge_profile(roots.u[edge[0]], N)
-    np.testing.assert_allclose(np.abs(psi_edge),
-                               profile / np.linalg.norm(profile), rtol=1e-8)
-    with pytest.raises(ValueError):
-        tri.zz1_state(bulk[0] + 0.05, WEAK, N, k)
-
-
-def _scalar_secular(E, h, N, k, coeffs):
-    """Reference: the secular sum, its scale and the normalized state at
-    one energy, from the scalar recurrence."""
-    zeta, theta = tri.zeta_of_k(h, k)
-    tau = tri.tau_of_k(h, k)
-    r = tau / abs(zeta)
-    un = u_all(N, (E - tau) / (2.0 * abs(zeta)))
-    terms = [c(r) * un[N + 1 - m] for m, c in enumerate(coeffs)]
-    resid = terms[0]
-    for t in terms[1:]:
-        resid = resid + t
-    scale = sum(abs(t) for t in terms)
-    psi = np.exp(1.0j * np.arange(1, N + 1) * theta) * (un[1:N + 1]
-                                                        + r * un[0:N])
-    return float(resid), scale, psi / np.linalg.norm(psi)
-
-
-@pytest.mark.parametrize("N", [2, 7, 40])
-def test_batched_states_and_residuals_equal_scalar_reference(N):
-    cases = (
-        (tri.zz1_roots, tri.zz1_state, tri.zz1_secular_residual,
-         (lambda r: 1.0, lambda r: r)),
-        (tri.zz2_roots, tri.zz2_state, tri.zz2_secular_residual,
-         (lambda r: 1.0, lambda r: 2.0 * r, lambda r: r * r)),
-    )
-    for roots_of, state, residual, coeffs in cases:
-        for k in (0.3, 2.0, math.pi):
-            roots = roots_of(WEAK, N, k)
-            every = roots.energy
-            bulk = roots.energy[~roots.edge]
-            block = state(bulk, WEAK, N, k)
-            assert block.shape == (N, len(bulk))
-            for j, e in enumerate(bulk):
-                _, _, psi = _scalar_secular(e, WEAK, N, k, coeffs)
-                assert block[:, j].flags.c_contiguous
-                assert np.array_equal(block[:, j], psi)
-                assert np.array_equal(state(float(e), WEAK, N, k), psi)
-            expected = []
-            for e in every:
-                resid, scale, _ = _scalar_secular(e, WEAK, N, k, coeffs)
-                expected.append(resid / max(1.0, scale))
-                assert residual(float(e), WEAK, N, k) == resid
-            assert np.array_equal(
-                residual(every, WEAK, N, k, scaled=True), expected)
-            with pytest.raises(ValueError, match="not on the spectrum"):
-                state(bulk + np.where(bulk == bulk[-1], 0.05, 0.0),
-                      WEAK, N, k)
 
 
 def _secular_sum_at_40_digits(roots, N, ends):
@@ -260,9 +180,9 @@ def test_root_residuals_are_the_scaled_chebyshev_sum(N, ends):
 
 
 def test_roots_match_oracle_across_widths(rng):
-    edges = {TriangleEdge.ZIGZAG1: (tri.zz1_roots, tri.zz1_state),
-             TriangleEdge.ZIGZAG2: (tri.zz2_roots, tri.zz2_state)}
-    for edge, (roots_fn, state_fn) in edges.items():
+    edges = {TriangleEdge.ZIGZAG1: (tri.zz1_roots, 1),
+             TriangleEdge.ZIGZAG2: (tri.zz2_roots, 2)}
+    for edge, (roots_fn, ends) in edges.items():
         for N in (2, 3, 5, 13):
             t1, t2 = rng.uniform(0.2, 1.5, size=2)
             t3 = rng.uniform(0.3, 1.2)
@@ -276,19 +196,9 @@ def test_roots_match_oracle_across_widths(rng):
                 assert dev.max() < 1e-8 * max(1.0, np.abs(energies).max())
                 if idx % 8:
                     continue
-                _, theta = tri.zeta_of_k(h, k)
-                for energy, u, sign, family, is_edge in zip(
-                        roots.energy, roots.u, roots.sign, roots.family,
-                        roots.edge):
-                    if is_edge and edge is TriangleEdge.ZIGZAG1:
-                        psi = tri.zz1_edge_state(u, N, sign, theta)
-                    elif is_edge:
-                        psi = tri.zz2_edge_state(
-                            u, N, sign, family, -theta)
-                    else:
-                        psi = state_fn(energy, h, N, k)
-                    assert subspace_overlap(spec, energy,
-                                            psi) > 1 - 1e-8
+                psi = tri.root_states(roots, N, ends)
+                assert np.all(subspace_overlap(spec, energies, psi)
+                              > 1 - 1e-8)
 
 
 def test_root_tables_carry_the_reduced_parameters():
@@ -440,8 +350,6 @@ def test_existence_reports_worked_examples():
 def test_error_paths():
     with pytest.raises(ValueError):
         tri.zz2_roots(WEAK, 1, 0.3)
-    with pytest.raises(ValueError):
-        tri.zz2_secular_residual(0.0, WEAK, 1, 0.3)
     with pytest.raises(ValueError):
         tri.zz1_edge_solutions(WEAK, 5, 0)
     with pytest.raises(ValueError):
