@@ -76,6 +76,47 @@ def test_spectrum_matches_oracle_across_widths():
 
 # ------------------------------------------------------------ bulk states --
 
+def test_bulk_components_anchor_and_recurrence():
+    # the circ block is U_{n-1}(cos v) + U_{n-2}(cos v)/|xi| up to a
+    # positive factor, anchored at U_0 = 1 on chain 1; the bullet block is
+    # its mirror, anchored at chain N
+    N, xi_abs = 5, 1.0
+    for v in (math.pi / 3, 2.8):
+        state = sq.zigzag_root_states(complex(xi_abs), 1.0, v, np.nan, N)
+        circ, bullet = state[:N, 0].real, state[N:, 0].real
+        assert circ[0] > 0.0
+        assert circ[1] / circ[0] == pytest.approx(
+            2.0 * math.cos(v) + 1.0 / xi_abs)
+        np.testing.assert_allclose(circ[2:], 2.0 * math.cos(v) * circ[1:-1]
+                                   - circ[:-2], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.abs(bullet[::-1]), np.abs(circ),
+                                   rtol=0, atol=1e-15)
+        # components are signed, not moduli
+        assert (circ[1] < 0.0) == (v > 2.0)
+    # at v = 0 and pi the profile is the limit (-1)^{n-1} [(1 +- r) n -+ r]
+    n = np.arange(1, N + 1)
+    for v, limit in ((0.0, 2.0 * n - 1.0), (math.pi, (-1.0) ** (n - 1))):
+        circ = sq.zigzag_root_states(complex(xi_abs), 1.0, v, np.nan,
+                                     N)[:N, 0].real
+        np.testing.assert_allclose(circ / circ[0], limit, rtol=0,
+                                   atol=1e-15)
+
+
+def test_root_failures_are_reported_per_xi():
+    N = 5
+    xis = np.array([0.7, 0.0, -0.3, np.nan, 1.4])
+    (omega, v, u), failed = sq.zigzag_roots(xis, N)
+    assert sorted(failed) == [1, 2, 3]
+    assert all(isinstance(e, DegenerateParameterError)
+               for e in failed.values())
+    assert omega.shape == v.shape == u.shape == (2, N)
+    for row, xi_abs in enumerate((0.7, 1.4)):
+        for got, single in zip((omega, v, u), sq.zigzag_roots(xi_abs, N)):
+            np.testing.assert_array_equal(got[row], single)
+    with pytest.raises(DegenerateParameterError):
+        sq.zigzag_roots(0.0, N)
+
+
 def test_bulk_state_matches_oracle_modulus():
     h = SquareHoppings(tu=0.8, td=0.3, tl=0.0, tr=1.0)
     N, k = 5, 0.45
@@ -274,6 +315,23 @@ def test_sublattice_link_consistent_with_full_state():
     x = (omega * omega - xi_abs * xi_abs - 1.0) / (2.0 * xi_abs)
     link = -cmath.exp(1.0j * N * theta) / (omega * u_eval(N, x))
     assert ratio == pytest.approx(link, rel=1e-9)
+
+
+def test_sublattice_link_on_every_root():
+    # psi_circ(1)/psi_bullet(N) = -e^{i N theta}/(omega U_N(x)) on each
+    # signed root, the edge root (x = -cosh u) included
+    N = 5
+    xi_abs, theta = 0.6, -1.1
+    xi = xi_abs * cmath.exp(1.0j * theta)
+    omegas, v, u = sq.zigzag_roots(xi_abs, N)
+    assert np.isnan(v).sum() == 1
+    for sign in (1.0, -1.0):
+        states = sq.zigzag_root_states(xi, sign * omegas, v, u, N)
+        for j, omega in enumerate(sign * omegas):
+            x = (omega * omega - xi_abs * xi_abs - 1.0) / (2.0 * xi_abs)
+            link = -cmath.exp(1.0j * N * theta) / (omega * u_eval(N, x))
+            assert states[0, j] / states[2 * N - 1, j] == pytest.approx(
+                link, rel=1e-9), (sign, j)
 
 
 # ----------------------------------------------------------------- regime --

@@ -10,6 +10,7 @@ import pytest
 from conftest import midpoint_grid
 
 from chebribbon import triangle_ribbon as tri
+from chebribbon.chebpoly import u_all
 from chebribbon.errors import DegenerateParameterError
 from chebribbon.hamiltonian import (TriangleEdge, TriangleHoppings,
                                     build_triangle_bloch, eigensolve_dense,
@@ -124,6 +125,85 @@ def test_zz2_width_two_energies_are_plus_minus_zeta():
                                atol=1e-12)
     spec = _oracle(h, 2, k, TriangleEdge.ZIGZAG2)
     np.testing.assert_allclose(spec.energies, [-za, za], atol=1e-12)
+
+
+def test_zz1_residual_vanishes_on_oracle_energies():
+    # U_N(y) + r U_{N-1}(y), y = (E - tau)/(2|zeta|), over the sum of the
+    # magnitudes of its terms, at the oracle's energies
+    N, k = 5, 0.0
+    spec = _oracle(WEAK, N, k, TriangleEdge.ZIGZAG1)
+    za, tau = abs(tri.zeta_of_k(WEAK, k)[0]), tri.tau_of_k(WEAK, k)
+    r = tau / za
+    for E in spec.energies:
+        un = u_all(N, (E - tau) / (2.0 * za))
+        terms = (un[N + 1], r * un[N])
+        assert abs(sum(terms)) / max(1.0, sum(map(abs, terms))) < 1e-8
+
+
+# ------------------------------------------------------------ bulk states ---
+
+def test_zz1_state_phase_and_edge_modulus():
+    N, k = 5, math.pi
+    roots = tri.zz1_roots(WEAK, N, k)
+    assert len(roots.energy) == N
+    _, theta = tri.zeta_of_k(WEAK, k)
+    psi = tri.root_states(roots, N, 1)
+    bulk = np.flatnonzero(~roots.edge)
+    assert cmath.phase(psi[0, bulk[0]]) == pytest.approx(theta, abs=1e-12)
+    edge = np.flatnonzero(roots.edge)
+    assert len(edge) == 1 and roots.sign[edge[0]] == 1
+    assert roots.u[edge[0]] == pytest.approx(0.9, abs=0.1)
+    profile = tri.zz1_edge_profile(roots.u[edge[0]], N)
+    np.testing.assert_allclose(np.abs(psi[:, edge[0]]),
+                               profile / np.linalg.norm(profile), rtol=1e-8)
+
+
+def _scalar_root(roots, i, N, coeffs):
+    """Reference: the scaled secular sum of root i of a RootTable, one sine
+    or sinh at a time, and, for a bulk root, its normalized state
+    e^{i n theta} [sin(n phi) + r sin((n-1) phi)]."""
+    r = roots.tau[i] / roots.zeta_abs[i]
+    if roots.edge[i]:
+        u, sign = roots.u[i], roots.sign[i]
+        terms = [sign ** m * c(r) * math.sinh((N + 1 - m) * u)
+                 / math.sinh((N + 1) * u) for m, c in enumerate(coeffs)]
+        return sum(terms) / sum(map(abs, terms)), None
+    phi, theta = roots.phi[i], roots.theta[i]
+    resid = sum(c(r) * math.sin((N + 1 - m) * phi)
+                for m, c in enumerate(coeffs))
+    psi = np.array([cmath.exp(1.0j * n * theta)
+                    * (math.sin(n * phi) + r * math.sin((n - 1) * phi))
+                    for n in range(1, N + 1)])
+    return resid / sum(abs(c(r)) for c in coeffs), psi / np.linalg.norm(psi)
+
+
+@pytest.mark.parametrize("N", [2, 7, 40])
+def test_batched_states_and_residuals_equal_scalar_reference(N):
+    cases = (
+        (tri.zz1_roots, 1, lambda u, s, f, t: tri.zz1_edge_state(u, N, s, t),
+         (lambda r: 1.0, lambda r: r)),
+        (tri.zz2_roots, 2,
+         lambda u, s, f, t: tri.zz2_edge_state(u, N, s, f, -t),
+         (lambda r: 1.0, lambda r: 2.0 * r, lambda r: r * r)),
+    )
+    for roots_of, ends, edge_state, coeffs in cases:
+        for k in (0.3, 2.0, math.pi):
+            roots = roots_of(WEAK, N, k)
+            block = tri.root_states(roots, N, ends)
+            residuals = tri.root_residuals(roots, N, ends)
+            assert block.shape == (N, N)
+            for i in range(N):
+                resid, psi = _scalar_root(roots, i, N, coeffs)
+                assert block[:, i].flags.c_contiguous
+                assert abs(residuals[i] - resid) < 1e-12
+                if psi is None:
+                    psi = edge_state(roots.u[i], roots.sign[i],
+                                     roots.family[i], roots.theta[i])
+                    psi = psi / np.linalg.norm(psi)
+                    assert np.array_equal(block[:, i], psi)
+                else:
+                    np.testing.assert_allclose(block[:, i], psi, rtol=0,
+                                               atol=1e-12)
 
 
 def _secular_sum_at_40_digits(roots, N, ends):
