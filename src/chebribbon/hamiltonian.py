@@ -6,12 +6,16 @@ block off-diagonal [[0, T], [T,dag]] in the basis (circ sites 1..N, bullet
 sites 1..N).  Triangular ribbons reduce to an N x N tridiagonal matrix whose
 corner diagonal entries are removed by zigzag truncation.
 
-The oracle path is numpy.linalg.eigh with a deterministic eigenvector phase
+The oracle path solves a chiral matrix (both diagonal blocks exactly zero,
+as every square Bloch matrix is) through the SVD T = U S V.dag: energies
++-s, states [u; +-v]/sqrt 2, and at an exactly zero s the two
+sublattice-polarized zero modes [u; 0] and [0; v].  Any other matrix goes
+to numpy.linalg.eigh.  Both routes share a deterministic eigenvector phase
 convention (largest-magnitude component rotated real positive, ties to the
-lowest index) and hard residual/orthonormality checks, so analytic formulas
-are always compared against verified eigenpairs.  The builders take an
-array of momenta as well as one, and the oracle a stack of matrices as well
-as one, so that a scan is solved in a few array calls.
+lowest index) and a hard residual check on the full matrix, so analytic
+formulas are always compared against verified eigenpairs.  The builders
+take an array of momenta as well as one, and the oracle a stack of matrices
+as well as one, so that a scan is solved in a few array calls.
 """
 
 from __future__ import annotations
@@ -204,14 +208,49 @@ def build_triangle_bloch(h, N, k, edge=TriangleEdge.LINEAR, a=1.0):
     return BlochMatrix(dim=N, entries=H, k=k)
 
 
+def _chiral_block(stack):
+    """The T blocks of a stack of matrices [[0, T], [T.dag, 0]] whose two
+    diagonal blocks are exactly zero, or None for any other stack."""
+    dim = stack.shape[-1]
+    N = dim // 2
+    if dim % 2 or np.any(stack[:, :N, :N]) or np.any(stack[:, N:, N:]):
+        return None
+    return stack[:, :N, N:]
+
+
+def _chiral_eigh(T):
+    """Ascending energies and eigenvector columns of each [[0, T], [T.dag,
+    0]] from one SVD T = U S V.dag: energies -s then +s, states
+    [u; -v]/sqrt 2 then [u; v]/sqrt 2.  An exactly zero singular value
+    gives the sublattice-polarized pair [u; 0] (lower) and [0; v] (upper)
+    instead, as the paper's zero modes are; + 0.0 clears the sign of its
+    energies."""
+    u, s, vh = np.linalg.svd(T)
+    v = vh.conj().swapaxes(-1, -2)
+    zero = (s == 0.0)[:, None, :]
+    half = math.sqrt(0.5)
+    N = s.shape[-1]
+    vectors = np.empty((len(T), 2 * N, 2 * N), dtype=complex)
+    vectors[:, :N, :N] = np.where(zero, u, half * u)
+    vectors[:, N:, :N] = np.where(zero, 0.0, -half * v)
+    vectors[:, :N, N:] = np.where(zero, 0.0, half * u)[..., ::-1]
+    vectors[:, N:, N:] = np.where(zero, v, half * v)[..., ::-1]
+    energies = np.concatenate([-s, s[:, ::-1]], axis=-1) + 0.0
+    return energies, vectors
+
+
 def eigensolve_dense(H):
     """Full spectrum of a Hermitian BlochMatrix (or plain matrix) with
     deterministic eigenvector phases and verified residuals.
 
-    A stack of matrices (a BlochMatrix of an array of momenta, or an array
-    of shape (m, dim, dim)) gives a list of m Spectrum, each equal to that
-    of its matrix on its own: the checks, the one eigh call and the phase
-    rule run over the whole stack, matrix by matrix."""
+    A matrix whose two diagonal blocks are exactly zero (every square
+    Bloch matrix) is solved through the SVD of its off-diagonal block T,
+    any other by eigh; the residual is checked on the full matrix either
+    way, blockwise on the chiral route.  A stack of matrices (a BlochMatrix
+    of an array of momenta, or an array of shape (m, dim, dim)) gives a
+    list of m Spectrum, each equal to that of its matrix on its own: the
+    checks, the one eigh or svd call and the phase rule run over the whole
+    stack, matrix by matrix."""
     if isinstance(H, BlochMatrix):
         mat, k = H.entries, H.k
     else:
@@ -227,15 +266,28 @@ def eigensolve_dense(H):
         i = bad[0]
         raise HermiticityError(f"matrix asymmetry {asym[i]:.3e} exceeds "
                                f"{1e-13 * scale[i]:.3e}")
-    energies, vectors = np.linalg.eigh(stack)
+    T = _chiral_block(stack)
+    if T is None:
+        energies, vectors = np.linalg.eigh(stack)
+    else:
+        energies, vectors = _chiral_eigh(T)
     # rotate each column so its largest-|.| component (first on ties) is
     # real positive
     lead = np.take_along_axis(
         vectors, np.argmax(np.abs(vectors), axis=1)[:, None, :], axis=1)
     safe = np.where(np.abs(lead) == 0.0, 1.0, lead)
     vectors = vectors * (np.abs(safe) / safe)
-    residual = np.abs(stack @ vectors - vectors * energies[:, None, :]).max(
-        axis=1)
+    if T is None:
+        residual = np.abs(stack @ vectors - vectors * energies[:, None, :]
+                          ).max(axis=1)
+    else:
+        # H [x; y] = [T y; T.dag x], without forming a 2N x 2N product
+        N = T.shape[-1]
+        upper, lower = vectors[:, :N], vectors[:, N:]
+        residual = np.maximum(
+            np.abs(T @ lower - upper * energies[:, None, :]).max(axis=1),
+            np.abs(T.conj().swapaxes(1, 2) @ upper
+                   - lower * energies[:, None, :]).max(axis=1))
     tol = 1e-10 * np.maximum(1.0, np.maximum(np.abs(energies),
                                              scale[:, None]))
     if np.any(residual > tol):

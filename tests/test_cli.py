@@ -749,6 +749,23 @@ def test_oracle_rows_hold_one_chunk_at_a_time(tmp_path):
     assert peak <= 6.5e6
 
 
+@pytest.mark.parametrize("tl", ["0", "0.5"])
+def test_exact_zero_pair_keeps_edge_classes_and_signless_zero(capsys, tl):
+    # tu = td = 0 at odd N: T has the exact singular value 0, whose states
+    # sit on one sublattice each, at the two edges; neither energy is -0
+    rows = _bands(capsys, ["bands", "--model", "square-general", "--tu", "0",
+                           "--td", "0", "--tr", "1", "--tl", tl, "--N", "3",
+                           "--k-points", "2"])
+    assert len(rows) == 12
+    for start in (0, 6):
+        pair = rows[start + 2:start + 4]
+        assert [r[2] for r in pair] == ["0", "0"]
+        assert [r[3] for r in pair] == ["edge-left", "edge-right"]
+        assert [r[6] for r in pair] == ["oracle", "oracle"]
+    assert all(r[3] == "bulk" for r in rows[:2] + rows[4:8] + rows[10:])
+    assert "-0" not in {r[2] for r in rows}
+
+
 def test_wavefunction_band_solves_once(monkeypatch, capsys):
     calls = _counting(monkeypatch, cli, "eigensolve_dense")
     assert run(["wavefunction", "--model", "square-general", "--N", "200",

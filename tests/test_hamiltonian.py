@@ -212,6 +212,97 @@ def test_stacked_solve_equals_each_matrix_solved_alone(rng, dim):
     assert plain[0].vectors.tobytes() == spectra[0].vectors.tobytes()
 
 
+# ------------------------------------------------------------ chiral route --
+
+def _recording(monkeypatch, name):
+    """Record the calls of np.linalg.name."""
+    calls = []
+    original = getattr(np.linalg, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, recorded)
+    return calls
+
+
+def _chiral_stack(T):
+    """The stack [[0, T], [T.dag, 0]] of a stack of N x N blocks T."""
+    N = T.shape[-1]
+    H = np.zeros(T.shape[:-2] + (2 * N, 2 * N), dtype=complex)
+    H[..., :N, N:] = T
+    H[..., N:, :N] = T.conj().swapaxes(-1, -2)
+    return H
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 24, 118])
+def test_chiral_route_matches_eigvalsh(monkeypatch, rng, N):
+    # square Bloch matrices and random complex T blocks are solved by one
+    # svd and no eigh: energies as eigvalsh's, orthonormal columns, and the
+    # full H's residual within the oracle's own tolerance
+    h = SquareHoppings(*rng.uniform(0.1, 2.0, size=4))
+    random_T = (rng.normal(size=(3, N, N))
+                + 1j * rng.normal(size=(3, N, N)))
+    eigh, svd = (_recording(monkeypatch, name) for name in ("eigh", "svd"))
+    for stack in (build_square_bloch(h, N, rng.uniform(-4.0, 4.0, size=3))
+                  .entries, _chiral_stack(random_T)):
+        spectra = eigensolve_dense(stack)
+        for H, spec in zip(stack, spectra):
+            E, V = spec.energies, spec.vectors
+            expected = np.linalg.eigvalsh(H)
+            assert np.all(np.abs(E - expected)
+                          <= 1e-13 * np.maximum(1.0, np.abs(expected)))
+            scale = max(1.0, np.abs(H).max())
+            tol = 1e-10 * np.maximum(1.0, np.maximum(np.abs(E), scale))
+            assert np.all(np.abs(H @ V - V * E).max(axis=0) <= tol)
+            np.testing.assert_allclose(V.conj().T @ V, np.eye(2 * N),
+                                       atol=1e-13)
+    assert len(svd) == 2 and not eigh
+
+
+def test_triangular_stack_keeps_eigh(monkeypatch, rng):
+    # a tridiagonal stack of even dimension has nonzero diagonal blocks
+    tri = TriangleHoppings(*rng.uniform(0.1, 2.0, size=3))
+    eigh, svd = (_recording(monkeypatch, name) for name in ("eigh", "svd"))
+    for edge in TriangleEdge:
+        eigensolve_dense(build_triangle_bloch(tri, 6, np.array([0.2, 1.1]),
+                                              edge=edge))
+    assert len(eigh) == 3 and not svd
+
+
+def test_exact_zero_modes_stay_sublattice_polarized():
+    # T = tr beta.T has the exact singular value 0 with u = e_1, v = e_N:
+    # the zero pair is [u; 0] then [0; v], at energy +0.0 both
+    N = 3
+    h = SquareHoppings(tu=0.0, td=0.0, tl=0.0, tr=1.0)
+    spec = eigensolve_dense(build_square_bloch(h, N, 0.4))
+    zero = np.flatnonzero(spec.energies == 0.0)
+    assert zero.tolist() == [N - 1, N]
+    assert not np.any(np.signbit(spec.energies[zero]))
+    lower, upper = spec.vectors[:, N - 1], spec.vectors[:, N]
+    np.testing.assert_array_equal(lower, np.eye(2 * N)[0])
+    np.testing.assert_array_equal(upper, np.eye(2 * N)[2 * N - 1])
+
+
+def test_tiny_singular_values_keep_mixed_states():
+    # sigma = 1e-17 is not zero: its pair is [u; -+v]/sqrt 2, half on each
+    # sublattice, at -1e-17 and +1e-17
+    spec = eigensolve_dense(_chiral_stack(np.diag([2.0, 1e-17])))
+    assert spec.energies.tolist() == [-2.0, -1e-17, 1e-17, 2.0]
+    weight = np.abs(spec.vectors[:2]) ** 2
+    np.testing.assert_allclose(weight.sum(axis=0), 0.5, atol=1e-15)
+    # so does the near-zero pair (|E| ~ 9e-14) of a wide square ribbon
+    N = 200
+    h = SquareHoppings(tu=1.0, td=0.6, tl=0.4, tr=1.0)
+    spec = eigensolve_dense(build_square_bloch(h, N, -7.0 * math.pi / 16.0))
+    pair = [N - 1, N]
+    assert np.all(np.abs(spec.energies[pair]) < 1e-12)
+    assert spec.energies[N - 1] == -spec.energies[N] != 0.0
+    weight = (np.abs(spec.vectors[:N, pair]) ** 2).sum(axis=0)
+    np.testing.assert_allclose(weight, 0.5, atol=1e-12)
+
+
 def test_overlap_helpers():
     spec = eigensolve_dense(np.diag([1.0, 1.0, 2.0]))
     mixed = np.array([0.6, 0.8, 0.0])

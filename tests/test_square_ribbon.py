@@ -336,6 +336,20 @@ def test_sublattice_link_on_every_root():
 
 # ----------------------------------------------------------------- regime --
 
+@pytest.mark.parametrize("N", [5, 12, 40])
+def test_oracle_state_follows_power_law_at_transition(N):
+    # at the edge-bulk transition |xi| = N/(N+1) (td = 0) the paper's
+    # damping turns into a power law: the oracle state of least |E| has
+    # |circ| proportional to N - n + 1 and |bullet| to its mirror n
+    h = SquareHoppings(tu=N / (N + 1.0), td=0.0, tl=0.0, tr=1.0)
+    spec = eigensolve_dense(build_square_bloch(h, N, 0.3))
+    state = np.abs(spec.vectors[:, np.argmin(np.abs(spec.energies))])
+    circ, bullet = state[:N], state[N:]
+    n = np.arange(1, N + 1)
+    assert np.max(np.abs(circ / circ.max() - (N - n + 1.0) / N)) < 1e-12
+    assert np.max(np.abs(bullet / bullet.max() - n / N)) < 1e-12
+
+
 def test_regime_worked_examples():
     regime = sq.edge_regime(ISO, 5)
     assert regime.verdict is sq.RegimeVerdict.EDGE_BULK_TRANSITION

@@ -26,7 +26,7 @@ commands above 1e-9.  Warnings are recorded as
 line they came from, so that moved code compares equal.  ``--list`` prints
 the commands and exits.
 
-The list, 1,206 commands: both perfbench workloads on seeds 7101 and 7102
+The list, 1,210 commands: both perfbench workloads on seeds 7101 and 7102
 with their known defects; zigzag ``bands`` at N = 200 and 1000 in CSV and
 JSON; square-lr and triangle-linear ``bands`` at N = 200 and 1000 in CSV
 and JSON, and with equal legs (tu = td, t1 = t2) at odd widths on odd
@@ -39,7 +39,9 @@ with every ``--sign`` and ``--family``; the reproducers of known defects,
 argparse usage errors among them;
 ``bands`` whose rows all come from the dense oracle: square-general at
 N = 40 and 200, where half the grid spans several oracle chunks, and on an
-odd grid in CSV and JSON, and triangle-linear with ``--t1 0 --t2 0``;
+odd grid in CSV and JSON, triangle-linear with ``--t1 0 --t2 0``, and
+square-general with ``--tu 0 --td 0`` at odd N, whose exact zero pair the
+oracle orders;
 ``bands`` on all six models at ``--a 0.5`` and ``--a 3`` on even and odd
 grids; and lattice constants so small that the zone overflows, whose
 exit code and stderr are compared.
@@ -320,7 +322,11 @@ def _oracle_bands():
             general + ["--N", "7", "--k-points", "7"],
             general + ["--N", "7", "--k-points", "7", "--format", "json"],
             ["bands", "--model", "triangle-linear", "--N", "6", "--t1", "0",
-             "--t2", "0", "--t3", "0.7", "--k-points", "8"]]
+             "--t2", "0", "--t3", "0.7", "--k-points", "8"],
+            # an exactly degenerate zero pair, whose order is the oracle's
+            *(["bands", "--model", "square-general", "--tu", "0", "--td", "0",
+               "--tr", "1", "--tl", tl, "--N", N, "--k-points", "2"]
+              for tl, N in itertools.product(("0", "0.5"), ("3", "7")))]
 
 
 def _lattice_constants(rng):
