@@ -27,12 +27,11 @@ from .square_ribbon import (EdgeBranchPoint, EdgeRegime, RegimeVerdict,
                             zero_mode_momenta, zero_mode_state,
                             zigzag_edge_branch, zigzag_edge_u_from_xi,
                             zigzag_secular_residual, zigzag_spectrum)
-from .triangle_ribbon import (RootTable, TriangleEdgeSolution,
+from .triangle_ribbon import (EdgeBranch, RootTable,
                               default_u_grid, linear_energies, linear_states,
                               tau_of_k, zeta_of_k,
-                              zz1_edge_existence, zz1_edge_profile,
-                              zz1_edge_solutions, zz1_edge_state, zz1_roots,
-                              zz2_edge_existence, zz2_edge_profile,
+                              zz1_edge_existence, zz1_edge_solutions,
+                              zz1_edge_state, zz1_roots, zz2_edge_existence,
                               zz2_edge_solutions, zz2_edge_state, zz2_roots)
 
 __version__ = "0.1.0"
@@ -59,9 +58,9 @@ __all__ = [
     "zero_mode_state", "zero_mode_full_state", "solve_zero_mode_sum",
     # triangle_ribbon
     "zeta_of_k", "tau_of_k", "linear_energies", "linear_states",
-    "RootTable", "zz1_roots", "zz2_roots", "TriangleEdgeSolution",
-    "zz1_edge_solutions", "zz2_edge_solutions", "zz1_edge_profile",
-    "zz2_edge_profile", "zz1_edge_state", "zz2_edge_state",
+    "RootTable", "zz1_roots", "zz2_roots", "EdgeBranch",
+    "zz1_edge_solutions", "zz2_edge_solutions", "zz1_edge_state",
+    "zz2_edge_state",
     "zz1_edge_existence", "zz2_edge_existence", "default_u_grid",
     # classify
     "StateLabel", "StateClass", "ipr", "classify_analytic_square",

@@ -265,16 +265,25 @@ def _cosh_quotient(a, b, u):
                 / (1.0 + np.exp(-2.0 * b * u)))
 
 
+def _math_map(f, *arrays):
+    """math's f over the entries of the arrays (of one shape), which
+    numpy's ufuncs differ from in the last bit."""
+    return np.array(list(map(f, *(a.ravel().tolist() for a in arrays))),
+                    dtype=float).reshape(np.shape(arrays[0]))
+
+
 class EdgeFamily(NamedTuple):
     """An edge branch of a zigzag ribbon: |r| = ratio(u) on it, rising from
     `threshold` at u -> 0; half(u) = 1/ratio(u) and bound = 1/threshold;
-    envelope(u) is the state's profile.  ratio(u), which _roots.ratio_roots
-    inverts, is cosh((b+1)u)/cosh(bu) (even) or sinh((b+1)u)/sinh(bu) with
-    b = `order`; half(u) is _cosh_quotient's or _sinh_quotient's
-    exponential form, to a few eps at any u.  level(u) is 2 cosh(u) -
-    ratio(u) in a form that does not cancel, for a decay or an array of
-    them, so that the edge energy tau + s 2|zeta| cosh(u), s = -sign(r), is
-    s |zeta| level(u) to full relative precision however large |r| is."""
+    envelope(u) is the state's profile n = 1..N, one row per decay of an
+    array u, each that of its decay alone bit for bit.  ratio(u), which
+    _roots.ratio_roots inverts, is cosh((b+1)u)/cosh(bu) (even) or
+    sinh((b+1)u)/sinh(bu) with b = `order`; half(u) is _cosh_quotient's
+    or _sinh_quotient's exponential form, to a few eps at any u.  level(u)
+    is 2 cosh(u) - ratio(u) in a form that does not cancel, for a decay or
+    an array of them, so that the edge energy tau + s 2|zeta| cosh(u), s =
+    -sign(r), is s |zeta| level(u) to full relative precision however
+    large |r| is."""
 
     name: str   # "A" (one-sided, or two-sided even) or "B" (odd)
     label: str  # its name in reports
@@ -302,9 +311,10 @@ def zigzag_ends(ends, N):
     # from u ~ 1e-300 to past sinh's range
     if ends == 1:
         def envelope(u):  # sinh((N-n+1)u)/sinh(Nu)
+            u = np.asarray(u, dtype=float)[..., None]
             with np.errstate(under="ignore"):
                 return (np.exp(-(n - 1) * u) * np.expm1(-2.0 * (N - n + 1) * u)
-                        / math.expm1(-2.0 * N * u))
+                        / _math_map(math.expm1, -2.0 * N * u))
 
         def level(u):  # sinh((N-1)u)/sinh(Nu), 0.0 at N = 1
             return np.abs(_sinh_quotient(N - 1, N, u))
@@ -317,18 +327,21 @@ def zigzag_ends(ends, N):
             envelope, level, float(N), False),)
     if N < 2:
         raise ValueError("two-sided zigzag needs N >= 2")
-    # the envelopes in their stable symmetric forms (see zz2_edge_profile)
+    # the envelopes [sinh((N-n)u) +- sinh((n-1)u)]/sinh((N-1)u) in their
+    # stable symmetric forms
     m = n - (N + 1) / 2.0
     half = (N - 1) / 2.0
 
     def even(u):  # cosh(mu)/cosh((N-1)u/2)
-        return _cosh_quotient(np.abs(m), half, u)
+        return _cosh_quotient(np.abs(m), half,
+                              np.asarray(u, dtype=float)[..., None])
 
     def odd(u):  # -sign(m) sinh(|m|u)/sinh((N-1)u/2)
+        u = np.asarray(u, dtype=float)[..., None]
         with np.errstate(under="ignore"):
             return -np.sign(m) * (np.exp((np.abs(m) - half) * u)
                                   * np.expm1(-2.0 * np.abs(m) * u)
-                                  / math.expm1(-2.0 * half * u))
+                                  / _math_map(math.expm1, -2.0 * half * u))
 
     # the levels with a = |N - 3|/2 <= b = (N - 1)/2, whose difference is
     # -1 (0 at N = 2)

@@ -88,12 +88,11 @@ def _fmt(value):
 
 
 def _require_finite(names, columns):
-    """ConfigError unless every number (None skipped) of the float columns
-    `columns` is finite: an inf or nan there comes from hoppings past the
-    range of floats."""
-    for name, column in zip(names, columns):
-        if not np.isfinite(
-                [v for v in column if v is not None]).all():
+    """ConfigError unless every number of the float columns `columns`, each
+    given as a tuple of arrays (or of float sequences), is finite: an inf
+    or nan there comes from hoppings past the range of floats."""
+    for name, parts in zip(names, columns):
+        if not all(np.isfinite(part).all() for part in parts):
             raise ConfigError(f"the {name} column overflows to inf or nan; "
                               "the hoppings are out of range")
 
@@ -184,28 +183,24 @@ def _oracle_chunks(config, ks):
 
 def _oracle_rows(config, ks):
     """The energy, class, u and ipr columns of the dense oracle at the
-    momenta of the array ks, config.model.dim rows each in the order of ks;
-    each chunk is classified before the next is solved."""
-    energy, label, u, part = [], [], [], []
+    momenta of the array ks (arrays, u a list), config.model.dim rows each
+    in the order of ks; each chunk is classified before the next is solved."""
+    energy, label, part = [np.empty(0)], [np.empty(0, str)], [np.empty(0)]
+    u = []
     for spectra in _oracle_chunks(config, ks):
-        energy += np.concatenate([s.energies for s in spectra]).tolist()
+        energy += [s.energies for s in spectra]
         vectors = np.concatenate([s.vectors for s in spectra], axis=1)
         try:
             labels, decay, parts = classify_numeric(vectors)
         except ValueError:  # too few sites for the boundary fits
             labels = np.full(vectors.shape[1], "")
             decay, parts = np.full(vectors.shape[1], np.nan), ipr(vectors)
-        label += labels.tolist()
+        label.append(labels)
         u += [None if math.isnan(v) else v for v in decay.tolist()]
-        part += parts.tolist()
+        part.append(parts)
         del spectra, vectors  # freed before the next chunk's dense solve
-    return energy, label, u, part
-
-
-def _profile_iprs(profiles, N):
-    """The IPR of each of the profiles of N sites, in one ipr call (of
-    their matrix, one profile per column)."""
-    return ipr(np.reshape(profiles, (-1, N)).T)
+    return (np.concatenate(energy), np.concatenate(label), u,
+            np.concatenate(part))
 
 
 def _edge_column(values, edge):
@@ -236,8 +231,8 @@ class _Scan(NamedTuple):
     u: the decay of each edge row, None on the others.
     ipr: the inverse participation ratio of each row's state, in closed
         form: no state is formed.
-    states(m): the normalized states of the rows of the m-th solved
-        momentum, one column per row.
+    states(rows): the normalized states of the rows (whole momenta) of the
+        index array, one column per row, each that of its momentum alone.
     residuals: None, or on the triangular zigzag ribbons a function giving
         the scaled secular residual of every row at its root's own angle or
         decay (tri.root_residuals).
@@ -303,12 +298,13 @@ def _square_zigzag_scan(config):
     grid, ((omegas, v, decay), xi_c) = _solve_grid(config, solve)
     if not xi_c:
         return _unsolved(grid)
+    xi_c = np.repeat(xi_c, 2 * N)
     # each momentum's -omegas then omegas, ascending; the omegas ascend, so
     # that is the negated row reversed (a -0.0 before a +0.0)
     omega = np.concatenate([-omegas[:, ::-1], omegas], axis=1).ravel()
     v, decay = (np.concatenate([c[:, ::-1], c], axis=1).ravel()
                 for c in (v, decay))
-    xi = np.repeat(np.abs(xi_c), 2 * N)
+    xi = np.abs(xi_c)
     label = classify_analytic_square(omega, xi)
     edge = label == StateLabel.EDGE_BOTH.value
     x = (omega * omega - xi * xi - 1.0) / (2.0 * xi)
@@ -317,13 +313,11 @@ def _square_zigzag_scan(config):
     part = np.empty(len(omega))
     bulk = ~np.isnan(v)
     part[bulk] = 0.5 * u_profile_ipr(v[bulk], 1.0 / xi[bulk], N)
-    envelope = zigzag_ends(1, N)[1][0].envelope
-    part[~bulk] = 0.5 * _profile_iprs(
-        [envelope(u) for u in decay[~bulk].tolist()], N)
+    part[~bulk] = 0.5 * ipr(zigzag_ends(1, N)[1][0].envelope(
+        decay[~bulk]).T)
 
-    def states(m):
-        rows = slice(m * 2 * N, (m + 1) * 2 * N)
-        return sq.zigzag_root_states(xi_c[m], omega[rows], v[rows],
+    def states(rows):
+        return sq.zigzag_root_states(xi_c[rows], omega[rows], v[rows],
                                      decay[rows], N)
 
     return _Scan(grid, h.tr * omega, label, np.abs(x + 1.0) < 0.1,
@@ -346,10 +340,10 @@ def _square_lr_scan(config):
 
     grid, (energy, order, ks) = _solve_grid(config, solve)
     j, sign = order // 2 + 1, 2 * (order % 2) - 1
+    ks = np.repeat(ks, 2 * N)
 
-    def states(m):
-        rows = slice(m * 2 * N, (m + 1) * 2 * N)
-        return sq.lr_isotropic_state(h, N, ks[m], j[rows], a=a,
+    def states(rows):
+        return sq.lr_isotropic_state(h, N, ks[rows], j[rows], a=a,
                                      sign=sign[rows])
 
     # both blocks carry the standing wave sin(pi j n/(N+1)) with equal
@@ -375,17 +369,18 @@ def _triangle_linear_scan(config):
         zeta_abs, tau, _, failed = tri.reduced(h, ks, a)
         keep = zeta_abs != 0.0
         zeta_abs, tau = zeta_abs[keep, None], tau[keep, None]
-        # tri.linear_energies, each momentum's ascending
-        energy = tau + 2.0 * zeta_abs * np.cos(np.pi * np.arange(1, N + 1)
-                                               / (N + 1))
-        order = np.argsort(energy, axis=1)
+        energy = tri.linear_energies(h, N, ks[keep], a)
+        order = np.argsort(energy, axis=1)  # each momentum's ascending
         return (np.take_along_axis(energy, order, 1).ravel(), order, tau,
-                zeta_abs, ks[keep].tolist()), failed
+                zeta_abs, ks[keep]), failed
 
     grid, (energy, order, tau, zeta_abs, ks) = _solve_grid(config, solve)
 
-    def states(m):
-        return tri.linear_states(h, N, ks[m], a=a)[:, order[m]]
+    def states(rows):
+        ms = rows[::N] // N
+        return np.take_along_axis(tri.linear_states(h, N, ks[ms], a=a),
+                                  order[ms][:, None, :], 2
+                                  ).swapaxes(0, 1).reshape(N, -1)
 
     return _Scan(grid, energy, *_triangle_labels(
         config.kind, energy, np.repeat(tau, N), np.repeat(zeta_abs, N)),
@@ -404,13 +399,11 @@ def _triangle_zigzag_scan(config):
     part = np.empty(len(roots.energy))
     part[~edge] = u_profile_ipr(roots.phi[~edge], roots.tau[~edge]
                                 / roots.zeta_abs[~edge], N)
-    part[edge] = _profile_iprs(
-        [_zz(ends, "edge_profile", u, N, family=family)
-         for u, family in zip(roots.u[edge].tolist(),
-                              roots.family[edge].tolist())], N)
+    for family in zigzag_ends(ends, N)[1]:
+        rows = edge & (roots.family == family.name)
+        part[rows] = ipr(family.envelope(roots.u[rows]).T)
 
-    def states(m):
-        rows = slice(m * N, (m + 1) * N)
+    def states(rows):
         return tri.root_states(tri.RootTable(*(c[rows] for c in roots)), N,
                                ends)
 
@@ -441,12 +434,14 @@ def _band_rows(config, scan):
                 if not (isinstance(rows, slice) or mirrored)]
     at = {k: slice(n * dim, (n + 1) * dim) for n, k in enumerate(unsolved)}
     oracle = _oracle_rows(config, np.array(unsolved))
-    analytic = (scan.energy.tolist(), scan.label.tolist(), scan.u,
-                scan.ipr.tolist())
     # every solved row is a row of the output, and no other is
     _require_finite(("k", "energy", "u", "ipr"), (
-        [k for k, _, _ in scan.grid],
-        *(analytic[c] + oracle[c] for c in (0, 2, 3))))
+        (config.k_grid(),), (scan.energy, oracle[0]),
+        tuple([v for v in u if v is not None] for u in (scan.u, oracle[2])),
+        (scan.ipr, oracle[3])))
+    analytic, oracle = ((c[0].tolist(), c[1].tolist(), c[2], c[3].tolist())
+                        for c in ((scan.energy, scan.label, scan.u, scan.ipr),
+                                  oracle))
     index, blocks = {}, []
     for k, rows, mirrored in scan.grid:
         if not mirrored:
@@ -467,7 +462,9 @@ def _write_bands(config, grid, blocks):
     if config.output_format == "csv":
         # a newline before each line, replaced by one and the k
         tails = ["".join(map(("\n%d,%.17g,%s,%s,%.17g," + source).__mod__,
-                             zip(band, energy, label, map(_fmt, u), part)))
+                             zip(band, energy, label,
+                                 ["" if v is None else "%.17g" % v
+                                  for v in u], part)))
                  for energy, label, u, part, source in blocks]
         text = ",".join(BAND_COLUMNS) + "".join(
             tails[n].replace("\n", "\n" + format(k, ".17g") + ",")
@@ -505,12 +502,12 @@ def cmd_edges(config):
     kind = config.kind
     if kind == ModelKind.SQUARE_ZIGZAG:
         regime = sq.edge_regime(h, N)
-        table = []
-        for u in tri.default_u_grid():
-            pt = sq.zigzag_edge_branch(u, N)
-            if not regime.xi_min <= pt.xi_abs <= regime.xi_max:
-                continue  # unreachable with these hoppings
-            table.append({"u": pt.u, "xi": pt.xi_abs, "omega": pt.omega})
+        u = tri.default_u_grid()
+        xi, omega = sq.zigzag_edge_curve(u, N)
+        # the points these hoppings reach
+        reached = (regime.xi_min <= xi) & (xi <= regime.xi_max)
+        table = [dict(zip(("u", "xi", "omega"), point)) for point in zip(
+            *(c[reached].tolist() for c in (u, xi, omega)))]
         payload = {
             "model": kind.value,
             "N": N,
@@ -526,11 +523,12 @@ def cmd_edges(config):
         families = zigzag_ends(ends, N)[1]
 
         def branches(fam):
-            return {label: [{"u": s.u, "cos_ka": s.cos_ka, "k": s.k,
-                             "energy": s.energy}
-                            for s in _zz(ends, "edge_solutions", h, N, sign,
-                                         family=fam.name)]
-                    for label, sign in (("plus", 1), ("minus", -1))}
+            # the u, cos_ka, k and energy of each point of each side's table
+            tables = {label: _zz(ends, "edge_solutions", h, N, sign,
+                                 family=fam.name)
+                      for label, sign in (("plus", 1), ("minus", -1))}
+            return {label: [dict(zip(t._fields, point)) for point in zip(
+                *(c.tolist() for c in t[:4]))] for label, t in tables.items()}
 
         payload = {
             "model": kind.value,
@@ -554,18 +552,21 @@ def cmd_edges(config):
 _EDGE_LABELS = [label.value for label in StateLabel if label.is_edge]
 
 
-def _within_window(spec):
-    """The oracle spectrum spec, or a ConfigError where its own rounding,
-    about dim eps max|E|, exceeds the energy window of subspace_overlap,
-    and every check would charge that rounding to the closed form."""
-    rounding = (len(spec.energies) * np.finfo(float).eps
-                * float(np.abs(spec.energies).max()))
-    if rounding > OVERLAP_WINDOW:
-        raise ConfigError(
-            f"the oracle's rounding, about {rounding:.1e}, exceeds the "
-            f"{OVERLAP_WINDOW:g} energy window of its overlap check; the "
-            "hoppings are out of range")
-    return spec
+def _require_checkable(errors, energies):
+    """Raise, in momentum order, the first closed-form error (None where a
+    momentum solved) or ConfigError where its oracle spectrum's (a row of
+    `energies`) rounding, about dim eps max|E|, tops subspace_overlap's
+    window, which every check would charge to the closed form."""
+    rounding = (energies.shape[-1] * np.finfo(float).eps
+                * np.abs(energies).max(axis=-1))
+    for error, r in zip(errors, np.atleast_1d(rounding).tolist()):
+        if error is not None:
+            raise error
+        if r > OVERLAP_WINDOW:
+            raise ConfigError(
+                f"the oracle's rounding, about {r:.1e}, exceeds the "
+                f"{OVERLAP_WINDOW:g} energy window of its overlap check; "
+                "the hoppings are out of range")
 
 
 def _label_agreement(scan, rows, spectra):
@@ -589,44 +590,48 @@ def _label_agreement(scan, rows, spectra):
 
 def _validate_scan(config, violations):
     """Check config's closed-form scan against the oracle, a chunk of
-    momenta at a time: energies, overlaps, labels and, on the triangular
-    zigzag ribbons, the worst scaled secular residual at the roots' own
-    angles and decays."""
+    momenta at a time (its states formed, a mirrored momentum's by conj,
+    and checked in one call each): energies, overlaps, labels and, on the
+    triangular zigzag ribbons, the worst scaled secular residual."""
     scan = _SCANS[config.kind](config)
-    name, tol = config.kind.value, config.tolerance
+    name, tol, dim = config.kind.value, config.tolerance, config.model.dim
     dev = deficit = 0.0
     agree = total = 0
     # every momentum is solved, a mirrored one too: its own oracle spectrum
     # is what checks the mirror
-    grid = iter(scan.grid)
+    start = 0
     for spectra in _oracle_chunks(
             config, np.array([k for k, _, _ in scan.grid])):
-        rows = []
-        for spec, (k, at, mirrored) in zip(spectra, grid):
-            if not isinstance(at, slice):
-                raise at  # the solved momentum's, which comes first
-            spec = _within_window(spec)
-            energies = scan.energy[at]
-            # a mirrored momentum's states are the conjugates of its partner's
-            states = scan.states(at.start // config.model.dim)
-            if mirrored:
-                states = states.conj()
-            # subspace projection: degenerate pairs (e.g. the +-0 partners of a
-            # deep edge state) leave single oracle vectors arbitrary
-            overlap = subspace_overlap(spec, energies, states)
-            deficit = max([deficit] + (1.0 - overlap).tolist())
-            d = np.abs(energies - spec.energies)
-            for i in np.flatnonzero(d > tol * np.maximum(np.abs(energies), 1)):
-                violations.append((name, float(k), int(i) + 1, "energy", d[i]))
-            dev = max([dev] + d.tolist())
-            rows.append(at)
-        rows = np.r_[tuple(rows)]
+        chunk = scan.grid[start:start + len(spectra)]
+        start += len(spectra)
+        oracle = np.array([spec.energies for spec in spectra])
+        # a mirrored momentum's error is its partner's, raised before
+        _require_checkable([None if isinstance(at, slice) else at
+                            for _, at, _ in chunk], oracle)
+        starts = np.array([at.start for _, at, _ in chunk])
+        mirrored = np.array([m for _, _, m in chunk])
+        distinct, inverse = np.unique(starts, return_inverse=True)
+        states = scan.states((distinct[:, None] + np.arange(dim)).ravel()
+                             ).reshape(dim, -1, dim).swapaxes(0, 1)[inverse]
+        # a mirrored momentum's states are the conjugates of its partner's
+        np.conjugate(states, out=states, where=mirrored[:, None, None])
+        rows = (starts[:, None] + np.arange(dim)).ravel()
+        energies = scan.energy[rows].reshape(len(starts), dim)
+        # subspace projection: degenerate pairs (e.g. the +-0 partners of a
+        # deep edge state) leave single oracle vectors arbitrary
+        overlap = subspace_overlap(spectra, energies, states)
+        deficit = max(deficit, *(1.0 - overlap).ravel().tolist())
+        d = np.abs(energies - oracle)
+        for m, i in np.argwhere(d > tol * np.maximum(np.abs(energies), 1)):
+            violations.append((name, float(chunk[m][0]), int(i) + 1,
+                               "energy", d[m, i]))
+        dev = max(dev, *d.ravel().tolist())
         agreed = _label_agreement(scan, rows, spectra)
         if agreed is not None:
             agree += agreed
             total += len(rows)
         # freed before the next chunk's dense solve, not after it
-        del spectra, spec, states
+        del spectra, states
     out = {"max_energy_dev": dev, "max_overlap_deficit": deficit,
            "agreement": agree / total if total else None}
     if scan.residuals is not None:
@@ -648,7 +653,8 @@ def _validate_zero_modes(h, N, tol, violations):
         raise ConfigError("zero-mode validation needs tr > 0 and tl > 0")
     dev = deficit = 0.0
     for k, j in _zero_mode_momenta(h, N):
-        spec = _within_window(eigensolve_dense(build_square_bloch(h, N, k)))
+        spec = eigensolve_dense(build_square_bloch(h, N, k))
+        _require_checkable([None], spec.energies)
         d = float(np.min(np.abs(spec.energies)))
         if d > tol:
             violations.append(("square-general", float(k), j, "zero-energy",
@@ -670,23 +676,20 @@ def _validate_branch_tables(tol, violations):
     for sign in (1, -1):
         for kind, ends in _ZIGZAG_ENDS.items():
             for fam in zigzag_ends(ends, N)[1]:
-                for sol in _zz(ends, "edge_solutions", h, N, sign,
-                               family=fam.name, u_grid=grid):
-                    bloch = build_triangle_bloch(h, N, sol.k,
-                                                 edge=_TRIANGLE_EDGE[kind])
-                    # in the Bloch-matrix gauge: zz2_edge_state at -theta
-                    theta = sol.theta if ends == 1 else -sol.theta
-                    psi = _zz(ends, "edge_state", sol.u, N, sign,
-                              family=fam.name, theta=theta)
+                t = _zz(ends, "edge_solutions", h, N, sign, family=fam.name,
+                        u_grid=grid)
+                # in the Bloch-matrix gauge: zz2_edge_state at -theta
+                states = _zz(ends, "edge_state", t.u, N, sign, family=fam.name,
+                             theta=t.theta if ends == 1 else -t.theta)
+                for H, psi, energy in zip(build_triangle_bloch(
+                        h, N, t.k, edge=_TRIANGLE_EDGE[kind]).entries,
+                        states, t.energy.tolist()):
                     worst = max(worst, float(np.linalg.norm(
-                        bloch.entries @ psi - sol.energy * psi)
-                        / np.linalg.norm(psi)))
+                        H @ psi - energy * psi) / np.linalg.norm(psi)))
     hs = SquareHoppings(tu=1.0, td=0.6, tr=1.0, tl=0.0)
     regime = sq.edge_regime(hs, N)
-    for u in grid:
-        pt = sq.zigzag_edge_branch(u, N)
-        resid = abs(sq.zigzag_secular_residual(pt.omega, pt.xi_abs, N))
-        worst = max(worst, resid)
+    for xi, omega in zip(*(c.tolist() for c in sq.zigzag_edge_curve(grid, N))):
+        worst = max(worst, abs(sq.zigzag_secular_residual(omega, xi, N)))
     if worst > 1000.0 * tol:
         violations.append(("edge-branches", None, None, "residual", worst))
     return {"max_energy_dev": worst, "max_overlap_deficit": 0.0,
@@ -800,13 +803,16 @@ def cmd_wavefunction(config, args):
         rows = _wave_rows_square(state.astype(complex), N, "analytic")
     elif kind in _ZIGZAG_ENDS and given_u:
         _require_positive(h)
-        sols = _zz(_ZIGZAG_ENDS[kind], "edge_solutions", h, N, sign,
-                   family=family, u_grid=[args.u], a=a)
-        if not sols:
+        ends = _ZIGZAG_ENDS[kind]
+        table = _zz(ends, "edge_solutions", h, N, sign, family=family,
+                    u_grid=[args.u], a=a)
+        if not len(table.u):
             raise ConfigError(
                 f"u={args.u} is not on an admissible edge branch for these "
                 "hoppings")
-        psi = sols[0].psi / np.linalg.norm(sols[0].psi)
+        psi = _zz(ends, "edge_state", args.u, N, sign, family=family,
+                  theta=float(table.theta[0]))
+        psi = psi / np.linalg.norm(psi)
         rows = _wave_rows_chain(psi, "analytic")
     elif kind == ModelKind.SQUARE_GENERAL and args.j is not None:
         try:
@@ -836,7 +842,7 @@ def cmd_wavefunction(config, args):
             "wavefunction needs --u (edge branch), --band [--k], or "
             "--j (zero mode, square-general)")
     columns = list(zip(*rows))
-    _require_finite(WAVE_COLUMNS[2:5], columns[2:5])  # abs, re, im
+    _require_finite(WAVE_COLUMNS[2:5], [(c,) for c in columns[2:5]])
     _write_table(config, WAVE_COLUMNS, columns)
     return 0
 

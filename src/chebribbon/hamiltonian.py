@@ -306,21 +306,32 @@ def subspace_overlap(spectrum, energy, vector):
     """Norm of the projection of `vector` onto the eigenspace spanned by all
     eigenvalues within OVERLAP_WINDOW of `energy` (0.0 if none): a
     degeneracy-safe overlap.  A (dim, m) matrix of vectors with their m
-    energies gives one per column.  The eigenvalues ascend, so |<v_j, s>|^2
-    is summed over a contiguous run: O(dim^2 w) for a widest window w."""
-    sel = (np.abs(spectrum.energies - np.reshape(energy, (-1, 1)))
-           <= OVERLAP_WINDOW)
-    first, count = sel.argmax(axis=1), sel.sum(axis=1)
+    energies gives one per column; a list of spectra (a stack) with one row
+    of energies and one matrix each, a row each, bit for bit as if alone.
+    The eigenvalues ascend, so |<v_j, s>|^2 is summed over a contiguous
+    run: O(dim^2 w) for a widest window w."""
+    stacked = isinstance(spectrum, list)
+    spectra = spectrum if stacked else [spectrum]
+    levels = np.array([s.energies for s in spectra])
+    sel = np.abs(levels[:, None] - np.reshape(
+        energy, (len(spectra), -1, 1))) <= OVERLAP_WINDOW
+    first, count = sel.argmax(axis=2), sel.sum(axis=2)
     vectors = np.asarray(vector, dtype=complex)
-    states = np.conjugate(vectors.reshape(len(vectors), -1).T, order="C")
-    norm = np.sqrt((states.real ** 2 + states.imag ** 2).sum(axis=1))
+    states = np.conjugate(
+        vectors.reshape(levels.shape + (-1,)).swapaxes(1, 2), order="C")
+    norm = np.sqrt((states.real ** 2 + states.imag ** 2).sum(axis=2))
     if np.any(norm == 0.0):
         raise ValueError("overlap of a zero vector is undefined")
-    total, last = np.zeros(len(states)), len(spectrum.energies) - 1
+    # eigenvectors as rows; one spectrum's (a chunk at large dim) in place
+    basis = (np.array([s.vectors for s in spectra]) if len(spectra) > 1
+             else spectra[0].vectors[None]).swapaxes(1, 2)
+    at, last = np.arange(len(spectra))[:, None], levels.shape[1] - 1
+    total = np.zeros(count.shape)
     for j in range(count.max(initial=0)):  # two dim^2 arrays at most
-        dots = spectrum.vectors.T[np.minimum(first + j, last)]
+        dots = basis[at, np.minimum(first + j, last)]
         dots *= states
-        dots = dots.sum(axis=1)
+        dots = dots.sum(axis=2)
         total += np.where(j < count, dots.real ** 2 + dots.imag ** 2, 0.0)
     out = np.where(count > 0, np.sqrt(total) / norm, 0.0)
-    return float(out[0]) if vectors.ndim == 1 else out
+    return out if stacked else (
+        float(out[0, 0]) if vectors.ndim == 1 else out[0])

@@ -33,6 +33,7 @@ __all__ = [
     "zigzag_roots",
     "zigzag_spectrum",
     "zigzag_edge_branch",
+    "zigzag_edge_curve",
     "zigzag_edge_u_from_xi",
     "zigzag_root_states",
     "EdgeBranchPoint",
@@ -84,11 +85,11 @@ def _edge_family(N):
     return zigzag_ends(1, N)[1][0]
 
 
-def _edge_omega(u, N):
-    # on-branch energy of a decay or an array of them: omega =
-    # sinh(u)/sinh((N+1)u), the stable equivalent of the omega^2(u) branch
-    # formula (which cancels catastrophically for large u)
-    return _sinh_quotient(1, N + 1, u)
+def zigzag_edge_curve(u, N):
+    """(|xi|, omega) = (sinh(Nu), sinh(u))/sinh((N+1)u) on the edge branch
+    at a decay u > 0 or at each of an array of them; omega is the stable
+    equivalent of the omega^2(u) formula, which cancels at large u."""
+    return _edge_family(N).half(u), _sinh_quotient(1, N + 1, u)
 
 
 def zigzag_edge_u_from_xi(xi_abs, N):
@@ -132,7 +133,7 @@ def zigzag_roots(xi_abs, N):
             f"a root did not converge (|xi|={xi[i]}, N={N})")
     omega = np.sqrt(xi[m] * xi[m] + 1.0 + 2.0 * xi[m] * np.cos(v))
     edge = family == 0
-    omega[edge] = _edge_omega(u[edge], N)
+    omega[edge] = zigzag_edge_curve(u[edge], N)[1]
     order = np.lexsort((omega, m))
     roots = tuple(c[order].reshape(-1, N) for c in (omega, v, u))
     if np.ndim(xi_abs):
@@ -202,30 +203,32 @@ def zigzag_edge_branch(u, N):
     decaying profiles, and the closed-form normalization constant."""
     if u <= 0.0:
         raise ValueError("decay parameter must be positive")
-    return EdgeBranchPoint(u=u, xi_abs=_edge_family(N).half(u),
-                           omega=float(_edge_omega(u, N)), N=N)
+    xi_abs, omega = zigzag_edge_curve(u, N)
+    return EdgeBranchPoint(u=u, xi_abs=xi_abs, omega=float(omega), N=N)
 
 
 def zigzag_root_states(xi, omega, v, u, N):
     """Full normalized 2N eigenvectors (circ block then bullet block) for
     complex xi, matching the Bloch matrix gauge, one contiguous column per
     root: signed reduced energies omega with the angles v and decays u of
-    zigzag_roots (v NaN on an edge root).
+    zigzag_roots (v NaN on an edge root).  xi is one complex or one per
+    root, each column then that of its momentum alone bit for bit.
 
     The circ block is c_n = U_{n-1}(cos v) + U_{n-2}(cos v)/|xi| formed at
     the angle (u_profile), or the alternating decaying envelope of an edge
     root.  The bullet block is the circ block mirrored, times
     t = |xi| c_N / omega, which is +-1 on the spectrum."""
-    xi_abs, theta = abs(xi), cmath.phase(xi)
     omega, v, u = (np.atleast_1d(np.asarray(c, dtype=float))
                    for c in (omega, v, u))
+    xi = np.broadcast_to(np.asarray(xi, dtype=complex), omega.shape)
+    # as abs() and cmath.phase, from which np.abs and np.angle round apart
+    xi_abs = np.hypot(xi.real, xi.imag)
+    theta = _with_phase(xi)[1][:, None]
     n = np.arange(1, N + 1)
     edge = np.isnan(v)
     c_circ = np.empty((len(omega), N))
-    c_circ[~edge] = u_profile(v[~edge], 1.0 / xi_abs, N)
-    envelope = _edge_family(N).envelope
-    for i in np.flatnonzero(edge).tolist():
-        c_circ[i] = (-1.0) ** (n - 1) * envelope(u[i])
+    c_circ[~edge] = u_profile(v[~edge], 1.0 / xi_abs[~edge], N)
+    c_circ[edge] = (-1.0) ** (n - 1) * _edge_family(N).envelope(u[edge])
     t = np.where(c_circ[:, -1] * omega < 0.0, -1.0, 1.0)
     full = np.empty((len(omega), 2 * N), dtype=complex)
     full[:, :N] = np.exp(-1.0j * (n - 1) * theta) * c_circ
@@ -311,28 +314,30 @@ def lr_isotropic_state(h, N, k, j, a=1.0, sign=1):
     ribbon for transverse index j and branch sign(E).
 
     Arrays of indices j and signs give one contiguous column per (j, sign)
-    pair."""
+    pair; an array k one momentum per pair, each column then that of its
+    momentum alone bit for bit."""
     _require_lr(h, N, j)
     js = np.atleast_1d(j)
     signs = np.broadcast_to(sign, js.shape)
     if (np.abs(signs) != 1).any():
         raise ValueError("sign must be +1 or -1")
+    ks = np.broadcast_to(np.asarray(k, dtype=float), js.shape)[:, None]
     n = np.arange(1, N + 1)
     f = np.sin(math.pi * js[:, None] * n / (N + 1))
-    gauge = np.exp(-1.0j * n * k * a)
-    circ = np.exp(0.5j * k * a) * gauge
+    gauge = np.exp(-1.0j * n * ks * a)
     a_bullet = 1.0 / math.sqrt(2.0)
+    # s (c/|c|)/sqrt 2 by parts, as Python divides (numpy's complex
+    # division rounds apart); 1/sqrt 2 at c = 0, the degenerate pair's
+    c = _lr_c(h, N, ks[:, 0], a, js)
+    c_abs = np.hypot(c.real, c.imag)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        amp = (signs * (c.real / c_abs) / math.sqrt(2.0)
+               + 1.0j * (signs * (c.imag / c_abs) / math.sqrt(2.0)))
+    amp[c_abs == 0.0] = a_bullet
     full = np.empty((len(js), 2 * N), dtype=complex)
-    # a complex product rounds differently on numpy's broadcast paths, so
-    # each state's circ amplitude multiplies a vector, as for one state
-    for row, c, s in zip(full, _lr_c(h, N, k, a, js).tolist(),
-                         signs.tolist()):
-        if abs(c) == 0.0:
-            row[:N] = circ * a_bullet  # degenerate pair convention
-        else:
-            row[:N] = circ * (s * (c / abs(c)) / math.sqrt(2.0))
+    full[:, :N] = np.exp(0.5j * ks * a) * gauge * amp[:, None]
     full[:, :N] *= f
-    full[:, N:] = np.exp(-0.5j * k * a) * gauge * a_bullet * f
+    full[:, N:] = np.exp(-0.5j * ks * a) * gauge * a_bullet * f
     # one norm per contiguous state: a batched reduction sums in another
     # order and changes the last bits
     for row in full:

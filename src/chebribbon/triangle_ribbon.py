@@ -18,15 +18,13 @@ in closed form instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from ._roots import scan_roots
-from .chebpoly import (_folded, _sinh_quotient, _with_phase, by_family,
-                       u_profile, zigzag_ends)
+from .chebpoly import (_folded, _math_map, _sinh_quotient, _with_phase,
+                       by_family, u_profile, zigzag_ends)
 from .errors import DegenerateParameterError, RootCountError
 
 __all__ = [
@@ -40,11 +38,9 @@ __all__ = [
     "zz2_roots",
     "root_residuals",
     "root_states",
-    "TriangleEdgeSolution",
+    "EdgeBranch",
     "zz1_edge_solutions",
     "zz2_edge_solutions",
-    "zz1_edge_profile",
-    "zz2_edge_profile",
     "zz1_edge_state",
     "zz2_edge_state",
     "zz1_edge_existence",
@@ -90,13 +86,14 @@ def linear_energies(h, N, k, a=1.0):
 
 def linear_states(h, N, k, a=1.0):
     """Normalized standing waves of the linear-edge ribbon (all bulk), one
-    column per energy of linear_energies, in the same order."""
-    theta = zeta_of_k(h, k, a)[1]
+    column per energy of linear_energies, in the same order; a matrix per
+    momentum of an array k."""
+    theta = np.asarray(zeta_of_k(h, k, a)[1])[..., None, None]
     j = np.arange(1, N + 1)
     n = np.arange(1, N + 1)
     states = (np.exp(1.0j * (n[:, None] - 1) * theta)
               * np.sin(np.pi * np.outer(n, j) / (N + 1)))
-    return states / np.linalg.norm(states, axis=0)
+    return states / np.linalg.norm(states, axis=-2, keepdims=True)
 
 
 # ------------------------------------------------------------- per-k roots --
@@ -202,20 +199,25 @@ def root_residuals(roots, N, ends):
 
 
 def root_states(roots, N, ends):
-    """Normalized states of the roots of one momentum's RootTable, from
-    zz1_roots or zz2_roots for `ends` = 1 or 2, one column per root, in
-    the Bloch-matrix gauge e^{+i n theta}: bulk roots formed at their
-    angles (u_profile), edge roots from their envelopes."""
-    psi = np.empty((N, N), dtype=complex)
+    """Normalized states of a RootTable's roots (of any momenta, from
+    zz1_roots or zz2_roots for `ends` = 1 or 2), one column each, that of
+    its momentum alone bit for bit, in the Bloch-matrix gauge e^{+i n
+    theta}: bulk roots at their angles (u_profile), edge roots from their
+    envelopes."""
+    psi = np.empty((len(roots.energy), N), dtype=complex)
     bulk = ~roots.edge
     psi[bulk] = (np.exp(1.0j * np.arange(1, N + 1) * roots.theta[bulk, None])
                  * u_profile(roots.phi[bulk],
                              roots.tau[bulk] / roots.zeta_abs[bulk], N))
     psi[bulk] /= np.linalg.norm(psi[bulk], axis=-1, keepdims=True)
-    for i in np.flatnonzero(roots.edge).tolist():
-        state = _edge_state(roots.u[i], N, roots.sign[i], ends,
-                            roots.family[i], roots.theta[i])
-        psi[i] = state / np.linalg.norm(state)
+    edge = np.flatnonzero(roots.edge)
+    for family in zigzag_ends(ends, N)[1]:
+        rows = edge[roots.family[edge] == family.name]
+        psi[rows] = _edge_state(roots.u[rows], N, roots.sign[rows], ends,
+                                family.name, roots.theta[rows])
+    # np.linalg.norm of a vector sums by dot, apart from its axis form
+    for i in edge.tolist():
+        psi[i] /= np.linalg.norm(psi[i])
     return psi.T
 
 
@@ -233,70 +235,43 @@ def _family(ends, N, name):
     raise ValueError(f"family must be 'A' or 'B', got {name!r}")
 
 
-def _edge_profile(u, N, ends, family):
-    if u <= 0.0:
-        raise ValueError("decay parameter must be positive")
-    return _family(ends, N, family).envelope(u)
-
-
-def zz1_edge_profile(u, N):
-    """Decaying envelope sinh((N-n+1)u)/sinh(Nu), n = 1..N."""
-    return _edge_profile(u, N, 1, "A")
-
-
-def zz2_edge_profile(u, N, family):
-    """Signed two-sided envelope [sinh((N-n)u) +- sinh((n-1)u)]/sinh((N-1)u)
-    evaluated in its stable symmetric form: the A family is the even
-    combination cosh((n-(N+1)/2)u)/cosh((N-1)u/2), the B family the odd one.
-    """
-    return _edge_profile(u, N, 2, family)
-
-
 def _edge_state(u, N, sign, ends, family, theta):
-    # (sign)^{n-1} e^{+i n theta} * envelope, the Bloch-matrix gauge
+    """(sign)^{n-1} e^{+i n theta} times the envelope of the EdgeFamily
+    named `family` at u > 0, a row per entry of the arrays u, sign, theta."""
+    if np.any(np.asarray(u) <= 0.0):
+        raise ValueError("decay parameter must be positive")
     n = np.arange(1, N + 1)
-    return (float(sign) ** (n - 1) * np.exp(1.0j * n * theta)
-            * _edge_profile(u, N, ends, family))
+    return (np.asarray(sign, dtype=float)[..., None] ** (n - 1)
+            * np.exp(1.0j * n * np.asarray(theta)[..., None])
+            * _family(ends, N, family).envelope(u))
 
 
 def zz1_edge_state(u, N, sign, theta=0.0):
-    """One-sided zigzag edge state (sign)^{n-1} e^{+i n theta} * envelope."""
+    """One-sided zigzag edge state (sign)^{n-1} e^{+i n theta} times the
+    envelope sinh((N-n+1)u)/sinh(Nu)."""
     return _edge_state(u, N, sign, 1, "A", theta)
 
 
 def zz2_edge_state(u, N, sign, family, theta=0.0):
     """Two-sided zigzag edge state in its printed form, with the e^{-in
-    theta} phase prefactor: (sign)^{n-1} e^{-i n theta} * envelope.  At
-    -theta it is the state in the Bloch-matrix gauge (e^{+in theta}), the
-    convention of the dense oracle's eigenvectors."""
+    theta} phase prefactor, (sign)^{n-1} e^{-i n theta} [sinh((N-n)u) +-
+    sinh((n-1)u)]/sinh((N-1)u), family A (+) or B (-).  At -theta it is the
+    state in the Bloch-matrix gauge (e^{+in theta}) of the dense oracle."""
     return _edge_state(u, N, sign, 2, family, -theta)
 
 
-@dataclass(frozen=True)
-class TriangleEdgeSolution:
-    """One u-point of an edge branch, resolved to a momentum, on a ribbon N
-    chains wide with `ends` truncated end rows.  Its edge state `psi`, in
-    the ribbon's printed form (zz1_edge_state or zz2_edge_state at theta =
-    arg zeta), is formed when first read."""
+class EdgeBranch(NamedTuple):
+    """The points of an edge branch's u grid that resolve to a momentum, an
+    array entry each in grid order: the decay u, cos(ka), k, the energy,
+    and |zeta|, tau and arg zeta at k (where zz*_edge_state forms each)."""
 
-    u: float
-    sign: int
-    family: str
-    cos_ka: float
-    k: float
-    energy: float
-    zeta_abs: float
-    tau: float
-    N: int
-    ends: int
-    theta: float
-
-    @cached_property
-    def psi(self):
-        if self.ends == 1:
-            return zz1_edge_state(self.u, self.N, self.sign, self.theta)
-        return zz2_edge_state(self.u, self.N, self.sign, self.family,
-                              self.theta)
+    u: np.ndarray
+    cos_ka: np.ndarray
+    k: np.ndarray
+    energy: np.ndarray
+    zeta_abs: np.ndarray
+    tau: np.ndarray
+    theta: np.ndarray
 
 
 def _edge_sign_scale(h, sign):
@@ -312,56 +287,47 @@ def _edge_solutions(h, N, sign, ends, family, u_grid, a):
         raise ValueError("sign must be +1 or -1")
     fam = _family(ends, N, family)
     threshold = _edge_sign_scale(h, sign) / (2.0 * h.t3)
+    u = np.asarray(default_u_grid() if u_grid is None else u_grid,
+                   dtype=float)
     if threshold >= fam.bound:
-        return []
-    if u_grid is None:
-        u_grid = default_u_grid()
+        u = u[:0]
     t1, t2, t3 = h.t1, h.t2, h.t3
     s, p, d2 = t1 * t1 + t2 * t2, t1 * t2, (t1 - t2) ** 2
-    out = []
-    for u in np.asarray(u_grid, dtype=float):
-        half = fam.half(u)  # decreasing in u
-        if half <= threshold:
-            continue
-        # cos(ka) = c solves f2 t3^2 c^2 - 2 p c - s = 0 with f2 = (2 half)^2;
-        # on the +cosh branch c = (p - disc)/(f2 t3^2) cancels, so c and
-        # 1 + c (small near k = pi) are taken in forms that do not
-        ft = 4.0 * half * half * t3 * t3
-        disc = math.sqrt(p * p + ft * s)
-        if sign > 0:
-            c = -s / (p + disc)
-            one_plus_c = s * (ft - d2) / ((disc + s - p) * (p + disc))
-        else:
-            c = (p + disc) / ft
-            one_plus_c = 1.0 + c
-        if abs(c) > 1.0 or one_plus_c < 0.0:
-            continue
-        k = 2.0 * math.atan2(math.sqrt(1.0 - c), math.sqrt(one_plus_c)) / a
-        zeta_abs = math.sqrt(d2 + 2.0 * p * one_plus_c)  # |t1 + t2 e^{-ika}|
-        tau = 2.0 * t3 * c
-        energy = tau + sign * 2.0 * zeta_abs * math.cosh(u)
-        out.append(dict(u=float(u), sign=sign, family=family, cos_ka=c, k=k,
-                        energy=energy, zeta_abs=zeta_abs, tau=tau, N=N,
-                        ends=ends))
-    thetas = zeta_of_k(h, np.array([s["k"] for s in out]), a)[1].tolist()
-    return [TriangleEdgeSolution(**s, theta=t) for s, t in zip(out, thetas)]
+    half = fam.half(u)  # decreasing in u
+    u, half = u[~(half <= threshold)], half[~(half <= threshold)]
+    # cos(ka) = c solves f2 t3^2 c^2 - 2 p c - s = 0 with f2 = (2 half)^2;
+    # on the +cosh branch c = (p - disc)/(f2 t3^2) cancels, so c and
+    # 1 + c (small near k = pi) are taken in forms that do not
+    ft = 4.0 * half * half * t3 * t3
+    disc = np.sqrt(p * p + ft * s)
+    if sign > 0:
+        c = -s / (p + disc)
+        one_plus_c = s * (ft - d2) / ((disc + s - p) * (p + disc))
+    else:
+        c = (p + disc) / ft
+        one_plus_c = 1.0 + c
+    keep = ~((np.abs(c) > 1.0) | (one_plus_c < 0.0))
+    u, c, one_plus_c = u[keep], c[keep], one_plus_c[keep]
+    k = 2.0 * _math_map(math.atan2, np.sqrt(1.0 - c),
+                        np.sqrt(one_plus_c)) / a
+    zeta_abs = np.sqrt(d2 + 2.0 * p * one_plus_c)  # |t1 + t2 e^{-ika}|
+    tau = 2.0 * t3 * c
+    energy = tau + sign * 2.0 * zeta_abs * _math_map(math.cosh, u)
+    return EdgeBranch(u, c, k, energy, zeta_abs, tau, zeta_of_k(h, k, a)[1])
 
 
 def zz1_edge_solutions(h, N, sign, u_grid=None, a=1.0):
-    """Edge-branch table of the one-sided zigzag ribbon for one energy side.
-
-    Walks the admissible part of the u grid and resolves each point to its
-    momentum and energy; each point's wavefunction is formed when read.  Empty when the existence bound
-    fails (threshold >= N/(N+1)) — no localized states on that side.
-    """
+    """Edge-branch table of the one-sided zigzag ribbon for one energy
+    side: the admissible points of the u grid resolved to their momenta
+    and energies in one pass, an EdgeBranch of arrays; empty when the
+    existence bound fails (threshold >= N/(N+1))."""
     return _edge_solutions(h, N, sign, 1, "A", u_grid, a)
 
 
 def zz2_edge_solutions(h, N, sign, family, u_grid=None, a=1.0):
     """Edge-branch table of the two-sided zigzag ribbon for one (sign,
-    family) pair, with states in zz2_edge_state's printed form; empty when
-    the existence bound fails (family A: threshold >= 1; family B:
-    threshold >= (N-1)/(N+1))."""
+    family) pair, as zz1_edge_solutions; empty when the existence bound
+    fails (family A: threshold >= 1; family B: threshold >= (N-1)/(N+1))."""
     return _edge_solutions(h, N, sign, 2, family, u_grid, a)
 
 

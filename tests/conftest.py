@@ -28,6 +28,14 @@ def rng():
     return np.random.default_rng(20260816)
 
 
+def edge_envelope(u, N, ends, family="A"):
+    """The envelope, n = 1..N, of the edge family "A" or "B" of the zigzag
+    ribbon with `ends` truncated end rows, at the decay u (a row per decay
+    of an array u)."""
+    from chebribbon.chebpoly import zigzag_ends
+    return {f.name: f for f in zigzag_ends(ends, N)[1]}[family].envelope(u)
+
+
 def midpoint_grid(halfwidth, points):
     """Half-open midpoint momentum grid covering [-halfwidth, halfwidth)."""
     step = 2.0 * halfwidth / points

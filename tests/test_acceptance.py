@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from conftest import midpoint_grid
+from conftest import edge_envelope, midpoint_grid
 
 from chebribbon import square_ribbon as sq
 from chebribbon import triangle_ribbon as tri
@@ -192,6 +192,11 @@ def test_criterion_07():
         assert np.max(np.abs(np.sort(energies) - spec.energies)) < 1e-10
 
 
+def _points(table):
+    """The points of an EdgeBranch table, each an EdgeBranch of scalars."""
+    return [table._make(point) for point in zip(*table)]
+
+
 def test_criterion_08():
     """One-sided zigzag edge branches exist per threshold and sit one-sided."""
     h = TriangleHoppings(t1=0.9, t2=0.1, t3=1.0)
@@ -204,8 +209,8 @@ def test_criterion_08():
     u_grid = np.logspace(-2, 0.4, 12)
     for sign in (1, -1):
         sols = tri.zz1_edge_solutions(h, N, sign, u_grid=u_grid)
-        assert sols
-        for sol in sols:
+        assert len(sols.u)
+        for sol in _points(sols):
             gap = sol.energy - (sol.tau + sign * 2.0 * sol.zeta_abs)
             assert sign * gap > 0.0
             spec = _triangle_oracle(h, N, sol.k, TriangleEdge.ZIGZAG1)
@@ -228,8 +233,8 @@ def test_criterion_09():
     assert all(weak_report[f][s]["exists"]
                for f in ("A", "B") for s in ("plus", "minus"))
     for sign in (1, -1):
-        assert tri.zz2_edge_solutions(weak, N, sign, "B")
-        assert tri.zz2_edge_solutions(strong, N, sign, "B") == []
+        assert len(tri.zz2_edge_solutions(weak, N, sign, "B").u)
+        assert not len(tri.zz2_edge_solutions(strong, N, sign, "B").u)
     for h in (strong, weak):
         for k in midpoint_grid(math.pi, 64):
             roots = tri.zz2_roots(h, N, k)
@@ -285,8 +290,8 @@ def test_criterion_12():
     """Two-sided envelopes stay exactly mirror-(anti)symmetric when deep."""
     N = 30
     for u in (0.2, 0.8, 2.0):
-        even = tri.zz2_edge_profile(u, N, "A")
-        odd = tri.zz2_edge_profile(u, N, "B")
+        even = edge_envelope(u, N, 2, "A")
+        odd = edge_envelope(u, N, 2, "B")
         assert np.max(np.abs(even - even[::-1])) < 1e-12
         assert np.max(np.abs(odd + odd[::-1])) < 1e-12
 

@@ -242,6 +242,41 @@ def test_reflection_property(n, x):
     assert abs(left - right) <= 1e-12 * max(1.0, abs(right))
 
 
+# -------------------------------------------------------------- envelopes --
+
+def _one_decay_envelope(ends, N, even, u):
+    """Reference: the envelope of one decay, a Python float, in the scalar
+    forms with math.expm1 denominators."""
+    n = np.arange(1, N + 1)
+    if ends == 1:
+        return (np.exp(-(n - 1) * u) * np.expm1(-2.0 * (N - n + 1) * u)
+                / math.expm1(-2.0 * N * u))
+    m, half = n - (N + 1) / 2.0, (N - 1) / 2.0
+    if even:
+        return cp._cosh_quotient(np.abs(m), half, u)
+    return -np.sign(m) * (np.exp((np.abs(m) - half) * u)
+                          * np.expm1(-2.0 * np.abs(m) * u)
+                          / math.expm1(-2.0 * half * u))
+
+
+@pytest.mark.parametrize("ends, N", [
+    (1, 1), (1, 2), (1, 3), (1, 13), (1, 200),
+    (2, 2), (2, 3), (2, 13), (2, 200)])  # no two-sided ribbon of width 1
+def test_envelope_rows_equal_one_decay_envelopes(rng, ends, N):
+    # an array of decays gives one row per decay, each that of its decay
+    # alone bit for bit, from 1e-300 to 700
+    u = np.concatenate([[1e-300, 5e-324 * 2 ** 60, 1.0, 700.0],
+                        10.0 ** rng.uniform(-300.0, math.log10(700.0), 200)])
+    for fam in cp.zigzag_ends(ends, N)[1]:
+        rows = fam.envelope(u)
+        assert rows.shape == (len(u), N)
+        np.testing.assert_array_equal(
+            rows, np.stack([fam.envelope(x) for x in u.tolist()]))
+        np.testing.assert_array_equal(rows, np.stack([
+            _one_decay_envelope(ends, N, fam.even, x) for x in u.tolist()]))
+        assert fam.envelope(u[:0]).shape == (0, N)
+
+
 # ------------------------------------------------------------ error paths --
 
 def test_error_paths():

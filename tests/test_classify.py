@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import midpoint_grid
+from conftest import edge_envelope, midpoint_grid
 
 from chebribbon import square_ribbon as sq
 from chebribbon import triangle_ribbon as tri
@@ -168,7 +168,7 @@ def test_numeric_standing_wave_is_bulk():
 
 
 def test_numeric_two_sided_profile():
-    psi = tri.zz2_edge_profile(0.8, 30, "A")
+    psi = edge_envelope(0.8, 30, 2, "A")
     result = classify_numeric(psi)
     assert result.label is StateLabel.EDGE_BOTH
     assert result.u_estimate == pytest.approx(0.8, rel=0.02)
@@ -176,7 +176,7 @@ def test_numeric_two_sided_profile():
 
 def test_numeric_recovers_decay_rate():
     for u in (0.1, 0.5, 1.0, 2.0, 3.0):
-        psi = tri.zz1_edge_profile(u, 30)
+        psi = edge_envelope(u, 30, 1)
         result = classify_numeric(psi, threshold_ipr=0.0)
         assert result.label.is_edge
         assert result.u_estimate == pytest.approx(u, rel=0.02)

@@ -100,17 +100,18 @@ def _scan(kind, N, hoppings, k_points):
     (ModelKind.TRIANGLE_ZIGZAG1, TriangleEdge.ZIGZAG1),
     (ModelKind.TRIANGLE_ZIGZAG2, TriangleEdge.ZIGZAG2)])
 def test_triangle_state_blocks_match_oracle(kind, edge):
-    # states(m) forms each bulk state at its root's angle and each edge
+    # states(ms) forms each bulk state at its root's angle and each edge
     # state from its envelope: each column lies in the oracle's eigenspace
     # at its energy
     N = 200
     h = TriangleHoppings(t1=0.9, t2=0.1, t3=1.0)
     scan, momenta = _scan(kind, N, h, 3)
+    columns = scan.states(np.arange(len(momenta) * N))
+    assert columns.shape == (N, len(momenta) * N)
     for m, k in enumerate(momenta):
         rows = slice(m * N, (m + 1) * N)
         assert any(u is not None for u in scan.u[rows])
-        block = scan.states(m)
-        assert block.shape == (N, N)
+        block = columns[:, rows]
         spec = eigensolve_dense(build_triangle_bloch(h, N, k, edge=edge))
         overlap = subspace_overlap(spec, scan.energy[rows], block)
         assert np.all(1.0 - overlap <= 1e-9)
@@ -121,10 +122,11 @@ def test_square_state_blocks_match_oracle():
     h = SquareHoppings(tu=1.0, td=0.6, tl=0.0, tr=1.0)
     scan, momenta = _scan(ModelKind.SQUARE_ZIGZAG, N, h, 4)
     assert any(label == "edge-both" for label in scan.label)
+    columns = scan.states(np.arange(len(momenta) * 2 * N))
     for m, k in enumerate(momenta):
         rows = slice(m * 2 * N, (m + 1) * 2 * N)
         spec = eigensolve_dense(build_square_bloch(h, N, k))
-        overlap = subspace_overlap(spec, scan.energy[rows], scan.states(m))
+        overlap = subspace_overlap(spec, scan.energy[rows], columns[:, rows])
         assert np.all(1.0 - overlap <= 1e-9)
 
 
@@ -159,9 +161,9 @@ def test_closed_form_iprs_equal_single_state_iprs():
         assert (scan.label != "bulk").any() == kind.value.endswith(
             ("zigzag", "zigzag1", "zigzag2"))
         dim = RibbonModel(kind, N).dim
-        for m in range(len(momenta)):
-            np.testing.assert_allclose(scan.ipr[m * dim:(m + 1) * dim],
-                                       ipr(scan.states(m)), rtol=1e-12)
+        np.testing.assert_allclose(
+            scan.ipr, ipr(scan.states(np.arange(len(momenta) * dim))),
+            rtol=1e-12)
 
 
 def _transition_commands(count, seed):
@@ -478,7 +480,8 @@ def test_traced_triangle_names_are_called(monkeypatch, capsys, model):
     [np.float64(-0.0), 1, -0.0, "bulk", None, np.float64(0.25), "analytic"],
     [0.1, 12, np.float64(1e-300), "edge-left", np.float64(0.3), 1.0 / 3.0,
      "analytic"],
-    [np.float64(-1.5), np.int64(3), 2.0 ** 0.5, "", "", 0.5, "oracle"],
+    # u is None or a float: the scans and the oracle leave no other value
+    [np.float64(-1.5), np.int64(3), 2.0 ** 0.5, "", None, 0.5, "oracle"],
     [1e22, 1, float("nan"), "edge-both", -0.0, float("inf"), "oracle"],
 ])
 def test_band_line_equals_joined_fmt(capsys, row):
@@ -585,8 +588,9 @@ def _per_momentum_lr_scan(config):
     energy, j, sign = (np.array(column) for column in zip(
         *(entry for entries in solved for entry in entries)))
 
-    def states(m):
-        rows = slice(m * 2 * N, (m + 1) * 2 * N)
+    def states(rows):
+        # one momentum's rows
+        m = rows[0] // (2 * N)
         return sq.lr_isotropic_state(h, N, ks[m], j[rows], a=a,
                                      sign=sign[rows])
 
@@ -621,7 +625,9 @@ def _per_momentum_linear_scan(config):
     energy = np.concatenate([s[0] for s in solved])
     j = np.concatenate([s[1] for s in solved]) + 1
 
-    def states(m):
+    def states(rows):
+        # one momentum's rows
+        m = rows[0] // N
         return tri.linear_states(h, N, ks[m], a=a)[:, solved[m][1]]
 
     return cli._Scan(grid, energy, *cli._triangle_labels(
@@ -695,9 +701,13 @@ def _assert_scan_equals_per_momentum_scan(monkeypatch, capsys, argv):
         assert scan.label.tolist() == reference.label.tolist()
         assert np.array_equal(np.asarray(scan.near, dtype=object),
                               np.asarray(reference.near, dtype=object))
-        for m in range(len(reference.energy) // config.model.dim):
-            assert (scan.states(m).tobytes()
-                    == reference.states(m).tobytes()), (argv, m)
+        # one call for every momentum, against one call per momentum
+        dim = config.model.dim
+        columns = scan.states(np.arange(len(reference.energy)))
+        for m in range(len(reference.energy) // dim):
+            rows = np.arange(m * dim, (m + 1) * dim)
+            assert (np.ascontiguousarray(columns[:, rows]).tobytes()
+                    == reference.states(rows).tobytes()), (argv, m)
     outputs = []
     for scans in (cli._SCANS,
                   {**cli._SCANS, config.kind: _PER_MOMENTUM_SCANS[
@@ -747,6 +757,23 @@ def test_oracle_rows_hold_one_chunk_at_a_time(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 6.5e6
+
+
+def test_validate_holds_one_chunk_at_a_time(tmp_path):
+    # at dim 300 a chunk is one momentum, whose states take 1.44 MB: its
+    # spectrum, its states and the overlap check's products peaked at
+    # 6.6 MB; one more copy of the states, or of the oracle's vectors,
+    # held through the check passes the bound
+    argv = ["validate", "--model", "square-zigzag", "--N", "150",
+            "--k-points", "8", "--out", str(tmp_path / "validate.json")]
+    assert run(argv) == 0  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.0e6
 
 
 @pytest.mark.parametrize("tl", ["0", "0.5"])
@@ -944,13 +971,16 @@ def test_edges_forms_no_state(monkeypatch, capsys):
         assert run(["edges", "--model", model, "--N", "6", *hop]) == 0
         assert json.loads(capsys.readouterr().out)["branch"]
     assert states == [[], []] and norms == []
+    # a branch table is columns over its u grid; the states of its points,
+    # formed at (u, theta) in one call, are those formed one by one
     h = TriangleHoppings(0.9, 0.1, 1.0)
-    for sol in tri.zz2_edge_solutions(h, 6, 1, "B", u_grid=[0.3, 2.0]):
-        theta = tri.zeta_of_k(h, sol.k)[1]
-        assert sol.psi is sol.psi
-        assert np.array_equal(sol.psi,
-                              tri.zz2_edge_state(sol.u, 6, 1, "B", theta))
-    assert len(states[1]) == 2
+    table = tri.zz2_edge_solutions(h, 6, 1, "B", u_grid=[0.3, 0.6, 2.0])
+    assert table.u.tolist() == [0.3, 0.6]
+    assert np.array_equal(table.theta, tri.zeta_of_k(h, table.k)[1])
+    rows = tri.zz2_edge_state(table.u, 6, 1, "B", table.theta)
+    for row, u, theta in zip(rows, table.u.tolist(), table.theta.tolist()):
+        assert np.array_equal(row, tri.zz2_edge_state(u, 6, 1, "B", theta))
+    assert len(states[1]) == 3
 
 
 def test_edges_rejects_models_without_branch_analytics(capsys):
@@ -1304,25 +1334,43 @@ def test_general_bands_solve_one_momentum_of_each_pair(monkeypatch, capsys,
     ["bands", "--model", "triangle-linear", "--N", "40", "--t1", "0",
      "--t2", "0"],
     ["validate", "--model", "square-zigzag", "--N", "12", "--tu", "1",
-     "--td", "0.6", "--tr", "1"]])
+     "--td", "0.6", "--tr", "1"],
+    ["validate", "--model", "square-lr", "--N", "6", "--tu", "0.9", "--td",
+     "0.4", "--tr", "0.7", "--tl", "0.7"],
+    ["validate", "--model", "triangle-linear", "--N", "7", "--t1", "1.2",
+     "--t2", "0.7", "--t3", "0.9"],
+    ["validate", "--model", "triangle-zigzag1", "--N", "13", "--t1", "0.9",
+     "--t2", "0.1"],
+    ["validate", "--model", "triangle-zigzag2", "--N", "4", "--t1", "0.9",
+     "--t2", "0.1"]])
 def test_oracle_chunks_leave_every_byte(monkeypatch, capsys, argv):
     # at 128 momenta half the grid (all of it in validate) spans several
     # chunks of the module's budget; chunks of one momentum, and of three
     # with a short last one, give the same bytes; each chunk is classified
-    # in one classify_numeric call
+    # in one classify_numeric call, and validate forms a chunk's states in
+    # one state-builder call and checks them in one subspace_overlap call
     calls = _counting(monkeypatch, cli, "eigensolve_dense")
     classified = _counting(monkeypatch, cli, "classify_numeric")
-    dim = 2 * 12 if argv[2].startswith("square") else 40
+    overlaps = _counting(monkeypatch, cli, "subspace_overlap")
+    builders = [_counting(monkeypatch, module, name) for module, name in (
+        (sq, "zigzag_root_states"), (sq, "lr_isotropic_state"),
+        (tri, "linear_states"), (tri, "root_states"))]
+    dim = RibbonModel(ModelKind(argv[2]), int(argv[4])).dim
     momenta = 128 if argv[0] == "validate" else 64
     outputs = []
     for budget in (cli._CHUNK_ENTRIES, 1, 3 * dim * dim):
         monkeypatch.setattr(cli, "_CHUNK_ENTRIES", budget)
-        calls.clear()
-        classified.clear()
+        for counted in (calls, classified, overlaps, *builders):
+            counted.clear()
         assert run(argv) == 0
         outputs.append(capsys.readouterr().out)
         assert len(calls) == -(-momenta // max(1, budget // (dim * dim)))
-        assert len(classified) == len(calls)
+        # square-lr's states are all bulk: validate has no label to check
+        assert len(classified) == (0 if argv[2] == "square-lr"
+                                   else len(calls))
+        if argv[0] == "validate":
+            assert len(overlaps) == len(calls)
+            assert sorted(map(len, builders)) == [0, 0, 0, len(calls)]
     assert len(set(outputs)) == 1
 
 

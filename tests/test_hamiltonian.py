@@ -357,6 +357,25 @@ def test_subspace_overlap_of_a_matrix_equals_per_column_calls(rng):
         subspace_overlap(spec, queries, vectors)
 
 
+def test_subspace_overlap_of_a_stack_equals_per_spectrum_calls(rng):
+    # a stack of spectra, as eigensolve_dense gives one, with a row of
+    # energies and a matrix of vectors each, gives each spectrum's row of
+    # its own call bit for bit, windows of different widths included
+    N, m = 6, 5
+    h = SquareHoppings(tu=1.0, td=1.0, tr=1.0, tl=1.0)  # degenerate pairs
+    spectra = eigensolve_dense(build_square_bloch(h, N,
+                                                  np.linspace(-1.5, 1.5, m)))
+    energies = np.array([s.energies for s in spectra])
+    energies[1, ::3] += 2.0 * OVERLAP_WINDOW  # some empty windows
+    vectors = rng.normal(size=(m, 2 * N, 2 * N)) \
+        + 1j * rng.normal(size=(m, 2 * N, 2 * N))
+    found = subspace_overlap(spectra, energies, vectors)
+    assert found.shape == (m, 2 * N)
+    for spec, e, v, row in zip(spectra, energies, vectors, found):
+        np.testing.assert_array_equal(row, subspace_overlap(spec, e, v))
+    assert (found[1, ::3] == 0.0).all()
+
+
 # -------------------------------------------------------------- validation --
 
 def test_model_metadata_and_validation():

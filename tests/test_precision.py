@@ -21,6 +21,8 @@ import mpmath
 import numpy as np
 import pytest
 
+from conftest import edge_envelope
+
 from chebribbon import square_ribbon as sq
 from chebribbon import triangle_ribbon as tri
 from chebribbon.chebpoly import u_profile_ipr, zigzag_ends
@@ -64,8 +66,8 @@ def _profile_ipr(phi, r, N):
 
 
 def _envelope_ipr(u, N, ends, family):
-    """The 40-digit IPR of an edge envelope (zz1_edge_profile or
-    zz2_edge_profile), from its sinh and cosh form."""
+    """The 40-digit IPR of an edge envelope (the EdgeFamily envelope of
+    one or two truncated end rows), from its sinh and cosh form."""
     with mpmath.workdps(40):
         u = mpmath.mpf(u)
         if ends == 1:
@@ -117,12 +119,12 @@ def test_bulk_iprs_at_the_band_edges_and_the_transition(N):
 @pytest.mark.parametrize("N", WIDTHS)
 def test_edge_envelope_iprs(N):
     for u in (1e-150, 1e-50, 1e-12, 1e-6, 1e-3, 0.1, 1.0, 10.0):
-        _assert_close(ipr(tri.zz1_edge_profile(u, N)),
+        _assert_close(ipr(edge_envelope(u, N, 1)),
                       _envelope_ipr(u, N, 1, "A"), (u, 1))
         _assert_close(ipr(sq.zigzag_edge_branch(u, N).psi_circ),
                       _envelope_ipr(u, N, 1, "A"), (u, "square"))
         for family in ("A", "B"):
-            _assert_close(ipr(tri.zz2_edge_profile(u, N, family)),
+            _assert_close(ipr(edge_envelope(u, N, 2, family)),
                           _envelope_ipr(u, N, 2, family), (u, family))
 
 

@@ -485,6 +485,24 @@ def _seed_lr_state(h, N, k, j, sign):
     return full / np.linalg.norm(full)
 
 
+@pytest.mark.parametrize("N", [1, 3, 12, 60])
+def test_root_states_of_many_momenta_equal_per_momentum_calls(N):
+    # one call with one xi per root gives each momentum's columns of its
+    # own call bit for bit, edge roots included
+    h = SquareHoppings(tu=1.0, td=0.6, tr=1.0, tl=0.0)
+    xi = sq.xi_of_k(h, midpoint_grid(math.pi / 2.0, 16))[0]
+    (omega, v, u), failed = sq.zigzag_roots(np.abs(xi), N)
+    assert not failed and np.isnan(v).any()
+    omega, v, u = (np.concatenate([sign * c[:, ::-1], c], axis=1)
+                   for c, sign in ((omega, -1.0), (v, 1.0), (u, 1.0)))
+    many = sq.zigzag_root_states(np.repeat(xi, 2 * N), omega.ravel(),
+                                 v.ravel(), u.ravel(), N)
+    for m, x in enumerate(xi.tolist()):
+        np.testing.assert_array_equal(
+            many[:, m * 2 * N:(m + 1) * 2 * N],
+            sq.zigzag_root_states(x, omega[m], v[m], u[m], N))
+
+
 @pytest.mark.parametrize("N", [1, 2, 3, 8, 40])
 def test_batched_lr_states_equal_single_states(N, rng):
     cases = [(SquareHoppings(tu=tu, td=td, tl=tr, tr=tr), k)
@@ -506,6 +524,18 @@ def test_batched_lr_states_equal_single_states(N, rng):
     h, k = cases[0]
     single = sq.lr_isotropic_state(h, N, k, np.array([N]), sign=-1)
     assert np.array_equal(single[:, 0], _seed_lr_state(h, N, k, N, -1))
+    # one momentum per pair: the states of many momenta in one call are
+    # those of each momentum alone
+    ks = [k for _, k in cases]
+    for h, _ in cases:
+        many = sq.lr_isotropic_state(h, N, np.repeat(ks, 2 * N),
+                                     np.tile(js, len(ks)),
+                                     sign=np.tile(signs, len(ks)))
+        for m, k in enumerate(ks):
+            np.testing.assert_array_equal(
+                many[:, m * 2 * N:(m + 1) * 2 * N],
+                sq.lr_isotropic_state(h, N, k, js, sign=signs))
+    h, k = cases[0]
     with pytest.raises(ValueError):
         sq.lr_isotropic_state(h, N, k, np.array([1, N + 1]), sign=1)
     with pytest.raises(ValueError):

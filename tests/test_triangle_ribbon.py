@@ -7,10 +7,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import midpoint_grid
+from conftest import edge_envelope, midpoint_grid
 
 from chebribbon import triangle_ribbon as tri
-from chebribbon.chebpoly import u_all
+from chebribbon.chebpoly import u_all, zigzag_ends
 from chebribbon.errors import DegenerateParameterError
 from chebribbon.hamiltonian import (TriangleEdge, TriangleHoppings,
                                     build_triangle_bloch, eigensolve_dense,
@@ -153,7 +153,7 @@ def test_zz1_state_phase_and_edge_modulus():
     edge = np.flatnonzero(roots.edge)
     assert len(edge) == 1 and roots.sign[edge[0]] == 1
     assert roots.u[edge[0]] == pytest.approx(0.9, abs=0.1)
-    profile = tri.zz1_edge_profile(roots.u[edge[0]], N)
+    profile = edge_envelope(roots.u[edge[0]], N, 1)
     np.testing.assert_allclose(np.abs(psi[:, edge[0]]),
                                profile / np.linalg.norm(profile), rtol=1e-8)
 
@@ -294,13 +294,18 @@ def test_root_tables_carry_the_reduced_parameters():
 
 # ----------------------------------------------------------- edge branches --
 
+def _points(table):
+    """The points of an EdgeBranch table, each an EdgeBranch of scalars."""
+    return [table._make(point) for point in zip(*table)]
+
+
 def test_zz1_edge_solutions_worked_case():
     N = 5
     u_grid = np.logspace(-2, 0.4, 12)
     for sign in (1, -1):
         sols = tri.zz1_edge_solutions(WEAK, N, sign, u_grid=u_grid)
-        assert sols
-        for sol in sols:
+        assert len(sols.u)
+        for sol in _points(sols):
             ratio = math.sinh((N + 1) * sol.u) / math.sinh(N * sol.u)
             assert sol.tau / sol.zeta_abs == pytest.approx(-sign * ratio,
                                                            abs=1e-9)
@@ -311,7 +316,8 @@ def test_zz1_edge_solutions_worked_case():
             assert sign * gap > 0.0  # detached outward from the band
             H = build_triangle_bloch(WEAK, N, sol.k,
                                      edge=TriangleEdge.ZIGZAG1).entries
-            resid = np.abs(H @ sol.psi - sol.energy * sol.psi).max()
+            psi = tri.zz1_edge_state(sol.u, N, sign, sol.theta)
+            resid = np.abs(H @ psi - sol.energy * psi).max()
             assert resid < 1e-8 * max(1.0, abs(sol.energy))
             spec = _oracle(WEAK, N, sol.k, TriangleEdge.ZIGZAG1)
             y = (spec.energies - sol.tau) / (2.0 * sol.zeta_abs)
@@ -320,11 +326,102 @@ def test_zz1_edge_solutions_worked_case():
             assert int(np.sum(outside & (y < 0))) == (0 if sign > 0 else 1)
 
 
+@pytest.mark.parametrize("ends", [1, 2])
+def test_root_states_of_many_momenta_equal_per_momentum_calls(ends):
+    # one call over the RootTable of 16 momenta gives each momentum's
+    # columns of its own table bit for bit, edge roots of both families
+    # included; so does linear_states over an array of momenta
+    ks = midpoint_grid(math.pi, 16)
+    families = set()
+    for N in (2, 3, 13, 40):
+        roots, failed = (tri.zz1_roots if ends == 1 else tri.zz2_roots)(
+            WEAK, N, ks)
+        assert not failed
+        families |= set(roots.family.tolist())
+        many = tri.root_states(roots, N, ends)
+        for m in range(len(ks)):
+            rows = slice(m * N, (m + 1) * N)
+            np.testing.assert_array_equal(
+                many[:, rows],
+                tri.root_states(tri.RootTable(*(c[rows] for c in roots)), N,
+                                ends))
+        linear = tri.linear_states(WEAK, N, ks)
+        for m, k in enumerate(ks.tolist()):
+            np.testing.assert_array_equal(linear[m],
+                                          tri.linear_states(WEAK, N, k))
+    assert families == ({"", "A"} if ends == 1 else {"", "A", "B"})
+
+
+def _scalar_edge_points(h, N, sign, ends, family, u_grid, a=1.0):
+    """Reference: the admissible points of a branch table resolved one u
+    point at a time, in math's scalar functions, as (u, cos_ka, k, energy,
+    zeta_abs, tau, theta) tuples."""
+    fam = {f.name: f for f in zigzag_ends(ends, N)[1]}[family]
+    threshold = (abs(h.t1 - h.t2) if sign > 0 else h.t1 + h.t2) / (2.0 * h.t3)
+    if threshold >= fam.bound:
+        return []
+    t1, t2, t3 = h.t1, h.t2, h.t3
+    s, p, d2 = t1 * t1 + t2 * t2, t1 * t2, (t1 - t2) ** 2
+    out = []
+    for u in np.asarray(u_grid, dtype=float):
+        half = fam.half(u)
+        if half <= threshold:
+            continue
+        ft = 4.0 * half * half * t3 * t3
+        disc = math.sqrt(p * p + ft * s)
+        if sign > 0:
+            c = -s / (p + disc)
+            one_plus_c = s * (ft - d2) / ((disc + s - p) * (p + disc))
+        else:
+            c = (p + disc) / ft
+            one_plus_c = 1.0 + c
+        if abs(c) > 1.0 or one_plus_c < 0.0:
+            continue
+        k = 2.0 * math.atan2(math.sqrt(1.0 - c), math.sqrt(one_plus_c)) / a
+        zeta = h.t1 + h.t2 * cmath.exp(-1.0j * k * a)
+        zeta_abs = math.sqrt(d2 + 2.0 * p * one_plus_c)
+        tau = 2.0 * t3 * c
+        energy = tau + sign * 2.0 * zeta_abs * math.cosh(u)
+        out.append((float(u), c, k, energy, zeta_abs, tau,
+                    cmath.phase(zeta)))
+    return out
+
+
+def test_edge_tables_equal_scalar_reference(rng):
+    # every column of a table over the whole u grid equals the point by
+    # point scalar resolution bit for bit, on random hoppings, sides,
+    # families, widths and lattice constants
+    grid = np.concatenate([tri.default_u_grid(),
+                           10.0 ** rng.uniform(-6.0, 2.5, 200)])
+    compared = 0
+    for _ in range(60):
+        h = TriangleHoppings(*(10.0 ** rng.uniform(-1.0, 1.0, 3)))
+        ends = int(rng.integers(1, 3))
+        N = int(rng.integers(2, 40))
+        sign = int(rng.choice([1, -1]))
+        family = str(rng.choice(["A", "B"])) if ends == 2 else "A"
+        a = float(rng.choice([1.0, 0.5, 3.0]))
+        u_grid = grid if rng.random() < 0.5 else None
+        table = (tri.zz1_edge_solutions(h, N, sign, u_grid=u_grid, a=a)
+                 if ends == 1 else
+                 tri.zz2_edge_solutions(h, N, sign, family, u_grid=u_grid,
+                                        a=a))
+        points = _scalar_edge_points(
+            h, N, sign, ends, family,
+            tri.default_u_grid() if u_grid is None else u_grid, a)
+        expected = (np.array(points).T if points
+                    else np.empty((len(table), 0)))
+        for column, values in zip(table, expected):
+            np.testing.assert_array_equal(column, values)
+        compared += len(points)
+    assert compared > 1000
+
+
 def test_zz1_edge_solutions_empty_cases():
-    assert tri.zz1_edge_solutions(WEAK, 5, 1, u_grid=[5.0]) == []
+    assert not len(tri.zz1_edge_solutions(WEAK, 5, 1, u_grid=[5.0]).u)
     strong = TriangleHoppings(t1=3.0, t2=0.1, t3=1.0)
     for sign in (1, -1):
-        assert tri.zz1_edge_solutions(strong, 5, sign) == []
+        assert not len(tri.zz1_edge_solutions(strong, 5, sign).u)
 
 
 def test_zz2_edge_solutions_all_branches():
@@ -334,8 +431,8 @@ def test_zz2_edge_solutions_all_branches():
         for family in ("A", "B"):
             sols = tri.zz2_edge_solutions(WEAK, N, sign, family,
                                           u_grid=u_grid)
-            assert sols
-            for sol in sols[:4]:
+            assert len(sols.u)
+            for sol in _points(sols)[:4]:
                 if family == "A":
                     ratio = (math.cosh((N + 1) * sol.u / 2.0)
                              / math.cosh((N - 1) * sol.u / 2.0))
@@ -355,38 +452,38 @@ def test_zz2_edge_solutions_all_branches():
 def test_zz2_edge_solutions_respect_family_bounds():
     strong = TriangleHoppings(t1=1.5, t2=0.1, t3=1.0)
     for sign in (1, -1):
-        assert tri.zz2_edge_solutions(strong, 5, sign, "B") == []
-        assert tri.zz2_edge_solutions(strong, 5, sign, "A")
-        assert tri.zz2_edge_solutions(WEAK, 5, sign, "B")
+        assert not len(tri.zz2_edge_solutions(strong, 5, sign, "B").u)
+        assert len(tri.zz2_edge_solutions(strong, 5, sign, "A").u)
+        assert len(tri.zz2_edge_solutions(WEAK, 5, sign, "B").u)
 
 
 # -------------------------------------------------------------- envelopes ---
 
 def test_zz1_edge_profile_shape():
-    prof = tri.zz1_edge_profile(0.7, 6)
+    prof = edge_envelope(0.7, 6, 1)
     assert prof[0] == pytest.approx(1.0)
     assert np.all(np.diff(prof) < 0.0)
     n = 4
     assert prof[n - 1] == pytest.approx(
         math.sinh((6 - n + 1) * 0.7) / math.sinh(6 * 0.7), rel=1e-12)
     with pytest.raises(ValueError):
-        tri.zz1_edge_profile(0.0, 6)
+        tri.zz1_edge_state(0.0, 6, 1)
     with pytest.raises(ValueError):
-        tri.zz1_edge_profile(-1.0, 6)
+        tri.zz1_edge_state(np.array([0.7, -1.0]), 6, 1)
 
 
 def test_zz2_edge_profiles_symmetry():
     N = 9
     for u in (0.2, 0.8, 2.0):
-        even = tri.zz2_edge_profile(u, N, "A")
-        odd = tri.zz2_edge_profile(u, N, "B")
+        even = edge_envelope(u, N, 2, "A")
+        odd = edge_envelope(u, N, 2, "B")
         assert even[0] == pytest.approx(1.0)
         assert even[-1] == pytest.approx(1.0)
         assert odd[0] == pytest.approx(1.0)
         assert odd[-1] == pytest.approx(-1.0)
         np.testing.assert_allclose(even, even[::-1], atol=1e-12)
         np.testing.assert_allclose(odd, -odd[::-1], atol=1e-12)
-    assert tri.zz2_edge_profile(0.5, 9, "B")[4] == 0.0  # central chain node
+    assert edge_envelope(0.5, 9, 2, "B")[4] == 0.0  # central chain node
 
 
 def test_zz2_gauge_conventions_are_mirror_images():
@@ -397,7 +494,7 @@ def test_zz2_gauge_conventions_are_mirror_images():
     np.testing.assert_allclose(
         tri.zz2_edge_state(u, N, sign, family, -theta),
         float(sign) ** (n - 1) * np.exp(1.0j * n * theta)
-        * tri.zz2_edge_profile(u, N, family), atol=1e-15)
+        * edge_envelope(u, N, 2, family), atol=1e-15)
     np.testing.assert_allclose(
         tri.zz2_edge_state(u, N, sign, family, theta),
         np.conj(tri.zz2_edge_state(u, N, sign, family, -theta)), atol=1e-15)
@@ -435,6 +532,6 @@ def test_error_paths():
     with pytest.raises(ValueError):
         tri.zz2_edge_solutions(WEAK, 5, 1, "C")
     with pytest.raises(ValueError):
-        tri.zz2_edge_profile(0.5, 1, "A")
+        tri.zz2_edge_state(0.5, 1, 1, "A")
     with pytest.raises(ValueError):
         tri.zz1_edge_solutions(TriangleHoppings(t1=1, t2=1, t3=0), 5, 1)
