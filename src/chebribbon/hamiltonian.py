@@ -306,8 +306,8 @@ def subspace_overlap(spectrum, energy, vector):
     """Norm of the projection of `vector` onto the eigenspace spanned by all
     eigenvalues within OVERLAP_WINDOW of `energy` (0.0 if none): a
     degeneracy-safe overlap.  A (dim, m) matrix of vectors with their m
-    energies gives one per column; a list of spectra (a stack) with one row
-    of energies and one matrix each, a row each, bit for bit as if alone.
+    energies gives one per column; a list of spectra (a stack), with a row
+    of energies and a matrix of vectors each, gives a row each, as alone.
     The eigenvalues ascend, so |<v_j, s>|^2 is summed over a contiguous
     run: O(dim^2 w) for a widest window w."""
     stacked = isinstance(spectrum, list)

@@ -327,7 +327,7 @@ def lr_isotropic_state(h, N, k, j, a=1.0, sign=1):
     gauge = np.exp(-1.0j * n * ks * a)
     a_bullet = 1.0 / math.sqrt(2.0)
     # s (c/|c|)/sqrt 2 by parts, as Python divides (numpy's complex
-    # division rounds apart); 1/sqrt 2 at c = 0, the degenerate pair's
+    # division rounds apart), or 1/sqrt 2 at c = 0 by convention
     c = _lr_c(h, N, ks[:, 0], a, js)
     c_abs = np.hypot(c.real, c.imag)
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -264,9 +264,11 @@ def _one_decay_envelope(ends, N, even, u):
     (2, 2), (2, 3), (2, 13), (2, 200)])  # no two-sided ribbon of width 1
 def test_envelope_rows_equal_one_decay_envelopes(rng, ends, N):
     # an array of decays gives one row per decay, each that of its decay
-    # alone bit for bit, from 1e-300 to 700
+    # alone bit for bit, from 1e-300 to 700, densest where np.expm1 and
+    # math.expm1 round apart
     u = np.concatenate([[1e-300, 5e-324 * 2 ** 60, 1.0, 700.0],
-                        10.0 ** rng.uniform(-300.0, math.log10(700.0), 200)])
+                        10.0 ** rng.uniform(-300.0, math.log10(700.0), 200),
+                        rng.uniform(1e-3, 5.0, 200)])
     for fam in cp.zigzag_ends(ends, N)[1]:
         rows = fam.envelope(u)
         assert rows.shape == (len(u), N)
