@@ -14,11 +14,10 @@ from .classify import (StateClass, StateLabel, classify_analytic_square,
                        model_edge_sides)
 from .errors import (DegenerateParameterError, HermiticityError,
                      NoEdgeStateError, RootCountError, SingularArgumentError)
-from .hamiltonian import (BlochMatrix, ModelKind, RibbonModel, Spectrum,
-                          SquareHoppings, TriangleEdge, TriangleHoppings,
-                          build_beta, build_square_bloch,
-                          build_triangle_bloch, eigensolve_dense,
-                          subspace_overlap)
+from .hamiltonian import (ModelKind, RibbonModel, Spectrum, SquareHoppings,
+                          TriangleEdge, TriangleHoppings, build_beta,
+                          build_square_bloch, build_triangle_bloch,
+                          eigensolve_dense, subspace_overlap)
 from .square_ribbon import (EdgeBranchPoint, EdgeRegime, RegimeVerdict,
                             ZeroModeState, edge_regime,
                             extrema_ellipse_residual, lr_isotropic_spectrum,
@@ -46,7 +45,7 @@ __all__ = [
     "RootCountError", "SingularArgumentError",
     # hamiltonian
     "ModelKind", "TriangleEdge", "SquareHoppings", "TriangleHoppings",
-    "RibbonModel", "BlochMatrix", "Spectrum", "build_beta",
+    "RibbonModel", "Spectrum", "build_beta",
     "build_square_bloch", "build_triangle_bloch", "eigensolve_dense",
     "subspace_overlap",
     # square_ribbon

@@ -173,7 +173,7 @@ _CHUNK_ENTRIES = 16 * 24 * 24
 
 
 def _oracle_chunks(config, ks):
-    """The oracle Spectrum of each momentum of the array ks, one list per
+    """The oracle Spectrum of the momenta of the array ks, one stack per
     chunk of at most _CHUNK_ENTRIES matrix entries, each chunk solved by
     one eigensolve_dense call when it is asked for."""
     step = max(1, _CHUNK_ENTRIES // config.model.dim ** 2)
@@ -187,9 +187,9 @@ def _oracle_rows(config, ks):
     in the order of ks; each chunk is classified before the next is solved."""
     energy, label, part = [np.empty(0)], [np.empty(0, str)], [np.empty(0)]
     u = []
-    for spectra in _oracle_chunks(config, ks):
-        energy += [s.energies for s in spectra]
-        vectors = np.concatenate([s.vectors for s in spectra], axis=1)
+    for spec in _oracle_chunks(config, ks):
+        energy.append(spec.energies.ravel())
+        vectors = np.hstack(spec.vectors)
         try:
             labels, decay, parts = classify_numeric(vectors)
         except ValueError:  # too few sites for the boundary fits
@@ -198,7 +198,7 @@ def _oracle_rows(config, ks):
         label.append(labels)
         u += [None if math.isnan(v) else v for v in decay.tolist()]
         part.append(parts)
-        del spectra, vectors  # freed before the next chunk's dense solve
+        del spec, vectors  # freed before the next chunk's dense solve
     return (np.concatenate(energy), np.concatenate(label), u,
             np.concatenate(part))
 
@@ -569,17 +569,16 @@ def _require_checkable(errors, energies):
                 "the hoppings are out of range")
 
 
-def _label_agreement(scan, rows, spectra):
+def _label_agreement(scan, rows, spec):
     """How many label values of the scan's `rows` agree with the numeric
-    classes of the oracle `spectra`'s states, classified in one call: all
+    classes of the oracle stack `spec`'s states, classified in one call: all
     when `near` is None (every state is bulk), else those equal, both
     edges, transitions or `near` a band edge, where the boundary fit is
     unreliable.  None below 4 sites, too short for the boundary fits."""
     if scan.near is None:
         return len(rows)
     try:
-        numeric = classify_numeric(
-            np.concatenate([s.vectors for s in spectra], axis=1))[0]
+        numeric = classify_numeric(np.hstack(spec.vectors))[0]
     except ValueError:  # too few sites for the boundary fits
         return None
     analytic = scan.label[rows]
@@ -600,11 +599,11 @@ def _validate_scan(config, violations):
     # every momentum is solved, a mirrored one too: its own oracle spectrum
     # is what checks the mirror
     start = 0
-    for spectra in _oracle_chunks(
+    for spec in _oracle_chunks(
             config, np.array([k for k, _, _ in scan.grid])):
-        chunk = scan.grid[start:start + len(spectra)]
-        start += len(spectra)
-        oracle = np.array([spec.energies for spec in spectra])
+        oracle = spec.energies
+        chunk = scan.grid[start:start + len(oracle)]
+        start += len(oracle)
         # a mirrored momentum's error is its partner's, raised before
         _require_checkable([None if isinstance(at, slice) else at
                             for _, at, _ in chunk], oracle)
@@ -619,19 +618,19 @@ def _validate_scan(config, violations):
         energies = scan.energy[rows].reshape(len(starts), dim)
         # subspace projection: degenerate pairs (e.g. the +-0 partners of a
         # deep edge state) leave single oracle vectors arbitrary
-        overlap = subspace_overlap(spectra, energies, states)
+        overlap = subspace_overlap(spec, energies, states)
         deficit = max(deficit, *(1.0 - overlap).ravel().tolist())
         d = np.abs(energies - oracle)
         for m, i in np.argwhere(d > tol * np.maximum(np.abs(energies), 1)):
             violations.append((name, float(chunk[m][0]), int(i) + 1,
                                "energy", d[m, i]))
         dev = max(dev, *d.ravel().tolist())
-        agreed = _label_agreement(scan, rows, spectra)
+        agreed = _label_agreement(scan, rows, spec)
         if agreed is not None:
             agree += agreed
             total += len(rows)
         # freed before the next chunk's dense solve, not after it
-        del spectra, states
+        del spec, states
     out = {"max_energy_dev": dev, "max_overlap_deficit": deficit,
            "agreement": agree / total if total else None}
     if scan.residuals is not None:
@@ -682,7 +681,7 @@ def _validate_branch_tables(tol, violations):
                 states = _zz(ends, "edge_state", t.u, N, sign, family=fam.name,
                              theta=t.theta if ends == 1 else -t.theta)
                 for H, psi, energy in zip(build_triangle_bloch(
-                        h, N, t.k, edge=_TRIANGLE_EDGE[kind]).entries,
+                        h, N, t.k, edge=_TRIANGLE_EDGE[kind]),
                         states, t.energy.tolist()):
                     worst = max(worst, float(np.linalg.norm(
                         H @ psi - energy * psi) / np.linalg.norm(psi)))

@@ -141,20 +141,14 @@ class RibbonModel:
         return h
 
 
-@dataclass(eq=False)
-class BlochMatrix:
-    dim: int
-    entries: np.ndarray
-    k: float
-
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Ascending eigenvalues with matched, phase-fixed eigenvector columns."""
+    """Ascending eigenvalues with matched, phase-fixed eigenvector columns:
+    energies (..., dim) and vectors (..., dim, dim), with the leading axes
+    of the matrices solved."""
 
     energies: np.ndarray
     vectors: np.ndarray
-    k: float
 
 
 def build_beta(N):
@@ -185,7 +179,7 @@ def build_square_bloch(h, N, k, a=1.0):
     H = np.zeros(phase.shape + (2 * N, 2 * N), dtype=complex)
     H[..., :N, N:] = T
     H[..., N:, :N] = T.conj().swapaxes(-1, -2)
-    return BlochMatrix(dim=2 * N, entries=H, k=k)
+    return H
 
 
 def build_triangle_bloch(h, N, k, edge=TriangleEdge.LINEAR, a=1.0):
@@ -205,7 +199,7 @@ def build_triangle_bloch(h, N, k, edge=TriangleEdge.LINEAR, a=1.0):
     H = np.zeros(ks.shape + (N, N), dtype=complex)
     H[..., range(N), range(N)] = diag
     H = H + _stacked(np.conj(zeta)) * beta + _stacked(zeta) * beta.T
-    return BlochMatrix(dim=N, entries=H, k=k)
+    return H
 
 
 def _chiral_block(stack):
@@ -240,23 +234,17 @@ def _chiral_eigh(T):
 
 
 def eigensolve_dense(H):
-    """Full spectrum of a Hermitian BlochMatrix (or plain matrix) with
-    deterministic eigenvector phases and verified residuals.
+    """Spectrum of a Hermitian matrix, or of a stack of them (shape (...,
+    dim, dim)), with deterministic eigenvector phases and verified
+    residuals.
 
     A matrix whose two diagonal blocks are exactly zero (every square
     Bloch matrix) is solved through the SVD of its off-diagonal block T,
     any other by eigh; the residual is checked on the full matrix either
-    way, blockwise on the chiral route.  A stack of matrices (a BlochMatrix
-    of an array of momenta, or an array of shape (m, dim, dim)) gives a
-    list of m Spectrum, each equal to that of its matrix on its own: the
-    checks, the one eigh or svd call and the phase rule run over the whole
-    stack, matrix by matrix."""
-    if isinstance(H, BlochMatrix):
-        mat, k = H.entries, H.k
-    else:
-        mat, k = np.asarray(H), 0.0
-    mat = np.asarray(mat, dtype=complex)
-    single = mat.ndim == 2
+    way, blockwise on the chiral route.  The checks, the one eigh or svd
+    call and the phase rule run over the whole stack, matrix by matrix, so
+    each matrix's energies and vectors equal those of its own solve."""
+    mat = np.asarray(H, dtype=complex)
     stack = mat.reshape((-1,) + mat.shape[-2:])
     # max(1, max|H|) of each matrix; fmax keeps 1 where that is NaN
     scale = np.fmax(1.0, np.abs(stack).max(axis=(1, 2)))
@@ -293,10 +281,8 @@ def eigensolve_dense(H):
     if np.any(residual > tol):
         raise RuntimeError(f"eigensolver residual {residual.max():.3e} "
                            "out of tolerance")
-    ks = [k] if single else np.broadcast_to(k, len(stack)).tolist()
-    spectra = [Spectrum(energies=e, vectors=v, k=kk)
-               for e, v, kk in zip(energies, vectors, ks)]
-    return spectra[0] if single else spectra
+    return Spectrum(energies=energies.reshape(mat.shape[:-1]),
+                    vectors=vectors.reshape(mat.shape))
 
 
 OVERLAP_WINDOW = 1e-7
@@ -306,15 +292,15 @@ def subspace_overlap(spectrum, energy, vector):
     """Norm of the projection of `vector` onto the eigenspace spanned by all
     eigenvalues within OVERLAP_WINDOW of `energy` (0.0 if none): a
     degeneracy-safe overlap.  A (dim, m) matrix of vectors with their m
-    energies gives one per column; a list of spectra (a stack), with a row
-    of energies and a matrix of vectors each, gives a row each, as alone.
-    The eigenvalues ascend, so |<v_j, s>|^2 is summed over a contiguous
-    run: O(dim^2 w) for a widest window w."""
-    stacked = isinstance(spectrum, list)
-    spectra = spectrum if stacked else [spectrum]
-    levels = np.array([s.energies for s in spectra])
+    energies gives one per column.  A stack of spectra, as eigensolve_dense
+    gives it, takes a row of energies and a matrix of vectors per matrix of
+    the stack and gives a row each, as alone.  The eigenvalues ascend, so
+    |<v_j, s>|^2 is summed over a contiguous run: O(dim^2 w) for a widest
+    window w."""
+    lead, dim = spectrum.energies.shape[:-1], spectrum.energies.shape[-1]
+    levels = spectrum.energies.reshape(-1, dim)
     sel = np.abs(levels[:, None] - np.reshape(
-        energy, (len(spectra), -1, 1))) <= OVERLAP_WINDOW
+        energy, (len(levels), -1, 1))) <= OVERLAP_WINDOW
     first, count = sel.argmax(axis=2), sel.sum(axis=2)
     vectors = np.asarray(vector, dtype=complex)
     states = np.conjugate(
@@ -322,16 +308,14 @@ def subspace_overlap(spectrum, energy, vector):
     norm = np.sqrt((states.real ** 2 + states.imag ** 2).sum(axis=2))
     if np.any(norm == 0.0):
         raise ValueError("overlap of a zero vector is undefined")
-    # eigenvectors as rows; one spectrum's (a chunk at large dim) in place
-    basis = (np.array([s.vectors for s in spectra]) if len(spectra) > 1
-             else spectra[0].vectors[None]).swapaxes(1, 2)
-    at, last = np.arange(len(spectra))[:, None], levels.shape[1] - 1
+    basis = spectrum.vectors.reshape(-1, dim, dim).swapaxes(1, 2)  # rows
+    at = np.arange(len(levels))[:, None]
     total = np.zeros(count.shape)
     for j in range(count.max(initial=0)):  # two dim^2 arrays at most
-        dots = basis[at, np.minimum(first + j, last)]
+        dots = basis[at, np.minimum(first + j, dim - 1)]
         dots *= states
         dots = dots.sum(axis=2)
         total += np.where(j < count, dots.real ** 2 + dots.imag ** 2, 0.0)
-    out = np.where(count > 0, np.sqrt(total) / norm, 0.0)
-    return out if stacked else (
-        float(out[0, 0]) if vectors.ndim == 1 else out[0])
+    out = np.where(count > 0, np.sqrt(total) / norm, 0.0).reshape(
+        lead + vectors.shape[len(lead) + 1:])
+    return float(out) if out.ndim == 0 else out

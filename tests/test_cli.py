@@ -206,7 +206,7 @@ def test_bands_at_the_edge_bulk_transition(capsys):
             k = float(rows[start][0])
             energy = np.array([float(r[2]) for r in rows[start:start + N]])
             oracle = np.linalg.eigvalsh(
-                build_triangle_bloch(h, N, k, edge=edge).entries)
+                build_triangle_bloch(h, N, k, edge=edge))
             assert np.all(np.abs(energy - oracle)
                           <= 1e-9 * np.maximum(1.0, np.abs(oracle))), argv
 
@@ -953,7 +953,7 @@ def test_edge_branch_points_lie_on_the_bloch_spectrum(capsys):
             continue
         k, energy = np.array(points).T
         spectra = np.linalg.eigvalsh(np.array([
-            build_triangle_bloch(h, report["N"], kk, edge=edge).entries
+            build_triangle_bloch(h, report["N"], kk, edge=edge)
             for kk in k]))
         gap = np.min(np.abs(spectra - energy[:, None]), axis=1)
         assert np.all(gap <= 1e-9 * np.maximum(1.0, np.abs(energy))), argv

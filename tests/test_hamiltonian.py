@@ -37,7 +37,7 @@ def test_square_bloch_dimer_limit():
     # single chain pair coupled only by tu: a k-independent dimer
     h = SquareHoppings(tu=1.0, td=0.0, tl=0.0, tr=1.0)
     bloch = build_square_bloch(h, 1, 0.4)
-    np.testing.assert_allclose(bloch.entries, [[0, 1], [1, 0]], atol=1e-15)
+    np.testing.assert_allclose(bloch, [[0, 1], [1, 0]], atol=1e-15)
     spec = eigensolve_dense(bloch)
     np.testing.assert_allclose(spec.energies, [-1.0, 1.0], atol=1e-14)
 
@@ -45,7 +45,7 @@ def test_square_bloch_dimer_limit():
 def test_square_bloch_is_exactly_hermitian(rng):
     tu, td, tl, tr = rng.uniform(0.1, 1.5, size=4)
     h = SquareHoppings(tu=tu, td=td, tl=tl, tr=tr)
-    H = build_square_bloch(h, 6, 0.73).entries
+    H = build_square_bloch(h, 6, 0.73)
     assert np.array_equal(H, H.conj().T)
     # chiral sublattice structure: no intra-sublattice matrix elements
     assert np.all(H[:6, :6] == 0.0)
@@ -65,7 +65,7 @@ def test_squared_hamiltonian_block_identity():
     # + conj(xi) beta^T + beta^T beta) when tl = 0
     h = SquareHoppings(tu=0.7, td=0.4, tl=0.0, tr=1.1)
     N, k = 5, 0.37
-    H = build_square_bloch(h, N, k).entries
+    H = build_square_bloch(h, N, k)
     H2 = H @ H
     xi, _ = xi_of_k(h, k)
     beta = build_beta(N)
@@ -83,7 +83,7 @@ def test_lr_gauge_transformation():
     # transverse problem with a scalar k-dependent shift
     h = SquareHoppings(tu=0.8, td=0.3, tl=0.9, tr=0.9)
     N, k = 4, 0.61
-    H = build_square_bloch(h, N, k).entries
+    H = build_square_bloch(h, N, k)
     n = np.arange(1, N + 1)
     G = np.diag(np.exp(-1.0j * n * k))
     U = np.zeros((2 * N, 2 * N), dtype=complex)
@@ -104,9 +104,9 @@ def test_lr_gauge_transformation():
 def test_triangle_bloch_examples():
     h = TriangleHoppings(t1=1.0, t2=1.0, t3=1.0)
     lin1 = build_triangle_bloch(h, 1, 0.0, edge=TriangleEdge.LINEAR)
-    np.testing.assert_allclose(lin1.entries, [[2.0]])
+    np.testing.assert_allclose(lin1, [[2.0]])
     zz1 = build_triangle_bloch(h, 1, 0.0, edge=TriangleEdge.ZIGZAG1)
-    np.testing.assert_allclose(zz1.entries, [[0.0]])
+    np.testing.assert_allclose(zz1, [[0.0]])
     lin2 = eigensolve_dense(build_triangle_bloch(h, 2, 0.0))
     np.testing.assert_allclose(lin2.energies, [0.0, 4.0], atol=1e-14)
 
@@ -116,13 +116,13 @@ def test_triangle_bloch_truncation_zeroes_diagonal():
     k = 0.3
     tau = 2.0 * 0.8 * math.cos(k)
     d1 = np.diag(build_triangle_bloch(h, 3, k, edge=TriangleEdge.ZIGZAG1)
-                 .entries).real
+                 ).real
     np.testing.assert_allclose(d1, [0.0, tau, tau], atol=1e-15)
     d2 = np.diag(build_triangle_bloch(h, 3, k, edge=TriangleEdge.ZIGZAG2)
-                 .entries).real
+                 ).real
     np.testing.assert_allclose(d2, [0.0, tau, 0.0], atol=1e-15)
     zeta = h.t1 + h.t2 * np.exp(-1.0j * k)
-    H = build_triangle_bloch(h, 3, k).entries
+    H = build_triangle_bloch(h, 3, k)
     assert H[0, 1] == np.conj(zeta) and H[1, 0] == zeta
 
 
@@ -151,7 +151,7 @@ def test_eigensolve_rejects_non_hermitian():
 
 def test_eigensolve_rejects_a_non_hermitian_member_of_a_stack():
     stack = np.array([np.eye(3), np.diag([1.0, 2.0, 3.0]), np.eye(3)])
-    assert len(eigensolve_dense(stack)) == 3
+    assert eigensolve_dense(stack).energies.shape == (3, 3)
     stack[1, 0, 2] = 1e-3
     with pytest.raises(HermiticityError, match="asymmetry 1.000e-03"):
         eigensolve_dense(stack)
@@ -160,7 +160,7 @@ def test_eigensolve_rejects_a_non_hermitian_member_of_a_stack():
 # --------------------------------------------------------- stacked momenta --
 
 def _random_builds(rng, N):
-    """k -> BlochMatrix of random hoppings at width N and a random lattice
+    """k -> Bloch matrix of random hoppings at width N and a random lattice
     constant, for the square ribbon and each triangular edge."""
     a = float(rng.uniform(0.3, 3.0))
     sq = SquareHoppings(*rng.uniform(0.1, 2.0, size=4))
@@ -177,39 +177,43 @@ def test_stacked_builds_equal_each_momentum_built_alone(rng, N):
     ks = rng.uniform(-4.0, 4.0, size=5)
     for build in _random_builds(rng, N):
         stack = build(ks)
-        assert stack.entries.shape == (5, stack.dim, stack.dim)
-        assert stack.k is ks
-        for k, entries in zip(ks.tolist(), stack.entries):
+        dim = stack.shape[-1]
+        assert stack.shape == (5, dim, dim)
+        for k, entries in zip(ks.tolist(), stack):
             alone = build(k)
-            assert alone.k == k
-            assert alone.entries.tobytes() == entries.tobytes()
-            assert np.array_equal(build(-k).entries, alone.entries.conj())
+            assert alone.tobytes() == entries.tobytes()
+            assert np.array_equal(build(-k), alone.conj())
 
 
 @pytest.mark.parametrize("dim", [2, 4, 10, 48, 118])
 def test_stacked_solve_equals_each_matrix_solved_alone(rng, dim):
-    # one eigensolve_dense of a stack gives each matrix's own Spectrum bit
-    # for bit; H(-k) = conj(H(k)) gives the same energies and |psi|, which
-    # is what lets a scan solve one momentum of each +-k pair
+    # one eigensolve_dense of a stack gives each matrix's own energies and
+    # vectors bit for bit; H(-k) = conj(H(k)) gives the same energies and
+    # |psi|, which is what lets a scan solve one momentum of each +-k pair
     ks = rng.uniform(-4.0, 4.0, size=4)
     builds = (_random_builds(rng, dim // 2)[:1]
               + _random_builds(rng, dim)[1:])
     for build in builds:
-        spectra = eigensolve_dense(build(ks))
-        assert len(spectra) == len(ks)
-        for k, spec in zip(ks.tolist(), spectra):
+        spec = eigensolve_dense(build(ks))
+        assert spec.energies.shape == (len(ks), dim)
+        assert spec.vectors.shape == (len(ks), dim, dim)
+        for k, energies, vectors in zip(ks.tolist(), spec.energies,
+                                        spec.vectors):
             alone = eigensolve_dense(build(k))
-            assert spec.k == alone.k == k
-            assert spec.energies.tobytes() == alone.energies.tobytes()
-            assert spec.vectors.tobytes() == alone.vectors.tobytes()
+            assert alone.energies.shape == (dim,)
+            assert energies.tobytes() == alone.energies.tobytes()
+            assert vectors.tobytes() == alone.vectors.tobytes()
             mirror = eigensolve_dense(build(-k))
             assert mirror.energies.tobytes() == alone.energies.tobytes()
             assert (np.abs(mirror.vectors).tobytes()
                     == np.abs(alone.vectors).tobytes())
-    # a plain stack, of one matrix too, gives a list
-    plain = eigensolve_dense(build(ks[:1]).entries)
-    assert len(plain) == 1 and plain[0].k == 0.0
-    assert plain[0].vectors.tobytes() == spectra[0].vectors.tobytes()
+    # a stack of one matrix keeps its leading axis
+    one = eigensolve_dense(build(ks[:1]))
+    assert one.vectors.shape == (1, dim, dim)
+    assert one.vectors[0].tobytes() == spec.vectors[0].tobytes()
+    # one Spectrum, not a list of them: a loop over it fails
+    with pytest.raises(TypeError):
+        iter(spec)
 
 
 # ------------------------------------------------------------ chiral route --
@@ -245,11 +249,10 @@ def test_chiral_route_matches_eigvalsh(monkeypatch, rng, N):
     random_T = (rng.normal(size=(3, N, N))
                 + 1j * rng.normal(size=(3, N, N)))
     eigh, svd = (_recording(monkeypatch, name) for name in ("eigh", "svd"))
-    for stack in (build_square_bloch(h, N, rng.uniform(-4.0, 4.0, size=3))
-                  .entries, _chiral_stack(random_T)):
-        spectra = eigensolve_dense(stack)
-        for H, spec in zip(stack, spectra):
-            E, V = spec.energies, spec.vectors
+    for stack in (build_square_bloch(h, N, rng.uniform(-4.0, 4.0, size=3)),
+                  _chiral_stack(random_T)):
+        spec = eigensolve_dense(stack)
+        for H, E, V in zip(stack, spec.energies, spec.vectors):
             expected = np.linalg.eigvalsh(H)
             assert np.all(np.abs(E - expected)
                           <= 1e-13 * np.maximum(1.0, np.abs(expected)))
@@ -334,7 +337,7 @@ def test_subspace_overlap_of_a_matrix_equals_per_column_calls(rng):
     dim = len(energies)
     basis = np.linalg.qr(rng.normal(size=(dim, dim))
                          + 1j * rng.normal(size=(dim, dim)))[0]
-    spec = Spectrum(energies=energies, vectors=basis, k=0.0)
+    spec = Spectrum(energies=energies, vectors=basis)
     # windows of 3 (-W, 0, +W about 0; 0, +W and the next float about +W),
     # 2 (the degenerate pair), 1 and none (0.25 and 2.0)
     queries = np.array([0.0, w, 1.0, -1.0, 0.25, 2.0, 1.0, 0.5 + w])
@@ -363,16 +366,18 @@ def test_subspace_overlap_of_a_stack_equals_per_spectrum_calls(rng):
     # its own call bit for bit, windows of different widths included
     N, m = 6, 5
     h = SquareHoppings(tu=1.0, td=1.0, tr=1.0, tl=1.0)  # degenerate pairs
-    spectra = eigensolve_dense(build_square_bloch(h, N,
-                                                  np.linspace(-1.5, 1.5, m)))
-    energies = np.array([s.energies for s in spectra])
+    stack = eigensolve_dense(build_square_bloch(h, N,
+                                                np.linspace(-1.5, 1.5, m)))
+    energies = stack.energies.copy()
     energies[1, ::3] += 2.0 * OVERLAP_WINDOW  # some empty windows
     vectors = rng.normal(size=(m, 2 * N, 2 * N)) \
         + 1j * rng.normal(size=(m, 2 * N, 2 * N))
-    found = subspace_overlap(spectra, energies, vectors)
+    found = subspace_overlap(stack, energies, vectors)
     assert found.shape == (m, 2 * N)
-    for spec, e, v, row in zip(spectra, energies, vectors, found):
-        np.testing.assert_array_equal(row, subspace_overlap(spec, e, v))
+    for levels, basis, e, v, row in zip(stack.energies, stack.vectors,
+                                        energies, vectors, found):
+        alone = Spectrum(energies=levels, vectors=basis)
+        np.testing.assert_array_equal(row, subspace_overlap(alone, e, v))
     assert (found[1, ::3] == 0.0).all()
 
 

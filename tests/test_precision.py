@@ -354,6 +354,6 @@ def test_edge_energies_when_tau_dwarfs_zeta(capsys, model, edge, t3,
                                      5, float(rows[0][0]), edge=edge)
         with mpmath.workdps(digits):
             expected = sorted(float(e) for e in mpmath.eighe(
-                mpmath.matrix(bloch.entries.tolist()), eigvals_only=True))
+                mpmath.matrix(bloch.tolist()), eigvals_only=True))
         np.testing.assert_allclose([float(r[2]) for r in rows], expected,
                                    rtol=1e-12, atol=0)

@@ -84,7 +84,7 @@ def _oracle(model, flags, N, k):
     else:
         bloch = build_triangle_bloch(TriangleHoppings(**flags), N, k,
                                      edge=_EDGE[model])
-    return np.linalg.eigh(bloch.entries)
+    return np.linalg.eigh(bloch)
 
 
 def _run(argv):
@@ -357,7 +357,7 @@ def _edges(argv):
 def _stacked_eigvalsh(bloch, ks, chunk=128):
     """eigvalsh of the Bloch matrix at each momentum of ks, one row each,
     a chunk of stacked matrices at a time."""
-    return np.concatenate([np.linalg.eigvalsh(bloch(ks[i:i + chunk]).entries)
+    return np.concatenate([np.linalg.eigvalsh(bloch(ks[i:i + chunk]))
                            for i in range(0, len(ks), chunk)])
 
 

@@ -147,7 +147,7 @@ def test_slow_two_sided_scan_converges_within_the_cap(monkeypatch):
     assert max(steps) <= 20
     for i, k in enumerate(ks.tolist()):
         expected = np.linalg.eigvalsh(build_triangle_bloch(
-            h, N, k, edge=TriangleEdge.ZIGZAG2).entries)
+            h, N, k, edge=TriangleEdge.ZIGZAG2))
         assert np.allclose(table.energy[i * N:(i + 1) * N], expected,
                            rtol=0.0, atol=3e-14)
 
@@ -186,7 +186,7 @@ def test_root_near_the_band_edge_matches_the_dense_spectrum(N):
         assert np.nanmin(roots.phi) == pytest.approx(1e-4, rel=1e-9)
         expected = np.linalg.eigvalsh(build_triangle_bloch(
             h, N, math.pi, edge=(TriangleEdge.ZIGZAG1,
-                                 TriangleEdge.ZIGZAG2)[ends - 1]).entries)
+                                 TriangleEdge.ZIGZAG2)[ends - 1]))
         assert np.all(np.abs(roots.energy - expected)
                       <= 1e-9 * np.maximum(1.0, np.abs(expected)))
     # square-zigzag's one-sided form with r = 1/|xi| > 0: the root next to
@@ -195,6 +195,6 @@ def test_root_near_the_band_edge_matches_the_dense_spectrum(N):
     omega, v, u = sq.zigzag_roots(xi, N)
     assert math.pi - np.nanmax(v) == pytest.approx(1e-4, rel=1e-9)
     h = SquareHoppings(tu=xi, td=0.0, tr=1.0, tl=0.0)
-    expected = np.linalg.eigvalsh(build_square_bloch(h, N, 0.0).entries)
+    expected = np.linalg.eigvalsh(build_square_bloch(h, N, 0.0))
     assert np.allclose(np.concatenate([-omega[::-1], omega]), expected,
                        rtol=0.0, atol=1e-9)

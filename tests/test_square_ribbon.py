@@ -597,7 +597,7 @@ def test_zero_mode_envelope_and_null_vector():
     assert np.max(np.abs(aligned - envelope)) < 1e-12
     # the assembled vector annihilates the Bloch matrix
     full = sq.zero_mode_full_state(h, N, 0.0, j)
-    H = build_square_bloch(h, N, 0.0).entries
+    H = build_square_bloch(h, N, 0.0)
     assert np.max(np.abs(H @ full)) < 1e-9
 
 

@@ -102,7 +102,7 @@ def test_linear_spectrum_matches_oracle(rng):
         spec = _oracle(h, N, k, TriangleEdge.LINEAR)
         np.testing.assert_allclose(np.sort(energies), spec.energies,
                                    atol=1e-10)
-        H = build_triangle_bloch(h, N, k).entries
+        H = build_triangle_bloch(h, N, k)
         resid = np.abs(H @ states - states * energies).max()
         assert resid < 1e-10 * max(1.0, np.abs(energies).max())
 
@@ -315,7 +315,7 @@ def test_zz1_edge_solutions_worked_case():
             gap = sol.energy - (sol.tau + sign * 2.0 * sol.zeta_abs)
             assert sign * gap > 0.0  # detached outward from the band
             H = build_triangle_bloch(WEAK, N, sol.k,
-                                     edge=TriangleEdge.ZIGZAG1).entries
+                                     edge=TriangleEdge.ZIGZAG1)
             psi = tri.zz1_edge_state(sol.u, N, sign, sol.theta)
             resid = np.abs(H @ psi - sol.energy * psi).max()
             assert resid < 1e-8 * max(1.0, abs(sol.energy))
@@ -444,7 +444,7 @@ def test_zz2_edge_solutions_all_branches():
                 _, theta = tri.zeta_of_k(WEAK, sol.k)
                 psi = tri.zz2_edge_state(sol.u, N, sign, family, -theta)
                 H = build_triangle_bloch(WEAK, N, sol.k,
-                                         edge=TriangleEdge.ZIGZAG2).entries
+                                         edge=TriangleEdge.ZIGZAG2)
                 resid = np.abs(H @ psi - sol.energy * psi).max()
                 assert resid < 1e-8 * max(1.0, abs(sol.energy))
 
