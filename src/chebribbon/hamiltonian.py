@@ -246,6 +246,9 @@ def eigensolve_dense(H):
     each matrix's energies and vectors equal those of its own solve."""
     mat = np.asarray(H, dtype=complex)
     stack = mat.reshape((-1,) + mat.shape[-2:])
+    if not np.isfinite(stack).all():
+        # LAPACK fails on it; finite hoppings give one only by overflow
+        raise OverflowError("a matrix entry is not finite")
     # max(1, max|H|) of each matrix; fmax keeps 1 where that is NaN
     scale = np.fmax(1.0, np.abs(stack).max(axis=(1, 2)))
     asym = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))

@@ -1265,6 +1265,15 @@ _TINY_LATTICE_CONSTANTS = [
     # the oracle's rounding, about eps 1e300, swamps every check
     ["validate", "--model", "square-zigzag", "--tr", "1e300", "--tu", "1",
      "--td", "1"],
+    # Bloch-matrix entries past the float range, which LAPACK fails on
+    ["bands", "--model", "square-general", "--N", "3", "--tu", "1e308",
+     "--td", "1e308", "--k-points", "3"],
+    ["wavefunction", "--model", "square-general", "--N", "3", "--band", "1",
+     "--tu", "1e308", "--td", "1e308"],
+    ["wavefunction", "--model", "triangle-linear", "--N", "3", "--band", "1",
+     "--t1", "1e308", "--t2", "1e308"],
+    ["validate", "--model", "triangle-zigzag1", "--N", "5", "--t1", "1e308",
+     "--t2", "1e308"],
     *_TINY_LATTICE_CONSTANTS,
 ])
 def test_invalid_invocations_exit_2(capsys, argv):

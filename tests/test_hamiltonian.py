@@ -149,6 +149,15 @@ def test_eigensolve_rejects_non_hermitian():
         eigensolve_dense(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_eigensolve_rejects_non_finite_entries():
+    # LAPACK fails on them: an overflowed entry of one matrix of a stack
+    stack = np.array([np.eye(2), np.diag([1.0, 2.0])], dtype=complex)
+    for bad in (np.inf, np.nan, complex(0.0, -np.inf)):
+        stack[1, 0, 1] = stack[1, 1, 0] = bad
+        with pytest.raises(OverflowError, match="not finite"):
+            eigensolve_dense(stack)
+
+
 def test_eigensolve_rejects_a_non_hermitian_member_of_a_stack():
     stack = np.array([np.eye(3), np.diag([1.0, 2.0, 3.0]), np.eye(3)])
     assert eigensolve_dense(stack).energies.shape == (3, 3)
