@@ -26,7 +26,7 @@ from .chebpoly import by_family, u_profile_ipr, zigzag_ends
 from .classify import (StateLabel, classify_analytic_square,
                        classify_analytic_triangle, classify_numeric, ipr,
                        model_edge_sides)
-from .errors import DegenerateParameterError
+from .errors import DegenerateParameterError, RootCountError
 from .hamiltonian import (OVERLAP_WINDOW, ModelKind, RibbonModel,
                           SquareHoppings, TriangleEdge, TriangleHoppings,
                           build_square_bloch, build_triangle_bloch,
@@ -741,8 +741,9 @@ def cmd_validate(config, single_model=False):
                 reports[name] = _validate_zero_modes(h, N, tol, violations)
             else:
                 reports[name] = _validate_scan(entry, violations)
-        except DegenerateParameterError as exc:
-            # zero transverse coupling: no closed form to check
+        except (DegenerateParameterError, RootCountError) as exc:
+            # zero transverse coupling, or a secular equation whose roots
+            # cannot be resolved: no closed form to check
             raise ConfigError(f"cannot validate {name}: {exc}")
     for name, rep in reports.items():
         if rep["max_overlap_deficit"] > overlap_tol:

@@ -1274,6 +1274,12 @@ _TINY_LATTICE_CONSTANTS = [
      "--t1", "1e308", "--t2", "1e308"],
     ["validate", "--model", "triangle-zigzag1", "--N", "5", "--t1", "1e308",
      "--t2", "1e308"],
+    # transverse hoppings so small that a root of the secular equation
+    # does not converge; bands gives oracle rows there
+    ["validate", "--model", "square-zigzag", "--N", "3", "--tu", "1e-320",
+     "--td", "0"],
+    ["validate", "--model", "square-zigzag", "--N", "6", "--tu", "1e-310",
+     "--td", "0"],
     *_TINY_LATTICE_CONSTANTS,
 ])
 def test_invalid_invocations_exit_2(capsys, argv):
