@@ -522,6 +522,29 @@ def test_existence_reports_worked_examples():
                for f in ("A", "B") for s in ("plus", "minus"))
 
 
+
+@pytest.mark.parametrize("N", [5, 13, 100])
+def test_oracle_state_follows_power_law_at_detachment(N):
+    # at each edge family's threshold r = tau/|zeta| the edge state detaches
+    # at the band edge y = -1 and its damping turns into a power law: the
+    # oracle state there has |psi_n| proportional to N - n + 1 (one-sided),
+    # flat (two-sided A) or |n - (N+1)/2| (two-sided B)
+    k, n = 0.4, np.arange(1, N + 1)
+    zeta_abs = abs(tri.zeta_of_k(TriangleHoppings(1.0, 0.5, 0.0), k)[0])
+    for edge, r, profile in [
+            (TriangleEdge.ZIGZAG1, (N + 1) / N, N - n + 1.0),
+            (TriangleEdge.ZIGZAG2, 1.0, np.ones(N)),
+            (TriangleEdge.ZIGZAG2, (N + 1) / (N - 1),
+             np.abs(n - (N + 1) / 2))]:
+        h = TriangleHoppings(1.0, 0.5, r * zeta_abs / (2.0 * math.cos(k)))
+        spec = _oracle(h, N, k, edge)
+        y = (spec.energies - tri.tau_of_k(h, k)) / (2.0 * zeta_abs)
+        at = np.argmin(np.abs(y + 1.0))
+        assert abs(y[at] + 1.0) < 1e-12
+        state = np.abs(spec.vectors[:, at])
+        assert np.max(np.abs(state / state.max()
+                             - profile / profile.max())) < 1e-12
+
 # ------------------------------------------------------------ error paths ---
 
 def test_error_paths():
