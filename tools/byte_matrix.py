@@ -380,7 +380,7 @@ def _oracle_deviation(cli, argv, path):
     for start in range(0, len(rows), dim):
         group = rows[start:start + dim]
         energy = np.array([float(r[e_col]) for r in group])
-        # a BlochMatrix (.entries) in older trees, the array itself now
+        # older trees wrap the matrix in a BlochMatrix, as .entries
         m = cli._bloch(config, float(group[0][k_col]))
         expected = np.linalg.eigvalsh(getattr(m, "entries", m))
         own = 4.0 * dim * np.finfo(float).eps * np.abs(expected).max()
