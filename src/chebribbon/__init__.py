@@ -15,9 +15,9 @@ from .classify import (StateClass, StateLabel, classify_analytic_square,
 from .errors import (DegenerateParameterError, HermiticityError,
                      NoEdgeStateError, RootCountError, SingularArgumentError)
 from .hamiltonian import (ModelKind, RibbonModel, Spectrum, SquareHoppings,
-                          TriangleEdge, TriangleHoppings, build_beta,
-                          build_square_bloch, build_triangle_bloch,
-                          eigensolve_dense, subspace_overlap)
+                          TriangleHoppings, build_beta, build_square_bloch,
+                          build_triangle_bloch, eigensolve_dense,
+                          subspace_overlap)
 from .square_ribbon import (EdgeBranchPoint, EdgeRegime, RegimeVerdict,
                             ZeroModeState, edge_regime,
                             extrema_ellipse_residual, lr_isotropic_spectrum,
@@ -25,13 +25,10 @@ from .square_ribbon import (EdgeBranchPoint, EdgeRegime, RegimeVerdict,
                             xi_of_k, zero_mode_full_state,
                             zero_mode_momenta, zero_mode_state,
                             zigzag_edge_branch, zigzag_edge_u_from_xi,
-                            zigzag_secular_residual, zigzag_spectrum)
-from .triangle_ribbon import (EdgeBranch, RootTable,
-                              default_u_grid, linear_energies, linear_states,
-                              tau_of_k, zeta_of_k,
-                              zz1_edge_existence, zz1_edge_solutions,
-                              zz1_edge_state, zz1_roots, zz2_edge_existence,
-                              zz2_edge_solutions, zz2_edge_state, zz2_roots)
+                            zigzag_secular_residual)
+from .triangle_ribbon import (EdgeBranch, RootTable, default_u_grid,
+                              linear_energies, linear_states, tau_of_k,
+                              zeta_of_k)
 
 __version__ = "0.1.0"
 
@@ -44,12 +41,12 @@ __all__ = [
     "DegenerateParameterError", "HermiticityError", "NoEdgeStateError",
     "RootCountError", "SingularArgumentError",
     # hamiltonian
-    "ModelKind", "TriangleEdge", "SquareHoppings", "TriangleHoppings",
+    "ModelKind", "SquareHoppings", "TriangleHoppings",
     "RibbonModel", "Spectrum", "build_beta",
     "build_square_bloch", "build_triangle_bloch", "eigensolve_dense",
     "subspace_overlap",
     # square_ribbon
-    "xi_of_k", "zigzag_secular_residual", "zigzag_spectrum",
+    "xi_of_k", "zigzag_secular_residual",
     "zigzag_edge_u_from_xi", "EdgeBranchPoint", "zigzag_edge_branch",
     "RegimeVerdict", "EdgeRegime", "edge_regime",
     "extrema_ellipse_residual", "lr_isotropic_spectrum",
@@ -57,10 +54,7 @@ __all__ = [
     "zero_mode_state", "zero_mode_full_state", "solve_zero_mode_sum",
     # triangle_ribbon
     "zeta_of_k", "tau_of_k", "linear_energies", "linear_states",
-    "RootTable", "zz1_roots", "zz2_roots", "EdgeBranch",
-    "zz1_edge_solutions", "zz2_edge_solutions", "zz1_edge_state",
-    "zz2_edge_state",
-    "zz1_edge_existence", "zz2_edge_existence", "default_u_grid",
+    "RootTable", "EdgeBranch", "default_u_grid",
     # classify
     "StateLabel", "StateClass", "ipr", "classify_analytic_square",
     "classify_analytic_triangle", "classify_numeric", "model_edge_sides",

@@ -28,7 +28,7 @@ from .classify import (StateLabel, classify_analytic_square,
                        model_edge_sides)
 from .errors import DegenerateParameterError, RootCountError
 from .hamiltonian import (OVERLAP_WINDOW, ModelKind, RibbonModel,
-                          SquareHoppings, TriangleEdge, TriangleHoppings,
+                          SquareHoppings, TriangleHoppings,
                           build_square_bloch, build_triangle_bloch,
                           eigensolve_dense, subspace_overlap)
 
@@ -36,15 +36,6 @@ __all__ = ["ScanConfig", "run", "main"]
 
 BAND_COLUMNS = ("k", "band", "energy", "class", "u", "ipr", "source")
 WAVE_COLUMNS = ("n", "sublattice", "abs", "re", "im", "source")
-
-_TRIANGLE_EDGE = {
-    ModelKind.TRIANGLE_LINEAR: TriangleEdge.LINEAR,
-    ModelKind.TRIANGLE_ZIGZAG1: TriangleEdge.ZIGZAG1,
-    ModelKind.TRIANGLE_ZIGZAG2: TriangleEdge.ZIGZAG2,
-}
-
-# truncated end rows of each zigzag triangle model (chebpoly.zigzag_ends)
-_ZIGZAG_ENDS = {ModelKind.TRIANGLE_ZIGZAG1: 1, ModelKind.TRIANGLE_ZIGZAG2: 2}
 
 
 class ConfigError(Exception):
@@ -139,15 +130,6 @@ def _write_json(config, payload):
     _emit(config.output_path, text + "\n")
 
 
-def _zz(ends, name, *args, **kwargs):
-    """triangle_ribbon's zz{ends}_{name}(*args, **kwargs), without `family`
-    on the one-sided ribbon.  The name is looked up at each call, so that a
-    replaced module attribute is the one called."""
-    if ends == 1:
-        kwargs.pop("family", None)
-    return getattr(tri, f"zz{ends}_{name}")(*args, **kwargs)
-
-
 # ----------------------------------------------------------- band builders --
 #
 # Each closed-form model has one scan function, config -> _Scan, which
@@ -161,8 +143,7 @@ def _bloch(config, k):
     h, N, a = config.hoppings, config.model.N, config.model.a
     if config.kind.is_square:
         return build_square_bloch(h, N, k, a=a)
-    return build_triangle_bloch(h, N, k, edge=_TRIANGLE_EDGE[config.kind],
-                                a=a)
+    return build_triangle_bloch(h, N, k, ends=config.kind.ends, a=a)
 
 
 # complex matrix entries of one stacked dense solve (16 momenta at dim 24):
@@ -390,9 +371,9 @@ def _triangle_linear_scan(config):
 
 def _triangle_zigzag_scan(config):
     h, N, a = config.hoppings, config.model.N, config.model.a
-    ends = _ZIGZAG_ENDS[config.kind]
+    ends = config.kind.ends
     grid, roots = _solve_grid(
-        config, lambda ks: _zz(ends, "roots", h, N, ks, a=a))
+        config, lambda ks: tri.roots(h, N, ks, ends, a=a))
     if not len(roots.energy):
         return _unsolved(grid)
     edge = roots.edge
@@ -517,15 +498,14 @@ def cmd_edges(config):
             "critical": {"xi": regime.xi_cr, "omega": regime.omega_cr},
             "branch": table,
         }
-    elif kind in _ZIGZAG_ENDS:
+    elif kind.ends:
         _require_positive(h)
-        ends = _ZIGZAG_ENDS[kind]
+        ends = kind.ends
         families = zigzag_ends(ends, N)[1]
 
         def branches(fam):
             # the u, cos_ka, k and energy of each point of each side's table
-            tables = {label: _zz(ends, "edge_solutions", h, N, sign,
-                                 family=fam.name)
+            tables = {label: tri.edge_solutions(h, N, sign, ends, fam.name)
                       for label, sign in (("plus", 1), ("minus", -1))}
             return {label: [dict(zip(t._fields, point)) for point in zip(
                 *(c.tolist() for c in t[:4]))] for label, t in tables.items()}
@@ -534,7 +514,7 @@ def cmd_edges(config):
             "model": kind.value,
             "N": N,
             "hoppings": {"t1": h.t1, "t2": h.t2, "t3": h.t3},
-            "existence": _zz(ends, "edge_existence", h, N),
+            "existence": tri.edge_existence(h, N, ends),
             "critical": {f"{fam.label}_bound": fam.bound
                          for fam in families},
             "branch": by_family(families, branches),
@@ -673,15 +653,13 @@ def _validate_branch_tables(tol, violations):
     h = TriangleHoppings(t1=0.9, t2=0.1, t3=1.0)
     N = 5
     for sign in (1, -1):
-        for kind, ends in _ZIGZAG_ENDS.items():
+        for ends in (1, 2):
             for fam in zigzag_ends(ends, N)[1]:
-                t = _zz(ends, "edge_solutions", h, N, sign, family=fam.name,
-                        u_grid=grid)
-                # in the Bloch-matrix gauge: zz2_edge_state at -theta
-                states = _zz(ends, "edge_state", t.u, N, sign, family=fam.name,
-                             theta=t.theta if ends == 1 else -t.theta)
-                for H, psi, energy in zip(build_triangle_bloch(
-                        h, N, t.k, edge=_TRIANGLE_EDGE[kind]),
+                t = tri.edge_solutions(h, N, sign, ends, fam.name,
+                                       u_grid=grid)
+                states = tri.edge_state(t.u, N, sign, ends, fam.name, t.theta)
+                for H, psi, energy in zip(
+                        build_triangle_bloch(h, N, t.k, ends=ends),
                         states, t.energy.tolist()):
                     worst = max(worst, float(np.linalg.norm(
                         H @ psi - energy * psi) / np.linalg.norm(psi)))
@@ -801,17 +779,20 @@ def cmd_wavefunction(config, args):
         state = np.concatenate([pt.psi_circ, sign * pt.psi_bullet])
         state = state * pt.norm_const
         rows = _wave_rows_square(state.astype(complex), N, "analytic")
-    elif kind in _ZIGZAG_ENDS and given_u:
+    elif kind.ends and given_u:
         _require_positive(h)
-        ends = _ZIGZAG_ENDS[kind]
-        table = _zz(ends, "edge_solutions", h, N, sign, family=family,
-                    u_grid=[args.u], a=a)
+        ends = kind.ends
+        family = "A" if ends == 1 else family  # one-sided: --family ignored
+        table = tri.edge_solutions(h, N, sign, ends, family, u_grid=[args.u],
+                                   a=a)
         if not len(table.u):
             raise ConfigError(
                 f"u={args.u} is not on an admissible edge branch for these "
                 "hoppings")
-        psi = _zz(ends, "edge_state", args.u, N, sign, family=family,
-                  theta=float(table.theta[0]))
+        theta = float(table.theta[0])
+        # the two-sided state prints in the paper's gauge e^{-i n theta}
+        psi = tri.edge_state(args.u, N, sign, ends, family,
+                             theta if ends == 1 else -theta)
         psi = psi / np.linalg.norm(psi)
         rows = _wave_rows_chain(psi, "analytic")
     elif kind == ModelKind.SQUARE_GENERAL and args.j is not None:
@@ -1007,8 +988,8 @@ def _resolve_config(args):
                 t3=args.t3 if args.t3 is not None else 1.0)
         model = RibbonModel(kind=kind, N=N, a=a)
         model.validate_hoppings(hoppings)
-        if kind in _ZIGZAG_ENDS:
-            zigzag_ends(_ZIGZAG_ENDS[kind], N)
+        if kind.ends:
+            zigzag_ends(kind.ends, N)
     except ValueError as exc:
         raise ConfigError(str(exc))
     k_points = args.k_points if args.k_points is not None else 128

@@ -42,11 +42,12 @@ class ModelKind(enum.Enum):
         return self in (ModelKind.SQUARE_GENERAL, ModelKind.SQUARE_ZIGZAG,
                         ModelKind.SQUARE_LR)
 
-
-class TriangleEdge(enum.Enum):
-    LINEAR = "linear"
-    ZIGZAG1 = "zigzag1"
-    ZIGZAG2 = "zigzag2"
+    @property
+    def ends(self):
+        """The zigzag-truncated end rows of a triangular model's Bloch
+        matrix, 0 (linear edges), 1 or 2; None on a square model."""
+        return {ModelKind.TRIANGLE_LINEAR: 0, ModelKind.TRIANGLE_ZIGZAG1: 1,
+                ModelKind.TRIANGLE_ZIGZAG2: 2}.get(self)
 
 
 def _require_finite(name, value):
@@ -182,19 +183,22 @@ def build_square_bloch(h, N, k, a=1.0):
     return H
 
 
-def build_triangle_bloch(h, N, k, edge=TriangleEdge.LINEAR, a=1.0):
-    """N x N tridiagonal Bloch matrix: diagonal 2 t3 cos(ka) (zeroed on
-    zigzag-truncated rows), zeta* = conj(t1 + t2 e^{-ika}) above the diagonal
-    and zeta below.  An array of momenta gives a stack of matrices, as for
+def build_triangle_bloch(h, N, k, ends=0, a=1.0):
+    """N x N tridiagonal Bloch matrix: diagonal 2 t3 cos(ka), zeroed on the
+    first row (ends = 1) or on both end rows (ends = 2) by zigzag
+    truncation, zeta* = conj(t1 + t2 e^{-ika}) above the diagonal and zeta
+    below.  An array of momenta gives a stack of matrices, as for
     build_square_bloch."""
+    if ends not in (0, 1, 2):
+        raise ValueError(f"ends must be 0, 1 or 2, got {ends!r}")
     beta = build_beta(N)
     ks = np.asarray(k, dtype=float)
     zeta = h.t1 + h.t2 * np.exp(-1.0j * ks * a)
     diag = np.zeros(ks.shape + (N,))
     diag[...] = (2.0 * h.t3 * np.cos(ks * a))[..., None]
-    if edge in (TriangleEdge.ZIGZAG1, TriangleEdge.ZIGZAG2):
+    if ends:
         diag[..., 0] = 0.0
-    if edge is TriangleEdge.ZIGZAG2:
+    if ends == 2:
         diag[..., N - 1] = 0.0  # N=1 collapses to the single truncated row
     H = np.zeros(ks.shape + (N, N), dtype=complex)
     H[..., range(N), range(N)] = diag

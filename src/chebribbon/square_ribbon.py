@@ -31,7 +31,6 @@ __all__ = [
     "xi_of_k",
     "zigzag_secular_residual",
     "zigzag_roots",
-    "zigzag_spectrum",
     "zigzag_edge_branch",
     "zigzag_edge_curve",
     "zigzag_edge_u_from_xi",
@@ -141,13 +140,6 @@ def zigzag_roots(xi_abs, N):
     if failed:
         raise failed[0]
     return tuple(c[0] for c in roots)
-
-
-def zigzag_spectrum(xi_abs, N):
-    """All N non-negative omega roots at fixed |xi| (mirror negatives are
-    implied by chiral symmetry), ascending: zigzag_roots without the
-    angles."""
-    return zigzag_roots(xi_abs, N)[0]
 
 
 @dataclass(frozen=True)

@@ -34,17 +34,13 @@ __all__ = [
     "linear_energies",
     "linear_states",
     "RootTable",
-    "zz1_roots",
-    "zz2_roots",
+    "roots",
     "root_residuals",
     "root_states",
     "EdgeBranch",
-    "zz1_edge_solutions",
-    "zz2_edge_solutions",
-    "zz1_edge_state",
-    "zz2_edge_state",
-    "zz1_edge_existence",
-    "zz2_edge_existence",
+    "edge_solutions",
+    "edge_state",
+    "edge_existence",
     "default_u_grid",
 ]
 
@@ -117,11 +113,14 @@ class RootTable(NamedTuple):
         return self.sign != 0
 
 
-def _roots(h, N, k, a, ends):
-    """The RootTable of momentum k, or for an array of momenta the
-    RootTable of those solved, N rows each in the order of k, with
-    {index into k: DegenerateParameterError or RootCountError} of the
-    others, from one scan_roots pass over r = tau/|zeta|."""
+def roots(h, N, k, ends, a=1.0):
+    """All N secular roots at momentum k of the zigzag ribbon with `ends`
+    truncated end rows (1: one-sided, 2: two-sided), as a RootTable
+    ascending in energy.  For an array of momenta: the RootTable of every
+    momentum solved, N rows each in the order of k, and {index into k: the
+    DegenerateParameterError or RootCountError} of the others, which a
+    single momentum raises.  One scan_roots pass over r = tau/|zeta|
+    solves them all."""
     ks = np.atleast_1d(np.asarray(k, dtype=float))
     families = zigzag_ends(ends, N)[1]
     za, tau, theta, failed = reduced(h, ks, a)
@@ -154,25 +153,9 @@ def _roots(h, N, k, a, ends):
     return table
 
 
-def zz1_roots(h, N, k, a=1.0):
-    """All N secular roots of the one-sided zigzag ribbon at momentum k, as
-    a RootTable ascending in energy.  For an array of momenta: the
-    RootTable of every momentum solved, N rows each in the order of k, and
-    {index into k: the DegenerateParameterError or RootCountError} of the
-    others, which a single momentum raises."""
-    return _roots(h, N, k, a, ends=1)
-
-
-def zz2_roots(h, N, k, a=1.0):
-    """All N secular roots of the two-sided zigzag ribbon at momentum k, as
-    a RootTable ascending in energy; an array of momenta as for
-    zz1_roots."""
-    return _roots(h, N, k, a, ends=2)
-
-
 def root_residuals(roots, N, ends):
     """The secular sum sum_m c_m U_{N-m}(y) of each root of a RootTable
-    (from zz1_roots or zz2_roots for `ends` = 1 or 2) at the root's own
+    (from roots with the same `ends`) at the root's own
     angle or decay, scaled so that rounding shows as a small multiple of
     N eps.  On a bulk root sin(phi) times it, sum_m c_m sin((N+1-m) phi),
     is taken over the sum of the magnitudes of its coefficients, which
@@ -199,9 +182,9 @@ def root_residuals(roots, N, ends):
 
 
 def root_states(roots, N, ends):
-    """Normalized states of a RootTable's roots (of any momenta, from
-    zz1_roots or zz2_roots for `ends` = 1 or 2), one column each, that of
-    its momentum alone bit for bit, in the Bloch-matrix gauge e^{+i n
+    """Normalized states of a RootTable's roots (of any momenta, from roots
+    with the same `ends`), one column each, that of its momentum alone bit
+    for bit, in the Bloch-matrix gauge e^{+i n
     theta}: bulk roots at their angles (u_profile), edge roots from their
     envelopes."""
     psi = np.empty((len(roots.energy), N), dtype=complex)
@@ -213,8 +196,8 @@ def root_states(roots, N, ends):
     edge = np.flatnonzero(roots.edge)
     for family in zigzag_ends(ends, N)[1]:
         rows = edge[roots.family[edge] == family.name]
-        psi[rows] = _edge_state(roots.u[rows], N, roots.sign[rows], ends,
-                                family.name, roots.theta[rows])
+        psi[rows] = edge_state(roots.u[rows], N, roots.sign[rows], ends,
+                               family.name, roots.theta[rows])
     # np.linalg.norm of a vector sums by dot, apart from its axis form
     for i in edge.tolist():
         psi[i] /= np.linalg.norm(psi[i])
@@ -235,9 +218,14 @@ def _family(ends, N, name):
     raise ValueError(f"family must be 'A' or 'B', got {name!r}")
 
 
-def _edge_state(u, N, sign, ends, family, theta):
-    """(sign)^{n-1} e^{+i n theta} times the envelope of the EdgeFamily
-    named `family` at u > 0, a row per entry of the arrays u, sign, theta."""
+def edge_state(u, N, sign, ends, family="A", theta=0.0):
+    """Edge state of the zigzag ribbon with `ends` truncated end rows in
+    the Bloch-matrix gauge: (sign)^{n-1} e^{+i n theta} times the envelope
+    of the EdgeFamily named `family` at u > 0, sinh((N-n+1)u)/sinh(Nu)
+    one-sided, [sinh((N-n)u) +- sinh((n-1)u)]/sinh((N-1)u) two-sided for
+    family A (+) or B (-); a row per entry of the arrays u, sign, theta.
+    At -theta it is the two-sided state in its printed form, with the
+    e^{-i n theta} phase prefactor."""
     if np.any(np.asarray(u) <= 0.0):
         raise ValueError("decay parameter must be positive")
     n = np.arange(1, N + 1)
@@ -246,24 +234,10 @@ def _edge_state(u, N, sign, ends, family, theta):
             * _family(ends, N, family).envelope(u))
 
 
-def zz1_edge_state(u, N, sign, theta=0.0):
-    """One-sided zigzag edge state (sign)^{n-1} e^{+i n theta} times the
-    envelope sinh((N-n+1)u)/sinh(Nu)."""
-    return _edge_state(u, N, sign, 1, "A", theta)
-
-
-def zz2_edge_state(u, N, sign, family, theta=0.0):
-    """Two-sided zigzag edge state in its printed form, with the e^{-in
-    theta} phase prefactor, (sign)^{n-1} e^{-i n theta} [sinh((N-n)u) +-
-    sinh((n-1)u)]/sinh((N-1)u), family A (+) or B (-).  At -theta it is the
-    state in the Bloch-matrix gauge (e^{+in theta}) of the dense oracle."""
-    return _edge_state(u, N, sign, 2, family, -theta)
-
-
 class EdgeBranch(NamedTuple):
     """The points of an edge branch's u grid that resolve to a momentum, an
     array entry each in grid order: the decay u, cos(ka), k, the energy,
-    and |zeta|, tau and arg zeta at k (where zz*_edge_state forms each)."""
+    and |zeta|, tau and arg zeta at k (where edge_state forms each)."""
 
     u: np.ndarray
     cos_ka: np.ndarray
@@ -280,7 +254,13 @@ def _edge_sign_scale(h, sign):
     return abs(h.t1 - h.t2) if sign > 0 else h.t1 + h.t2
 
 
-def _edge_solutions(h, N, sign, ends, family, u_grid, a):
+def edge_solutions(h, N, sign, ends, family="A", u_grid=None, a=1.0):
+    """Edge-branch table of the zigzag ribbon with `ends` truncated end
+    rows for one (sign, family) pair: the admissible points of the u grid
+    resolved to their momenta and energies in one pass, an EdgeBranch of
+    arrays; empty when the existence bound fails (threshold >= N/(N+1)
+    one-sided; two-sided, family A: threshold >= 1, family B: threshold >=
+    (N-1)/(N+1))."""
     h.require_positive()
     zigzag_ends(ends, N)  # the N >= 2 check comes before the sign's
     if sign not in (1, -1):
@@ -316,35 +296,13 @@ def _edge_solutions(h, N, sign, ends, family, u_grid, a):
     return EdgeBranch(u, c, k, energy, zeta_abs, tau, zeta_of_k(h, k, a)[1])
 
 
-def zz1_edge_solutions(h, N, sign, u_grid=None, a=1.0):
-    """Edge-branch table of the one-sided zigzag ribbon for one energy
-    side: the admissible points of the u grid resolved to their momenta
-    and energies in one pass, an EdgeBranch of arrays; empty when the
-    existence bound fails (threshold >= N/(N+1))."""
-    return _edge_solutions(h, N, sign, 1, "A", u_grid, a)
-
-
-def zz2_edge_solutions(h, N, sign, family, u_grid=None, a=1.0):
-    """Edge-branch table of the two-sided zigzag ribbon for one (sign,
-    family) pair, as zz1_edge_solutions; empty when the existence bound
-    fails (family A: threshold >= 1; family B: threshold >= (N-1)/(N+1))."""
-    return _edge_solutions(h, N, sign, 2, family, u_grid, a)
-
-
-def _edge_existence(h, N, ends):
+def edge_existence(h, N, ends):
+    """Existence report of the edge branches of the zigzag ribbon with
+    `ends` truncated end rows: the two one-sided ones, or the four
+    two-sided (family, sign) ones."""
     h.require_positive()
     thresholds = {label: _edge_sign_scale(h, sign) / (2.0 * h.t3)
                   for label, sign in (("plus", 1), ("minus", -1))}
     return by_family(zigzag_ends(ends, N)[1], lambda fam: {
         label: {"threshold": t, "bound": fam.bound, "exists": t < fam.bound}
         for label, t in thresholds.items()})
-
-
-def zz1_edge_existence(h, N):
-    """Existence report for the two one-sided edge branches."""
-    return _edge_existence(h, N, 1)
-
-
-def zz2_edge_existence(h, N):
-    """Existence report for the four two-sided (family, sign) branches."""
-    return _edge_existence(h, N, 2)

@@ -21,18 +21,17 @@ from chebribbon import square_ribbon as sq
 from chebribbon import triangle_ribbon as tri
 from chebribbon.chebpoly import (det_perturbed_corner, u_all, u_eval,
                                  u_hyp_log, u_log, u_trig)
-from chebribbon.hamiltonian import (SquareHoppings, TriangleEdge,
-                                    TriangleHoppings, build_square_bloch,
-                                    build_triangle_bloch, eigensolve_dense,
-                                    subspace_overlap)
+from chebribbon.hamiltonian import (SquareHoppings, TriangleHoppings,
+                                    build_square_bloch, build_triangle_bloch,
+                                    eigensolve_dense, subspace_overlap)
 
 
 def _square_oracle(h, N, k):
     return eigensolve_dense(build_square_bloch(h, N, k))
 
 
-def _triangle_oracle(h, N, k, edge):
-    return eigensolve_dense(build_triangle_bloch(h, N, k, edge=edge))
+def _triangle_oracle(h, N, k, ends):
+    return eigensolve_dense(build_triangle_bloch(h, N, k, ends=ends))
 
 
 def _laplace_det(matrix):
@@ -66,7 +65,7 @@ def test_criterion_01():
     for N in (5, 13):
         for k in midpoint_grid(math.pi / 2, 256):
             xi_abs = abs(sq.xi_of_k(h, k)[0])
-            omegas = sq.zigzag_spectrum(xi_abs, N)
+            omegas = sq.zigzag_roots(xi_abs, N)[0]
             assert omegas.size == N
             analytic = np.sort(np.concatenate([-omegas, omegas]))
             spec = _square_oracle(h, N, k)
@@ -113,7 +112,7 @@ def test_criterion_04():
     """Interior subband extrema lie on the closed-form ellipse."""
     N = 5
     xi_grid = np.linspace(0.02, 1.4, 1401)
-    table = np.array([sq.zigzag_spectrum(x, N) for x in xi_grid])
+    table = np.array([sq.zigzag_roots(x, N)[0] for x in xi_grid])
     found = 0
     for j in range(N):
         diffs = np.diff(table[:, j])
@@ -121,11 +120,11 @@ def test_criterion_04():
         for i in flips:
             sgn = 1.0 if diffs[i - 1] < 0.0 else -1.0
             res = minimize_scalar(
-                lambda x: sgn * sq.zigzag_spectrum(float(x), N)[j],
+                lambda x: sgn * sq.zigzag_roots(float(x), N)[0][j],
                 bounds=(xi_grid[i - 1], xi_grid[i + 1]), method="bounded",
                 options={"xatol": 1e-12})
             xi_star = float(res.x)
-            omega_star = sq.zigzag_spectrum(xi_star, N)[j]
+            omega_star = sq.zigzag_roots(xi_star, N)[0][j]
             assert abs(sq.extrema_ellipse_residual(omega_star, xi_star,
                                                    N)) < 1e-6
             found += 1
@@ -188,7 +187,7 @@ def test_criterion_07():
     N = 5
     for k in midpoint_grid(math.pi, 128):
         energies = tri.linear_energies(h, N, k)
-        spec = _triangle_oracle(h, N, k, TriangleEdge.LINEAR)
+        spec = _triangle_oracle(h, N, k, 0)
         assert np.max(np.abs(np.sort(energies) - spec.energies)) < 1e-10
 
 
@@ -201,19 +200,19 @@ def test_criterion_08():
     """One-sided zigzag edge branches exist per threshold and sit one-sided."""
     h = TriangleHoppings(t1=0.9, t2=0.1, t3=1.0)
     N = 5
-    report = tri.zz1_edge_existence(h, N)
+    report = tri.edge_existence(h, N, 1)
     assert report["plus"]["threshold"] == pytest.approx(0.4)
     assert report["minus"]["threshold"] == pytest.approx(0.5)
     assert report["plus"]["bound"] == pytest.approx(N / (N + 1.0))
     assert report["plus"]["exists"] and report["minus"]["exists"]
     u_grid = np.logspace(-2, 0.4, 12)
     for sign in (1, -1):
-        sols = tri.zz1_edge_solutions(h, N, sign, u_grid=u_grid)
+        sols = tri.edge_solutions(h, N, sign, 1, u_grid=u_grid)
         assert len(sols.u)
         for sol in _points(sols):
             gap = sol.energy - (sol.tau + sign * 2.0 * sol.zeta_abs)
             assert sign * gap > 0.0
-            spec = _triangle_oracle(h, N, sol.k, TriangleEdge.ZIGZAG1)
+            spec = _triangle_oracle(h, N, sol.k, 1)
             y = (spec.energies - sol.tau) / (2.0 * sol.zeta_abs)
             outside = np.abs(y) > 1.0 + 1e-6
             assert int(np.sum(outside & (y > 0))) == (1 if sign > 0 else 0)
@@ -225,20 +224,20 @@ def test_criterion_09():
     strong = TriangleHoppings(t1=1.5, t2=0.1, t3=1.0)
     weak = TriangleHoppings(t1=0.9, t2=0.1, t3=1.0)
     N = 5
-    report = tri.zz2_edge_existence(strong, N)
+    report = tri.edge_existence(strong, N, 2)
     for side in ("plus", "minus"):
         assert report["A"][side]["exists"]
         assert not report["B"][side]["exists"]
-    weak_report = tri.zz2_edge_existence(weak, N)
+    weak_report = tri.edge_existence(weak, N, 2)
     assert all(weak_report[f][s]["exists"]
                for f in ("A", "B") for s in ("plus", "minus"))
     for sign in (1, -1):
-        assert len(tri.zz2_edge_solutions(weak, N, sign, "B").u)
-        assert not len(tri.zz2_edge_solutions(strong, N, sign, "B").u)
+        assert len(tri.edge_solutions(weak, N, sign, 2, "B").u)
+        assert not len(tri.edge_solutions(strong, N, sign, 2, "B").u)
     for h in (strong, weak):
         for k in midpoint_grid(math.pi, 64):
-            roots = tri.zz2_roots(h, N, k)
-            spec = _triangle_oracle(h, N, k, TriangleEdge.ZIGZAG2)
+            roots = tri.roots(h, N, k, 2)
+            spec = _triangle_oracle(h, N, k, 2)
             tau = tri.tau_of_k(h, k)
             za = abs(tri.zeta_of_k(h, k)[0])
             y = (spec.energies - tau) / (2.0 * za)

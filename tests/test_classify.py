@@ -14,9 +14,8 @@ from chebribbon.classify import (StateClass, StateLabel,
                                  classify_analytic_triangle, classify_numeric,
                                  ipr, model_edge_sides)
 from chebribbon.hamiltonian import (ModelKind, SquareHoppings,
-                                    TriangleEdge, TriangleHoppings,
-                                    build_square_bloch, build_triangle_bloch,
-                                    eigensolve_dense)
+                                    TriangleHoppings, build_square_bloch,
+                                    build_triangle_bloch, eigensolve_dense)
 
 
 # ---------------------------------------------------------------- helpers --
@@ -201,7 +200,7 @@ def test_agreement_square_zigzag():
     total = matched = 0
     for k in midpoint_grid(math.pi / 2, 33):
         xi_abs = abs(sq.xi_of_k(h, k)[0])
-        omegas = sq.zigzag_spectrum(xi_abs, N)
+        omegas = sq.zigzag_roots(xi_abs, N)[0]
         signed = np.concatenate([-omegas[::-1], omegas])
         spec = eigensolve_dense(build_square_bloch(h, N, k))
         for omega, vec in zip(signed, spec.vectors.T):
@@ -222,8 +221,7 @@ def test_agreement_triangle_one_sided():
     for k in midpoint_grid(math.pi, 33):
         zeta, _ = tri.zeta_of_k(h, k)
         tau = tri.tau_of_k(h, k)
-        spec = eigensolve_dense(
-            build_triangle_bloch(h, N, k, edge=TriangleEdge.ZIGZAG1))
+        spec = eigensolve_dense(build_triangle_bloch(h, N, k, ends=1))
         for energy, vec in zip(spec.energies, spec.vectors.T):
             y = (energy - tau) / (2.0 * abs(zeta))
             if min(abs(y - 1.0), abs(y + 1.0)) < 0.1:
@@ -243,8 +241,7 @@ def test_agreement_triangle_two_sided():
     for k in midpoint_grid(math.pi, 33):
         zeta, _ = tri.zeta_of_k(h, k)
         tau = tri.tau_of_k(h, k)
-        spec = eigensolve_dense(
-            build_triangle_bloch(h, N, k, edge=TriangleEdge.ZIGZAG2))
+        spec = eigensolve_dense(build_triangle_bloch(h, N, k, ends=2))
         for energy, vec in zip(spec.energies, spec.vectors.T):
             y = (energy - tau) / (2.0 * abs(zeta))
             if min(abs(y - 1.0), abs(y + 1.0)) < 0.1:
@@ -346,11 +343,8 @@ def _oracle_spectrum(kind, N, k, rng):
                                                                          tl)
         return eigensolve_dense(build_square_bloch(
             SquareHoppings(tu=tu, td=td, tr=tr, tl=tl), N, k))
-    edge = {ModelKind.TRIANGLE_LINEAR: TriangleEdge.LINEAR,
-            ModelKind.TRIANGLE_ZIGZAG1: TriangleEdge.ZIGZAG1,
-            ModelKind.TRIANGLE_ZIGZAG2: TriangleEdge.ZIGZAG2}[kind]
     return eigensolve_dense(build_triangle_bloch(
-        TriangleHoppings(*rng.uniform(lo, hi, 3)), N, k, edge=edge))
+        TriangleHoppings(*rng.uniform(lo, hi, 3)), N, k, ends=kind.ends))
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))

@@ -1,7 +1,6 @@
 """End-to-end command-line behavior: tables, reports, and exit codes."""
 
 import contextlib
-import importlib.util
 import io
 import itertools
 import json
@@ -24,9 +23,9 @@ from chebribbon.classify import ipr
 from chebribbon.cli import ScanConfig, _emit, run
 from chebribbon.errors import DegenerateParameterError, RootCountError
 from chebribbon.hamiltonian import (ModelKind, RibbonModel, SquareHoppings,
-                                    TriangleEdge, TriangleHoppings,
-                                    build_square_bloch, build_triangle_bloch,
-                                    eigensolve_dense, subspace_overlap)
+                                    TriangleHoppings, build_square_bloch,
+                                    build_triangle_bloch, eigensolve_dense,
+                                    subspace_overlap)
 
 HEADER = "k,band,energy,class,u,ipr,source"
 
@@ -96,10 +95,9 @@ def _scan(kind, N, hoppings, k_points):
                   if isinstance(rows, slice) and not mirrored]
 
 
-@pytest.mark.parametrize("kind, edge", [
-    (ModelKind.TRIANGLE_ZIGZAG1, TriangleEdge.ZIGZAG1),
-    (ModelKind.TRIANGLE_ZIGZAG2, TriangleEdge.ZIGZAG2)])
-def test_triangle_state_blocks_match_oracle(kind, edge):
+@pytest.mark.parametrize("kind", [ModelKind.TRIANGLE_ZIGZAG1,
+                                  ModelKind.TRIANGLE_ZIGZAG2])
+def test_triangle_state_blocks_match_oracle(kind):
     # states(ms) forms each bulk state at its root's angle and each edge
     # state from its envelope: each column lies in the oracle's eigenspace
     # at its energy
@@ -112,7 +110,8 @@ def test_triangle_state_blocks_match_oracle(kind, edge):
         rows = slice(m * N, (m + 1) * N)
         assert any(u is not None for u in scan.u[rows])
         block = columns[:, rows]
-        spec = eigensolve_dense(build_triangle_bloch(h, N, k, edge=edge))
+        spec = eigensolve_dense(build_triangle_bloch(h, N, k,
+                                                     ends=kind.ends))
         overlap = subspace_overlap(spec, scan.energy[rows], block)
         assert np.all(1.0 - overlap <= 1e-9)
 
@@ -198,15 +197,14 @@ def test_bands_at_the_edge_bulk_transition(capsys):
     for argv in [reproducer] + _transition_commands(200, 7):
         N = int(argv[4])
         h = TriangleHoppings(*(float(argv[i]) for i in (6, 8, 10)))
-        edge = TriangleEdge.ZIGZAG1 if argv[2] == "triangle-zigzag1" \
-            else TriangleEdge.ZIGZAG2
+        ends = ModelKind(argv[2]).ends
         rows = _bands(capsys, argv)
         assert len(rows) == N * int(argv[12])
         for start in range(0, len(rows), N):
             k = float(rows[start][0])
             energy = np.array([float(r[2]) for r in rows[start:start + N]])
             oracle = np.linalg.eigvalsh(
-                build_triangle_bloch(h, N, k, edge=edge))
+                build_triangle_bloch(h, N, k, ends=ends))
             assert np.all(np.abs(energy - oracle)
                           <= 1e-9 * np.maximum(1.0, np.abs(oracle))), argv
 
@@ -321,13 +319,12 @@ def test_validate_reads_the_secular_residual_at_each_roots_own_angle(
                 "--t1", "0.9", "--t2", "0.1", "--t3", "1", "--k-points",
                 str(m)]) == 0
     reported = json.loads(capsys.readouterr().out)["reports"][kind.value]
-    ends = 1 if kind == ModelKind.TRIANGLE_ZIGZAG1 else 2
-    roots, failed = (tri.zz1_roots if ends == 1 else tri.zz2_roots)(
-        h, N, ScanConfig(model=RibbonModel(kind, N), hoppings=h,
-                         k_points=m).k_grid())
+    roots, failed = tri.roots(h, N, ScanConfig(
+        model=RibbonModel(kind, N), hoppings=h, k_points=m).k_grid(),
+        kind.ends)
     assert failed == {}
     assert 0 < np.count_nonzero(roots.edge) < m * N
-    residual = np.abs(tri.root_residuals(roots, N, ends))
+    residual = np.abs(tri.root_residuals(roots, N, kind.ends))
     assert reported["max_secular_residual"] == residual.max()
     assert residual.max() < 1e-13
 
@@ -353,7 +350,7 @@ def test_validate_exempts_labels_near_band_edges(capsys):
 
 
 def _failing_at(solve, position, failing_values, error):
-    """A scan-wide solve (zz*_roots of momenta, sq.zigzag_roots of |xi|,
+    """A scan-wide solve (tri.roots of momenta, sq.zigzag_roots of |xi|,
     given as its positional argument `position`) that gives `error` at
     the values in failing_values and the rows of `solve` at the others."""
     def failing(*args, **kwargs):
@@ -380,8 +377,8 @@ def test_root_count_error_mid_scan_falls_back_to_oracle_rows(
     grid = [float(r[0]) for r in plain[::9]]
     assert grid[8] == -grid[7]
     error = RootCountError(f"forced at k = {grid[7]}")
-    monkeypatch.setattr(tri, "zz2_roots",
-                        _failing_at(tri.zz2_roots, 2, [grid[7]], error))
+    monkeypatch.setattr(tri, "roots",
+                        _failing_at(tri.roots, 2, [grid[7]], error))
     patched = _bands(capsys, argv)
     assert len(patched) == len(plain)
     for before, after in zip(plain, patched):
@@ -428,17 +425,10 @@ def test_square_root_count_error_mid_scan_falls_back_to_oracle_rows(
             assert after == before
 
 
-def _traced_groups():
-    """The triangle_ribbon names of each per-layer time of the benchmark's
-    span tracer (perfbench/spans.py), which patches module attributes."""
-    path = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "perfbench", "spans.py")
-    spec = importlib.util.spec_from_file_location("_bench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return {metric: [name.split(".", 1)[1] for name in names]
-            for metric, names in spans.TIMES.items()
-            if metric.startswith("triangle_ribbon.")}
+# the triangle_ribbon functions of each per-layer time a span tracer that
+# patches module attributes would sum: roots, state, edge_solutions
+_TRACED_GROUPS = {"roots": ["roots"], "state": ["edge_state"],
+                  "edge_solutions": ["edge_solutions"]}
 
 
 @pytest.mark.parametrize("model", ["triangle-zigzag1", "triangle-zigzag2"])
@@ -446,12 +436,8 @@ def test_traced_triangle_names_are_called(monkeypatch, capsys, model):
     # every zigzag function a per-layer time groups is called through its
     # module attribute, and never from inside another member of its group
     # (which would count that time twice)
-    prefix = "zz1_" if model.endswith("1") else "zz2_"
-    groups = {metric: [n for n in names
-                       if n.startswith(prefix) and hasattr(tri, n)]
-              for metric, names in _traced_groups().items()}
     reached, active, nested = set(), [], []
-    for metric, names in groups.items():
+    for metric, names in _TRACED_GROUPS.items():
         for name in names:
             def counted(*args, _fn=getattr(tri, name), _name=name,
                         _metric=metric, **kwargs):
@@ -470,9 +456,7 @@ def test_traced_triangle_names_are_called(monkeypatch, capsys, model):
                  ["edges"], ["wavefunction", "--u", "0.3"]):
         assert run([argv[0], "--model", model, *hop, *argv[1:]]) == 0
         capsys.readouterr()
-    names = {n for ns in groups.values() for n in ns}
-    assert len(names) == 3
-    assert reached == names
+    assert reached == {n for ns in _TRACED_GROUPS.values() for n in ns}
     assert nested == []
 
 
@@ -549,8 +533,8 @@ def test_bands_blocks_equal_row_by_row_reference(monkeypatch, capsys, case,
     config = cli._resolve_config(cli._build_parser().parse_args(argv))
     if case.endswith("root-count-error"):
         k = config.k_grid().tolist()[2]
-        monkeypatch.setattr(tri, "zz2_roots", _failing_at(
-            tri.zz2_roots, 2, [k], RootCountError(f"forced at k = {k}")))
+        monkeypatch.setattr(tri, "roots", _failing_at(
+            tri.roots, 2, [k], RootCountError(f"forced at k = {k}")))
     rows = _reference_rows(config)
     sources = {r[6] for r in rows}
     assert sources == ({"oracle"} if case in ("square-general",
@@ -947,13 +931,13 @@ def test_edge_branch_points_lie_on_the_bloch_spectrum(capsys):
         assert run(argv) == 0, argv
         report = json.loads(capsys.readouterr().out)
         h = TriangleHoppings(**report["hoppings"])
-        edge = TriangleEdge(report["model"].split("-")[1])
+        ends = ModelKind(report["model"]).ends
         points = _branch_points(report)
         if not points:
             continue
         k, energy = np.array(points).T
         spectra = np.linalg.eigvalsh(np.array([
-            build_triangle_bloch(h, report["N"], kk, edge=edge)
+            build_triangle_bloch(h, report["N"], kk, ends=ends)
             for kk in k]))
         gap = np.min(np.abs(spectra - energy[:, None]), axis=1)
         assert np.all(gap <= 1e-9 * np.maximum(1.0, np.abs(energy))), argv
@@ -962,25 +946,24 @@ def test_edge_branch_points_lie_on_the_bloch_spectrum(capsys):
 def test_edges_forms_no_state(monkeypatch, capsys):
     # edges prints u, k, energy (triangular) or u, |xi|, omega (square); the
     # states of its branch points are formed only where they are read
-    states = [_counting(monkeypatch, tri, name)
-              for name in ("zz1_edge_state", "zz2_edge_state")]
+    states = _counting(monkeypatch, tri, "edge_state")
     norms = _counting(monkeypatch, sq, "_edge_norm_square")
     for model, hop in (("triangle-zigzag1", ["--t1", "0.9", "--t2", "0.1"]),
                        ("triangle-zigzag2", ["--t1", "0.9", "--t2", "0.1"]),
                        ("square-zigzag", ["--tu", "1", "--td", "0.6"])):
         assert run(["edges", "--model", model, "--N", "6", *hop]) == 0
         assert json.loads(capsys.readouterr().out)["branch"]
-    assert states == [[], []] and norms == []
+    assert states == [] and norms == []
     # a branch table is columns over its u grid; the states of its points,
     # formed at (u, theta) in one call, are those formed one by one
     h = TriangleHoppings(0.9, 0.1, 1.0)
-    table = tri.zz2_edge_solutions(h, 6, 1, "B", u_grid=[0.3, 0.6, 2.0])
+    table = tri.edge_solutions(h, 6, 1, 2, "B", u_grid=[0.3, 0.6, 2.0])
     assert table.u.tolist() == [0.3, 0.6]
     assert np.array_equal(table.theta, tri.zeta_of_k(h, table.k)[1])
-    rows = tri.zz2_edge_state(table.u, 6, 1, "B", table.theta)
+    rows = tri.edge_state(table.u, 6, 1, 2, "B", table.theta)
     for row, u, theta in zip(rows, table.u.tolist(), table.theta.tolist()):
-        assert np.array_equal(row, tri.zz2_edge_state(u, 6, 1, "B", theta))
-    assert len(states[1]) == 3
+        assert np.array_equal(row, tri.edge_state(u, 6, 1, 2, "B", theta))
+    assert len(states) == 3
 
 
 def test_edges_rejects_models_without_branch_analytics(capsys):

@@ -7,11 +7,11 @@ import pytest
 
 from chebribbon.errors import HermiticityError
 from chebribbon.hamiltonian import (OVERLAP_WINDOW, ModelKind, RibbonModel,
-                                    Spectrum, SquareHoppings, TriangleEdge,
+                                    Spectrum, SquareHoppings,
                                     TriangleHoppings, build_beta,
                                     build_square_bloch, build_triangle_bloch,
                                     eigensolve_dense, subspace_overlap)
-from chebribbon.square_ribbon import xi_of_k, zigzag_spectrum
+from chebribbon.square_ribbon import xi_of_k, zigzag_roots
 
 
 # ------------------------------------------------------------------- beta --
@@ -55,7 +55,7 @@ def test_square_bloch_is_exactly_hermitian(rng):
 def test_square_bloch_matches_reduced_secular_roots():
     h = SquareHoppings(tu=1.0, td=1.0, tl=0.0, tr=1.0)
     spec = eigensolve_dense(build_square_bloch(h, 2, 0.0))
-    omegas = zigzag_spectrum(2.0, 2)  # |xi| = (tu + td)/tr at k = 0
+    omegas = zigzag_roots(2.0, 2)[0]  # |xi| = (tu + td)/tr at k = 0
     expected = np.sort(np.concatenate([-omegas, omegas]))
     np.testing.assert_allclose(spec.energies, expected, atol=1e-10)
 
@@ -103,9 +103,9 @@ def test_lr_gauge_transformation():
 
 def test_triangle_bloch_examples():
     h = TriangleHoppings(t1=1.0, t2=1.0, t3=1.0)
-    lin1 = build_triangle_bloch(h, 1, 0.0, edge=TriangleEdge.LINEAR)
+    lin1 = build_triangle_bloch(h, 1, 0.0, ends=0)
     np.testing.assert_allclose(lin1, [[2.0]])
-    zz1 = build_triangle_bloch(h, 1, 0.0, edge=TriangleEdge.ZIGZAG1)
+    zz1 = build_triangle_bloch(h, 1, 0.0, ends=1)
     np.testing.assert_allclose(zz1, [[0.0]])
     lin2 = eigensolve_dense(build_triangle_bloch(h, 2, 0.0))
     np.testing.assert_allclose(lin2.energies, [0.0, 4.0], atol=1e-14)
@@ -115,10 +115,10 @@ def test_triangle_bloch_truncation_zeroes_diagonal():
     h = TriangleHoppings(t1=0.9, t2=0.4, t3=0.8)
     k = 0.3
     tau = 2.0 * 0.8 * math.cos(k)
-    d1 = np.diag(build_triangle_bloch(h, 3, k, edge=TriangleEdge.ZIGZAG1)
+    d1 = np.diag(build_triangle_bloch(h, 3, k, ends=1)
                  ).real
     np.testing.assert_allclose(d1, [0.0, tau, tau], atol=1e-15)
-    d2 = np.diag(build_triangle_bloch(h, 3, k, edge=TriangleEdge.ZIGZAG2)
+    d2 = np.diag(build_triangle_bloch(h, 3, k, ends=2)
                  ).real
     np.testing.assert_allclose(d2, [0.0, tau, 0.0], atol=1e-15)
     zeta = h.t1 + h.t2 * np.exp(-1.0j * k)
@@ -175,8 +175,8 @@ def _random_builds(rng, N):
     sq = SquareHoppings(*rng.uniform(0.1, 2.0, size=4))
     tri = TriangleHoppings(*rng.uniform(0.1, 2.0, size=3))
     return [lambda k: build_square_bloch(sq, N, k, a=a)] + [
-        lambda k, edge=edge: build_triangle_bloch(tri, N, k, edge=edge, a=a)
-        for edge in TriangleEdge]
+        lambda k, ends=ends: build_triangle_bloch(tri, N, k, ends=ends, a=a)
+        for ends in (0, 1, 2)]
 
 
 @pytest.mark.parametrize("N", [1, 2, 5, 24, 59, 118])
@@ -277,9 +277,9 @@ def test_triangular_stack_keeps_eigh(monkeypatch, rng):
     # a tridiagonal stack of even dimension has nonzero diagonal blocks
     tri = TriangleHoppings(*rng.uniform(0.1, 2.0, size=3))
     eigh, svd = (_recording(monkeypatch, name) for name in ("eigh", "svd"))
-    for edge in TriangleEdge:
+    for ends in (0, 1, 2):
         eigensolve_dense(build_triangle_bloch(tri, 6, np.array([0.2, 1.1]),
-                                              edge=edge))
+                                              ends=ends))
     assert len(eigh) == 3 and not svd
 
 

@@ -28,8 +28,8 @@ from chebribbon import triangle_ribbon as tri
 from chebribbon.chebpoly import u_profile_ipr, zigzag_ends
 from chebribbon.classify import ipr
 from chebribbon.cli import run
-from chebribbon.hamiltonian import (SquareHoppings, TriangleEdge,
-                                    TriangleHoppings, build_triangle_bloch)
+from chebribbon.hamiltonian import (SquareHoppings, TriangleHoppings,
+                                    build_triangle_bloch)
 
 WIDTHS = (5, 200, 1000)
 TOL = 1e-13
@@ -241,8 +241,7 @@ def test_zigzag_band_iprs(capsys, N):
                 found = 2.0 * part
                 family = np.full(2 * N, "A")
             else:
-                roots = (tri.zz1_roots if ends == 1 else tri.zz2_roots)(
-                    triangle, N, k)
+                roots = tri.roots(triangle, N, k, ends)
                 phi, u, family = roots.phi, roots.u, roots.family
                 r = roots.tau / roots.zeta_abs
                 found = part
@@ -334,12 +333,12 @@ def test_family_a_envelope_keeps_full_precision(N):
                 assert err <= bound[n], (u, n + 1, float(err) / eps)
 
 
-@pytest.mark.parametrize("model, edge", [
-    ("triangle-zigzag1", TriangleEdge.ZIGZAG1),
-    ("triangle-zigzag2", TriangleEdge.ZIGZAG2)])
+@pytest.mark.parametrize("model, ends", [
+    ("triangle-zigzag1", 1),
+    ("triangle-zigzag2", 2)])
 @pytest.mark.parametrize("t3, k_points, digits", [
     ("1e12", "8", 60), ("1e200", "3", 450)])
-def test_edge_energies_when_tau_dwarfs_zeta(capsys, model, edge, t3,
+def test_edge_energies_when_tau_dwarfs_zeta(capsys, model, ends, t3,
                                             k_points, digits):
     # an edge energy of about |zeta|^2/tau, far below tau: formed as
     # tau +- 2|zeta| cosh u it would cancel (0.026 for -2.1e-12 at t3 =
@@ -351,7 +350,7 @@ def test_edge_energies_when_tau_dwarfs_zeta(capsys, model, edge, t3,
     for start in range(0, len(lines), 5):
         rows = [line.split(",") for line in lines[start:start + 5]]
         bloch = build_triangle_bloch(TriangleHoppings(1.0, 1.0, float(t3)),
-                                     5, float(rows[0][0]), edge=edge)
+                                     5, float(rows[0][0]), ends=ends)
         with mpmath.workdps(digits):
             expected = sorted(float(e) for e in mpmath.eighe(
                 mpmath.matrix(bloch.tolist()), eigvals_only=True))

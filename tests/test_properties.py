@@ -24,12 +24,8 @@ from hypothesis import strategies as st
 from chebribbon.classify import ipr
 from chebribbon.cli import run
 from chebribbon.hamiltonian import (ModelKind, RibbonModel, SquareHoppings,
-                                    TriangleEdge, TriangleHoppings,
-                                    build_square_bloch, build_triangle_bloch)
-
-_EDGE = {"triangle-linear": TriangleEdge.LINEAR,
-         "triangle-zigzag1": TriangleEdge.ZIGZAG1,
-         "triangle-zigzag2": TriangleEdge.ZIGZAG2}
+                                    TriangleHoppings, build_square_bloch,
+                                    build_triangle_bloch)
 
 _hopping = st.one_of(st.just(0.0), st.floats(0.05, 5.0))
 # relative offsets of the second hopping of a near-equal pair
@@ -83,7 +79,7 @@ def _oracle(model, flags, N, k):
         bloch = build_square_bloch(SquareHoppings(**flags), N, k)
     else:
         bloch = build_triangle_bloch(TriangleHoppings(**flags), N, k,
-                                     edge=_EDGE[model])
+                                     ends=ModelKind(model).ends)
     return np.linalg.eigh(bloch)
 
 
@@ -389,9 +385,9 @@ def test_edge_existence_matches_the_bloch_spectrum(model):
                    < 0.02 for fam in families for side in ("plus", "minus")):
                 continue
             h = TriangleHoppings(t1, t2, t3)
+            ends = ModelKind(model).ends
             energies = _stacked_eigvalsh(
-                lambda k: build_triangle_bloch(h, N, k, edge=_EDGE[model]),
-                ks)
+                lambda k: build_triangle_bloch(h, N, k, ends=ends), ks)
             tau = 2.0 * t3 * np.cos(ks)[:, None]
             reach = 2.0 * np.abs(t1 + t2 * np.exp(-1j * ks))[:, None]
             tol = 1e-11 * np.maximum(1.0, np.abs(energies).max())

@@ -11,9 +11,8 @@ from chebribbon import square_ribbon as sq
 from chebribbon import triangle_ribbon as tri
 from chebribbon._roots import phase_roots, ratio_roots
 from chebribbon.chebpoly import zigzag_ends
-from chebribbon.hamiltonian import (SquareHoppings, TriangleEdge,
-                                    TriangleHoppings, build_square_bloch,
-                                    build_triangle_bloch)
+from chebribbon.hamiltonian import (SquareHoppings, TriangleHoppings,
+                                    build_square_bloch, build_triangle_bloch)
 
 # (M, p) of the one-sided (and square) and two-sided secular sums
 _FORMS = [(N, 1) for N in (1, 2, 3, 5, 13)] + \
@@ -142,12 +141,12 @@ def test_slow_two_sided_scan_converges_within_the_cap(monkeypatch):
     h, N = TriangleHoppings(1.0, 1.0, 1.0), 40
     ks = (np.arange(128) + 0.5 - 64) * (2.0 * math.pi / 128)
     steps = _counted_newton(monkeypatch)
-    table, failed = tri.zz2_roots(h, N, ks)
+    table, failed = tri.roots(h, N, ks, 2)
     assert failed == {} and len(table.energy) == N * len(ks)
     assert max(steps) <= 20
     for i, k in enumerate(ks.tolist()):
         expected = np.linalg.eigvalsh(build_triangle_bloch(
-            h, N, k, edge=TriangleEdge.ZIGZAG2))
+            h, N, k, ends=2))
         assert np.allclose(table.energy[i * N:(i + 1) * N], expected,
                            rtol=0.0, atol=3e-14)
 
@@ -181,12 +180,10 @@ def test_root_near_the_band_edge_matches_the_dense_spectrum(N):
         assert -(M + p) / M < r < -1.0
         # t2 = 0 and k = pi: zeta = t1 = 1 and tau = -2 t3
         h = TriangleHoppings(1.0, 0.0, -r / 2.0)
-        roots = (tri.zz1_roots if ends == 1 else tri.zz2_roots)(h, N,
-                                                                 math.pi)
+        roots = tri.roots(h, N, math.pi, ends)
         assert np.nanmin(roots.phi) == pytest.approx(1e-4, rel=1e-9)
         expected = np.linalg.eigvalsh(build_triangle_bloch(
-            h, N, math.pi, edge=(TriangleEdge.ZIGZAG1,
-                                 TriangleEdge.ZIGZAG2)[ends - 1]))
+            h, N, math.pi, ends=ends))
         assert np.all(np.abs(roots.energy - expected)
                       <= 1e-9 * np.maximum(1.0, np.abs(expected)))
     # square-zigzag's one-sided form with r = 1/|xi| > 0: the root next to

@@ -53,12 +53,12 @@ def test_secular_residual_vanishes_on_oracle_energies():
 # --------------------------------------------------------------- spectrum --
 
 def test_spectrum_examples():
-    np.testing.assert_allclose(sq.zigzag_spectrum(0.7, 1), [0.7], atol=1e-12)
-    roots = sq.zigzag_spectrum(5.0 / 6.0, 5)
+    np.testing.assert_allclose(sq.zigzag_roots(0.7, 1)[0], [0.7], atol=1e-12)
+    roots = sq.zigzag_roots(5.0 / 6.0, 5)[0]
     assert roots.size == 5
     assert roots[0] == pytest.approx(1.0 / 6.0, abs=1e-9)
     with pytest.raises(DegenerateParameterError):
-        sq.zigzag_spectrum(0.0, 5)
+        sq.zigzag_roots(0.0, 5)[0]
 
 
 def test_spectrum_matches_oracle_across_widths():
@@ -66,7 +66,7 @@ def test_spectrum_matches_oracle_across_widths():
     for N in (2, 3, 5, 13):
         for k in midpoint_grid(math.pi / 2, 64):
             xi, _ = sq.xi_of_k(h, k)
-            omegas = sq.zigzag_spectrum(abs(xi), N)
+            omegas = sq.zigzag_roots(abs(xi), N)[0]
             assert omegas.size == N
             analytic = np.sort(np.concatenate([-omegas, omegas]))
             spec = eigensolve_dense(build_square_bloch(h, N, k))

@@ -12,15 +12,14 @@ from conftest import edge_envelope, midpoint_grid
 from chebribbon import triangle_ribbon as tri
 from chebribbon.chebpoly import u_all, zigzag_ends
 from chebribbon.errors import DegenerateParameterError
-from chebribbon.hamiltonian import (TriangleEdge, TriangleHoppings,
-                                    build_triangle_bloch, eigensolve_dense,
-                                    subspace_overlap)
+from chebribbon.hamiltonian import (TriangleHoppings, build_triangle_bloch,
+                                    eigensolve_dense, subspace_overlap)
 
 WEAK = TriangleHoppings(t1=0.9, t2=0.1, t3=1.0)
 
 
-def _oracle(h, N, k, edge):
-    return eigensolve_dense(build_triangle_bloch(h, N, k, edge=edge))
+def _oracle(h, N, k, ends):
+    return eigensolve_dense(build_triangle_bloch(h, N, k, ends=ends))
 
 
 # -------------------------------------------------------------- reduction --
@@ -39,11 +38,11 @@ def test_zeta_and_tau_examples():
     # survives, and the root finder still lands on the limiting spectrum
     # {tau, tau, 0} instead of blowing up
     assert abs(tri.zeta_of_k(h, math.pi)[0]) < 1e-15
-    limit = np.sort(tri.zz1_roots(h, 3, math.pi).energy)
+    limit = np.sort(tri.roots(h, 3, math.pi, 1).energy)
     np.testing.assert_allclose(limit, [-1.0, -1.0, 0.0], atol=1e-12)
     # the degenerate guard fires on an exact zero, e.g. absent legs
     with pytest.raises(DegenerateParameterError):
-        tri.zz1_roots(TriangleHoppings(t1=0.0, t2=0.0, t3=0.5), 3, 0.3)
+        tri.roots(TriangleHoppings(t1=0.0, t2=0.0, t3=0.5), 3, 0.3, 1)
 
 
 def test_reductions_of_an_array_equal_scalar_calls_and_cmath():
@@ -99,7 +98,7 @@ def test_linear_spectrum_matches_oracle(rng):
     for k in midpoint_grid(math.pi, 64):
         energies = tri.linear_energies(h, N, k)
         states = tri.linear_states(h, N, k)
-        spec = _oracle(h, N, k, TriangleEdge.LINEAR)
+        spec = _oracle(h, N, k, 0)
         np.testing.assert_allclose(np.sort(energies), spec.energies,
                                    atol=1e-10)
         H = build_triangle_bloch(h, N, k)
@@ -112,8 +111,8 @@ def test_linear_spectrum_matches_oracle(rng):
 def test_zz1_width_one_pins_zero_energy():
     h = TriangleHoppings(t1=0.7, t2=0.4, t3=0.9)
     for k in (0.0, 0.8, 2.5):
-        assert abs(tri.zz1_roots(h, 1, k).energy[0]) < 1e-12
-        spec = _oracle(h, 1, k, TriangleEdge.ZIGZAG1)
+        assert abs(tri.roots(h, 1, k, 1).energy[0]) < 1e-12
+        spec = _oracle(h, 1, k, 1)
         assert abs(spec.energies[0]) < 1e-14
 
 
@@ -121,9 +120,9 @@ def test_zz2_width_two_energies_are_plus_minus_zeta():
     h = TriangleHoppings(t1=1.3, t2=0.4, t3=0.8)
     k = 0.7
     za = abs(h.t1 + h.t2 * cmath.exp(-1.0j * k))
-    np.testing.assert_allclose(tri.zz2_roots(h, 2, k).energy, [-za, za],
+    np.testing.assert_allclose(tri.roots(h, 2, k, 2).energy, [-za, za],
                                atol=1e-12)
-    spec = _oracle(h, 2, k, TriangleEdge.ZIGZAG2)
+    spec = _oracle(h, 2, k, 2)
     np.testing.assert_allclose(spec.energies, [-za, za], atol=1e-12)
 
 
@@ -131,7 +130,7 @@ def test_zz1_residual_vanishes_on_oracle_energies():
     # U_N(y) + r U_{N-1}(y), y = (E - tau)/(2|zeta|), over the sum of the
     # magnitudes of its terms, at the oracle's energies
     N, k = 5, 0.0
-    spec = _oracle(WEAK, N, k, TriangleEdge.ZIGZAG1)
+    spec = _oracle(WEAK, N, k, 1)
     za, tau = abs(tri.zeta_of_k(WEAK, k)[0]), tri.tau_of_k(WEAK, k)
     r = tau / za
     for E in spec.energies:
@@ -144,7 +143,7 @@ def test_zz1_residual_vanishes_on_oracle_energies():
 
 def test_zz1_state_phase_and_edge_modulus():
     N, k = 5, math.pi
-    roots = tri.zz1_roots(WEAK, N, k)
+    roots = tri.roots(WEAK, N, k, 1)
     assert len(roots.energy) == N
     _, theta = tri.zeta_of_k(WEAK, k)
     psi = tri.root_states(roots, N, 1)
@@ -179,16 +178,11 @@ def _scalar_root(roots, i, N, coeffs):
 
 @pytest.mark.parametrize("N", [2, 7, 40])
 def test_batched_states_and_residuals_equal_scalar_reference(N):
-    cases = (
-        (tri.zz1_roots, 1, lambda u, s, f, t: tri.zz1_edge_state(u, N, s, t),
-         (lambda r: 1.0, lambda r: r)),
-        (tri.zz2_roots, 2,
-         lambda u, s, f, t: tri.zz2_edge_state(u, N, s, f, -t),
-         (lambda r: 1.0, lambda r: 2.0 * r, lambda r: r * r)),
-    )
-    for roots_of, ends, edge_state, coeffs in cases:
+    cases = ((1, (lambda r: 1.0, lambda r: r)),
+             (2, (lambda r: 1.0, lambda r: 2.0 * r, lambda r: r * r)))
+    for ends, coeffs in cases:
         for k in (0.3, 2.0, math.pi):
-            roots = roots_of(WEAK, N, k)
+            roots = tri.roots(WEAK, N, k, ends)
             block = tri.root_states(roots, N, ends)
             residuals = tri.root_residuals(roots, N, ends)
             assert block.shape == (N, N)
@@ -197,8 +191,8 @@ def test_batched_states_and_residuals_equal_scalar_reference(N):
                 assert block[:, i].flags.c_contiguous
                 assert abs(residuals[i] - resid) < 1e-12
                 if psi is None:
-                    psi = edge_state(roots.u[i], roots.sign[i],
-                                     roots.family[i], roots.theta[i])
+                    psi = tri.edge_state(roots.u[i], N, roots.sign[i], ends,
+                                         roots.family[i], roots.theta[i])
                     psi = psi / np.linalg.norm(psi)
                     assert np.array_equal(block[:, i], psi)
                 else:
@@ -238,12 +232,11 @@ def test_root_residuals_are_the_scaled_chebyshev_sum(N, ends):
     # of the sum of its terms' magnitudes would read up to |r| times more,
     # and at r = -1 (k = pi) and 1 (k = 0) with t = (1, 0, 1/2) one of
     # |1 + r e^{-i phi}|^ends, which vanishes at a root on phi = 0 or pi
-    roots_of = tri.zz1_roots if ends == 1 else tri.zz2_roots
     for h, ks in ((WEAK, [0.3, 2.0, 3.0]),
                   (TriangleHoppings(1.0, 1.0, 1.0), [0.3, 2.0, 3.0]),
                   (TriangleHoppings(0.3, 0.2, 40.0), [0.3, 2.0, 3.0]),
                   (TriangleHoppings(1.0, 0.0, 0.5), [0.0, math.pi])):
-        roots, failed = roots_of(h, N, np.array(ks))
+        roots, failed = tri.roots(h, N, np.array(ks), ends)
         assert failed == {}
         # n phi rounds to eps (N + 1) pi, and an edge term's (N + 1)u to
         # eps (N + 1) u
@@ -260,18 +253,16 @@ def test_root_residuals_are_the_scaled_chebyshev_sum(N, ends):
 
 
 def test_roots_match_oracle_across_widths(rng):
-    edges = {TriangleEdge.ZIGZAG1: (tri.zz1_roots, 1),
-             TriangleEdge.ZIGZAG2: (tri.zz2_roots, 2)}
-    for edge, (roots_fn, ends) in edges.items():
+    for ends in (1, 2):
         for N in (2, 3, 5, 13):
             t1, t2 = rng.uniform(0.2, 1.5, size=2)
             t3 = rng.uniform(0.3, 1.2)
             h = TriangleHoppings(t1=t1, t2=t2, t3=t3)
             for idx, k in enumerate(midpoint_grid(math.pi, 64)):
-                roots = roots_fn(h, N, k)
+                roots = tri.roots(h, N, k, ends)
                 assert len(roots.energy) == N
                 energies = roots.energy
-                spec = _oracle(h, N, k, edge)
+                spec = _oracle(h, N, k, ends)
                 dev = np.abs(energies - spec.energies)
                 assert dev.max() < 1e-8 * max(1.0, np.abs(energies).max())
                 if idx % 8:
@@ -283,9 +274,9 @@ def test_roots_match_oracle_across_widths(rng):
 
 def test_root_tables_carry_the_reduced_parameters():
     h = TriangleHoppings(t1=0.9, t2=0.1, t3=1.0)
-    for roots_fn in (tri.zz1_roots, tri.zz2_roots):
+    for ends in (1, 2):
         for k in (-2.9, -0.4, 0.0, 1.3):
-            roots = roots_fn(h, 7, k, a=1.5)
+            roots = tri.roots(h, 7, k, ends, a=1.5)
             zeta, theta = tri.zeta_of_k(h, k, 1.5)
             assert np.all(roots.tau == tri.tau_of_k(h, k, 1.5))
             assert np.all(roots.zeta_abs == abs(zeta))
@@ -303,7 +294,7 @@ def test_zz1_edge_solutions_worked_case():
     N = 5
     u_grid = np.logspace(-2, 0.4, 12)
     for sign in (1, -1):
-        sols = tri.zz1_edge_solutions(WEAK, N, sign, u_grid=u_grid)
+        sols = tri.edge_solutions(WEAK, N, sign, 1, u_grid=u_grid)
         assert len(sols.u)
         for sol in _points(sols):
             ratio = math.sinh((N + 1) * sol.u) / math.sinh(N * sol.u)
@@ -314,12 +305,11 @@ def test_zz1_edge_solutions_worked_case():
                 rel=1e-12)
             gap = sol.energy - (sol.tau + sign * 2.0 * sol.zeta_abs)
             assert sign * gap > 0.0  # detached outward from the band
-            H = build_triangle_bloch(WEAK, N, sol.k,
-                                     edge=TriangleEdge.ZIGZAG1)
-            psi = tri.zz1_edge_state(sol.u, N, sign, sol.theta)
+            H = build_triangle_bloch(WEAK, N, sol.k, ends=1)
+            psi = tri.edge_state(sol.u, N, sign, 1, theta=sol.theta)
             resid = np.abs(H @ psi - sol.energy * psi).max()
             assert resid < 1e-8 * max(1.0, abs(sol.energy))
-            spec = _oracle(WEAK, N, sol.k, TriangleEdge.ZIGZAG1)
+            spec = _oracle(WEAK, N, sol.k, 1)
             y = (spec.energies - sol.tau) / (2.0 * sol.zeta_abs)
             outside = np.abs(y) > 1.0 + 1e-6
             assert int(np.sum(outside & (y > 0))) == (1 if sign > 0 else 0)
@@ -334,8 +324,7 @@ def test_root_states_of_many_momenta_equal_per_momentum_calls(ends):
     ks = midpoint_grid(math.pi, 16)
     families = set()
     for N in (2, 3, 13, 40):
-        roots, failed = (tri.zz1_roots if ends == 1 else tri.zz2_roots)(
-            WEAK, N, ks)
+        roots, failed = tri.roots(WEAK, N, ks, ends)
         assert not failed
         families |= set(roots.family.tolist())
         many = tri.root_states(roots, N, ends)
@@ -402,10 +391,8 @@ def test_edge_tables_equal_scalar_reference(rng):
         family = str(rng.choice(["A", "B"])) if ends == 2 else "A"
         a = float(rng.choice([1.0, 0.5, 3.0]))
         u_grid = grid if rng.random() < 0.5 else None
-        table = (tri.zz1_edge_solutions(h, N, sign, u_grid=u_grid, a=a)
-                 if ends == 1 else
-                 tri.zz2_edge_solutions(h, N, sign, family, u_grid=u_grid,
-                                        a=a))
+        table = tri.edge_solutions(h, N, sign, ends, family, u_grid=u_grid,
+                                   a=a)
         points = _scalar_edge_points(
             h, N, sign, ends, family,
             tri.default_u_grid() if u_grid is None else u_grid, a)
@@ -418,10 +405,10 @@ def test_edge_tables_equal_scalar_reference(rng):
 
 
 def test_zz1_edge_solutions_empty_cases():
-    assert not len(tri.zz1_edge_solutions(WEAK, 5, 1, u_grid=[5.0]).u)
+    assert not len(tri.edge_solutions(WEAK, 5, 1, 1, u_grid=[5.0]).u)
     strong = TriangleHoppings(t1=3.0, t2=0.1, t3=1.0)
     for sign in (1, -1):
-        assert not len(tri.zz1_edge_solutions(strong, 5, sign).u)
+        assert not len(tri.edge_solutions(strong, 5, sign, 1).u)
 
 
 def test_zz2_edge_solutions_all_branches():
@@ -429,8 +416,8 @@ def test_zz2_edge_solutions_all_branches():
     u_grid = np.logspace(-2, 0.4, 12)
     for sign in (1, -1):
         for family in ("A", "B"):
-            sols = tri.zz2_edge_solutions(WEAK, N, sign, family,
-                                          u_grid=u_grid)
+            sols = tri.edge_solutions(WEAK, N, sign, 2, family,
+                                      u_grid=u_grid)
             assert len(sols.u)
             for sol in _points(sols)[:4]:
                 if family == "A":
@@ -442,9 +429,8 @@ def test_zz2_edge_solutions_all_branches():
                 assert sol.tau / sol.zeta_abs == pytest.approx(
                     -sign * ratio, abs=1e-9)
                 _, theta = tri.zeta_of_k(WEAK, sol.k)
-                psi = tri.zz2_edge_state(sol.u, N, sign, family, -theta)
-                H = build_triangle_bloch(WEAK, N, sol.k,
-                                         edge=TriangleEdge.ZIGZAG2)
+                psi = tri.edge_state(sol.u, N, sign, 2, family, theta)
+                H = build_triangle_bloch(WEAK, N, sol.k, ends=2)
                 resid = np.abs(H @ psi - sol.energy * psi).max()
                 assert resid < 1e-8 * max(1.0, abs(sol.energy))
 
@@ -452,9 +438,9 @@ def test_zz2_edge_solutions_all_branches():
 def test_zz2_edge_solutions_respect_family_bounds():
     strong = TriangleHoppings(t1=1.5, t2=0.1, t3=1.0)
     for sign in (1, -1):
-        assert not len(tri.zz2_edge_solutions(strong, 5, sign, "B").u)
-        assert len(tri.zz2_edge_solutions(strong, 5, sign, "A").u)
-        assert len(tri.zz2_edge_solutions(WEAK, 5, sign, "B").u)
+        assert not len(tri.edge_solutions(strong, 5, sign, 2, "B").u)
+        assert len(tri.edge_solutions(strong, 5, sign, 2, "A").u)
+        assert len(tri.edge_solutions(WEAK, 5, sign, 2, "B").u)
 
 
 # -------------------------------------------------------------- envelopes ---
@@ -467,9 +453,9 @@ def test_zz1_edge_profile_shape():
     assert prof[n - 1] == pytest.approx(
         math.sinh((6 - n + 1) * 0.7) / math.sinh(6 * 0.7), rel=1e-12)
     with pytest.raises(ValueError):
-        tri.zz1_edge_state(0.0, 6, 1)
+        tri.edge_state(0.0, 6, 1, 1)
     with pytest.raises(ValueError):
-        tri.zz1_edge_state(np.array([0.7, -1.0]), 6, 1)
+        tri.edge_state(np.array([0.7, -1.0]), 6, 1, 1)
 
 
 def test_zz2_edge_profiles_symmetry():
@@ -487,37 +473,38 @@ def test_zz2_edge_profiles_symmetry():
 
 
 def test_zz2_gauge_conventions_are_mirror_images():
-    # the printed e^{-in theta} form at -theta is the Bloch-matrix gauge
-    # e^{+in theta}, which the dense oracle's eigenvectors use
+    # edge_state is in the Bloch-matrix gauge e^{+in theta}, which the
+    # dense oracle's eigenvectors use; at -theta it is the printed e^{-in
+    # theta} form
     u, N, sign, family, theta = 0.6, 7, -1, "B", 0.83
     n = np.arange(1, N + 1)
     np.testing.assert_allclose(
-        tri.zz2_edge_state(u, N, sign, family, -theta),
+        tri.edge_state(u, N, sign, 2, family, theta),
         float(sign) ** (n - 1) * np.exp(1.0j * n * theta)
         * edge_envelope(u, N, 2, family), atol=1e-15)
     np.testing.assert_allclose(
-        tri.zz2_edge_state(u, N, sign, family, theta),
-        np.conj(tri.zz2_edge_state(u, N, sign, family, -theta)), atol=1e-15)
+        tri.edge_state(u, N, sign, 2, family, -theta),
+        np.conj(tri.edge_state(u, N, sign, 2, family, theta)), atol=1e-15)
 
 
 # -------------------------------------------------------------- existence ---
 
 def test_existence_reports_worked_examples():
-    report = tri.zz1_edge_existence(WEAK, 5)
+    report = tri.edge_existence(WEAK, 5, 1)
     assert report["plus"]["threshold"] == pytest.approx(0.4)
     assert report["minus"]["threshold"] == pytest.approx(0.5)
     assert report["plus"]["bound"] == pytest.approx(5.0 / 6.0)
     assert report["plus"]["exists"] and report["minus"]["exists"]
 
     strong = TriangleHoppings(t1=1.5, t2=0.1, t3=1.0)
-    report = tri.zz2_edge_existence(strong, 5)
+    report = tri.edge_existence(strong, 5, 2)
     assert report["A"]["plus"]["threshold"] == pytest.approx(0.7)
     assert report["A"]["minus"]["threshold"] == pytest.approx(0.8)
     assert report["A"]["plus"]["exists"] and report["A"]["minus"]["exists"]
     assert report["B"]["plus"]["bound"] == pytest.approx(2.0 / 3.0)
     assert not report["B"]["plus"]["exists"]
     assert not report["B"]["minus"]["exists"]
-    weak_report = tri.zz2_edge_existence(WEAK, 5)
+    weak_report = tri.edge_existence(WEAK, 5, 2)
     assert all(weak_report[f][s]["exists"]
                for f in ("A", "B") for s in ("plus", "minus"))
 
@@ -531,13 +518,13 @@ def test_oracle_state_follows_power_law_at_detachment(N):
     # flat (two-sided A) or |n - (N+1)/2| (two-sided B)
     k, n = 0.4, np.arange(1, N + 1)
     zeta_abs = abs(tri.zeta_of_k(TriangleHoppings(1.0, 0.5, 0.0), k)[0])
-    for edge, r, profile in [
-            (TriangleEdge.ZIGZAG1, (N + 1) / N, N - n + 1.0),
-            (TriangleEdge.ZIGZAG2, 1.0, np.ones(N)),
-            (TriangleEdge.ZIGZAG2, (N + 1) / (N - 1),
+    for ends, r, profile in [
+            (1, (N + 1) / N, N - n + 1.0),
+            (2, 1.0, np.ones(N)),
+            (2, (N + 1) / (N - 1),
              np.abs(n - (N + 1) / 2))]:
         h = TriangleHoppings(1.0, 0.5, r * zeta_abs / (2.0 * math.cos(k)))
-        spec = _oracle(h, N, k, edge)
+        spec = _oracle(h, N, k, ends)
         y = (spec.energies - tri.tau_of_k(h, k)) / (2.0 * zeta_abs)
         at = np.argmin(np.abs(y + 1.0))
         assert abs(y[at] + 1.0) < 1e-12
@@ -549,12 +536,12 @@ def test_oracle_state_follows_power_law_at_detachment(N):
 
 def test_error_paths():
     with pytest.raises(ValueError):
-        tri.zz2_roots(WEAK, 1, 0.3)
+        tri.roots(WEAK, 1, 0.3, 2)
     with pytest.raises(ValueError):
-        tri.zz1_edge_solutions(WEAK, 5, 0)
+        tri.edge_solutions(WEAK, 5, 0, 1)
     with pytest.raises(ValueError):
-        tri.zz2_edge_solutions(WEAK, 5, 1, "C")
+        tri.edge_solutions(WEAK, 5, 1, 2, "C")
     with pytest.raises(ValueError):
-        tri.zz2_edge_state(0.5, 1, 1, "A")
+        tri.edge_state(0.5, 1, 1, 2, "A")
     with pytest.raises(ValueError):
-        tri.zz1_edge_solutions(TriangleHoppings(t1=1, t2=1, t3=0), 5, 1)
+        tri.edge_solutions(TriangleHoppings(t1=1, t2=1, t3=0), 5, 1, 1)
