@@ -11,9 +11,10 @@ as every square Bloch matrix is) through the SVD T = U S V.dag: energies
 +-s, states [u; +-v]/sqrt 2, and at an exactly zero s the two
 sublattice-polarized zero modes [u; 0] and [0; v].  Any other matrix goes
 to numpy.linalg.eigh.  Both routes share a deterministic eigenvector phase
-convention (largest-magnitude component rotated real positive, ties to the
-lowest index) and a hard residual check on the full matrix, so analytic
-formulas are always compared against verified eigenpairs.  The builders
+convention (the first component within a relative 1e-10 of the largest
+magnitude rotated real positive, so that components tied up to rounding
+pick the lowest index) and a hard residual check on the full matrix, so
+analytic formulas are always compared against verified eigenpairs.  The builders
 take an array of momenta as well as one, and the oracle a stack of matrices
 as well as one, so that a scan is solved in a few array calls.
 """
@@ -266,10 +267,13 @@ def eigensolve_dense(H):
         energies, vectors = np.linalg.eigh(stack)
     else:
         energies, vectors = _chiral_eigh(T)
-    # rotate each column so its largest-|.| component (first on ties) is
-    # real positive
-    lead = np.take_along_axis(
-        vectors, np.argmax(np.abs(vectors), axis=1)[:, None, :], axis=1)
+    # rotate each column so that its first component within 1e-10 (the
+    # residual tolerance) of its largest modulus is real positive: a
+    # mirror-symmetric state's largest components tie only to rounding
+    size = np.abs(vectors)
+    first = np.argmax(size >= (1.0 - 1e-10) * size.max(axis=1, keepdims=True),
+                      axis=1)
+    lead = np.take_along_axis(vectors, first[:, None, :], axis=1)
     safe = np.where(np.abs(lead) == 0.0, 1.0, lead)
     vectors = vectors * (np.abs(safe) / safe)
     if T is None:
