@@ -304,6 +304,8 @@ def zigzag_ends(ends, N):
     sum_m c_m U_{N-m}(y) = 0 with (c_0, c_1[, c_2]) = coefficients(r), and
     families are its EdgeFamily branches.  The square zigzag ribbon has the
     one-sided edge condition with |r| = 1/|xi|."""
+    if ends not in (1, 2):
+        raise ValueError(f"ends must be 1 or 2, got {ends!r}")
     n = np.arange(1, N + 1)
     # the sinh ratios of the envelopes as sinh(a)/sinh(b) =
     # e^{a-b} expm1(-2a)/expm1(-2b), a <= b, with a - b formed exactly:

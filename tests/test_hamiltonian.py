@@ -107,6 +107,8 @@ def test_triangle_bloch_examples():
     np.testing.assert_allclose(lin1, [[2.0]])
     zz1 = build_triangle_bloch(h, 1, 0.0, ends=1)
     np.testing.assert_allclose(zz1, [[0.0]])
+    with pytest.raises(ValueError, match="ends must be 0, 1 or 2"):
+        build_triangle_bloch(h, 1, 0.0, ends=3)
     lin2 = eigensolve_dense(build_triangle_bloch(h, 2, 0.0))
     np.testing.assert_allclose(lin2.energies, [0.0, 4.0], atol=1e-14)
 

@@ -537,6 +537,9 @@ def test_oracle_state_follows_power_law_at_detachment(N):
 def test_error_paths():
     with pytest.raises(ValueError):
         tri.roots(WEAK, 1, 0.3, 2)
+    for ends in (0, 3):
+        with pytest.raises(ValueError, match="ends must be 1 or 2"):
+            tri.roots(WEAK, 5, 0.3, ends)
     with pytest.raises(ValueError):
         tri.edge_solutions(WEAK, 5, 0, 1)
     with pytest.raises(ValueError):
