@@ -14,9 +14,9 @@ to numpy.linalg.eigh.  Both routes share a deterministic eigenvector phase
 convention (the first component within a relative 1e-10 of the largest
 magnitude rotated real positive, so that components tied up to rounding
 pick the lowest index) and a hard residual check on the full matrix, so
-analytic formulas are always compared against verified eigenpairs.  The builders
-take an array of momenta as well as one, and the oracle a stack of matrices
-as well as one, so that a scan is solved in a few array calls.
+analytic formulas are always compared against verified eigenpairs.  The
+builders take an array of momenta as well as one, and the oracle a stack
+of matrices as well as one, so that a scan is solved in a few array calls.
 """
 
 from __future__ import annotations

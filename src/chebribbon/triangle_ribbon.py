@@ -155,16 +155,15 @@ def roots(h, N, k, ends, a=1.0):
 
 def root_residuals(roots, N, ends):
     """The secular sum sum_m c_m U_{N-m}(y) of each root of a RootTable
-    (from roots with the same `ends`) at the root's own
-    angle or decay, scaled so that rounding shows as a small multiple of
-    N eps.  On a bulk root sin(phi) times it, sum_m c_m sin((N+1-m) phi),
-    is taken over the sum of the magnitudes of its coefficients, which
-    bounds it: the magnitudes of its terms can fall far below their
-    rounding (by about |r| when |tau| >> |zeta|).  Past 3 pi/4 the terms
-    are (-1)^N times those at psi = pi - phi and -r (_folded), whose
-    products n psi lose no digits.  On an edge root at y = sign cosh(u) it
-    is over the sum of the magnitudes of its terms, ratios to
-    sinh((N+1)u)."""
+    (from roots with the same `ends`) at the root's own angle or decay,
+    scaled so that rounding shows as a small multiple of N eps.  On a bulk
+    root sin(phi) times it, sum_m c_m sin((N+1-m) phi), is taken over the
+    sum of the magnitudes of its coefficients, which bounds it: the
+    magnitudes of its terms can fall far below their rounding (by about
+    |r| when |tau| >> |zeta|).  Past 3 pi/4 the terms are (-1)^N times
+    those at psi = pi - phi and -r (_folded), whose products n psi lose no
+    digits.  On an edge root at y = sign cosh(u) it is over the sum of the
+    magnitudes of its terms, ratios to sinh((N+1)u)."""
     r = roots.tau / roots.zeta_abs
     coefficients = zigzag_ends(ends, N)[0]
     out = np.empty(len(r))
@@ -184,9 +183,8 @@ def root_residuals(roots, N, ends):
 def root_states(roots, N, ends):
     """Normalized states of a RootTable's roots (of any momenta, from roots
     with the same `ends`), one column each, that of its momentum alone bit
-    for bit, in the Bloch-matrix gauge e^{+i n
-    theta}: bulk roots at their angles (u_profile), edge roots from their
-    envelopes."""
+    for bit, in the Bloch-matrix gauge e^{+i n theta}: bulk roots at their
+    angles (u_profile), edge roots from their envelopes."""
     psi = np.empty((len(roots.energy), N), dtype=complex)
     bulk = ~roots.edge
     psi[bulk] = (np.exp(1.0j * np.arange(1, N + 1) * roots.theta[bulk, None])
