@@ -10,6 +10,7 @@ validates the closed-form phase boundaries without circularity.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,21 +95,33 @@ def _labels(args, labeller):
     return labeller(*(np.asarray(v, dtype=float) for v in args))
 
 
-def classify_analytic_square(omega, xi_abs):
-    """Place a zigzag-ribbon energy (reduced units omega = E/t_r) relative
-    to the bulk band: ratio = (omega^2 - xi^2 - 1)/(2 xi).
+def _transition_band(N):
+    """Half-width of the transition band about a band edge of a ribbon of
+    width N: 1e-9, or a quarter of 1 - cos(pi/(N+1)) where that is less
+    (from N = 35,124 on).  The outermost bulk rows lie about 1 - cos(pi/
+    (N+1)) inside the band, within 1e-9 of its edge from N ~ 70,000 on."""
+    return min(_TRANSITION_TOL, 0.5 * math.sin(0.5 * math.pi / (N + 1)) ** 2)
 
-    Bulk for ratio in (-1, 1), edge below -1, transition within 1e-9 of -1.
-    The stacked eigenvector of an edge state localizes at both ends of the
-    two-sublattice layout, hence EDGE_BOTH.
+
+def classify_analytic_square(omega, xi_abs, N):
+    """Place a zigzag-ribbon energy (reduced units omega = E/t_r) of a
+    ribbon of width N relative to the bulk band: ratio = (omega^2 - xi^2 -
+    1)/(2 xi).
+
+    Bulk for ratio in (-1, 1), edge below -1, transition within the
+    transition band of -1 (1e-9 below N = 35,124, narrower above).  A ratio
+    more than 1e-9 above 1 raises ValueError.  The stacked eigenvector of
+    an edge state localizes at both ends of the two-sublattice layout,
+    hence EDGE_BOTH.
 
     Scalars give a StateLabel; arrays (broadcast together) give an array of
     label values, one per entry.
     """
-    return _labels((omega, xi_abs), _square_labels)
+    return _labels((omega, xi_abs),
+                   lambda omega, xi_abs: _square_labels(omega, xi_abs, N))
 
 
-def _square_labels(omega, xi_abs):
+def _square_labels(omega, xi_abs, N):
     if np.any(xi_abs <= 0.0):
         raise ValueError("xi_abs must be positive")
     ratio = (omega * omega - xi_abs * xi_abs - 1.0) / (2.0 * xi_abs)
@@ -120,16 +133,19 @@ def _square_labels(omega, xi_abs):
             "spectrum")
     out = np.full(ratio.shape, StateLabel.BULK.value, dtype=_LABEL_DTYPE)
     out[ratio < -1.0] = StateLabel.EDGE_BOTH.value
-    out[np.abs(ratio + 1.0) < _TRANSITION_TOL] = StateLabel.TRANSITION.value
+    out[np.abs(ratio + 1.0) < _transition_band(N)] = \
+        StateLabel.TRANSITION.value
     return out
 
 
-def classify_analytic_triangle(E, tau, zeta_abs, sides=StateLabel.EDGE_BOTH):
-    """Place a triangular-ribbon energy relative to the bulk band in the
-    reduced variable y = (E - tau)/(2|zeta|).
+def classify_analytic_triangle(E, tau, zeta_abs, N,
+                               sides=StateLabel.EDGE_BOTH):
+    """Place a triangular-ribbon energy of a ribbon of width N relative to
+    the bulk band in the reduced variable y = (E - tau)/(2|zeta|).
 
-    Bulk for |y| < 1, transition within 1e-9 of either band edge, and an
-    edge state otherwise (y = +-cosh u).  Which boundary hosts the edge
+    Bulk for |y| < 1, transition within the transition band of either band
+    edge (1e-9 below N = 35,124, narrower above), and an edge state
+    otherwise (y = +-cosh u).  Which boundary hosts the edge
     state is a property of the truncation, not of the energy, so the edge
     variant to report is passed in as `sides` (one-sided zigzag localizes
     at the first chain: EDGE_LEFT; two-sided: EDGE_BOTH).
@@ -145,8 +161,8 @@ def classify_analytic_triangle(E, tau, zeta_abs, sides=StateLabel.EDGE_BOTH):
         ratio = (E - tau) / (2.0 * zeta_abs)
         out = np.full(ratio.shape, sides.value, dtype=_LABEL_DTYPE)
         out[np.abs(ratio) < 1.0] = StateLabel.BULK.value
-        out[(np.abs(ratio - 1.0) < _TRANSITION_TOL)
-            | (np.abs(ratio + 1.0) < _TRANSITION_TOL)] = \
+        band = _transition_band(N)
+        out[(np.abs(ratio - 1.0) < band) | (np.abs(ratio + 1.0) < band)] = \
             StateLabel.TRANSITION.value
         return out
 

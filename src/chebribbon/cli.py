@@ -286,7 +286,7 @@ def _square_zigzag_scan(config):
     v, decay = (np.concatenate([c[:, ::-1], c], axis=1).ravel()
                 for c in (v, decay))
     xi = np.abs(xi_c)
-    label = classify_analytic_square(omega, xi)
+    label = classify_analytic_square(omega, xi, N)
     edge = label == StateLabel.EDGE_BOTH.value
     x = (omega * omega - xi * xi - 1.0) / (2.0 * xi)
     # the bullet block is the circ block mirrored, times +-1: half the IPR
@@ -334,10 +334,11 @@ def _square_lr_scan(config):
                  0.5 * u_profile_ipr(np.pi * j / (N + 1), 0.0, N), states)
 
 
-def _triangle_labels(kind, energy, tau, zeta_abs):
-    """Label values and band-edge proximity of triangular-ribbon rows."""
+def _triangle_labels(kind, N, energy, tau, zeta_abs):
+    """Label values and band-edge proximity of the rows of a triangular
+    ribbon of width N."""
     label = classify_analytic_triangle(
-        energy, tau, zeta_abs,
+        energy, tau, zeta_abs, N,
         sides=model_edge_sides(kind) or StateLabel.EDGE_BOTH)
     ratio = (energy - tau) / (2.0 * zeta_abs)
     return label, (np.abs(ratio - 1.0) < 0.1) | (np.abs(ratio + 1.0) < 0.1)
@@ -364,7 +365,7 @@ def _triangle_linear_scan(config):
                                   ).swapaxes(0, 1).reshape(N, -1)
 
     return _Scan(grid, energy, *_triangle_labels(
-        config.kind, energy, np.repeat(tau, N), np.repeat(zeta_abs, N)),
+        config.kind, N, energy, np.repeat(tau, N), np.repeat(zeta_abs, N)),
         [None] * len(energy),
         u_profile_ipr(np.pi * (order.ravel() + 1) / (N + 1), 0.0, N), states)
 
@@ -389,7 +390,7 @@ def _triangle_zigzag_scan(config):
                                ends)
 
     return _Scan(grid, roots.energy, *_triangle_labels(
-        config.kind, roots.energy, roots.tau, roots.zeta_abs),
+        config.kind, N, roots.energy, roots.tau, roots.zeta_abs),
         _edge_column(roots.u[edge].tolist(), edge), part, states,
         lambda: tri.root_residuals(roots, N, ends))
 

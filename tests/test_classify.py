@@ -52,31 +52,32 @@ def test_model_edge_sides_mapping():
 
 def test_analytic_square_rules():
     # reduced variable (omega^2 - xi^2 - 1)/(2 xi) against the band window
-    assert classify_analytic_square(1.0 / 6.0,
-                                    5.0 / 6.0) is StateLabel.TRANSITION
-    assert classify_analytic_square(1.0, 1.0) is StateLabel.BULK
-    assert classify_analytic_square(math.sqrt(0.54),
-                                    0.2) is StateLabel.EDGE_BOTH
-    assert classify_analytic_square(-1.0, 1.0) is StateLabel.BULK
+    assert classify_analytic_square(1.0 / 6.0, 5.0 / 6.0,
+                                    5) is StateLabel.TRANSITION
+    assert classify_analytic_square(1.0, 1.0, 5) is StateLabel.BULK
+    assert classify_analytic_square(math.sqrt(0.54), 0.2,
+                                    5) is StateLabel.EDGE_BOTH
+    assert classify_analytic_square(-1.0, 1.0, 5) is StateLabel.BULK
     with pytest.raises(ValueError):
-        classify_analytic_square(3.0, 0.5)  # above the band window
+        classify_analytic_square(3.0, 0.5, 5)  # above the band window
     with pytest.raises(ValueError):
-        classify_analytic_square(0.5, 0.0)
+        classify_analytic_square(0.5, 0.0, 5)
 
 
 def test_analytic_triangle_rules():
-    assert classify_analytic_triangle(0.5, 0.5, 1.0) is StateLabel.BULK
-    assert classify_analytic_triangle(3.0, 0.5, 1.0) is StateLabel.EDGE_BOTH
+    assert classify_analytic_triangle(0.5, 0.5, 1.0, 5) is StateLabel.BULK
+    assert classify_analytic_triangle(3.0, 0.5, 1.0,
+                                      5) is StateLabel.EDGE_BOTH
     assert classify_analytic_triangle(
-        3.0, 0.5, 1.0, sides=StateLabel.EDGE_LEFT) is StateLabel.EDGE_LEFT
-    assert classify_analytic_triangle(2.5, 0.5,
-                                      1.0) is StateLabel.TRANSITION
-    assert classify_analytic_triangle(-1.5, 0.5,
-                                      1.0) is StateLabel.TRANSITION
+        3.0, 0.5, 1.0, 5, sides=StateLabel.EDGE_LEFT) is StateLabel.EDGE_LEFT
+    assert classify_analytic_triangle(2.5, 0.5, 1.0,
+                                      5) is StateLabel.TRANSITION
+    assert classify_analytic_triangle(-1.5, 0.5, 1.0,
+                                      5) is StateLabel.TRANSITION
     with pytest.raises(ValueError):
-        classify_analytic_triangle(0.5, 0.5, 0.0)
+        classify_analytic_triangle(0.5, 0.5, 0.0, 5)
     with pytest.raises(ValueError):
-        classify_analytic_triangle(0.5, 0.5, 1.0, sides=StateLabel.BULK)
+        classify_analytic_triangle(0.5, 0.5, 1.0, 5, sides=StateLabel.BULK)
 
 
 def _reference_square(omega, xi_abs):
@@ -112,23 +113,24 @@ def test_array_labels_equal_per_entry_rules(rng):
     omega = np.sqrt(np.abs(2.0 * xi * ratio + xi * xi + 1.0))
     omega = np.concatenate([omega[square], rng.uniform(0.0, 1.0, 50)])
     xi = np.concatenate([xi[square], rng.uniform(1.0, 2.0, 50)])
-    labels = classify_analytic_square(omega, xi)
+    labels = classify_analytic_square(omega, xi, 5)
     assert labels.tolist() == [_reference_square(o, x).value
                                for o, x in zip(omega.tolist(), xi.tolist())]
     assert len(set(labels.tolist())) == 3
     for o, x in zip(omega.tolist(), xi.tolist()):
-        assert classify_analytic_square(o, x) is _reference_square(o, x)
+        assert classify_analytic_square(o, x, 5) is _reference_square(o, x)
     with pytest.raises(ValueError):
-        classify_analytic_square(np.append(omega, 3.0), np.append(xi, 0.5))
+        classify_analytic_square(np.append(omega, 3.0), np.append(xi, 0.5),
+                                 5)
     with pytest.raises(ValueError):
-        classify_analytic_square(omega, np.where(xi > 1.5, 0.0, xi))
+        classify_analytic_square(omega, np.where(xi > 1.5, 0.0, xi), 5)
 
     tau = rng.uniform(-2.0, 2.0, size=len(_RATIOS) + 40)
     za = rng.uniform(0.05, 3.0, size=len(tau))
     energy = tau + 2.0 * za * np.concatenate([ratio,
                                               rng.uniform(-2, 2, 40)])
     for sides in (StateLabel.EDGE_LEFT, StateLabel.EDGE_BOTH):
-        labels = classify_analytic_triangle(energy, tau, za, sides=sides)
+        labels = classify_analytic_triangle(energy, tau, za, 5, sides=sides)
         expected = [_reference_triangle(e, t, z, sides)
                     for e, t, z in zip(energy.tolist(), tau.tolist(),
                                        za.tolist())]
@@ -136,13 +138,14 @@ def test_array_labels_equal_per_entry_rules(rng):
         assert len(set(expected)) == 3
         # one momentum's energies against a scalar tau and |zeta|
         assert classify_analytic_triangle(
-            energy, tau[0], za[0], sides=sides).tolist() == [
+            energy, tau[0], za[0], 5, sides=sides).tolist() == [
             _reference_triangle(e, tau[0], za[0], sides).value
             for e in energy.tolist()]
     with pytest.raises(ValueError):
-        classify_analytic_triangle(energy, tau, np.where(za > 1.0, 0.0, za))
+        classify_analytic_triangle(energy, tau, np.where(za > 1.0, 0.0, za),
+                                   5)
     with pytest.raises(ValueError):
-        classify_analytic_triangle(energy, tau, za, sides=StateLabel.BULK)
+        classify_analytic_triangle(energy, tau, za, 5, sides=StateLabel.BULK)
 
 
 # ------------------------------------------------------------ profile fits --
@@ -207,7 +210,7 @@ def test_agreement_square_zigzag():
             ratio = (omega * omega - xi_abs * xi_abs - 1.0) / (2.0 * xi_abs)
             if abs(ratio + 1.0) < 0.1:
                 continue
-            analytic = classify_analytic_square(omega, xi_abs).is_edge
+            analytic = classify_analytic_square(omega, xi_abs, N).is_edge
             numeric = classify_numeric(vec).label.is_edge
             total += 1
             matched += int(analytic == numeric)
@@ -227,7 +230,7 @@ def test_agreement_triangle_one_sided():
             if min(abs(y - 1.0), abs(y + 1.0)) < 0.1:
                 continue
             analytic = classify_analytic_triangle(
-                energy, tau, abs(zeta), sides=StateLabel.EDGE_LEFT).is_edge
+                energy, tau, abs(zeta), N, sides=StateLabel.EDGE_LEFT).is_edge
             numeric = classify_numeric(vec).label.is_edge
             total += 1
             matched += int(analytic == numeric)
@@ -246,8 +249,8 @@ def test_agreement_triangle_two_sided():
             y = (energy - tau) / (2.0 * abs(zeta))
             if min(abs(y - 1.0), abs(y + 1.0)) < 0.1:
                 continue
-            analytic = classify_analytic_triangle(energy, tau,
-                                                  abs(zeta)).is_edge
+            analytic = classify_analytic_triangle(energy, tau, abs(zeta),
+                                                  N).is_edge
             numeric = classify_numeric(vec).label.is_edge
             total += 1
             matched += int(analytic == numeric)

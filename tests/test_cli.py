@@ -209,6 +209,18 @@ def test_bands_at_the_edge_bulk_transition(capsys):
                           <= 1e-9 * np.maximum(1.0, np.abs(oracle))), argv
 
 
+@pytest.mark.parametrize("N", ["10000", "100000"])
+@pytest.mark.parametrize("model", ["square-zigzag", "triangle-zigzag1",
+                                   "triangle-zigzag2"])
+def test_wide_ribbon_bulk_rows_are_not_transitions(capsys, model, N):
+    # at the default hoppings no momentum of the grid sits at the
+    # transition; the outermost bulk rows lie about pi^2/(2 (N+1)^2) inside
+    # the band, within 1e-9 of its edge from N ~ 70,000 on
+    rows = _bands(capsys, ["bands", "--model", model, "--N", N,
+                           "--k-points", "2"])
+    assert [r[:4] for r in rows if r[3] == "transition"] == []
+
+
 @pytest.mark.parametrize("kind", [ModelKind.SQUARE_ZIGZAG, ModelKind.SQUARE_LR,
                                   ModelKind.TRIANGLE_LINEAR,
                                   ModelKind.TRIANGLE_ZIGZAG1,
@@ -615,7 +627,7 @@ def _per_momentum_linear_scan(config):
         return tri.linear_states(h, N, ks[m], a=a)[:, solved[m][1]]
 
     return cli._Scan(grid, energy, *cli._triangle_labels(
-        config.kind, energy, np.repeat([s[2] for s in solved], N),
+        config.kind, N, energy, np.repeat([s[2] for s in solved], N),
         np.repeat([s[3] for s in solved], N)), [None] * len(energy),
         u_profile_ipr(np.pi * j / (N + 1), 0.0, N), states)
 
