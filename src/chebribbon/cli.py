@@ -97,7 +97,7 @@ def _write_table(config, names, columns):
         payload = {"columns": list(names),
                    "rows": [[None if v == "" or v is None else v for v in row]
                             for row in zip(*columns)]}
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json_text(payload) + "\n"
     _emit(config.output_path, text)
 
 
@@ -121,9 +121,73 @@ def _emit(path, text):
     buffer.flush()
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, indent=""):
+    """The JSON text of `value` at the line indent `indent`: the text of
+    json.dumps with indent=2 and allow_nan=False on what the reports hold,
+    dicts with str keys, lists and tuples, str, None, bools, ints and
+    floats (ValueError on inf or nan, TypeError on any other type).  The
+    rows of a float table are filled into one template (_float_rows)."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        raise ValueError(f"Out of range float values are not JSON compliant: "
+                         f"{value!r}")
+    inner = indent + "  "
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [_encode_str(key) + ": " + _json_text(v, inner)
+                 for key, v in value.items()]
+    elif isinstance(value, (list, tuple)):
+        rows = value and _float_rows(value, inner)
+        if rows:
+            return "[" + rows + "\n" + indent + "]"
+        brackets = "[]"
+        items = [_json_text(v, inner) for v in value]
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON "
+                        "serializable")
+    if not items:
+        return brackets
+    return (brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n"
+            + indent + brackets[1])
+
+
+def _float_rows(rows, indent):
+    """The items of the list `rows` as _json_text renders them at `indent`,
+    by one % on a row template repeated, when every item is a dict with the
+    keys of the first, in its order, and every value a finite float; None
+    otherwise."""
+    keys = list(rows[0]) if type(rows[0]) is dict else None
+    if not keys or any(type(row) is not dict or list(row) != keys
+                       for row in rows):
+        return None
+    values = [v for row in rows for v in row.values()]
+    if set(map(type, values)) != {float} or not all(map(math.isfinite,
+                                                        values)):
+        return None
+    inner = indent + "  "
+    row = ("\n" + indent + "{" + ",".join(
+        "\n" + inner + _encode_str(key).replace("%", "%%") + ": %r"
+        for key in keys) + "\n" + indent + "}")
+    return ",".join([row] * len(rows)) % tuple(values)
+
+
 def _write_json(config, payload):
     try:
-        text = json.dumps(payload, indent=2, allow_nan=False)
+        text = _json_text(payload)
     except ValueError:  # inf or nan, which JSON cannot hold
         raise ConfigError("the report overflows to inf or nan; the hoppings "
                           "are out of range")
@@ -438,16 +502,22 @@ def _band_rows(config, scan):
 def _write_bands(config, grid, blocks):
     """Emit the BAND_COLUMNS table of _band_rows' grid and blocks: the
     rows of each block without their k (its tails) are rendered once, for
-    both members of a +-k pair, and each momentum's k once, in front of
-    its block's lines."""
+    both members of a +-k pair, by one % on its source's template, and
+    each momentum's k once, in front of its block's lines."""
     band = range(1, config.model.dim + 1)
     if config.output_format == "csv":
         # a newline before each line, replaced by one and the k
-        tails = ["".join(map(("\n%d,%.17g,%s,%s,%.17g," + source).__mod__,
-                             zip(band, energy, label,
-                                 ["" if v is None else "%.17g" % v
-                                  for v in u], part)))
-                 for energy, label, u, part, source in blocks]
+        template = {source: "".join(f"\n{b},%.17g,%s,%s,%.17g,{source}"
+                                    for b in band)
+                    for source in ("analytic", "oracle")}
+        values = [None] * (4 * len(band))
+        tails = []
+        for energy, label, u, part, source in blocks:
+            values[0::4] = energy
+            values[1::4] = label
+            values[2::4] = ["" if v is None else "%.17g" % v for v in u]
+            values[3::4] = part
+            tails.append(template[source] % tuple(values))
         text = ",".join(BAND_COLUMNS) + "".join(
             tails[n].replace("\n", "\n" + format(k, ".17g") + ",")
             for k, n in grid) + "\n"
@@ -455,8 +525,8 @@ def _write_bands(config, grid, blocks):
         tails = [[[b, e, c or None, v, p, source]
                   for b, e, c, v, p in zip(band, energy, label, u, part)]
                  for energy, label, u, part, source in blocks]
-        text = json.dumps({"columns": list(BAND_COLUMNS), "rows": [
-            [k, *row] for k, n in grid for row in tails[n]]}, indent=2) + "\n"
+        text = _json_text({"columns": list(BAND_COLUMNS), "rows": [
+            [k, *row] for k, n in grid for row in tails[n]]}) + "\n"
     _emit(config.output_path, text)
 
 

@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chebribbon import square_ribbon as sq
 from chebribbon import triangle_ribbon as tri
@@ -493,6 +495,113 @@ def test_band_line_equals_joined_fmt(capsys, row):
     lines = [",".join(cli._fmt(v) for v in (sign * k, b, *values))
              for sign in (1, -1) for b in range(1, int(band) + 1)]
     assert capsys.readouterr().out == HEADER + "\n" + "\n".join(lines) + "\n"
+
+
+# energy, class, u and ipr of two bands in four blocks: tricky floats,
+# empty class labels and u mixing None and floats
+_WRITER_BLOCKS = [
+    ([-0.0, 1.0 / 3.0], ["edge-left", "bulk"], [0.3, None], [0.25, 1e-300],
+     "analytic"),
+    ([1e22, -1.5], ["", ""], [None, None], [0.5, 5e-324], "oracle"),
+    ([2.0 ** 0.5, 1e16], ["bulk", "edge-both"], [None, 7.0], [1.0, 0.1],
+     "oracle"),
+    ([-2.5, 1e17], ["transition", "edge-right"], [1e-9, 2.5], [0.125, 1.0],
+     "analytic"),
+]
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_bands_writer_equals_joined_rows(capsys, dim, output_format):
+    # several blocks from both sources in one call, blocks shared by +-k
+    # and momenta with a block of their own: CSV against the rows joined
+    # by _fmt, JSON against json.dumps of the same rows
+    blocks = [(*(c[:dim] for c in block[:4]), block[4])
+              for block in _WRITER_BLOCKS]
+    grid = [(-0.75, 0), (-0.25, 1), (0.0, 2), (0.25, 1), (0.75, 0), (1.0, 3)]
+    config = ScanConfig(model=RibbonModel(ModelKind.TRIANGLE_LINEAR, dim),
+                        hoppings=None, output_format=output_format)
+    cli._write_bands(config, grid, blocks)
+    rows = [[k, b, *(c[b - 1] for c in blocks[n][:4]), blocks[n][4]]
+            for k, n in grid for b in range(1, dim + 1)]
+    expected = (HEADER + "\n" + "\n".join(",".join(map(cli._fmt, r))
+                                          for r in rows)
+                if output_format == "csv" else json.dumps(
+                    {"columns": HEADER.split(","),
+                     "rows": [[v if v != "" else None for v in r]
+                              for r in rows]}, indent=2))
+    assert capsys.readouterr().out == expected + "\n"
+
+
+_JSON_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 1e17, 1e22, 0.1, 1.0 / 3.0]),
+    st.floats(allow_nan=False, allow_infinity=False))
+_JSON_STRINGS = st.one_of(
+    st.sampled_from(['"quoted"', "back\\slash", "\x00\n\t\x1f\x7f",
+                     "\u00e9\u20ac\U0001f600", "%s %% %r", ""]), st.text())
+
+
+@st.composite
+def _float_tables(draw):
+    """Rows of a report table: dicts with one key order holding floats
+    alone, or such rows with one int, None or np.float64 value, or one row
+    with its keys reversed."""
+    keys = draw(st.lists(_JSON_STRINGS, min_size=1, max_size=4, unique=True))
+    rows = draw(st.lists(st.lists(_JSON_FLOATS, min_size=len(keys),
+                                  max_size=len(keys)), min_size=1,
+                         max_size=5))
+    table = [dict(zip(keys, row)) for row in rows]
+    spoil = draw(st.sampled_from([None, "int", "None", "float64", "order"]))
+    row = table[draw(st.integers(0, len(table) - 1))]
+    key = draw(st.sampled_from(keys))
+    if spoil == "order":
+        items = list(row.items())[::-1]
+        row.clear()
+        row.update(items)
+    elif spoil is not None:
+        row[key] = {"int": 3, "None": None,
+                    "float64": np.float64(row[key])}[spoil]
+    return table
+
+
+_JSON_PAYLOADS = st.recursive(
+    st.one_of(_JSON_FLOATS, _JSON_FLOATS.map(np.float64), st.integers(),
+              st.booleans(), st.none(), _JSON_STRINGS, _float_tables()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_JSON_STRINGS, children, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=400)
+@given(_JSON_PAYLOADS)
+def test_json_text_equals_json_dumps(payload):
+    assert cli._json_text(payload) == json.dumps(payload, indent=2,
+                                                 allow_nan=False)
+
+
+def test_float_rows_take_float_tables_alone():
+    # the parity above holds on both paths: a float table takes the one
+    # template, and one value of another type, or one key order, does not
+    table = [{"u": 0.5, "k": -0.0}, {"u": 1e22, "k": 5e-324}]
+    assert cli._float_rows(table, "  ") is not None
+    for spoilt in ({"u": 3, "k": 1.0}, {"u": None, "k": 1.0},
+                   {"u": np.float64(0.5), "k": 1.0}, {"k": 1.0, "u": 0.5},
+                   {"u": float("inf"), "k": 1.0}):
+        assert cli._float_rows([table[0], spoilt], "  ") is None
+
+
+@given(_JSON_PAYLOADS, st.sampled_from([math.inf, -math.inf, math.nan]),
+       st.sampled_from(["value", "float64", "table"]))
+def test_json_text_raises_on_inf_and_nan(payload, bad, where):
+    spot = {"value": bad, "float64": [np.float64(bad)],
+            "table": [{"u": 0.5, "k": 1.0}, {"u": 0.25, "k": bad}]}[where]
+    report = [payload, {"spot": spot}]
+    with pytest.raises(ValueError):
+        json.dumps(report, indent=2, allow_nan=False)
+    with pytest.raises(ValueError):
+        cli._json_text(report)
 
 
 def _reference_rows(config):
@@ -1255,6 +1364,9 @@ _TINY_LATTICE_CONSTANTS = [
     ["validate", "--model", "square-zigzag", "--tu", "0", "--td", "0"],
     ["edges", "--model", "triangle-zigzag1", "--t3", "0"],
     ["edges", "--model", "triangle-zigzag2", "--t1", "0"],
+    # the edge branch tables overflow to nan: the report cannot be JSON
+    ["edges", "--model", "triangle-zigzag1", "--t1", "1e-300", "--t2",
+     "1e-300"],
     ["wavefunction", "--model", "triangle-zigzag1", "--t3", "0",
      "--u", "0.5"],
     # the oracle's rounding, about eps 1e300, swamps every check
