@@ -26,7 +26,7 @@ commands above 1e-9.  Warnings are recorded as
 line they came from, so that moved code compares equal.  ``--list`` prints
 the commands and exits.
 
-The list, 1,210 commands: both perfbench workloads on seeds 7101 and 7102
+The list, 1,220 commands: both perfbench workloads on seeds 7101 and 7102
 with their known defects; zigzag ``bands`` at N = 200 and 1000 in CSV and
 JSON; square-lr and triangle-linear ``bands`` at N = 200 and 1000 in CSV
 and JSON, and with equal legs (tu = td, t1 = t2) at odd widths on odd
@@ -43,8 +43,11 @@ odd grid in CSV and JSON, triangle-linear with ``--t1 0 --t2 0``, and
 square-general with ``--tu 0 --td 0`` at odd N, whose exact zero pair the
 oracle orders;
 ``bands`` on all six models at ``--a 0.5`` and ``--a 3`` on even and odd
-grids; and lattice constants so small that the zone overflows, whose
-exit code and stderr are compared.
+grids; lattice constants so small that the zone overflows, whose
+exit code and stderr are compared; and the writer paths no other command
+reaches: ``wavefunction`` with ``--u``, ``--band`` and ``--j`` in JSON,
+``bands`` that mixes closed-form and oracle rows in CSV and JSON,
+square-general at N = 1 in JSON, and an ``edges`` report that overflows.
 """
 
 from __future__ import annotations
@@ -349,6 +352,35 @@ def _lattice_constants(rng):
         ["bands", "--model", "square-lr", "--N", "3", "--a", "1e-309"]]
 
 
+def _writer_paths():
+    """Writer paths no other command reaches: ``wavefunction`` tables in
+    JSON (edge branch, oracle band with an empty sublattice, zero mode),
+    ``bands`` scans that mix closed-form and oracle rows (hoppings so small
+    that the closed form fails at some momenta) in CSV and JSON,
+    square-general at N = 1 in JSON, whose classes are empty, and an
+    ``edges`` report that overflows to nan."""
+    cmds = [["wavefunction", "--model", "square-zigzag", "--N", "7", "--tu",
+             "1", "--td", "0.6", "--tr", "1", "--u", "0.7"],
+            ["wavefunction", "--model", "triangle-zigzag2", "--N", "7",
+             "--t1", "0.9", "--t2", "0.1", "--t3", "1", "--u", "0.7"],
+            ["wavefunction", "--model", "triangle-linear", "--N", "6",
+             "--band", "2", "--k", "0.3"],
+            ["wavefunction", "--model", "square-general", "--N", "5", "--tu",
+             "0.5", "--td", "0.5", "--tr", "1", "--tl", "0.64", "--j", "2"]]
+    cmds = [argv + ["--format", "json"] for argv in cmds]
+    for model, legs in (("square-zigzag", ("--tu", "--td")),
+                        ("triangle-zigzag1", ("--t1", "--t2"))):
+        for fmt in ("csv", "json"):
+            cmds.append(["bands", "--model", model, "--N", "6",
+                         legs[0], "1e-308", legs[1], "1e-308",
+                         "--k-points", "7", "--format", fmt])
+    return cmds + [
+        ["bands", "--model", "square-general", "--N", "1", "--k-points",
+         "4", "--format", "json"],
+        ["edges", "--model", "triangle-zigzag1", "--t1", "1e-300", "--t2",
+         "1e-300"]]
+
+
 def commands():
     """The fixed command list, the same on every call."""
     rng = random.Random(8128)
@@ -356,7 +388,7 @@ def commands():
             + _validate(rng)
             + _edges(rng) + _zeromodes() + _wavefunction(rng) + _defects()
             + _validate_pairs(random.Random(8129)) + _oracle_bands()
-            + _lattice_constants(random.Random(8130)))
+            + _lattice_constants(random.Random(8130)) + _writer_paths())
 
 
 def _src(path):
