@@ -710,7 +710,10 @@ def _validate_zero_modes(h, N, tol, violations):
             violations.append(("square-general", float(k), j, "zero-energy",
                                d))
         dev = max(dev, d)
-        state = sq.zero_mode_full_state(h, N, k, j)
+        try:
+            state = sq.zero_mode_full_state(h, N, k, j)
+        except ValueError as exc:  # the momentum misses its zero mode
+            raise ConfigError(f"cannot validate square-general: {exc}")
         deficit = max(deficit, 1.0 - subspace_overlap(spec, 0.0, state))
     return {"max_energy_dev": dev, "max_overlap_deficit": deficit,
             "agreement": 1.0}

@@ -1388,6 +1388,9 @@ _TINY_LATTICE_CONSTANTS = [
     # the edge branch tables overflow to nan: the report cannot be JSON
     ["edges", "--model", "triangle-zigzag1", "--t1", "1e-300", "--t2",
      "1e-300"],
+    # 1/sqrt(tr tl) = 1e10 magnifies the rounding of cos(ka) past the
+    # zero-mode check of the momenta zero_mode_momenta found
+    ["validate", "--model", "square-general", "--N", "3", "--tl", "1e-20"],
 ])
 def test_invalid_invocations_exit_2(capsys, argv):
     assert run(argv) == 2
