@@ -1,7 +1,8 @@
 """Bulk/edge/transition classification of ribbon eigenstates.
 
-Two independent routes: the analytic classifiers place an energy relative
-to the bulk band in the reduced secular variable, while classify_numeric
+Two independent routes: classify_reduced places a state relative to the
+bulk band by its reduced secular variable (the analytic classifiers form
+that variable from an energy and call it), while classify_numeric
 inspects an arbitrary amplitude profile (typically an oracle eigenvector)
 for exponential boundary tails.  Cross-checking the two routes is what
 validates the closed-form phase boundaries without circularity.
@@ -21,6 +22,7 @@ __all__ = [
     "StateLabel",
     "StateClass",
     "ipr",
+    "classify_reduced",
     "classify_analytic_square",
     "classify_analytic_triangle",
     "classify_numeric",
@@ -103,13 +105,35 @@ def _transition_band(N):
     return min(_TRANSITION_TOL, 0.5 * math.sin(0.5 * math.pi / (N + 1)) ** 2)
 
 
+def classify_reduced(y, N, sides=StateLabel.EDGE_BOTH):
+    """Place a state of a ribbon of width N by its reduced variable y, cos
+    phi on a bulk state and +-cosh u on an edge state: bulk for |y| < 1,
+    transition within the transition band of either band edge (1e-9 below
+    N = 35,124, narrower above), and an edge state otherwise.  Which
+    boundary hosts the edge state is a property of the truncation, not of
+    y, so the edge variant to report is passed in as `sides` (one-sided
+    zigzag localizes at the first chain: EDGE_LEFT; two-sided: EDGE_BOTH).
+
+    A scalar gives a StateLabel; an array gives an array of label values.
+    """
+    if not sides.is_edge:
+        raise ValueError("sides must be an edge variant")
+
+    def labeller(y):
+        out = np.full(y.shape, sides.value, dtype=_LABEL_DTYPE)
+        out[np.abs(y) < 1.0] = StateLabel.BULK.value
+        out[np.abs(np.abs(y) - 1.0) < _transition_band(N)] = \
+            StateLabel.TRANSITION.value
+        return out
+
+    return _labels((y,), labeller)
+
+
 def classify_analytic_square(omega, xi_abs, N):
     """Place a zigzag-ribbon energy (reduced units omega = E/t_r) of a
-    ribbon of width N relative to the bulk band: ratio = (omega^2 - xi^2 -
-    1)/(2 xi).
-
-    Bulk for ratio in (-1, 1), edge below -1, transition within the
-    transition band of -1 (1e-9 below N = 35,124, narrower above).  A ratio
+    ribbon of width N by ratio = (omega^2 - xi^2 - 1)/(2 xi), which
+    classify_reduced places capped at 0, as this band has no upper edge:
+    bulk above -1, edge below, transition within the band of -1.  A ratio
     more than 1e-9 above 1 raises ValueError.  The stacked eigenvector of
     an edge state localizes at both ends of the two-sublattice layout,
     hence EDGE_BOTH.
@@ -117,38 +141,25 @@ def classify_analytic_square(omega, xi_abs, N):
     Scalars give a StateLabel; arrays (broadcast together) give an array of
     label values, one per entry.
     """
-    return _labels((omega, xi_abs),
-                   lambda omega, xi_abs: _square_labels(omega, xi_abs, N))
+    def labeller(omega, xi_abs):
+        if np.any(xi_abs <= 0.0):
+            raise ValueError("xi_abs must be positive")
+        ratio = (omega * omega - xi_abs * xi_abs - 1.0) / (2.0 * xi_abs)
+        above = ratio > 1.0 + _TRANSITION_TOL
+        if np.any(above):
+            raise ValueError(
+                f"reduced energy lies above the band (ratio = "
+                f"{ratio[above][0].item()!r}); no such state exists on this "
+                "spectrum")
+        return classify_reduced(np.fmin(ratio, 0.0), N)  # a NaN stays bulk
 
-
-def _square_labels(omega, xi_abs, N):
-    if np.any(xi_abs <= 0.0):
-        raise ValueError("xi_abs must be positive")
-    ratio = (omega * omega - xi_abs * xi_abs - 1.0) / (2.0 * xi_abs)
-    above = ratio > 1.0 + _TRANSITION_TOL
-    if np.any(above):
-        raise ValueError(
-            f"reduced energy lies above the band (ratio = "
-            f"{ratio[above][0].item()!r}); no such state exists on this "
-            "spectrum")
-    out = np.full(ratio.shape, StateLabel.BULK.value, dtype=_LABEL_DTYPE)
-    out[ratio < -1.0] = StateLabel.EDGE_BOTH.value
-    out[np.abs(ratio + 1.0) < _transition_band(N)] = \
-        StateLabel.TRANSITION.value
-    return out
+    return _labels((omega, xi_abs), labeller)
 
 
 def classify_analytic_triangle(E, tau, zeta_abs, N,
                                sides=StateLabel.EDGE_BOTH):
-    """Place a triangular-ribbon energy of a ribbon of width N relative to
-    the bulk band in the reduced variable y = (E - tau)/(2|zeta|).
-
-    Bulk for |y| < 1, transition within the transition band of either band
-    edge (1e-9 below N = 35,124, narrower above), and an edge state
-    otherwise (y = +-cosh u).  Which boundary hosts the edge
-    state is a property of the truncation, not of the energy, so the edge
-    variant to report is passed in as `sides` (one-sided zigzag localizes
-    at the first chain: EDGE_LEFT; two-sided: EDGE_BOTH).
+    """classify_reduced of the triangular-ribbon energy E in the reduced
+    variable y = (E - tau)/(2|zeta|), with the edge variant `sides`.
 
     Scalars give a StateLabel; arrays (broadcast together) give an array of
     label values, one per entry.
@@ -156,15 +167,7 @@ def classify_analytic_triangle(E, tau, zeta_abs, N,
     def labeller(E, tau, zeta_abs):
         if np.any(zeta_abs <= 0.0):
             raise ValueError("zeta_abs must be positive")
-        if not sides.is_edge:
-            raise ValueError("sides must be an edge variant")
-        ratio = (E - tau) / (2.0 * zeta_abs)
-        out = np.full(ratio.shape, sides.value, dtype=_LABEL_DTYPE)
-        out[np.abs(ratio) < 1.0] = StateLabel.BULK.value
-        band = _transition_band(N)
-        out[(np.abs(ratio - 1.0) < band) | (np.abs(ratio + 1.0) < band)] = \
-            StateLabel.TRANSITION.value
-        return out
+        return classify_reduced((E - tau) / (2.0 * zeta_abs), N, sides)
 
     return _labels((E, tau, zeta_abs), labeller)
 

@@ -23,8 +23,7 @@ import numpy as np
 from . import square_ribbon as sq
 from . import triangle_ribbon as tri
 from .chebpoly import by_family, u_profile_ipr, zigzag_ends
-from .classify import (StateLabel, classify_analytic_square,
-                       classify_analytic_triangle, classify_numeric, ipr,
+from .classify import (StateLabel, classify_numeric, classify_reduced, ipr,
                        model_edge_sides)
 from .errors import DegenerateParameterError, RootCountError
 from .hamiltonian import (OVERLAP_WINDOW, ModelKind, RibbonModel,
@@ -241,20 +240,17 @@ def _oracle_rows(config, ks):
             labels = np.full(vectors.shape[1], "")
             decay, parts = np.full(vectors.shape[1], np.nan), ipr(vectors)
         label.append(labels)
-        u += [None if math.isnan(v) else v for v in decay.tolist()]
+        u += _none_where_nan(decay)
         part.append(parts)
         del spec, vectors  # freed before the next chunk's dense solve
     return (np.concatenate(energy), np.concatenate(label), u,
             np.concatenate(part))
 
 
-def _edge_column(values, edge):
-    """The u column: `values` in turn on the rows where `edge` holds, None
-    on the others."""
-    out = [None] * len(edge)
-    for i, value in zip(np.flatnonzero(edge).tolist(), values):
-        out[i] = value
-    return out
+def _none_where_nan(values):
+    """The u column of the decays of the array `values`: a list of them,
+    None where NaN (a row with no decay)."""
+    return [None if math.isnan(v) else v for v in values.tolist()]
 
 
 class _Scan(NamedTuple):
@@ -350,13 +346,12 @@ def _square_zigzag_scan(config):
     v, decay = (np.concatenate([c[:, ::-1], c], axis=1).ravel()
                 for c in (v, decay))
     xi = np.abs(xi_c)
-    label = classify_analytic_square(omega, xi, N)
-    edge = label == StateLabel.EDGE_BOTH.value
-    x = (omega * omega - xi * xi - 1.0) / (2.0 * xi)
+    bulk = ~np.isnan(v)
+    # each root's reduced variable: cos v in the band, -cosh u below it
+    x = np.where(bulk, np.cos(v), -np.cosh(decay))
     # the bullet block is the circ block mirrored, times +-1: half the IPR
     # of the circ block, of an edge row that of its real envelope
     part = np.empty(len(omega))
-    bulk = ~np.isnan(v)
     part[bulk] = 0.5 * u_profile_ipr(v[bulk], 1.0 / xi[bulk], N)
     part[~bulk] = 0.5 * ipr(zigzag_ends(1, N)[1][0].envelope(
         decay[~bulk]).T)
@@ -365,9 +360,8 @@ def _square_zigzag_scan(config):
         return sq.zigzag_root_states(xi_c[rows], omega[rows], v[rows],
                                      decay[rows], N)
 
-    return _Scan(grid, h.tr * omega, label, np.abs(x + 1.0) < 0.1,
-                 _edge_column(map(math.acosh, (-x[edge]).tolist()), edge),
-                 part, states)
+    return _Scan(grid, h.tr * omega, classify_reduced(x, N),
+                 np.abs(x + 1.0) < 0.1, _none_where_nan(decay), part, states)
 
 
 def _square_lr_scan(config):
@@ -398,29 +392,28 @@ def _square_lr_scan(config):
                  0.5 * u_profile_ipr(np.pi * j / (N + 1), 0.0, N), states)
 
 
-def _triangle_labels(kind, N, energy, tau, zeta_abs):
+def _triangle_labels(kind, N, y):
     """Label values and band-edge proximity of the rows of a triangular
-    ribbon of width N."""
-    label = classify_analytic_triangle(
-        energy, tau, zeta_abs, N,
-        sides=model_edge_sides(kind) or StateLabel.EDGE_BOTH)
-    ratio = (energy - tau) / (2.0 * zeta_abs)
-    return label, (np.abs(ratio - 1.0) < 0.1) | (np.abs(ratio + 1.0) < 0.1)
+    ribbon of width N at their roots' reduced variables y."""
+    return (classify_reduced(y, N, model_edge_sides(kind)
+                             or StateLabel.EDGE_BOTH),
+            np.abs(np.abs(y) - 1.0) < 0.1)
 
 
 def _triangle_linear_scan(config):
     h, N, a = config.hoppings, config.model.N, config.model.a
 
     def solve(ks):
-        zeta_abs, tau, _, failed = tri.reduced(h, ks, a)
-        keep = zeta_abs != 0.0
-        zeta_abs, tau = zeta_abs[keep, None], tau[keep, None]
-        energy = tri.linear_energies(h, N, ks[keep], a)
+        zeta_abs, _, _, failed = tri.reduced(h, ks, a)
+        ks = ks[zeta_abs != 0.0]
+        energy = tri.linear_energies(h, N, ks, a)
         order = np.argsort(energy, axis=1)  # each momentum's ascending
-        return (np.take_along_axis(energy, order, 1).ravel(), order, tau,
-                zeta_abs, ks[keep]), failed
+        return (np.take_along_axis(energy, order, 1).ravel(), order,
+                ks), failed
 
-    grid, (energy, order, tau, zeta_abs, ks) = _solve_grid(config, solve)
+    grid, (energy, order, ks) = _solve_grid(config, solve)
+    # the standing wave sin(pi j n/(N+1)) of each row, y = cos(pi j/(N+1))
+    angle = np.pi * (order.ravel() + 1) / (N + 1)
 
     def states(rows):
         ms = rows[::N] // N
@@ -428,10 +421,9 @@ def _triangle_linear_scan(config):
                                   order[ms][:, None, :], 2
                                   ).swapaxes(0, 1).reshape(N, -1)
 
-    return _Scan(grid, energy, *_triangle_labels(
-        config.kind, N, energy, np.repeat(tau, N), np.repeat(zeta_abs, N)),
-        [None] * len(energy),
-        u_profile_ipr(np.pi * (order.ravel() + 1) / (N + 1), 0.0, N), states)
+    return _Scan(grid, energy, *_triangle_labels(config.kind, N,
+                                                  np.cos(angle)),
+                 [None] * len(energy), u_profile_ipr(angle, 0.0, N), states)
 
 
 def _triangle_zigzag_scan(config):
@@ -442,6 +434,8 @@ def _triangle_zigzag_scan(config):
     if not len(roots.energy):
         return _unsolved(grid)
     edge = roots.edge
+    # each root's reduced variable: cos(phi) in the band, +-cosh(u) outside
+    y = np.where(edge, roots.sign * np.cosh(roots.u), np.cos(roots.phi))
     part = np.empty(len(roots.energy))
     part[~edge] = u_profile_ipr(roots.phi[~edge], roots.tau[~edge]
                                 / roots.zeta_abs[~edge], N)
@@ -453,10 +447,9 @@ def _triangle_zigzag_scan(config):
         return tri.root_states(tri.RootTable(*(c[rows] for c in roots)), N,
                                ends)
 
-    return _Scan(grid, roots.energy, *_triangle_labels(
-        config.kind, N, roots.energy, roots.tau, roots.zeta_abs),
-        _edge_column(roots.u[edge].tolist(), edge), part, states,
-        lambda: tri.root_residuals(roots, N, ends))
+    return _Scan(grid, roots.energy, *_triangle_labels(config.kind, N, y),
+                 _none_where_nan(roots.u), part, states,
+                 lambda: tri.root_residuals(roots, N, ends))
 
 
 _SCANS = {

@@ -223,6 +223,64 @@ def test_wide_ribbon_bulk_rows_are_not_transitions(capsys, model, N):
     assert [r[:4] for r in rows if r[3] == "transition"] == []
 
 
+# (model, N, hopping, value, k-points) far into the strong-anisotropy
+# regime, at N = 200 and at N = 10^5, which no dense solve reaches: the
+# reduced variable formed back from such energies, (E - tau)/(2|zeta|) or
+# (omega^2 - |xi|^2 - 1)/(2|xi|), loses every digit
+_STRONG_ANISOTROPY = [
+    *((model, "200", "--t3", t3, "8")
+      for model in ("triangle-linear", "triangle-zigzag1", "triangle-zigzag2")
+      for t3 in ("1e13", "1e14", "1e15")),
+    *((model, "100000", "--t3", "1e8", "3")
+      for model in ("triangle-linear", "triangle-zigzag1",
+                    "triangle-zigzag2")),
+    ("square-zigzag", "200", "--tr", "1e-12", "8"),
+    ("square-zigzag", "100000", "--tr", "1e-7", "3"),
+]
+
+
+@pytest.mark.parametrize("model, N, hopping, value, k_points",
+                         _STRONG_ANISOTROPY)
+def test_strong_anisotropy_labels_follow_the_edge_thresholds(
+        capsys, model, N, hopping, value, k_points):
+    # the other hoppings are 1: |zeta| = |1 + e^{-ik}| = 2|cos(k/2)|, tau =
+    # 2 t3 cos k, and |xi| = |1 + e^{2ik}|/tr = 2|cos k|/tr.  One-sided
+    # zigzag hosts one edge state where |tau/zeta| > (N+1)/N, two-sided two
+    # where it exceeds (N+1)/(N-1), square-zigzag one pair where |xi| <
+    # N/(N+1), and the linear edge none
+    rows = _bands(capsys, ["bands", "--model", model, "--N", N, hopping,
+                           value, "--k-points", k_points])
+    N, t = int(N), float(value)
+    dim = 2 * N if model == "square-zigzag" else N
+    assert len(rows) == dim * int(k_points)
+    for start in range(0, len(rows), dim):
+        k = float(rows[start][0])
+        ratio = abs(t * math.cos(k) / math.cos(k / 2))
+        if model == "square-zigzag":
+            assert 2 * abs(math.cos(k)) / t > N / (N + 1)
+            edges = {}
+        elif model == "triangle-zigzag1":
+            assert ratio > (N + 1) / N
+            edges = {"edge-left": 1}
+        elif model == "triangle-zigzag2":
+            assert ratio > (N + 1) / (N - 1)
+            edges = {"edge-both": 2}
+        else:
+            edges = {}
+        counts = {}
+        for r in rows[start:start + dim]:
+            counts[r[3]] = counts.get(r[3], 0) + 1
+        assert counts == {"bulk": dim - sum(edges.values()), **edges}, k
+
+
+def test_validate_strong_square_anisotropy(capsys):
+    # |xi| = 2e12 at k = 0, far above N/(N+1): no state is an edge, and the
+    # energies put (omega^2 - |xi|^2 - 1)/(2|xi|) above the band
+    assert run(["validate", "--model", "square-zigzag", "--N", "200", "--tr",
+                "1e-12", "--k-points", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+
+
 @pytest.mark.parametrize("kind", [ModelKind.SQUARE_ZIGZAG, ModelKind.SQUARE_LR,
                                   ModelKind.TRIANGLE_LINEAR,
                                   ModelKind.TRIANGLE_ZIGZAG1,
@@ -718,8 +776,7 @@ def _per_momentum_linear_scan(config):
                 continue
             energies = tri.linear_energies(h, N, k, a=a)
             order = np.argsort(energies)
-            solved.append((energies[order], order, tri.tau_of_k(h, k, a),
-                           zeta_abs))
+            solved.append((energies[order], order))
         return solved, failed
 
     grid, solved = cli._solve_grid(config, solve)
@@ -736,8 +793,7 @@ def _per_momentum_linear_scan(config):
         return tri.linear_states(h, N, ks[m], a=a)[:, solved[m][1]]
 
     return cli._Scan(grid, energy, *cli._triangle_labels(
-        config.kind, N, energy, np.repeat([s[2] for s in solved], N),
-        np.repeat([s[3] for s in solved], N)), [None] * len(energy),
+        config.kind, N, np.cos(np.pi * j / (N + 1))), [None] * len(energy),
         u_profile_ipr(np.pi * j / (N + 1), 0.0, N), states)
 
 

@@ -9,12 +9,14 @@ where the Dirichlet kernels of the closed form have their poles; the band
 edges phi in {0, pi} and the edge-bulk transition; deep and shallow edge
 states.  The family A envelope of the two-sided ribbon against its
 40-digit cosh quotient.  The square-lr and triangle-linear energies
-against their 40-digit closed forms, rows near |c| = 0 included.  Last,
-the edge energies of the strong-anisotropy regime, against the eigenvalues
-of the Bloch matrix at 60 and 450 digits.
+against their 40-digit closed forms, rows near |c| = 0 included.  The
+square-zigzag decays against their 40-digit roots, near the edge-bulk
+transition too.  Last, the edge energies of the strong-anisotropy regime,
+against the eigenvalues of the Bloch matrix at 60 and 450 digits.
 """
 
 import functools
+import itertools
 import math
 
 import mpmath
@@ -255,6 +257,53 @@ def test_zigzag_band_iprs(capsys, N):
             _assert_close(found[edge], [
                 _envelope_ipr(u[i], N, ends, family[i]) for i in edge],
                 (model, k, "edge"))
+
+
+# the worst |u - u*| of the square-zigzag decays in units of kappa (see the
+# test below): 1.38 over its cases, against 75 for u = acosh(-x) of the x
+# formed back from the energy, (omega^2 - |xi|^2 - 1)/(2|xi|)
+_DECAY_BOUND = 4.0
+
+
+@pytest.mark.parametrize("N", (2, 5, 13, 40, 200, 1000))
+def test_square_zigzag_decays_against_40_digits(capsys, N):
+    # the u column of every edge row against the 40-digit root u* of
+    # ratio(u) = sinh((N+1)u)/sinh(Nu) = rho, rho = 1/|xi| with xi = 1 +
+    # td e^{2ik} at the printed k.  Near the edge-bulk transition ratio'
+    # falls to 0 and the decay is ill-conditioned, so the bound is in units
+    # of kappa = eps rho/|ratio'(u*)| + eps u*, how far one rounding of rho
+    # moves the root, where a relative bound would pass or fail any code
+    eps = np.finfo(float).eps
+    checked = 0
+    for td, k_points in itertools.product(("0.05", "0.3", "0.6", "0.9"),
+                                          ("16", "17")):
+        assert run(["bands", "--model", "square-zigzag", "--N", str(N),
+                    "--tu", "1", "--td", td, "--tr", "1", "--k-points",
+                    k_points]) == 0
+        rows = [line.split(",")
+                for line in capsys.readouterr().out.splitlines()[1:]]
+        # the two edge rows of a momentum, +-omega, share their decay
+        for k, u in {(r[0], r[4]) for r in rows if r[4]}:
+            with mpmath.workdps(40):
+                rho = 1 / abs(1 + mpmath.mpf(float(td))
+                              * mpmath.expj(2 * mpmath.mpf(float(k))))
+
+                def ratio(x):
+                    return mpmath.sinh((N + 1) * x) / mpmath.sinh(N * x)
+
+                # ratio rises from (N+1)/N at 0, and ratio(u) >= e^u
+                root = mpmath.findroot(lambda x: ratio(x) - rho,
+                                       (mpmath.mpf(10) ** -30,
+                                        mpmath.log(rho)), solver="anderson")
+                slope = ((N + 1) * mpmath.cosh((N + 1) * root)
+                         * mpmath.sinh(N * root)
+                         - N * mpmath.sinh((N + 1) * root)
+                         * mpmath.cosh(N * root)) / mpmath.sinh(N * root) ** 2
+                kappa = eps * (rho / abs(slope) + root)
+                err = abs(mpmath.mpf(float(u)) - root) / kappa
+            assert err <= _DECAY_BOUND, (td, k_points, k, float(err))
+            checked += 1
+    assert checked
 
 
 @pytest.mark.parametrize("N", (1, 2, 3, 5, 200))
