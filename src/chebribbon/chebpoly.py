@@ -230,13 +230,6 @@ def u_hyp_log(n, u):
 
 def logsinh(y):
     """log(sinh y) for y > 0, valid across the whole double range."""
-    if isinstance(y, float):
-        # the array path's ufuncs on one float, without its wrapping
-        if y <= 0.0:
-            raise ValueError("logsinh needs y > 0")
-        if y < 350.0:
-            return float(np.log(np.sinh(y)))
-        return float(y - _LOG2 + np.log1p(-np.exp(-2.0 * y)))  # also NaN
     y_arr = np.asarray(y, dtype=float)
     if np.any(y_arr <= 0.0):
         raise ValueError("logsinh needs y > 0")
@@ -374,11 +367,6 @@ def by_family(families, value):
 
 def logcosh(y):
     """log(cosh y), valid across the whole double range."""
-    if isinstance(y, float):
-        y = abs(y)
-        if y < 350.0:
-            return float(np.log(np.cosh(y)))
-        return float(y - _LOG2 + np.log1p(np.exp(-2.0 * y)))  # also NaN
     y_arr = np.abs(np.asarray(y, dtype=float))
     small = y_arr < 350.0
     direct = np.log(np.cosh(np.where(small, y_arr, 1.0)))
