@@ -26,7 +26,7 @@ commands above 1e-9.  Warnings are recorded as
 line they came from, so that moved code compares equal.  ``--list`` prints
 the commands and exits.
 
-The list, 1,220 commands: both perfbench workloads on seeds 7101 and 7102
+The list, 1,232 commands: both perfbench workloads on seeds 7101 and 7102
 with their known defects; zigzag ``bands`` at N = 200 and 1000 in CSV and
 JSON; square-lr and triangle-linear ``bands`` at N = 200 and 1000 in CSV
 and JSON, and with equal legs (tu = td, t1 = t2) at odd widths on odd
@@ -47,7 +47,11 @@ grids; lattice constants so small that the zone overflows, whose
 exit code and stderr are compared; and the writer paths no other command
 reaches: ``wavefunction`` with ``--u``, ``--band`` and ``--j`` in JSON,
 ``bands`` that mixes closed-form and oracle rows in CSV and JSON,
-square-general at N = 1 in JSON, and an ``edges`` report that overflows.
+square-general at N = 1 in JSON, and an ``edges`` report that overflows;
+last, ``bands`` on the three triangular models at N = 200 and t3 = 1e13,
+1e14 and 1e15, ``bands`` and ``validate`` on square-zigzag at N = 200 and
+tr = 1e-12, whose labels a reduced variable formed back from the energy
+got wrong, and ``validate`` on square-general at tl = 1e-20.
 """
 
 from __future__ import annotations
@@ -381,6 +385,24 @@ def _writer_paths():
          "1e-300"]]
 
 
+def _strong_anisotropy():
+    """Commands of the strong-anisotropy regime, where a reduced variable
+    formed back from the energy loses every digit, and the zero-mode
+    validation that rounding defeats at tiny tl.  The same regime at
+    N = 10^5 is left out: _oracle_deviation would build its dense Bloch
+    matrices."""
+    return [
+        *(["bands", "--model", model, "--N", "200", "--t3", t3,
+           "--k-points", "8"]
+          for model in ("triangle-linear", "triangle-zigzag1",
+                        "triangle-zigzag2")
+          for t3 in ("1e13", "1e14", "1e15")),
+        *([command, "--model", "square-zigzag", "--N", "200", "--tr",
+           "1e-12", "--k-points", "8"] for command in ("bands", "validate")),
+        ["validate", "--model", "square-general", "--N", "3", "--tl",
+         "1e-20"]]
+
+
 def commands():
     """The fixed command list, the same on every call."""
     rng = random.Random(8128)
@@ -388,7 +410,8 @@ def commands():
             + _validate(rng)
             + _edges(rng) + _zeromodes() + _wavefunction(rng) + _defects()
             + _validate_pairs(random.Random(8129)) + _oracle_bands()
-            + _lattice_constants(random.Random(8130)) + _writer_paths())
+            + _lattice_constants(random.Random(8130)) + _writer_paths()
+            + _strong_anisotropy())
 
 
 def _src(path):
