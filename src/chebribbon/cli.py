@@ -249,8 +249,13 @@ def _oracle_rows(config, ks):
 
 def _none_where_nan(values):
     """The u column of the decays of the array `values`: a list of them,
-    None where NaN (a row with no decay)."""
-    return [None if math.isnan(v) else v for v in values.tolist()]
+    None where NaN (a row with no decay).  Only the decays are visited:
+    most rows of a scan have none."""
+    out = [None] * len(values)
+    rows = np.flatnonzero(~np.isnan(values))
+    for i, value in zip(rows.tolist(), values[rows].tolist()):
+        out[i] = value
+    return out
 
 
 class _Scan(NamedTuple):
