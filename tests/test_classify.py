@@ -12,7 +12,7 @@ from chebribbon import triangle_ribbon as tri
 from chebribbon.classify import (StateClass, StateLabel,
                                  classify_analytic_square,
                                  classify_analytic_triangle, classify_numeric,
-                                 ipr, model_edge_sides)
+                                 classify_reduced, ipr, model_edge_sides)
 from chebribbon.hamiltonian import (ModelKind, SquareHoppings,
                                     TriangleHoppings, build_square_bloch,
                                     build_triangle_bloch, eigensolve_dense)
@@ -146,6 +146,26 @@ def test_array_labels_equal_per_entry_rules(rng):
                                    5)
     with pytest.raises(ValueError):
         classify_analytic_triangle(energy, tau, za, 5, sides=StateLabel.BULK)
+
+
+def test_reduced_labels_equal_per_entry_rules():
+    # the reduced variable itself, with no energy to form it from
+    y = np.array(_RATIOS[:-1])
+    for sides in (StateLabel.EDGE_LEFT, StateLabel.EDGE_BOTH):
+        expected = [_reference_triangle(v, 0.0, 0.5, sides)
+                    for v in y.tolist()]
+        assert classify_reduced(y, 5, sides).tolist() == [
+            label.value for label in expected]
+        assert [classify_reduced(v, 5, sides) for v in y.tolist()] == expected
+    # at N = 10^5 the outermost bulk root, cos(pi/(N+1)), is about 4.9e-10
+    # inside the band: bulk, though within 1e-9 of its edge
+    edge = math.cos(math.pi / 100001)
+    assert classify_reduced(np.array([edge, -edge]), 100000).tolist() == [
+        "bulk", "bulk"]
+    assert classify_reduced(1.0, 100000) is StateLabel.TRANSITION
+    assert classify_reduced(math.cosh(1e-4), 100000) is StateLabel.EDGE_BOTH
+    with pytest.raises(ValueError):
+        classify_reduced(0.5, 5, sides=StateLabel.BULK)
 
 
 # ------------------------------------------------------------ profile fits --
