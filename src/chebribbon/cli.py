@@ -79,10 +79,10 @@ def _fmt(value):
 
 def _require_finite(names, columns):
     """ConfigError unless every number of the float columns `columns`, each
-    given as a tuple of arrays (or of float sequences), is finite: an inf
-    or nan there comes from hoppings past the range of floats."""
-    for name, parts in zip(names, columns):
-        if not all(np.isfinite(part).all() for part in parts):
+    an array (or a float sequence), is finite: an inf or nan there comes
+    from hoppings past the range of floats."""
+    for name, column in zip(names, columns):
+        if not np.isfinite(column).all():
             raise ConfigError(f"the {name} column overflows to inf or nan; "
                               "the hoppings are out of range")
 
@@ -196,9 +196,9 @@ def _write_json(config, payload):
 # ----------------------------------------------------------- band builders --
 #
 # Each closed-form model has one scan function, config -> _Scan, which
-# `bands` and `validate` both read; _band_rows turns a scan into one block
-# of rows per solved momentum, which `bands` renders in (k index, band
-# index) order.
+# `bands` and `validate` both read; _band_rows turns a scan into flat
+# columns of one block of rows per solved momentum, which `bands` renders
+# in (k index, band index) order.
 
 def _bloch(config, k):
     """The Bloch matrix of config's model at momentum k, or the stack of
@@ -226,11 +226,11 @@ def _oracle_chunks(config, ks):
 
 
 def _oracle_rows(config, ks):
-    """The energy, class, u and ipr columns of the dense oracle at the
-    momenta of the array ks (arrays, u a list), config.model.dim rows each
+    """The energy, class, u (NaN off the edge rows) and ipr arrays of the
+    dense oracle at the momenta of the array ks, config.model.dim rows each
     in the order of ks; each chunk is classified before the next is solved."""
-    energy, label, part = [np.empty(0)], [np.empty(0, str)], [np.empty(0)]
-    u = []
+    energy, label, u, part = ([np.empty(0)], [np.empty(0, str)],
+                              [np.empty(0)], [np.empty(0)])
     for spec in _oracle_chunks(config, ks):
         energy.append(spec.energies.ravel())
         vectors = np.hstack(spec.vectors)
@@ -240,41 +240,39 @@ def _oracle_rows(config, ks):
             labels = np.full(vectors.shape[1], "")
             decay, parts = np.full(vectors.shape[1], np.nan), ipr(vectors)
         label.append(labels)
-        u += _none_where_nan(decay)
+        u.append(decay)
         part.append(parts)
         del spec, vectors  # freed before the next chunk's dense solve
-    return (np.concatenate(energy), np.concatenate(label), u,
-            np.concatenate(part))
+    return tuple(map(np.concatenate, (energy, label, u, part)))
 
 
-def _none_where_nan(values):
-    """The u column of the decays of the array `values`: a list of them,
-    None where NaN (a row with no decay).  Only the decays are visited:
-    most rows of a scan have none."""
-    out = [None] * len(values)
-    rows = np.flatnonzero(~np.isnan(values))
-    for i, value in zip(rows.tolist(), values[rows].tolist()):
-        out[i] = value
-    return out
+class _Grid(NamedTuple):
+    """How a scan's rows cover the momenta k of its config's grid: one
+    block of rows per momentum not `mirrored`, in grid order, which a
+    mirrored one shares with its partner -k (the same energies, labels and
+    decays; the conjugate states).  block: the block each momentum reads.
+    solved: per block, True where the closed form gives its rows, the
+    scan's rows holding config.model.dim per solved block in block order;
+    failed: {block: the DegenerateParameterError or RootCountError (None
+    on a model without a closed form)} of the others, oracle blocks."""
+
+    k: np.ndarray
+    mirrored: np.ndarray
+    block: np.ndarray
+    solved: np.ndarray
+    failed: dict
 
 
 class _Scan(NamedTuple):
     """A model's closed-form solution of the momenta of its config's grid.
 
-    grid: (k, rows, mirrored) per momentum, in grid order.  rows is the
-        slice of the scan's rows (config.model.dim of them) that the closed
-        form gives at k, or else the DegenerateParameterError or
-        RootCountError (None on a model without a closed form) that sends k
-        to the oracle.  A mirrored momentum shares the rows (or the error)
-        of its partner -k, which came earlier in the grid: the energies,
-        labels and decays are those of -k, and its states are the
-        conjugates of the states of those rows (see _solve_grid).
+    grid: the _Grid of the scan (see _solve_grid).
     energy, label: one entry per row, ascending in energy at each momentum;
         label values of StateLabel.
     near: True where a row lies within 0.1 of a band edge in the reduced
         variable, where the numeric boundary fit is unreliable; None on a
         model whose states are all bulk, with no label to check.
-    u: the decay of each edge row, None on the others.
+    u: the decay of each edge row, NaN on the others.
     ipr: the inverse participation ratio of each row's state, in closed
         form: no state is formed.
     states(rows): the normalized states of the rows (whole momenta) of the
@@ -284,11 +282,11 @@ class _Scan(NamedTuple):
         decay (tri.root_residuals).
     """
 
-    grid: list
+    grid: _Grid
     energy: np.ndarray
     label: np.ndarray
     near: object
-    u: list
+    u: np.ndarray
     ipr: np.ndarray
     states: object
     residuals: object = None
@@ -296,32 +294,25 @@ class _Scan(NamedTuple):
 
 def _solve_grid(config, solve):
     """Pass 1 of a scan: one call solve(ks) for the momenta ks of config's
-    grid whose partner -k has not come earlier in the grid.  The hoppings
-    are real, so H(-k) = H(k)*: the partner has the same energies, labels
-    and decays, and the conjugate states, so it reads the rows of -k,
-    mirrored.  solve returns its solution of the momenta it solved, in the
-    order of ks, and {index into ks: the DegenerateParameterError or
-    RootCountError} of those where the closed form degenerates or misses
-    a root, which their partners share.  Returns the scan's grid (see
-    _Scan) and the solution."""
-    dim = config.model.dim
-    grid = config.k_grid()
-    first = {}  # the grid index of each momentum solved
-    for i, k in enumerate(grid.tolist()):
-        if -k not in first:
-            first[k] = i
-    solution, failed = solve(grid[list(first.values())])
-    solved = [n for n in range(len(first)) if n not in failed]
-    rows = {n: slice(i * dim, (i + 1) * dim) for i, n in enumerate(solved)}
-    rows = {k: rows.get(n, failed.get(n)) for n, k in enumerate(first)}
-    return [(k, rows[k], False) if k in rows else (k, rows[-k], True)
-            for k in grid.tolist()], solution
+    grid not mirrored.  The hoppings are real, so H(-k) = H(k)*, and the
+    grid's k[m-1-i] is -k[i] bit for bit: each momentum i past the middle
+    whose k[m-1-i] is -k[i] reads block m-1-i.  solve returns its solution
+    of ks, in their order, and {index into ks: the DegenerateParameterError
+    or RootCountError} of those where the closed form degenerates or
+    misses a root.  Returns the scan's _Grid and the solution."""
+    k = config.k_grid()
+    i = np.arange(len(k))
+    mirrored = (2 * i >= len(k)) & (k == -k[::-1])
+    block = np.where(mirrored, i[::-1], np.cumsum(~mirrored) - 1)
+    solution, failed = solve(k[~mirrored])
+    solved = ~np.isin(np.arange(len(k) - mirrored.sum()), list(failed))
+    return _Grid(k, mirrored, block, solved, failed), solution
 
 
 def _unsolved(grid):
     """The _Scan of a grid with no closed-form momentum."""
-    return _Scan(grid, np.empty(0), np.empty(0, dtype=str), None, [],
-                 np.empty(0), None)
+    return _Scan(grid, np.empty(0), np.empty(0, dtype=str), None,
+                 np.empty(0), np.empty(0), None)
 
 
 def _general_scan(config):
@@ -338,11 +329,10 @@ def _square_zigzag_scan(config):
         # sq.zigzag_roots of each momentum, with its complex xi
         xi = sq.xi_of_k(h, ks, a)[0]
         roots, failed = sq.zigzag_roots(np.abs(xi), N)
-        return (roots, [x for n, x in enumerate(xi.tolist())
-                        if n not in failed]), failed
+        return (roots, np.delete(xi, list(failed))), failed
 
     grid, ((omegas, v, decay), xi_c) = _solve_grid(config, solve)
-    if not xi_c:
+    if not len(xi_c):
         return _unsolved(grid)
     xi_c = np.repeat(xi_c, 2 * N)
     # each momentum's -omegas then omegas, ascending; the omegas ascend, so
@@ -366,7 +356,7 @@ def _square_zigzag_scan(config):
                                      decay[rows], N)
 
     return _Scan(grid, h.tr * omega, classify_reduced(x, N),
-                 np.abs(x + 1.0) < 0.1, _none_where_nan(decay), part, states)
+                 np.abs(x + 1.0) < 0.1, decay, part, states)
 
 
 def _square_lr_scan(config):
@@ -393,7 +383,7 @@ def _square_lr_scan(config):
     # both blocks carry the standing wave sin(pi j n/(N+1)) with equal
     # weight: half its IPR
     return _Scan(grid, energy, np.full(len(energy), StateLabel.BULK.value),
-                 None, [None] * len(energy),
+                 None, np.full(len(energy), np.nan),
                  0.5 * u_profile_ipr(np.pi * j / (N + 1), 0.0, N), states)
 
 
@@ -428,7 +418,8 @@ def _triangle_linear_scan(config):
 
     return _Scan(grid, energy, *_triangle_labels(config.kind, N,
                                                   np.cos(angle)),
-                 [None] * len(energy), u_profile_ipr(angle, 0.0, N), states)
+                 np.full(len(energy), np.nan), u_profile_ipr(angle, 0.0, N),
+                 states)
 
 
 def _triangle_zigzag_scan(config):
@@ -453,7 +444,7 @@ def _triangle_zigzag_scan(config):
                                ends)
 
     return _Scan(grid, roots.energy, *_triangle_labels(config.kind, N, y),
-                 _none_where_nan(roots.u), part, states,
+                 roots.u, part, states,
                  lambda: tri.root_residuals(roots, N, ends))
 
 
@@ -468,63 +459,60 @@ _SCANS = {
 
 
 def _band_rows(config, scan):
-    """(grid, blocks): (k, n) of each grid momentum in grid order, and the
-    blocks of rows, the n-th one momentum's (energy, label, u, ipr,
-    source) per band: its slice of the scan's columns, or of the oracle's
-    rows where the closed form leaves it unsolved.  A mirrored momentum
-    reads its partner's block (conjugate states have the same |psi|)."""
-    dim = config.model.dim
-    unsolved = [k for k, rows, mirrored in scan.grid
-                if not (isinstance(rows, slice) or mirrored)]
-    at = {k: slice(n * dim, (n + 1) * dim) for n, k in enumerate(unsolved)}
-    oracle = _oracle_rows(config, np.array(unsolved))
+    """(k, block, source, columns): the grid's momenta and the block each
+    reads (see _Grid), each block's source, "analytic" or "oracle", and
+    the energy, class, u and ipr arrays of the blocks' rows in block order:
+    a solved block's rows of the scan, or else its momentum's oracle rows."""
+    grid, dim, solved = scan.grid, config.model.dim, scan.grid.solved
+    oracle = _oracle_rows(config, grid.k[~grid.mirrored][~solved])
+    # each block's place among the scan's blocks, then among the oracle's
+    before = np.cumsum(solved) - solved
+    at = np.where(solved, before,
+                  np.count_nonzero(solved) + np.arange(len(solved)) - before)
+    rows = (dim * at[:, None] + np.arange(dim)).ravel()
+    columns = [np.concatenate(pair)[rows] for pair in zip(
+        (scan.energy, scan.label, scan.u, scan.ipr), oracle)]
     # every solved row is a row of the output, and no other is
-    _require_finite(("k", "energy", "u", "ipr"), (
-        (config.k_grid(),), (scan.energy, oracle[0]),
-        tuple([v for v in u if v is not None] for u in (scan.u, oracle[2])),
-        (scan.ipr, oracle[3])))
-    analytic, oracle = ((c[0].tolist(), c[1].tolist(), c[2], c[3].tolist())
-                        for c in ((scan.energy, scan.label, scan.u, scan.ipr),
-                                  oracle))
-    index, blocks = {}, []
-    for k, rows, mirrored in scan.grid:
-        if not mirrored:
-            index[k] = len(blocks)
-            blocks.append((*(c[rows] for c in analytic), "analytic")
-                          if isinstance(rows, slice) else
-                          (*(c[at[k]] for c in oracle), "oracle"))
-    return [(k, index[-k if mirrored else k])
-            for k, _, mirrored in scan.grid], blocks
+    energy, _, u, part = columns
+    _require_finite(("k", "energy", "u", "ipr"),
+                    (grid.k, energy, u[~np.isnan(u)], part))
+    return (grid.k, grid.block,
+            np.where(solved, "analytic", "oracle").tolist(), columns)
 
 
-def _write_bands(config, grid, blocks):
-    """Emit the BAND_COLUMNS table of _band_rows' grid and blocks: the
-    rows of each block without their k (its tails) are rendered once, for
-    both members of a +-k pair, by one % on its source's template, and
-    each momentum's k once, in front of its block's lines."""
-    band = range(1, config.model.dim + 1)
-    if config.output_format == "csv":
+def _write_bands(config, k, block, source, columns):
+    """Emit the BAND_COLUMNS table of _band_rows' output: each block's rows
+    without their k (its tail) once, for both members of a +-k pair, with
+    u formatted on the edge rows alone and a CSV tail by one % on its
+    source's template, and each momentum's k once, in front of its tail."""
+    dim, csv = config.model.dim, config.output_format == "csv"
+    band = range(1, dim + 1)
+    energy, label, u, part = columns
+    cells = ["" if csv else None] * len(u)
+    edge = np.flatnonzero(~np.isnan(u))
+    for i, value in zip(edge.tolist(), u[edge].tolist()):
+        cells[i] = "%.17g" % value if csv else value
+    if csv:
+        values = [None] * (4 * len(cells))
+        values[0::4], values[1::4] = energy.tolist(), label.tolist()
+        values[2::4], values[3::4] = cells, part.tolist()
+        values, step = tuple(values), 4 * dim
         # a newline before each line, replaced by one and the k
-        template = {source: "".join(f"\n{b},%.17g,%s,%s,%.17g,{source}"
-                                    for b in band)
-                    for source in ("analytic", "oracle")}
-        values = [None] * (4 * len(band))
-        tails = []
-        for energy, label, u, part, source in blocks:
-            values[0::4] = energy
-            values[1::4] = label
-            values[2::4] = ["" if v is None else "%.17g" % v for v in u]
-            values[3::4] = part
-            tails.append(template[source] % tuple(values))
-        text = ",".join(BAND_COLUMNS) + "".join(
-            tails[n].replace("\n", "\n" + format(k, ".17g") + ",")
-            for k, n in grid) + "\n"
+        template = {s: "".join(f"\n{b},%.17g,%s,%s,%.17g,{s}" for b in band)
+                    for s in set(source)}
+        tails = [template[s] % values[n * step:(n + 1) * step]
+                 for n, s in enumerate(source)]
+        text = ",".join(BAND_COLUMNS) + "".join([
+            tails[n].replace("\n", "\n%.17g," % x)
+            for x, n in zip(k.tolist(), block.tolist())]) + "\n"
     else:
-        tails = [[[b, e, c or None, v, p, source]
-                  for b, e, c, v, p in zip(band, energy, label, u, part)]
-                 for energy, label, u, part, source in blocks]
+        rows = list(zip(energy.tolist(), [c or None for c in label.tolist()],
+                        cells, part.tolist()))
+        tails = [[[b, *row, s] for b, row in zip(
+            band, rows[n * dim:(n + 1) * dim])] for n, s in enumerate(source)]
         text = _json_text({"columns": list(BAND_COLUMNS), "rows": [
-            [k, *row] for k, n in grid for row in tails[n]]}) + "\n"
+            [x, *row] for x, n in zip(k.tolist(), block.tolist())
+            for row in tails[n]]}) + "\n"
     _emit(config.output_path, text)
 
 
@@ -642,27 +630,30 @@ def _validate_scan(config, violations):
     and checked in one call each): energies, overlaps, labels and, on the
     triangular zigzag ribbons, the worst scaled secular residual."""
     scan = _SCANS[config.kind](config)
+    grid = scan.grid
     name, tol, dim = config.kind.value, config.tolerance, config.model.dim
     dev = deficit = 0.0
     agree = total = 0
+    # the first row of each solved block among the scan's rows
+    first = dim * (np.cumsum(grid.solved) - grid.solved)
     # every momentum is solved, a mirrored one too: its own oracle spectrum
     # is what checks the mirror
     start = 0
-    for spec in _oracle_chunks(
-            config, np.array([k for k, _, _ in scan.grid])):
+    for spec in _oracle_chunks(config, grid.k):
         oracle = spec.energies
-        chunk = scan.grid[start:start + len(oracle)]
-        start += len(oracle)
+        chunk = slice(start, start + len(oracle))
+        start = chunk.stop
+        blocks = grid.block[chunk]
         # a mirrored momentum's error is its partner's, raised before
-        _require_checkable([None if isinstance(at, slice) else at
-                            for _, at, _ in chunk], oracle)
-        starts = np.array([at.start for _, at, _ in chunk])
-        mirrored = np.array([m for _, _, m in chunk])
+        _require_checkable([grid.failed.get(n) for n in blocks.tolist()],
+                           oracle)
+        starts = first[blocks]
         distinct, inverse = np.unique(starts, return_inverse=True)
         states = scan.states((distinct[:, None] + np.arange(dim)).ravel()
                              ).reshape(dim, -1, dim).swapaxes(0, 1)[inverse]
         # a mirrored momentum's states are the conjugates of its partner's
-        np.conjugate(states, out=states, where=mirrored[:, None, None])
+        np.conjugate(states, out=states,
+                     where=grid.mirrored[chunk][:, None, None])
         rows = (starts[:, None] + np.arange(dim)).ravel()
         energies = scan.energy[rows].reshape(len(starts), dim)
         # subspace projection: degenerate pairs (e.g. the +-0 partners of a
@@ -671,7 +662,7 @@ def _validate_scan(config, violations):
         deficit = max(deficit, *(1.0 - overlap).ravel().tolist())
         d = np.abs(energies - oracle)
         for m, i in np.argwhere(d > tol * np.maximum(np.abs(energies), 1)):
-            violations.append((name, float(chunk[m][0]), int(i) + 1,
+            violations.append((name, float(grid.k[chunk][m]), int(i) + 1,
                                "energy", d[m, i]))
         dev = max(dev, *d.ravel().tolist())
         agreed = _label_agreement(scan, rows, spec)
@@ -895,7 +886,7 @@ def cmd_wavefunction(config, args):
             "wavefunction needs --u (edge branch), --band [--k], or "
             "--j (zero mode, square-general)")
     columns = list(zip(*rows))
-    _require_finite(WAVE_COLUMNS[2:5], [(c,) for c in columns[2:5]])
+    _require_finite(WAVE_COLUMNS[2:5], columns[2:5])
     _write_table(config, WAVE_COLUMNS, columns)
     return 0
 

@@ -93,8 +93,7 @@ def _scan(kind, N, hoppings, k_points):
     config = ScanConfig(model=RibbonModel(kind, N), hoppings=hoppings,
                         k_points=k_points)
     scan = cli._SCANS[kind](config)
-    return scan, [k for k, rows, mirrored in scan.grid
-                  if isinstance(rows, slice) and not mirrored]
+    return scan, scan.grid.k[~scan.grid.mirrored][scan.grid.solved].tolist()
 
 
 @pytest.mark.parametrize("kind", [ModelKind.TRIANGLE_ZIGZAG1,
@@ -110,7 +109,7 @@ def test_triangle_state_blocks_match_oracle(kind):
     assert columns.shape == (N, len(momenta) * N)
     for m, k in enumerate(momenta):
         rows = slice(m * N, (m + 1) * N)
-        assert any(u is not None for u in scan.u[rows])
+        assert not np.isnan(scan.u[rows]).all()
         block = columns[:, rows]
         spec = eigensolve_dense(build_triangle_bloch(h, N, k,
                                                      ends=kind.ends))
@@ -464,8 +463,10 @@ def test_root_count_error_mid_scan_falls_back_to_oracle_rows(
     scan = cli._SCANS[ModelKind.TRIANGLE_ZIGZAG2](ScanConfig(
         model=RibbonModel(ModelKind.TRIANGLE_ZIGZAG2, 9),
         hoppings=TriangleHoppings(0.9, 0.1, 1.0), k_points=16))
-    errors = [(k, rows, mirrored) for k, rows, mirrored in scan.grid
-              if isinstance(rows, RootCountError)]
+    failed = scan.grid.failed
+    errors = [(k, failed[n], mirrored) for k, n, mirrored in zip(
+        scan.grid.k.tolist(), scan.grid.block.tolist(),
+        scan.grid.mirrored.tolist()) if n in failed]
     assert [(k, mirrored) for k, _, mirrored in errors] == [
         (grid[7], False), (grid[8], True)]
     assert errors[0][1] is errors[1][1] is error
@@ -536,7 +537,8 @@ def test_traced_triangle_names_are_called(monkeypatch, capsys, model):
     [np.float64(-0.0), 1, -0.0, "bulk", None, np.float64(0.25), "analytic"],
     [0.1, 12, np.float64(1e-300), "edge-left", np.float64(0.3), 1.0 / 3.0,
      "analytic"],
-    # u is None or a float: the scans and the oracle leave no other value
+    # u is None (NaN in its column) or a float: the scans and the oracle
+    # leave no other value
     [np.float64(-1.5), np.int64(3), 2.0 ** 0.5, "", None, 0.5, "oracle"],
     [1e22, 1, float("nan"), "edge-both", -0.0, float("inf"), "oracle"],
 ])
@@ -547,9 +549,10 @@ def test_band_line_equals_joined_fmt(capsys, row):
     config = ScanConfig(model=RibbonModel(ModelKind.TRIANGLE_LINEAR,
                                           int(band)), hoppings=None)
     energy, label, u, part, source = values
-    block = tuple([v] * int(band) for v in (energy, label, u, part)) \
-        + (source,)
-    cli._write_bands(config, [(k, 0), (-k, 0)], [block])
+    columns = [np.full(int(band), v) for v in (
+        energy, label, np.nan if u is None else u, part)]
+    cli._write_bands(config, np.array([k, -k]), np.array([0, 0]), [source],
+                     columns)
     lines = [",".join(cli._fmt(v) for v in (sign * k, b, *values))
              for sign in (1, -1) for b in range(1, int(band) + 1)]
     assert capsys.readouterr().out == HEADER + "\n" + "\n".join(lines) + "\n"
@@ -579,7 +582,13 @@ def test_bands_writer_equals_joined_rows(capsys, dim, output_format):
     grid = [(-0.75, 0), (-0.25, 1), (0.0, 2), (0.25, 1), (0.75, 0), (1.0, 3)]
     config = ScanConfig(model=RibbonModel(ModelKind.TRIANGLE_LINEAR, dim),
                         hoppings=None, output_format=output_format)
-    cli._write_bands(config, grid, blocks)
+    energy, label, u, part = (sum((list(b[c]) for b in blocks), [])
+                              for c in range(4))
+    cli._write_bands(config, *map(np.array, zip(*grid)),
+                     [b[4] for b in blocks],
+                     [np.array(energy), np.array(label),
+                      np.array([np.nan if v is None else v for v in u]),
+                      np.array(part)])
     rows = [[k, b, *(c[b - 1] for c in blocks[n][:4]), blocks[n][4]]
             for k, n in grid for b in range(1, dim + 1)]
     expected = (HEADER + "\n" + "\n".join(",".join(map(cli._fmt, r))
@@ -668,17 +677,26 @@ def _reference_rows(config):
     oracle's rows of the momentum (of its partner, when mirrored) solved
     alone."""
     scan = cli._SCANS[config.kind](config)
+    grid, dim = scan.grid, config.model.dim
     rows = []
-    for k, r, mirrored in scan.grid:
-        if isinstance(r, slice):
-            columns, source = (scan.energy[r].tolist(), scan.label[r].tolist(),
-                               scan.u[r], scan.ipr[r].tolist()), "analytic"
+    for k, n, mirrored in zip(grid.k.tolist(), grid.block.tolist(),
+                              grid.mirrored.tolist()):
+        if grid.solved[n]:
+            r = slice(dim * int(grid.solved[:n].sum()), None)
+            columns, source = (scan.energy[r], scan.label[r], scan.u[r],
+                               scan.ipr[r]), "analytic"
         else:
             columns, source = cli._oracle_rows(
                 config, np.array([-k if mirrored else k])), "oracle"
-        rows += [[k, band, *values, source]
-                 for band, values in enumerate(zip(*columns), 1)]
+        energy, label, u, part = (c[:dim].tolist() for c in columns)
+        rows += [[k, band, *values, source] for band, values in enumerate(
+            zip(energy, label, _decays_or_none(u), part), 1)]
     return rows
+
+
+def _decays_or_none(values):
+    """A u column as a list: None where NaN (a row with no decay)."""
+    return [None if math.isnan(v) else v for v in values]
 
 
 _BLOCK_CASES = {
@@ -730,6 +748,81 @@ def test_bands_blocks_equal_row_by_row_reference(monkeypatch, capsys, case,
                   for r in rows]}, indent=2) + "\n"
 
 
+def _rows_one_momentum_at_a_time(monkeypatch, capsys, argv):
+    """The JSON rows of `bands` argv, each momentum's from a grid of that
+    momentum alone: the i-th of m momenta solves k[min(i, m-1-i)], itself
+    or its partner -k, and takes those rows under its own k."""
+    config = cli._resolve_config(cli._build_parser().parse_args(argv))
+    k = config.k_grid().tolist()
+    rows = []
+    for i, x in enumerate(k):
+        alone = np.array([k[min(i, len(k) - 1 - i)]])
+        with monkeypatch.context() as patch:
+            patch.setattr(ScanConfig, "k_grid", lambda self: alone)
+            assert run(argv + ["--format", "json"]) == 0
+        rows += [[x, *row[1:]]
+                 for row in json.loads(capsys.readouterr().out)["rows"]]
+    return rows
+
+
+# (flags, sources of the rows): every model at 1, 2 and 3 momenta, and odd
+# grids whose outer +-k pairs (7 momenta, hoppings so small that the
+# closed form fails there) or whose middle momentum (3) take oracle rows
+_ONE_MOMENTUM_CASES = [
+    *(([case.split("-oracle")[0], *flags, "--k-points", m],
+       {"oracle"} if case in ("square-general", "triangle-linear-oracle")
+       else {"analytic"})
+      for case, flags in _BLOCK_CASES.items() if "root" not in case
+      for m in ("1", "2", "3")),
+    *(([model, "--N", "6", *flags], {"analytic", "oracle"})
+      for model, flags in (
+          ("square-zigzag", ["--tu", "1e-308", "--td", "1e-308",
+                             "--k-points", "7"]),
+          ("triangle-zigzag1", ["--t1", "1e-308", "--t2", "1e-308",
+                                "--k-points", "7"]),
+          ("square-zigzag", ["--tu", "4e-309", "--td", "4e-309",
+                             "--k-points", "3"]),
+          ("triangle-zigzag1", ["--t1", "1e-308", "--t2", "0",
+                                "--k-points", "3"]))),
+]
+
+
+@pytest.mark.parametrize("flags, sources", _ONE_MOMENTUM_CASES)
+def test_flat_table_equals_rows_solved_one_momentum_at_a_time(
+        monkeypatch, capsys, flags, sources):
+    # the whole grid's table, in CSV and JSON, against each momentum's rows
+    # solved alone: the index mirror, the blocks gathered from the scan and
+    # the oracle, and the interleaved columns change no byte
+    argv = ["bands", "--model", *flags]
+    rows = _rows_one_momentum_at_a_time(monkeypatch, capsys, argv)
+    assert {r[6] for r in rows} == sources
+    assert run(argv) == 0
+    assert capsys.readouterr().out == "\n".join(
+        [HEADER] + [",".join(map(cli._fmt, r)) for r in rows]) + "\n"
+    assert run(argv + ["--format", "json"]) == 0
+    assert capsys.readouterr().out == json.dumps(
+        {"columns": HEADER.split(","), "rows": rows}, indent=2) + "\n"
+
+
+_EDGE_LABELS = ["edge-left", "edge-right", "edge-both"]
+
+
+@pytest.mark.parametrize("case", [c for c in _BLOCK_CASES if "root" not in c])
+def test_scan_u_is_nan_exactly_on_non_edge_rows(case):
+    # the u column carries a decay on each edge row and NaN on every other,
+    # in the scans and the oracle alike; no row here is a transition
+    argv = ["bands", "--model", case.split("-oracle")[0], *_BLOCK_CASES[case],
+            "--k-points", "8"]
+    config = cli._resolve_config(cli._build_parser().parse_args(argv))
+    scan = cli._SCANS[config.kind](config)
+    oracle = cli._oracle_rows(config, scan.grid.k)
+    for label, u in ((scan.label, scan.u), oracle[1:3]):
+        assert len(u) == len(label) and "transition" not in label
+        assert (np.isnan(u) == ~np.isin(label, _EDGE_LABELS)).all()
+    assert np.isin(scan.label, _EDGE_LABELS).any() == config.kind.value \
+        .endswith(("zigzag", "zigzag1", "zigzag2"))
+
+
 def _per_momentum_lr_scan(config):
     """Reference: the square-lr scan solved one momentum at a time, each
     momentum's 2N entries sorted as Python sorts a list of tuples."""
@@ -746,8 +839,7 @@ def _per_momentum_lr_scan(config):
 
     grid, solved = cli._solve_grid(
         config, lambda ks: ([lr_bands(k) for k in ks], {}))
-    ks = [k for k, rows, mirrored in grid
-          if isinstance(rows, slice) and not mirrored]
+    ks = grid.k[~grid.mirrored][grid.solved].tolist()
     energy, j, sign = (np.array(column) for column in zip(
         *(entry for entries in solved for entry in entries)))
 
@@ -758,7 +850,7 @@ def _per_momentum_lr_scan(config):
                                      sign=sign[rows])
 
     return cli._Scan(grid, energy, np.full(len(energy), "bulk"), None,
-                     [None] * len(energy),
+                     np.full(len(energy), np.nan),
                      0.5 * u_profile_ipr(np.pi * j / (N + 1), 0.0, N),
                      states)
 
@@ -782,8 +874,7 @@ def _per_momentum_linear_scan(config):
     grid, solved = cli._solve_grid(config, solve)
     if not solved:
         return cli._unsolved(grid)
-    ks = [k for k, rows, mirrored in grid
-          if isinstance(rows, slice) and not mirrored]
+    ks = grid.k[~grid.mirrored][grid.solved].tolist()
     energy = np.concatenate([s[0] for s in solved])
     j = np.concatenate([s[1] for s in solved]) + 1
 
@@ -793,7 +884,8 @@ def _per_momentum_linear_scan(config):
         return tri.linear_states(h, N, ks[m], a=a)[:, solved[m][1]]
 
     return cli._Scan(grid, energy, *cli._triangle_labels(
-        config.kind, N, np.cos(np.pi * j / (N + 1))), [None] * len(energy),
+        config.kind, N, np.cos(np.pi * j / (N + 1))),
+        np.full(len(energy), np.nan),
         u_profile_ipr(np.pi * j / (N + 1), 0.0, N), states)
 
 
@@ -851,8 +943,8 @@ def _assert_scan_equals_per_momentum_scan(monkeypatch, capsys, argv):
     reference = _PER_MOMENTUM_SCANS[config.kind](config)
 
     def grid(s):
-        return [(k, m, r if isinstance(r, slice) else (type(r), str(r)))
-                for k, r, m in s.grid]
+        return ([c.tobytes() for c in s.grid[:4]],
+                {n: (type(e), str(e)) for n, e in s.grid.failed.items()})
 
     assert grid(scan) == grid(reference), argv
     for column in ("energy", "ipr"):
@@ -901,7 +993,7 @@ def test_degenerate_momentum_of_a_linear_scan_takes_oracle_rows(
     config = cli._resolve_config(cli._build_parser().parse_args(argv))
     monkeypatch.setattr(tri, "zeta_of_k", _zeta_zero_at(config.k_grid()[1]))
     scan = _assert_scan_equals_per_momentum_scan(monkeypatch, capsys, argv)
-    assert sum(not isinstance(r, slice) for _, r, _ in scan.grid) == 2
+    assert np.count_nonzero(~scan.grid.solved[scan.grid.block]) == 2
 
 
 def test_oracle_rows_hold_one_chunk_at_a_time(tmp_path):
