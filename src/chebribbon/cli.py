@@ -102,7 +102,12 @@ def _write_table(config, names, columns):
 
 def _emit(path, text):
     if path not in (None, "-"):
-        with open(path, "w") as fh:
+        try:
+            fh = open(path, "w")
+        except OSError as exc:  # no such directory, a directory, no access
+            raise ConfigError(f"cannot write --out {path}: "
+                              f"{exc.strerror or exc}")
+        with fh:
             fh.write(text)
         return
     out = sys.stdout
@@ -1111,6 +1116,10 @@ def run(argv=None):
     except OverflowError:  # `math` raises it past the float range
         print("error: a value overflows the float range; the hoppings are "
               "out of range", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy refuses an array past the memory
+        print(f"error: out of memory ({str(exc) or 'allocation refused'}); "
+              "lower --N or --k-points", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # downstream pipe (head, less, ...) closed early; silence the

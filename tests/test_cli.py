@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import select
 import subprocess
 import sys
 import tracemalloc
@@ -1539,10 +1540,37 @@ _TINY_LATTICE_CONSTANTS = [
     # 1/sqrt(tr tl) = 1e10 magnifies the rounding of cos(ka) past the
     # zero-mode check of the momenta zero_mode_momenta found
     ["validate", "--model", "square-general", "--N", "3", "--tl", "1e-20"],
+    # an --out path that cannot be opened for writing
+    ["bands", "--model", "square-zigzag", "--N", "3", "--out",
+     "/nonexistent/x.csv"],
+    ["bands", "--model", "square-zigzag", "--N", "3", "--out", "."],
+    ["wavefunction", "--model", "square-zigzag", "--u", "0.5", "--out", "."],
+    # a grid of 1e11 momenta, 745 GiB, which numpy refuses to allocate
+    ["bands", "--model", "triangle-linear", "--N", "3", "--k-points",
+     "100000000000"],
 ])
 def test_invalid_invocations_exit_2(capsys, argv):
     assert run(argv) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("out, reason", [
+    ("/nonexistent/x.csv", "No such file or directory"),
+    (".", "Is a directory")])
+def test_unwritable_out_is_one_line(capsys, out, reason):
+    assert run(["bands", "--model", "square-zigzag", "--N", "3",
+                "--out", out]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write --out {out}: "
+                                       f"{reason}\n")
+
+
+def test_refused_allocation_is_one_line(capsys):
+    # the k grid alone would take 745 GiB: numpy refuses it at once
+    assert run(["bands", "--model", "triangle-linear", "--N", "3",
+                "--k-points", "100000000000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: out of memory (Unable to allocate")
 
 
 @pytest.mark.parametrize("argv", _TINY_LATTICE_CONSTANTS)
@@ -1830,6 +1858,28 @@ def test_broken_pipe_exits_1_buffered_or_not(unbuffered):
     proc.stderr.close()
     assert proc.wait() == 1
     assert err == b""
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_out_pipe_cut_off_exits_1(tmp_path):
+    # --out names a pipe whose reader quits early: cut-off output exits 1
+    # without a traceback, where a path that cannot be opened exits 2
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from chebribbon.cli import main; main()",
+         "edges", "--model", "triangle-zigzag2", "--t1", "0.9",
+         "--t2", "0.1", "--out", str(fifo)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert select.select([reader], [], [], 60)[0]
+        os.read(reader, 64)
+    finally:
+        os.close(reader)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert (out, err) == (b"", b"")
 
 
 class _ShortWriter(io.RawIOBase):
