@@ -5,7 +5,8 @@
 SRC_A and SRC_B are checkouts (or their ``src`` directories).  A fixed list
 of commands runs under each tree in a process of its own, each command
 through ``chebribbon.cli.run`` in-process with ``--out`` to a file.  Per
-command the tool compares the ``--out`` bytes, the exit code and the stderr
+command the tool compares the ``--out`` bytes (none when the command
+names its own ``--out``), the exit code and the stderr
 text (or, when ``run`` raises, the last line of the exception), prints each
 command that differs and exits 1 if any does.  For a ``bands`` command whose
 output differs, it also names the columns that differ and gives the worst
@@ -26,7 +27,7 @@ commands above 1e-9.  Warnings are recorded as
 line they came from, so that moved code compares equal.  ``--list`` prints
 the commands and exits.
 
-The list, 1,232 commands: both perfbench workloads on seeds 7101 and 7102
+The list, 1,244 commands: both perfbench workloads on seeds 7101 and 7102
 with their known defects; zigzag ``bands`` at N = 200 and 1000 in CSV and
 JSON; square-lr and triangle-linear ``bands`` at N = 200 and 1000 in CSV
 and JSON, and with equal legs (tu = td, t1 = t2) at odd widths on odd
@@ -51,7 +52,10 @@ square-general at N = 1 in JSON, and an ``edges`` report that overflows;
 last, ``bands`` on the three triangular models at N = 200 and t3 = 1e13,
 1e14 and 1e15, ``bands`` and ``validate`` on square-zigzag at N = 200 and
 tr = 1e-12, whose labels a reduced variable formed back from the energy
-got wrong, and ``validate`` on square-general at tl = 1e-20.
+got wrong, and ``validate`` on square-general at tl = 1e-20; then
+``bands`` whose grid of 1 or 3 momenta takes closed-form rows, oracle rows
+or both, in CSV and JSON; and the reproducers of an ``--out`` path that
+cannot be opened and of a k grid that numpy refuses to allocate.
 """
 
 from __future__ import annotations
@@ -403,6 +407,30 @@ def _strong_anisotropy():
          "1e-20"]]
 
 
+def _short_grids():
+    """``bands`` on grids of 1 and 3 momenta, in CSV and JSON, with
+    hoppings so small that the closed form fails at some of them: on
+    square-zigzag at the outer +-k pair, on triangle-zigzag1 at k = 0."""
+    return [["bands", "--model", model, "--N", "6", *hop, "--k-points", m,
+             "--format", fmt]
+            for model, hop in (
+                ("square-zigzag", ["--tu", "4e-309", "--td", "4e-309"]),
+                ("triangle-zigzag1", ["--t1", "1e-308", "--t2", "0"]))
+            for m in ("1", "3") for fmt in ("csv", "json")]
+
+
+def _output_and_memory():
+    """An ``--out`` path that cannot be opened (no such directory, a
+    directory) and a k grid of 745 GiB, which numpy refuses at once."""
+    return [["bands", "--model", "square-zigzag", "--N", "3", "--out",
+             "/nonexistent/x.csv"],
+            ["bands", "--model", "square-zigzag", "--N", "3", "--out", "."],
+            ["wavefunction", "--model", "square-zigzag", "--u", "0.5",
+             "--out", "."],
+            ["bands", "--model", "triangle-linear", "--N", "3",
+             "--k-points", "100000000000"]]
+
+
 def commands():
     """The fixed command list, the same on every call."""
     rng = random.Random(8128)
@@ -411,7 +439,7 @@ def commands():
             + _edges(rng) + _zeromodes() + _wavefunction(rng) + _defects()
             + _validate_pairs(random.Random(8129)) + _oracle_bands()
             + _lattice_constants(random.Random(8130)) + _writer_paths()
-            + _strong_anisotropy())
+            + _strong_anisotropy() + _short_grids() + _output_and_memory())
 
 
 def _src(path):
@@ -465,7 +493,8 @@ def _run_tree(src, results):
                 contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
             try:
-                code = cli.run(argv + ["--out", str(out)])
+                code = cli.run(argv if "--out" in argv
+                               else argv + ["--out", str(out)])
             except Exception as exc:  # the last line of the traceback
                 code = "raised"
                 err.write(traceback.format_exception_only(
